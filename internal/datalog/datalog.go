@@ -163,18 +163,24 @@ func (e *evaluator) probesNow() int64 {
 // program must be stratified — a predicate negated inside its own recursive
 // component is rejected. Negation must be safe (Program.Validate).
 func Eval(prog *logic.Program, db *storage.DB, opt Options) (*storage.DB, *Stats, error) {
-	an := analysis.Analyze(prog)
-	if !an.IsFullSingleHead() {
-		return nil, nil, fmt.Errorf("datalog: program is not full single-head (Datalog)")
-	}
 	if prog.HasNegation() {
+		// Before compiling: unsafe negation cannot be planned.
 		if err := prog.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("datalog: %w", err)
 		}
-		if ok, vs := an.IsStratifiedNegation(); !ok {
-			return nil, nil, fmt.Errorf("datalog: %s", vs[0].Reason)
-		}
 		opt.Stratify = true
+	}
+	plans, cached := plan.CachedHit(prog, plan.Options{DeltaFirst: opt.BiasRecursiveAtom})
+	opt.Tracer.Plan(cached)
+	// Analyzed once per compiled program, not once per Eval: the reasoning
+	// service evaluates one cached demand rewriting per query, and
+	// re-analyzing it was a third of that.
+	an := plans.Analysis()
+	if !an.IsFullSingleHead() {
+		return nil, nil, fmt.Errorf("datalog: program is not full single-head (Datalog)")
+	}
+	if ok, vs := an.IsStratifiedNegation(); !ok {
+		return nil, nil, fmt.Errorf("datalog: %s", vs[0].Reason)
 	}
 	if err := opt.Budget.Check(); err != nil {
 		return nil, nil, err
@@ -188,7 +194,7 @@ func Eval(prog *logic.Program, db *storage.DB, opt Options) (*storage.DB, *Stats
 		an:    an,
 		db:    edb,
 		opt:   opt,
-		plans: plan.Cached(prog, plan.Options{DeltaFirst: opt.BiasRecursiveAtom}),
+		plans: plans,
 		execs: make([]*plan.Exec, len(prog.TGDs)),
 	}
 	if opt.Stratify {

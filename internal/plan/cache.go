@@ -47,18 +47,26 @@ var (
 // once per distinct rule set. Safe for concurrent use; the returned
 // Program is shared and immutable (per-evaluation state lives in Exec).
 func Cached(src *logic.Program, opt Options) *Program {
+	p, _ := CachedHit(src, opt)
+	return p
+}
+
+// CachedHit is Cached that also reports whether the program came from the
+// cache (explain traces show it: a rule set re-parsed per request never
+// hits, one with stable *logic.TGD pointers always does).
+func CachedHit(src *logic.Program, opt Options) (*Program, bool) {
 	k := cacheKey{fp: fingerprint(src.TGDs), n: len(src.TGDs), opt: opt}
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
 	if e, ok := cache[k]; ok && sameRules(e.rules, src.TGDs) {
-		return e.prog
+		return e.prog, true
 	}
 	if len(cache) >= cacheLimit {
 		clear(cache)
 	}
 	p := Compile(src, opt)
 	cache[k] = cacheEntry{rules: append([]*logic.TGD(nil), src.TGDs...), prog: p}
-	return p
+	return p, false
 }
 
 // fingerprint folds the rule pointers FNV-style. Collisions only cost a

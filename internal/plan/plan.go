@@ -23,6 +23,9 @@
 package plan
 
 import (
+	"sync"
+
+	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/logic"
 	"repro/internal/schema"
@@ -53,6 +56,25 @@ type Options struct {
 type Program struct {
 	Source *logic.Program
 	Rules  []*RulePlan
+
+	analyze  sync.Once
+	analysis *analysis.Analysis
+}
+
+// Analysis returns the syntactic analysis of the compiled rules, computed
+// on first use: like the plans it is a function of the rule set alone, so
+// a program served from the plan cache is analyzed once, not once per
+// evaluation. It reads the rules the plans were compiled from, not
+// Source.TGDs, which the owner may have grown since.
+func (p *Program) Analysis() *analysis.Analysis {
+	p.analyze.Do(func() {
+		src := &logic.Program{Store: p.Source.Store, Reg: p.Source.Reg}
+		for _, r := range p.Rules {
+			src.Add(r.TGD)
+		}
+		p.analysis = analysis.Analyze(src)
+	})
+	return p.analysis
 }
 
 // Compile compiles every TGD of the program. Compilation touches only the

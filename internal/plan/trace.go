@@ -24,6 +24,9 @@ type Tracer struct {
 	Rounds  int
 	Derived int
 	Probes  int64
+	// PlanCached reports that the evaluation's compiled program came from
+	// the plan cache.
+	PlanCached bool
 	// CQOrder and CQMatches describe a compiled conjunctive query
 	// enumeration (RunBudgetTraced): the atom join order and the
 	// number of row matches across all join levels.
@@ -79,6 +82,13 @@ func (t *Tracer) Join(rule, delta, round, alt int, adaptive bool, order []int) {
 	}
 	t.last[k] = alt
 	t.Joins = append(t.Joins, JoinChoice{Rule: rule, Delta: delta, Round: round, Alt: alt, Adaptive: adaptive, Order: order})
+}
+
+// Plan records whether the compiled program was a plan-cache hit.
+func (t *Tracer) Plan(cached bool) {
+	if t != nil {
+		t.PlanCached = cached
+	}
 }
 
 // Stratum records one stratum's fixpoint effort.

@@ -136,7 +136,8 @@ func TestOverlayAbortedBuildRetried(t *testing.T) {
 	const n = 256
 	svc := New(Options{})
 	mustLoad(t, svc, chainSource(n))
-	viewQ := &QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X)."}
+	// An all-free goal: only those build (and single-flight) the full view.
+	viewQ := &QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). ?(Z) :- v(X,Z)."}
 	builds0 := svc.Stats().ViewBuilds
 
 	// Builder 1: starts the overlay build, then gets canceled mid-way.
@@ -174,7 +175,7 @@ func TestOverlayAbortedBuildRetried(t *testing.T) {
 	if resp == nil {
 		t.Fatal("waiter failed")
 	}
-	// n0 reaches n2..n255 through length-≥2 paths: 254 answers.
+	// n2..n255 end a path of length ≥ 2: 254 answers.
 	if len(resp.Tuples) != n-2 {
 		t.Fatalf("waiter got %d tuples, want %d", len(resp.Tuples), n-2)
 	}
@@ -210,7 +211,7 @@ func TestViewBuildDeadlineAcceptance(t *testing.T) {
 
 	start := time.Now()
 	_, err := svc.Query(&QueryRequest{
-		Query:     "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X).",
+		Query:     "v(X,Z) :- t(X,Y), t(Y,Z). ?(X,Z) :- v(X,Z).",
 		TimeoutMS: 50,
 	})
 	elapsed := time.Since(start)
@@ -248,16 +249,15 @@ func TestQueryBudgetKnobsAndClamping(t *testing.T) {
 	if !errors.Is(err, plan.ErrOverBudget) {
 		t.Fatalf("probe-capped query: %v", err)
 	}
-	// Request-level derived cap on a view build.
-	_, err = svc.Query(&QueryRequest{
-		Query:      "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X).",
-		MaxDerived: 10,
-	})
-	if !errors.Is(err, plan.ErrOverBudget) {
-		t.Fatalf("derived-capped view build: %v", err)
+	// Request-level derived cap on a view build, full and on demand.
+	for _, goal := range []string{"?(X,Z) :- v(X,Z).", "?(X) :- v(n0,X)."} {
+		_, err = svc.Query(&QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). " + goal, MaxDerived: 10})
+		if !errors.Is(err, plan.ErrOverBudget) {
+			t.Fatalf("derived-capped view build %s: %v", goal, err)
+		}
 	}
-	if st := svc.Stats(); st.OverBudget != 2 {
-		t.Fatalf("queries_over_budget = %d, want 2", st.OverBudget)
+	if st := svc.Stats(); st.OverBudget != 3 {
+		t.Fatalf("queries_over_budget = %d, want 3", st.OverBudget)
 	}
 
 	// Server ceiling binds a request that asks for nothing… (the ceiling
@@ -290,7 +290,7 @@ func TestQueryBudgetKnobsAndClamping(t *testing.T) {
 	slow := New(Options{})
 	mustLoad(t, slow, chainSource(448))
 	slow.opt.MaxTimeout = 30 * time.Millisecond
-	_, err = slow.Query(&QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X)."})
+	_, err = slow.Query(&QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). ?(X,Z) :- v(X,Z)."})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("MaxTimeout ceiling not applied: %v", err)
 	}

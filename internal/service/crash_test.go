@@ -185,6 +185,19 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatalf("health after recovery = %q", h)
 	}
 	assertMatchesOracle(t, svc2, mirror, "clean restart")
+	// The recovered generation serves every query class, the demand path
+	// with its per-generation rewriting cache included.
+	_, tc := mirror.oracle(t)
+	back := mustQuery(t, svc2, &QueryRequest{Query: "back(Y,X) :- t(X,Y). ?(X) :- back(n3,X).", Explain: true})
+	want := 0
+	for _, f := range tc {
+		if strings.HasSuffix(f, ",n3") {
+			want++
+		}
+	}
+	if !back.Explain.View.Demand || len(back.Tuples) != want {
+		t.Fatalf("view query after recovery: %d answers (demand %v), oracle %d", len(back.Tuples), back.Explain.View.Demand, want)
+	}
 	d := svc2.Stats().Durability
 	if d.ReplayedRecords == 0 {
 		t.Fatal("no records replayed despite WAL tail")

@@ -1,0 +1,281 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"log/slog"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/plan"
+)
+
+// graphSource is the TC program over a random e relation plus a second
+// stored relation f, both over nodes n0..n<n-1>.
+func graphSource(rng *rand.Rand, n int) string {
+	var b strings.Builder
+	b.WriteString("t(X,Y) :- e(X,Y).\nt(X,Z) :- e(X,Y), t(Y,Z).\n")
+	for _, pred := range []string{"e", "f"} {
+		for i := 0; i < 2*n; i++ {
+			fmt.Fprintf(&b, "%s(n%d,n%d).\n", pred, rng.Intn(n), rng.Intn(n))
+		}
+	}
+	return b.String()
+}
+
+// bumpEpoch publishes a new epoch of the unchanged state (an empty bulk
+// load does), so the next view query finds no cached overlay.
+func bumpEpoch(t *testing.T, svc *Service) {
+	t.Helper()
+	if _, _, err := svc.LoadCSV("e", strings.NewReader("")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// demandViews are view programs with the binary predicate their goals ask
+// about. single marks the shapes where a goal with one view atom gives
+// every view predicate one adornment and no head is stored: there the
+// demand evaluation derives no more view facts than the full build.
+var demandViews = []struct {
+	rules, goal string
+	single      bool
+}{
+	{"back(Y,X) :- t(X,Y). ", "back", true},
+	{"v(X,Y) :- e(X,Y). v(X,Z) :- e(X,Y), v(Y,Z). ", "v", true},
+	{"v(X,Y) :- e(X,Y). v(X,Z) :- v(X,Y), e(Y,Z). ", "v", true},
+	{"a(X,Y) :- e(X,Y). a(X,Z) :- e(X,Y), b(Y,Z). b(X,Z) :- f(X,Y), a(Y,Z). ", "b", false},
+	{"v(X,Y) :- e(X,Y). v(X,Z) :- e(X,Y), v(Y,Z). h(X,Z) :- v(X,Y), v(Y,Z). ", "h", false},
+	// The head is the predicate the service maintains: stored t facts
+	// must flow into the adorned t.
+	{"t(X,Z) :- f(X,Y), t(Y,Z). ", "t", false},
+	// Negation: never rewritten.
+	{"v(X,Y) :- t(X,Y), not f(X,Y). ", "v", false},
+}
+
+// demandGoals: every adornment of one atom, repeated variables, an unknown
+// constant, multi-atom goals mixing view and stored atoms, boolean goals.
+var demandGoals = []string{
+	"?(X,Y) :- P(X,Y).", "?(Y) :- P(C1,Y).", "?(X) :- P(X,C1).", "? :- P(C1,C2).",
+	"?(X) :- P(X,X).", "?(Y) :- P(nowhere,Y).",
+	"?(Z) :- e(C1,Y), P(Y,Z).", "?(X,Z) :- P(X,Y), f(Y,Z), e(C1,X).",
+	"?(X) :- P(C1,X), P(X,C2).", "? :- P(C1,Y), f(Y,Z).",
+}
+
+// TestDemandMatchesFullOverlay is the service-level differential: for
+// every view program × goal, on a fresh epoch, the answer of the path the
+// service picks — demand evaluation exactly when a constant binds a view
+// atom of negation-free rules, asserted on the trace — equals the answer
+// read off the full overlay (forced by building it with an all-free goal
+// first) and the private-clone oracle; a truncating limit returns that
+// many of the same rows.
+func TestDemandMatchesFullOverlay(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 6 + rng.Intn(7)
+		svc := New(Options{})
+		mustLoad(t, svc, graphSource(rng, n))
+		node := func() string { return fmt.Sprintf("n%d", rng.Intn(n)) }
+		for vi, dv := range demandViews {
+			for _, goal := range demandGoals {
+				goal = strings.ReplaceAll(goal, "P(", dv.goal+"(")
+				goal = strings.NewReplacer("C1", node(), "C2", node()).Replace(goal)
+				src := dv.rules + goal
+				label := fmt.Sprintf("seed %d: %s", seed, src)
+				wantDemand := strings.ContainsAny(goal, "0123456789") || strings.Contains(goal, "nowhere")
+				wantDemand = wantDemand && !strings.Contains(dv.rules, "not ")
+
+				bumpEpoch(t, svc)
+				first := mustQuery(t, svc, &QueryRequest{Query: src, Explain: true})
+				if got := first.Explain.View; got.Demand != wantDemand || got.CacheHit {
+					t.Fatalf("%s: demand = %v (cache hit %v), want demand = %v", label, got.Demand, got.CacheHit, wantDemand)
+				}
+				full := mustQuery(t, svc, &QueryRequest{Query: dv.rules + "?(X,Y) :- " + dv.goal + "(X,Y).", Explain: true})
+				if full.Explain.View.Demand || full.Explain.View.CacheHit == wantDemand {
+					t.Fatalf("%s: all-free goal after it: %+v", label, full.Explain.View)
+				}
+				second := mustQuery(t, svc, &QueryRequest{Query: src, Explain: true})
+				if got := second.Explain.View; got.Demand || !got.CacheHit {
+					t.Fatalf("%s: bound goal on a built overlay: %+v", label, got)
+				}
+				want := viewCloneOracle(t, svc, src)
+				if first.Bool != nil {
+					if *first.Bool != *second.Bool || *first.Bool != (len(want) > 0) {
+						t.Fatalf("%s: demand %v, full overlay %v, oracle %d answers", label, *first.Bool, *second.Bool, len(want))
+					}
+					continue
+				}
+				sortRows(first.Tuples)
+				sortRows(second.Tuples)
+				sortRows(want)
+				if want == nil {
+					want = [][]string{}
+				}
+				if !reflect.DeepEqual(first.Tuples, want) || !reflect.DeepEqual(second.Tuples, want) {
+					t.Fatalf("%s:\nfirst  %v\nsecond %v\noracle %v", label, first.Tuples, second.Tuples, want)
+				}
+				if wantDemand && dv.single && !strings.Contains(first.Explain.View.Adornment, ",") {
+					if d, m, f := first.Explain.View.Derived, first.Explain.View.MagicDerived, full.Explain.View.Derived; d-m > f {
+						t.Fatalf("%s: demand derived %d view facts (+%d magic), the full build %d", label, d-m, m, f)
+					}
+				}
+				if len(want) < 2 || vi%2 == 1 {
+					continue
+				}
+				bumpEpoch(t, svc)
+				cut := mustQuery(t, svc, &QueryRequest{Query: src, Limit: len(want) - 1})
+				if len(cut.Tuples) != len(want)-1 || !cut.Truncated {
+					t.Fatalf("%s: limit %d returned %d rows, truncated %v", label, len(want)-1, len(cut.Tuples), cut.Truncated)
+				}
+				for _, row := range cut.Tuples {
+					if !containsRow(want, row) {
+						t.Fatalf("%s: truncated answer %v is not an answer", label, row)
+					}
+				}
+			}
+		}
+		svc.Close()
+	}
+}
+
+func containsRow(rows [][]string, row []string) bool {
+	for _, r := range rows {
+		if reflect.DeepEqual(r, row) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDemandAbortLeavesNoCache: a derived-fact cap and a deadline that
+// trip inside the demand fixpoint return their typed errors, count into
+// the stats, and leave nothing behind — no overlay entry, and the next
+// query of the same shape on the same epoch answers exactly.
+func TestDemandAbortLeavesNoCache(t *testing.T) {
+	const n = 96
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, chainSource(n))
+	view := "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X)."
+
+	if _, err := svc.Query(&QueryRequest{Query: view, MaxDerived: 10}); !errors.Is(err, plan.ErrOverBudget) {
+		t.Fatalf("derived-capped demand evaluation: %v", err)
+	}
+	// The deadline, injected at a fixed probe count so it lands
+	// mid-fixpoint on any machine.
+	budgetHook = func(b *plan.Budget) {
+		b.SetProbeTrap(plan.BudgetStride, fmt.Errorf("%w: %w", plan.ErrCanceled, context.DeadlineExceeded))
+	}
+	_, err := svc.Query(&QueryRequest{Query: view})
+	budgetHook = nil
+	if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, plan.ErrCanceled) {
+		t.Fatalf("deadline inside the demand evaluation: %v", err)
+	}
+	if st := svc.Stats(); st.OverBudget != 1 || st.TimedOut != 1 {
+		t.Fatalf("over budget %d, timed out %d, want 1 and 1", st.OverBudget, st.TimedOut)
+	}
+	e, err := svc.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ovMu.Lock()
+	cached := len(e.overlays)
+	e.ovMu.Unlock()
+	e.release()
+	if cached != 0 {
+		t.Fatalf("%d overlay entries after aborted demand evaluations", cached)
+	}
+	tr := explainQuery(t, svc, &QueryRequest{Query: view})
+	if !tr.View.Demand || tr.Rows != n-2 {
+		t.Fatalf("after the aborts: demand %v, %d rows, want %d", tr.View.Demand, tr.Rows, n-2)
+	}
+}
+
+// TestDemandExplain is the acceptance scenario on the trace: for the
+// churn benchmark's view and both linear closures, a bound goal evaluates
+// on demand with every adorned rule's first-round join driving from its
+// magic atom; a second goal with another constant reuses the rewriting,
+// the compiled rules (plan.Cached) and the compiled goal; and the
+// slow-query log and the metrics registry show the demand path.
+func TestDemandExplain(t *testing.T) {
+	var buf bytes.Buffer
+	svc := New(Options{SlowQuery: time.Nanosecond, Logger: slog.New(slog.NewTextHandler(&buf, nil))})
+	defer svc.Close()
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	mustLoad(t, svc, chainSource(16))
+	for _, v := range []struct{ rules, goal, adornment string }{
+		{"back(Y,X) :- t(X,Y). ", "?(X) :- back(%s,X).", "back#bf"},
+		{"v(X,Y) :- e(X,Y). v(X,Z) :- e(X,Y), v(Y,Z). ", "?(X) :- v(%s,X).", "v#bf"},
+		{"v(X,Y) :- e(X,Y). v(X,Z) :- v(X,Y), e(Y,Z). ", "?(X) :- v(X,%s).", "v#fb"},
+	} {
+		demand0, builds0 := obsViewDemand.Load(), svc.Stats().ViewBuilds
+		first := explainQuery(t, svc, &QueryRequest{Query: v.rules + fmt.Sprintf(v.goal, "n5")})
+		vt := first.View
+		if !vt.Demand || vt.Adornment != v.adornment || vt.RewriteCached || vt.MagicDerived == 0 || vt.MagicDerived >= vt.Derived {
+			t.Fatalf("%s: first trace %+v", v.rules, vt)
+		}
+		if first.Stages[1].Name != "view_demand" {
+			t.Fatalf("%s: stages %+v", v.rules, first.Stages)
+		}
+		for _, jo := range vt.JoinOrders {
+			if jo.Round == 1 && (jo.Delta != 0 || jo.Order[0] != 0) {
+				t.Fatalf("%s: rule %s joins %v (delta %d) in round 1, want the magic atom first", v.rules, jo.Rule, jo.Order, jo.Delta)
+			}
+		}
+		if first.CQ.JoinOrder[0] != 0 {
+			t.Fatalf("%s: goal joins %v, want the seed atom first", v.rules, first.CQ.JoinOrder)
+		}
+		second := explainQuery(t, svc, &QueryRequest{Query: v.rules + fmt.Sprintf(v.goal, "n9")})
+		if vt := second.View; !vt.Demand || !vt.RewriteCached || !vt.PlanCached || !second.CQ.PlanCached {
+			t.Fatalf("%s: second constant: view %+v, goal plan cached %v", v.rules, vt, second.CQ.PlanCached)
+		}
+		if first.Rows == second.Rows {
+			t.Fatalf("%s: both constants returned %d rows", v.rules, first.Rows)
+		}
+		if got := obsViewDemand.Load() - demand0; got != 2 {
+			t.Fatalf("%s: vadalog_view_demand_total moved by %d, want 2", v.rules, got)
+		}
+		if got := svc.Stats().ViewBuilds - builds0; got != 2 {
+			t.Fatalf("%s: ViewBuilds moved by %d, want 2", v.rules, got)
+		}
+	}
+	if line := buf.String(); !strings.Contains(line, `\"demand\":true`) || !strings.Contains(line, `\"adornment\":\"back#bf\"`) {
+		t.Fatalf("slow-query log does not show the demand path: %q", line)
+	}
+}
+
+// TestGroundQueryAllocation: an in-process ground lookup — the path
+// BenchmarkS1_QueryLatency/service-ground measures — allocates its answer
+// and little else: the collector's first block is sized for a handful of
+// rows, not for a thousand.
+func TestGroundQueryAllocation(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, chainSource(64))
+	req := &QueryRequest{Pred: "t", Args: []string{"n0", "n63"}}
+	query := func() {
+		if resp, err := svc.Query(req); err != nil || len(resp.Tuples) != 1 {
+			t.Fatalf("ground lookup: %v, %v", resp, err)
+		}
+	}
+	query() // compile and cache the scan plan
+	if allocs := testing.AllocsPerRun(100, query); allocs > 12 {
+		t.Errorf("ground lookup allocates %v objects", allocs)
+	}
+	const runs = 200
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		query()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 1024 {
+		t.Errorf("ground lookup allocates %d B, want <= 1 KB", per)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/incremental"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -161,11 +160,11 @@ func (s *Service) Recover(ctx context.Context) error {
 
 // checkpointSections is the fixed section layout of a checkpoint file.
 const (
-	secProgram = iota // rules in surface syntax (parseable, facts-free)
-	secStore          // term.Store arenas
-	secRegistry       // schema.Registry arena
-	secBase           // extensional instance segment
-	secDB             // materialized instance segment
+	secProgram  = iota // rules in surface syntax (parseable, facts-free)
+	secStore           // term.Store arenas
+	secRegistry        // schema.Registry arena
+	secBase            // extensional instance segment
+	secDB              // materialized instance segment
 	numSections
 )
 
@@ -199,11 +198,7 @@ func (s *Service) loadCheckpoint(sections [][]byte) error {
 	if err != nil {
 		return err
 	}
-	s.gen = &generation{
-		prog:    prog,
-		plans:   make(map[planKey]*storage.ScanPlan),
-		cqPlans: make(map[string]*plan.CQPlan),
-	}
+	s.gen = newGeneration(prog)
 	s.eng = eng
 	return nil
 }

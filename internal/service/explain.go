@@ -47,15 +47,16 @@ func (c queryClass) String() string {
 
 // QueryTrace is one query's structured execution trace.
 type QueryTrace struct {
-	RequestID string `json:"request_id,omitempty"`
-	Class     string `json:"class"`
-	Epoch     uint64 `json:"epoch"`
-	Rows      int    `json:"rows"`
-	Truncated bool   `json:"truncated,omitempty"`
-	WallMicros int64 `json:"wall_us"`
-	Error     string `json:"error,omitempty"`
+	RequestID  string `json:"request_id,omitempty"`
+	Class      string `json:"class"`
+	Epoch      uint64 `json:"epoch"`
+	Rows       int    `json:"rows"`
+	Truncated  bool   `json:"truncated,omitempty"`
+	WallMicros int64  `json:"wall_us"`
+	Error      string `json:"error,omitempty"`
 	// Stages is the wall time per pipeline stage of a rule query
-	// (parse, view_build/view_cache, plan, enumerate), in order.
+	// (parse, view_build/view_cache/view_demand, plan, enumerate), in
+	// order.
 	Stages []StageTrace `json:"stages,omitempty"`
 	// Exactly one of Pattern / CQ is set by class (a view query sets CQ
 	// plus View).
@@ -95,15 +96,32 @@ type CQTrace struct {
 	Matches int `json:"matches"`
 }
 
-// ViewTrace describes the view-rule materialization of a rule query.
+// ViewTrace describes the view-rule evaluation of a rule query.
 type ViewTrace struct {
+	// Rules counts the rules evaluated: the view rules, or under Demand
+	// the rules of their rewriting.
 	Rules int `json:"rules"`
+	// Demand: the query's constants bound a view atom, so the rules'
+	// magic-set rewriting ran from the goal's seed fact into a throwaway
+	// overlay instead of the full view being built. Adornment names the
+	// goal's adorned view atoms ("back#bf"), MagicDerived counts the facts
+	// of the magic predicates (the demand bookkeeping inside Derived), and
+	// RewriteCached reports that the rewriting came from the generation's
+	// cache. The CQ trace then describes the adorned goal, whose atom 0 is
+	// the seed atom.
+	Demand        bool   `json:"demand,omitempty"`
+	Adornment     string `json:"adornment,omitempty"`
+	MagicDerived  int    `json:"magic_derived,omitempty"`
+	RewriteCached bool   `json:"rewrite_cached,omitempty"`
+	// PlanCached: the rules' compiled program came from plan.Cached (rule
+	// text re-parsed per request never does; a cached rewriting does).
+	PlanCached bool `json:"plan_cached,omitempty"`
 	// CacheHit: the overlay came from the epoch's view cache (the build
 	// fields below are zero — the work happened in an earlier query,
 	// possibly a concurrent one this query waited on).
-	CacheHit bool `json:"cache_hit"`
-	Rounds   int  `json:"rounds,omitempty"`
-	Derived  int  `json:"derived,omitempty"`
+	CacheHit bool  `json:"cache_hit"`
+	Rounds   int   `json:"rounds,omitempty"`
+	Derived  int   `json:"derived,omitempty"`
 	Probes   int64 `json:"probes,omitempty"`
 	// Strata is the per-stratum fixpoint effort of the build.
 	Strata []plan.StratumTrace `json:"strata,omitempty"`
@@ -155,11 +173,12 @@ func (t *QueryTrace) stage(name string, start time.Time) time.Time {
 // wire shape, resolving rule indices against the parsed view program.
 func buildViewTrace(reg *schema.Registry, view *logic.Program, pt *plan.Tracer) *ViewTrace {
 	vt := &ViewTrace{
-		Rules:   len(view.TGDs),
-		Rounds:  pt.Rounds,
-		Derived: pt.Derived,
-		Probes:  pt.Probes,
-		Strata:  pt.Strata,
+		Rules:      len(view.TGDs),
+		Rounds:     pt.Rounds,
+		Derived:    pt.Derived,
+		Probes:     pt.Probes,
+		Strata:     pt.Strata,
+		PlanCached: pt.PlanCached,
 	}
 	for _, jc := range pt.Joins {
 		vt.JoinOrders = append(vt.JoinOrders, ViewJoin{

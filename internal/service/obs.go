@@ -28,7 +28,8 @@ var (
 
 	obsEpochSeq   = obs.NewGauge("vadalog_epoch_seq", "", "Sequence number of the last published epoch.")
 	obsViewHits   = obs.NewCounter("vadalog_view_cache_hits_total", "", "Rule-query view materializations served from the overlay cache.")
-	obsViewMisses = obs.NewCounter("vadalog_view_cache_misses_total", "", "Rule-query view materializations that had to build an overlay.")
+	obsViewMisses = obs.NewCounter("vadalog_view_cache_misses_total", "", "Rule-query view materializations that had to build the full overlay.")
+	obsViewDemand = obs.NewCounter("vadalog_view_demand_total", "", "Rule-query views evaluated on demand (magic-set rewriting of a bound goal) instead of building the full overlay.")
 
 	// lastPublishNano is the wall time of the last epoch publish across
 	// all services in the process (the daemon runs one), read by the

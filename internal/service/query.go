@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/datalog"
 	"repro/internal/logic"
@@ -34,9 +35,11 @@ const queryCancelStride = 256
 //   - Rule query: Query holds surface syntax with exactly one query and
 //     optionally view rules evaluated on the fly, e.g.
 //     "tc(X,Y) :- e(X,Y). tc(X,Z) :- e(X,Y), tc(Y,Z). ?(X) :- tc(a,X)."
-//     View rules materialize into a copy-on-write overlay of the epoch
-//     snapshot, cached per (epoch, view-rules shape) so repeated queries
-//     of an unchanged epoch reuse the materialization; a bare
+//     View rules evaluate into a copy-on-write overlay of the epoch
+//     snapshot: on demand (magic-set rewriting) when a constant of the
+//     query binds a view atom, else in full, cached per (epoch,
+//     view-rules shape) so repeated queries of an unchanged epoch reuse
+//     the materialization; a bare
 //     "?(..) :- body." conjunctive query compiles to a plan.CQPlan
 //     (cached per (generation, query shape)) and streams straight off
 //     the snapshot.
@@ -106,8 +109,9 @@ type planKey struct {
 // collectSink materializes a streamed answer into a QueryResponse — the
 // compatibility core of the non-streaming Query. Row copies land in
 // block-allocated arenas (fresh blocks, never grown, so issued row
-// slices stay valid): one allocation per ~1k rows instead of one per
-// row.
+// slices stay valid). Blocks start at 16 rows and double up to 1024: a
+// point lookup pays for the rows it returns, a large answer one
+// allocation per ~1k rows instead of one per row.
 type collectSink struct {
 	resp  QueryResponse
 	arena []string
@@ -123,7 +127,8 @@ func (c *collectSink) Begin(epoch uint64, columns int) error {
 func (c *collectSink) Row(tuple []string) error {
 	n := len(tuple)
 	if len(c.arena)+n > cap(c.arena) {
-		c.arena = make([]string, 0, 1024*max(n, 1))
+		rows := min(max(2*cap(c.arena)/max(n, 1), 16), 1024)
+		c.arena = make([]string, 0, rows*max(n, 1))
 	}
 	start := len(c.arena)
 	c.arena = append(c.arena, tuple...)
@@ -360,8 +365,13 @@ func (s *Service) patternPlan(g *generation, pid schema.PredID, mask uint64, ari
 
 // ruleQueryStream parses "view rules + one query" source against the
 // generation's naming context and evaluates it over the epoch snapshot:
-// view rules materialize into a cached copy-on-write overlay, the query
-// itself runs as a cached compiled CQPlan streaming through the sink.
+// view rules evaluate into a copy-on-write overlay, the query itself runs
+// as a cached compiled CQPlan streaming through the sink. The input alone
+// picks how the view is evaluated: an epoch that already holds the shape's
+// full overlay serves it; else a query whose constants bind a view atom
+// (over negation-free rules) evaluates on demand — the magic-set rewriting
+// derives only what the goal reaches, into an overlay used once and
+// dropped; else the full overlay is built and cached.
 func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit int, sink Sink, tr *QueryTrace) (queryClass, int, error) {
 	prog := e.gen.prog
 	class := classCQ
@@ -384,13 +394,22 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 	sdb := e.snap.DB()
 	if len(tmp.TGDs) > 0 {
 		class = classView
-		sdb, err = s.viewOverlay(bud, e, tmp, tr)
+		vk := viewKey(tmp.TGDs)
+		name := "view_build"
+		if mg, consts, hit := s.demandRewrite(e, vk, tmp, q); mg != nil {
+			name, q = "view_demand", mg.Query
+			sdb, err = s.buildOverlay(bud, e, mg.Prog, atom.New(mg.Seed, consts...), tr)
+			if tr != nil && err == nil {
+				tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, mg.Adornment, hit
+				for _, p := range mg.MagicPreds {
+					tr.View.MagicDerived += sdb.CountPred(p)
+				}
+			}
+		} else if sdb, err = s.viewOverlay(bud, e, vk, tmp, tr); err == nil && tr != nil && tr.View.CacheHit {
+			name = "view_cache"
+		}
 		if err != nil {
 			return class, 0, err
-		}
-		name := "view_build"
-		if tr != nil && tr.View != nil && tr.View.CacheHit {
-			name = "view_cache"
 		}
 		mark = tr.stage(name, mark)
 	}
@@ -478,9 +497,66 @@ func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, bool) {
 	return p, false
 }
 
-// maxCQPlans bounds a generation's compiled-CQ cache; an adversarial
-// stream of distinct shapes resets the cache rather than growing it.
+// maxCQPlans bounds a generation's compiled-CQ cache and its rewriting
+// cache; an adversarial stream of distinct shapes resets a cache rather
+// than growing it.
 const maxCQPlans = 256
+
+// demandRewrite returns the magic-set rewriting of (view rules, query)
+// and the query's constants — the seed fact's arguments — or nil when the
+// query takes the full-overlay path: the epoch already holds the finished
+// overlay (one still building does not count — a bound query does not
+// wait out someone else's whole-view build), or analysis.MagicSets finds
+// no binding to push. Rewritings are cached per generation by the rules'
+// shape plus the query's shape with its constants blanked: one entry,
+// with stable rule pointers, serves every constant. hit reports that the
+// cache had it.
+func (s *Service) demandRewrite(e *epoch, vk string, view *logic.Program, q *logic.CQ) (mg *analysis.Magic, consts []term.Term, hit bool) {
+	e.ovMu.Lock()
+	ent := e.overlays[vk]
+	e.ovMu.Unlock()
+	if ent != nil {
+		select {
+		case <-ent.ready:
+			if ent.err == nil {
+				return nil, nil, false
+			}
+		default:
+		}
+	}
+	b := append([]byte(vk), '?')
+	for _, t := range q.Output {
+		b = appendTerm(b, t)
+	}
+	for _, a := range q.Atoms {
+		b = appendU32(append(b, ';'), uint32(a.Pred))
+		for _, t := range a.Args {
+			if t.IsVar() {
+				b = appendTerm(b, t)
+			} else {
+				b = append(b, '#')
+				consts = append(consts, t)
+			}
+		}
+	}
+	if len(consts) == 0 {
+		return nil, nil, false
+	}
+	g, k := e.gen, string(b)
+	g.planMu.RLock()
+	mg, hit = g.rewrites[k]
+	g.planMu.RUnlock()
+	if !hit {
+		mg = analysis.MagicSets(view, q)
+		g.planMu.Lock()
+		if len(g.rewrites) >= maxCQPlans {
+			clear(g.rewrites)
+		}
+		g.rewrites[k] = mg
+		g.planMu.Unlock()
+	}
+	return mg, consts, hit
+}
 
 // maxOverlays bounds an epoch's materialized-view cache; shapes beyond
 // the cap build uncached overlays (correct, just not reused).
@@ -510,8 +586,7 @@ type overlayEntry struct {
 // a waiter whose builder aborted — but whose own budget is still live —
 // retries as the new builder under its own allowance, so one canceled
 // client never poisons the shape for everyone behind it.
-func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, view *logic.Program, tr *QueryTrace) (*storage.DB, error) {
-	k := viewKey(view.TGDs)
+func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.Program, tr *QueryTrace) (*storage.DB, error) {
 	for {
 		e.ovMu.Lock()
 		if e.overlays == nil {
@@ -550,7 +625,7 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, view *logic.Program, t
 		if obs.On() {
 			obsViewMisses.Inc()
 		}
-		db, err := s.buildOverlay(bud, e, view, tr)
+		db, err := s.buildOverlay(bud, e, view, atom.Atom{}, tr)
 		if ent != nil {
 			if err != nil {
 				// Evict BEFORE closing ready: a woken waiter re-probes the
@@ -566,18 +641,25 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, view *logic.Program, t
 	}
 }
 
-// buildOverlay materializes view rules into a fresh overlay of the epoch
-// snapshot. The fixpoint runs in place (datalog.Options.InPlace): the
-// overlay IS the private copy, so no clone precedes it — and on abort the
-// partially evaluated overlay is simply dropped; the snapshot backings it
-// borrowed stay pinned by the epoch, untouched.
-func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, view *logic.Program, tr *QueryTrace) (*storage.DB, error) {
+// buildOverlay evaluates rules — view rules, or their demand rewriting
+// from the goal's seed fact (no seed: nil Args) — into a fresh overlay of
+// the epoch snapshot. The fixpoint runs in place (datalog.Options.
+// InPlace): the overlay IS the private copy, so no clone precedes it —
+// and on abort the partially evaluated overlay is simply dropped; the
+// snapshot backings it borrowed stay pinned by the epoch, untouched.
+func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, view *logic.Program, seed atom.Atom, tr *QueryTrace) (*storage.DB, error) {
 	s.viewBuilds.Add(1)
 	var pt *plan.Tracer
 	if tr != nil {
 		pt = &plan.Tracer{}
 	}
 	ov := e.snap.DB().Overlay()
+	if seed.Args != nil {
+		if obs.On() {
+			obsViewDemand.Inc()
+		}
+		ov.Insert(seed)
+	}
 	if _, _, err := datalog.Eval(view, ov, datalog.Options{
 		Stratify: true, BiasRecursiveAtom: true, Adaptive: s.opt.Adaptive, InPlace: true, Budget: bud,
 		Tracer: pt,

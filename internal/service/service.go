@@ -47,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/incremental"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -127,9 +128,10 @@ type Service struct {
 
 	queries atomic.Uint64
 	drained atomic.Uint64
-	// viewBuilds counts view-rule materializations actually executed —
-	// overlay-cache hits don't count, so the gap between rule queries and
-	// viewBuilds is the cache's work saved.
+	// viewBuilds counts overlay fixpoints actually executed, full builds
+	// and demand evaluations alike — overlay-cache hits don't count, so
+	// the gap between rule queries and viewBuilds is the cache's work
+	// saved.
 	viewBuilds atomic.Uint64
 	// aborted counts queries stopped early by context cancellation or a
 	// failed sink delivery (a streaming client that disconnected);
@@ -167,11 +169,23 @@ type generation struct {
 	// the read path is one RLock and one map probe with no key boxing,
 	// keeping the ground-lookup fast path in the hundreds of
 	// nanoseconds.
-	// Both plan maps share planMu: pattern plans by (pred, bound mask),
-	// compiled conjunctive queries by structural shape (see cqKey).
-	planMu  sync.RWMutex
-	plans   map[planKey]*storage.ScanPlan
-	cqPlans map[string]*plan.CQPlan
+	// The maps share planMu: pattern plans by (pred, bound mask), compiled
+	// conjunctive queries by structural shape (see cqKey), magic-set
+	// rewritings of view queries by rules and goal shape (see
+	// demandRewrite; nil marks a shape that must build the full view).
+	planMu   sync.RWMutex
+	plans    map[planKey]*storage.ScanPlan
+	cqPlans  map[string]*plan.CQPlan
+	rewrites map[string]*analysis.Magic
+}
+
+func newGeneration(prog *logic.Program) *generation {
+	return &generation{
+		prog:     prog,
+		plans:    make(map[planKey]*storage.ScanPlan),
+		cqPlans:  make(map[string]*plan.CQPlan),
+		rewrites: make(map[string]*analysis.Magic),
+	}
 }
 
 // epoch is one published snapshot of one generation.
@@ -305,11 +319,7 @@ func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base 
 	// A fresh generation: in-flight queries of the previous one keep
 	// their epoch's generation pointer, so they resolve and render
 	// against the old naming context until they drain.
-	s.gen = &generation{
-		prog:    prog,
-		plans:   make(map[planKey]*storage.ScanPlan),
-		cqPlans: make(map[string]*plan.CQPlan),
-	}
+	s.gen = newGeneration(prog)
 	s.eng = eng
 	// A program replace rebases the whole durable state: it is
 	// acknowledged by an immediate checkpoint, not a WAL record.

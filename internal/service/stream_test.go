@@ -245,18 +245,44 @@ func TestOverlayViewMatchesCloneOracle(t *testing.T) {
 	}
 }
 
-// TestOverlayCachedPerEpoch: repeated view queries of one epoch
-// materialize once; a write (new epoch) or a textual rule change builds
-// anew.
+// TestOverlayCachedPerEpoch: the full view is built by an all-free goal,
+// once per (epoch, shape) — repeats hit the cache, and a bound goal that
+// arrives after it on the same epoch reads the cached overlay too. A bound
+// goal on an epoch without the overlay evaluates on demand and caches
+// nothing. A write (new epoch) or a textual rule change builds anew.
 func TestOverlayCachedPerEpoch(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
 	mustLoad(t, svc, chainSource(12))
-	view := "s(X,Y) :- e(X,Y). s(X,Z) :- e(X,Y), s(Y,Z). ?(X) :- s(n0,X)."
+	rules := "s(X,Y) :- e(X,Y). s(X,Z) :- e(X,Y), s(Y,Z). "
+	free, bound := rules+"?(X,Y) :- s(X,Y).", rules+"?(X) :- s(n0,X)."
+	overlays := func() int {
+		e, err := svc.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.release()
+		e.ovMu.Lock()
+		defer e.ovMu.Unlock()
+		return len(e.overlays)
+	}
 	base := svc.Stats().ViewBuilds
-	first := mustQuery(t, svc, &QueryRequest{Query: view})
+
+	// Bound goal first: one demand fixpoint per query, nothing cached.
+	for i := 1; i <= 2; i++ {
+		tr := explainQuery(t, svc, &QueryRequest{Query: bound})
+		if !tr.View.Demand || tr.View.CacheHit || tr.Rows != 11 {
+			t.Fatalf("bound goal on a bare epoch: %+v, rows %d", tr.View, tr.Rows)
+		}
+		if got := svc.Stats().ViewBuilds; got != base+uint64(i) || overlays() != 0 {
+			t.Fatalf("after %d demand queries: ViewBuilds = %d (base %d), %d overlays cached", i, got, base, overlays())
+		}
+	}
+	base += 2
+
+	first := mustQuery(t, svc, &QueryRequest{Query: free})
 	for i := 0; i < 5; i++ {
-		resp := mustQuery(t, svc, &QueryRequest{Query: view})
+		resp := mustQuery(t, svc, &QueryRequest{Query: free})
 		if len(resp.Tuples) != len(first.Tuples) {
 			t.Fatalf("run %d: %d tuples, want %d", i, len(resp.Tuples), len(first.Tuples))
 		}
@@ -264,21 +290,29 @@ func TestOverlayCachedPerEpoch(t *testing.T) {
 	if got := svc.Stats().ViewBuilds; got != base+1 {
 		t.Fatalf("ViewBuilds = %d after repeated identical queries, want %d", got, base+1)
 	}
+	// The bound goal now finds the overlay and uses it.
+	tr := explainQuery(t, svc, &QueryRequest{Query: bound})
+	if tr.View.Demand || !tr.View.CacheHit || tr.Rows != 11 {
+		t.Fatalf("bound goal after the full build: %+v, rows %d", tr.View, tr.Rows)
+	}
+	if got := svc.Stats().ViewBuilds; got != base+1 {
+		t.Fatalf("ViewBuilds = %d after a bound goal on a cached overlay, want %d", got, base+1)
+	}
 	// A write publishes a new epoch: the next view query rebuilds and
-	// sees the new fact (n0 now reaches x0 through n11).
+	// sees the new fact (n11 now reaches x0).
 	if _, err := svc.Insert("e(n11,x0)."); err != nil {
 		t.Fatal(err)
 	}
-	resp := mustQuery(t, svc, &QueryRequest{Query: view})
+	resp := mustQuery(t, svc, &QueryRequest{Query: free})
 	if got := svc.Stats().ViewBuilds; got != base+2 {
 		t.Fatalf("ViewBuilds = %d after epoch change, want %d", got, base+2)
 	}
-	if len(resp.Tuples) != len(first.Tuples)+1 {
-		t.Fatalf("view stale after insert: %d tuples, want %d", len(resp.Tuples), len(first.Tuples)+1)
+	if len(resp.Tuples) != len(first.Tuples)+12 {
+		t.Fatalf("view stale after insert: %d tuples, want %d", len(resp.Tuples), len(first.Tuples)+12)
 	}
 	// Renamed variables are a different shape: a fresh build, same
 	// answers.
-	renamed := "s(A,B) :- e(A,B). s(A,C) :- e(A,B), s(B,C). ?(A) :- s(n0,A)."
+	renamed := "s(A,B) :- e(A,B). s(A,C) :- e(A,B), s(B,C). ?(A,B) :- s(A,B)."
 	resp2 := mustQuery(t, svc, &QueryRequest{Query: renamed})
 	if got := svc.Stats().ViewBuilds; got != base+3 {
 		t.Fatalf("ViewBuilds = %d after renamed rules, want %d", got, base+3)
@@ -288,9 +322,11 @@ func TestOverlayCachedPerEpoch(t *testing.T) {
 	}
 }
 
-// TestOverlayConcurrentWithWrites: concurrent view queries (same and
-// different shapes) race a writer publishing epochs; every response must
-// be internally consistent with its own epoch's chain length.
+// TestOverlayConcurrentWithWrites: concurrent view queries race a writer
+// publishing epochs — all-free goals over one shared shape (the
+// single-flight overlay cache) and over per-goroutine shapes, and bound
+// goals evaluating on demand; every response must be internally
+// consistent with its own epoch's chain length.
 func TestOverlayConcurrentWithWrites(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
@@ -315,15 +351,18 @@ func TestOverlayConcurrentWithWrites(t *testing.T) {
 		}
 	}()
 	var qg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 6; g++ {
 		qg.Add(1)
 		go func(g int) {
 			defer qg.Done()
-			// Half the goroutines share one view shape (exercising the
-			// single-flight path), half use per-goroutine shapes.
-			view := "r(X,Y) :- t(X,Y). ?(Y) :- r(n0,Y)."
-			if g%2 == 1 {
-				view = fmt.Sprintf("r%d(X,Y) :- t(X,Y). ?(Y) :- r%d(n0,Y).", g, g)
+			var view string
+			switch g % 3 {
+			case 0:
+				view = "r(X,Y) :- t(X,Y). ?(Y) :- r(X,Y)."
+			case 1:
+				view = fmt.Sprintf("r%d(X,Y) :- t(X,Y). ?(Y) :- r%d(X,Y).", g, g)
+			default:
+				view = "r(X,Y) :- t(X,Y). ?(Y) :- r(n0,Y)."
 			}
 			for i := 0; i < 25; i++ {
 				resp, err := svc.Query(&QueryRequest{Query: view})
@@ -331,9 +370,9 @@ func TestOverlayConcurrentWithWrites(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// The chain only grows: epoch k has n-1+k edges, so n0
-				// reaches everything — tuple count is chain length - 1,
-				// which is at least n-1.
+				// The chain only grows: epoch k has n-1+k edges, and n0
+				// reaches everything — either goal answers with chain
+				// length - 1 nodes, at least n-1.
 				if len(resp.Tuples) < n-1 {
 					t.Errorf("epoch %d: %d reachable, want >= %d", resp.Epoch, len(resp.Tuples), n-1)
 					return

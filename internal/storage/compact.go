@@ -48,6 +48,8 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 	if db.dead == 0 && db.holes == 0 {
 		return 0
 	}
+	// Compaction rewrites log entries in place: own the whole log first.
+	db.order, db.base = db.fullLog(), nil
 	t0 := obs.Now()
 	var reclaim []int
 	for p, r := range db.rels {

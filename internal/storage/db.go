@@ -31,6 +31,12 @@ type DB struct {
 	// order is the global insertion log: order[g] locates the fact with
 	// global insertion index g inside its relation.
 	order []rowRef
+	// base is the frozen log prefix an Overlay shares with its snapshot
+	// (nil on every other DB): global index g lives at base[g] below
+	// len(base) and at order[g-len(base)] above. An overlay's inserts
+	// append to its own short order — appending to a cap-limited copy of
+	// the whole log would copy the instance's log once per overlay.
+	base []rowRef
 	// dead is the total number of tombstoned rows across relations; Len and
 	// the per-window counts report live rows only.
 	dead int
@@ -63,6 +69,18 @@ type rowRef struct {
 // NewDB returns an empty instance.
 func NewDB() *DB {
 	return &DB{}
+}
+
+// logLen is the next global insertion index.
+func (db *DB) logLen() int { return len(db.base) + len(db.order) }
+
+// fullLog returns the whole insertion log as one slice: the receiver's own
+// when it shares no prefix, a fresh concatenation otherwise.
+func (db *DB) fullLog() []rowRef {
+	if db.base == nil {
+		return db.order
+	}
+	return append(db.base[:len(db.base):len(db.base)], db.order...)
 }
 
 // relOf returns the predicate's relation, or nil if no fact with that
@@ -117,7 +135,7 @@ func (db *DB) InsertArgs(pred schema.PredID, args []term.Term) bool {
 	ri := int32(r.rows())
 	r.tabInsert(h, ri)
 	r.cols = append(r.cols, args...)
-	r.global = append(r.global, int32(len(db.order)))
+	r.global = append(r.global, int32(db.logLen()))
 	r.hashes = append(r.hashes, h)
 	db.order = append(db.order, rowRef{pred: pred, row: ri})
 	for i, t := range args {
@@ -154,7 +172,7 @@ func (db *DB) ContainsArgs(pred schema.PredID, args []term.Term) bool {
 }
 
 // Len reports the number of live stored atoms (tombstoned rows excluded).
-func (db *DB) Len() int { return len(db.order) - db.dead - db.holes }
+func (db *DB) Len() int { return db.logLen() - db.dead - db.holes }
 
 // CountPred reports the number of live atoms with the given predicate.
 func (db *DB) CountPred(p schema.PredID) int {
@@ -198,7 +216,7 @@ func (db *DB) Facts(p schema.PredID) []atom.Atom {
 // fresh but the atoms' argument slices alias the columnar backing.
 func (db *DB) All() []atom.Atom {
 	out := make([]atom.Atom, 0, db.Len())
-	for _, ref := range db.order {
+	for _, ref := range db.fullLog() {
 		if ref.row == holeRow {
 			continue
 		}
@@ -222,6 +240,7 @@ func (db *DB) Clone() *DB {
 	out := &DB{
 		rels:  make([]*relation, len(db.rels)),
 		order: db.order[:len(db.order):len(db.order)],
+		base:  db.base,
 		dead:  db.dead,
 		holes: db.holes,
 	}

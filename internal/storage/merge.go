@@ -130,7 +130,7 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 		base := r.rows()
 		for k := 0; k < accepted[pi]; k++ {
 			ri := int32(base + k)
-			r.global = append(r.global, int32(len(db.order)))
+			r.global = append(r.global, int32(db.logLen()))
 			db.order = append(db.order, rowRef{pred: p, row: ri})
 		}
 		added += accepted[pi]
@@ -153,7 +153,10 @@ const shardedMergeRows = 2048
 //	  sub-shard's staged tuples outright — equal tuples hash equal, so
 //	  cross-buffer duplicates meet in the same job — probing the base
 //	  sub-table read-only and tracking in-flight staged tuples in a local
-//	  scratch set. Accepted (buffer, row) pairs are marked in bitmaps.
+//	  scratch set. Accepted (buffer, row) pairs are marked in bitmaps
+//	  shared by all jobs — rows of different sub-shards interleave within
+//	  one word — so the marks are atomic ORs: a plain |= loses bits, and
+//	  a lost bit is a dropped fact.
 //	B (serial): append accepted rows to the columns in (buffer, append)
 //	  order — byte-identical to the serial merge's layout.
 //	C (parallel by sub-shard): link the new rows into the dedup
@@ -198,7 +201,7 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 				if !pend.add(h, bi, k, args, bufs, p) {
 					continue
 				}
-				accept[bi][k>>6] |= 1 << (uint(k) & 63)
+				atomic.OrUint64(&accept[bi][k>>6], 1<<(uint(k)&63))
 			}
 		}
 	})

@@ -299,3 +299,40 @@ func TestMergeShardedMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeShardedAcceptRace is the lost-fact regression: phase A's jobs
+// mark accepted rows in bitmap words they share (rows of different hash
+// sub-shards interleave within one word), so with plain |= marks a bulk
+// load dropped facts on a multi-core box. One all-distinct buffer far
+// past shardedMergeRows, merged 50 times, must land row for row where
+// the serial merge put it, every time. CI runs it under -race -cpu 2,4.
+func TestMergeShardedAcceptRace(t *testing.T) {
+	st, p, _ := mergeFixture()
+	const rows = 8192
+	buf := NewTupleBuffer()
+	for i := 0; i < rows; i++ {
+		buf.Append(p, []term.Term{st.Const(fmt.Sprintf("a%d", i)), st.Const(fmt.Sprintf("b%d", i%97))})
+	}
+	bufs := []*TupleBuffer{buf}
+	serial := NewDB()
+	if added := serial.MergeBuffers(bufs, 1); added != rows {
+		t.Fatalf("serial merge added %d, want %d", added, rows)
+	}
+	want := serial.All()
+	par := max(2, runtime.GOMAXPROCS(0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par)) // MergeBuffers clamps par to it
+	for i := 0; i < 50; i++ {
+		got := NewDB()
+		if added := got.MergeBuffers(bufs, par); added != rows {
+			t.Fatalf("merge %d: added %d of %d rows", i, added, rows)
+		}
+		// Same rows at the same log positions, each linked into the dedup
+		// table (a segment's posting sections follow map order, so the
+		// comparison is on the log, not on AppendSegment bytes).
+		for g, a := range got.All() {
+			if gi, ok := got.IndexOf(a); !a.Equal(want[g]) || !ok || gi != g {
+				t.Fatalf("merge %d: log[%d] = %v (IndexOf %d,%v), serial has %v", i, g, a, gi, ok, want[g])
+			}
+		}
+	}
+}

@@ -337,7 +337,12 @@ func postingLowerBound(rows []int32, lo int32) int {
 // Compact reclaimed (provenance consumers never delete, so they never
 // see holes).
 func (db *DB) Row(i int) atom.Atom {
-	ref := db.order[i]
+	var ref rowRef
+	if i < len(db.base) {
+		ref = db.base[i]
+	} else {
+		ref = db.order[i-len(db.base)]
+	}
 	if ref.row == holeRow {
 		panic("storage: Row at a compacted insertion-log hole")
 	}

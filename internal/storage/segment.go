@@ -55,7 +55,7 @@ import (
 // AppendSegment serializes the instance onto buf.
 func (db *DB) AppendSegment(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db.rels)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db.order)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(db.logLen()))
 	for _, r := range db.rels {
 		if r == nil {
 			buf = append(buf, 0)

@@ -58,6 +58,7 @@ func (db *DB) Snapshot() *Snapshot {
 	out := &DB{
 		rels:   make([]*relation, len(db.rels)),
 		order:  db.order[:len(db.order):len(db.order)],
+		base:   db.base,
 		dead:   db.dead,
 		holes:  db.holes,
 		frozen: true,
@@ -87,8 +88,9 @@ func (s *Snapshot) DB() *DB { return s.db }
 // view: reads fall through to the snapshot's backings, and writes detach
 // lazily. Where Clone eagerly copies every relation's dedup sub-tables and
 // posting maps — O(instance) before the first derived fact lands — Overlay
-// copies only the per-relation headers: each overlay relation shares the
-// frozen backings and is marked shared, so the FIRST in-place mutation of
+// copies only the per-relation headers (and shares the insertion log as
+// DB.base, so the first insert does not copy it): each overlay relation
+// shares the frozen backings and is marked shared, so the FIRST in-place mutation of
 // a relation detaches private copies of its dedup/posting structures, and
 // relations the overlay never writes are never copied at all. View rules
 // deriving into fresh predicates (the common rule-defined-view query) grow
@@ -107,7 +109,7 @@ func (db *DB) Overlay() *DB {
 	}
 	out := &DB{
 		rels:  make([]*relation, len(db.rels)),
-		order: db.order[:len(db.order):len(db.order)],
+		base:  db.fullLog(),
 		dead:  db.dead,
 		holes: db.holes,
 	}

@@ -185,7 +185,7 @@ func (db *DB) DeadCount() int { return db.dead }
 // — equivalently the next global insertion index. Consumers keying
 // side tables by insertion index (chase provenance) must use this, not
 // Len, which counts live rows only.
-func (db *DB) PhysicalLen() int { return len(db.order) }
+func (db *DB) PhysicalLen() int { return db.logLen() }
 
 // HashArgs exposes the store's fact hash over an unboxed (pred, args)
 // pair, so deletion-side indexes (the incremental engine's pending set)
