@@ -166,9 +166,9 @@ func TestOverBudgetRequest(t *testing.T) {
 	ts := httptest.NewServer(newHandler(svc))
 	defer ts.Close()
 
-	// The cap must trip before the response stream begins (a mid-stream
-	// trip truncates the 200 body instead — tested in stream_test.go), so
-	// point it at the overlay build, which runs before the first row.
+	// Point the cap at the overlay build, which runs before the first
+	// row; TestQueryBudgetTripMidStream covers trips during the
+	// enumeration, before and after the first drain.
 	var eb errBody
 	req := service.QueryRequest{Query: compositionQuery, MaxProbes: plan.BudgetStride}
 	if resp := postJSON(t, ts.URL+"/query", req, &eb); resp.StatusCode != http.StatusUnprocessableEntity || eb.Code != "over_budget" {

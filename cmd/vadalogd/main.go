@@ -56,7 +56,8 @@
 // "over_budget" (HTTP 422 — a budget cap tripped, plan.ErrOverBudget),
 // "timeout" (408 — the deadline expired), "canceled" (408 — the client
 // went away), "rejected" (429 — admission queue full), "not_loaded"
-// (409), or "error" (422). /stats counts all four robustness outcomes:
+// (409), "too_large" (413 — request body over 64 MiB), or "error" (422).
+// /stats counts all four robustness outcomes:
 // queries_over_budget, queries_timeout, queries_aborted,
 // queries_rejected.
 //
@@ -73,12 +74,14 @@
 //	               {"query": "?(X) :- t(a,X).", "limit": 100} (rule/CQ)
 //	               -> {"epoch": N, "columns": 2, "tuples": [["a","b"], ...]}
 //	               Runs lock-free against the current epoch's snapshot.
-//	               The response STREAMS: tuples are written (and flushed)
-//	               as the enumeration produces them, so the first bytes
-//	               arrive before the full answer set exists, and a client
-//	               that disconnects mid-stream cancels the enumeration
-//	               server-side. The body shape is unchanged — one JSON
-//	               object — only its delivery is incremental.
+//	               The response STREAMS: tuples are encoded into one
+//	               buffer that goes to the connection every 32 KiB, so the
+//	               first bytes arrive before the full answer set exists,
+//	               and a client that disconnects mid-stream cancels the
+//	               enumeration server-side. The body is one JSON object;
+//	               only its delivery is incremental. A query that fails
+//	               before the first 32 KiB left gets its error status; a
+//	               later failure can only cut the 200's body short.
 //	               With ?explain=1 (or "explain": true in the body) the
 //	               response carries an "explain" object: the structured
 //	               execution trace (join orders with adaptive decisions,
@@ -128,10 +131,12 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux; served only via -pprof-addr
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -432,8 +437,8 @@ func buildHandler(svc *service.Service, opts handlerOpts) http.Handler {
 				failErr(w, err)
 				return
 			}
-			// Status and partial body are already on the wire; the
-			// truncated (invalid) JSON tells the client the stream died.
+			// A drain has put the status and part of the body on the wire;
+			// the truncated (invalid) JSON tells the client the stream died.
 			opts.log().Warn("query stream aborted", "request_id", req.RequestID, "error", err)
 		}
 	})
@@ -533,27 +538,36 @@ func errStatus(err error) (int, string) {
 		return http.StatusServiceUnavailable, "recovering"
 	case errors.Is(err, errDraining):
 		return http.StatusServiceUnavailable, "draining"
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	default:
 		return http.StatusUnprocessableEntity, "error"
 	}
 }
 
-// flushEvery is how many streamed tuples pass between explicit flushes
-// of the /query response (the first flush happens right after the
-// header, so clients see bytes before the enumeration finishes).
-const flushEvery = 1024
+// drainAt is the encoded size at which the /query buffer is handed to the
+// ResponseWriter mid-answer: far above net/http's 4 KiB bufio, so each
+// drain goes to the connection as one chunk, and small enough that a bulk
+// answer's first bytes leave while the enumeration is still young.
+const drainAt = 32 << 10
 
-// jsonSink writes a QueryResponse-shaped JSON object incrementally: the
-// header fields and the opening of "tuples" on Begin, one array element
-// per Row, the closing brace with the trailing flags on End. The result
-// decodes exactly like the former one-shot response; only delivery
-// changed. Write errors (client gone) propagate back into the service,
-// which stops the enumeration.
+// jsonSink encodes a QueryResponse-shaped JSON object into one buffer —
+// header on Begin, one array element per Row, the closing flags on End —
+// and hands the buffer to the ResponseWriter in a single Write + Flush
+// whenever it reaches drainAt and once when the object closes. The bytes
+// are exactly what json.Marshal of the equivalent QueryResponse produces
+// (plus the trailing newline). A failed Write (client gone) propagates
+// back into the service, which stops the enumeration.
 type jsonSink struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
-	begun   bool
-	rows    int
+	buf     []byte
+	// begun reports that bytes are on the wire: a drain has happened, so
+	// the status line is committed and an error can only truncate the
+	// body. Until then the handler may still answer with an error status.
+	begun bool
+	rows  int
+	sent  int // body bytes handed to w so far
 	// explain leaves the object open at End: the trace arrives through
 	// Trace AFTER End (the service closes the enumeration, then attaches
 	// the trace), which appends "explain" and closes the object.
@@ -562,50 +576,46 @@ type jsonSink struct {
 
 func (s *jsonSink) Begin(epoch uint64, columns int) error {
 	s.w.Header().Set("Content-Type", "application/json")
-	s.begun = true
-	if _, err := fmt.Fprintf(s.w, `{"epoch":%d,"columns":%d,"tuples":[`, epoch, columns); err != nil {
-		return err
-	}
-	s.flush()
+	s.buf = append(make([]byte, 0, 512), `{"epoch":`...)
+	s.buf = strconv.AppendUint(s.buf, epoch, 10)
+	s.buf = append(s.buf, `,"columns":`...)
+	s.buf = strconv.AppendInt(s.buf, int64(columns), 10)
+	s.buf = append(s.buf, `,"tuples":[`...)
 	return nil
 }
 
 func (s *jsonSink) Row(tuple []string) error {
-	b, err := json.Marshal(tuple)
-	if err != nil {
-		return err
-	}
+	b := s.buf
 	if s.rows > 0 {
-		b = append(b, 0)
-		copy(b[1:], b)
-		b[0] = ','
+		b = append(b, ',')
 	}
-	if _, err := s.w.Write(b); err != nil {
-		return err
+	b = append(b, '[')
+	for i, v := range tuple {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, v)
 	}
+	s.buf = append(b, ']')
 	s.rows++
-	if s.rows%flushEvery == 0 {
-		s.flush()
+	if len(s.buf) >= drainAt {
+		return s.drain()
 	}
 	return nil
 }
 
 func (s *jsonSink) End(truncated bool, boolAns *bool) error {
-	tail := "]"
+	s.buf = append(s.buf, ']')
 	if truncated {
-		tail += `,"truncated":true`
+		s.buf = append(s.buf, `,"truncated":true`...)
 	}
 	if boolAns != nil {
-		tail += fmt.Sprintf(`,"bool":%v`, *boolAns)
+		s.buf = strconv.AppendBool(append(s.buf, `,"bool":`...), *boolAns)
 	}
-	if !s.explain {
-		tail += "}\n"
+	if s.explain {
+		return nil
 	}
-	if _, err := io.WriteString(s.w, tail); err != nil {
-		return err
-	}
-	s.flush()
-	return nil
+	return s.finish()
 }
 
 func (s *jsonSink) Trace(tr *service.QueryTrace) error {
@@ -613,17 +623,98 @@ func (s *jsonSink) Trace(tr *service.QueryTrace) error {
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(s.w, `,"explain":%s}`+"\n", b); err != nil {
-		return err
-	}
-	s.flush()
-	return nil
+	s.buf = append(append(s.buf, `,"explain":`...), b...)
+	return s.finish()
 }
 
-func (s *jsonSink) flush() {
+// finish closes the object, drains what is left, and records the
+// response's size — once per response, never per row.
+func (s *jsonSink) finish() error {
+	s.buf = append(s.buf, "}\n"...)
+	err := s.drain()
+	if obs.On() {
+		obsQueryBytes.Add(uint64(s.sent))
+	}
+	return err
+}
+
+// drain hands the buffer to the connection in one Write and flushes it.
+func (s *jsonSink) drain() error {
+	s.begun = true
+	n, err := s.w.Write(s.buf)
+	s.sent += n
+	s.buf = s.buf[:0]
+	if err != nil {
+		return err
+	}
 	if s.flusher != nil {
 		s.flusher.Flush()
 	}
+	return nil
+}
+
+// jsonSafe marks the bytes appendJSONString copies through unescaped:
+// printable ASCII except the quote, the backslash, and the three
+// characters encoding/json escapes for HTML safety. Bytes >= 0x80 are
+// unsafe here because they start a rune that needs decoding.
+var jsonSafe = func() (t [256]bool) {
+	for b := 0x20; b < utf8.RuneSelf; b++ {
+		t[b] = true
+	}
+	for _, b := range []byte(`"\<>&`) {
+		t[b] = false
+	}
+	return t
+}()
+
+// appendJSONString appends s as a JSON string literal, byte for byte what
+// json.Marshal(s) produces (FuzzAppendJSONString holds it to that): HTML
+// characters and U+2028/U+2029 escaped, control characters as their short
+// escape or \u00XX, invalid UTF-8 as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if jsonSafe[b] {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(append(dst, s[start:i]...), `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(dst, s[start:]...), '"')
 }
 
 // logRecover turns handler panics into 500s so one bad request cannot
@@ -642,10 +733,18 @@ func logRecover(logger *slog.Logger, next http.Handler) http.Handler {
 	})
 }
 
+// maxBody bounds a JSON request body; a variable so a test can lower it.
+var maxBody int64 = 64 << 20
+
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(into); err != nil {
-		fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		err = fmt.Errorf("bad request body: %w", err)
+		if errors.As(err, new(*http.MaxBytesError)) {
+			failErr(w, err) // 413 too_large
+		} else {
+			fail(w, http.StatusBadRequest, err)
+		}
 		return false
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,8 +20,8 @@ t(X,Z) :- e(X,Y), t(Y,Z).
 e(a,b). e(b,c). e(c,d).
 `
 
-// postJSON posts a JSON body and decodes a JSON response.
-func postJSON(t *testing.T, url string, body any, into any) *http.Response {
+// postRaw posts a JSON body and returns the response with its raw body.
+func postRaw(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -31,8 +32,19 @@ func postJSON(t *testing.T, url string, body any, into any) *http.Response {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// postJSON posts a JSON body and decodes a JSON response.
+func postJSON(t *testing.T, url string, body any, into any) *http.Response {
+	t.Helper()
+	resp, raw := postRaw(t, url, body)
 	if into != nil {
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		if err := json.Unmarshal(raw, into); err != nil {
 			t.Fatalf("decode %s response: %v", url, err)
 		}
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -77,9 +78,9 @@ func TestDaemonMetrics(t *testing.T) {
 	var qresp struct {
 		Tuples [][]string `json:"tuples"`
 	}
-	postJSON(t, ts.URL+"/query", map[string]any{"pred": "t", "args": []string{"a", "_"}}, &qresp)
-	if len(qresp.Tuples) != 3 {
-		t.Fatalf("query returned %d tuples, want 3", len(qresp.Tuples))
+	_, qbody := postRaw(t, ts.URL+"/query", map[string]any{"pred": "t", "args": []string{"a", "_"}})
+	if err := json.Unmarshal(qbody, &qresp); err != nil || len(qresp.Tuples) != 3 {
+		t.Fatalf("query returned %d tuples (err %v), want 3", len(qresp.Tuples), err)
 	}
 	postJSON(t, ts.URL+"/insert", map[string]string{"facts": "e(d,e)."}, nil)
 
@@ -94,6 +95,12 @@ func TestDaemonMetrics(t *testing.T) {
 	moved(`vadalog_http_request_seconds_count{path="/load"}`, 1)
 	moved(`vadalog_http_request_seconds_count{path="/insert"}`, 1)
 	moved(`vadalog_queries_total`, 1)
+	// The byte counter reproduces the ladder's http.bytes_per_op: it grew
+	// by exactly the body the client read.
+	const bytesSeries = `vadalog_http_response_bytes_total{path="/query"}`
+	if delta := after[bytesSeries] - before[bytesSeries]; delta != float64(len(qbody)) {
+		t.Errorf("%s moved by %v, client read %d bytes", bytesSeries, delta, len(qbody))
+	}
 	moved(`vadalog_query_seconds_count{class="pattern"}`, 1)
 	moved(`vadalog_query_rows_count{class="pattern"}`, 1)
 	moved(`vadalog_wal_records_total`, 1) // the insert's WAL append

@@ -18,6 +18,11 @@ var (
 	httpSeconds = map[string]*obs.Histogram{}
 
 	obsInflight = obs.NewGauge("vadalog_http_inflight", "", "Requests currently being served.")
+
+	// obsQueryBytes is the production-side twin of the benchmark ladder's
+	// http.bytes_per_op: divide by the /query request count.
+	obsQueryBytes = obs.NewCounter("vadalog_http_response_bytes_total", `path="/query"`,
+		"Response body bytes written, by endpoint.")
 )
 
 func init() {

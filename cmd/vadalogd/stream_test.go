@@ -174,3 +174,166 @@ func TestQueryStreamShapes(t *testing.T) {
 		t.Fatalf("unknown predicate: status %d", respRaw.StatusCode)
 	}
 }
+
+// TestQueryShapesOverHTTP drives every response shape through the
+// buffered sink over a real connection. Each body must decode, carry the
+// expected answer, and re-marshal to the very bytes received — the wire
+// form is json.Marshal's, whatever the answer's size or content.
+func TestQueryShapesOverHTTP(t *testing.T) {
+	svc := service.New(service.Options{})
+	ts := httptest.NewServer(newHandler(svc))
+	defer ts.Close()
+	defer svc.Close()
+
+	// One constant holding every escape class that survives the JSON
+	// request and the parser's string syntax (backslash quotes the next
+	// character).
+	const nasty = "q\"b\\n\nr\rt\tc\x01\x1fd\x7f<&>\u2028\u2029é日🎉\ufffd"
+	quoted := `"` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(nasty) + `"`
+	// at<i> holds one constant sized so the one-row answer reaches the
+	// drain threshold less one byte, exactly, and plus one byte.
+	var prog strings.Builder
+	prog.WriteString(chainProgram(16))
+	fmt.Fprintf(&prog, "esc(%s, plain).\n", quoted)
+	var sized [3]string
+	for i, delta := range []int{-1, 0, +1} {
+		sized[i] = strings.Repeat("x", drainAt+delta-headerLen-len(`[""]`))
+		fmt.Fprintf(&prog, "at%d(%s).\n", i, sized[i])
+	}
+	var loaded struct{ Epoch uint64 }
+	postJSON(t, ts.URL+"/load", map[string]string{"program": prog.String()}, &loaded)
+	if loaded.Epoch != 1 {
+		t.Fatalf("load: epoch %d, want 1 (the sized constants assume a one-digit epoch)", loaded.Epoch)
+	}
+
+	yes, no := true, false
+	cases := []struct {
+		name      string
+		path      string
+		req       service.QueryRequest
+		rows      int
+		truncated bool
+		boolAns   *bool
+		first     []string // the first tuple, when it is known
+	}{
+		{name: "zero rows", req: service.QueryRequest{Pred: "t", Args: []string{"n9", "n0"}}},
+		{name: "unknown constant", req: service.QueryRequest{Pred: "t", Args: []string{"nowhere", "_"}}},
+		{name: "one row", req: service.QueryRequest{Pred: "t", Args: []string{"n0", "n9"}}, rows: 1, first: []string{"n0", "n9"}},
+		{name: "all rows", req: service.QueryRequest{Query: "?(X,Y) :- t(X,Y)."}, rows: 120},
+		{name: "truncated", req: service.QueryRequest{Query: "?(X,Y) :- t(X,Y).", Limit: 7}, rows: 7, truncated: true},
+		{name: "bool true", req: service.QueryRequest{Query: "? :- t(n0,n9)."}, boolAns: &yes},
+		{name: "bool false", req: service.QueryRequest{Query: "? :- t(n9,n0)."}, boolAns: &no},
+		{name: "explain", path: "?explain=1", req: service.QueryRequest{Pred: "t", Args: []string{"n0", "_"}}, rows: 15},
+		{name: "explain bool", path: "?explain=1", req: service.QueryRequest{Query: "? :- t(n0,n9)."}, boolAns: &yes},
+		{name: "escapes", req: service.QueryRequest{Pred: "esc", Args: []string{"_", "_"}}, rows: 1, first: []string{nasty, "plain"}},
+		{name: "threshold-1", req: service.QueryRequest{Pred: "at0", Args: []string{"_"}}, rows: 1, first: []string{sized[0]}},
+		{name: "threshold", req: service.QueryRequest{Pred: "at1", Args: []string{"_"}}, rows: 1, first: []string{sized[1]}},
+		{name: "threshold+1", req: service.QueryRequest{Pred: "at2", Args: []string{"_"}}, rows: 1, first: []string{sized[2]}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, raw := postRaw(t, ts.URL+"/query"+tc.path, tc.req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %.200s", resp.StatusCode, raw)
+			}
+			var qr service.QueryResponse
+			if err := json.Unmarshal(raw, &qr); err != nil {
+				t.Fatalf("body does not decode: %v: %.200q", err, raw)
+			}
+			if qr.Tuples == nil || len(qr.Tuples) != tc.rows || qr.Truncated != tc.truncated {
+				t.Fatalf("%d tuples (nil=%v) truncated=%v, want %d truncated=%v",
+					len(qr.Tuples), qr.Tuples == nil, qr.Truncated, tc.rows, tc.truncated)
+			}
+			if (qr.Bool == nil) != (tc.boolAns == nil) || (qr.Bool != nil && *qr.Bool != *tc.boolAns) {
+				t.Fatalf("bool = %v, want %v", qr.Bool, tc.boolAns)
+			}
+			if tc.first != nil && strings.Join(qr.Tuples[0], "\x00") != strings.Join(tc.first, "\x00") {
+				t.Fatalf("first tuple %.80q, want %.80q", qr.Tuples[0], tc.first)
+			}
+			if (qr.Explain != nil) != (tc.path != "") {
+				t.Fatalf("explain object present=%v on path %q", qr.Explain != nil, tc.path)
+			}
+			again, err := json.Marshal(&qr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again = append(again, '\n'); !bytes.Equal(raw, again) {
+				t.Fatalf("wire bytes are not json.Marshal's:\n got %.300q\nwant %.300q", raw, again)
+			}
+		})
+	}
+}
+
+// TestQueryBudgetTripMidStream: a budget that trips during the
+// enumeration answers with the typed error status while nothing has been
+// drained, and can only truncate the body once something has.
+func TestQueryBudgetTripMidStream(t *testing.T) {
+	svc := service.New(service.Options{})
+	ts := httptest.NewServer(newHandler(svc))
+	defer ts.Close()
+	defer svc.Close()
+	if _, err := svc.Load(chainProgram(128)); err != nil { // 8128 closure tuples, ~110 KB encoded
+		t.Fatal(err)
+	}
+	scan := service.QueryRequest{Pred: "t", Args: []string{"_", "_"}}
+
+	// Trips after ~500 rows (~7 KB): still buffered, so the client gets a
+	// well-formed 422 instead of a 200 whose body breaks off.
+	scan.MaxProbes = 256
+	resp, raw := postRaw(t, ts.URL+"/query", scan)
+	var eb struct {
+		errBody
+		RequestID string `json:"request_id"`
+	}
+	if err := json.Unmarshal(raw, &eb); err != nil {
+		t.Fatalf("early trip: error body does not decode: %v: %.200q", err, raw)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity || eb.Code != "over_budget" {
+		t.Fatalf("early trip: status %d code %q, want 422 \"over_budget\"", resp.StatusCode, eb.Code)
+	}
+	if eb.RequestID == "" || eb.RequestID != resp.Header.Get(requestIDHeader) {
+		t.Fatalf("early trip: request_id %q, header %q", eb.RequestID, resp.Header.Get(requestIDHeader))
+	}
+	if got := svc.Stats().OverBudget; got != 1 {
+		t.Fatalf("early trip: queries_over_budget = %d, want 1", got)
+	}
+
+	// Trips after ~4300 rows (~60 KB): a drain has committed the 200.
+	scan.MaxProbes = 4096
+	resp, raw = postRaw(t, ts.URL+"/query", scan)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("late trip: status %d, want the already-committed 200", resp.StatusCode)
+	}
+	if len(raw) < drainAt || json.Valid(raw) {
+		t.Fatalf("late trip: %d-byte body, valid JSON=%v; want a truncated stream of at least one drain", len(raw), json.Valid(raw))
+	}
+	if got := svc.Stats().OverBudget; got != 2 {
+		t.Fatalf("late trip: queries_over_budget = %d, want 2", got)
+	}
+}
+
+// TestOversizedBodyIs413: a request body over the limit is refused as
+// too_large, not misreported as a malformed (cut-off) document.
+func TestOversizedBodyIs413(t *testing.T) {
+	defer func(prev int64) { maxBody = prev }(maxBody)
+	maxBody = 1 << 10
+	svc := service.New(service.Options{})
+	ts := httptest.NewServer(newHandler(svc))
+	defer ts.Close()
+	defer svc.Close()
+
+	var eb errBody
+	resp := postJSON(t, ts.URL+"/load", map[string]string{"program": strings.Repeat("e(a,b). ", 1<<10)}, &eb)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Code != "too_large" {
+		t.Fatalf("oversized /load: status %d code %q, want 413 \"too_large\"", resp.StatusCode, eb.Code)
+	}
+	// A body under the limit that ends early is still a plain 400.
+	r2, err := http.Post(ts.URL+"/load", "application/json", strings.NewReader(`{"program": "e(a,b).`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2.Body.Close()
+	if r2.StatusCode != http.StatusBadRequest {
+		t.Fatalf("cut-off body: status %d, want 400", r2.StatusCode)
+	}
+}
