@@ -320,6 +320,11 @@ func (e *parEvaluator) runInline(pairs []pair, alts []int, mark storage.Mark) in
 func (e *parEvaluator) runFanned(pairs []pair, alts, rows []int, mark storage.Mark) int {
 	jobs := e.jobs[:0]
 	for pi, pr := range pairs {
+		// Workers only read the instance: whatever posting index a scan of
+		// this round can key on is caught up here, before they start.
+		for _, sp := range e.plans.Rules[pr.rule].Variants[pr.delta].Alts[alts[pi]].Scans {
+			e.db.CatchUp(sp)
+		}
 		shards := shardsFor(rows[pi], e.workers)
 		for sh := 0; sh < shards; sh++ {
 			jobs = append(jobs, job{rule: pr.rule, delta: pr.delta, alt: alts[pi], shard: sh, shards: shards})

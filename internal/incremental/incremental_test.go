@@ -3,6 +3,9 @@ package incremental
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/atom"
@@ -153,6 +156,11 @@ func assertMatchesRecompute(t *testing.T, label string, eng *Engine, live []atom
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
 	got := eng.DB()
+	for name, db := range map[string]*storage.DB{"maintained instance": got, "base store": eng.base} {
+		if err := db.Verify(); err != nil {
+			t.Fatalf("%s: %s: %v", label, name, err)
+		}
+	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: maintained %d facts, recompute %d", label, got.Len(), want.Len())
 	}
@@ -168,6 +176,58 @@ func assertMatchesRecompute(t *testing.T, label string, eng *Engine, live []atom
 	for _, f := range live {
 		if !eng.base.Contains(f) {
 			t.Fatalf("%s: base store lost %v", label, f)
+		}
+	}
+}
+
+// TestDeleteOnColdPositionsMatchesRebuild: the initial materialization of a
+// linear closure scans t and probes only e, so the engine starts with no
+// posting of t built. The first deletes' overestimate and rederivation
+// joins probe t at both positions — each built then, behind after every
+// further write, caught up by the next probe — and must leave exactly what
+// Rebuild computes from the surviving base facts.
+func TestDeleteOnColdPositionsMatchesRebuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var src strings.Builder
+	src.WriteString(tcSrc)
+	const nodes = 40
+	for i := 0; i < 3*nodes; i++ {
+		fmt.Fprintf(&src, "e(n%d,n%d).\n", rng.Intn(nodes), rng.Intn(nodes))
+	}
+	r, db := load(t, src.String())
+	eng, err := New(r.Program, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := func() []string {
+		var out []string
+		for _, a := range eng.DB().All() {
+			out = append(out, a.String(r.Program.Store, r.Program.Reg))
+		}
+		sort.Strings(out)
+		return out
+	}
+	live := append([]atom.Atom(nil), r.Facts...)
+	for step := 0; step < 12; step++ {
+		i := rng.Intn(len(live))
+		if err := eng.Delete(live[i]); err != nil {
+			t.Fatalf("step %d: delete: %v", step, err)
+		}
+		live = append(live[:i], live[i+1:]...)
+		if step%3 == 2 {
+			if err := eng.Insert(edge(r, fmt.Sprintf("n%d", rng.Intn(nodes)), fmt.Sprintf("n%d", rng.Intn(nodes)))); err != nil {
+				t.Fatalf("step %d: insert: %v", step, err)
+			}
+		}
+		if err := eng.DB().Verify(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		maintained := facts()
+		if err := eng.Rebuild(); err != nil {
+			t.Fatalf("step %d: rebuild: %v", step, err)
+		}
+		if rebuilt := facts(); !slices.Equal(maintained, rebuilt) {
+			t.Fatalf("step %d: DRed left %d facts, Rebuild %d", step, len(maintained), len(rebuilt))
 		}
 	}
 }

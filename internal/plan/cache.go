@@ -69,6 +69,22 @@ func CachedHit(src *logic.Program, opt Options) (*Program, bool) {
 	return p, false
 }
 
+// Forget drops every compilation made over src's naming context — its own
+// rule set's and those of the rule sets parsed against it since (view
+// rules, demand rewritings). An entry reaches its program's term store and
+// schema registry, so whoever retires a naming context (the reasoning
+// service, on every program load) says so here rather than leaving the
+// context pinned until cacheLimit entries pile up.
+func Forget(src *logic.Program) {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	for k, e := range cache {
+		if e.prog.Source.Store == src.Store {
+			delete(cache, k)
+		}
+	}
+}
+
 // fingerprint folds the rule pointers FNV-style. Collisions only cost a
 // cache slot: hits are always verified against the rule snapshot.
 func fingerprint(rules []*logic.TGD) uint64 {

@@ -38,6 +38,11 @@ func AnswersParallel(prog *logic.Program, db *storage.DB, q *logic.CQ, opt Optio
 		}
 	}
 	candidates := make([][]term.Term, 0, total)
+	// Workers share the instance, and a probe of a writer-owned store may
+	// build an index: they read a frozen view of it.
+	snap := db.Snapshot()
+	defer snap.Release()
+	db = snap.DB()
 	idx := make([]int, k)
 	for {
 		c := make([]term.Term, k)

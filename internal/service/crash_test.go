@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -48,6 +49,14 @@ type baseMirror map[string]bool // "e(n1,n2)" -> present
 
 func (m baseMirror) oracle(t *testing.T) (e, tc []string) {
 	t.Helper()
+	ref := m.service(t)
+	defer ref.Close()
+	return queryAll(t, ref, "e"), queryAll(t, ref, "t")
+}
+
+// service is the oracle itself: an in-memory service over the mirror.
+func (m baseMirror) service(t *testing.T) *Service {
+	t.Helper()
 	var sb strings.Builder
 	sb.WriteString(tcProgram)
 	for f := range m {
@@ -55,18 +64,22 @@ func (m baseMirror) oracle(t *testing.T) (e, tc []string) {
 		sb.WriteString(".\n")
 	}
 	ref := New(Options{})
-	defer ref.Close()
 	if _, err := ref.Load(sb.String()); err != nil {
 		t.Fatalf("oracle load: %v", err)
 	}
-	return queryAll(t, ref, "e"), queryAll(t, ref, "t")
+	return ref
 }
 
 func queryAll(t *testing.T, svc *Service, pred string) []string {
 	t.Helper()
-	resp, err := svc.Query(&QueryRequest{Pred: pred, Args: []string{"_", "_"}})
+	return queryPattern(t, svc, pred, "_", "_")
+}
+
+func queryPattern(t *testing.T, svc *Service, pred string, args ...string) []string {
+	t.Helper()
+	resp, err := svc.Query(&QueryRequest{Pred: pred, Args: args})
 	if err != nil {
-		t.Fatalf("query %s: %v", pred, err)
+		t.Fatalf("query %s%v: %v", pred, args, err)
 	}
 	out := make([]string, len(resp.Tuples))
 	for i, tu := range resp.Tuples {
@@ -86,6 +99,34 @@ func assertMatchesOracle(t *testing.T, svc *Service, mirror baseMirror, label st
 	}
 	if !equalStr(gotT, wantT) {
 		t.Fatalf("%s: closure diverged: got %d, want %d", label, len(gotT), len(wantT))
+	}
+}
+
+// assertKeyedReadsMatchOracle compares every read that resolves through a
+// posting index — each position of e and t bound to each node — between
+// the service and a from-scratch oracle, and holds the service's stores to
+// storage.Verify. A checkpoint carries the positions somebody probed and
+// nothing of the others: after recovery the first kind must answer from
+// what was decoded, the second from an index built on the spot.
+func assertKeyedReadsMatchOracle(t *testing.T, svc *Service, mirror baseMirror, label string) {
+	t.Helper()
+	ref := mirror.service(t)
+	defer ref.Close()
+	for _, pred := range []string{"e", "t"} {
+		for pos := 0; pos < 2; pos++ {
+			for node := 0; node < 8; node++ {
+				args := []string{"_", "_"}
+				args[pos] = fmt.Sprintf("n%d", node)
+				if got, want := queryPattern(t, svc, pred, args...), queryPattern(t, ref, pred, args...); !equalStr(got, want) {
+					t.Fatalf("%s: %s%v: got %v, want %v", label, pred, args, got, want)
+				}
+			}
+		}
+	}
+	for name, db := range map[string]*storage.DB{"materialization": svc.eng.DB(), "base": svc.eng.Base()} {
+		if err := db.Verify(); err != nil {
+			t.Fatalf("%s: %s: %v", label, name, err)
+		}
 	}
 }
 
@@ -301,6 +342,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					t.Fatalf("health after recovery = %q", h)
 				}
 				assertMatchesOracle(t, svc2, mirror, "recovered state")
+				assertKeyedReadsMatchOracle(t, svc2, mirror, "recovered state")
 				// And the recovered node is a fully working writer.
 				for i := 0; i < 3; i++ {
 					if err := applyRandomOp(t, rng, svc2, mirror); err != nil {
@@ -308,6 +350,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					}
 				}
 				assertMatchesOracle(t, svc2, mirror, "post-recovery updates")
+				assertKeyedReadsMatchOracle(t, svc2, mirror, "post-recovery updates")
 			})
 		}
 	}

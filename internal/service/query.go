@@ -626,6 +626,13 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 			obsViewMisses.Inc()
 		}
 		db, err := s.buildOverlay(bud, e, view, atom.Atom{}, tr)
+		if err == nil {
+			// Any number of queries read a finished overlay at once, and a
+			// probe of a writer-owned store may build an index: serve its
+			// frozen view. The view lives and dies with the epoch like the
+			// overlay itself, so nothing waits on its pins.
+			db = db.Snapshot().DB()
+		}
 		if ent != nil {
 			if err != nil {
 				// Evict BEFORE closing ready: a woken waiter re-probes the

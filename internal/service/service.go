@@ -318,7 +318,11 @@ func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base 
 	}
 	// A fresh generation: in-flight queries of the previous one keep
 	// their epoch's generation pointer, so they resolve and render
-	// against the old naming context until they drain.
+	// against the old naming context until they drain. Its compiled plans
+	// go now — they would keep that context alive long after.
+	if s.gen != nil {
+		plan.Forget(s.gen.prog)
+	}
 	s.gen = newGeneration(prog)
 	s.eng = eng
 	// A program replace rebases the whole durable state: it is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -435,5 +436,31 @@ func TestServiceEpochConsistency(t *testing.T) {
 	// rederives; deletion and overdeletion must both have run.
 	if st.Engine.Deleted == 0 || st.Engine.Overdeleted == 0 {
 		t.Fatalf("engine stats did not move: %+v", st.Engine)
+	}
+}
+
+// TestReloadReleasesGeneration: a load used to leave its compiled plans —
+// and through them its whole naming context — in the plan cache, so heap
+// grew by a term store and a registry per /load until the cache reset.
+func TestReloadReleasesGeneration(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	src := chainSource(30)
+	heapAfter := func(loads int) uint64 {
+		for i := 0; i < loads; i++ {
+			mustLoad(t, svc, src)
+			// A view query per generation: its rewriting and its rules
+			// compile against the generation's context too.
+			mustQuery(t, svc, &QueryRequest{Query: "back(X,Y) :- t(Y,X). ?(X) :- back(n5,X)."})
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	early := heapAfter(10)
+	late := heapAfter(290)
+	if late > 2*early {
+		t.Fatalf("HeapInuse %d B after 300 loads, %d B after 10: loaded generations stay reachable", late, early)
 	}
 }

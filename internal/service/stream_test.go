@@ -385,6 +385,41 @@ func TestOverlayConcurrentWithWrites(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCachedOverlaySharedFirstProbe: queries that find a finished overlay
+// on their epoch read it concurrently, and the first of them to join on a
+// derived view relation probes a posting position nobody has built. The
+// overlay they share must be one whose probes are safe to race (run under
+// -race): a frozen view, where that build happens once, under a lock.
+func TestCachedOverlaySharedFirstProbe(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, chainSource(40))
+	// All-free goal: the full overlay is built once and cached; the join
+	// scans back and keys back again on its first position.
+	const view = "back(X,Y) :- t(Y,X). ?(X,Y) :- back(X,Z), back(Z,Y)."
+	want := len(mustQuery(t, svc, &QueryRequest{Pred: "t", Args: []string{"_", "_"}}).Tuples) - 39
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := svc.Query(&QueryRequest{Query: view})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// Two hops back along a chain: every pair at distance >= 2.
+			if len(resp.Tuples) != want {
+				t.Errorf("%d answers, want %d", len(resp.Tuples), want)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := svc.Stats().ViewBuilds; got != 1 {
+		t.Fatalf("ViewBuilds = %d, want one shared overlay", got)
+	}
+}
+
 // TestQueryStreamPatternUnknownConstant: a bound constant the store has
 // never interned streams an empty result, not an error.
 func TestQueryStreamPatternUnknownConstant(t *testing.T) {

@@ -11,14 +11,15 @@ import (
 // (0 < frac <= 1) AND no live snapshot pins it (pinned relations are
 // deferred — their backings are still being read lock-free; the caller
 // re-runs Compact after the snapshots release). The rebuild is localized:
-// live rows are re-packed into fresh columns, postings, and a
-// freshly-sized dedup table, KEEPING their original global insertion
-// indexes, and the insertion log is patched in a fresh copy — reclaimed
-// entries become holes (row == holeRow), surviving entries are re-pointed
-// at their packed rows. Relations below the threshold are completely
-// untouched: their global columns, row handles, and outstanding marks all
-// stay valid, so a workload churning one small relation inside a huge
-// instance pays O(churning relation), never O(instance).
+// live rows are re-packed into fresh columns, a freshly-sized dedup table,
+// and fresh postings for the positions that were built, KEEPING their
+// original global insertion indexes, and the insertion log is patched in
+// a fresh copy — reclaimed entries become holes (row == holeRow),
+// surviving entries are re-pointed at their packed rows. Relations below
+// the threshold are completely untouched: their global columns, row
+// handles, and outstanding marks all stay valid, so a workload churning
+// one small relation inside a huge instance pays O(churning relation),
+// never O(instance).
 //
 // Holes keep the log monotone (global indexes never renumber) at 8 bytes
 // each; once they outnumber live entries — and nothing is pinned — the
@@ -78,16 +79,12 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 					continue
 				}
 				nrow := int32(len(nr.hashes))
-				args := r.args(int32(ri))
-				nr.cols = append(nr.cols, args...)
+				nr.cols = append(nr.cols, r.args(int32(ri))...)
 				nr.hashes = append(nr.hashes, r.hashes[ri])
 				// Survivors keep their global indexes: the column stays
 				// strictly increasing and the log positions of every OTHER
 				// relation stay untouched.
 				nr.global = append(nr.global, g)
-				for i, t := range args {
-					nr.idxAdd(i, t, nrow)
-				}
 				newOrder[g] = rowRef{pred: r.pred, row: nrow}
 			}
 			if len(nr.hashes) > 0 {
@@ -96,6 +93,14 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 				nr.growTabTo(len(nr.hashes))
 				for ri := range nr.hashes {
 					nr.tabInsert(nr.hashes[ri], int32(ri))
+				}
+			}
+			// The packed relation keeps the positions its predecessor
+			// carried, and goes on hearing the readers of its views.
+			nr.want = r.want
+			for i := range r.idx {
+				if r.idx[i].built > 0 {
+					nr.catchUp(i)
 				}
 			}
 			db.rels[p] = nr

@@ -134,14 +134,24 @@ func (db *DB) InsertArgs(pred schema.PredID, args []term.Term) bool {
 	}
 	ri := int32(r.rows())
 	r.tabInsert(h, ri)
-	r.cols = append(r.cols, args...)
-	r.global = append(r.global, int32(db.logLen()))
-	r.hashes = append(r.hashes, h)
-	db.order = append(db.order, rowRef{pred: pred, row: ri})
-	for i, t := range args {
-		r.idxAdd(i, t, ri)
-	}
+	r.cols = append(grow(r.cols, len(args)), args...)
+	r.global = append(grow(r.global, 1), int32(db.logLen()))
+	r.hashes = append(grow(r.hashes, 1), h)
+	db.order = append(grow(db.order, 1), rowRef{pred: pred, row: ri})
 	return true
+}
+
+// grow returns s with room for n more elements, doubling the capacity when
+// it runs out. The columns and the insertion log only ever grow, and
+// append's 1.25x steps for large slices re-copy a column about five times
+// its final size over a load.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	out := make([]T, len(s), max(2*cap(s), len(s)+n, 8))
+	copy(out, s)
+	return out
 }
 
 // InsertAll inserts a batch of atoms, reporting how many were new.

@@ -89,13 +89,9 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 				if _, ok := r.find(h, args); ok {
 					continue
 				}
-				ri := int32(len(r.hashes))
-				r.tabInsert(h, ri)
-				r.cols = append(r.cols, args...)
-				r.hashes = append(r.hashes, h)
-				for i, t := range args {
-					r.idxAdd(i, t, ri)
-				}
+				r.tabInsert(h, int32(len(r.hashes)))
+				r.cols = append(grow(r.cols, len(args)), args...)
+				r.hashes = append(grow(r.hashes, 1), h)
 			}
 		}
 		accepted[pi] = len(r.hashes) - base
@@ -128,6 +124,8 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 	for pi, p := range preds {
 		r := db.rels[p]
 		base := r.rows()
+		r.global = grow(r.global, accepted[pi])
+		db.order = grow(db.order, accepted[pi])
 		for k := 0; k < accepted[pi]; k++ {
 			ri := int32(base + k)
 			r.global = append(r.global, int32(db.logLen()))
@@ -160,9 +158,10 @@ const shardedMergeRows = 2048
 //	B (serial): append accepted rows to the columns in (buffer, append)
 //	  order — byte-identical to the serial merge's layout.
 //	C (parallel by sub-shard): link the new rows into the dedup
-//	  sub-tables (one job per hash shard) and the posting sub-indexes
-//	  (one job per position × term shard). Jobs write disjoint
-//	  structures; the columns they read are settled.
+//	  sub-tables (one job per hash shard) and into the posting
+//	  sub-indexes of the positions that were current (one job per such
+//	  position × term shard). Jobs write disjoint structures; the
+//	  columns they read are settled.
 //
 // Returns the number of accepted rows; the caller stitches the insertion
 // log.
@@ -217,17 +216,22 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 			if accept[bi][k>>6]>>(uint(k)&63)&1 == 0 {
 				continue
 			}
-			r.cols = append(r.cols, pb.args(k)...)
-			r.hashes = append(r.hashes, pb.hashes[k])
+			r.cols = append(grow(r.cols, r.arity), pb.args(k)...)
+			r.hashes = append(grow(r.hashes, 1), pb.hashes[k])
 		}
 	}
 	obsMergeAppend.ObserveSince(tB)
 	tC := obs.Now()
-	// Phase C.
+	// Phase C. Only positions that were current when the merge started are
+	// extended; the rest stay behind their watermark until probed.
 	n := len(r.hashes)
-	jobs := relShards + r.arity*relShards
-	arity := r.arity
-	runPool(par, jobs, func(j int) {
+	var current []int
+	for i := range r.idx {
+		if base > 0 && int(r.idx[i].built) == base {
+			current = append(current, i)
+		}
+	}
+	runPool(par, relShards+len(current)*relShards, func(j int) {
 		if j < relShards {
 			for ri := base; ri < n; ri++ {
 				if h := r.hashes[ri]; hashShard(h) == j {
@@ -237,13 +241,12 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 			return
 		}
 		j -= relShards
-		pos, s := j>>relShardBits, j&(relShards-1)
-		for ri := base; ri < n; ri++ {
-			if t := r.cols[ri*arity+pos]; termShard(t) == s {
-				r.idxAdd(pos, t, int32(ri))
-			}
-		}
+		pos := current[j>>relShardBits]
+		r.indexRows(&r.idx[pos], pos, base, n, j&(relShards-1))
 	})
+	for _, pos := range current {
+		r.idx[pos].built = int32(n)
+	}
 	obsMergeLink.ObserveSince(tC)
 	return n - base
 }

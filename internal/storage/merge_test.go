@@ -124,10 +124,12 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 
 		par := 1 + rng.Intn(4)
 		got := db.Clone()
+		probeAt(got, p, 2, trial%2, consts[0]) // one position built, one not
 		added := got.MergeBuffers(bufs, par)
 		if added != refAdded {
 			t.Fatalf("trial %d: added = %d, want %d", trial, added, refAdded)
 		}
+		mustVerify(t, got, fmt.Sprintf("trial %d, par %d", trial, par))
 		if got.Len() != ref.Len() {
 			t.Fatalf("trial %d: Len = %d, want %d", trial, got.Len(), ref.Len())
 		}
@@ -242,8 +244,15 @@ func TestMergeShardedMatchesSerial(t *testing.T) {
 		}
 		bufs[bi] = b
 	}
+	// Position 0 is built and current, so phase C extends it; position 1
+	// was never probed and must come out of the merge still unbuilt.
+	probeAt(base, p, 2, 0, consts[0])
 	serial := base.Clone()
 	wantAdded := serial.MergeBuffers(bufs, 1)
+	mustVerify(t, serial, "serial")
+	if builtAt(serial, p, 0) != base.relOf(p).rows() {
+		t.Fatalf("serial merge moved a watermark: %d, want %d", builtAt(serial, p, 0), base.relOf(p).rows())
+	}
 	for _, par := range []int{2, 4, 8} {
 		got := base.Clone()
 		// A live snapshot marks every relation shared: the sharded path
@@ -252,6 +261,17 @@ func TestMergeShardedMatchesSerial(t *testing.T) {
 		added := got.MergeBuffers(bufs, par)
 		if added != wantAdded {
 			t.Fatalf("par %d: added = %d, want %d", par, added, wantAdded)
+		}
+		mustVerify(t, got, fmt.Sprintf("par %d", par))
+		mustVerify(t, snap.DB(), fmt.Sprintf("par %d: view detached from", par))
+		if builtAt(got, p, 0) != got.relOf(p).rows() || builtAt(got, p, 1) != 0 {
+			t.Fatalf("par %d: watermarks %d, %d of %d rows; want the built position extended, the other left alone",
+				par, builtAt(got, p, 0), builtAt(got, p, 1), got.relOf(p).rows())
+		}
+		for _, c := range consts[:50] {
+			if g, w := probeAt(got, p, 2, 0, c)+probeAt(got, p, 2, 1, c), probeAt(serial, p, 2, 0, c)+probeAt(serial, p, 2, 1, c); g != w {
+				t.Fatalf("par %d: probes of %v differ from the serial merge's", par, c)
+			}
 		}
 		if got.Len() != serial.Len() {
 			t.Fatalf("par %d: Len = %d, want %d", par, got.Len(), serial.Len())

@@ -15,5 +15,9 @@ var (
 	obsMergeAppend = obs.NewHistogram("vadalog_storage_merge_phase_seconds", `phase="append"`, "Sharded merge phase durations.", obs.Seconds, obs.LatencyBuckets)
 	obsMergeLink   = obs.NewHistogram("vadalog_storage_merge_phase_seconds", `phase="link"`, "Sharded merge phase durations.", obs.Seconds, obs.LatencyBuckets)
 	obsCompactSec  = obs.NewHistogram("vadalog_storage_compaction_seconds", "", "Compact/CompactAll duration (when any work ran).", obs.Seconds, obs.LatencyBuckets)
+	// Late builds cost a reader the whole position once per view; a
+	// steadily rising count means readers keep probing positions the
+	// writer does not carry (each build also asks it to).
+	obsLateBuilds  = obs.NewCounter("vadalog_storage_index_late_builds_total", "", "Posting positions built by a reader on a frozen view.")
 	obsCompactRows = obs.NewCounter("vadalog_storage_compaction_reclaimed_rows_total", "", "Tombstoned rows physically reclaimed by compaction.")
 )

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"maps"
 	"sync/atomic"
 
 	"repro/internal/atom"
@@ -30,20 +31,10 @@ const (
 // hashShard selects a fact's dedup sub-table from its hash top bits.
 func hashShard(h uint64) int { return int(h >> (64 - relShardBits)) }
 
-// termShard selects a posting sub-map for term t. The fib-mix spreads the
-// dense low-entropy term IDs across shards.
-func termShard(t term.Term) int {
-	return int((t.Key() * 0x9E3779B97F4A7C15) >> (64 - relShardBits))
-}
-
-// posIndex is one argument position's partitioned posting index: m[s] maps
-// a term (with termShard s) to its posting code — the single local row
-// holding it (inline, non-negative) or -(k+1) for entry k of over[s], the
-// sub-shard's overflow table of ascending row lists (see posting.go).
-// Sub-maps allocate lazily on first insert.
-type posIndex struct {
-	m    [relShards]map[term.Term]int32
-	over [relShards][][]int32
+// keyShard selects a posting sub-map for a term's packed key. The fib-mix
+// spreads the dense low-entropy term IDs across shards.
+func keyShard(k uint64) int {
+	return int((k * 0x9E3779B97F4A7C15) >> (64 - relShardBits))
 }
 
 // relation is the columnar store for one predicate: a flat, arity-strided
@@ -74,8 +65,14 @@ type relation struct {
 	// plus deleted-slot sentinels) — the load-factor input.
 	tabs    [relShards][]int32
 	tabUsed [relShards]int32
-	// idx[i] is position i's partitioned posting index.
-	idx []posIndex
+	// idx[i] is position i's partitioned posting index, built on first
+	// probe; late and want serve probes of a frozen view's never-built
+	// positions (non-nil late: this relation still shares a frozen view's
+	// structures; want is shared by a live relation, its views and its
+	// compacted successors). See posting.go.
+	idx  []posIndex
+	late *lateIndex
+	want []atomic.Bool
 	// dead is the liveness bitmap (one bit per local row, words allocated
 	// on first kill; rows beyond the bitmap are live) and nDead the count
 	// of tombstoned rows. See tombstone.go.
@@ -97,6 +94,7 @@ func newRelation(pred schema.PredID, arity int) *relation {
 		pred:  pred,
 		arity: arity,
 		idx:   make([]posIndex, arity),
+		want:  make([]atomic.Bool, arity),
 	}
 }
 
@@ -255,6 +253,7 @@ func (r *relation) clone() *relation {
 		hashes:  r.hashes[:len(r.hashes):len(r.hashes)],
 		tabUsed: r.tabUsed,
 		idx:     make([]posIndex, r.arity),
+		want:    make([]atomic.Bool, r.arity),
 		dead:    append([]uint64(nil), r.dead...),
 		nDead:   r.nDead,
 	}
@@ -264,14 +263,9 @@ func (r *relation) clone() *relation {
 		}
 	}
 	for i := range r.idx {
+		out.idx[i].built = r.idx[i].built
 		for s := 0; s < relShards; s++ {
-			if m := r.idx[i].m[s]; m != nil {
-				nm := make(map[term.Term]int32, len(m))
-				for t, v := range m {
-					nm[t] = v
-				}
-				out.idx[i].m[s] = nm
-			}
+			out.idx[i].m[s] = maps.Clone(r.idx[i].m[s])
 			if ov := r.idx[i].over[s]; ov != nil {
 				nov := make([][]int32, len(ov))
 				for k, rows := range ov {

@@ -36,13 +36,15 @@ import (
 //     same thing after a dump/load cycle, so restore is one array copy
 //     per sub-shard — recovery profiling showed the alternative (one
 //     tabInsert rehash per live row) dominating checkpoint load.
-//   - The posting indexes ARE serialized — rebuilding them through
-//     idxAdd would cost a map insert per (row, position), the dominant
-//     term for large closures. Instead each (position, sub-shard) dumps
-//     its keys with their row counts plus one concatenated row slab;
-//     load performs one map insert per DISTINCT key and carves the
-//     overflow lists as cap-limited views of the slab — one allocation
-//     per sub-shard, not per key.
+//   - The posting indexes that are built ARE serialized — rebuilding
+//     them through idxAdd would cost a map insert per (row, position),
+//     the dominant term for large closures. Instead each (position,
+//     sub-shard) dumps its keys with their row counts plus one
+//     concatenated row slab; load performs one map insert per DISTINCT
+//     key and carves the overflow lists as cap-limited views of the slab
+//     — one allocation per sub-shard, not per key. A position nobody
+//     probed writes no keys and is restored as never built; a built one
+//     is caught up first, so keys always cover every row.
 //   - The global insertion log is serialized implicitly: each
 //     relation's global column re-points its rows, and unclaimed log
 //     entries are exactly the holes a localized Compact left behind.
@@ -68,6 +70,9 @@ func (db *DB) AppendSegment(buf []byte) []byte {
 }
 
 func (r *relation) appendSegment(buf []byte) []byte {
+	// A position is written whole or not at all: the decoder reads keys as
+	// "built over every row" and no keys as "never built".
+	r.catchUpBuilt()
 	n := r.rows()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.pred))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.arity))
@@ -111,9 +116,9 @@ func (r *relation) appendSegment(buf []byte) []byte {
 			// after — the decoder's slab cursor consumes rows in exactly
 			// the key-record order.
 			keys := keyScratch[:0]
-			for t, v := range m {
-				keys = append(keys, byte(t.Kind))
-				keys = binary.LittleEndian.AppendUint32(keys, t.ID)
+			for k, v := range m {
+				keys = append(keys, byte(k>>32))
+				keys = binary.LittleEndian.AppendUint32(keys, uint32(k))
 				if v >= 0 {
 					keys = binary.LittleEndian.AppendUint32(keys, 1)
 					keys = binary.LittleEndian.AppendUint32(keys, uint32(v))
@@ -137,7 +142,11 @@ func ReadSegment(data []byte) (*DB, error) {
 	rd := &segReader{data: data}
 	nRels := int(rd.u32())
 	orderLen := int(rd.u32())
-	if rd.err != nil || nRels > 1<<24 || orderLen > 1<<31-1 {
+	// Both counts size an allocation before any body byte is read, so both
+	// are held to what the bytes can back: a relation slot takes at least a
+	// byte, a row at least 17, and a log with more than a thousand holes
+	// per row is long past the point where Compact squashes it.
+	if rd.err != nil || nRels > len(data) || orderLen > 64*len(data) {
 		return nil, errors.New("storage: segment: bad header")
 	}
 	db := &DB{rels: make([]*relation, nRels), order: make([]rowRef, orderLen)}
@@ -173,6 +182,11 @@ func ReadSegment(data []byte) (*DB, error) {
 	if db.holes < 0 {
 		return nil, errors.New("storage: segment: more rows than log entries")
 	}
+	// The decoder above only bounds what it allocates and indexes; whether
+	// the structures agree with each other is Verify's to say.
+	if err := db.Verify(); err != nil {
+		return nil, fmt.Errorf("storage: segment: %w", err)
+	}
 	return db, nil
 }
 
@@ -181,7 +195,8 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 	pred := schema.PredID(rd.u32())
 	arity := int(rd.u32())
 	n := int(rd.u32())
-	if rd.err != nil || arity <= 0 || arity > 1<<16 || n < 0 || n > orderLen {
+	if rd.err != nil || arity <= 0 || arity > 1<<16 || n < 0 || n > orderLen ||
+		n*(5*arity+12) > len(rd.data)-rd.off { // columns, hashes, global
 		return nil, malformed
 	}
 	r := newRelation(pred, arity)
@@ -257,24 +272,24 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 			if nKeys == 0 {
 				continue
 			}
-			m := make(map[term.Term]int32, nKeys)
+			m := make(map[uint64]int32, nKeys)
 			var over [][]int32
 			cursor := 0
 			for k := 0; k < nKeys; k++ {
-				t := rd.term()
+				key := rd.term().Key()
 				cnt := int(rd.u32())
 				if rd.err != nil || cnt <= 0 || cnt > n {
 					return nil, malformed
 				}
 				if cnt == 1 {
-					m[t] = int32(rd.u32())
+					m[key] = int32(rd.u32())
 					continue
 				}
 				if cursor+cnt > len(slab) {
 					return nil, malformed
 				}
 				over = append(over, slab[cursor:cursor+cnt:cursor+cnt])
-				m[t] = -int32(len(over))
+				m[key] = -int32(len(over))
 				cursor += cnt
 			}
 			if cursor != len(slab) {
@@ -282,6 +297,7 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 			}
 			r.idx[i].m[s] = m
 			r.idx[i].over[s] = over
+			r.idx[i].built = int32(n)
 		}
 	}
 	return r, rd.err

@@ -38,31 +38,39 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestSegmentRoundTrip exercises the codec over a randomized instance
-// with duplicates, tombstones, localized compaction (holes in the
-// insertion log), and multi-predicate interleaving, then checks the
-// decoded instance is observationally identical AND structurally sound:
-// dedup finds live rows, postings resolve, delta windows line up, and
-// the decoded instance accepts further inserts and deletes.
-func TestSegmentRoundTrip(t *testing.T) {
+// segmentFixture is a randomized instance with duplicates, tombstones,
+// localized compaction (holes in the insertion log), multi-predicate
+// interleaving, and posting positions in every state: e.0 built and
+// current, tt.1 built but behind its relation, every other position never
+// probed.
+const (
+	segE  = schema.PredID(1) // slot 0 stays nil
+	segTT = schema.PredID(2)
+	segU  = schema.PredID(3)
+)
+
+func segConst(id int) term.Term { return term.MkConst(uint32(id)) }
+
+func segmentFixture(t testing.TB) *DB {
 	rng := rand.New(rand.NewSource(7))
-	const (
-		e  = schema.PredID(1) // slot 0 stays nil
-		tt = schema.PredID(2)
-		u  = schema.PredID(3)
-	)
+	const e, tt, u = segE, segTT, segU
+	mk := segConst
 	db := NewDB()
-	mk := func(id int) term.Term { return term.MkConst(uint32(id)) }
-	for i := 0; i < 500; i++ {
-		switch rng.Intn(3) {
-		case 0:
-			db.InsertArgs(e, []term.Term{mk(rng.Intn(40)), mk(rng.Intn(40))})
-		case 1:
-			db.InsertArgs(tt, []term.Term{mk(rng.Intn(10)), mk(rng.Intn(10)), term.MkNull(uint32(rng.Intn(5)))})
-		default:
-			db.InsertArgs(u, []term.Term{mk(rng.Intn(200))})
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			switch rng.Intn(3) {
+			case 0:
+				db.InsertArgs(e, []term.Term{mk(rng.Intn(40)), mk(rng.Intn(40))})
+			case 1:
+				db.InsertArgs(tt, []term.Term{mk(rng.Intn(10)), mk(rng.Intn(10)), term.MkNull(uint32(rng.Intn(5)))})
+			default:
+				db.InsertArgs(u, []term.Term{mk(rng.Intn(200))})
+			}
 		}
 	}
+	fill(400)
+	probeAt(db, tt, 3, 1, mk(3))
+	fill(100)
 	// Tombstone a third of e's rows, compact hard so the log grows holes.
 	for i, a := range db.Facts(e) {
 		if i%3 == 0 {
@@ -74,6 +82,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 		}
 	}
 	db.Compact(0.01)
+	probeAt(db, e, 2, 0, mk(5))
 	// Leave some tombstones UNcompacted too.
 	for i, a := range db.Facts(u) {
 		if i%5 == 0 {
@@ -82,7 +91,23 @@ func TestSegmentRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	if n := db.relOf(tt).rows(); builtAt(db, e, 0) != db.relOf(e).rows() || builtAt(db, tt, 1) == 0 || builtAt(db, tt, 1) >= n {
+		t.Fatalf("fixture: e.0 at %d of %d, tt.1 at %d of %d; want current and behind", builtAt(db, e, 0), db.relOf(e).rows(), builtAt(db, tt, 1), n)
+	}
+	mustVerify(t, db, "fixture")
+	return db
+}
 
+// TestSegmentRoundTrip exercises the codec over segmentFixture, then
+// checks the decoded instance is observationally identical AND
+// structurally sound: dedup finds live rows, postings resolve, delta
+// windows line up, and the decoded instance accepts further inserts and
+// deletes. Positions travel as they are: a built one whole (caught up
+// first when it was behind), a never-built one as no keys at all.
+func TestSegmentRoundTrip(t *testing.T) {
+	const e, tt, u = segE, segTT, segU
+	mk := segConst
+	db := segmentFixture(t)
 	want := sortedFacts(db)
 	enc := db.AppendSegment(nil)
 	got, err := ReadSegment(enc)
@@ -95,6 +120,33 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if got.Len() != db.Len() {
 		t.Fatalf("Len: got %d want %d", got.Len(), db.Len())
 	}
+	mustVerify(t, got, "decoded")
+	for _, c := range []struct {
+		pred  schema.PredID
+		built []bool
+	}{{e, []bool{true, false}}, {tt, []bool{false, true, false}}, {u, []bool{false}}} {
+		for pos, built := range c.built {
+			want := 0
+			if built {
+				want = got.relOf(c.pred).rows()
+			}
+			if builtAt(got, c.pred, pos) != want {
+				t.Fatalf("decoded pred %d position %d: watermark %d, want %d", c.pred, pos, builtAt(got, c.pred, pos), want)
+			}
+		}
+	}
+	ref := indexed(db)
+	for id := 0; id < 40; id++ {
+		for _, q := range []struct {
+			pred       schema.PredID
+			arity, pos int
+		}{{e, 2, 0}, {e, 2, 1}, {tt, 3, 0}, {tt, 3, 1}} {
+			if g, w := probeAt(got, q.pred, q.arity, q.pos, mk(id)), probeAt(ref, q.pred, q.arity, q.pos, mk(id)); g != w {
+				t.Fatalf("decoded probe of pred %d position %d: %q, want %q", q.pred, q.pos, g, w)
+			}
+		}
+	}
+	mustVerify(t, got, "decoded, probed")
 	// Structural: dedup rejects re-inserts of live rows.
 	live := got.Facts(e)
 	if len(live) == 0 {
@@ -161,8 +213,8 @@ func TestSegmentEmptyAndNilRelations(t *testing.T) {
 }
 
 // TestSegmentRejectsCorruption flips bits across a small encoded
-// segment and asserts the decoder returns an error or a well-formed DB
-// — never panics. (CRC protection lives a layer up, in the wal
+// segment and asserts the decoder returns an error or a DB that Verify
+// accepts — never panics. (CRC protection lives a layer up, in the wal
 // checkpoint framing; this is defense in depth for the decoder itself.)
 func TestSegmentRejectsCorruption(t *testing.T) {
 	const e = schema.PredID(0)
@@ -181,8 +233,49 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 						t.Fatalf("decoder panicked on corruption at offset %d bit %#x: %v", off, bit, p)
 					}
 				}()
-				ReadSegment(cp) //nolint:errcheck // error or junk DB both fine; panic is not
+				if got, err := ReadSegment(cp); err == nil {
+					mustVerify(t, got, fmt.Sprintf("decoded despite corruption at offset %d bit %#x", off, bit))
+				}
 			}()
 		}
 	}
+}
+
+// FuzzReadSegment holds the decoder to its contract on arbitrary bytes: a
+// typed error, or an instance Verify accepts and the read and write paths
+// can use — never a panic. Seeds: the encoded segmentFixture (positions
+// built, behind and never built), every torn prefix of it, and bit flips
+// across its posting sections. Crashers go under testdata/fuzz/.
+func FuzzReadSegment(f *testing.F) {
+	enc := segmentFixture(f).AppendSegment(nil)
+	f.Add(enc)
+	for cut := 0; cut < len(enc); cut++ {
+		f.Add(enc[:cut])
+	}
+	// The posting sections close each relation's body: the last third of
+	// the encoding is mostly theirs.
+	for off := 2 * len(enc) / 3; off < len(enc); off += 7 {
+		cp := append([]byte(nil), enc...)
+		cp[off] ^= 1 << (off % 8)
+		f.Add(cp)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := ReadSegment(data)
+		if err != nil {
+			return
+		}
+		mustVerify(t, db, "decoded")
+		for p, r := range db.rels {
+			if r == nil || r.rows() == 0 {
+				continue
+			}
+			for pos := 0; pos < r.arity; pos++ {
+				probeAt(db, schema.PredID(p), r.arity, pos, r.args(0)[pos])
+			}
+			if db.InsertArgs(schema.PredID(p), r.args(0)) && !r.isDead(0) {
+				t.Fatalf("pred %d: dedup accepted a stored live tuple", p)
+			}
+		}
+		mustVerify(t, db, "decoded, probed, written")
+	})
 }

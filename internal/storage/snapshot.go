@@ -1,9 +1,8 @@
 package storage
 
 import (
+	"maps"
 	"sync/atomic"
-
-	"repro/internal/term"
 )
 
 // Snapshots: epoch-pinned read-only views of a live instance.
@@ -24,10 +23,13 @@ import (
 //     replaces them with private copies (relation.detach) before writing.
 //     The snapshot keeps the originals, which are immutable from then on.
 //
-// Snapshot() itself therefore costs O(#relations) header copies; the
-// writer pays one detach — O(dedup table + posting keys) — per (snapshot
-// epoch, relation it actually mutates). Relations untouched by an epoch's
-// updates are never copied at all.
+// Snapshot() itself therefore costs O(#relations) header copies, plus
+// catching up the posting positions that are built over the rows written
+// since they were last probed (see posting.go: a view's positions are
+// current or never built); the writer pays one detach — O(dedup table +
+// built posting keys) — per (snapshot epoch, relation it actually
+// mutates). Relations untouched by an epoch's updates are never copied at
+// all.
 //
 // Each captured relation also carries an atomic pin count. Compact defers
 // relations with live pins instead of reclaiming them, so a long-running
@@ -68,12 +70,24 @@ func (db *DB) Snapshot() *Snapshot {
 		if r == nil {
 			continue
 		}
-		// Mark the live relation shared — its next in-place mutation must
+		// Catch up every position that is built at all, so that readers of
+		// the view find a position either current or never built; then
+		// mark the live relation shared — its next in-place mutation must
 		// detach — and pin it against physical reclamation.
+		r.catchUpBuilt()
 		r.shared = true
 		r.pins.Add(1)
 		s.pinned = append(s.pinned, r)
-		out.rels[p] = r.view()
+		v := r.view()
+		if v.late == nil {
+			for i := range v.idx {
+				if int(v.idx[i].built) < v.rows() {
+					v.late = &lateIndex{idx: make([]atomic.Pointer[posIndex], v.arity)}
+					break
+				}
+			}
+		}
+		out.rels[p] = v
 	}
 	return s
 }
@@ -153,6 +167,8 @@ func (r *relation) view() *relation {
 		tabs:    r.tabs,
 		tabUsed: r.tabUsed,
 		idx:     r.idx,
+		late:    r.late,
+		want:    r.want,
 		dead:    r.dead,
 		nDead:   r.nDead,
 	}
@@ -176,20 +192,18 @@ func (r *relation) detach() {
 	}
 	nidx := make([]posIndex, len(r.idx))
 	for i := range r.idx {
+		nidx[i].built = r.idx[i].built
 		for s := 0; s < relShards; s++ {
-			if m := r.idx[i].m[s]; m != nil {
-				nm := make(map[term.Term]int32, len(m))
-				for t, v := range m {
-					nm[t] = v
-				}
-				nidx[i].m[s] = nm
-			}
+			nidx[i].m[s] = maps.Clone(r.idx[i].m[s])
 			if ov := r.idx[i].over[s]; ov != nil {
 				nidx[i].over[s] = append([][]int32(nil), ov...)
 			}
 		}
 	}
 	r.idx = nidx
+	// An overlay relation leaves the frozen view's late builds behind with
+	// the structures it shared: its never-built positions are its own now.
+	r.late = nil
 	r.dead = append([]uint64(nil), r.dead...)
 	r.shared = false
 }

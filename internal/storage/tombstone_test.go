@@ -52,6 +52,7 @@ func (r *refLiveDB) delete(a atom.Atom) bool {
 // Contains, substitution matching, and ActiveDomain.
 func checkLiveEquivalence(t *testing.T, prog *logic.Program, db *DB, ref *refLiveDB, label string) {
 	t.Helper()
+	mustVerify(t, db, label)
 	if db.Len() != len(ref.rows) {
 		t.Fatalf("%s: Len = %d, want %d", label, db.Len(), len(ref.rows))
 	}

@@ -1,0 +1,191 @@
+package storage
+
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+
+	"repro/internal/term"
+)
+
+// Verify checks that the instance's redundant structures agree: every
+// relation's columns, hash column, liveness bitmap, dedup sub-tables and
+// posting indexes (each up to its watermark), and the insertion log with
+// the tombstone and hole counts. It is the invariant the property suites
+// assert after every kind of write, and what ReadSegment holds decoded
+// bytes to; it reads only, never panics on a malformed instance, and costs
+// one pass over the rows plus one over every built posting.
+func (db *DB) Verify() error {
+	rows, dead := 0, 0
+	for p, r := range db.rels {
+		if r == nil {
+			continue
+		}
+		if int(r.pred) != p {
+			return fmt.Errorf("storage: verify: relation %d claims pred %d", p, r.pred)
+		}
+		if err := r.verify(db.logLen()); err != nil {
+			return fmt.Errorf("storage: verify: pred %d: %w", p, err)
+		}
+		rows += r.rows()
+		dead += r.nDead
+	}
+	entries, holes := 0, 0
+	for g := 0; g < db.logLen(); g++ {
+		var ref rowRef
+		if g < len(db.base) {
+			ref = db.base[g]
+		} else {
+			ref = db.order[g-len(db.base)]
+		}
+		if ref.row == holeRow {
+			holes++
+			continue
+		}
+		r := db.relOf(ref.pred)
+		if r == nil || ref.row < 0 || int(ref.row) >= r.rows() || int(r.global[ref.row]) != g {
+			return fmt.Errorf("storage: verify: log entry %d does not point back at its row", g)
+		}
+		entries++
+	}
+	// Globals are strictly increasing per relation, so distinct rows claim
+	// distinct entries: equal counts make the log a bijection.
+	if entries != rows || holes != db.holes || dead != db.dead {
+		return fmt.Errorf("storage: verify: log has %d entries and %d holes for %d rows and %d counted holes; %d dead rows for %d counted",
+			entries, holes, rows, db.holes, dead, db.dead)
+	}
+	return nil
+}
+
+func (r *relation) verify(logLen int) error {
+	n := len(r.global)
+	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.hashes) != n || len(r.idx) != r.arity || len(r.want) != r.arity {
+		return errors.New("column lengths disagree")
+	}
+	for ri := 0; ri < n; ri++ {
+		args := r.args(int32(ri))
+		for _, t := range args {
+			if t.Kind != term.Const && t.Kind != term.Null {
+				return fmt.Errorf("row %d holds a non-ground term", ri)
+			}
+		}
+		if r.hashes[ri] != hashArgs(r.pred, args) {
+			return fmt.Errorf("row %d: stored hash is not the tuple's", ri)
+		}
+		if g := r.global[ri]; g < 0 || int(g) >= logLen || ri > 0 && g <= r.global[ri-1] {
+			return fmt.Errorf("row %d: insertion index %d out of order", ri, g)
+		}
+	}
+	dead := 0
+	for w, word := range r.dead {
+		if valid := min(max(n-w<<6, 0), 64); valid < 64 && word>>uint(valid) != 0 {
+			return errors.New("liveness bits beyond the last row")
+		}
+		dead += bits.OnesCount64(word)
+	}
+	if dead != r.nDead {
+		return fmt.Errorf("%d liveness bits set, %d rows counted dead", dead, r.nDead)
+	}
+	// Dedup: every live row linked exactly once, in its hash shard, and
+	// found again by a probe; find terminates because every sub-table
+	// keeps an empty slot.
+	linked := make([]uint64, (n+63)/64)
+	nLinked := 0
+	for s := range r.tabs {
+		tab, used := r.tabs[s], 0
+		if len(tab)&(len(tab)-1) != 0 {
+			return fmt.Errorf("dedup sub-table %d: length %d", s, len(tab))
+		}
+		for _, ri := range tab {
+			if ri == tabEmpty {
+				continue
+			}
+			used++
+			if ri == tabDeleted {
+				continue
+			}
+			if ri < 0 || int(ri) >= n || r.isDead(ri) || hashShard(r.hashes[ri]) != s || linked[ri>>6]>>(uint(ri)&63)&1 != 0 {
+				return fmt.Errorf("dedup sub-table %d: bad or repeated row %d", s, ri)
+			}
+			linked[ri>>6] |= 1 << (uint(ri) & 63)
+			nLinked++
+		}
+		if used != int(r.tabUsed[s]) || len(tab) > 0 && used >= len(tab) {
+			return fmt.Errorf("dedup sub-table %d: %d of %d slots used, %d counted", s, used, len(tab), r.tabUsed[s])
+		}
+	}
+	if nLinked != n-r.nDead {
+		return fmt.Errorf("%d rows linked, %d live", nLinked, n-r.nDead)
+	}
+	for ri := 0; ri < n; ri++ {
+		if r.isDead(int32(ri)) {
+			continue
+		}
+		if got, ok := r.find(r.hashes[ri], r.args(int32(ri))); !ok || int(got) != ri {
+			return fmt.Errorf("row %d is not the row a dedup probe for its tuple finds", ri)
+		}
+	}
+	for i := range r.idx {
+		px := &r.idx[i]
+		if r.late != nil {
+			if l := r.late.idx[i].Load(); l != nil {
+				px = l
+			}
+		}
+		if err := r.verifyPostings(px, i); err != nil {
+			return fmt.Errorf("position %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// verifyPostings checks position i's index against the column up to its
+// watermark: keys in their sub-shard, every row list ascending, below the
+// watermark and holding the key, and the lists together covering exactly
+// rows [0, built) — each row holds one term, so equal counts make them
+// complete.
+func (r *relation) verifyPostings(px *posIndex, i int) error {
+	built := int(px.built)
+	if built < 0 || built > len(r.global) {
+		return fmt.Errorf("watermark %d of %d rows", built, len(r.global))
+	}
+	holds := func(ri int32, k uint64, prev int32) bool {
+		return ri > prev && int(ri) < built && r.cols[int(ri)*r.arity+i].Key() == k
+	}
+	covered := 0
+	for s := range px.m {
+		lists := 0
+		for k, v := range px.m[s] {
+			if keyShard(k) != s {
+				return fmt.Errorf("key %#x in sub-shard %d", k, s)
+			}
+			if v >= 0 {
+				if !holds(v, k, -1) {
+					return fmt.Errorf("key %#x: bad row %d", k, v)
+				}
+				covered++
+				continue
+			}
+			e := -int(v) - 1
+			if e >= len(px.over[s]) || len(px.over[s][e]) < 2 {
+				return fmt.Errorf("key %#x: bad overflow entry %d", k, e)
+			}
+			prev := int32(-1)
+			for _, ri := range px.over[s][e] {
+				if !holds(ri, k, prev) {
+					return fmt.Errorf("key %#x: bad row %d", k, ri)
+				}
+				prev = ri
+			}
+			covered += len(px.over[s][e])
+			lists++
+		}
+		if lists != len(px.over[s]) {
+			return fmt.Errorf("sub-shard %d: %d overflow lists, %d keys pointing at them", s, len(px.over[s]), lists)
+		}
+	}
+	if covered != built {
+		return fmt.Errorf("postings cover %d rows, watermark %d", covered, built)
+	}
+	return nil
+}

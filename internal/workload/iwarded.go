@@ -2,7 +2,9 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"repro/internal/atom"
@@ -112,11 +114,13 @@ func GenScenario(shape Shape, seed int64, p SuiteParams) (*Scenario, error) {
 		return nil, fmt.Errorf("generated source failed to parse: %w\n%s", err, src)
 	}
 	prog := res.Program
-	// Random data over every EDB predicate.
+	// Random data over every EDB predicate, in predicate order: the draws
+	// share one rng, so ranging over the map itself would make the
+	// instance depend on the iteration order, not just the seed.
 	db := storage.NewDB()
-	edb := prog.EDB()
+	edb := slices.Sorted(maps.Keys(prog.EDB()))
 	n := maxi(4, p.DataSize/8)
-	for pred := range edb {
+	for _, pred := range edb {
 		ar := prog.Reg.Arity(pred)
 		per := maxi(1, p.DataSize/maxi(1, len(edb)))
 		for i := 0; i < per; i++ {

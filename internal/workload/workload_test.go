@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -162,6 +163,32 @@ func TestGenScenarioShapes(t *testing.T) {
 		}
 		if sc.Query == nil || len(sc.Query.Atoms) != 1 {
 			t.Errorf("shape %v: query missing", shape)
+		}
+	}
+}
+
+// TestGenScenarioIsAFunctionOfItsSeed: the instance used to be drawn while
+// ranging over the EDB map with one shared rng, so one seed gave a
+// different instance per call.
+func TestGenScenarioIsAFunctionOfItsSeed(t *testing.T) {
+	p := DefaultSuiteParams(1, 3)
+	p.DataSize = 400
+	render := func() string {
+		sc, err := GenScenario(ShapePWL, 7, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, a := range sc.DB.All() {
+			b.WriteString(a.String(sc.Program.Store, sc.Program.Reg))
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	want := render()
+	for i := 0; i < 20; i++ {
+		if got := render(); got != want {
+			t.Fatalf("call %d with the same seed drew a different instance", i+2)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/prooftree"
+	"repro/internal/storage"
 	"repro/internal/term"
 	"repro/internal/ucq"
 	"repro/internal/workload"
@@ -83,6 +84,16 @@ func TestSuiteEnginesAgree(t *testing.T) {
 			if cres.Truncated {
 				t.Skipf("chase truncated; scenario too large for cross-check")
 			}
+			// Whatever an engine wrote (the chase its instance) or built
+			// while reading (the proof-tree searches probe the input) must
+			// leave the store's structures agreeing.
+			defer func() {
+				for name, db := range map[string]*storage.DB{"chase instance": cres.DB, "input": sc.DB} {
+					if err := db.Verify(); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+				}
+			}()
 			cls := analysis.Classify(sc.Program)
 			if !cls.PWL {
 				// Spot-check a few tuples with the alternating engine.
