@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -127,7 +128,8 @@ const headerLen = len(`{"epoch":1,"columns":1,"tuples":[`)
 // TestJSONSinkGolden: across the response-shape matrix the sink's bytes
 // equal json.Marshal of the equivalent QueryResponse plus the trailing
 // newline, and they arrive in the expected number of writes — one for
-// any answer below the drain threshold.
+// any answer below the drain threshold, unflushed and with its
+// Content-Length; every write but the closing one flushed otherwise.
 func TestJSONSinkGolden(t *testing.T) {
 	yes, no := true, false
 	many := make([][]string, 5000)
@@ -174,8 +176,15 @@ func TestJSONSinkGolden(t *testing.T) {
 			if tc.writes == 0 { // bulk: one write per drainAt of body, give or take the tail
 				tc.writes = len(want)/drainAt + 1
 			}
-			if w.writes != tc.writes || w.flushes != w.writes {
-				t.Errorf("%d bytes took %d writes and %d flushes, want %d of each", len(want), w.writes, w.flushes, tc.writes)
+			if w.writes != tc.writes || w.flushes != w.writes-1 {
+				t.Errorf("%d bytes took %d writes and %d flushes, want %d and %d", len(want), w.writes, w.flushes, tc.writes, tc.writes-1)
+			}
+			wantLen := ""
+			if tc.writes == 1 {
+				wantLen = strconv.Itoa(len(want))
+			}
+			if cl := w.hdr.Get("Content-Length"); cl != wantLen {
+				t.Errorf("Content-Length = %q for %d bytes in %d writes, want %q", cl, len(want), tc.writes, wantLen)
 			}
 			if ct := w.hdr.Get("Content-Type"); ct != "application/json" {
 				t.Errorf("Content-Type = %q", ct)

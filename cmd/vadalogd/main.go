@@ -554,7 +554,10 @@ const drainAt = 32 << 10
 // jsonSink encodes a QueryResponse-shaped JSON object into one buffer —
 // header on Begin, one array element per Row, the closing flags on End —
 // and hands the buffer to the ResponseWriter in a single Write + Flush
-// whenever it reaches drainAt and once when the object closes. The bytes
+// whenever it reaches drainAt, and in a single Write when the object
+// closes: an answer that never drained leaves with its Content-Length, as
+// one write when the handler returns, instead of as a flushed chunk plus
+// the chunked terminator. The bytes
 // are exactly what json.Marshal of the equivalent QueryResponse produces
 // (plus the trailing newline). A failed Write (client gone) propagates
 // back into the service, which stops the enumeration.
@@ -562,9 +565,9 @@ type jsonSink struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	buf     []byte
-	// begun reports that bytes are on the wire: a drain has happened, so
-	// the status line is committed and an error can only truncate the
-	// body. Until then the handler may still answer with an error status.
+	// begun reports that bytes were handed to w: the status line is
+	// committed and an error can only truncate the body. Until then the
+	// handler may still answer with an error status.
 	begun bool
 	rows  int
 	sent  int // body bytes handed to w so far
@@ -627,30 +630,40 @@ func (s *jsonSink) Trace(tr *service.QueryTrace) error {
 	return s.finish()
 }
 
-// finish closes the object, drains what is left, and records the
-// response's size — once per response, never per row.
+// finish closes the object, writes what is left, and records the
+// response's size — once per response, never per row. Nothing is flushed:
+// the handler's return sends it.
 func (s *jsonSink) finish() error {
 	s.buf = append(s.buf, "}\n"...)
-	err := s.drain()
+	if !s.begun {
+		s.w.Header().Set("Content-Length", strconv.Itoa(len(s.buf)))
+	}
+	err := s.write()
 	if obs.On() {
 		obsQueryBytes.Add(uint64(s.sent))
 	}
 	return err
 }
 
-// drain hands the buffer to the connection in one Write and flushes it.
+// drain hands a mid-answer buffer to the connection in one Write and
+// flushes it, so a bulk answer's first bytes leave while the enumeration
+// is still running.
 func (s *jsonSink) drain() error {
-	s.begun = true
-	n, err := s.w.Write(s.buf)
-	s.sent += n
-	s.buf = s.buf[:0]
-	if err != nil {
+	if err := s.write(); err != nil {
 		return err
 	}
 	if s.flusher != nil {
 		s.flusher.Flush()
 	}
 	return nil
+}
+
+func (s *jsonSink) write() error {
+	s.begun = true
+	n, err := s.w.Write(s.buf)
+	s.sent += n
+	s.buf = s.buf[:0]
+	return err
 }
 
 // jsonSafe marks the bytes appendJSONString copies through unescaped:

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,5 +337,87 @@ func TestOversizedBodyIs413(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cut-off body: status %d, want 400", r2.StatusCode)
+	}
+}
+
+// countingListener counts the Write calls the server makes on its
+// connections: each is one write(2) on a TCP socket.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestSmallAnswerLeavesAsOneWrite: an answer that never reached the drain
+// threshold carries its Content-Length and reaches the socket in a single
+// write — headers and body together — instead of as a flushed chunk plus
+// the chunked terminator; an answer past the threshold still streams
+// chunked, its first bytes readable before its end exists.
+func TestSmallAnswerLeavesAsOneWrite(t *testing.T) {
+	svc := service.New(service.Options{})
+	var writes atomic.Int64
+	ts := httptest.NewUnstartedServer(newHandler(svc))
+	ts.Listener = countingListener{ts.Listener, &writes}
+	ts.Start()
+	defer ts.Close()
+	defer svc.Close()
+	if _, err := svc.Load(chainProgram(128)); err != nil {
+		t.Fatal(err)
+	}
+
+	// t(n117,_) has ten answers.
+	before := writes.Load()
+	resp, raw := postRaw(t, ts.URL+"/query", service.QueryRequest{Pred: "t", Args: []string{"n117", "_"}})
+	var qr service.QueryResponse
+	if err := json.Unmarshal(raw, &qr); err != nil || len(qr.Tuples) != 10 {
+		t.Fatalf("small answer: %d tuples, err %v: %.200q", len(qr.Tuples), err, raw)
+	}
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("small answer: Content-Length %d for %d bytes, Transfer-Encoding %v; want the length and no encoding",
+			resp.ContentLength, len(raw), resp.TransferEncoding)
+	}
+	if n := writes.Load() - before; n != 1 {
+		t.Fatalf("small answer took %d writes on the connection, want 1", n)
+	}
+
+	body, _ := json.Marshal(service.QueryRequest{Pred: "t", Args: []string{"_", "_"}})
+	big, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Body.Close()
+	if big.ContentLength != -1 || len(big.TransferEncoding) != 1 || big.TransferEncoding[0] != "chunked" {
+		t.Fatalf("bulk answer: Content-Length %d, Transfer-Encoding %v; want a chunked stream", big.ContentLength, big.TransferEncoding)
+	}
+	first := make([]byte, 16<<10)
+	if _, err := io.ReadFull(big.Body, first); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(first, []byte(`{"epoch":`)) || bytes.Contains(first, []byte("}\n")) {
+		t.Fatalf("bulk answer's first 16 KiB: prefix %.40q, or it already holds the end", first)
+	}
+	rest, err := io.ReadAll(big.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(append(first, rest...), &qr); err != nil || len(qr.Tuples) != 128*127/2 {
+		t.Fatalf("bulk answer: %d tuples, err %v", len(qr.Tuples), err)
 	}
 }

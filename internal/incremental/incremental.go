@@ -39,7 +39,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/storage"
-	"repro/internal/term"
 )
 
 // CompactFraction is the per-relation dead fraction beyond which Delete
@@ -386,32 +385,23 @@ type handle struct {
 	row  int32
 }
 
-// pendSet is the per-predicate pending-deletion index of one Delete pass:
-// a bitmap over each touched relation's local rows (constant-time
-// membership and dedup for the overestimate worklist) plus a fact-hash
-// index from argument tuples to handles (rederive propagation must locate
-// the pending row of a derived head, which the store's own dedup table no
-// longer links once the row is tombstoned).
+// pendSet is the pending-deletion set of one Delete pass: a bitmap over
+// each touched relation's local rows, by predicate (constant-time
+// membership and dedup for the overestimate worklist), and the handles in
+// the order they were added. Rederive propagation locates the pending row
+// of a derived head in the store itself (storage.FindRowAny): dead rows
+// stay linked in the relation's dedup table.
 type pendSet struct {
-	rows  map[schema.PredID][]uint64
-	byKey map[uint64][]handle
-	all   []handle
-	n     int
-}
-
-func newPendSet() *pendSet {
-	return &pendSet{rows: make(map[schema.PredID][]uint64), byKey: make(map[uint64][]handle)}
-}
-
-// factKey hashes a fact for the pending index — the store's own fact
-// hash, so the two layers cannot drift. Collisions only cost an equality
-// re-check at lookup.
-func factKey(pred schema.PredID, args []term.Term) uint64 {
-	return storage.HashArgs(pred, args)
+	rows [][]uint64
+	all  []handle
+	n    int
 }
 
 // add marks the handle pending, reporting whether it was new.
-func (ps *pendSet) add(h handle, key uint64) bool {
+func (ps *pendSet) add(h handle) bool {
+	for len(ps.rows) <= int(h.pred) {
+		ps.rows = append(ps.rows, nil)
+	}
 	bm := ps.rows[h.pred]
 	w := int(h.row >> 6)
 	for len(bm) <= w {
@@ -423,7 +413,6 @@ func (ps *pendSet) add(h handle, key uint64) bool {
 	}
 	bm[w] |= bit
 	ps.rows[h.pred] = bm
-	ps.byKey[key] = append(ps.byKey[key], h)
 	ps.all = append(ps.all, h)
 	ps.n++
 	return true
@@ -431,47 +420,18 @@ func (ps *pendSet) add(h handle, key uint64) bool {
 
 // has reports whether the handle is still pending.
 func (ps *pendSet) has(h handle) bool {
+	if int(h.pred) >= len(ps.rows) {
+		return false
+	}
 	bm := ps.rows[h.pred]
 	w := int(h.row >> 6)
 	return w < len(bm) && bm[w]>>(uint(h.row)&63)&1 != 0
 }
 
-// remove clears the handle from the bitmap (the hash index keeps its
-// entry; lookups re-check membership), reporting whether it was pending.
-func (ps *pendSet) remove(h handle) bool {
-	bm := ps.rows[h.pred]
-	w := int(h.row >> 6)
-	if w >= len(bm) || bm[w]>>(uint(h.row)&63)&1 == 0 {
-		return false
-	}
-	bm[w] &^= 1 << (uint(h.row) & 63)
+// remove clears the handle from the bitmap. The caller has checked has.
+func (ps *pendSet) remove(h handle) {
+	ps.rows[h.pred][h.row>>6] &^= 1 << (uint(h.row) & 63)
 	ps.n--
-	return true
-}
-
-// lookup finds the still-pending handle holding exactly pred(args...).
-func (ps *pendSet) lookup(db *storage.DB, pred schema.PredID, args []term.Term, key uint64) (handle, bool) {
-	for _, h := range ps.byKey[key] {
-		if h.pred != pred || !ps.has(h) {
-			continue
-		}
-		if tupleEqual(db.FactArgs(h.pred, h.row), args) {
-			return h, true
-		}
-	}
-	return handle{}, false
-}
-
-func tupleEqual(a, b []term.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Delete retracts base facts and maintains the materialization with DRed,
@@ -503,7 +463,7 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 		defer e.attach(nil)
 	}
 	// Seed the overestimate with the actually present base facts.
-	pend := newPendSet()
+	pend := &pendSet{}
 	var work []handle
 	for _, f := range facts {
 		row, ok := e.db.FindRow(f.Pred, f.Args)
@@ -511,7 +471,7 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 			continue
 		}
 		h := handle{pred: f.Pred, row: row}
-		if pend.add(h, factKey(f.Pred, f.Args)) {
+		if pend.add(h) {
 			work = append(work, h)
 		}
 	}
@@ -542,7 +502,7 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 					return true
 				}
 				h := handle{pred: hp, row: row}
-				if pend.add(h, factKey(hp, hargs)) {
+				if pend.add(h) {
 					work = append(work, h)
 				}
 				return true
@@ -562,7 +522,7 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 			for word != 0 {
 				b := bits.TrailingZeros64(word)
 				word &^= 1 << b
-				e.db.Tombstone(p, int32(w*64+b))
+				e.db.Tombstone(schema.PredID(p), int32(w*64+b))
 			}
 		}
 	}
@@ -604,8 +564,8 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 			ex := e.execs[occ.rule]
 			ex.RunSeed(e.db, occ.pos, g.row, func() bool {
 				hp, hargs := ex.HeadArgs(0)
-				if h, ok := pend.lookup(e.db, hp, hargs, factKey(hp, hargs)); ok {
-					e.revive(h, pend, &restored)
+				if row, ok := e.db.FindRowAny(hp, hargs); ok && pend.has(handle{pred: hp, row: row}) {
+					e.revive(handle{pred: hp, row: row}, pend, &restored)
 				}
 				return true
 			})

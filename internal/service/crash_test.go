@@ -192,6 +192,11 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, svc *Service, mirror baseMirror
 			mirror[f] = true
 		}
 	}
+	for name, db := range map[string]*storage.DB{"materialization": svc.eng.DB(), "base": svc.eng.Base()} {
+		if err := db.Verify(); err != nil {
+			t.Fatalf("after an acknowledged update: %s: %v", name, err)
+		}
+	}
 	return nil
 }
 
@@ -314,7 +319,9 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				if h := svc.Health(); h != HealthBroken {
 					t.Fatalf("health after crash = %q, want broken", h)
 				}
-				if _, err := svc.Insert("e(n0,n1)."); err == nil {
+				// (A fact the stream never asserts: an insert that changes
+				// nothing has nothing to log and is answered as served.)
+				if _, err := svc.Insert("e(n8,n9)."); err == nil {
 					t.Fatal("dead WAL acknowledged an update")
 				}
 				svc.Close()
@@ -386,4 +393,90 @@ func TestRecoveringFailsFast(t *testing.T) {
 	if h := svc.Health(); h != HealthOK {
 		t.Fatalf("health = %q", h)
 	}
+}
+
+// TestNoOpUpdateChangesNothing: an insert of facts already asserted and a
+// delete of facts not present leave the served epoch in place — no WAL
+// record, no count toward the next checkpoint, no publish, so the epoch's
+// cached overlays survive — and acknowledge under the next epoch number
+// (an acknowledged write never repeats a number a client has seen), while
+// an update that changes something still logs and publishes. Logs written
+// before this rule hold records for such updates; replaying them is a
+// no-op too.
+func TestNoOpUpdateChangesNothing(t *testing.T) {
+	dir := t.TempDir()
+	svc := openRecovered(t, dir, 1<<20)
+	if _, err := svc.Load(chainSource(4)); err != nil {
+		t.Fatal(err)
+	}
+	mirror := baseMirror{}
+	for i := 0; i+1 < 4; i++ {
+		mirror[fmt.Sprintf("e(n%d,n%d)", i, i+1)] = true
+	}
+	const view = "back(Y,X) :- t(X,Y). ?(X,Y) :- back(X,Y)."
+	mustQuery(t, svc, &QueryRequest{Query: view})
+	state := func() (e *epoch, overlays int, w wal.Stats, since int) {
+		e = svc.cur.Load()
+		e.ovMu.Lock()
+		defer e.ovMu.Unlock()
+		return e, len(e.overlays), svc.wal.Stats(), svc.sinceCkpt
+	}
+	e0, ov0, w0, since0 := state()
+	last := e0.seq.Load()
+	if ov0 == 0 {
+		t.Fatal("the view query cached no overlay")
+	}
+	for _, op := range []struct {
+		name string
+		do   func() (uint64, error)
+	}{
+		{"insert of asserted facts", func() (uint64, error) { return svc.Insert("e(n0,n1). e(n2,n3).") }},
+		{"delete of absent facts", func() (uint64, error) { return svc.Delete("e(n3,n0). e(n7,n7).") }},
+	} {
+		seq, err := op.do()
+		if err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		e, ov, w, since := state()
+		if e != e0 || ov != ov0 || w.Records != w0.Records || w.Bytes != w0.Bytes || since != since0 {
+			t.Fatalf("%s: same publish %v, %d overlays (was %d), WAL %d records / %d bytes (was %d / %d), %d since checkpoint (was %d)",
+				op.name, e == e0, ov, ov0, w.Records, w.Bytes, w0.Records, w0.Bytes, since, since0)
+		}
+		if seq != last+1 || e.seq.Load() != seq {
+			t.Fatalf("%s: acknowledged under epoch %d, served as %d, want both %d", op.name, seq, e.seq.Load(), last+1)
+		}
+		last = seq
+	}
+	if resp := mustQuery(t, svc, &QueryRequest{Query: view, Explain: true}); !resp.Explain.View.CacheHit || resp.Epoch != last {
+		t.Fatalf("after the no-op updates: overlay cache hit %v at epoch %d, want a hit at %d", resp.Explain.View.CacheHit, resp.Epoch, last)
+	}
+	// One fact new, one asserted: the update changes something.
+	seq, err := svc.Insert("e(n3,n4). e(n0,n1).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror["e(n3,n4)"] = true
+	if e, _, w, since := state(); seq != last+1 || e == e0 || w.Records != w0.Records+1 || since != since0+1 {
+		t.Fatalf("changing insert: epoch %d (was %d), new publish %v, WAL %d records (was %d), %d since checkpoint (was %d)",
+			seq, last, e != e0, w.Records, w0.Records, since, since0)
+	}
+	// What an older daemon logged for updates that changed nothing.
+	for kind, data := range map[byte]string{wal.KindInsert: "e(n0,n1).", wal.KindDelete: "e(n7,n7)."} {
+		if _, err := svc.wal.Append(kind, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := svc.Delete("e(n1,n2)."); err != nil {
+		t.Fatal(err)
+	}
+	delete(mirror, "e(n1,n2)")
+	svc.Close()
+
+	svc2 := openRecovered(t, dir, 1<<20)
+	defer svc2.Close()
+	if got := svc2.Stats().Durability.ReplayedRecords; got != 4 {
+		t.Fatalf("replayed %d records, want 4 (two of them no-ops)", got)
+	}
+	assertMatchesOracle(t, svc2, mirror, "restart over a log with no-op records")
+	assertKeyedReadsMatchOracle(t, svc2, mirror, "restart over a log with no-op records")
 }

@@ -177,7 +177,7 @@ func (s *Service) QueryStream(ctx context.Context, req *QueryRequest, sink Sink)
 	// when a trace or the metrics registry will consume the elapsed time.
 	var tr *QueryTrace
 	if req.Explain || s.opt.SlowQuery > 0 {
-		tr = &QueryTrace{RequestID: req.RequestID, Epoch: e.seq}
+		tr = &QueryTrace{RequestID: req.RequestID, Epoch: e.seq.Load()}
 	}
 	var t0 time.Time
 	if tr != nil || obs.On() {
@@ -285,7 +285,7 @@ func (s *Service) patternQueryStream(bud *plan.Budget, e *epoch, req *QueryReque
 	if err := bud.Check(); err != nil {
 		return class, 0, err
 	}
-	if err := sink.Begin(e.seq, arity); err != nil {
+	if err := sink.Begin(e.seq.Load(), arity); err != nil {
 		return class, 0, sinkErr(err)
 	}
 	if !known {
@@ -432,13 +432,13 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 			tr.CQ = &CQTrace{JoinOrder: p.Order, PlanCached: cached, Matches: pt.CQMatches}
 			tr.stage("enumerate", mark)
 		}
-		if err := sink.Begin(e.seq, 0); err != nil {
+		if err := sink.Begin(e.seq.Load(), 0); err != nil {
 			return class, 0, sinkErr(err)
 		}
 		return class, 0, sinkErr(sink.End(false, &found))
 	}
 
-	if err := sink.Begin(e.seq, len(q.Output)); err != nil {
+	if err := sink.Begin(e.seq.Load(), len(q.Output)); err != nil {
 		return class, 0, sinkErr(err)
 	}
 	st := prog.Store

@@ -190,9 +190,11 @@ func newGeneration(prog *logic.Program) *generation {
 
 // epoch is one published snapshot of one generation.
 type epoch struct {
-	svc  *Service
-	gen  *generation
-	seq  uint64
+	svc *Service
+	gen *generation
+	// seq is the number the epoch is served under: assigned at publish,
+	// and advanced by an update that changed nothing (see unchanged).
+	seq  atomic.Uint64
 	snap *storage.Snapshot
 	// overlays caches materialized rule-defined views of this epoch's
 	// snapshot, keyed by the view rules' structural shape (see
@@ -246,16 +248,17 @@ func New(opt Options) *Service {
 // publish snapshots the current materialization as the next epoch and
 // retires the previous one. Caller holds mu.
 func (s *Service) publish() uint64 {
-	e := &epoch{svc: s, gen: s.gen, seq: s.seq.Add(1), snap: s.eng.DB().Snapshot()}
+	e := &epoch{svc: s, gen: s.gen, snap: s.eng.DB().Snapshot()}
+	e.seq.Store(s.seq.Add(1))
 	e.refs.Store(1)
 	if old := s.cur.Swap(e); old != nil {
 		old.release()
 	}
 	if obs.On() {
-		obsEpochSeq.Set(int64(e.seq))
+		obsEpochSeq.Set(int64(e.seq.Load()))
 		lastPublishNano.Store(time.Now().UnixNano())
 	}
-	return e.seq
+	return e.seq.Load()
 }
 
 // maybeCompact retries physical reclamation if a drained epoch requested
@@ -501,14 +504,38 @@ func (s *Service) InsertCtx(ctx context.Context, src string) (uint64, error) {
 	}
 	bud, cancel := s.writeBudget(ctx)
 	defer cancel()
+	before := s.eng.Stats().Inserted
 	if err := s.eng.InsertBudgeted(bud, res.Facts...); err != nil {
 		s.recoverEngine()
 		return 0, fmt.Errorf("service: insert: %w", err)
+	}
+	if s.eng.Stats().Inserted == before {
+		return s.unchanged(), nil
 	}
 	if err := s.logRecord(wal.KindInsert, []byte(src)); err != nil {
 		return 0, err
 	}
 	return s.publish(), nil
+}
+
+// unchanged acknowledges an update that applied nothing — every fact
+// already asserted, or none present to retract: no WAL record, no count
+// toward the next checkpoint, and no publish, which would snapshot the
+// same instance again and drop every overlay cached on the epoch being
+// served. That epoch stays, under the next number: clients (bench/'s
+// driver among them) hold every acknowledged write to an epoch number
+// past the last one they saw. Caller holds mu.
+func (s *Service) unchanged() uint64 {
+	e := s.cur.Load()
+	if e == nil {
+		return s.publish()
+	}
+	n := s.seq.Add(1)
+	e.seq.Store(n)
+	if obs.On() {
+		obsEpochSeq.Set(int64(n))
+	}
+	return n
 }
 
 // Delete retracts base facts (DRed maintenance) and publishes the
@@ -534,9 +561,13 @@ func (s *Service) DeleteCtx(ctx context.Context, src string) (uint64, error) {
 	}
 	bud, cancel := s.writeBudget(ctx)
 	defer cancel()
+	before := s.eng.Stats().Deleted
 	if err := s.eng.DeleteBudgeted(bud, res.Facts...); err != nil {
 		s.recoverEngine()
 		return 0, fmt.Errorf("service: delete: %w", err)
+	}
+	if s.eng.Stats().Deleted == before {
+		return s.unchanged(), nil
 	}
 	if err := s.logRecord(wal.KindDelete, []byte(src)); err != nil {
 		return 0, err
@@ -588,7 +619,7 @@ func (s *Service) Stats() Stats {
 	}
 	if e, err := s.acquire(); err == nil {
 		st.Loaded = true
-		st.Epoch = e.seq
+		st.Epoch = e.seq.Load()
 		st.Facts = e.snap.DB().Len()
 		e.release()
 	}

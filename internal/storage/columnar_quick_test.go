@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/atom"
@@ -227,7 +228,9 @@ func TestColumnarCandidatesSelectivity(t *testing.T) {
 func (r *relation) tabEntries() []int32 {
 	var out []int32
 	for s := 0; s < relShards; s++ {
-		out = append(out, r.tabs[s]...)
+		for k := range r.tabs[s] {
+			out = append(out, atomic.LoadInt32(&r.tabs[s][k]))
+		}
 	}
 	return out
 }

@@ -99,7 +99,7 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 			// carried, and goes on hearing the readers of its views.
 			nr.want = r.want
 			for i := range r.idx {
-				if r.idx[i].built > 0 {
+				if r.idx[i].base != nil {
 					nr.catchUp(i)
 				}
 			}

@@ -125,12 +125,13 @@ func (db *DB) InsertArgs(pred schema.PredID, args []term.Term) bool {
 		}
 	}
 	r := db.rel(pred, len(args))
-	if r.shared {
-		r.detach()
-	}
 	h := hashArgs(pred, args)
 	if _, ok := r.find(h, args); ok {
 		return false
+	}
+	// Decide first, copy after: a duplicate copies nothing.
+	if r.borrowed {
+		r.own()
 	}
 	ri := int32(r.rows())
 	r.tabInsert(h, ri)
@@ -240,11 +241,13 @@ func (db *DB) All() []atom.Atom {
 }
 
 // Clone returns an observationally identical, independently growable copy.
-// The columnar backings, the insertion log, and every posting list are
-// shared cap-limited with the original (row storage only ever appends, and
-// an append past a shared view's capacity reallocates), so cloning copies
-// only the per-key table headers plus the in-place-mutated dedup tables
-// and liveness bitmaps — no re-insertion, no re-hashing. Tombstones
+// The columnar backings, the insertion log, every posting list and every
+// frozen posting index are shared with the original (row storage only ever
+// appends, and an append past a shared view's capacity reallocates); the
+// dedup arrays are read through until the clone's first insert into a
+// relation copies them (relation.own); only the liveness bitmaps and the
+// posting maps the original still extends in place are copied here — no
+// re-insertion, no re-hashing. Clone only reads its receiver. Tombstones
 // flipped on either side after the clone stay invisible to the other.
 func (db *DB) Clone() *DB {
 	out := &DB{

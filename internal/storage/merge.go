@@ -73,8 +73,8 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 	mergeOne := func(pi int) {
 		p := preds[pi]
 		r := db.rels[p]
-		if r.shared {
-			r.detach()
+		if r.borrowed {
+			r.own()
 		}
 		base := r.rows()
 		r.growTabTo(base + staged[p])
@@ -167,8 +167,8 @@ const shardedMergeRows = 2048
 // log.
 func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par int) int {
 	r := db.rels[p]
-	if r.shared {
-		r.detach()
+	if r.borrowed {
+		r.own()
 	}
 	base := len(r.hashes)
 	r.growTabTo(base + estimate)
@@ -225,10 +225,14 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 	// Phase C. Only positions that were current when the merge started are
 	// extended; the rest stay behind their watermark until probed.
 	n := len(r.hashes)
-	var current []int
+	var (
+		current []int
+		into    []*posIndex
+	)
 	for i := range r.idx {
 		if base > 0 && int(r.idx[i].built) == base {
 			current = append(current, i)
+			into = append(into, r.writable(i, n))
 		}
 	}
 	runPool(par, relShards+len(current)*relShards, func(j int) {
@@ -241,11 +245,11 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 			return
 		}
 		j -= relShards
-		pos := current[j>>relShardBits]
-		r.indexRows(&r.idx[pos], pos, base, n, j&(relShards-1))
+		k := j >> relShardBits
+		r.indexRows(into[k], current[k], base, n, j&(relShards-1))
 	})
 	for _, pos := range current {
-		r.idx[pos].built = int32(n)
+		r.advance(pos, n)
 	}
 	obsMergeLink.ObserveSince(tC)
 	return n - base

@@ -297,22 +297,8 @@ func TestMergeShardedMatchesSerial(t *testing.T) {
 			t.Fatalf("par %d: snapshot Len = %d, want %d", par, snap.DB().Len(), base.Len())
 		}
 		snap.Release()
-		// Dedup-table invariant on the merged result.
-		r := got.relOf(p)
-		counts := make(map[int32]int)
-		for _, v := range r.tabEntries() {
-			if v >= 0 {
-				counts[v]++
-			}
-		}
-		if len(counts) != r.liveRows() {
-			t.Fatalf("par %d: tab holds %d rows, want %d live", par, len(counts), r.liveRows())
-		}
-		for ri, c := range counts {
-			if c != 1 {
-				t.Fatalf("par %d: row %d linked %d times", par, ri, c)
-			}
-		}
+		// Dedup-table and posting invariants on the merged result.
+		mustVerify(t, got, fmt.Sprintf("par %d", par))
 		// Re-merge must be a no-op at any par.
 		if again := got.MergeBuffers(bufs, par); again != 0 {
 			t.Fatalf("par %d: re-merge added %d", par, again)

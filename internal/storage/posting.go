@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"maps"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -8,15 +11,16 @@ import (
 )
 
 // Index postings with an inline first row, hash-partitioned per position,
-// built on first probe.
+// built on first probe, and shared with views as a frozen base plus a
+// small tail.
 //
-// idx[i].m[s] maps a term's packed key (of sub-shard s = keyShard(key)) to
+// A posIndex maps, per sub-shard s = keyShard(key), a term's packed key to
 // an int32 code: a non-negative code IS the single local row holding the
-// term at position i (stored inline — no slice, no allocation), while a
+// term at the position (stored inline — no slice, no allocation), while a
 // negative code -(k+1) points at entry k of the sub-shard's overflow table
-// idx[i].over[s], which holds the ascending row list of keys occurring
-// more than once. On high-selectivity positions (wide domains, near-key
-// columns) most keys occur once, so the per-key slice allocation of a
+// over[s], which holds the ascending row list of keys occurring more than
+// once. On high-selectivity positions (wide domains, near-key columns)
+// most keys occur once, so the per-key slice allocation of a
 // map[...][]int32 representation disappears, the map value shrinks to 4
 // bytes, and steady-state updates of hot keys touch the map only once: the
 // overflow row list is appended in place through the table, never
@@ -24,40 +28,97 @@ import (
 // takes the runtime's generic hash path, a uint64 key the fast one.
 //
 // A position is paid for when it is probed, not when its relation is
-// written. idx[i].built is the position's watermark — rows [0, built) are
-// in the index — and no insert path touches it. relation.posting, the one
-// place a posting is resolved, first catches the position up over rows
-// [built, rows()): a position nobody probes is never built, a position
-// probed between writes pays for exactly the rows written since.
+// written. position.built is the watermark — rows [0, built) are indexed —
+// and no insert path touches it. relation.posting, the one place a posting
+// is resolved, first catches the position up over rows [built, rows()): a
+// position nobody probes is never built, a position probed between writes
+// pays for exactly the rows written since.
+//
+// What a write copies. A posIndex is either private to one writer, which
+// extends it in place, or frozen — handed to a view by Snapshot(), or
+// built by a reader on a view — and immutable from then on, so any number
+// of views, overlays and clones may hold it. A position is a base over
+// rows [0, split) plus a tail over [split, built): while the base is
+// private there is no tail; once it is frozen, later rows are indexed by
+// the same builder into the tail, and a tail a view holds is copied (it is
+// small) before it is extended. The base is never cloned for a handful of
+// new rows. When the tail would outgrow foldBound it is folded into a fresh
+// private base — the one O(position) copy, once per foldBound appended
+// rows, counted by vadalog_storage_index_folds_total; every byte copied
+// on behalf of sharing is counted by vadalog_storage_cow_bytes_total
+// (the scaling test in internal/incremental holds a tc.churn-durable
+// delete+insert pair to it). Every base row precedes every tail row, so a
+// resolved posting is two ascending runs and enumeration order is the
+// order of one list.
 //
 // Who may catch up:
 //
-//   - A writer-owned relation (a live DB, a Clone, a detached overlay
-//     relation) catches up inline, unsynchronized — its probes belong to
-//     the goroutine that owns its writes. Concurrent probes of one
-//     writer-owned DB are sound only over positions caught up beforehand
-//     (DB.CatchUp — the parallel evaluator's coordinator does this before
-//     fanning a round out).
+//   - A writer-owned relation (a live DB, a Clone, an overlay relation
+//     that has appended rows) catches up inline, unsynchronized — its
+//     probes belong to the goroutine that owns its writes. Concurrent
+//     probes of one writer-owned DB are sound only over positions caught
+//     up beforehand (DB.CatchUp — the parallel evaluator's coordinator
+//     does this before fanning a round out).
 //   - Snapshot() catches up every position that is built at all, so on a
-//     frozen view a position is either current — a plain map lookup, no
-//     lock, no atomic — or was never built.
+//     frozen view a position is either current — two plain map lookups at
+//     most, no lock, no atomic — or was never built.
 //   - A never-built position of a frozen view is built by the first reader
 //     that probes it, once per view, under the view's lateIndex; every
-//     reader and every overlay still sharing the view's structures uses
+//     reader and every overlay still holding exactly the view's rows uses
 //     that one build. The build also raises the position's want flag,
 //     shared with the live relation, so the writer carries the position
 //     from its next Snapshot() on.
 type posIndex struct {
-	m     [relShards]map[uint64]int32
-	over  [relShards][][]int32
-	built int32
+	m      [relShards]map[uint64]int32
+	over   [relShards][][]int32
+	frozen bool
 }
+
+// position is one argument position's index: base covers rows [0, split),
+// tail (nil while the base is private) rows [split, built).
+type position struct {
+	base, tail   *posIndex
+	split, built int32
+}
+
+// foldBound is how many rows a tail may hold before it is folded into a
+// new base: about 8·√rows, so the bytes a write copies on behalf of
+// sharing — the tail each epoch, the base once per foldBound rows — stay
+// sublinear in the relation.
+func foldBound(rows int) int { return 8 << (bits.Len(uint(rows)) / 2) }
 
 // lateIndex holds the postings readers built on a frozen view after it
 // was taken: idx[i] is nil until position i's first probe.
 type lateIndex struct {
 	mu  sync.Mutex
 	idx []atomic.Pointer[posIndex]
+}
+
+// clone returns a private copy of px: the sub-maps are copied, the
+// overflow row lists shared. The relation the rows were first written to
+// goes on appending into the lists' spare capacity, past what any holder
+// of px reads; for every other writer (second: an overlay or a clone
+// relation) the lists are cap-limited, so that its first append to one
+// reallocates it.
+func (px *posIndex) clone(second bool) *posIndex {
+	out := &posIndex{}
+	bytes := 0
+	for s := range px.m {
+		out.m[s] = maps.Clone(px.m[s])
+		bytes += 12 * len(px.m[s])
+		if ov := px.over[s]; ov != nil {
+			out.over[s] = slices.Clone(ov)
+			for k, rows := range ov {
+				if !second {
+					break
+				}
+				out.over[s][k] = rows[:len(rows):len(rows)]
+			}
+			bytes += 24 * len(ov)
+		}
+	}
+	obsCowBytes.Add(uint64(bytes))
+	return out
 }
 
 // idxAdd records that local row ri holds the term with packed key k (of
@@ -95,32 +156,71 @@ func (r *relation) indexRows(px *posIndex, i, lo, hi, shard int) {
 	}
 }
 
-// catchUp brings position i up to rows() and returns the index to resolve
-// against (see the posIndex comment for who ends up where).
-func (r *relation) catchUp(i int) *posIndex {
+// writable returns the index that rows [built, n) of position i go into:
+// the base while it is private, else the tail — a private copy of it when
+// a view holds the one at hand — unless those rows would take the tail
+// past foldBound: then what the tail holds is folded into a new private
+// base first, and the rows go there.
+func (r *relation) writable(i, n int) *posIndex {
+	p := &r.idx[i]
+	switch {
+	case p.base == nil:
+		p.base = &posIndex{}
+		return p.base
+	case !p.base.frozen:
+		return p.base
+	case n-int(p.split) > foldBound(n):
+		*p = position{base: r.folded(i), split: p.built, built: p.built}
+		obsFolds.Inc()
+		return p.base
+	case p.tail == nil:
+		p.tail = &posIndex{}
+	case p.tail.frozen:
+		p.tail = p.tail.clone(r.second)
+	}
+	return p.tail
+}
+
+// advance records that position i is indexed up to row n.
+func (r *relation) advance(i, n int) {
+	p := &r.idx[i]
+	p.built = int32(n)
+	if p.tail == nil {
+		p.split = p.built
+	}
+}
+
+// folded returns position i as one private index: a copy of the base with
+// the tail's rows indexed in.
+func (r *relation) folded(i int) *posIndex {
+	p := &r.idx[i]
+	px := p.base.clone(r.second)
+	r.indexRows(px, i, int(p.split), int(p.built), -1)
+	return px
+}
+
+// catchUp brings position i up to rows() and returns the indexes to
+// resolve against (see the posIndex comment for who ends up where).
+func (r *relation) catchUp(i int) position {
+	n := r.rows()
 	if l := r.late; l != nil {
-		if px := l.idx[i].Load(); px != nil {
-			return px
-		}
-		l.mu.Lock()
-		defer l.mu.Unlock()
 		px := l.idx[i].Load()
 		if px == nil {
-			px = &posIndex{built: int32(r.rows())}
-			r.indexRows(px, i, 0, r.rows(), -1)
-			l.idx[i].Store(px)
-			r.want[i].Store(true)
-			obsLateBuilds.Inc()
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			if px = l.idx[i].Load(); px == nil {
+				px = &posIndex{frozen: true}
+				r.indexRows(px, i, 0, n, -1)
+				l.idx[i].Store(px)
+				r.want[i].Store(true)
+				obsLateBuilds.Inc()
+			}
 		}
-		return px
+		return position{base: px, split: int32(n), built: int32(n)}
 	}
-	if r.shared {
-		r.detach()
-	}
-	px := &r.idx[i]
-	r.indexRows(px, i, int(px.built), r.rows(), -1)
-	px.built = int32(r.rows())
-	return px
+	r.indexRows(r.writable(i, n), i, int(r.idx[i].built), n, -1)
+	r.advance(i, n)
+	return r.idx[i]
 }
 
 // catchUpBuilt catches up every position that is built at all or that a
@@ -128,62 +228,76 @@ func (r *relation) catchUp(i int) *posIndex {
 // (Snapshot) or writes it out (AppendSegment).
 func (r *relation) catchUpBuilt() {
 	if r.late != nil {
-		return // still a frozen view's structures: current or never built
+		return // still a frozen view's rows: current or never built
 	}
 	for i := range r.idx {
-		if px := &r.idx[i]; int(px.built) < r.rows() && (px.built > 0 || r.want[i].Load()) {
+		if p := &r.idx[i]; int(p.built) < r.rows() && (p.base != nil || r.want[i].Load()) {
 			r.catchUp(i)
 		}
 	}
 }
 
-// candSet is a resolved posting: n candidate rows, held either inline
-// (one, when n == 1) or in an overflow row list. The zero value is the
-// empty posting.
-type candSet struct {
-	n    int
-	one  int32
+// run is one ascending row list of a resolved posting: held inline when n
+// == 1 and rows == nil. The zero value is the empty run.
+type run struct {
 	rows []int32
+	one  [1]int32
+	n    int32
 }
 
-func (c candSet) size() int { return c.n }
+// list returns the run as a slice (of the run's own storage when inline).
+func (rn *run) list() []int32 {
+	if rn.rows != nil {
+		return rn.rows
+	}
+	return rn.one[:rn.n]
+}
+
+// lookup resolves key k (of sub-shard s) in px; a nil index holds nothing.
+func (px *posIndex) lookup(s int, k uint64) run {
+	if px == nil {
+		return run{}
+	}
+	v, ok := px.m[s][k]
+	if !ok {
+		return run{}
+	}
+	if v >= 0 {
+		return run{n: 1, one: [1]int32{v}}
+	}
+	rows := px.over[s][-v-1]
+	return run{n: int32(len(rows)), rows: rows}
+}
+
+// candSet is a resolved posting: the candidate rows in the position's base
+// followed by those in its tail, every base row before every tail row. The
+// zero value is the empty posting.
+type candSet struct{ base, tail run }
+
+func (c *candSet) size() int { return int(c.base.n + c.tail.n) }
 
 // posting resolves the candidate rows for term t at position i. A present
-// key with n == 0 cannot occur; absent keys yield the empty set — the most
-// selective outcome a probe can hit.
+// key with no rows cannot occur; absent keys yield the empty set — the
+// most selective outcome a probe can hit.
 func (r *relation) posting(i int, t term.Term) candSet {
-	px := &r.idx[i]
-	if int(px.built) < r.rows() {
-		px = r.catchUp(i)
+	p := &r.idx[i]
+	if int(p.built) < r.rows() {
+		caught := r.catchUp(i)
+		p = &caught
 	}
 	k := t.Key()
 	s := keyShard(k)
-	v, ok := px.m[s][k]
-	if !ok {
-		return candSet{}
-	}
-	if v >= 0 {
-		return candSet{n: 1, one: v}
-	}
-	rows := px.over[s][-v-1]
-	return candSet{n: len(rows), rows: rows}
+	return candSet{base: p.base.lookup(s, k), tail: p.tail.lookup(s, k)}
 }
 
 // eachFrom calls fn for every candidate row at or after lo in ascending
 // order, stopping early if fn returns false.
-func (c candSet) eachFrom(lo int32, fn func(int32) bool) {
-	if c.n == 0 {
-		return
-	}
-	if c.rows == nil {
-		if c.one >= lo {
-			fn(c.one)
-		}
-		return
-	}
-	for k := postingLowerBound(c.rows, lo); k < len(c.rows); k++ {
-		if !fn(c.rows[k]) {
-			return
+func (c *candSet) eachFrom(lo int32, fn func(int32) bool) {
+	for _, rows := range [2][]int32{c.base.list(), c.tail.list()} {
+		for k := postingLowerBound(rows, lo); k < len(rows); k++ {
+			if !fn(rows[k]) {
+				return
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"maps"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/atom"
@@ -61,16 +61,23 @@ type relation struct {
 	hashes []uint64
 	// tabs is the partitioned dedup table: per hash sub-shard, an
 	// open-addressed (linear-probing, power-of-two) hash set of local
-	// rows. tabUsed[s] counts occupied slots of sub-table s (live rows
-	// plus deleted-slot sentinels) — the load-factor input.
-	tabs    [relShards][]int32
-	tabUsed [relShards]int32
-	// idx[i] is position i's partitioned posting index, built on first
-	// probe; late and want serve probes of a frozen view's never-built
-	// positions (non-nil late: this relation still shares a frozen view's
-	// structures; want is shared by a live relation, its views and its
-	// compacted successors). See posting.go.
-	idx  []posIndex
+	// rows, live and dead alike. Its only mutation is "empty slot -> row
+	// number", so the arrays are shared for good with every view taken of
+	// the relation: a reader treats a slot naming a row it does not have
+	// as empty (see find). Readers load slots atomically; the writer
+	// stores them atomically into an array that tabShared says a view may
+	// be reading (one handed out by Snapshot() and not replaced by growth
+	// since). tabUsed[s] counts this relation's own occupied slots of
+	// sub-table s — the load-factor input.
+	tabs      [relShards][]int32
+	tabUsed   [relShards]int32
+	tabShared [relShards]bool
+	// idx[i] is position i's posting index, built on first probe; late and
+	// want serve probes of a frozen view's never-built positions (non-nil
+	// late: this relation still holds exactly a frozen view's rows; want
+	// is shared by a live relation, its views and its compacted
+	// successors). See posting.go.
+	idx  []position
 	late *lateIndex
 	want []atomic.Bool
 	// dead is the liveness bitmap (one bit per local row, words allocated
@@ -78,22 +85,27 @@ type relation struct {
 	// of tombstoned rows. See tombstone.go.
 	dead  []uint64
 	nDead int
-	// shared marks that a live snapshot captured the in-place-mutated
-	// structures (tabs, idx, the overflow outer slices, dead); the next
-	// mutator must detach (copy them) before writing. pins counts live
-	// snapshots referencing this relation's backings: Compact defers
-	// pinned relations. pins is atomic because snapshots release from
-	// reader goroutines; shared is only touched on the writer side. See
-	// snapshot.go.
-	shared bool
-	pins   atomic.Int32
+	// second marks an overlay or clone relation: a second writer of a row
+	// space, which may not append where the first one does (see
+	// posIndex.clone). borrowed marks that tabs still belong to that other
+	// writer: the first row this relation appends takes a private copy
+	// first (own). deadShared
+	// marks that someone else reads the bitmap: the first kill or revive
+	// copies it. pins counts live snapshots referencing this relation's
+	// backings: Compact defers pinned relations. pins is atomic because
+	// snapshots release from reader goroutines; the flags are only
+	// touched by the relation's writer. See snapshot.go.
+	second     bool
+	borrowed   bool
+	deadShared bool
+	pins       atomic.Int32
 }
 
 func newRelation(pred schema.PredID, arity int) *relation {
 	return &relation{
 		pred:  pred,
 		arity: arity,
-		idx:   make([]posIndex, arity),
+		idx:   make([]position, arity),
 		want:  make([]atomic.Bool, arity),
 	}
 }
@@ -126,29 +138,58 @@ func (r *relation) equalRow(ri int32, args []term.Term) bool {
 }
 
 // find returns the LIVE local row holding args, if present, given their
-// hash. Tombstoned rows are unlinked from the table at kill time, so they
-// are never found; deleted-slot sentinels bridge probe chains. Probes
-// touch exactly one sub-table — the fact's hash shard.
+// hash. Dead rows stay linked, so a hash and tuple match on a tombstoned
+// row keeps probing: a re-inserted fact sits further down the same chain.
+// A slot naming a row this relation does not have — empty, or filled by
+// the table's writer after this view was taken — ends the chain: slots
+// never revert, so no chain of rows visible here crosses a slot that was
+// empty when the view was taken. Probes touch exactly one sub-table — the
+// fact's hash shard.
 func (r *relation) find(h uint64, args []term.Term) (int32, bool) {
 	tab := r.tabs[hashShard(h)]
 	if len(tab) == 0 {
 		return 0, false
 	}
+	n := uint32(len(r.hashes))
 	mask := uint64(len(tab) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		ri := tab[i]
-		if ri == tabEmpty {
+		ri := atomic.LoadInt32(&tab[i])
+		if uint32(ri) >= n {
 			return 0, false
 		}
-		if ri >= 0 && r.hashes[ri] == h && r.equalRow(ri, args) {
+		if r.hashes[ri] == h && r.equalRow(ri, args) && !r.isDead(ri) {
 			return ri, true
 		}
 	}
 }
 
+// findAny returns the most recently inserted row holding args, live or
+// dead. At most the newest row of a tuple is live (a fact is re-inserted
+// only while every earlier row of it is dead), so this is the row a
+// deletion pass tombstoned, if it tombstoned the fact at all.
+func (r *relation) findAny(h uint64, args []term.Term) (int32, bool) {
+	tab := r.tabs[hashShard(h)]
+	if len(tab) == 0 {
+		return 0, false
+	}
+	best := tabEmpty
+	n := uint32(len(r.hashes))
+	mask := uint64(len(tab) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		ri := atomic.LoadInt32(&tab[i])
+		if uint32(ri) >= n {
+			return best, best != tabEmpty
+		}
+		if ri > best && r.hashes[ri] == h && r.equalRow(ri, args) {
+			best = ri
+		}
+	}
+}
+
 // tabInsert records local row ri (with fact hash h) in its dedup
-// sub-table, growing that sub-table at 3/4 load and reusing deleted-slot
-// sentinels. The caller has already established the row is not present.
+// sub-table, growing that sub-table at 3/4 load. The caller owns the
+// table (see own) — so its own plain loads race with no store — and has
+// established that no live row holds the tuple.
 // Safe to call concurrently for rows of DISTINCT hash shards (the sharded
 // merge path): each call touches only its own sub-table and used counter.
 func (r *relation) tabInsert(h uint64, ri int32) {
@@ -159,13 +200,15 @@ func (r *relation) tabInsert(h uint64, ri int32) {
 	tab := r.tabs[s]
 	mask := uint64(len(tab) - 1)
 	i := h & mask
-	for tab[i] >= 0 {
+	for tab[i] != tabEmpty {
 		i = (i + 1) & mask
 	}
-	if tab[i] == tabEmpty {
-		r.tabUsed[s]++
+	if r.tabShared[s] {
+		atomic.StoreInt32(&tab[i], ri)
+	} else {
+		tab[i] = ri
 	}
-	tab[i] = ri
+	r.tabUsed[s]++
 }
 
 // growTab doubles (or initializes) sub-table s.
@@ -198,21 +241,25 @@ func (r *relation) growTabTo(n int) {
 	}
 }
 
-// rebuildShard replaces dedup sub-table s with one of n slots (a power of
-// two), re-placing its LINKED rows from the old sub-table. Tombstoned rows
-// were unlinked at kill time and deleted-slot sentinels are dropped, so
-// the rebuilt table holds exactly the live linked set — rebuilding costs
-// O(sub-table), never O(relation).
-func (r *relation) rebuildShard(s, n int) {
-	old := r.tabs[s]
+// newTab returns an all-empty sub-table of n slots.
+func newTab(n int) []int32 {
 	tab := make([]int32, n)
 	for i := range tab {
 		tab[i] = tabEmpty
 	}
+	return tab
+}
+
+// rebuildShard replaces dedup sub-table s with a fresh one of n slots (a
+// power of two), re-placing the rows the old one links, dead ones
+// included. The old array is left as it was for the views that hold it;
+// the new one is nobody else's until the next Snapshot() hands it out.
+// Rebuilding costs O(sub-table), never O(relation).
+func (r *relation) rebuildShard(s, n int) {
+	tab := newTab(n)
 	mask := uint64(n - 1)
-	used := int32(0)
-	for _, ri := range old {
-		if ri < 0 {
+	for _, ri := range r.tabs[s] {
+		if ri == tabEmpty {
 			continue
 		}
 		i := r.hashes[ri] & mask
@@ -220,10 +267,34 @@ func (r *relation) rebuildShard(s, n int) {
 			i = (i + 1) & mask
 		}
 		tab[i] = ri
-		used++
 	}
-	r.tabs[s] = tab
-	r.tabUsed[s] = used
+	r.tabs[s], r.tabShared[s] = tab, false
+}
+
+// own gives a relation that reads through another writer's dedup arrays
+// private copies, before the first row it appends: the one table copy
+// left, paid by the second writer of a row space (an overlay or a clone),
+// never by the live relation. Slots the other writer filled with rows
+// this relation does not have are scrubbed — they would read as rows of
+// its own once it has that many. The view's late-built positions stay
+// behind: they cover the view's rows only.
+func (r *relation) own() {
+	n := uint32(len(r.hashes))
+	for s := range r.tabs {
+		if !r.tabShared[s] {
+			continue // empty, or copied when the clone was taken
+		}
+		tab := newTab(len(r.tabs[s]))
+		for k := range tab {
+			if ri := atomic.LoadInt32(&r.tabs[s][k]); uint32(ri) < n {
+				tab[k] = ri
+			}
+		}
+		r.tabs[s], r.tabShared[s] = tab, false
+		obsCowBytes.Add(uint64(4 * len(tab)))
+	}
+	r.late = nil
+	r.borrowed = false
 }
 
 // firstSince returns the first local row whose global insertion index is at
@@ -235,44 +306,35 @@ func (r *relation) firstSince(since Mark) int {
 	return postingLowerBound(r.global, int32(since))
 }
 
-// clone returns an observationally identical copy. Columns, overflow row
-// lists, the global map, and the hashes column are shared cap-limited:
-// both sides only ever append, and an append on either side past a view's
-// capacity reallocates, so neither can see the other's new rows. The dedup
-// sub-tables and the liveness bitmap (both mutated in place — by inserts
-// and tombstones respectively) are copied outright — flat memcpys, no
-// re-hashing or re-comparison — and the posting sub-maps copy their 4-byte
-// codes (a code re-pointed by either side after the clone changes only
-// that side's map).
+// clone returns an observationally identical, independently writable
+// copy. Columns are read through the source's (see view), and so are
+// dedup arrays that views already read along with (see own); what the
+// source may still mutate unannounced — the liveness bitmap, the posting
+// indexes no view has frozen, dedup arrays no view holds — is copied,
+// because Clone must not write to its receiver to tell it about the
+// sharing.
 func (r *relation) clone() *relation {
-	out := &relation{
-		pred:    r.pred,
-		arity:   r.arity,
-		cols:    r.cols[:len(r.cols):len(r.cols)],
-		global:  r.global[:len(r.global):len(r.global)],
-		hashes:  r.hashes[:len(r.hashes):len(r.hashes)],
-		tabUsed: r.tabUsed,
-		idx:     make([]posIndex, r.arity),
-		want:    make([]atomic.Bool, r.arity),
-		dead:    append([]uint64(nil), r.dead...),
-		nDead:   r.nDead,
-	}
-	for s := 0; s < relShards; s++ {
-		if r.tabs[s] != nil {
-			out.tabs[s] = append([]int32(nil), r.tabs[s]...)
+	out := r.view()
+	out.second = true
+	for s := range out.tabs {
+		if r.tabShared[s] {
+			out.borrowed = true
+			continue
 		}
+		// The source stores into this array plainly: nothing may read along.
+		out.tabs[s] = slices.Clone(r.tabs[s])
+		obsCowBytes.Add(uint64(4 * len(r.tabs[s])))
 	}
-	for i := range r.idx {
-		out.idx[i].built = r.idx[i].built
-		for s := 0; s < relShards; s++ {
-			out.idx[i].m[s] = maps.Clone(r.idx[i].m[s])
-			if ov := r.idx[i].over[s]; ov != nil {
-				nov := make([][]int32, len(ov))
-				for k, rows := range ov {
-					nov[k] = rows[:len(rows):len(rows)]
-				}
-				out.idx[i].over[s] = nov
-			}
+	out.late = nil
+	out.want = make([]atomic.Bool, r.arity)
+	out.dead = slices.Clone(r.dead)
+	for i := range out.idx {
+		p := &out.idx[i]
+		if p.base != nil && !p.base.frozen {
+			p.base = p.base.clone(true)
+		}
+		if p.tail != nil && !p.tail.frozen {
+			p.tail = p.tail.clone(true)
 		}
 	}
 	return out

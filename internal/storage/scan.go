@@ -251,43 +251,27 @@ func (db *DB) Probe(sp *ScanPlan, frame []term.Term, since Mark, shard, shards i
 		}
 		return true
 	}
-	if cand.rows == nil {
-		// Inline posting: zero or one candidate row.
-		if cand.n == 0 || cand.one < int32(lo) || cand.one >= int32(hi) {
-			return true
-		}
-		if hasDead && r.isDead(cand.one) {
-			return true
-		}
-		ok := sp.matchRow(r.args(cand.one), frame)
-		cont := true
-		if ok {
-			cont = fn()
-		}
-		for _, s := range sp.binds {
-			frame[s] = Unbound
-		}
-		return cont
-	}
-	rows := cand.rows
-	for k := postingLowerBound(rows, int32(lo)); k < len(rows); k++ {
-		ri := rows[k]
-		if ri >= int32(hi) {
-			break
-		}
-		if hasDead && r.isDead(ri) {
-			continue
-		}
-		ok := sp.matchRow(r.args(ri), frame)
-		cont := true
-		if ok {
-			cont = fn()
-		}
-		for _, s := range sp.binds {
-			frame[s] = Unbound
-		}
-		if !cont {
-			return false
+	// Base rows, then tail rows: one ascending enumeration.
+	for _, rows := range [2][]int32{cand.base.list(), cand.tail.list()} {
+		for k := postingLowerBound(rows, int32(lo)); k < len(rows); k++ {
+			ri := rows[k]
+			if ri >= int32(hi) {
+				return true
+			}
+			if hasDead && r.isDead(ri) {
+				continue
+			}
+			ok := sp.matchRow(r.args(ri), frame)
+			cont := true
+			if ok {
+				cont = fn()
+			}
+			for _, s := range sp.binds {
+				frame[s] = Unbound
+			}
+			if !cont {
+				return false
+			}
 		}
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/schema"
 	"repro/internal/term"
@@ -32,10 +33,14 @@ import (
 // Everything probe-relevant is serialized, nothing is rebuilt:
 //
 //   - The dedup sub-tables dump their slot arrays verbatim. Slots hold
-//     local row indices and negative sentinels, both of which mean the
-//     same thing after a dump/load cycle, so restore is one array copy
-//     per sub-shard — recovery profiling showed the alternative (one
-//     tabInsert rehash per live row) dominating checkpoint load.
+//     local row indices or the empty code, both of which mean the same
+//     thing after a dump/load cycle, so restore is one array copy per
+//     sub-shard — recovery profiling showed the alternative (one
+//     tabInsert rehash per row) dominating checkpoint load. Segments
+//     written before liveness became the bitmap alone unlinked dead rows
+//     and left a bridge code (-2) behind; a relation whose arrays hold
+//     one, or link fewer rows than it has, gets its tables rebuilt from
+//     the hash column on load.
 //   - The posting indexes that are built ARE serialized — rebuilding
 //     them through idxAdd would cost a map insert per (row, position),
 //     the dominant term for large closures. Instead each (position,
@@ -44,7 +49,9 @@ import (
 //     key and carves the overflow lists as cap-limited views of the slab
 //     — one allocation per sub-shard, not per key. A position nobody
 //     probed writes no keys and is restored as never built; a built one
-//     is caught up first, so keys always cover every row.
+//     is caught up first and written as ONE index (a tail is folded into
+//     a copy of its base on the way out), so keys always cover every row
+//     and the bytes of an instance do not depend on who shared it.
 //   - The global insertion log is serialized implicitly: each
 //     relation's global column re-points its rows, and unclaimed log
 //     entries are exactly the holes a localized Compact left behind.
@@ -53,6 +60,10 @@ import (
 // meaningful next to the term.Store / schema.Registry encodings taken
 // at the same quiesced point (the service checkpoints all of them under
 // its writer lock).
+
+// legacyTabDeleted is the bridge code segments written before dead rows
+// stayed linked hold in the slots of unlinked rows.
+const legacyTabDeleted int32 = -2
 
 // AppendSegment serializes the instance onto buf.
 func (db *DB) AppendSegment(buf []byte) []byte {
@@ -95,15 +106,27 @@ func (r *relation) appendSegment(buf []byte) []byte {
 	for s := 0; s < relShards; s++ {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.tabs[s])))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.tabUsed[s]))
-		for _, v := range r.tabs[s] {
+		for k := range r.tabs[s] {
+			// A slot the arrays' writer filled after this view was taken
+			// names a row the segment does not have: empty to its reader.
+			v := atomic.LoadInt32(&r.tabs[s][k])
+			if int(v) >= n {
+				v = tabEmpty
+			}
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 		}
 	}
 	var keyScratch []byte
 	for i := range r.idx {
+		px := r.idx[i].base
+		if r.idx[i].tail != nil {
+			px = r.folded(i)
+		} else if px == nil {
+			px = &posIndex{}
+		}
 		for s := 0; s < relShards; s++ {
-			m := r.idx[i].m[s]
-			over := r.idx[i].over[s]
+			m := px.m[s]
+			over := px.over[s]
 			slabLen := 0
 			for _, rows := range over {
 				slabLen += len(rows)
@@ -229,8 +252,9 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 	}
 
 	// Dedup: verbatim slot-array copies. Slots are local row indices
-	// (stable across a dump/load cycle) or negative sentinels; only the
-	// row range needs validating, probe math needs a power-of-two length.
+	// (stable across a dump/load cycle) or the empty code; only the row
+	// range needs validating, probe math needs a power-of-two length.
+	linked := 0
 	for s := 0; s < relShards; s++ {
 		tabLen := int(rd.u32())
 		used := int(rd.u32())
@@ -244,13 +268,24 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 		tab := make([]int32, tabLen)
 		for k := range tab {
 			v := int32(rd.u32())
-			if v >= int32(n) {
+			if v >= int32(n) || v < legacyTabDeleted {
 				return nil, malformed
+			}
+			if v >= 0 {
+				linked++
 			}
 			tab[k] = v
 		}
 		r.tabs[s] = tab
 		r.tabUsed[s] = int32(used)
+	}
+	if rd.err == nil && linked != n {
+		// Written before dead rows stayed linked (or damaged: Verify says).
+		r.tabs, r.tabUsed = [relShards][]int32{}, [relShards]int32{}
+		r.growTabTo(n)
+		for ri, h := range r.hashes {
+			r.tabInsert(h, int32(ri))
+		}
 	}
 
 	// Postings: per sub-shard, one slab allocation plus one map insert
@@ -295,9 +330,11 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 			if cursor != len(slab) {
 				return nil, malformed
 			}
-			r.idx[i].m[s] = m
-			r.idx[i].over[s] = over
-			r.idx[i].built = int32(n)
+			if r.idx[i].base == nil {
+				r.idx[i] = position{base: &posIndex{}, split: int32(n), built: int32(n)}
+			}
+			r.idx[i].base.m[s] = m
+			r.idx[i].base.over[s] = over
 		}
 	}
 	return r, rd.err

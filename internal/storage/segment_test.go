@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"testing"
 
@@ -241,12 +242,90 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 	}
 }
 
+// legacyFixture replays the operations behind
+// testdata/segment_pr17_tombstones.seg: segmentFixture, then dead rows in
+// tt, then some of u's deleted facts re-inserted. The file is what the
+// commit before liveness became the bitmap alone wrote for that instance:
+// its slot arrays unlink dead rows, hold the bridge code -2 where they
+// sat, and reuse such slots for the re-inserted rows.
+func legacyFixture(t testing.TB) *DB {
+	db := segmentFixture(t)
+	for i, a := range db.Facts(segTT) {
+		if i%4 == 1 {
+			if row, ok := db.FindRow(segTT, a.Args); ok {
+				db.Tombstone(segTT, row)
+			}
+		}
+	}
+	for id := 0; id < 200; id += 3 {
+		db.InsertArgs(segU, []term.Term{segConst(id)})
+	}
+	return db
+}
+
+const legacySegment = "testdata/segment_pr17_tombstones.seg"
+
+// TestSegmentDecodesLegacyTombstones: a checkpoint written before dead
+// rows stayed linked still restores — the decoder rebuilds the dedup
+// tables of a relation whose arrays hold a bridge code or miss a row — to
+// an instance Verify accepts, with the facts, probes and dedup behaviour
+// of the same operations replayed here.
+func TestSegmentDecodesLegacyTombstones(t *testing.T) {
+	enc, err := os.ReadFile(legacySegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadSegment(enc)
+	if err != nil {
+		t.Fatalf("ReadSegment: %v", err)
+	}
+	mustVerify(t, got, "decoded legacy segment")
+	want := legacyFixture(t)
+	if !equalStrings(sortedFacts(got), sortedFacts(want)) {
+		t.Fatalf("decoded legacy segment holds %d facts, the replay %d, or they differ", got.Len(), want.Len())
+	}
+	if got.DeadCount() != want.DeadCount() || got.PhysicalLen() != want.PhysicalLen() {
+		t.Fatalf("dead/physical = %d/%d, want %d/%d", got.DeadCount(), got.PhysicalLen(), want.DeadCount(), want.PhysicalLen())
+	}
+	for id := 0; id < 200; id++ {
+		if g, w := probeAt(got, segU, 1, 0, segConst(id)), probeAt(want, segU, 1, 0, segConst(id)); g != w {
+			t.Fatalf("u(%d): decoded answers %q, replay %q", id, g, w)
+		}
+		args := []term.Term{segConst(id)}
+		if g, w := got.InsertArgs(segU, args), want.InsertArgs(segU, args); g != w {
+			t.Fatalf("insert u(%d): decoded new=%v, replay new=%v", id, g, w)
+		}
+	}
+	mustVerify(t, got, "decoded legacy segment, written")
+	// What it writes back is the current format: no bridge code survives.
+	again, err := ReadSegment(got.AppendSegment(nil))
+	if err != nil {
+		t.Fatalf("re-encode: %v", err)
+	}
+	for _, r := range again.rels {
+		if r == nil {
+			continue
+		}
+		for _, v := range r.tabEntries() {
+			if v < tabEmpty {
+				t.Fatalf("re-encoded segment holds slot code %d", v)
+			}
+		}
+	}
+}
+
 // FuzzReadSegment holds the decoder to its contract on arbitrary bytes: a
 // typed error, or an instance Verify accepts and the read and write paths
 // can use — never a panic. Seeds: the encoded segmentFixture (positions
 // built, behind and never built), every torn prefix of it, and bit flips
-// across its posting sections. Crashers go under testdata/fuzz/.
+// across its posting sections, and the legacy segment whose slot arrays
+// hold bridge codes. Crashers go under testdata/fuzz/.
 func FuzzReadSegment(f *testing.F) {
+	if legacy, err := os.ReadFile(legacySegment); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(legacy)
+	}
 	enc := segmentFixture(f).AppendSegment(nil)
 	f.Add(enc)
 	for cut := 0; cut < len(enc); cut++ {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/atom"
 	"repro/internal/schema"
@@ -11,23 +12,24 @@ import (
 // Tombstones: the in-place deletion layer over the columnar relations.
 //
 // A relation's rows are physically immutable, but each relation carries a
-// liveness bitmap (one bit per local row, words allocated on first kill):
-// deleting a fact flips its bit and unlinks it from the dedup table, and
-// every enumeration path — full scans, posting probes, the substitution
+// liveness bitmap (one bit per local row, words allocated on first kill),
+// and liveness is that bitmap and nothing else: deleting a fact flips its
+// bit, reviving it flips the bit back, and no other structure changes.
+// Every enumeration path — full scans, posting probes, the substitution
 // matchers, Facts/All/ActiveDomain — skips dead rows with a single word
-// test. Columns, postings, and the global insertion log keep their layout,
-// so marks stay contiguous local windows and clones keep sharing backings;
-// only the bitmap and the dedup table (both copied outright by clone) are
-// mutated in place. Physical reclamation is a separate, explicitly
-// requested step (DB.Compact) so steady-state deletes are O(affected
-// facts), never O(instance).
+// test; a dedup probe that matches a dead row keeps probing (relation.find),
+// so the fact can be re-inserted as a fresh row further down the chain,
+// and a dead-inclusive probe (FindRowAny) is how a deletion pass finds the
+// row it tombstoned. Columns, postings, the dedup table and the global
+// insertion log keep their layout, so marks stay contiguous local windows
+// and views keep sharing all of them; the bitmap is copied once per epoch
+// that tombstones (8 KB for the 65 k-row closure of tc.churn-durable,
+// counted in vadalog_storage_cow_bytes_total). Physical reclamation is a
+// separate, explicitly requested step (DB.Compact), so steady-state
+// deletes are O(affected facts), never O(instance).
 
-// tab sentinel codes. A deleted slot bridges linear-probe chains: find
-// continues past it, insert may reuse it.
-const (
-	tabEmpty   int32 = -1
-	tabDeleted int32 = -2
-)
+// tabEmpty is the dedup-table code of a slot no row has claimed.
+const tabEmpty int32 = -1
 
 // isDead reports whether local row ri is tombstoned. Rows beyond the
 // bitmap (inserted after the last kill) are live by construction.
@@ -39,56 +41,45 @@ func (r *relation) isDead(ri int32) bool {
 // liveRows is the number of stored facts that are not tombstoned.
 func (r *relation) liveRows() int { return len(r.global) - r.nDead }
 
-// kill tombstones live local row ri: flips its liveness bit and unlinks it
-// from the dedup table (so the fact can be re-inserted as a fresh row).
-// Reports whether the row was live.
+// ownDead makes the bitmap this relation's to write: a private copy if a
+// view reads the one at hand.
+func (r *relation) ownDead() {
+	if r.deadShared {
+		r.dead = slices.Clone(r.dead)
+		r.deadShared = false
+		obsCowBytes.Add(uint64(8 * len(r.dead)))
+	}
+}
+
+// kill tombstones live local row ri by flipping its liveness bit. Reports
+// whether the row was live.
 func (r *relation) kill(ri int32) bool {
 	if r.isDead(ri) {
 		return false
 	}
+	r.ownDead()
 	for len(r.dead)*64 <= int(ri) {
 		r.dead = append(r.dead, 0)
 	}
 	r.dead[ri>>6] |= 1 << (uint(ri) & 63)
 	r.nDead++
-	r.tabDelete(r.hashes[ri], ri)
 	return true
 }
 
-// revive un-tombstones local row ri, re-linking it into the dedup table.
-// The caller must know no OTHER live row holds the same tuple (true for
-// DRed rederivation: the fact was live before the overestimate killed it,
-// and inserts between kill and revive go through find, which cannot see
-// the dead row — but CAN re-add the same tuple as a fresh row, so revive
-// is only sound within one Delete pass). Reports whether the row was dead.
+// revive un-tombstones local row ri. The caller must know no OTHER live
+// row holds the same tuple (true for DRed rederivation: the fact was live
+// before the overestimate killed it, and nothing is inserted between the
+// kill and the revive — an insert would not find the dead row and would
+// add the tuple as a fresh one, so revive is only sound within one Delete
+// pass). Reports whether the row was dead.
 func (r *relation) revive(ri int32) bool {
 	if !r.isDead(ri) {
 		return false
 	}
-	r.tabInsert(r.hashes[ri], ri)
+	r.ownDead()
 	r.dead[ri>>6] &^= 1 << (uint(ri) & 63)
 	r.nDead--
 	return true
-}
-
-// tabDelete unlinks local row ri (with fact hash h) from its dedup
-// sub-table, leaving a bridge sentinel so probe chains through the slot
-// stay connected. A row never linked (absent chain) is a no-op.
-func (r *relation) tabDelete(h uint64, ri int32) {
-	tab := r.tabs[hashShard(h)]
-	if len(tab) == 0 {
-		return
-	}
-	mask := uint64(len(tab) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch tab[i] {
-		case ri:
-			tab[i] = tabDeleted
-			return
-		case tabEmpty:
-			return
-		}
-	}
 }
 
 // deadInRange counts tombstoned rows ri with lo <= ri < hi — the live-row
@@ -124,9 +115,6 @@ func (db *DB) Tombstone(pred schema.PredID, row int32) bool {
 	if r == nil || int(row) >= r.rows() {
 		return false
 	}
-	if r.shared {
-		r.detach()
-	}
 	if !r.kill(row) {
 		return false
 	}
@@ -142,9 +130,6 @@ func (db *DB) Revive(pred schema.PredID, row int32) bool {
 	r := db.relOf(pred)
 	if r == nil || int(row) >= r.rows() {
 		return false
-	}
-	if r.shared {
-		r.detach()
 	}
 	if !r.revive(row) {
 		return false
@@ -162,6 +147,17 @@ func (db *DB) FindRow(pred schema.PredID, args []term.Term) (int32, bool) {
 		return 0, false
 	}
 	return r.find(hashArgs(pred, args), args)
+}
+
+// FindRowAny returns the handle of the most recently inserted row holding
+// pred(args...), live or dead: the row a Delete pass tombstoned, if it
+// tombstoned the fact at all (see relation.findAny).
+func (db *DB) FindRowAny(pred schema.PredID, args []term.Term) (int32, bool) {
+	r := db.relOf(pred)
+	if r == nil {
+		return 0, false
+	}
+	return r.findAny(hashArgs(pred, args), args)
 }
 
 // FactAt materializes the fact at a handle, live or dead — deletion
@@ -186,13 +182,6 @@ func (db *DB) DeadCount() int { return db.dead }
 // side tables by insertion index (chase provenance) must use this, not
 // Len, which counts live rows only.
 func (db *DB) PhysicalLen() int { return db.logLen() }
-
-// HashArgs exposes the store's fact hash over an unboxed (pred, args)
-// pair, so deletion-side indexes (the incremental engine's pending set)
-// key on the same hash the relations use instead of re-implementing it.
-func HashArgs(pred schema.PredID, args []term.Term) uint64 {
-	return hashArgs(pred, args)
-}
 
 // Alive reports whether the handle denotes a live row.
 func (db *DB) Alive(pred schema.PredID, row int32) bool {

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/atom"
@@ -376,40 +377,76 @@ func TestReviveAtGrowthBoundary(t *testing.T) {
 	}
 }
 
-// TestDedupTableLiveInvariant: after kills and revives, the dedup table
-// holds exactly the live rows, once each.
+// TestDedupTableLiveInvariant: liveness is the bitmap and nothing else.
+// Kills and revives leave the dedup table as it was — every row linked
+// exactly once, live or dead — a probe finds a tuple's live row and only
+// that, a re-inserted fact becomes a fresh row in the chain its dead rows
+// stay in, and the dead-inclusive probe answers with the newest row of
+// the tuple whatever its liveness.
 func TestDedupTableLiveInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	prog := logic.NewProgram()
 	p := prog.Reg.Intern("p", 1)
 	db := NewDB()
-	for i := 0; i < 200; i++ {
-		db.Insert(atom.New(p, prog.Store.Const(fmt.Sprintf("k%d", i))))
+	fact := func(k int) atom.Atom { return atom.New(p, prog.Store.Const(fmt.Sprintf("k%d", k))) }
+	// newest[k] is the newest row of fact k; live[k] whether it is live.
+	newest := make([]int32, 60)
+	live := make([]bool, 60)
+	for k := range newest {
+		db.Insert(fact(k))
+		newest[k], live[k] = int32(k), true
 	}
 	r := db.relOf(p)
-	killed := make(map[int32]bool)
-	for step := 0; step < 300; step++ {
-		ri := int32(rng.Intn(200))
-		if killed[ri] {
-			db.Revive(p, ri)
-			delete(killed, ri)
-		} else {
-			db.Tombstone(p, ri)
-			killed[ri] = true
+	for step := 0; step < 600; step++ {
+		k := rng.Intn(len(newest))
+		before := r.tabEntries()
+		grew := false
+		switch {
+		case live[k]:
+			if !db.Tombstone(p, newest[k]) {
+				t.Fatalf("step %d: tombstone of live row %d refused", step, newest[k])
+			}
+			live[k] = false
+		case rng.Intn(2) == 0:
+			if !db.Revive(p, newest[k]) {
+				t.Fatalf("step %d: revive of dead row %d refused", step, newest[k])
+			}
+			live[k] = true
+		default:
+			if !db.Insert(fact(k)) {
+				t.Fatalf("step %d: re-insert of deleted fact %d was a duplicate", step, k)
+			}
+			newest[k], live[k], grew = int32(r.rows()-1), true, true
+		}
+		if after := r.tabEntries(); !grew && !slices.Equal(before, after) {
+			t.Fatalf("step %d: a kill or revive wrote the dedup table", step)
 		}
 		counts := make(map[int32]int)
 		for _, v := range r.tabEntries() {
-			if v >= 0 {
+			if v != tabEmpty {
 				counts[v]++
 			}
 		}
-		if len(counts) != r.liveRows() {
-			t.Fatalf("step %d: tab holds %d rows, want %d live", step, len(counts), r.liveRows())
+		if len(counts) != r.rows() {
+			t.Fatalf("step %d: tab links %d distinct rows of %d", step, len(counts), r.rows())
 		}
 		for ri, n := range counts {
-			if n != 1 || killed[ri] {
-				t.Fatalf("step %d: row %d count %d killed %v", step, ri, n, killed[ri])
+			if n != 1 || ri < 0 || int(ri) >= r.rows() {
+				t.Fatalf("step %d: row %d linked %d times", step, ri, n)
 			}
 		}
+		for k := range newest {
+			row, ok := db.FindRow(p, fact(k).Args)
+			if ok != live[k] || ok && row != newest[k] {
+				t.Fatalf("step %d: FindRow(k%d) = %d,%v, want row %d live %v", step, k, row, ok, newest[k], live[k])
+			}
+			if row, ok := db.FindRowAny(p, fact(k).Args); !ok || row != newest[k] {
+				t.Fatalf("step %d: FindRowAny(k%d) = %d,%v, want %d", step, k, row, ok, newest[k])
+			}
+		}
+		mustVerify(t, db, fmt.Sprintf("step %d", step))
+	}
+	if r.rows() <= len(newest) || r.nDead == 0 {
+		t.Fatalf("stream never re-inserted a deleted fact (%d rows, %d dead)", r.rows(), r.nDead)
 	}
 }

@@ -4,13 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/term"
 )
 
 // Verify checks that the instance's redundant structures agree: every
-// relation's columns, hash column, liveness bitmap, dedup sub-tables and
-// posting indexes (each up to its watermark), and the insertion log with
+// relation's columns, hash column, liveness bitmap, dedup sub-tables
+// (every row linked exactly once, live or dead; at most one live row per
+// tuple; no slot naming a row the relation lacks, unless another writer
+// owns the arrays) and posting indexes (base rows before tail rows, both
+// ascending and complete to their watermarks), and the insertion log with
 // the tombstone and hole counts. It is the invariant the property suites
 // assert after every kind of write, and what ReadSegment holds decoded
 // bytes to; it reads only, never panics on a malformed instance, and costs
@@ -24,7 +28,7 @@ func (db *DB) Verify() error {
 		if int(r.pred) != p {
 			return fmt.Errorf("storage: verify: relation %d claims pred %d", p, r.pred)
 		}
-		if err := r.verify(db.logLen()); err != nil {
+		if err := r.verify(db.logLen(), db.frozen); err != nil {
 			return fmt.Errorf("storage: verify: pred %d: %w", p, err)
 		}
 		rows += r.rows()
@@ -57,7 +61,7 @@ func (db *DB) Verify() error {
 	return nil
 }
 
-func (r *relation) verify(logLen int) error {
+func (r *relation) verify(logLen int, frozen bool) error {
 	n := len(r.global)
 	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.hashes) != n || len(r.idx) != r.arity || len(r.want) != r.arity {
 		return errors.New("column lengths disagree")
@@ -86,71 +90,76 @@ func (r *relation) verify(logLen int) error {
 	if dead != r.nDead {
 		return fmt.Errorf("%d liveness bits set, %d rows counted dead", dead, r.nDead)
 	}
-	// Dedup: every live row linked exactly once, in its hash shard, and
-	// found again by a probe; find terminates because every sub-table
-	// keeps an empty slot.
+	// Dedup: every row linked exactly once, in its hash shard; a live row
+	// is the row a probe for its tuple finds, a dead one is not past the
+	// newest row of its tuple. find terminates because every sub-table
+	// keeps an empty slot. A frozen view or a relation reading through
+	// another writer's arrays may see slots naming that writer's later
+	// rows; in a relation's own arrays such a slot is damage.
 	linked := make([]uint64, (n+63)/64)
-	nLinked := 0
 	for s := range r.tabs {
 		tab, used := r.tabs[s], 0
 		if len(tab)&(len(tab)-1) != 0 {
 			return fmt.Errorf("dedup sub-table %d: length %d", s, len(tab))
 		}
-		for _, ri := range tab {
-			if ri == tabEmpty {
+		for k := range tab {
+			ri := atomic.LoadInt32(&tab[k])
+			if ri == tabEmpty || int(ri) >= n && (frozen || r.borrowed) {
 				continue
 			}
-			used++
-			if ri == tabDeleted {
-				continue
-			}
-			if ri < 0 || int(ri) >= n || r.isDead(ri) || hashShard(r.hashes[ri]) != s || linked[ri>>6]>>(uint(ri)&63)&1 != 0 {
+			if ri < 0 || int(ri) >= n || hashShard(r.hashes[ri]) != s || linked[ri>>6]>>(uint(ri)&63)&1 != 0 {
 				return fmt.Errorf("dedup sub-table %d: bad or repeated row %d", s, ri)
 			}
 			linked[ri>>6] |= 1 << (uint(ri) & 63)
-			nLinked++
+			used++
 		}
 		if used != int(r.tabUsed[s]) || len(tab) > 0 && used >= len(tab) {
 			return fmt.Errorf("dedup sub-table %d: %d of %d slots used, %d counted", s, used, len(tab), r.tabUsed[s])
 		}
 	}
-	if nLinked != n-r.nDead {
-		return fmt.Errorf("%d rows linked, %d live", nLinked, n-r.nDead)
-	}
 	for ri := 0; ri < n; ri++ {
-		if r.isDead(int32(ri)) {
-			continue
+		if linked[ri>>6]>>(uint(ri)&63)&1 == 0 {
+			return fmt.Errorf("row %d is not linked in the dedup table", ri)
 		}
-		if got, ok := r.find(r.hashes[ri], r.args(int32(ri))); !ok || int(got) != ri {
+		args := r.args(int32(ri))
+		if r.isDead(int32(ri)) {
+			if got, ok := r.findAny(r.hashes[ri], args); !ok || int(got) < ri {
+				return fmt.Errorf("dead row %d is past the newest row of its tuple", ri)
+			}
+		} else if got, ok := r.find(r.hashes[ri], args); !ok || int(got) != ri {
 			return fmt.Errorf("row %d is not the row a dedup probe for its tuple finds", ri)
 		}
 	}
 	for i := range r.idx {
-		px := &r.idx[i]
-		if r.late != nil {
+		p := r.idx[i]
+		if r.late != nil && p.base == nil {
 			if l := r.late.idx[i].Load(); l != nil {
-				px = l
+				p = position{base: l, split: int32(n), built: int32(n)}
 			}
 		}
-		if err := r.verifyPostings(px, i); err != nil {
-			return fmt.Errorf("position %d: %w", i, err)
+		if p.split < 0 || p.split > p.built || int(p.built) > n || p.tail == nil && p.split != p.built || p.base == nil && p.built != 0 {
+			return fmt.Errorf("position %d: base to %d, tail to %d of %d rows", i, p.split, p.built, n)
+		}
+		if err := r.verifyPostings(p.base, i, 0, int(p.split)); err != nil {
+			return fmt.Errorf("position %d base: %w", i, err)
+		}
+		if err := r.verifyPostings(p.tail, i, int(p.split), int(p.built)); err != nil {
+			return fmt.Errorf("position %d tail: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// verifyPostings checks position i's index against the column up to its
-// watermark: keys in their sub-shard, every row list ascending, below the
-// watermark and holding the key, and the lists together covering exactly
-// rows [0, built) — each row holds one term, so equal counts make them
-// complete.
-func (r *relation) verifyPostings(px *posIndex, i int) error {
-	built := int(px.built)
-	if built < 0 || built > len(r.global) {
-		return fmt.Errorf("watermark %d of %d rows", built, len(r.global))
+// verifyPostings checks one index of position i against the column: keys
+// in their sub-shard, every row list ascending, inside [lo, hi) and
+// holding the key, and the lists together covering exactly those rows —
+// each row holds one term, so equal counts make them complete.
+func (r *relation) verifyPostings(px *posIndex, i, lo, hi int) error {
+	if px == nil {
+		return nil // verify checked lo == hi
 	}
 	holds := func(ri int32, k uint64, prev int32) bool {
-		return ri > prev && int(ri) < built && r.cols[int(ri)*r.arity+i].Key() == k
+		return ri > prev && int(ri) >= lo && int(ri) < hi && r.cols[int(ri)*r.arity+i].Key() == k
 	}
 	covered := 0
 	for s := range px.m {
@@ -184,8 +193,8 @@ func (r *relation) verifyPostings(px *posIndex, i int) error {
 			return fmt.Errorf("sub-shard %d: %d overflow lists, %d keys pointing at them", s, len(px.over[s]), lists)
 		}
 	}
-	if covered != built {
-		return fmt.Errorf("postings cover %d rows, watermark %d", covered, built)
+	if covered != hi-lo {
+		return fmt.Errorf("postings cover %d rows of [%d, %d)", covered, lo, hi)
 	}
 	return nil
 }
