@@ -8,10 +8,8 @@ import (
 	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/datalog"
-	"repro/internal/dynreach"
 	"repro/internal/incremental"
 	"repro/internal/prooftree"
-	"repro/internal/reachindex"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -73,46 +71,6 @@ join(X,W) :- t(X,Y), tri(Y,W).
 			b.ReportMetric(float64(derived), "derived")
 		})
 	}
-}
-
-// --------------------------------------------------------------------
-// E13 — §7 future work (3): Dyn-FO maintenance of reachability. Insert-
-// only closure maintenance via the first-order update formula vs full
-// recomputation per insertion.
-// --------------------------------------------------------------------
-
-func BenchmarkE13_DynFOMaintenance(b *testing.B) {
-	g := workload.RandomDigraph(96, 320, 5)
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tc := dynreach.New(g.N)
-			for _, e := range g.Edges {
-				if _, err := tc.Insert(e[0], e[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(tc.Pairs()), "pairs")
-		}
-	})
-	b.Run("recompute-each", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tc := dynreach.New(g.N)
-			for _, e := range g.Edges {
-				// Insert then force the deletion path's recomputation cost
-				// profile: delete+reinsert recomputes from scratch.
-				if _, err := tc.Insert(e[0], e[1]); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tc.Delete(e[0], e[1]); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tc.Insert(e[0], e[1]); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(tc.Pairs()), "pairs")
-		}
-	})
 }
 
 // --------------------------------------------------------------------
@@ -292,84 +250,5 @@ func BenchmarkE16_IncrementalMaintenance(b *testing.B) {
 			}
 			b.ReportMetric(float64(facts), "facts")
 		}
-	})
-}
-
-// --------------------------------------------------------------------
-// E14 — §7 future work (2): reachability indexes. GRAIL-style interval
-// labels and 2-hop labels [12] vs per-query BFS over the same random
-// DAG-ish graphs.
-// --------------------------------------------------------------------
-
-func BenchmarkE14_ReachabilityIndex(b *testing.B) {
-	g := workload.RandomDigraph(400, 900, 13)
-	queries := make([][2]int, 0, 1000)
-	rg := workload.RandomDigraph(400, 1000, 14) // reuse generator for pairs
-	for _, e := range rg.Edges {
-		queries = append(queries, e)
-	}
-	b.Run("grail", func(b *testing.B) {
-		ix := reachindex.Build(g.N, g.Edges, 3, 21)
-		b.ResetTimer()
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			hits = 0
-			for _, q := range queries {
-				if ix.Reach(q[0], q[1]) {
-					hits++
-				}
-			}
-		}
-		b.ReportMetric(float64(hits), "positive")
-		b.ReportMetric(float64(ix.NegativeCuts), "neg-cuts")
-	})
-	b.Run("twohop", func(b *testing.B) {
-		th := reachindex.BuildTwoHop(g.N, g.Edges)
-		b.ResetTimer()
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			hits = 0
-			for _, q := range queries {
-				if th.Reach(q[0], q[1]) {
-					hits++
-				}
-			}
-		}
-		b.ReportMetric(float64(hits), "positive")
-		b.ReportMetric(float64(th.LabelEntries()), "label-entries")
-	})
-	b.Run("bfs", func(b *testing.B) {
-		adj := make([][]int, g.N)
-		for _, e := range g.Edges {
-			adj[e[0]] = append(adj[e[0]], e[1])
-		}
-		bfs := func(s, t int) bool {
-			seen := make([]bool, g.N)
-			stack := append([]int(nil), adj[s]...)
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if v == t {
-					return true
-				}
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-				stack = append(stack, adj[v]...)
-			}
-			return false
-		}
-		b.ResetTimer()
-		hits := 0
-		for i := 0; i < b.N; i++ {
-			hits = 0
-			for _, q := range queries {
-				if bfs(q[0], q[1]) {
-					hits++
-				}
-			}
-		}
-		b.ReportMetric(float64(hits), "positive")
 	})
 }

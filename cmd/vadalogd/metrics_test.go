@@ -82,7 +82,11 @@ func TestDaemonMetrics(t *testing.T) {
 	if err := json.Unmarshal(qbody, &qresp); err != nil || len(qresp.Tuples) != 3 {
 		t.Fatalf("query returned %d tuples (err %v), want 3", len(qresp.Tuples), err)
 	}
-	postJSON(t, ts.URL+"/insert", map[string]string{"facts": "e(d,e)."}, nil)
+	postJSON(t, ts.URL+"/insert", map[string]string{"facts": "e(d,e). e(a,c)."}, nil)
+	// a→b→c→d→e plus a→c: deleting e(b,c) reaches t(a,c), t(a,d), t(a,e)
+	// through t(b,·), and the support search keeps all three; only the
+	// three t(b,·) facts go.
+	postJSON(t, ts.URL+"/delete", map[string]string{"facts": "e(b,c)."}, nil)
 
 	after := scrape(t, ts.URL)
 	moved := func(series string, by float64) {
@@ -105,8 +109,24 @@ func TestDaemonMetrics(t *testing.T) {
 	moved(`vadalog_query_rows_count{class="pattern"}`, 1)
 	moved(`vadalog_wal_records_total`, 1) // the insert's WAL append
 	moved(`vadalog_fixpoints_total`, 1)   // the load's materialization
-	if after[`vadalog_epoch_seq`] < 2 {   // load + insert each published
-		t.Errorf("vadalog_epoch_seq = %v, want >= 2", after[`vadalog_epoch_seq`])
+	if after[`vadalog_epoch_seq`] < 3 {   // load, insert and delete each published
+		t.Errorf("vadalog_epoch_seq = %v, want >= 3", after[`vadalog_epoch_seq`])
+	}
+	for series, want := range map[string]float64{
+		`vadalog_incremental_overdeleted_total`: 3,
+		`vadalog_incremental_kept_total`:        3,
+		`vadalog_incremental_rederived_total`:   0,
+	} {
+		if _, ok := after[series]; !ok {
+			t.Errorf("%s not exposed", series)
+		} else if delta := after[series] - before[series]; delta != want {
+			t.Errorf("%s moved by %v, want %v", series, delta, want)
+		}
+	}
+	var st service.Stats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Engine.Kept != 3 || st.Engine.Overdeleted != 3 || st.Engine.Rederived != 0 {
+		t.Errorf("/stats engine = %+v, want Kept 3, Overdeleted 3, Rederived 0", st.Engine)
 	}
 	// The scrape observes itself mid-flight: exactly one request (the
 	// /metrics GET) is being served at exposition time.

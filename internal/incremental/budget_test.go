@@ -82,104 +82,151 @@ func TestInsertBudgetAbortBreaksEngine(t *testing.T) {
 	assertMatchesRecompute(t, "post-rebuild-insert", e, append(append(live, bridge), extra))
 }
 
+// diamondEdges lists the edges of an n-step chain of diamonds: every step
+// n_i→n_{i+1} has a detour n_i→x_i→n_{i+1}, so every fact through a step
+// has an alternative proof.
+func diamondEdges(n int) [][2]string {
+	var out [][2]string
+	for i := 0; i < n; i++ {
+		a, b, x := fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1), fmt.Sprintf("x%d", i)
+		out = append(out, [2]string{a, b}, [2]string{a, x}, [2]string{x, b})
+	}
+	return out
+}
+
 // TestDeleteBudgetTrapSweep injects aborts at a sweep of probe counts
 // across DeleteBudgeted's two phases and checks the trichotomy after
 // every injection: the delete either (a) aborts pre-mutation leaving the
 // engine healthy and the instance untouched, (b) aborts mid-rederivation
 // leaving the engine broken until Rebuild completes the delete, or
 // (c) completes. In every case the surviving engine must match a
-// from-scratch recomputation over its live base facts.
+// from-scratch recomputation over its live base facts. On the chain the
+// overestimate deletes the whole cone; on the diamonds every reached fact
+// has a detour, so nearly every probe is the support search's and the
+// traps land inside it.
 func TestDeleteBudgetTrapSweep(t *testing.T) {
 	const n = 64
-	src := chainSrc(n)
-	midA, midB := fmt.Sprintf("n%d", n/2), fmt.Sprintf("n%d", n/2+1)
+	var chain [][2]string
+	for i := 0; i+1 < n; i++ {
+		chain = append(chain, [2]string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)})
+	}
+	for _, tc := range []struct {
+		name  string
+		edges [][2]string
+		del   [2]string
+		kept  bool // the delete keeps every fact it reaches
+	}{
+		{"chain", chain, chain[n/2], false},
+		{"diamonds", diamondEdges(n), [2]string{"n0", "n1"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var src strings.Builder
+			src.WriteString(tcSrc)
+			for _, ed := range tc.edges {
+				fmt.Fprintf(&src, "e(%s,%s).\n", ed[0], ed[1])
+			}
+			liveAfter := func(r *parser.Result, deleted bool) []atom.Atom {
+				var live []atom.Atom
+				for _, ed := range tc.edges {
+					if !deleted || ed != tc.del {
+						live = append(live, edge(r, ed[0], ed[1]))
+					}
+				}
+				return live
+			}
+			del := func(r *parser.Result) atom.Atom { return edge(r, tc.del[0], tc.del[1]) }
 
-	liveAfter := func(r *parser.Result, deleted bool) []atom.Atom {
-		var live []atom.Atom
-		for i := 0; i+1 < n; i++ {
-			if deleted && i == n/2 {
-				continue
+			// Calibrate: run the delete once with an unlimited (but
+			// attached) budget to learn the total flushed probe count.
+			r0, db0 := load(t, src.String())
+			e0, err := New(r0.Program, db0)
+			if err != nil {
+				t.Fatalf("new: %v", err)
 			}
-			live = append(live, edge(r, fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)))
-		}
-		return live
-	}
+			calib := plan.NewBudget(nil, 0, 0)
+			if err := e0.DeleteBudgeted(calib, del(r0)); err != nil {
+				t.Fatalf("calibration delete: %v", err)
+			}
+			total := calib.Probes()
+			if total < 2*plan.BudgetStride {
+				t.Fatalf("delete flushed only %d probes; workload too small to sweep", total)
+			}
+			if st := e0.Stats(); tc.kept != (st.Overdeleted == 0 && st.Kept > 0) {
+				t.Fatalf("calibration stats %+v: want kept = %v", st, tc.kept)
+			}
+			assertMatchesRecompute(t, "calibration", e0, liveAfter(r0, true))
 
-	// Calibrate: run the delete once with an unlimited (but attached)
-	// budget to learn the total flushed probe count.
-	r0, db0 := load(t, src)
-	e0, err := New(r0.Program, db0)
-	if err != nil {
-		t.Fatalf("new: %v", err)
-	}
-	calib := plan.NewBudget(nil, 0, 0)
-	if err := e0.DeleteBudgeted(calib, edge(r0, midA, midB)); err != nil {
-		t.Fatalf("calibration delete: %v", err)
-	}
-	total := calib.Probes()
-	if total < 2*plan.BudgetStride {
-		t.Fatalf("delete flushed only %d probes; workload too small to sweep", total)
-	}
-	assertMatchesRecompute(t, "calibration", e0, liveAfter(r0, true))
+			// Sweep trap points across every stride boundary (sampled down
+			// to keep the test fast), plus one past the end (trap never
+			// fires).
+			var traps []int64
+			for p := int64(plan.BudgetStride); p <= total; p += plan.BudgetStride {
+				traps = append(traps, p)
+			}
+			if len(traps) > 12 {
+				step := len(traps) / 12
+				sampled := traps[:0]
+				for i := 0; i < len(traps); i += step {
+					sampled = append(sampled, traps[i])
+				}
+				traps = sampled
+			}
+			traps = append(traps, total+plan.BudgetStride)
 
-	// Sweep trap points across every stride boundary (sampled down to
-	// keep the test fast), plus one past the end (trap never fires).
-	var traps []int64
-	for p := int64(plan.BudgetStride); p <= total; p += plan.BudgetStride {
-		traps = append(traps, p)
-	}
-	if len(traps) > 12 {
-		step := len(traps) / 12
-		sampled := traps[:0]
-		for i := 0; i < len(traps); i += step {
-			sampled = append(sampled, traps[i])
-		}
-		traps = sampled
-	}
-	traps = append(traps, total+plan.BudgetStride)
+			healthy := 0
+			for _, trap := range traps {
+				r, db := load(t, src.String())
+				e, err := New(r.Program, db)
+				if err != nil {
+					t.Fatalf("trap %d: new: %v", trap, err)
+				}
+				bud := plan.NewBudget(nil, 0, 0)
+				bud.SetProbeTrap(trap, plan.ErrCanceled)
+				err = e.DeleteBudgeted(bud, del(r))
 
-	for _, trap := range traps {
-		r, db := load(t, src)
-		e, err := New(r.Program, db)
-		if err != nil {
-			t.Fatalf("trap %d: new: %v", trap, err)
-		}
-		bud := plan.NewBudget(nil, 0, 0)
-		bud.SetProbeTrap(trap, plan.ErrCanceled)
-		err = e.DeleteBudgeted(bud, edge(r, midA, midB))
-
-		switch {
-		case err == nil:
-			// (c) completed: trap landed past the delete's work.
-			if e.Broken() != nil {
-				t.Fatalf("trap %d: completed delete left engine broken", trap)
+				switch {
+				case err == nil:
+					// (c) completed: trap landed past the delete's work.
+					if e.Broken() != nil {
+						t.Fatalf("trap %d: completed delete left engine broken", trap)
+					}
+					assertMatchesRecompute(t, fmt.Sprintf("trap %d complete", trap), e, liveAfter(r, true))
+				case e.Broken() != nil:
+					// (b) mid-rederivation: broken until Rebuild, which
+					// completes the delete (the base tombstones already
+					// applied).
+					if !errors.Is(err, plan.ErrCanceled) {
+						t.Fatalf("trap %d: broken with err = %v", trap, err)
+					}
+					if rerr := e.Delete(edge(r, "n0", "n1")); rerr == nil {
+						t.Fatalf("trap %d: broken engine accepted delete", trap)
+					}
+					if err := e.Rebuild(); err != nil {
+						t.Fatalf("trap %d: rebuild: %v", trap, err)
+					}
+					assertMatchesRecompute(t, fmt.Sprintf("trap %d rebuilt", trap), e, liveAfter(r, true))
+				default:
+					// (a) phase-1 abort: nothing mutated, engine healthy,
+					// stats untouched, and the same delete retried without a
+					// budget completes.
+					healthy++
+					if !errors.Is(err, plan.ErrCanceled) {
+						t.Fatalf("trap %d: err = %v, want ErrCanceled", trap, err)
+					}
+					if st := e.Stats(); st != (Stats{Compacted: st.Compacted}) {
+						t.Fatalf("trap %d: phase-1 abort bumped stats: %+v", trap, st)
+					}
+					assertMatchesRecompute(t, fmt.Sprintf("trap %d healthy", trap), e, liveAfter(r, false))
+					if err := e.Delete(del(r)); err != nil {
+						t.Fatalf("trap %d: retry delete: %v", trap, err)
+					}
+					assertMatchesRecompute(t, fmt.Sprintf("trap %d retried", trap), e, liveAfter(r, true))
+				}
 			}
-			assertMatchesRecompute(t, fmt.Sprintf("trap %d complete", trap), e, liveAfter(r, true))
-		case e.Broken() != nil:
-			// (b) mid-rederivation: broken until Rebuild, which completes
-			// the delete (the base tombstones already applied).
-			if !errors.Is(err, plan.ErrCanceled) {
-				t.Fatalf("trap %d: broken with err = %v", trap, err)
+			if healthy < len(traps)/2 {
+				t.Fatalf("only %d of %d traps aborted phase 1", healthy, len(traps))
 			}
-			if rerr := e.Delete(edge(r, "n0", "n1")); rerr == nil {
-				t.Fatalf("trap %d: broken engine accepted delete", trap)
-			}
-			if err := e.Rebuild(); err != nil {
-				t.Fatalf("trap %d: rebuild: %v", trap, err)
-			}
-			assertMatchesRecompute(t, fmt.Sprintf("trap %d rebuilt", trap), e, liveAfter(r, true))
-		default:
-			// (a) phase-1 abort: nothing mutated, engine healthy, and the
-			// same delete retried without a budget completes.
-			if !errors.Is(err, plan.ErrCanceled) {
-				t.Fatalf("trap %d: err = %v, want ErrCanceled", trap, err)
-			}
-			assertMatchesRecompute(t, fmt.Sprintf("trap %d healthy", trap), e, liveAfter(r, false))
-			if err := e.Delete(edge(r, midA, midB)); err != nil {
-				t.Fatalf("trap %d: retry delete: %v", trap, err)
-			}
-			assertMatchesRecompute(t, fmt.Sprintf("trap %d retried", trap), e, liveAfter(r, true))
-		}
+		})
 	}
 }
 

@@ -1,25 +1,25 @@
 // Package incremental maintains the materialization of a Datalog program
 // under base-fact insertions and deletions — the Section 7 (future work 3)
-// direction taken past plain reachability: dynreach maintains directed
-// reachability with the Dyn-FO update formula, while this package
-// maintains arbitrary (piece-wise linear) Datalog materializations with
-// the classical delete-and-rederive (DRed) algorithm:
+// direction — with the classical delete-and-rederive (DRed) algorithm,
+// checked before it kills:
 //
 //   - Insert: semi-naive delta evaluation seeded with the new facts —
 //     only consequences of the insertion are recomputed.
-//   - Delete: (1) overestimate — transitively delete every derived fact
-//     with a derivation through a deleted fact; (2) rederive — put back
-//     overdeleted facts that still have a derivation from the surviving
-//     instance.
+//   - Delete: (1) overestimate — every derived fact with a derivation
+//     through a deleted fact is reached, and deleted unless a backward
+//     support search proves it from the surviving instance first;
+//     (2) rederive — put back overdeleted facts that still have a
+//     derivation, re-checking only those whose refutation was unsure.
 //
 // Both directions run the compiled-plan pipeline shared with the fixpoint
 // engines, and both are in-place: insertion appends through the scratch
 // paths, deletion flips storage tombstones — the worklists carry (pred,
 // row) handles, the overestimate enumerates rule instances through each
-// deleted row with seed-bound plans (Exec.RunSeed), rederivation checks
-// head-bound plans (Exec.Rederivable) and propagates restorations through
-// the same seed-bound plans. Neither store is ever rebuilt; physical space
-// is reclaimed by storage.Compact once a relation is mostly dead.
+// deleted row with seed-bound plans (Exec.RunSeed), the support search and
+// rederivation enumerate head-bound plans (Exec.Supports) and restorations
+// propagate through the same seed-bound plans. Neither store is ever
+// rebuilt; physical space is reclaimed by storage.Compact once a relation
+// is mostly dead.
 //
 // The engine supports full single-head TGDs without negation (negation
 // under updates requires maintaining strata fronts; callers can rebuild
@@ -29,7 +29,6 @@ package incremental
 
 import (
 	"fmt"
-	"math/bits"
 	"runtime"
 
 	"repro/internal/analysis"
@@ -59,8 +58,8 @@ type Engine struct {
 	// db is the maintained materialization: base plus every derivable
 	// intensional fact.
 	db *storage.DB
-	// intensional marks maintained predicates.
-	intensional map[schema.PredID]bool
+	// intensional marks maintained predicates, by PredID.
+	intensional []bool
 	// plans / execs drive insertion deltas, deletion overestimates, and
 	// rederivation through the compiled-plan pipeline shared with the
 	// fixpoint engines; compiled once at New.
@@ -81,6 +80,11 @@ type Engine struct {
 	// overestimate completes) leave the engine healthy and broken unset.
 	broken error
 
+	// marks and search are a Delete pass's per-fact state and support
+	// search stack, kept between deletes so a pass allocates neither.
+	marks  marks
+	search search
+
 	stats Stats
 }
 
@@ -99,6 +103,9 @@ type Stats struct {
 	Overdeleted int
 	// Rederived counts overdeleted facts the rederivation step restored.
 	Rederived int
+	// Kept counts facts the overestimate reached but the support search
+	// proved from the surviving instance, so they were never deleted.
+	Kept int
 	// Compacted counts rows physically reclaimed by storage compaction.
 	Compacted int
 }
@@ -144,18 +151,20 @@ func newShell(prog *logic.Program) (*Engine, error) {
 		return nil, fmt.Errorf("incremental: negation is not supported under updates; rebuild per stratum")
 	}
 	e := &Engine{
-		prog:        prog,
-		an:          an,
-		intensional: make(map[schema.PredID]bool),
-		plans:       plan.Cached(prog, plan.Options{DeltaFirst: true}),
-		bodyOcc:     make(map[schema.PredID][]occurrence),
-		headRules:   make(map[schema.PredID][]int),
+		prog:      prog,
+		an:        an,
+		plans:     plan.Cached(prog, plan.Options{DeltaFirst: true}),
+		bodyOcc:   make(map[schema.PredID][]occurrence),
+		headRules: make(map[schema.PredID][]int),
 	}
 	e.execs = make([]*plan.Exec, len(prog.TGDs))
 	for i, r := range e.plans.Rules {
 		e.execs[i] = plan.NewExec(r)
 	}
 	for p := range prog.HeadPreds() {
+		for len(e.intensional) <= int(p) {
+			e.intensional = append(e.intensional, false)
+		}
 		e.intensional[p] = true
 	}
 	for ri, t := range prog.TGDs {
@@ -249,7 +258,7 @@ func (e *Engine) InsertBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 		if !f.IsGround() {
 			return fmt.Errorf("incremental: inserting non-ground atom")
 		}
-		if e.intensional[f.Pred] {
+		if e.idb(f.Pred) {
 			return fmt.Errorf("incremental: %s is intensional; only base facts can be inserted", e.prog.Reg.Name(f.Pred))
 		}
 	}
@@ -309,7 +318,7 @@ func (e *Engine) InsertBulkBudgeted(bud *plan.Budget, bufs []*storage.TupleBuffe
 			continue
 		}
 		for _, p := range b.Touched() {
-			if e.intensional[p] {
+			if e.idb(p) {
 				return 0, fmt.Errorf("incremental: %s is intensional; only base facts can be bulk-loaded", e.prog.Reg.Name(p))
 			}
 		}
@@ -375,224 +384,4 @@ func (e *Engine) deltaFixpoint(mark storage.Mark, bud *plan.Budget) (int, error)
 			return derived, nil
 		}
 	}
-}
-
-// handle locates one fact of the materialization: its predicate and the
-// local row inside the predicate's relation. Handles replace the SortKey
-// string maps of the pre-tombstone engine on every deletion worklist.
-type handle struct {
-	pred schema.PredID
-	row  int32
-}
-
-// pendSet is the pending-deletion set of one Delete pass: a bitmap over
-// each touched relation's local rows, by predicate (constant-time
-// membership and dedup for the overestimate worklist), and the handles in
-// the order they were added. Rederive propagation locates the pending row
-// of a derived head in the store itself (storage.FindRowAny): dead rows
-// stay linked in the relation's dedup table.
-type pendSet struct {
-	rows [][]uint64
-	all  []handle
-	n    int
-}
-
-// add marks the handle pending, reporting whether it was new.
-func (ps *pendSet) add(h handle) bool {
-	for len(ps.rows) <= int(h.pred) {
-		ps.rows = append(ps.rows, nil)
-	}
-	bm := ps.rows[h.pred]
-	w := int(h.row >> 6)
-	for len(bm) <= w {
-		bm = append(bm, 0)
-	}
-	bit := uint64(1) << (uint(h.row) & 63)
-	if bm[w]&bit != 0 {
-		return false
-	}
-	bm[w] |= bit
-	ps.rows[h.pred] = bm
-	ps.all = append(ps.all, h)
-	ps.n++
-	return true
-}
-
-// has reports whether the handle is still pending.
-func (ps *pendSet) has(h handle) bool {
-	if int(h.pred) >= len(ps.rows) {
-		return false
-	}
-	bm := ps.rows[h.pred]
-	w := int(h.row >> 6)
-	return w < len(bm) && bm[w]>>(uint(h.row)&63)&1 != 0
-}
-
-// remove clears the handle from the bitmap. The caller has checked has.
-func (ps *pendSet) remove(h handle) {
-	ps.rows[h.pred][h.row>>6] &^= 1 << (uint(h.row) & 63)
-	ps.n--
-}
-
-// Delete retracts base facts and maintains the materialization with DRed,
-// entirely in place: the overestimate walks seed-bound compiled plans over
-// the still-intact instance, deletion applies as tombstone flips (no store
-// rebuild), and rederivation combines head-bound existence plans with
-// seed-bound propagation of restored facts.
-func (e *Engine) Delete(facts ...atom.Atom) error {
-	return e.DeleteBudgeted(nil, facts...)
-}
-
-// DeleteBudgeted is Delete charged against a budget. DRed's two phases
-// abort differently: phase 1 (overestimate) runs over the intact
-// instance — an abort there returns the typed error with NOTHING
-// mutated, the engine stays healthy. Once tombstones apply, an abort in
-// phase 2 (rederive) leaves overdeleted facts unrestored, so the engine
-// is marked broken and Rebuild recovers. A nil budget is exactly Delete.
-func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
-	if err := e.guard(bud); err != nil {
-		return err
-	}
-	for _, f := range facts {
-		if e.intensional[f.Pred] {
-			return fmt.Errorf("incremental: %s is intensional; only base facts can be deleted", e.prog.Reg.Name(f.Pred))
-		}
-	}
-	if bud != nil {
-		e.attach(bud)
-		defer e.attach(nil)
-	}
-	// Seed the overestimate with the actually present base facts.
-	pend := &pendSet{}
-	var work []handle
-	for _, f := range facts {
-		row, ok := e.db.FindRow(f.Pred, f.Args)
-		if !ok {
-			continue
-		}
-		h := handle{pred: f.Pred, row: row}
-		if pend.add(h) {
-			work = append(work, h)
-		}
-	}
-	if len(work) == 0 {
-		return nil
-	}
-	seeds := len(work)
-
-	// Phase 1 — overestimate: anything with a derivation through a deleted
-	// fact gets deleted too. Tombstones land only after the whole phase,
-	// so every seed-bound run enumerates over the OLD, intact instance:
-	// derivations through other pending facts still count, which is the
-	// over-approximation DRed's soundness rests on.
-	for len(work) > 0 {
-		if err := bud.Err(); err != nil {
-			// Nothing has been mutated yet: the delete simply didn't
-			// happen, and the engine stays healthy.
-			return err
-		}
-		g := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, occ := range e.bodyOcc[g.pred] {
-			ex := e.execs[occ.rule]
-			ex.RunSeed(e.db, occ.pos, g.row, func() bool {
-				hp, hargs := ex.HeadArgs(0)
-				row, ok := e.db.FindRow(hp, hargs)
-				if !ok {
-					return true
-				}
-				h := handle{pred: hp, row: row}
-				if pend.add(h) {
-					work = append(work, h)
-				}
-				return true
-			})
-		}
-	}
-	if err := bud.Err(); err != nil {
-		return err // still pre-mutation: the last RunSeed may have stopped early
-	}
-	e.stats.Deleted += seeds
-	e.stats.Overdeleted += pend.n - seeds
-
-	// Apply — flip tombstones; columns, postings, and marks stay put.
-	// From here on an abort leaves the materialization partial.
-	for p, bm := range pend.rows {
-		for w, word := range bm {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				word &^= 1 << b
-				e.db.Tombstone(schema.PredID(p), int32(w*64+b))
-			}
-		}
-	}
-	for _, f := range facts {
-		if row, ok := e.base.FindRow(f.Pred, f.Args); ok {
-			e.base.Tombstone(f.Pred, row)
-		}
-	}
-
-	// Phase 2 — rederive: an overdeleted intensional fact returns if some
-	// rule still derives it from the surviving instance. One head-bound
-	// existence check per pending fact, then each restoration propagates
-	// through the seed-bound plans to the still-pending facts it can
-	// re-support — O(affected), replacing the repeat-until-stable scan
-	// over the whole deleted set.
-	var restored []handle
-	for _, h := range pend.all {
-		if bud.Aborted() {
-			break // verdict handled after the worklists drain
-		}
-		if !e.intensional[h.pred] || !pend.has(h) {
-			continue // explicitly deleted base facts stay deleted
-		}
-		args := e.db.FactArgs(h.pred, h.row)
-		for _, ri := range e.headRules[h.pred] {
-			if e.execs[ri].Rederivable(e.db, h.pred, args) {
-				e.revive(h, pend, &restored)
-				break
-			}
-		}
-	}
-	for len(restored) > 0 {
-		if bud.Aborted() {
-			break
-		}
-		g := restored[len(restored)-1]
-		restored = restored[:len(restored)-1]
-		for _, occ := range e.bodyOcc[g.pred] {
-			ex := e.execs[occ.rule]
-			ex.RunSeed(e.db, occ.pos, g.row, func() bool {
-				hp, hargs := ex.HeadArgs(0)
-				if row, ok := e.db.FindRowAny(hp, hargs); ok && pend.has(handle{pred: hp, row: row}) {
-					e.revive(handle{pred: hp, row: row}, pend, &restored)
-				}
-				return true
-			})
-		}
-	}
-
-	if err := bud.Err(); err != nil {
-		// Tombstones applied but rederivation didn't finish: facts still
-		// derivable from the surviving base may be missing. Partial
-		// revives are sound (each had a derivation), but the
-		// materialization is an under-approximation until Rebuild.
-		e.broken = fmt.Errorf("incremental: delete aborted mid-rederivation: %w", err)
-		return e.broken
-	}
-
-	// Reclaim physical space once a relation is mostly tombstones. Compact
-	// invalidates row handles, so it runs only here, after the worklists
-	// have drained.
-	e.stats.Compacted += e.db.Compact(CompactFraction)
-	e.stats.Compacted += e.base.Compact(CompactFraction)
-	return nil
-}
-
-// revive un-tombstones a pending fact and queues it for propagation.
-func (e *Engine) revive(h handle, pend *pendSet, restored *[]handle) {
-	e.db.Revive(h.pred, h.row)
-	pend.remove(h)
-	e.stats.Rederived++
-	*restored = append(*restored, h)
 }

@@ -185,7 +185,7 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 			}
 			return true
 		}
-		return db.Probe(p.Scans[k], frame, 0, 0, 1, func() bool {
+		return db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
 			matches++
 			if matches%cqCancelStride == 0 {
 				var err error

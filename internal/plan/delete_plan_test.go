@@ -133,6 +133,18 @@ t(b,c).
 	if loop.Rederivable(db, pl, []term.Term{c("a"), c("b")}) {
 		t.Fatalf("loop(a,b) accepted against head template loop(X,X)")
 	}
+	// Supports hands over the row each body atom matched, by body position
+	// whatever the join order: loop(a,a)'s one instance is e(a,b), e(b,a).
+	ab, _ := db.FindRow(pe, []term.Term{c("a"), c("b")})
+	ba, _ := db.FindRow(pe, []term.Term{c("b"), c("a")})
+	var got [][]int32
+	loop.Supports(db, pl, []term.Term{c("a"), c("a")}, func(rows []int32) bool {
+		got = append(got, append([]int32(nil), rows...))
+		return true
+	})
+	if len(got) != 1 || got[0][0] != ab || got[0][1] != ba {
+		t.Fatalf("Supports(loop(a,a)) rows = %v, want [[%d %d]]", got, ab, ba)
+	}
 	// Tombstoning the supporting fact kills the rederivation.
 	row, _ := db.FindRow(pe, []term.Term{c("a"), c("b")})
 	db.Tombstone(pe, row)

@@ -26,6 +26,9 @@ type Exec struct {
 	// engines hand it straight to storage.InsertArgs/ContainsArgs, which
 	// copy, so no per-derivation argument slice is ever allocated.
 	scratch []term.Term
+	// rows holds, per body atom, the local row the current Supports match
+	// read it from.
+	rows []int32
 
 	// bud, when set, is polled on the probe hot path: budLeft counts down
 	// locally and every BudgetStride probes flush into the shared budget
@@ -38,7 +41,7 @@ type Exec struct {
 }
 
 // SetBudget attaches (or with nil detaches) the budget every subsequent
-// Run/RunAlt/RunSeed/Rederivable enumeration charges its probes to.
+// Run/RunAlt/RunSeed/Supports enumeration charges its probes to.
 func (e *Exec) SetBudget(b *Budget) {
 	e.bud = b
 	e.budLeft = BudgetStride
@@ -90,7 +93,7 @@ func (e *Exec) RunAlt(db *storage.DB, di, alt int, since storage.Mark, shard, sh
 		if k == j.DeltaStep {
 			s, sh, shs = since, shard, shards
 		}
-		return db.Probe(j.Scans[k], e.frame, s, sh, shs, func() bool {
+		return db.ProbeWithRow(j.Scans[k], e.frame, s, sh, shs, func(int32) bool {
 			e.Probes++
 			if e.bud != nil && !e.budgetStep() {
 				return false
@@ -129,17 +132,24 @@ func (e *Exec) RunSeed(db *storage.DB, di int, seed int32, fn func() bool) bool 
 	return rec(0)
 }
 
-// Rederivable reports whether the rule derives the fact pred(args...) from
-// db — the head-bound rederive plan of DRed phase 2. The head template is
+// Supports enumerates the rule instances deriving the fact pred(args...)
+// in db — the head-bound support enumeration of DRed. The head template is
 // matched against the fact first (constants compared, repeated variables
 // checked for consistency, frontier slots bound), then the precompiled
-// Rederive join runs as a pure existence check: the first full body match
-// wins and every slot is reset before returning. False when the rule has
-// no rederive plan (not full single-head) or a different head predicate.
-func (e *Exec) Rederivable(db *storage.DB, pred schema.PredID, args []term.Term) bool {
+// Rederive join runs with every slot unread past it projected away. For
+// each full body match fn receives rows, where rows[i] is the local row
+// body atom i matched, read from the probe that matched it; rows is valid
+// only during the call, and fn returning false stops the enumeration.
+// Supports reports whether any instance was found, and resets every slot
+// before returning. False when the rule has no rederive plan (not full
+// single-head) or a different head predicate.
+func (e *Exec) Supports(db *storage.DB, pred schema.PredID, args []term.Term, fn func(rows []int32) bool) bool {
 	j := e.Rule.Rederive
 	if j == nil || e.Rule.Head[0].Pred != pred {
 		return false
+	}
+	if e.rows == nil {
+		e.rows = make([]int32, len(e.Rule.Body))
 	}
 	found := false
 	if e.bindHead(args) {
@@ -147,13 +157,14 @@ func (e *Exec) Rederivable(db *storage.DB, pred schema.PredID, args []term.Term)
 		rec = func(k int) bool {
 			if k == len(j.Scans) {
 				found = true
-				return false // first witness suffices
+				return fn(e.rows)
 			}
-			return db.Probe(j.Scans[k], e.frame, 0, 0, 1, func() bool {
+			return db.ProbeWithRow(j.Scans[k], e.frame, 0, 0, 1, func(row int32) bool {
 				e.Probes++
 				if e.bud != nil && !e.budgetStep() {
 					return false
 				}
+				e.rows[j.Order[k]] = row
 				return rec(k + 1)
 			})
 		}
@@ -161,6 +172,12 @@ func (e *Exec) Rederivable(db *storage.DB, pred schema.PredID, args []term.Term)
 	}
 	e.unbindHead()
 	return found
+}
+
+// Rederivable reports whether the rule derives the fact pred(args...) from
+// db: Supports stopped at the first witness.
+func (e *Exec) Rederivable(db *storage.DB, pred schema.PredID, args []term.Term) bool {
+	return e.Supports(db, pred, args, func([]int32) bool { return false })
 }
 
 // bindHead binds the frame's head slots from the fact's argument tuple,

@@ -121,13 +121,12 @@ type RulePlan struct {
 	// the delta scan to one stored row instead of a delta window.
 	Variants []*Variant
 
-	// Rederive is the head-bound join for DRed rederivation: the whole
-	// body ordered greedily under the head-bound slot set, every slot the
-	// head binds compiled as a comparison (storage.ArgBound) and every
-	// body variable unread past the join projected away — a pure existence
-	// check replacing the substitution-based Homomorphism walk. Compiled
-	// only for full single-head rules (one head atom, no existential
-	// variables); nil otherwise.
+	// Rederive is the head-bound join behind DRed's support search and
+	// rederivation (Exec.Supports): the whole body ordered greedily under
+	// the head-bound slot set, every slot the head binds compiled as a
+	// comparison (storage.ArgBound) and every body variable unread past
+	// the join projected away. Compiled only for full single-head rules
+	// (one head atom, no existential variables); nil otherwise.
 	Rederive *JoinPlan
 }
 

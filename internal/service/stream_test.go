@@ -338,7 +338,10 @@ func TestOverlayConcurrentWithWrites(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
+		// The closure of the chain grows quadratically with every insert,
+		// and slower readers let the writer run longer: cap the writes so a
+		// loaded box cannot turn the race into a multi-GB closure.
+		for i := 0; i < 400; i++ {
 			select {
 			case <-stop:
 				return

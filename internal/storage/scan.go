@@ -172,6 +172,13 @@ func (sp *ScanPlan) matchRow(row, frame []term.Term) bool {
 // Probe is the slot-based core the compiled rule plans drive; MatchEach and
 // friends remain as the substitution-based compatibility layer.
 func (db *DB) Probe(sp *ScanPlan, frame []term.Term, since Mark, shard, shards int, fn func() bool) bool {
+	return db.ProbeWithRow(sp, frame, since, shard, shards, func(int32) bool { return fn() })
+}
+
+// ProbeWithRow is Probe handing fn the local row each match came from — the
+// (pred, row) handle a DRed support search reads its body facts' state by,
+// without a second dedup lookup per matched atom.
+func (db *DB) ProbeWithRow(sp *ScanPlan, frame []term.Term, since Mark, shard, shards int, fn func(row int32) bool) bool {
 	r := db.relOf(sp.Pred)
 	if r == nil {
 		return true
@@ -207,7 +214,7 @@ func (db *DB) Probe(sp *ScanPlan, frame []term.Term, since Mark, shard, shards i
 		if !ok || int(ri) < lo {
 			return true
 		}
-		return fn()
+		return fn(ri)
 	}
 	// Access-path choice: the smallest applicable index posting vs the
 	// delta window itself. Postings span the whole relation; their
@@ -240,7 +247,7 @@ func (db *DB) Probe(sp *ScanPlan, frame []term.Term, since Mark, shard, shards i
 			ok := sp.matchRow(r.args(int32(ri)), frame)
 			cont := true
 			if ok {
-				cont = fn()
+				cont = fn(int32(ri))
 			}
 			for _, s := range sp.binds {
 				frame[s] = Unbound
@@ -264,7 +271,7 @@ func (db *DB) Probe(sp *ScanPlan, frame []term.Term, since Mark, shard, shards i
 			ok := sp.matchRow(r.args(ri), frame)
 			cont := true
 			if ok {
-				cont = fn()
+				cont = fn(ri)
 			}
 			for _, s := range sp.binds {
 				frame[s] = Unbound

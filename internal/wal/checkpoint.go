@@ -112,7 +112,7 @@ func (m *Manager) rotateAndRetain(seq uint64) error {
 	if err := m.f.Close(); err != nil {
 		return fmt.Errorf("wal: rotate close: %w", err)
 	}
-	m.fpath = filepath.Join(m.dir, logName(seq + 1))
+	m.fpath = filepath.Join(m.dir, logName(seq+1))
 	f, err := os.OpenFile(m.fpath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
 	if err != nil {
 		return fmt.Errorf("wal: rotate open: %w", err)

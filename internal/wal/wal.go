@@ -506,8 +506,8 @@ type dirFile struct {
 	seq  uint64
 }
 
-func logName(firstSeq uint64) string  { return fmt.Sprintf("wal-%016d.log", firstSeq) }
-func ckptName(seq uint64) string      { return fmt.Sprintf("ckpt-%016d.ckpt", seq) }
+func logName(firstSeq uint64) string { return fmt.Sprintf("wal-%016d.log", firstSeq) }
+func ckptName(seq uint64) string     { return fmt.Sprintf("ckpt-%016d.ckpt", seq) }
 func parseName(name, prefix, suffix string) (uint64, bool) {
 	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
