@@ -61,10 +61,6 @@ type Options struct {
 	// Provenance records, for each derived fact, the TGD and the trigger
 	// that produced it (the chase graph of §4.2).
 	Provenance bool
-	// stratumSafe is set by RunStratified to mark that negated atoms range
-	// over already-closed strata, making negation-as-failure sound. Run
-	// rejects programs with negation unless it is set.
-	stratumSafe bool
 }
 
 // Default returns the options used by the engines: restricted chase with
@@ -118,9 +114,21 @@ func Run(prog *logic.Program, db *storage.DB, opt Options) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}
-	if prog.HasNegation() && !opt.stratumSafe {
+	if prog.HasNegation() {
 		return nil, fmt.Errorf("chase: program uses negation; use RunStratified")
 	}
+	return chaseGroups(prog, db, opt, plan.AllRules(len(prog.TGDs)))
+}
+
+// chaseGroups chases one clone of db through the rule groups in order:
+// each group runs to its fixpoint (or to MaxRounds) on the round driver
+// before the next starts. The chase is the driver's per-match function —
+// trigger dedup, guide-structure memo, restricted-chase head check, null
+// depth, provenance — layered on top of the enumeration instead of
+// interleaved with it. The memo, the trigger dedup and the null depths
+// span all groups: a null invented in one stratum keeps its depth in the
+// next.
+func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan.Group) (*Result, error) {
 	if err := opt.Budget.Check(); err != nil {
 		return nil, err
 	}
@@ -146,156 +154,113 @@ func Run(prog *logic.Program, db *storage.DB, opt Options) (*Result, error) {
 
 	// Compile each TGD once (cached across runs of the same program): join
 	// orders, index access paths, and head/body templates are rule
-	// properties, not round properties. The chase drives the same RulePlan
-	// pipeline as the Datalog engines, with its trigger-key/memo/depth
-	// termination control layered on top of the enumeration instead of
-	// interleaved with it. NeedBodyImage keeps every body variable live:
-	// the chase reads full frames for trigger keys, memoization, and
-	// null-depth tracking, so nothing may be projected away.
+	// properties, not round properties. NeedBodyImage keeps every body
+	// variable live: the chase reads full frames for trigger keys,
+	// memoization, and null-depth tracking, so nothing may be projected
+	// away.
 	plans := plan.Cached(prog, plan.Options{DeltaFirst: true, NeedBodyImage: true})
-	execs := make([]*plan.Exec, len(prog.TGDs))
-	for ti, r := range plans.Rules {
-		execs[ti] = plan.NewExec(r)
-		if opt.Budget != nil {
-			execs[ti].SetBudget(opt.Budget)
-		}
-	}
 	var nulls []term.Term // scratch for fresh existential witnesses
 
-	mark := storage.Mark(0)
-	for round := 1; ; round++ {
-		if opt.MaxRounds > 0 && round > opt.MaxRounds {
-			res.Truncated = true
-			break
-		}
-		res.Rounds = round
-		next := work.Mark()
-		progress := false
-		for ti, tgd := range prog.TGDs {
-			r := plans.Rules[ti]
-			ex := execs[ti]
-			hasExist := len(r.ExistSlots) > 0
-			hasNeg := len(r.Neg) > 0
-			// Full TGDs with no provenance and no fact-isomorphism control
-			// insert through the scratch-buffer path: the head never needs
-			// to exist as an atom before the store copies it.
-			fastInsert := !hasExist && res.Prov == nil && !opt.FactIso
-			for di := range tgd.Body {
-				// Round 1 runs with mark 0, so restricting any single atom
-				// to the delta already enumerates every homomorphism;
-				// scanning further positions would only repeat them.
-				if round == 1 && di > 0 {
-					break
+	// match returns the trigger step of rule ti.
+	// Negation-as-failure needs no guard here: the driver skips blocked
+	// matches, which is sound because RunStratified only admits rules whose
+	// negated predicates are closed.
+	match := func(ti int, ex *plan.Exec) func() bool {
+		r := ex.Rule
+		hasExist := len(r.ExistSlots) > 0
+		// Full TGDs with no provenance and no fact-isomorphism control
+		// insert through the scratch-buffer path: the head never needs to
+		// exist as an atom before the store copies it.
+		fastInsert := !hasExist && res.Prov == nil && !opt.FactIso
+		return func() bool {
+			// The trigger image is only materialized when a control or
+			// provenance actually consumes it; full TGDs without provenance
+			// never leave the slot frame.
+			var img []atom.Atom
+			if hasExist || res.Prov != nil {
+				img = ex.BodyImage()
+			}
+			// Trigger-level dedup and pattern control only matter for TGDs
+			// that invent nulls: re-firing a full TGD is absorbed by fact
+			// dedup, and keying every full-TGD trigger would dominate large
+			// Datalog fixpoints.
+			if hasExist {
+				key := triggerKey(ti, img)
+				if fired[key] {
+					return true
 				}
-				stop := false
-				ex.Run(work, di, mark, 0, 1, func() bool {
-					// Negation-as-failure guard: sound because RunStratified
-					// only admits rules whose negated predicates are closed.
-					if hasNeg && ex.Blocked(work) {
-						return true
+				fired[key] = true
+				if opt.TriggerMemo && !memo.Admit(ti, img) {
+					res.SuppressedByMemo++
+					return true
+				}
+			}
+			if opt.Restricted && headSatisfied(work, r, ex) {
+				res.SuppressedRestricted++
+				return true
+			}
+			depth := frameDepth(ex.Frame(), nullDepth)
+			if opt.MaxDepth > 0 && hasExist && depth+1 > opt.MaxDepth {
+				res.SuppressedDepth++
+				return true
+			}
+			// Apply the step: fill the existential slots with fresh nulls,
+			// instantiate the head templates, then release the slots again.
+			if hasExist {
+				nulls = nulls[:0]
+				for range r.ExistSlots {
+					n := prog.Store.FreshNull()
+					nulls = append(nulls, n)
+					nullDepth[n.ID] = depth + 1
+					if depth+1 > res.MaxNullDepth {
+						res.MaxNullDepth = depth + 1
 					}
-					// The trigger image is only materialized when a control
-					// or provenance actually consumes it; full TGDs without
-					// provenance never leave the slot frame.
-					var img []atom.Atom
-					if hasExist || res.Prov != nil {
-						img = ex.BodyImage()
-					}
-					// Trigger-level dedup and pattern control only matter
-					// for TGDs that invent nulls: re-firing a full TGD is
-					// absorbed by fact dedup, and keying every full-TGD
-					// trigger would dominate large Datalog fixpoints.
-					if hasExist {
-						key := triggerKey(ti, img)
-						if fired[key] {
-							return true
-						}
-						fired[key] = true
-						if opt.TriggerMemo && !memo.Admit(ti, img) {
-							res.SuppressedByMemo++
-							return true
-						}
-					}
-					if opt.Restricted && headSatisfied(work, r, ex) {
-						res.SuppressedRestricted++
-						return true
-					}
-					depth := frameDepth(ex.Frame(), nullDepth)
-					if opt.MaxDepth > 0 && hasExist && depth+1 > opt.MaxDepth {
-						res.SuppressedDepth++
-						return true
-					}
-					// Apply the step: fill the existential slots with fresh
-					// nulls, instantiate the head templates, then release
-					// the slots again.
-					if hasExist {
-						nulls = nulls[:0]
-						for range r.ExistSlots {
-							n := prog.Store.FreshNull()
-							nulls = append(nulls, n)
-							nullDepth[n.ID] = depth + 1
-							if depth+1 > res.MaxNullDepth {
-								res.MaxNullDepth = depth + 1
-							}
-						}
-						ex.SetExistentials(nulls)
-					}
-					for hi := range r.Head {
-						if fastInsert {
-							if work.InsertArgs(ex.HeadArgs(hi)) {
-								progress = true
-								if opt.Budget.AddDerived(1) != nil {
-									return false
-								}
-							}
-							continue
-						}
-						f := ex.Head(hi)
-						if opt.FactIso && f.HasNull() && !factIso.Admit(f) {
-							continue
-						}
-						// Provenance keys on the global insertion index, so
-						// the physical length (tombstoned rows included — a
-						// caller may hand the chase a store that has seen
-						// deletions), not the live count.
-						rowIdx := work.PhysicalLen()
-						if work.Insert(f) {
-							progress = true
-							if res.Prov != nil {
-								res.Prov[rowIdx] = Derivation{TGD: ti, Trigger: img}
-							}
-							if opt.Budget.AddDerived(1) != nil {
-								return false
-							}
-						}
-					}
-					if hasExist {
-						ex.ClearExistentials()
-					}
-					res.Applications++
-					if opt.MaxFacts > 0 && work.Len() > opt.MaxFacts {
-						res.Truncated = true
-						stop = true
+				}
+				ex.SetExistentials(nulls)
+			}
+			for hi := range r.Head {
+				if fastInsert {
+					if work.InsertArgs(ex.HeadArgs(hi)) && opt.Budget.AddDerived(1) != nil {
 						return false
 					}
-					return true
-				})
-				if err := opt.Budget.Err(); err != nil {
-					return nil, err
+					continue
 				}
-				if stop {
-					break
+				f := ex.Head(hi)
+				if opt.FactIso && f.HasNull() && !factIso.Admit(f) {
+					continue
+				}
+				// Provenance keys on the global insertion index, so the
+				// physical length (tombstoned rows included — a caller may
+				// hand the chase a store that has seen deletions), not the
+				// live count.
+				rowIdx := work.PhysicalLen()
+				if work.Insert(f) {
+					if res.Prov != nil {
+						res.Prov[rowIdx] = Derivation{TGD: ti, Trigger: img}
+					}
+					if opt.Budget.AddDerived(1) != nil {
+						return false
+					}
 				}
 			}
-			if res.Truncated {
-				break
+			if hasExist {
+				ex.ClearExistentials()
 			}
-		}
-		mark = next
-		if !progress || res.Truncated {
-			break
+			res.Applications++
+			if opt.MaxFacts > 0 && work.Len() > opt.MaxFacts {
+				res.Truncated = true
+				return false
+			}
+			return true
 		}
 	}
+	fx := plan.Fixpoint{DB: work, Plans: plans, Budget: opt.Budget, MaxRounds: opt.MaxRounds, Match: match}
+	fx.Run(groups, 0)
+	if err := opt.Budget.Err(); err != nil {
+		return nil, err
+	}
+	res.Rounds = fx.Stats.Rounds
+	res.Truncated = res.Truncated || fx.Capped
 	res.MemoPatterns = memo.Size()
 	return res, nil
 }

@@ -2,10 +2,10 @@ package chase
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/logic"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -13,66 +13,17 @@ import (
 // stratified semantics. Rules are grouped by the minimum level of their
 // head predicates and each group is chased to completion before the next
 // starts, so a rule's negated predicates — which sit at strictly lower
-// levels by stratifiedness — are closed when the rule fires. For programs
-// without negation the result coincides with Run.
-//
-// The returned Result aggregates over strata: provenance rows refer to TGD
-// indices of the original program, and BaseFacts is the size of the input
-// database.
+// levels by stratifiedness — are closed when the rule fires. All groups
+// run on one copy of the input, so provenance rows refer to TGD indices of
+// the program and BaseFacts is the size of the input database. For
+// programs without negation the result coincides with Run.
 func RunStratified(prog *logic.Program, db *storage.DB, opt Options) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}
-	an := analysis.Analyze(prog)
-	strata, err := an.NegationStrata()
+	strata, err := analysis.Analyze(prog).NegationStrata()
 	if err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}
-	byLevel := make(map[int][]int)
-	var levels []int
-	for i, l := range strata {
-		if _, ok := byLevel[l]; !ok {
-			levels = append(levels, l)
-		}
-		byLevel[l] = append(byLevel[l], i)
-	}
-	sort.Ints(levels)
-
-	opt.stratumSafe = true
-	agg := &Result{DB: db, BaseFacts: db.PhysicalLen()}
-	if opt.Provenance {
-		agg.Prov = make(map[int]Derivation)
-	}
-	for _, l := range levels {
-		idx := byLevel[l]
-		sub := &logic.Program{Store: prog.Store, Reg: prog.Reg}
-		for _, i := range idx {
-			sub.Add(prog.TGDs[i])
-		}
-		res, err := Run(sub, agg.DB, opt)
-		if err != nil {
-			return nil, err
-		}
-		agg.DB = res.DB
-		agg.Rounds += res.Rounds
-		agg.Applications += res.Applications
-		agg.SuppressedByMemo += res.SuppressedByMemo
-		agg.SuppressedRestricted += res.SuppressedRestricted
-		agg.SuppressedDepth += res.SuppressedDepth
-		agg.MemoPatterns += res.MemoPatterns
-		if res.MaxNullDepth > agg.MaxNullDepth {
-			agg.MaxNullDepth = res.MaxNullDepth
-		}
-		if agg.Prov != nil {
-			for row, d := range res.Prov {
-				d.TGD = idx[d.TGD] // remap to the original program's index
-				agg.Prov[row] = d
-			}
-		}
-		if res.Truncated {
-			agg.Truncated = true
-			break
-		}
-	}
-	return agg, nil
+	return chaseGroups(prog, db, opt, plan.GroupByLevel(strata))
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -267,5 +268,33 @@ base(1). base(2). base(3). base(4). flagged(2). flagged(4).
 		if stats.Strata < 2 {
 			t.Fatalf("workers=%d: strata = %d", workers, stats.Strata)
 		}
+	}
+}
+
+// TestParallelInPlaceTraced: EvalParallel is Eval's entry point, so it
+// honours InPlace — the derived facts land in the caller's db, not a
+// clone — and reports the plan-cache hit to the tracer.
+func TestParallelInPlaceTraced(t *testing.T) {
+	r, db := load(t, tcLinear+chainFacts(40))
+	if _, _, err := EvalParallel(r.Program, db, Options{}, 2); err != nil {
+		t.Fatal(err)
+	}
+	tp, _ := r.Program.Reg.Lookup("t")
+	if n := db.CountPred(tp); n != 0 {
+		t.Fatalf("evaluation without InPlace wrote %d facts into its input", n)
+	}
+	tr := &plan.Tracer{}
+	out, _, err := EvalParallel(r.Program, db, Options{InPlace: true, Tracer: tr}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != db {
+		t.Fatal("InPlace evaluation returned a copy")
+	}
+	if n := db.CountPred(tp); n != 40*39/2 {
+		t.Fatalf("db holds %d t-facts, want %d", n, 40*39/2)
+	}
+	if !tr.PlanCached {
+		t.Fatal("trace did not record the plan-cache hit")
 	}
 }

@@ -23,9 +23,9 @@ func chain64() (src string) {
 }
 
 // TestTracerCrossEngineDeterminism: the explain trace is a statement
-// about the execution; on an inline-regime workload the sequential and
-// parallel engines execute the same rounds in the same order, so their
-// traces must agree join-for-join.
+// about the execution; on an inline-regime workload every worker count
+// runs the same rounds through the same driver in the same order, so the
+// traces must agree join-for-join, probes included.
 func TestTracerCrossEngineDeterminism(t *testing.T) {
 	src := chain64()
 	run := func(par int) *plan.Tracer {
@@ -55,30 +55,17 @@ func TestTracerCrossEngineDeterminism(t *testing.T) {
 	for name, other := range map[string]*plan.Tracer{
 		"seq-again": run(0), "par-1": run(1), "par-4": run(4),
 	} {
-		if other.Rounds != seq.Rounds || other.Derived != seq.Derived {
-			t.Errorf("%s: rounds/derived = %d/%d, want %d/%d",
-				name, other.Rounds, other.Derived, seq.Rounds, seq.Derived)
+		if other.Rounds != seq.Rounds || other.Derived != seq.Derived || other.Probes != seq.Probes {
+			t.Errorf("%s: rounds/derived/probes = %d/%d/%d, want %d/%d/%d",
+				name, other.Rounds, other.Derived, other.Probes, seq.Rounds, seq.Derived, seq.Probes)
 		}
 		if !reflect.DeepEqual(other.Joins, seq.Joins) {
 			t.Errorf("%s: join decisions differ\n got %+v\nwant %+v", name, other.Joins, seq.Joins)
 		}
-		if !reflect.DeepEqual(stripProbes(other.Strata), stripProbes(seq.Strata)) {
+		if !reflect.DeepEqual(other.Strata, seq.Strata) {
 			t.Errorf("%s: strata differ\n got %+v\nwant %+v", name, other.Strata, seq.Strata)
 		}
 	}
-}
-
-// stripProbes zeroes the probe counts of a strata list: rounds and
-// derived counts are engine-invariant, probe counts may differ by
-// bounded amounts across engines (batch boundaries), so the cross-engine
-// comparison checks structure, not probes.
-func stripProbes(in []plan.StratumTrace) []plan.StratumTrace {
-	out := make([]plan.StratumTrace, len(in))
-	for i, s := range in {
-		s.Probes = 0
-		out[i] = s
-	}
-	return out
 }
 
 // TestTracerNilSafe: every hook on a nil tracer is a no-op — the

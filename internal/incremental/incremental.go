@@ -282,15 +282,20 @@ func (e *Engine) InsertBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 }
 
 // propagate runs the budgeted delta fixpoint after an insertion batch
-// landed, marking the engine broken when the budget trips mid-way.
+// landed at mark — the round driver over every rule, its first window the
+// batch — marking the engine broken when the budget trips mid-way. The
+// budget (nil = unlimited) is charged per successful insertion; probes
+// charge through the executors' attached budget.
 func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string) error {
 	if bud != nil {
 		e.attach(bud)
 		defer e.attach(nil)
 	}
-	derived, err := e.deltaFixpoint(mark, bud)
-	e.stats.DerivedNew += derived
-	if err != nil {
+	before := e.db.Len()
+	fx := plan.Fixpoint{DB: e.db, Plans: e.plans, Execs: e.execs, Budget: bud}
+	fx.Run(plan.AllRules(len(e.prog.TGDs)), mark)
+	e.stats.DerivedNew += e.db.Len() - before
+	if err := bud.Err(); err != nil {
 		e.broken = fmt.Errorf("incremental: %s aborted mid-propagation: %w", op, err)
 		return e.broken
 	}
@@ -350,38 +355,4 @@ func (e *Engine) Compact() int {
 	n := e.db.CompactAll(CompactFraction) + e.base.CompactAll(CompactFraction)
 	e.stats.Compacted += n
 	return n
-}
-
-// deltaFixpoint runs semi-naive rounds starting from the facts inserted at
-// or after mark, returning the number of facts derived. The budget (nil =
-// unlimited) is charged per successful insertion; probes charge through
-// the executors' attached budget.
-func (e *Engine) deltaFixpoint(mark storage.Mark, bud *plan.Budget) (int, error) {
-	derived := 0
-	for {
-		next := e.db.Mark()
-		before := e.db.Len()
-		for ri, t := range e.prog.TGDs {
-			ex := e.execs[ri]
-			for di := range t.Body {
-				ex.Run(e.db, di, mark, 0, 1, func() bool {
-					if e.db.InsertArgs(ex.HeadArgs(0)) && bud != nil {
-						if bud.AddDerived(1) != nil {
-							return false
-						}
-					}
-					return true
-				})
-				if err := bud.Err(); err != nil {
-					return derived + e.db.Len() - before, err
-				}
-			}
-		}
-		added := e.db.Len() - before
-		derived += added
-		mark = next
-		if added == 0 {
-			return derived, nil
-		}
-	}
 }

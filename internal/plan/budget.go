@@ -175,10 +175,9 @@ func (b *Budget) AddProbes(n int) error {
 // AddDerived charges n derived facts against the derived-fact cap. The
 // direct-insert engines charge per successful insertion, so the cap is
 // exact: a closure of exactly maxDerived facts completes, one more
-// trips. The buffered engines (barrier rounds, parallel fanned rounds)
-// charge the post-dedup count once per round — the verdict is the same
-// (the fixpoint total is schedule-independent), only the trip lands at
-// a round boundary.
+// trips. Fanned rounds of the parallel schedule charge the post-dedup
+// count once per round — the verdict is the same (the fixpoint total is
+// schedule-independent), only the trip lands at a round boundary.
 func (b *Budget) AddDerived(n int) error {
 	if b == nil {
 		return nil

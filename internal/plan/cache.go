@@ -16,8 +16,8 @@ import (
 // *logic.TGD pointers plus the rule count and options, and a hit is
 // verified element-wise against the cached rule-pointer snapshot. Keying
 // on rules rather than the enclosing *logic.Program means ephemeral
-// wrapper programs over shared rules — the per-stratum sub-programs of
-// chase.RunStratified, program clones sharing TGDs — all hit one entry,
+// wrapper programs over shared rules — program clones sharing TGDs — all
+// hit one entry,
 // and appending, truncating, or re-parsing rules (which allocates fresh
 // *logic.TGD values, as the REPL does) recompiles instead of serving
 // stale plans. In-place mutation of an existing TGD's atoms is not
