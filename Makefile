@@ -1,16 +1,10 @@
 # Developer entry points. CI runs vet+build+test directly; `make bench`
-# regenerates the machine-readable perf snapshot for the current PR,
-# `make bench-par` refreshes just the parallel-scaling set, and
-# `make bench-scale` records the multi-core scale-out story: the
-# workers=1/2/4/8 fixpoint ladder plus the load-vs-query interference
-# benchmark over the pipelined bulk path.
+# regenerates the machine-readable perf snapshot.
 
 # Benchmarks tracked across PRs (the CHANGES.md before/after set).
 BENCH_PATTERN  ?= BenchmarkE8|BenchmarkE9|BenchmarkE10|BenchmarkP1|BenchmarkIncrementalDelete
 BENCH_OUT      ?= BENCH_pr10.json
 BENCH_TIME     ?= 10x
-# Sequential baseline for workers=N scaling entries (cmd/benchjson).
-BENCH_BASELINE ?= BenchmarkP1_PlanFixpointSeq
 # The service benchmarks (S1 query paths, S2 load interference, S3
 # compiled CQs and overlay views, S4 WAL overhead and recovery) run far
 # more iterations: per-op costs are microseconds, so 10x would be pure
@@ -18,16 +12,7 @@ BENCH_BASELINE ?= BenchmarkP1_PlanFixpointSeq
 BENCH_SVC_PATTERN ?= BenchmarkS1|BenchmarkS2|BenchmarkS3|BenchmarkS4
 BENCH_SVC_TIME    ?= 300x
 
-# The parallel-scaling subset: the w1/w2/w4/w8 ladders plus their
-# sequential baselines.
-BENCH_PAR_PATTERN ?= BenchmarkP1_PlanFixpoint
-BENCH_PAR_OUT     ?= BENCH_par.json
-
-# The scale-out set: the same w1..w8 ladder plus the S2 interference
-# pair (idle vs streaming-load pattern-query latency).
-BENCH_SCALE_OUT ?= BENCH_scale.json
-
-.PHONY: all build test vet bench bench-par bench-scale
+.PHONY: all build test vet bench
 
 all: vet build test
 
@@ -45,18 +30,6 @@ test:
 bench:
 	go test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) . > .bench.tmp
 	go test -run '^$$' -bench '$(BENCH_SVC_PATTERN)' -benchmem -benchtime $(BENCH_SVC_TIME) . >> .bench.tmp
-	go run ./cmd/benchjson -baseline $(BENCH_BASELINE) -o $(BENCH_OUT) .bench.tmp
+	go run ./cmd/benchjson -o $(BENCH_OUT) .bench.tmp
 	@rm -f .bench.tmp
 	@echo wrote $(BENCH_OUT)
-
-bench-par:
-	go test -run '^$$' -bench '$(BENCH_PAR_PATTERN)' -benchmem -benchtime $(BENCH_TIME) . \
-		| go run ./cmd/benchjson -baseline $(BENCH_BASELINE) -o $(BENCH_PAR_OUT)
-	@echo wrote $(BENCH_PAR_OUT)
-
-bench-scale:
-	go test -run '^$$' -bench '$(BENCH_PAR_PATTERN)' -benchmem -benchtime $(BENCH_TIME) . > .bench-scale.tmp
-	go test -run '^$$' -bench 'BenchmarkS2' -benchmem -benchtime $(BENCH_SVC_TIME) . >> .bench-scale.tmp
-	go run ./cmd/benchjson -baseline $(BENCH_BASELINE) -o $(BENCH_SCALE_OUT) .bench-scale.tmp
-	@rm -f .bench-scale.tmp
-	@echo wrote $(BENCH_SCALE_OUT)

@@ -15,65 +15,6 @@ import (
 )
 
 // --------------------------------------------------------------------
-// E12 — §7 future work (1): multi-core evaluation. NLogSpace ⊆ NC², so
-// piece-wise linear warded reasoning is principally parallelizable; the
-// candidate-tuple decisions of the certain-answer enumeration are
-// independent. Metric: wall time per full enumeration at 1 vs N workers.
-// --------------------------------------------------------------------
-
-func BenchmarkE12_ParallelAnswers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			res := mustParse(b, tcLinear+`?(X,Y) :- t(X,Y).`)
-			prog := res.Program
-			g := workload.RandomDigraph(24, 60, 9)
-			db := g.DB(prog, "e", "n")
-			q := res.Queries[0]
-			var answers int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ans, _, err := prooftree.AnswersParallel(prog, db, q,
-					prooftree.Options{Mode: prooftree.Linear}, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				answers = len(ans)
-			}
-			b.ReportMetric(float64(answers), "answers")
-		})
-	}
-}
-
-// BenchmarkE12b_ParallelDatalog measures the worker-pool semi-naive engine
-// (datalog.EvalParallel) on a join-heavy piece-wise linear program — the
-// bottom-up face of the same §7 parallelization claim that E12 measures
-// for top-down certain-answer enumeration.
-func BenchmarkE12b_ParallelDatalog(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			res := mustParse(b, tcLinear+`
-tri(X,Z) :- e(X,Y), e(Y,Z).
-join(X,W) :- t(X,Y), tri(Y,W).
-`)
-			prog := res.Program
-			g := workload.RandomDigraph(64, 180, 11)
-			db := g.DB(prog, "e", "n")
-			b.ResetTimer()
-			var derived int
-			for i := 0; i < b.N; i++ {
-				_, stats, err := datalog.EvalParallel(prog, db,
-					datalog.Options{Stratify: true, BiasRecursiveAtom: true}, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				derived = stats.Derived
-			}
-			b.ReportMetric(float64(derived), "derived")
-		})
-	}
-}
-
-// --------------------------------------------------------------------
 // E15 — engine ablation: the four complete answering strategies on a
 // non-recursive existential ontology (the regime where they all apply):
 // linear proof-tree search (Theorem 4.2's algorithm), guide-structure

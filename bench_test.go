@@ -394,7 +394,7 @@ func BenchmarkE10_Linearization(b *testing.B) {
 
 // --------------------------------------------------------------------
 // P1 — the compiled-plan pipeline (internal/plan): multi-round fixpoint
-// cost of the shared RulePlan execution across all three engines. The TC
+// cost of the shared RulePlan execution under Eval and the chase. The TC
 // chain forces one semi-naive round per path length, so per-round overhead
 // (join-order recomputation, per-binding map allocation — both eliminated
 // by the plan refactor) dominates. ns/op and allocs/op here are the
@@ -443,70 +443,26 @@ func BenchmarkP1_PlanFixpointSeqBudget(b *testing.B) {
 	b.ReportMetric(float64(rounds), "rounds")
 }
 
-// The worker ladder (w1/w2/w4/w8 against the sequential baseline above)
-// is the parallel-scaling record of BENCH_pr*.json: cmd/benchjson's
-// -baseline flag folds these into per-worker speedup entries.
-func BenchmarkP1_PlanFixpointParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			res := mustParse(b, tcLinear)
-			prog := res.Program
-			db := workload.Chain(256).DB(prog, "e", "n")
-			opt := datalog.Options{Stratify: true, BiasRecursiveAtom: true}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := datalog.EvalParallel(prog, db, opt, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkP1_PlanFixpointParallelDense: a dense non-linear closure whose
-// rounds exceed the fan-out threshold, so the worker pool, the columnar
-// job buffers, and the bulk merge actually engage (on the TC-256 chain
-// every round is below the threshold and the parallel engine rightly runs
-// inline). The sequential run on the same instance is the scaling
-// denominator.
-func BenchmarkP1_PlanFixpointParallelDense(b *testing.B) {
+// BenchmarkP1_PlanFixpointDense: a dense non-linear closure — few rounds,
+// each with a wide delta — beside the deep one-fact rounds of the TC-256
+// chain above.
+func BenchmarkP1_PlanFixpointDense(b *testing.B) {
 	const n = 128
-	build := func() (*logic.Program, *storage.DB) {
-		res := mustParse(b, tcAssoc)
-		prog := res.Program
-		db := workload.Chain(n).DB(prog, "e", "n")
-		e := prog.Reg.Intern("e", 2)
-		for i := 0; i < n; i += 3 {
-			db.Insert(atom.New(e,
-				prog.Store.Const(fmt.Sprintf("n%d", i)),
-				prog.Store.Const(fmt.Sprintf("n%d", (i+37)%n))))
-		}
-		return prog, db
+	res := mustParse(b, tcAssoc)
+	prog := res.Program
+	db := workload.Chain(n).DB(prog, "e", "n")
+	e := prog.Reg.Intern("e", 2)
+	for i := 0; i < n; i += 3 {
+		db.Insert(atom.New(e,
+			prog.Store.Const(fmt.Sprintf("n%d", i)),
+			prog.Store.Const(fmt.Sprintf("n%d", (i+37)%n))))
 	}
 	opt := datalog.Options{Stratify: true, BiasRecursiveAtom: true}
-	b.Run("seq", func(b *testing.B) {
-		prog, db := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := datalog.Eval(prog, db, opt); err != nil {
-				b.Fatal(err)
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := datalog.Eval(prog, db, opt); err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			prog, db := build()
-			var fanned int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, stats, err := datalog.EvalParallel(prog, db, opt, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				fanned = stats.FannedRounds
-			}
-			b.ReportMetric(float64(fanned), "fanned-rounds")
-		})
 	}
 }
 

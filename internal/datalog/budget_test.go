@@ -32,7 +32,7 @@ func chainFacts(n int) string {
 
 // TestBudgetDerivedBoundaryEngines: limit == |closure| completes with the full
 // fixpoint; limit == |closure|-1 aborts with ErrOverBudget and returns
-// no instance — on every engine schedule.
+// no instance.
 func TestBudgetDerivedBoundaryEngines(t *testing.T) {
 	src := tcNonLinear + chainFacts(24)
 	r, db := load(t, src)
@@ -45,47 +45,21 @@ func TestBudgetDerivedBoundaryEngines(t *testing.T) {
 		t.Fatalf("closure derived %d facts, want %d", closure, want)
 	}
 
-	type runner func(opt Options) (int, error)
-	for _, eng := range []struct {
-		name string
-		run  runner
-	}{
-		{"seq", func(opt Options) (int, error) {
-			out, _, err := Eval(r.Program, db, opt)
-			if err != nil {
-				return 0, err
-			}
-			return out.Len(), nil
-		}},
-		{"par1", func(opt Options) (int, error) {
-			out, _, err := EvalParallel(r.Program, db, opt, 1)
-			if err != nil {
-				return 0, err
-			}
-			return out.Len(), nil
-		}},
-		{"par4", func(opt Options) (int, error) {
-			out, _, err := EvalParallel(r.Program, db, opt, 4)
-			if err != nil {
-				return 0, err
-			}
-			return out.Len(), nil
-		}},
-	} {
-		// Exactly the closure: must complete.
-		opt := Options{Budget: plan.NewBudget(nil, closure, 0)}
-		n, err := eng.run(opt)
-		if err != nil {
-			t.Fatalf("%s limit==closure(%d): %v", eng.name, closure, err)
-		}
-		if n != ref.Len() {
-			t.Fatalf("%s limit==closure: %d facts, want %d", eng.name, n, ref.Len())
-		}
-		// One fewer: must trip.
-		opt = Options{Budget: plan.NewBudget(nil, closure-1, 0)}
-		if _, err := eng.run(opt); !errors.Is(err, plan.ErrOverBudget) {
-			t.Fatalf("%s limit==closure-1: err = %v, want ErrOverBudget", eng.name, err)
-		}
+	// Exactly the closure: must complete.
+	out, _, err := Eval(r.Program, db, Options{Budget: plan.NewBudget(nil, closure, 0)})
+	if err != nil {
+		t.Fatalf("limit==closure(%d): %v", closure, err)
+	}
+	if out.Len() != ref.Len() {
+		t.Fatalf("limit==closure: %d facts, want %d", out.Len(), ref.Len())
+	}
+	// One fewer: must trip.
+	out, _, err = Eval(r.Program, db, Options{Budget: plan.NewBudget(nil, closure-1, 0)})
+	if !errors.Is(err, plan.ErrOverBudget) {
+		t.Fatalf("limit==closure-1: err = %v, want ErrOverBudget", err)
+	}
+	if out != nil {
+		t.Fatal("limit==closure-1: aborted Eval returned an instance")
 	}
 }
 
@@ -117,29 +91,26 @@ func TestBudgetTrapCancel(t *testing.T) {
 	}
 }
 
-// TestBudgetDeadlineParallel: a deadline expiring inside the evaluation
-// aborts every worker promptly — for 1, 2, 4, and 8 workers on a dense
-// non-linear workload — and the error identifies the timeout.
-func TestBudgetDeadlineParallel(t *testing.T) {
+// TestBudgetDeadline: a deadline expiring inside the evaluation of a dense
+// non-linear workload aborts it promptly, and the error identifies the
+// timeout.
+func TestBudgetDeadline(t *testing.T) {
 	r, db := load(t, tcNonLinear+chainFacts(600))
-	for _, workers := range []int{1, 2, 4, 8} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-		bud := plan.NewBudget(ctx, 0, 0)
-		start := time.Now()
-		out, _, err := EvalParallel(r.Program, db, Options{Budget: bud}, workers)
-		elapsed := time.Since(start)
-		cancel()
-		if !errors.Is(err, plan.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled wrapping DeadlineExceeded", workers, err)
-		}
-		if out != nil {
-			t.Fatalf("workers=%d: aborted EvalParallel returned an instance", workers)
-		}
-		// The 180k-fact closure takes far longer than the 1ms deadline;
-		// the abort must land within stride granularity, not at the end.
-		if elapsed > 2*time.Second {
-			t.Fatalf("workers=%d: abort took %v", workers, elapsed)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	out, _, err := Eval(r.Program, db, Options{Budget: plan.NewBudget(ctx, 0, 0)})
+	elapsed := time.Since(start)
+	if !errors.Is(err, plan.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
+	}
+	if out != nil {
+		t.Fatal("aborted Eval returned an instance")
+	}
+	// The 180k-fact closure takes far longer than the 1ms deadline; the
+	// abort must land within stride granularity, not at the end.
+	if elapsed > 2*time.Second {
+		t.Fatalf("abort took %v", elapsed)
 	}
 }
 
@@ -152,9 +123,6 @@ func TestBudgetPreCanceled(t *testing.T) {
 	bud := plan.NewBudget(ctx, 0, 0)
 	if _, _, err := Eval(r.Program, db, Options{Budget: bud}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Eval: err = %v, want context.Canceled", err)
-	}
-	if _, _, err := EvalParallel(r.Program, db, Options{Budget: bud}, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvalParallel: err = %v, want context.Canceled", err)
 	}
 	if bud.Probes() != 0 {
 		t.Fatalf("pre-canceled budget charged %d probes", bud.Probes())

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chase"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // crossPrograms is the battery for the engine cross-check: full Datalog
@@ -51,10 +52,9 @@ func sameInstance(t *testing.T, label string, got, want *storage.DB) {
 }
 
 // TestEnginesProduceIdenticalInstances cross-checks every execution path
-// of the shared plan pipeline — Eval (both join-order options),
-// EvalParallel (several worker counts), the chase, and the plan-free Naive
-// reference — on the cross battery over random edge sets. All must
-// materialize the identical instance.
+// of the shared plan pipeline — Eval (both join-order options, stratified
+// or not), the chase, and the Naive reference — on the cross battery over
+// random edge sets. All must materialize the identical instance.
 func TestEnginesProduceIdenticalInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for pi, src := range crossPrograms {
@@ -83,13 +83,6 @@ func TestEnginesProduceIdenticalInstances(t *testing.T) {
 					t.Fatalf("program %d trial %d: eval stratified: %v", pi, trial, err)
 				}
 				sameInstance(t, fmt.Sprintf("program %d trial %d stratified bias=%v", pi, trial, bias), gotS, want)
-			}
-			for _, workers := range []int{1, 3, 5} {
-				got, _, err := EvalParallel(r.Program, db, Options{BiasRecursiveAtom: true}, workers)
-				if err != nil {
-					t.Fatalf("program %d trial %d: parallel: %v", pi, trial, err)
-				}
-				sameInstance(t, fmt.Sprintf("program %d trial %d workers=%d", pi, trial, workers), got, want)
 			}
 			// The chase drives the same RulePlans; on full programs its
 			// result is the same least fixpoint.
@@ -130,5 +123,77 @@ func TestPlanCompiledOncePerEval(t *testing.T) {
 	}
 	if stats.Probes == 0 {
 		t.Fatalf("probes not counted through the plan pipeline")
+	}
+}
+
+// TestAdaptiveEquivalenceProperty: randomized programs (joins, non-linear
+// recursion, strata, safe stratified negation) over random edge sets, from
+// sparse to dense, evaluated under the static and the adaptive join-order
+// policy. Adaptive selection moves probe counts, never the fixpoint.
+func TestAdaptiveEquivalenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1234))
+	for trial := 0; trial < 12; trial++ {
+		nodes := 6 + rng.Intn(30)
+		edges := nodes + rng.Intn(4*nodes)
+		var b strings.Builder
+		b.WriteString(`
+t(X,Y) :- e(X,Y).
+t(X,Z) :- t(X,Y), t(Y,Z).
+tri(X,Z) :- e(X,Y), e(Y,Z).
+src(X) :- e(X,Y).
+snk(Y) :- e(X,Y).
+mid(X) :- src(X), snk(X).
+edge2(X,Z) :- e(X,Y), e(Y,Z), not e(X,Z).
+pureSrc(X) :- src(X), not snk(X).
+`)
+		for i := 0; i < edges; i++ {
+			fmt.Fprintf(&b, "e(n%d,n%d).\n", rng.Intn(nodes), rng.Intn(nodes))
+		}
+		r, db := load(t, b.String())
+		want, _, err := Eval(r.Program, db, Options{BiasRecursiveAtom: true})
+		if err != nil {
+			t.Fatalf("trial %d: static: %v", trial, err)
+		}
+		got, _, err := Eval(r.Program, db, Options{BiasRecursiveAtom: true, Adaptive: true})
+		if err != nil {
+			t.Fatalf("trial %d: adaptive: %v", trial, err)
+		}
+		sameInstance(t, fmt.Sprintf("trial %d adaptive", trial), got, want)
+	}
+}
+
+// TestAdaptiveMatchesStaticOnIWarded runs the paper's workload — the
+// full-Datalog piece-wise linear iWarded scenarios — under both join-order
+// policies: both results must be the same instance with agreeing
+// structures.
+func TestAdaptiveMatchesStaticOnIWarded(t *testing.T) {
+	p := workload.DefaultSuiteParams(1, 0)
+	p.DataSize = 600
+	ran := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		sc, err := workload.GenScenario(workload.ShapePWL, seed, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := Options{Stratify: true, BiasRecursiveAtom: true}
+		want, _, err := Eval(sc.Program, sc.DB, opt)
+		if err != nil {
+			continue // existential rules: not Datalog
+		}
+		ran++
+		opt.Adaptive = true
+		got, _, err := Eval(sc.Program, sc.DB, opt)
+		if err != nil {
+			t.Fatalf("seed %d adaptive: %v", seed, err)
+		}
+		sameInstance(t, fmt.Sprintf("seed %d adaptive", seed), got, want)
+		for _, db := range []*storage.DB{want, got} {
+			if err := db.Verify(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+	}
+	if ran < 3 {
+		t.Fatalf("%d of 12 scenarios were full Datalog", ran)
 	}
 }

@@ -52,19 +52,18 @@ type Options struct {
 	// caps plus the budget context's deadline/cancellation, checked on
 	// the probe hot loop every plan.BudgetStride probes and on every
 	// successful insertion. A tripped budget aborts the fixpoint
-	// mid-round and Eval/EvalParallel return the typed error
-	// (plan.ErrOverBudget / plan.ErrCanceled) with a nil instance — the
-	// partially evaluated target (the InPlace overlay, or the internal
-	// clone) is consistent but incomplete, and must be discarded, never
-	// served. Nil means unlimited, with zero hot-loop cost beyond one
-	// nil-check per probe.
+	// mid-round and Eval returns the typed error (plan.ErrOverBudget /
+	// plan.ErrCanceled) with a nil instance — the partially evaluated
+	// target (the InPlace overlay, or the internal clone) is consistent
+	// but incomplete, and must be discarded, never served. Nil means
+	// unlimited, with zero hot-loop cost beyond one nil-check per probe.
 	Budget *plan.Budget
 	// Tracer, when non-nil, records the evaluation's execution trace:
 	// join-order decisions per (rule, delta, round) including adaptive
 	// switches, per-stratum round/derived/probe counts, and run totals.
-	// The hooks fire at round granularity on the coordinating goroutine
-	// (never per probe), so a nil Tracer costs one nil-check per
-	// round×rule×delta and a live one stays off the hot loop.
+	// The hooks fire at round granularity (never per probe), so a nil
+	// Tracer costs one nil-check per round×rule×delta and a live one stays
+	// off the hot loop.
 	Tracer *plan.Tracer
 }
 
@@ -81,22 +80,6 @@ type Stats = plan.FixpointStats
 // program must be stratified — a predicate negated inside its own recursive
 // component is rejected. Negation must be safe (Program.Validate).
 func Eval(prog *logic.Program, db *storage.DB, opt Options) (*storage.DB, *Stats, error) {
-	return EvalParallel(prog, db, opt, 1)
-}
-
-// EvalParallel is Eval with a worker pool inside each semi-naive round —
-// the multi-core direction of Section 7 (future work 1). A round whose
-// delta windows hold at least a threshold of rows fans out: every worker
-// reads the instance as it stood at the round start, stages derivations
-// in a private tuple buffer, and one bulk merge lands them, so facts
-// derived in a fanned round become visible in the next. Smaller rounds,
-// and every round with one worker, run inline on the caller's goroutine
-// with direct insertion (plan.Fixpoint). The schedule can add rounds but
-// never changes the fixpoint.
-func EvalParallel(prog *logic.Program, db *storage.DB, opt Options, workers int) (*storage.DB, *Stats, error) {
-	if workers < 1 {
-		return nil, nil, fmt.Errorf("datalog: workers = %d, want >= 1", workers)
-	}
 	if prog.HasNegation() {
 		// Before compiling: unsafe negation cannot be planned.
 		if err := prog.Validate(); err != nil {
@@ -137,7 +120,7 @@ func EvalParallel(prog *logic.Program, db *storage.DB, opt Options, workers int)
 	}
 	fx := plan.Fixpoint{
 		DB: edb, Plans: plans, Budget: opt.Budget, Tracer: opt.Tracer,
-		Workers: workers, Adaptive: opt.Adaptive, Stratified: opt.Stratify,
+		Adaptive: opt.Adaptive, Stratified: opt.Stratify,
 	}
 	fx.Run(groups, 0)
 	stats := fx.Stats
@@ -191,7 +174,7 @@ func Naive(prog *logic.Program, db *storage.DB) (*storage.DB, error) {
 				// Delta position 0 with mark 0 is the unrestricted join.
 				// Negated predicates live in strictly lower (closed) strata,
 				// so checking them mid-enumeration is stable.
-				ex.Run(work, 0, 0, 0, 1, func() bool {
+				ex.Run(work, 0, 0, func() bool {
 					if hasNeg && ex.Blocked(work) {
 						return true
 					}

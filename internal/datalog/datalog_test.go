@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/atom"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -197,5 +198,32 @@ func TestEmptyDatabase(t *testing.T) {
 	}
 	if out.Len() != 0 || stats.Derived != 0 {
 		t.Fatalf("empty DB produced facts")
+	}
+}
+
+// TestEvalInPlaceTraced: under InPlace the derived facts land in the
+// caller's db, not a clone, and the trace records the plan-cache hit.
+func TestEvalInPlaceTraced(t *testing.T) {
+	r, db := load(t, tcLinear+chainFacts(40))
+	if _, _, err := Eval(r.Program, db, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tp, _ := r.Program.Reg.Lookup("t")
+	if n := db.CountPred(tp); n != 0 {
+		t.Fatalf("evaluation without InPlace wrote %d facts into its input", n)
+	}
+	tr := &plan.Tracer{}
+	out, _, err := Eval(r.Program, db, Options{InPlace: true, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != db {
+		t.Fatal("InPlace evaluation returned a copy")
+	}
+	if n := db.CountPred(tp); n != 40*39/2 {
+		t.Fatalf("db holds %d t-facts, want %d", n, 40*39/2)
+	}
+	if !tr.PlanCached {
+		t.Fatal("trace did not record the plan-cache hit")
 	}
 }

@@ -2,9 +2,9 @@ package datalog
 
 import "repro/internal/obs"
 
-// Fixpoint effort counters, recorded once per Eval/EvalParallel from
-// the run's Stats — never on the probe hot loop, so the instrumented
-// cost is a handful of atomic adds per evaluation.
+// Fixpoint effort counters, recorded once per Eval from the run's Stats —
+// never on the probe hot loop, so the instrumented cost is a handful of
+// atomic adds per evaluation.
 var (
 	obsFixpoints = obs.NewCounter("vadalog_fixpoints_total", "", "Completed fixpoint evaluations (including aborted ones).")
 	obsRounds    = obs.NewCounter("vadalog_fixpoint_rounds_total", "", "Semi-naive fixpoint rounds across all evaluations.")

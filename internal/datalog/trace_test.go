@@ -9,10 +9,8 @@ import (
 	"repro/internal/plan"
 )
 
-// chain64 is a 64-node linear chain under the TC program: every
-// semi-naive round stays far below the parallel engine's fan-out
-// threshold, so EvalParallel runs its rounds inline on the coordinator —
-// the regime where the two engines must produce IDENTICAL traces.
+// chain64 is a 64-node linear chain under the TC program: a deep fixpoint
+// of one-fact rounds.
 func chain64() (src string) {
 	var b strings.Builder
 	b.WriteString(tcLinear)
@@ -23,48 +21,37 @@ func chain64() (src string) {
 }
 
 // TestTracerCrossEngineDeterminism: the explain trace is a statement
-// about the execution; on an inline-regime workload every worker count
-// runs the same rounds through the same driver in the same order, so the
-// traces must agree join-for-join, probes included.
+// about the execution; a repeat run takes the same rounds through the same
+// driver in the same order, so the traces must agree join-for-join,
+// probes included.
 func TestTracerCrossEngineDeterminism(t *testing.T) {
 	src := chain64()
-	run := func(par int) *plan.Tracer {
+	run := func() *plan.Tracer {
 		r, db := load(t, src)
 		tr := &plan.Tracer{}
 		opt := Options{Stratify: true, BiasRecursiveAtom: true, Tracer: tr}
-		var err error
-		if par == 0 {
-			_, _, err = Eval(r.Program, db, opt)
-		} else {
-			_, _, err = EvalParallel(r.Program, db, opt, par)
-		}
-		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+		if _, _, err := Eval(r.Program, db, opt); err != nil {
+			t.Fatal(err)
 		}
 		return tr
 	}
-	seq := run(0)
+	seq := run()
 	if seq.Rounds == 0 || seq.Derived == 0 || seq.Probes == 0 {
-		t.Fatalf("sequential trace empty: %+v", seq)
+		t.Fatalf("trace empty: %+v", seq)
 	}
 	if len(seq.Joins) == 0 || len(seq.Strata) == 0 {
-		t.Fatalf("sequential trace has no joins/strata: %+v", seq)
+		t.Fatalf("trace has no joins/strata: %+v", seq)
 	}
-	// Repeat runs of the SAME engine must agree exactly (determinism),
-	// and the parallel engine must match the sequential one.
-	for name, other := range map[string]*plan.Tracer{
-		"seq-again": run(0), "par-1": run(1), "par-4": run(4),
-	} {
-		if other.Rounds != seq.Rounds || other.Derived != seq.Derived || other.Probes != seq.Probes {
-			t.Errorf("%s: rounds/derived/probes = %d/%d/%d, want %d/%d/%d",
-				name, other.Rounds, other.Derived, other.Probes, seq.Rounds, seq.Derived, seq.Probes)
-		}
-		if !reflect.DeepEqual(other.Joins, seq.Joins) {
-			t.Errorf("%s: join decisions differ\n got %+v\nwant %+v", name, other.Joins, seq.Joins)
-		}
-		if !reflect.DeepEqual(other.Strata, seq.Strata) {
-			t.Errorf("%s: strata differ\n got %+v\nwant %+v", name, other.Strata, seq.Strata)
-		}
+	again := run()
+	if again.Rounds != seq.Rounds || again.Derived != seq.Derived || again.Probes != seq.Probes {
+		t.Errorf("seq-again: rounds/derived/probes = %d/%d/%d, want %d/%d/%d",
+			again.Rounds, again.Derived, again.Probes, seq.Rounds, seq.Derived, seq.Probes)
+	}
+	if !reflect.DeepEqual(again.Joins, seq.Joins) {
+		t.Errorf("seq-again: join decisions differ\n got %+v\nwant %+v", again.Joins, seq.Joins)
+	}
+	if !reflect.DeepEqual(again.Strata, seq.Strata) {
+		t.Errorf("seq-again: strata differ\n got %+v\nwant %+v", again.Strata, seq.Strata)
 	}
 }
 

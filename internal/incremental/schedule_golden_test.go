@@ -15,12 +15,12 @@ import (
 )
 
 // TestFixpointScheduleGolden pins the round schedule of every engine that
-// runs semi-naive rounds — Eval, EvalParallel, incremental insert
-// propagation and the chase — to exact counts. A change to the round
-// driver may move wall time, never these numbers: rounds, derived facts,
-// probes, peak delta, strata, the inline/fanned split, and the chase's
-// trigger-control counters. It lives here because this package's tests
-// reach all four engines and the incremental engine's executors.
+// runs semi-naive rounds — Eval, incremental insert propagation and the
+// chase — to exact counts. A change to the round driver may move wall
+// time, never these numbers: rounds, derived facts, probes, peak delta,
+// strata, and the chase's trigger-control counters. It lives here because
+// this package's tests reach all three engines and the incremental
+// engine's executors.
 func TestFixpointScheduleGolden(t *testing.T) {
 	var got []string
 	add := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
@@ -40,26 +40,6 @@ func TestFixpointScheduleGolden(t *testing.T) {
 				}
 				add("eval %s: rounds=%d derived=%d probes=%d peak=%d strata=%d",
 					label, s.Rounds, s.Derived, s.Probes, s.PeakDelta, s.Strata)
-				// Eval is EvalParallel with one worker: same Stats, probes
-				// included, under either join-order policy.
-				_, ps, err := datalog.EvalParallel(w.prog, w.db, opt, 1)
-				if err != nil {
-					t.Fatalf("%s: parallel w=1: %v", label, err)
-				}
-				if *ps != *s {
-					t.Errorf("%s: Eval %+v != EvalParallel(1) %+v", label, *s, *ps)
-				}
-				if adaptive {
-					continue
-				}
-				for _, workers := range []int{1, 4} {
-					_, ps, err := datalog.EvalParallel(w.prog, w.db, opt, workers)
-					if err != nil {
-						t.Fatalf("%s: parallel w=%d: %v", label, workers, err)
-					}
-					add("par w=%d %s: rounds=%d derived=%d inline=%d fanned=%d",
-						workers, label, ps.Rounds, ps.Derived, ps.InlineRounds, ps.FannedRounds)
-				}
 			}
 		}
 	}
@@ -112,7 +92,7 @@ func goldenParse(t *testing.T, src string) (*logic.Program, *storage.DB) {
 }
 
 // goldenPrograms is the Datalog battery: a linear chain closure (deep,
-// inline rounds), a dense non-linear closure (rounds that fan out), one
+// shallow rounds), a dense non-linear closure (few, wide rounds), one
 // generated iWarded scenario, and a stratified-negation program.
 func goldenPrograms(t *testing.T) []goldenWorkload {
 	var out []goldenWorkload
@@ -233,36 +213,20 @@ const goldenWardedSeed = 2
 // recorded before the replacement.
 var scheduleGolden = []string{
 	"eval tc256 strat=true bias=true adaptive=false: rounds=255 derived=32640 probes=65789 peak=509 strata=1",
-	"par w=1 tc256 strat=true bias=true adaptive=false: rounds=255 derived=32640 inline=255 fanned=0",
-	"par w=4 tc256 strat=true bias=true adaptive=false: rounds=255 derived=32640 inline=255 fanned=0",
 	"eval tc256 strat=true bias=true adaptive=true: rounds=255 derived=32640 probes=65789 peak=509 strata=1",
 	"eval tc256 strat=false bias=false adaptive=false: rounds=255 derived=32640 probes=97919 peak=509 strata=0",
-	"par w=1 tc256 strat=false bias=false adaptive=false: rounds=255 derived=32640 inline=255 fanned=0",
-	"par w=4 tc256 strat=false bias=false adaptive=false: rounds=255 derived=32640 inline=255 fanned=0",
 	"eval tc256 strat=false bias=false adaptive=true: rounds=255 derived=32640 probes=83870 peak=509 strata=0",
 	"eval dense60 strat=true bias=true adaptive=false: rounds=3 derived=3600 probes=493275 peak=3278 strata=1",
-	"par w=1 dense60 strat=true bias=true adaptive=false: rounds=3 derived=3600 inline=3 fanned=0",
-	"par w=4 dense60 strat=true bias=true adaptive=false: rounds=5 derived=3600 inline=1 fanned=4",
 	"eval dense60 strat=true bias=true adaptive=true: rounds=3 derived=3600 probes=493275 peak=3278 strata=1",
 	"eval dense60 strat=false bias=false adaptive=false: rounds=3 derived=3600 probes=483547 peak=3278 strata=0",
-	"par w=1 dense60 strat=false bias=false adaptive=false: rounds=3 derived=3600 inline=3 fanned=0",
-	"par w=4 dense60 strat=false bias=false adaptive=false: rounds=5 derived=3600 inline=1 fanned=4",
 	"eval dense60 strat=false bias=false adaptive=true: rounds=3 derived=3600 probes=483547 peak=3278 strata=0",
 	"eval iwarded strat=true bias=true adaptive=false: rounds=38 derived=8972 probes=38414 peak=3955 strata=3",
-	"par w=1 iwarded strat=true bias=true adaptive=false: rounds=38 derived=8972 inline=38 fanned=0",
-	"par w=4 iwarded strat=true bias=true adaptive=false: rounds=40 derived=8972 inline=34 fanned=6",
 	"eval iwarded strat=true bias=true adaptive=true: rounds=36 derived=8972 probes=30307 peak=4215 strata=3",
 	"eval iwarded strat=false bias=false adaptive=false: rounds=14 derived=8972 probes=111425 peak=4081 strata=0",
-	"par w=1 iwarded strat=false bias=false adaptive=false: rounds=14 derived=8972 inline=14 fanned=0",
-	"par w=4 iwarded strat=false bias=false adaptive=false: rounds=14 derived=8972 inline=8 fanned=6",
 	"eval iwarded strat=false bias=false adaptive=true: rounds=13 derived=8972 probes=33492 peak=4646 strata=0",
 	"eval negation strat=true bias=true adaptive=false: rounds=5 derived=1445 probes=39048 peak=621 strata=2",
-	"par w=1 negation strat=true bias=true adaptive=false: rounds=5 derived=1445 inline=5 fanned=0",
-	"par w=4 negation strat=true bias=true adaptive=false: rounds=6 derived=1445 inline=4 fanned=2",
 	"eval negation strat=true bias=true adaptive=true: rounds=5 derived=1445 probes=39048 peak=621 strata=2",
 	"eval negation strat=false bias=false adaptive=false: rounds=5 derived=1445 probes=39365 peak=621 strata=2",
-	"par w=1 negation strat=false bias=false adaptive=false: rounds=5 derived=1445 inline=5 fanned=0",
-	"par w=4 negation strat=false bias=false adaptive=false: rounds=6 derived=1445 inline=4 fanned=2",
 	"eval negation strat=false bias=false adaptive=true: rounds=5 derived=1445 probes=39365 peak=621 strata=2",
 	"insert tc-linear: derived=1095 probes=3900",
 	"insert tc-nonlinear: derived=1095 probes=43697",

@@ -1,53 +1,43 @@
 package logic
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/atom"
-)
-
+// TestCloneContextIndependence: a cloned naming context (Store.Clone,
+// Registry.Clone) keeps every term and predicate ID valid and interns
+// independently of the original.
 func TestCloneContextIndependence(t *testing.T) {
 	p := NewProgram()
 	x := p.Store.Var("X")
 	e := p.Reg.Intern("e", 2)
-	tt := p.Reg.Intern("t", 2)
-	p.Add(&TGD{
-		Body: []atom.Atom{atom.New(e, x, p.Store.Var("Y"))},
-		Head: []atom.Atom{atom.New(tt, x, p.Store.Var("Y"))},
-	})
-	c := p.CloneContext()
+	store, reg := p.Store.Clone(), p.Reg.Clone()
 
 	// IDs remain valid: names render identically.
-	if c.Store.Name(x) != p.Store.Name(x) {
+	if store.Name(x) != p.Store.Name(x) {
 		t.Fatalf("clone renamed a variable")
 	}
-	if c.Reg.Name(e) != p.Reg.Name(e) {
+	if reg.Name(e) != p.Reg.Name(e) {
 		t.Fatalf("clone renamed a predicate")
 	}
 	// New interning in the clone must not leak into the original.
 	before := p.Store.NumVars()
-	c.Store.Var("OnlyInClone")
+	store.Var("OnlyInClone")
 	if p.Store.NumVars() != before {
 		t.Fatalf("clone shares variable table")
 	}
-	c.Reg.Intern("only_in_clone", 1)
+	reg.Intern("only_in_clone", 1)
 	if _, ok := p.Reg.Lookup("only_in_clone"); ok {
 		t.Fatalf("clone shares predicate table")
 	}
 	// And vice versa.
 	p.Store.Var("OnlyInOriginal")
-	if _, ok := c.Store.HasConst("OnlyInOriginal"); ok {
+	if _, ok := store.HasConst("OnlyInOriginal"); ok {
 		t.Fatalf("const/var confusion in clone")
 	}
 	// Null counters advance independently.
 	n1 := p.Store.FreshNull()
-	n2 := c.Store.FreshNull()
+	n2 := store.FreshNull()
 	if n1 != n2 {
 		t.Fatalf("null counters should start from the same point: %v vs %v", n1, n2)
-	}
-	// TGDs are shared (by design — they are immutable during reasoning).
-	if len(c.TGDs) != 1 || c.TGDs[0] != p.TGDs[0] {
-		t.Fatalf("TGDs should be shared")
 	}
 }
 
@@ -56,12 +46,12 @@ func TestStoreCloneFreshVarNoClash(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Store.FreshVar("w")
 	}
-	c := p.CloneContext()
+	c := p.Store.Clone()
 	v1 := p.Store.FreshVar("w")
-	v2 := c.Store.FreshVar("w")
+	v2 := c.FreshVar("w")
 	// Same name is fine (separate tables) — but each must be fresh within
 	// its own store.
-	if p.Store.Name(v1) == "" || c.Store.Name(v2) == "" {
+	if p.Store.Name(v1) == "" || c.Name(v2) == "" {
 		t.Fatalf("fresh vars unnamed")
 	}
 }

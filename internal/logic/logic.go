@@ -210,13 +210,6 @@ func NewProgram() *Program {
 // Add appends a TGD.
 func (p *Program) Add(t *TGD) { p.TGDs = append(p.TGDs, t) }
 
-// CloneContext returns a program sharing the TGDs but owning private
-// copies of the naming contexts. Term and predicate IDs stay valid, so
-// worker goroutines can intern fresh names without racing each other.
-func (p *Program) CloneContext() *Program {
-	return &Program{TGDs: p.TGDs, Store: p.Store.Clone(), Reg: p.Reg.Clone()}
-}
-
 // Schema returns sch(Σ): the set of predicates occurring in the program,
 // including predicates that occur only under negation.
 func (p *Program) Schema() map[schema.PredID]bool {

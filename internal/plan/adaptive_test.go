@@ -64,7 +64,7 @@ e(a,b). e(b,c). e(c,a). f(b,x). f(c,y).
 		collect := func(alt int) map[string]int {
 			out := map[string]int{}
 			ex := NewExec(p.Rules[0])
-			ex.RunAlt(db, di, alt, 0, 0, 1, func() bool {
+			ex.RunAlt(db, di, alt, 0, func() bool {
 				out[fmt.Sprint(ex.Head(0))]++
 				return true
 			})

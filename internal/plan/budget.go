@@ -24,12 +24,10 @@ import (
 // predictable nil-check per probe and the budgeted path at one atomic
 // add per stride.
 //
-// A Budget is shared: the parallel evaluator hands the same Budget to
-// every worker's Exec, so the first worker to trip a limit aborts the
-// whole round — the others observe the flag at their next stride check
-// (at most BudgetStride probes later) or at their next job pickup, the
-// coordinator skips the round's MergeBuffers, and the fixpoint returns
-// the typed error. The instance being built is left consistent but
+// A Budget is shared by every Exec of one evaluation: the first trip of
+// any limit stops the enumeration in progress, every later stride check
+// and round boundary observes the verdict, and the fixpoint returns the
+// typed error. The instance being built is left consistent but
 // incomplete — callers treat it as discardable (the service evicts
 // aborted overlays; aborted incremental updates mark the engine for
 // Rebuild).
@@ -51,7 +49,7 @@ var ErrCanceled = errors.New("plan: canceled")
 // BudgetStride is how many probes an Exec accumulates locally before
 // flushing into the shared budget and polling limits, deadline, and the
 // abort flag. Limits are therefore enforced to stride granularity: a
-// probe cap may be overshot by up to BudgetStride-1 probes per worker
+// probe cap may be overshot by up to BudgetStride-1 probes per Exec
 // before the abort lands.
 const BudgetStride = 1024
 
@@ -111,8 +109,8 @@ func (b *Budget) Err() error {
 	return nil
 }
 
-// Aborted reports whether the budget has tripped — the cheap shared
-// flag parallel workers poll between jobs.
+// Aborted reports whether the budget has tripped — the cheap flag the
+// engines poll between units of work.
 func (b *Budget) Aborted() bool {
 	return b != nil && b.err.Load() != nil
 }
@@ -175,9 +173,7 @@ func (b *Budget) AddProbes(n int) error {
 // AddDerived charges n derived facts against the derived-fact cap. The
 // direct-insert engines charge per successful insertion, so the cap is
 // exact: a closure of exactly maxDerived facts completes, one more
-// trips. Fanned rounds of the parallel schedule charge the post-dedup
-// count once per round — the verdict is the same (the fixpoint total is
-// schedule-independent), only the trip lands at a round boundary.
+// trips.
 func (b *Budget) AddDerived(n int) error {
 	if b == nil {
 		return nil

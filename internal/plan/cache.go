@@ -9,8 +9,8 @@ import (
 
 // The compiled-program cache: a compiled Program is a pure function of the
 // rule set and the compile options, never of the data, so repeated
-// Eval/EvalParallel/chase.Run/incremental sessions over the same program
-// skip compilation entirely (ROADMAP: plan-caching follow-up of PR 1).
+// Eval/chase.Run/incremental sessions over the same program skip
+// compilation entirely.
 //
 // Program identity is the rule set itself: the key is a fingerprint of the
 // *logic.TGD pointers plus the rule count and options, and a hit is

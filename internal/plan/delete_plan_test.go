@@ -39,7 +39,7 @@ t(a,b). t(b,c). t(c,d). t(b,d). t(a,c). t(a,d). t(c,c).
 					return true
 				})
 				var want []string
-				ex.Run(db, di, 0, 0, 1, func() bool {
+				ex.Run(db, di, 0, func() bool {
 					if ex.BodyImage()[di].Equal(seed) {
 						want = append(want, atom.SortKey(ex.Head(0)))
 					}
@@ -157,7 +157,7 @@ t(b,c).
 	}
 	// The frame must be clean after every call: a normal Run still works.
 	count := 0
-	base.Run(db, 0, 0, 0, 1, func() bool { count++; return true })
+	base.Run(db, 0, 0, func() bool { count++; return true })
 	if count != 3 {
 		t.Fatalf("Run after Rederivable calls matched %d rows, want 3", count)
 	}

@@ -13,8 +13,7 @@ import (
 // unbinds slots of the same flat array across every round — constant
 // steady-state memory per rule, zero allocation per binding.
 //
-// An Exec is not safe for concurrent use; the parallel evaluator keeps one
-// Exec per (worker, rule).
+// An Exec is not safe for concurrent use.
 type Exec struct {
 	Rule *RulePlan
 	// Probes counts successful row matches at every join level — the work
@@ -68,32 +67,31 @@ func NewExec(r *RulePlan) *Exec {
 func (e *Exec) Frame() []term.Term { return e.frame }
 
 // Run enumerates every homomorphism of the rule body into db using variant
-// di (body atom di restricted to rows at/after since, and to the shard-th
-// contiguous sub-range of the delta window when shards > 1). fn is invoked
-// with the bindings in e.Frame(); returning false stops the enumeration.
-// Run reports whether it ran to completion, and leaves every body slot
+// di (body atom di restricted to rows at/after since). fn is invoked with
+// the bindings in e.Frame(); returning false stops the enumeration. Run
+// reports whether it ran to completion, and leaves every body slot
 // unbound. It uses the variant's default join order; RunAlt selects an
 // alternative.
-func (e *Exec) Run(db *storage.DB, di int, since storage.Mark, shard, shards int, fn func() bool) bool {
-	return e.RunAlt(db, di, 0, since, shard, shards, fn)
+func (e *Exec) Run(db *storage.DB, di int, since storage.Mark, fn func() bool) bool {
+	return e.RunAlt(db, di, 0, since, fn)
 }
 
 // RunAlt is Run with an explicit join-order alternative (an index into the
 // variant's Alts, as picked by ChooseAlt). Every alternative applies the
 // same delta restriction, so the enumerated match set is identical for any
 // alt — only the order (and hence the probe count) changes.
-func (e *Exec) RunAlt(db *storage.DB, di, alt int, since storage.Mark, shard, shards int, fn func() bool) bool {
+func (e *Exec) RunAlt(db *storage.DB, di, alt int, since storage.Mark, fn func() bool) bool {
 	j := e.Rule.Variants[di].Alts[alt]
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(j.Scans) {
 			return fn()
 		}
-		s, sh, shs := storage.Mark(0), 0, 1
+		s := storage.Mark(0)
 		if k == j.DeltaStep {
-			s, sh, shs = since, shard, shards
+			s = since
 		}
-		return db.ProbeWithRow(j.Scans[k], e.frame, s, sh, shs, func(int32) bool {
+		return db.ProbeWithRow(j.Scans[k], e.frame, s, 0, 1, func(int32) bool {
 			e.Probes++
 			if e.bud != nil && !e.budgetStep() {
 				return false
@@ -239,14 +237,6 @@ func (e *Exec) HeadArgs(i int) (schema.PredID, []term.Term) {
 	t := &e.Rule.Head[i]
 	e.scratch = t.AppendArgs(e.scratch[:0], e.frame)
 	return t.Pred, e.scratch
-}
-
-// HeadAppend instantiates head atom i under the current frame and stages
-// it into the worker's tuple buffer — the parallel evaluator's derivation
-// path. The buffer hashes the tuple at append time and copies it, so no
-// boxed atom or per-fact argument slice is allocated.
-func (e *Exec) HeadAppend(i int, b *storage.TupleBuffer) {
-	b.Append(e.HeadArgs(i))
 }
 
 // ChooseAlt picks a join-order alternative for delta position di from

@@ -2,30 +2,9 @@ package plan
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/schema"
 	"repro/internal/storage"
-)
-
-// Scheduling thresholds of the fanned round schedule. Both exist for the
-// same reason: dispatching a goroutine, staging derivations in a buffer,
-// and merging the buffer back all cost real work, so a round (or a shard)
-// must carry enough rows to pay for it — the morsel-driven rule of never
-// parallelizing the tail.
-const (
-	// minShardRows is the smallest delta window worth splitting: a (rule,
-	// delta) pair gets one shard per minShardRows rows, capped at the
-	// worker count, so tiny windows produce one job instead of `workers`
-	// near-empty ones.
-	minShardRows = 128
-	// inlineRoundRows is the fan-out threshold for a whole round: below
-	// this many total delta rows the coordinator runs the round inline —
-	// no goroutines, no buffers, derived facts inserted directly. Deep
-	// fixpoints with shallow rounds (long chains) spend most of their
-	// rounds here.
-	inlineRoundRows = 512
 )
 
 // Group is the rule set of one fixpoint: a stratum, or every rule.
@@ -77,40 +56,25 @@ type FixpointStats struct {
 	PeakDelta int
 	// Strata is the number of strata evaluated (0 when not stratified).
 	Strata int
-	// InlineRounds / FannedRounds split the rounds by schedule: inline
-	// rounds ran on the coordinator with direct insertion, fanned rounds
-	// sharded the delta across the worker pool with buffered derivations
-	// and a bulk merge. FannedRounds is zero with one worker.
-	InlineRounds int
-	FannedRounds int
 }
 
 // Fixpoint is the semi-naive round driver every bottom-up engine runs:
-// Datalog evaluation (sequential and parallel), incremental insert
-// propagation, and the chase. It owns the delta window, the group loop,
-// the delta-position rule, adaptive join-order choice, tracer hooks,
-// budget stops, and the choice between the two round schedules:
-//
-//   - inline: the coordinator runs every (rule, delta) pair in turn and
-//     derived facts land at once, so later pairs of the round see them;
-//   - fanned: with Workers > 1 and at least inlineRoundRows delta rows,
-//     pairs are sharded by window size across the pool, every worker reads
-//     the instance as it stood at the round start and stages head images
-//     in a private tuple buffer, and one bulk merge lands them.
+// Datalog evaluation, incremental insert propagation, and the chase. It
+// owns the delta window, the group loop, the delta-position rule,
+// adaptive join-order choice, tracer hooks and budget stops. A round runs
+// every (rule, delta) pair in turn and derived facts land at once, so
+// later pairs of the round see them.
 //
 // A Fixpoint runs once: set the fields, call Run, read Stats.
 type Fixpoint struct {
 	DB    *storage.DB
 	Plans *Program
-	// Execs[ri] is the coordinator's executor for rule ri; a nil slice or
-	// nil entries are created on first use and attached to Budget. Callers
-	// that keep executors across runs pass theirs in.
+	// Execs[ri] is the executor for rule ri; a nil slice or nil entries
+	// are created on first use and attached to Budget. Callers that keep
+	// executors across runs pass theirs in.
 	Execs  []*Exec
 	Budget *Budget
 	Tracer *Tracer
-	// Workers is the pool size of fanned rounds; 1 (or 0) runs every
-	// round inline.
-	Workers int
 	// Adaptive re-picks each pair's join-order alternative every round
 	// from current cardinalities (ChooseAlt); otherwise alt 0.
 	Adaptive bool
@@ -124,45 +88,21 @@ type Fixpoint struct {
 	// wants one more round stops and sets Capped.
 	MaxRounds int
 	// Match, when non-nil, replaces direct insertion: called once per rule
-	// with the rule index and the coordinator's executor, it returns the
-	// function run for every body match negation does not block; that
-	// function returning false stops the fixpoint. Only the coordinator
-	// runs it, so rounds never fan out when Match is set.
+	// with the rule index and its executor, it returns the function run
+	// for every body match negation does not block; that function
+	// returning false stops the fixpoint.
 	Match func(ri int, ex *Exec) func() bool
 
 	Stats  FixpointStats
 	Capped bool
 
-	// execs[w] are worker w's executors (execs[0] is Execs): plans are
-	// shared and immutable, binding frames strictly per worker.
-	execs [][]*Exec
 	// steps[ri] is Match's function for rule ri, made once per run so a
 	// join allocates nothing.
 	steps []func() bool
-	// bufs, jobs and rows are the fanned schedule's job output buffers,
-	// job list and per-pair window counts, reused across rounds.
-	bufs []*storage.TupleBuffer
-	jobs []job
-	rows []int
 }
 
-// pair is one (rule, delta position) unit of a round; pred is the delta
-// atom's predicate, whose window row count sizes the round.
-type pair struct {
-	rule, delta int
-	pred        schema.PredID
-}
-
-// job is one (rule, delta position, alt order, delta shard) unit of a
-// fanned round: the rule's join with the delta scan restricted to one
-// contiguous sub-range of the delta window. buf is the job's private
-// output buffer — single-writer, merged in job order, so the result is
-// deterministic no matter which worker drains which job.
-type job struct {
-	rule, delta, alt int
-	shard, shards    int
-	buf              *storage.TupleBuffer
-}
+// pair is one (rule, delta position) unit of a round.
+type pair struct{ rule, delta int }
 
 // Run drives each group to its fixpoint in order, every group's first
 // window starting at start (0: the whole instance is delta). The run stops
@@ -171,10 +111,6 @@ type job struct {
 func (f *Fixpoint) Run(groups []Group, start storage.Mark) {
 	if f.Execs == nil {
 		f.Execs = make([]*Exec, len(f.Plans.Rules))
-	}
-	f.execs = [][]*Exec{f.Execs}
-	for w := 1; w < f.Workers; w++ {
-		f.execs = append(f.execs, make([]*Exec, len(f.Plans.Rules)))
 	}
 	f.steps = make([]func() bool, len(f.Plans.Rules))
 	probes0 := f.probes()
@@ -217,10 +153,10 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 		body := f.Plans.Rules[ri].TGD.Body
 		for di, b := range body {
 			if di == 0 {
-				first = append(first, pair{ri, 0, b.Pred})
+				first = append(first, pair{ri, 0})
 			}
 			if growing == nil || growing[b.Pred] {
-				steady = append(steady, pair{ri, di, b.Pred})
+				steady = append(steady, pair{ri, di})
 			}
 		}
 	}
@@ -250,23 +186,9 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 	}
 }
 
-// round runs one round on the schedule its size calls for, returning the
-// facts it added and whether the run may go on.
+// round runs every pair of one round in turn, returning the facts it
+// added and whether the run may go on.
 func (f *Fixpoint) round(pairs []pair, mark storage.Mark, round int) (int, bool) {
-	if f.Workers > 1 && f.Match == nil {
-		f.rows = f.rows[:0]
-		total := 0
-		for _, p := range pairs {
-			n := f.DB.CountSince(p.pred, mark)
-			f.rows = append(f.rows, n)
-			total += n
-		}
-		if total >= inlineRoundRows {
-			f.Stats.FannedRounds++
-			return f.fanned(pairs, mark, round)
-		}
-	}
-	f.Stats.InlineRounds++
 	before := f.DB.Len()
 	for _, p := range pairs {
 		if !f.join(p.rule, p.delta, f.alt(p, mark, round), mark) {
@@ -277,8 +199,7 @@ func (f *Fixpoint) round(pairs []pair, mark storage.Mark, round int) (int, bool)
 }
 
 // alt picks the pair's join-order alternative for this round and reports
-// it to the tracer. Called on the coordinator only, so the tracer needs
-// no locking.
+// it to the tracer.
 func (f *Fixpoint) alt(p pair, mark storage.Mark, round int) int {
 	r := f.Plans.Rules[p.rule]
 	alt := 0
@@ -291,20 +212,20 @@ func (f *Fixpoint) alt(p pair, mark storage.Mark, round int) int {
 	return alt
 }
 
-// join runs rule ri with body atom di restricted to the window at mark,
-// on the coordinator. Negated atoms are checked once the positive body is
-// matched: they are ground then (safe negation) and range over closed
-// lower strata, so the check is stable for the whole group. Without a
-// Match function each head image is inserted at once; per-insertion
-// charging makes the derived-fact cap exact — a closure of exactly
-// MaxDerived facts completes, one more aborts here mid-round.
+// join runs rule ri with body atom di restricted to the window at mark.
+// Negated atoms are checked once the positive body is matched: they are
+// ground then (safe negation) and range over closed lower strata, so the
+// check is stable for the whole group. Without a Match function each head
+// image is inserted at once; per-insertion charging makes the
+// derived-fact cap exact — a closure of exactly MaxDerived facts
+// completes, one more aborts here mid-round.
 func (f *Fixpoint) join(ri, di, alt int, mark storage.Mark) bool {
-	ex := f.exec(0, ri)
+	ex := f.exec(ri)
 	db := f.DB
 	hasNeg := len(ex.Rule.Neg) > 0
 	if f.Match == nil {
 		bud := f.Budget
-		return ex.RunAlt(db, di, alt, mark, 0, 1, func() bool {
+		return ex.RunAlt(db, di, alt, mark, func() bool {
 			if hasNeg && ex.Blocked(db) {
 				return true
 			}
@@ -325,109 +246,29 @@ func (f *Fixpoint) join(ri, di, alt int, mark storage.Mark) bool {
 		step := fn
 		fn = func() bool { return ex.Blocked(db) || step() }
 	}
-	return ex.RunAlt(db, di, alt, mark, 0, 1, fn)
+	return ex.RunAlt(db, di, alt, mark, fn)
 }
 
-// fanned runs one buffered round: pairs are sharded by window size into
-// jobs, workers drain the job queue through an atomic cursor (a worker
-// stuck on a skewed shard never strands the rest of the queue), each job
-// stages its derivations in a private columnar buffer, and the
-// coordinator folds all buffers into the instance with one MergeBuffers
-// call. The buffered count is charged to the budget after the merge.
-func (f *Fixpoint) fanned(pairs []pair, mark storage.Mark, round int) (int, bool) {
-	jobs := f.jobs[:0]
-	for pi, p := range pairs {
-		alt := f.alt(p, mark, round)
-		// Workers only read the instance: whatever posting index a scan of
-		// this round can key on is caught up here, before they start.
-		for _, sp := range f.Plans.Rules[p.rule].Variants[p.delta].Alts[alt].Scans {
-			f.DB.CatchUp(sp)
-		}
-		shards := shardsFor(f.rows[pi], f.Workers)
-		for sh := 0; sh < shards; sh++ {
-			jobs = append(jobs, job{rule: p.rule, delta: p.delta, alt: alt, shard: sh, shards: shards})
-		}
-	}
-	for len(f.bufs) < len(jobs) {
-		f.bufs = append(f.bufs, storage.NewTupleBuffer())
-	}
-	for ji := range jobs {
-		f.bufs[ji].Reset()
-		jobs[ji].buf = f.bufs[ji]
-	}
-	f.jobs = jobs
-
-	nw := min(f.Workers, len(jobs))
-	bud := f.Budget
-	var cursor atomic.Int32
-	drain := func(w int) {
-		for !bud.Aborted() { // stop picking up jobs once any worker tripped
-			ji := int(cursor.Add(1)) - 1
-			if ji >= len(jobs) {
-				return
-			}
-			j := jobs[ji]
-			ex := f.exec(w, j.rule)
-			hasNeg := len(ex.Rule.Neg) > 0
-			ex.RunAlt(f.DB, j.delta, j.alt, mark, j.shard, j.shards, func() bool {
-				if hasNeg && ex.Blocked(f.DB) {
-					return true
-				}
-				ex.HeadAppend(0, j.buf)
-				return true
-			})
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			drain(w)
-		}(w)
-	}
-	drain(0)
-	wg.Wait()
-	if bud.Aborted() {
-		// Discard every job's staged derivations: the instance stays
-		// frozen at the last completed round boundary.
-		return 0, false
-	}
-	added := f.DB.MergeBuffers(f.bufs[:len(jobs)], nw)
-	return added, bud.AddDerived(added) == nil
-}
-
-// shardsFor picks how many contiguous sub-ranges to split one delta window
-// into: enough that every worker can help on a big window, never so many
-// that a tiny window pays per-job dispatch for near-empty scans.
-func shardsFor(rows, workers int) int {
-	return max(1, min(rows/minShardRows, workers))
-}
-
-// exec returns worker w's executor for rule ri, creating it on first use.
-// Every worker's executor charges the same shared budget, so the first
-// worker to trip a limit aborts the whole round for everyone.
-func (f *Fixpoint) exec(w, ri int) *Exec {
-	ex := f.execs[w][ri]
+// exec returns rule ri's executor, creating it on first use. Every
+// executor charges the same budget.
+func (f *Fixpoint) exec(ri int) *Exec {
+	ex := f.Execs[ri]
 	if ex == nil {
 		ex = NewExec(f.Plans.Rules[ri])
 		if f.Budget != nil {
 			ex.SetBudget(f.Budget)
 		}
-		f.execs[w][ri] = ex
+		f.Execs[ri] = ex
 	}
 	return ex
 }
 
-// probes sums every worker's probe counters. Called between rounds only,
-// when the workers are idle.
+// probes sums the executors' probe counters.
 func (f *Fixpoint) probes() int64 {
 	var n int64
-	for _, wes := range f.execs {
-		for _, ex := range wes {
-			if ex != nil {
-				n += int64(ex.Probes)
-			}
+	for _, ex := range f.Execs {
+		if ex != nil {
+			n += int64(ex.Probes)
 		}
 	}
 	return n

@@ -17,11 +17,10 @@
 //     flat, reusable frame instead of a per-binding map substitution;
 //   - instantiation templates for head, negated-body, and body atoms.
 //
-// The semi-naive engines (internal/datalog, sequential and parallel),
-// incremental insert propagation, and the chase (internal/chase) all run
-// their rounds on one driver (Fixpoint) that executes RulePlans through
-// Exec; the only per-binding allocation left on the hot path is the
-// derived fact itself.
+// Semi-naive Datalog evaluation (internal/datalog), incremental insert
+// propagation, and the chase (internal/chase) all run their rounds on one
+// driver (Fixpoint) that executes RulePlans through Exec; the only
+// per-binding allocation left on the hot path is the derived fact itself.
 package plan
 
 import (

@@ -110,12 +110,12 @@ func TestExecEnumerates(t *testing.T) {
 	// Seed t with e's edges so the join has matches.
 	tp := p.Rules[0]
 	seed := NewExec(tp)
-	seed.Run(db, 0, 0, 0, 1, func() bool {
+	seed.Run(db, 0, 0, func() bool {
 		db.Insert(seed.Head(0))
 		return true
 	})
 	var got []string
-	ex.Run(db, 0, 0, 0, 1, func() bool {
+	ex.Run(db, 0, 0, func() bool {
 		got = append(got, p.Source.Store.Name(ex.Head(0).Args[0])+p.Source.Store.Name(ex.Head(0).Args[1]))
 		return true
 	})
@@ -133,7 +133,7 @@ func TestFrameReuseAcrossRounds(t *testing.T) {
 	ex := NewExec(p.Rules[0])
 	frame0 := ex.Frame()
 	for round := 0; round < 3; round++ {
-		ex.Run(db, 0, 0, 0, 1, func() bool {
+		ex.Run(db, 0, 0, func() bool {
 			db.Insert(ex.Head(0))
 			return true
 		})
@@ -157,7 +157,7 @@ func TestFrameRestoredOnEarlyStop(t *testing.T) {
 	p, db := compile(t, tc, Options{DeltaFirst: true})
 	ex := NewExec(p.Rules[0])
 	calls := 0
-	ex.Run(db, 0, 0, 0, 1, func() bool {
+	ex.Run(db, 0, 0, func() bool {
 		calls++
 		return false
 	})
@@ -172,8 +172,7 @@ func TestFrameRestoredOnEarlyStop(t *testing.T) {
 }
 
 // TestDeltaRestriction: the delta variant only enumerates matches whose
-// delta atom row is at or after the mark, and sharded runs partition the
-// matches exactly.
+// delta atom row is at or after the mark.
 func TestDeltaRestriction(t *testing.T) {
 	r, err := parser.Parse(`t(X,Y) :- e(X,Y).`)
 	if err != nil {
@@ -196,15 +195,8 @@ func TestDeltaRestriction(t *testing.T) {
 	p := Compile(r.Program, Options{DeltaFirst: true})
 	ex := NewExec(p.Rules[0])
 	count := 0
-	ex.Run(db, 0, mark, 0, 1, func() bool { count++; return true })
+	ex.Run(db, 0, mark, func() bool { count++; return true })
 	if count != 6 {
 		t.Fatalf("delta matches = %d, want 6", count)
-	}
-	total := 0
-	for shard := 0; shard < 4; shard++ {
-		ex.Run(db, 0, mark, shard, 4, func() bool { total++; return true })
-	}
-	if total != 6 {
-		t.Fatalf("sharded delta matches = %d, want 6", total)
 	}
 }

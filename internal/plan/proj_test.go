@@ -45,7 +45,7 @@ p(a,b). p(a,c). p(d,e).
 		t.Fatalf("no slot for Y")
 	}
 	matches := 0
-	ex.Run(db, 0, 0, 0, 1, func() bool {
+	ex.Run(db, 0, 0, func() bool {
 		if ex.Frame()[ySlot] != storage.Unbound {
 			t.Fatalf("projected slot was written")
 		}
@@ -79,7 +79,7 @@ p(a,b). p(c,d). q(b).
 `, Options{DeltaFirst: true})
 	ex := NewExec(p.Rules[0])
 	matches := 0
-	ex.Run(db, 0, 0, 0, 1, func() bool { matches++; return true })
+	ex.Run(db, 0, 0, func() bool { matches++; return true })
 	if matches != 1 {
 		t.Fatalf("join matches = %d, want 1 (p(a,b)⋈q(b))", matches)
 	}
@@ -96,7 +96,7 @@ r(a,u,u). r(b,u,v).
 	}
 	ex2 := NewExec(p2.Rules[0])
 	matches = 0
-	ex2.Run(db2, 0, 0, 0, 1, func() bool { matches++; return true })
+	ex2.Run(db2, 0, 0, func() bool { matches++; return true })
 	if matches != 1 {
 		t.Fatalf("diagonal matches = %d, want 1", matches)
 	}
@@ -117,7 +117,7 @@ p(a,b). p(c,d). q(d).
 	}
 	ex3 := NewExec(p3.Rules[0])
 	derived := 0
-	ex3.Run(db3, 0, 0, 0, 1, func() bool {
+	ex3.Run(db3, 0, 0, func() bool {
 		if !ex3.Blocked(db3) {
 			derived++
 		}

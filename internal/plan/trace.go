@@ -8,10 +8,9 @@ package plan
 //
 // All methods are nil-receiver no-ops, so instrumentation sites are a
 // single nil check — the contract that keeps the disabled path free.
-// A Tracer is NOT safe for concurrent use; the engines only invoke
-// the hooks from the coordinating goroutine (the parallel evaluator
-// chooses join alternatives and closes rounds on the coordinator), so
-// one tracer per evaluation needs no locking.
+// A Tracer is NOT safe for concurrent use; an evaluation invokes the
+// hooks from the goroutine that runs it, so one tracer per evaluation
+// needs no locking.
 type Tracer struct {
 	// Joins holds the join-order decisions in execution order,
 	// deduplicated per (rule, delta) on change: a rule re-running the

@@ -5,15 +5,13 @@ import (
 	"repro/internal/term"
 )
 
-// TupleBuffer is a worker-local columnar staging area for derived facts:
+// TupleBuffer is a columnar staging area for facts bound for a bulk load:
 // one flat arity-strided term column plus a hash column per predicate,
-// with the fact hash computed once at append time. The parallel
-// evaluator's workers append through plan.Exec.HeadAppend — no boxed
-// atoms, no per-fact argument slice — and the coordinator folds whole
-// buffers into the instance with DB.MergeBuffers, which reuses the cached
-// hashes instead of re-hashing every tuple. A buffer is single-writer; a
-// Reset keeps the backing arrays, so steady-state rounds append without
-// allocating.
+// with the fact hash computed once at append time — no boxed atoms, no
+// per-fact argument slice — and DB.MergeBuffers folds whole buffers into
+// the instance, reusing the cached hashes instead of re-hashing every
+// tuple. A buffer is single-writer; a Reset keeps the backing arrays, so
+// steady-state batches append without allocating.
 type TupleBuffer struct {
 	// bufs is dense by PredID; entries are nil until the predicate's first
 	// append.
@@ -35,8 +33,7 @@ type predBuffer struct {
 	// first occurrences. It exists purely as a cheap per-buffer cardinality
 	// estimate: MergeBuffers pre-sizes each relation's dedup table from the
 	// summed distinct counts instead of the raw staged-row count, so
-	// duplicate-heavy rounds (non-linear rules re-deriving the same closure
-	// facts in every shard) stop growing transient tables for rows that
+	// duplicate-heavy batches stop growing transient tables for rows that
 	// will never be inserted. Hash collisions only skew the estimate —
 	// correctness never depends on it.
 	seen     []uint64

@@ -328,7 +328,7 @@ func (db *DB) candidates(pa atom.Atom, s atom.Subst) (r *relation, rows candSet,
 // matching the pattern under base. Iteration stops early if fn returns
 // false. The substitution passed to fn is freshly cloned per match.
 func (db *DB) MatchEach(pa atom.Atom, base atom.Subst, fn func(atom.Subst) bool) {
-	db.matchRows(pa, base, 0, 0, 1, fn)
+	db.matchRows(pa, base, 0, fn)
 }
 
 // Homomorphism searches for a homomorphism from the pattern atom set into

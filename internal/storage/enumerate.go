@@ -29,11 +29,11 @@ func (db *DB) IndexOf(a atom.Atom) (int, bool) {
 }
 
 // matchRows is the shared core of the substitution-based matching family:
-// candidate rows filtered by mark and optional shard, cloning base per
-// match. The compiled-plan pipeline (ScanPlan/Probe in scan.go) is the
+// candidate rows filtered by mark, cloning base per match. The
+// compiled-plan pipeline (ScanPlan/Probe in scan.go) is the
 // allocation-free hot path; these wrappers remain for the substitution
 // consumers (core, ucq, resolution, incremental) and the reference engines.
-func (db *DB) matchRows(pa atom.Atom, base atom.Subst, since Mark, shard, shards int, fn func(atom.Subst) bool) {
+func (db *DB) matchRows(pa atom.Atom, base atom.Subst, since Mark, fn func(atom.Subst) bool) {
 	r, rows, full := db.candidates(pa, base)
 	if r == nil {
 		return
@@ -41,9 +41,6 @@ func (db *DB) matchRows(pa atom.Atom, base atom.Subst, since Mark, shard, shards
 	lo := r.firstSince(since)
 	emit := func(ri int32) bool {
 		if r.nDead != 0 && r.isDead(ri) {
-			return true
-		}
-		if shards > 1 && int(r.global[ri])%shards != shard {
 			return true
 		}
 		s := base.Clone()
@@ -66,17 +63,7 @@ func (db *DB) matchRows(pa atom.Atom, base atom.Subst, since Mark, shard, shards
 // MatchEachSince is MatchEach restricted to facts inserted at or after the
 // mark — the delta-join primitive of semi-naive evaluation.
 func (db *DB) MatchEachSince(pa atom.Atom, base atom.Subst, since Mark, fn func(atom.Subst) bool) {
-	db.matchRows(pa, base, since, 0, 1, fn)
-}
-
-// MatchEachSinceSharded is MatchEachSince restricted to the shard-th
-// residue class of global insertion indexes modulo shards: the shards
-// partition the delta facts, so running every shard in [0, shards)
-// enumerates exactly the matches of MatchEachSince, with no match seen by
-// two callers. (The compiled-plan pipeline shards by contiguous row range
-// instead — see Probe.)
-func (db *DB) MatchEachSinceSharded(pa atom.Atom, base atom.Subst, since Mark, shard, shards int, fn func(atom.Subst) bool) {
-	db.matchRows(pa, base, since, shard, shards, fn)
+	db.matchRows(pa, base, since, fn)
 }
 
 // HomomorphismsEach enumerates every homomorphism from the pattern into the

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/atom"
@@ -37,44 +36,6 @@ func TestMatchEachSince(t *testing.T) {
 	})
 	if len(got) != 2 {
 		t.Fatalf("delta matches = %v, want the 2 post-mark facts", got)
-	}
-}
-
-func TestMatchEachSinceSharded(t *testing.T) {
-	prog, db, fact := mkDB(nil)
-	for i := 0; i < 10; i++ {
-		db.Insert(fact(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)))
-	}
-	e, _ := prog.Reg.Lookup("e")
-	pat := atom.New(e, prog.Store.Var("X"), prog.Store.Var("Y"))
-	for _, shards := range []int{1, 2, 3, 7} {
-		total := 0
-		seen := make(map[string]int)
-		for sh := 0; sh < shards; sh++ {
-			db.MatchEachSinceSharded(pat, atom.NewSubst(), 0, sh, shards, func(s atom.Subst) bool {
-				total++
-				seen[prog.Store.Name(s.Apply(pat.Args[0]))]++
-				return true
-			})
-		}
-		// Shards must partition: every fact matched exactly once.
-		if total != 10 || len(seen) != 10 {
-			t.Fatalf("shards=%d: total=%d distinct=%d, want 10/10", shards, total, len(seen))
-		}
-		for k, n := range seen {
-			if n != 1 {
-				t.Fatalf("shards=%d: %s matched %d times", shards, k, n)
-			}
-		}
-	}
-	// Early stop propagates.
-	calls := 0
-	db.MatchEachSinceSharded(pat, atom.NewSubst(), 0, 0, 1, func(atom.Subst) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Fatalf("early stop ignored: %d calls", calls)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/term"
 )
 
-// MergeBuffers folds staged worker buffers into the instance, returning
+// MergeBuffers folds staged buffers into the instance, returning
 // the number of new facts. It is the bulk counterpart of per-row Insert
 // and the other half of the TupleBuffer contract:
 //
@@ -23,13 +23,13 @@ import (
 //   - relations are independent, so distinct predicates merge concurrently
 //     (up to par goroutines), and a relation with a LARGE staged set is
 //     additionally folded with intra-relation parallelism over its hash
-//     sub-shards (see mergeSharded) — heavy single-predicate rounds, the
-//     common case in transitive-closure-shaped fixpoints and bulk CSV
-//     loads, no longer serialize on one goroutine. Only the global
-//     insertion log is stitched serially, after every relation settles.
+//     sub-shards (see mergeSharded) — heavy single-predicate batches, the
+//     common case in bulk CSV loads, no longer serialize on one goroutine.
+//     Only the global insertion log is stitched serially, after every
+//     relation settles.
 //
-// The result is deterministic regardless of par and of which worker staged
-// which tuple into which buffer: predicates are folded in first-touched
+// The result is deterministic regardless of par and of which tuple was
+// staged into which buffer: predicates are folded in first-touched
 // order across the buffers (ties by buffer order), and within a predicate
 // tuples keep (buffer, append) order — the sharded path partitions the
 // DECISION which tuples are new by fact hash, but appends acceptances in
@@ -39,15 +39,14 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 	db.mutable()
 	// Parallelism beyond the cores actually available buys nothing and
 	// still pays the sharded path's bitmap/scratch setup: a caller asking
-	// for 8-way merges on a 1-core box (worker counts are a scheduling
-	// knob, not a hardware probe) gets the serial fold it would have
+	// for 8-way merges on a 1-core box gets the serial fold it would have
 	// wanted. The result is identical either way.
 	if n := runtime.GOMAXPROCS(0); par > n {
 		par = n
 	}
 	// Deterministic predicate order, with per-predicate distinct estimates
 	// for table pre-sizing: summing each buffer's local distinct count
-	// (rather than its raw staged-row count) keeps duplicate-heavy rounds
+	// (rather than its raw staged-row count) keeps duplicate-heavy batches
 	// from growing transient tables for rows that will never be inserted;
 	// an underestimate (cross-buffer-only hash collisions) merely falls
 	// back to tabInsert's normal growth. Relations are also created HERE,
@@ -103,7 +102,7 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 	} else {
 		// Big relations take the sharded path (worth its bitmap and
 		// scratch-table setup only past a threshold); the rest merge
-		// whole-relation-at-a-time on the worker pool as before.
+		// whole-relation-at-a-time on the pool.
 		var small, big []int
 		for pi, p := range preds {
 			if staged[p] >= shardedMergeRows {

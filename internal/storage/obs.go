@@ -2,8 +2,8 @@ package storage
 
 import "repro/internal/obs"
 
-// Storage maintenance series: bulk merge folds (the round boundary of
-// fanned fixpoint rounds and CSV loads) and tombstone compaction.
+// Storage maintenance series: bulk merge folds (CSV loads) and tombstone
+// compaction.
 // Observed per call, never per row.
 var (
 	obsMergeSec  = obs.NewHistogram("vadalog_storage_merge_seconds", "", "MergeBuffers fold duration.", obs.Seconds, obs.LatencyBuckets)

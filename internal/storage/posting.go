@@ -55,10 +55,8 @@ import (
 //
 //   - A writer-owned relation (a live DB, a Clone, an overlay relation
 //     that has appended rows) catches up inline, unsynchronized — its
-//     probes belong to the goroutine that owns its writes. Concurrent
-//     probes of one writer-owned DB are sound only over positions caught
-//     up beforehand (DB.CatchUp — the parallel evaluator's coordinator
-//     does this before fanning a round out).
+//     probes belong to the goroutine that owns its writes, so concurrent
+//     readers probe a frozen view (Snapshot), never the writer's DB.
 //   - Snapshot() catches up every position that is built at all, so on a
 //     frozen view a position is either current — two plain map lookups at
 //     most, no lock, no atomic — or was never built.
@@ -299,22 +297,5 @@ func (c *candSet) eachFrom(lo int32, fn func(int32) bool) {
 				return
 			}
 		}
-	}
-}
-
-// CatchUp builds every posting index the scan can key on up to the rows
-// stored now, so that Probes of sp running concurrently on a writer-owned
-// DB only read. Frozen views need no such call.
-func (db *DB) CatchUp(sp *ScanPlan) {
-	r := db.relOf(sp.Pred)
-	if r == nil {
-		return
-	}
-	// Resolving any posting of a position catches the position up.
-	for _, ck := range sp.constKeys {
-		r.posting(ck.pos, ck.term)
-	}
-	for _, bk := range sp.boundKeys {
-		r.posting(bk.pos, Unbound)
 	}
 }

@@ -159,15 +159,13 @@ func (sp *ScanPlan) matchRow(row, frame []term.Term) bool {
 
 // Probe enumerates the stored atoms matching the scan plan under the
 // current frame, restricted to rows inserted at or after since and — when
-// shards > 1 — to the shard-th contiguous sub-range of the delta window.
-// Because a relation's local rows follow global insertion order, the delta
-// window is one contiguous local row range, and sharding it by sub-range
-// (rather than residue classes) keeps each worker's delta scan on adjacent
-// columnar rows. For each matching row Probe binds the plan's ArgBind
-// slots in frame and calls fn; the slots are reset to Unbound between rows
-// and before Probe returns, so the caller's frame is unchanged afterwards.
-// fn returning false stops the enumeration; Probe reports whether it ran
-// to completion.
+// shards > 1 — to the shard-th contiguous sub-range of the delta window
+// (a relation's local rows follow global insertion order, so the window is
+// one contiguous local row range). For each matching row Probe binds the
+// plan's ArgBind slots in frame and calls fn; the slots are reset to
+// Unbound between rows and before Probe returns, so the caller's frame is
+// unchanged afterwards. fn returning false stops the enumeration; Probe
+// reports whether it ran to completion.
 //
 // Probe is the slot-based core the compiled rule plans drive; MatchEach and
 // friends remain as the substitution-based compatibility layer.
@@ -198,8 +196,8 @@ func (db *DB) ProbeWithRow(sp *ScanPlan, frame []term.Term, since Mark, shard, s
 	// sharded path falls through so a hit is attributed to one shard by
 	// the range logic below.
 	if sp.allBound && shards <= 1 && len(sp.Args) <= 8 {
-		// The tuple lives in a stack buffer: Probe runs concurrently on a
-		// shared DB in the parallel evaluator, so no DB-level scratch.
+		// The tuple lives in a stack buffer: readers probe one frozen view
+		// concurrently, so no DB-level scratch.
 		var buf [8]term.Term
 		args := buf[:0]
 		for i := range sp.Args {
