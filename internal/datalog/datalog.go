@@ -50,8 +50,9 @@ type Options struct {
 	InPlace bool
 	// Budget, when non-nil, bounds the fixpoint: derived-fact and probe
 	// caps plus the budget context's deadline/cancellation, checked on
-	// the probe hot loop every plan.BudgetStride probes and on every
-	// successful insertion. A tripped budget aborts the fixpoint
+	// the probe hot loop every plan.BudgetStride probes and, for derived
+	// facts, on every successful insertion against the headroom the join
+	// read at its start. A tripped budget aborts the fixpoint
 	// mid-round and Eval returns the typed error (plan.ErrOverBudget /
 	// plan.ErrCanceled) with a nil instance — the partially evaluated
 	// target (the InPlace overlay, or the internal clone) is consistent

@@ -282,10 +282,10 @@ func (e *Engine) InsertBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 }
 
 // propagate runs the budgeted delta fixpoint after an insertion batch
-// landed at mark — the round driver over every rule, its first window the
-// batch — marking the engine broken when the budget trips mid-way. The
-// budget (nil = unlimited) is charged per successful insertion; probes
-// charge through the executors' attached budget.
+// landed at mark — the round driver over every rule, every pair starting
+// at the batch — marking the engine broken when the budget trips mid-way.
+// The budget (nil = unlimited) is charged the facts each join inserts;
+// probes charge through the executors' attached budget.
 func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string) error {
 	if bud != nil {
 		e.attach(bud)

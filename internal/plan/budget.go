@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -170,10 +171,19 @@ func (b *Budget) AddProbes(n int) error {
 	return b.Check()
 }
 
+// Headroom reports how many more derived facts the cap allows
+// (math.MaxInt when uncapped).
+func (b *Budget) Headroom() int {
+	if b == nil || b.maxDerived == 0 {
+		return math.MaxInt
+	}
+	return int(b.maxDerived - b.derived.Load())
+}
+
 // AddDerived charges n derived facts against the derived-fact cap. The
-// direct-insert engines charge per successful insertion, so the cap is
-// exact: a closure of exactly maxDerived facts completes, one more
-// trips.
+// direct-insert driver counts a join's insertions, stops at the one past
+// Headroom and charges them once, so the cap is exact: a closure of
+// exactly maxDerived facts completes, one more trips.
 func (b *Budget) AddDerived(n int) error {
 	if b == nil {
 		return nil

@@ -60,10 +60,11 @@ type FixpointStats struct {
 
 // Fixpoint is the semi-naive round driver every bottom-up engine runs:
 // Datalog evaluation, incremental insert propagation, and the chase. It
-// owns the delta window, the group loop, the delta-position rule,
+// owns the per-pair delta marks, the group loop, the delta-position rule,
 // adaptive join-order choice, tracer hooks and budget stops. A round runs
 // every (rule, delta) pair in turn and derived facts land at once, so
-// later pairs of the round see them.
+// later pairs of the round see them; each pair reads its delta atom from
+// where its previous join began, so no pair joins a delta row twice.
 //
 // A Fixpoint runs once: set the fields, call Run, read Stats.
 type Fixpoint struct {
@@ -101,11 +102,16 @@ type Fixpoint struct {
 	steps []func() bool
 }
 
-// pair is one (rule, delta position) unit of a round.
-type pair struct{ rule, delta int }
+// pair is one (rule, delta position) unit of a round. Its next join reads
+// the delta atom from mark on: the DB.Mark() taken just before its last
+// join, so each delta row is joined once by each pair.
+type pair struct {
+	rule, delta int
+	mark        storage.Mark
+}
 
-// Run drives each group to its fixpoint in order, every group's first
-// window starting at start (0: the whole instance is delta). The run stops
+// Run drives each group to its fixpoint in order, every group's pairs
+// starting at start (0: the whole instance is delta). The run stops
 // early when a join is stopped (a tripped budget, or Match returning
 // false), when the budget has tripped, or at MaxRounds.
 func (f *Fixpoint) Run(groups []Group, start storage.Mark) {
@@ -137,9 +143,13 @@ func (f *Fixpoint) Run(groups []Group, start storage.Mark) {
 }
 
 // group runs one group's rounds to saturation, reporting false when the
-// run must stop. A window starting at mark 0 holds the whole instance, so
-// restricting any single atom to it already enumerates every match: such
-// a round probes position 0 only, every other round each delta position.
+// run must stop; a group ends at the first round that adds nothing. Its
+// steady pairs are every delta position of every rule (Stratified: the
+// positions over the group's own head predicates) and start at mark.
+// Mark 0 makes the whole instance delta, and restricting any single atom
+// to it already enumerates every match: the first round then joins body
+// position 0 of each rule only, and each pair of that rule starts at the
+// mark taken before that join.
 func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 	var first, steady []pair
 	var growing map[schema.PredID]bool
@@ -153,12 +163,16 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 		body := f.Plans.Rules[ri].TGD.Body
 		for di, b := range body {
 			if di == 0 {
-				first = append(first, pair{ri, 0})
+				first = append(first, pair{ri, 0, 0})
 			}
 			if growing == nil || growing[b.Pred] {
-				steady = append(steady, pair{ri, di})
+				steady = append(steady, pair{ri, di, mark})
 			}
 		}
+	}
+	pairs := steady
+	if mark == 0 {
+		pairs = first
 	}
 	for round := 1; ; round++ {
 		if f.MaxRounds > 0 && round > f.MaxRounds {
@@ -166,15 +180,26 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 			return false
 		}
 		f.Stats.Rounds++
-		next := f.DB.Mark()
-		pairs := steady
-		if mark == 0 {
-			pairs = first
+		before := f.DB.Len()
+		for i := range pairs {
+			next := f.DB.Mark()
+			if !f.join(pairs[i], round) {
+				return false
+			}
+			pairs[i].mark = next
 		}
-		added, ok := f.round(pairs, mark, round)
-		if !ok {
-			return false
+		if round == 1 && mark == 0 {
+			// Each pair of a rule starts where the rule's first join began.
+			for i := range steady {
+				for _, p := range first {
+					if p.rule == steady[i].rule {
+						steady[i].mark = p.mark
+					}
+				}
+			}
+			pairs = steady
 		}
+		added := f.DB.Len() - before
 		f.Stats.Derived += added
 		if added > f.Stats.PeakDelta {
 			f.Stats.PeakDelta = added
@@ -182,71 +207,53 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 		if added == 0 {
 			return true
 		}
-		mark = next
 	}
 }
 
-// round runs every pair of one round in turn, returning the facts it
-// added and whether the run may go on.
-func (f *Fixpoint) round(pairs []pair, mark storage.Mark, round int) (int, bool) {
-	before := f.DB.Len()
-	for _, p := range pairs {
-		if !f.join(p.rule, p.delta, f.alt(p, mark, round), mark) {
-			return 0, false
-		}
-	}
-	return f.DB.Len() - before, true
-}
-
-// alt picks the pair's join-order alternative for this round and reports
-// it to the tracer.
-func (f *Fixpoint) alt(p pair, mark storage.Mark, round int) int {
-	r := f.Plans.Rules[p.rule]
-	alt := 0
-	if f.Adaptive {
-		alt = ChooseAlt(f.DB, r, p.delta, mark)
-	}
-	if f.Tracer != nil {
-		f.Tracer.Join(p.rule, p.delta, round, alt, f.Adaptive, r.Variants[p.delta].Alts[alt].Order)
-	}
-	return alt
-}
-
-// join runs rule ri with body atom di restricted to the window at mark.
+// join runs pair p's rule with its delta atom restricted to rows from
+// p.mark on, in the join order Adaptive picks (reported to the tracer).
 // Negated atoms are checked once the positive body is matched: they are
 // ground then (safe negation) and range over closed lower strata, so the
 // check is stable for the whole group. Without a Match function each head
-// image is inserted at once; per-insertion charging makes the
+// image is inserted at once and counted; the join stops at the insert
+// past the budget's headroom and charges its count once, which keeps the
 // derived-fact cap exact — a closure of exactly MaxDerived facts
 // completes, one more aborts here mid-round.
-func (f *Fixpoint) join(ri, di, alt int, mark storage.Mark) bool {
-	ex := f.exec(ri)
+func (f *Fixpoint) join(p pair, round int) bool {
+	ex := f.exec(p.rule)
+	alt := 0
+	if f.Adaptive {
+		alt = ChooseAlt(f.DB, ex.Rule, p.delta, p.mark)
+	}
+	if f.Tracer != nil {
+		f.Tracer.Join(p.rule, p.delta, round, alt, f.Adaptive, ex.Rule.Variants[p.delta].Alts[alt].Order)
+	}
 	db := f.DB
 	hasNeg := len(ex.Rule.Neg) > 0
 	if f.Match == nil {
-		bud := f.Budget
-		return ex.RunAlt(db, di, alt, mark, func() bool {
+		room, n := f.Budget.Headroom(), 0
+		ok := ex.RunAlt(db, p.delta, alt, p.mark, func() bool {
 			if hasNeg && ex.Blocked(db) {
 				return true
 			}
-			if db.InsertArgs(ex.HeadArgs(0)) && bud != nil {
-				if bud.AddDerived(1) != nil {
-					return false
-				}
+			if db.InsertArgs(ex.HeadArgs(0)) {
+				n++
+				return n <= room
 			}
 			return true
 		})
+		return f.Budget.AddDerived(n) == nil && ok
 	}
-	fn := f.steps[ri]
+	fn := f.steps[p.rule]
 	if fn == nil {
-		fn = f.Match(ri, ex)
-		f.steps[ri] = fn
+		fn = f.Match(p.rule, ex)
+		f.steps[p.rule] = fn
 	}
 	if hasNeg {
 		step := fn
 		fn = func() bool { return ex.Blocked(db) || step() }
 	}
-	return ex.RunAlt(db, di, alt, mark, fn)
+	return ex.RunAlt(db, p.delta, alt, p.mark, fn)
 }
 
 // exec returns rule ri's executor, creating it on first use. Every
