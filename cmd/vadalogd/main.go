@@ -133,14 +133,15 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/service"
+	"repro/internal/term"
 )
 
 func main() {
@@ -552,19 +553,24 @@ func errStatus(err error) (int, string) {
 const drainAt = 32 << 10
 
 // jsonSink encodes a QueryResponse-shaped JSON object into one buffer —
-// header on Begin, one array element per Row, the closing flags on End —
+// header on Begin, one array element per row, the closing flags on End —
 // and hands the buffer to the ResponseWriter in a single Write + Flush
 // whenever it reaches drainAt, and in a single Write when the object
 // closes: an answer that never drained leaves with its Content-Length, as
 // one write when the handler returns, instead of as a flushed chunk plus
-// the chunked terminator. The bytes
-// are exactly what json.Marshal of the equivalent QueryResponse produces
-// (plus the trailing newline). A failed Write (client gone) propagates
-// back into the service, which stops the enumeration.
+// the chunked terminator. The bytes are exactly what json.Marshal of the
+// equivalent QueryResponse produces (plus the trailing newline). Rows
+// arrive as terms (service.TermSink), each constant copied from the JSON
+// literal its store encoded when it was interned. A failed Write (client
+// gone) propagates back into the service, which stops the enumeration.
+//
+// The buffer comes from sinkBufs in Begin and goes back after the final
+// Write; a stream that dies mid-answer leaves its buffer to the collector.
 type jsonSink struct {
 	w       http.ResponseWriter
 	flusher http.Flusher
 	buf     []byte
+	pooled  *[]byte // sinkBufs entry buf came from
 	// begun reports that bytes were handed to w: the status line is
 	// committed and an error can only truncate the body. Until then the
 	// handler may still answer with an error status.
@@ -577,9 +583,18 @@ type jsonSink struct {
 	explain bool
 }
 
+// sinkBufs recycles response buffers across requests. A bulk answer's
+// buffer settles just past drainAt; one a huge row grew beyond twice that
+// is dropped instead of pooled.
+var sinkBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
+
 func (s *jsonSink) Begin(epoch uint64, columns int) error {
 	s.w.Header().Set("Content-Type", "application/json")
-	s.buf = append(make([]byte, 0, 512), `{"epoch":`...)
+	s.pooled = sinkBufs.Get().(*[]byte)
+	s.buf = append((*s.pooled)[:0], `{"epoch":`...)
 	s.buf = strconv.AppendUint(s.buf, epoch, 10)
 	s.buf = append(s.buf, `,"columns":`...)
 	s.buf = strconv.AppendInt(s.buf, int64(columns), 10)
@@ -588,17 +603,36 @@ func (s *jsonSink) Begin(epoch uint64, columns int) error {
 }
 
 func (s *jsonSink) Row(tuple []string) error {
-	b := s.buf
-	if s.rows > 0 {
-		b = append(b, ',')
-	}
-	b = append(b, '[')
+	b := s.openRow()
 	for i, v := range tuple {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, v)
+		b = term.AppendJSONString(b, v)
 	}
+	return s.closeRow(b)
+}
+
+func (s *jsonSink) RowTerms(st *term.Store, tuple []term.Term) error {
+	b := s.openRow()
+	for i, t := range tuple {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = st.AppendJSON(b, t)
+	}
+	return s.closeRow(b)
+}
+
+func (s *jsonSink) openRow() []byte {
+	b := s.buf
+	if s.rows > 0 {
+		b = append(b, ',')
+	}
+	return append(b, '[')
+}
+
+func (s *jsonSink) closeRow(b []byte) error {
 	s.buf = append(b, ']')
 	s.rows++
 	if len(s.buf) >= drainAt {
@@ -630,15 +664,20 @@ func (s *jsonSink) Trace(tr *service.QueryTrace) error {
 	return s.finish()
 }
 
-// finish closes the object, writes what is left, and records the
-// response's size — once per response, never per row. Nothing is flushed:
-// the handler's return sends it.
+// finish closes the object, writes what is left, returns the buffer to
+// sinkBufs, and records the response's size — once per response, never
+// per row. Nothing is flushed: the handler's return sends it.
 func (s *jsonSink) finish() error {
 	s.buf = append(s.buf, "}\n"...)
 	if !s.begun {
 		s.w.Header().Set("Content-Length", strconv.Itoa(len(s.buf)))
 	}
 	err := s.write()
+	if cap(s.buf) <= 2*drainAt {
+		*s.pooled = s.buf
+		sinkBufs.Put(s.pooled)
+	}
+	s.buf, s.pooled = nil, nil
 	if obs.On() {
 		obsQueryBytes.Add(uint64(s.sent))
 	}
@@ -664,70 +703,6 @@ func (s *jsonSink) write() error {
 	s.sent += n
 	s.buf = s.buf[:0]
 	return err
-}
-
-// jsonSafe marks the bytes appendJSONString copies through unescaped:
-// printable ASCII except the quote, the backslash, and the three
-// characters encoding/json escapes for HTML safety. Bytes >= 0x80 are
-// unsafe here because they start a rune that needs decoding.
-var jsonSafe = func() (t [256]bool) {
-	for b := 0x20; b < utf8.RuneSelf; b++ {
-		t[b] = true
-	}
-	for _, b := range []byte(`"\<>&`) {
-		t[b] = false
-	}
-	return t
-}()
-
-// appendJSONString appends s as a JSON string literal, byte for byte what
-// json.Marshal(s) produces (FuzzAppendJSONString holds it to that): HTML
-// characters and U+2028/U+2029 escaped, control characters as their short
-// escape or \u00XX, invalid UTF-8 as \ufffd.
-func appendJSONString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		b := s[i]
-		if jsonSafe[b] {
-			i++
-			continue
-		}
-		if b < utf8.RuneSelf {
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(append(dst, s[start:i]...), `\ufffd`...)
-			start = i + size
-		case c == '\u2028' || c == '\u2029':
-			dst = append(append(dst, s[start:i]...), '\\', 'u', '2', '0', '2', hex[c&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	return append(append(dst, s[start:]...), '"')
 }
 
 // logRecover turns handler panics into 500s so one bad request cannot

@@ -28,11 +28,8 @@
 // pointer and an atomic published count. Readers load the count first, then
 // the spine: the writer stores the spine (with any new chunk) BEFORE the
 // count, so any ID below the observed count is reachable through the
-// observed spine (Go atomics are sequentially consistent). Full chunks are
-// immutable forever, which is what makes Clone cheap: a clone shares every
-// full chunk and deep-copies only the one partial tail chunk both sides
-// could still append into — the DB.Clone cap-limited-sharing discipline
-// applied to name storage.
+// observed spine (Go atomics are sequentially consistent). A value is
+// published whole: a reader never sees a slot before its write completed.
 package intern
 
 import (
@@ -47,8 +44,8 @@ const (
 	mapShardBits = 5
 	mapShards    = 1 << mapShardBits
 
-	// chunkLen is the arena chunk size (values per chunk). Clone copies at
-	// most one partial chunk, so the constant bounds Clone's copy cost.
+	// chunkLen is the arena chunk size (values per chunk): growing the
+	// spine copies one pointer per chunk, never a value.
 	chunkLen = 1024
 )
 
@@ -108,9 +105,12 @@ func (m *Map) Lookup(name string) (uint32, bool) {
 // Intern returns name's ID, assigning one via alloc if absent. alloc runs
 // under the name's shard lock and is called at most once per distinct name
 // over the Map's lifetime; it typically appends to an Arena and returns the
-// new index. isNew reports whether this call performed the assignment —
-// the freshness signal FreshVar-style probing builds on.
-func (m *Map) Intern(name string, alloc func() uint32) (id uint32, isNew bool) {
+// new index, together with the key the map keeps for the name: a string
+// equal to name, so a caller whose arena holds its own copy can have both
+// directions share one allocation. isNew reports whether this call
+// performed the assignment — the freshness signal FreshVar-style probing
+// builds on.
+func (m *Map) Intern(name string, alloc func() (uint32, string)) (id uint32, isNew bool) {
 	sh := &m.shards[shardOf(name)]
 	if r := sh.read.Load(); r != nil {
 		if id, ok := (*r)[name]; ok {
@@ -142,8 +142,8 @@ func (m *Map) Intern(name string, alloc func() uint32) (id uint32, isNew bool) {
 			}
 		}
 	}
-	id = alloc()
-	sh.dirty[name] = id
+	id, key := alloc()
+	sh.dirty[key] = id
 	return id, true
 }
 
@@ -165,22 +165,6 @@ func (sh *mapShard) promoteLocked() {
 	sh.read.Store(&d)
 	sh.dirty = nil
 	sh.misses = 0
-}
-
-// Clone returns an independent copy sharing the promoted read maps (they
-// are immutable, so sharing is free); per-shard dirty maps are promoted
-// first so nothing mutable crosses the copy. Safe to call concurrently
-// with interning on the receiver.
-func (m *Map) Clone() *Map {
-	out := NewMap()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sh.promoteLocked()
-		out.shards[i].read.Store(sh.read.Load())
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // Arena is a concurrent append-only store of values indexed by dense IDs
@@ -234,41 +218,3 @@ func (a *Arena[T]) Get(id uint32) (T, bool) {
 
 // Len reports the number of appended values.
 func (a *Arena[T]) Len() int { return int(a.n.Load()) }
-
-// Each calls fn with (id, value) for every appended value in ID order,
-// stopping early if fn returns false. The iteration covers the prefix
-// published at call time — the checkpoint encoders walk a consistent
-// snapshot of the arena while concurrent interning keeps appending past
-// it. Lock-free, like Get.
-func (a *Arena[T]) Each(fn func(id uint32, v T) bool) {
-	n := int(a.n.Load())
-	spine := *a.spine.Load()
-	for id := 0; id < n; id++ {
-		if !fn(uint32(id), spine[id/chunkLen][id%chunkLen]) {
-			return
-		}
-	}
-}
-
-// Clone returns an independent copy. Full chunks are shared (append-only,
-// never rewritten); the partial tail chunk — the only chunk either side
-// can still write into — is deep-copied, so the cost is O(spine + one
-// chunk) regardless of arena size. Safe concurrently with Append on the
-// receiver.
-func (a *Arena[T]) Clone() *Arena[T] {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.n.Load()
-	spine := *a.spine.Load()
-	used := (int(n) + chunkLen - 1) / chunkLen
-	grown := make([]*[chunkLen]T, used)
-	copy(grown, spine[:used])
-	if tail := int(n) % chunkLen; tail != 0 {
-		cp := *grown[used-1]
-		grown[used-1] = &cp
-	}
-	out := NewArena[T]()
-	out.spine.Store(&grown)
-	out.n.Store(n)
-	return out
-}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/storage"
@@ -20,6 +21,8 @@ import (
 // relation dedup table in O(1)), and answers deduplicate on term identity
 // through a storage.TupleSet. Results stream through a yield callback, so
 // a limit stops the join early instead of truncating a materialized set.
+// The dedup sets are recycled across runs and plans (dedupSets): a bulk
+// answer reuses the table an earlier one grew instead of regrowing its own.
 //
 // A CQPlan is compiled from the query and the schema only — never the data
 // — so one plan serves any instance (the reasoning service caches plans
@@ -27,7 +30,8 @@ import (
 // snapshot or view overlay a query pins).
 
 // CQPlan is one compiled conjunctive query. Plans are immutable and safe
-// for concurrent Run/RunCtx calls (each run owns its frame and dedup set).
+// for concurrent Run/RunCtx calls (each run owns its frame and, for the
+// run's duration, its dedup set).
 type CQPlan struct {
 	// Arity is the answer tuple width (len of the query's output row).
 	Arity int
@@ -53,6 +57,14 @@ type CQPlan struct {
 // cqCancelStride is how many row matches pass between context checks on
 // the enumeration hot path.
 const cqCancelStride = 1024
+
+// dedupSets recycles the answer sets of finished runs. A set is emptied
+// when it is taken (TupleSet.Reset costs what its last answer held, not
+// its table), and one that held more than maxPooledAnswers is dropped
+// rather than kept, so the pool never pins a rare huge answer's table.
+var dedupSets = sync.Pool{New: func() any { return storage.NewTupleSet(0) }}
+
+const maxPooledAnswers = 1 << 16
 
 // CompileCQ compiles the query: slot assignment in order of first
 // occurrence, greedy bound-connectivity join order (constants count as
@@ -152,7 +164,8 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 	}
 	frame := storage.NewFrame(p.NumSlots)
 	out := make([]term.Term, p.Arity)
-	seen := storage.NewTupleSet(p.Arity)
+	seen := dedupSets.Get().(*storage.TupleSet)
+	seen.Reset(p.Arity)
 	var ctxErr error
 	completed := true
 	matches := 0
@@ -204,6 +217,9 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 		})
 	}
 	rec(0)
+	if seen.Len() <= maxPooledAnswers {
+		dedupSets.Put(seen)
+	}
 	return completed, matches, ctxErr
 }
 

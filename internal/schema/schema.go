@@ -42,20 +42,13 @@ func NewRegistry() *Registry {
 	return &Registry{ids: intern.NewMap(), preds: intern.NewArena[predInfo]()}
 }
 
-// Clone returns an independent copy; predicate IDs remain valid across
-// the copy (see term.Store.Clone for the rationale and cost — immutable
-// map shards and full arena chunks are shared).
-func (r *Registry) Clone() *Registry {
-	return &Registry{ids: r.ids.Clone(), preds: r.preds.Clone()}
-}
-
 // Intern returns the ID of the predicate name/arity, creating it if needed.
 // Predicates are identified by name alone; re-interning a known name with a
 // different arity is an error surfaced via panic, because it indicates a
 // malformed program (the parser reports this condition gracefully first).
 func (r *Registry) Intern(name string, arity int) PredID {
-	id, isNew := r.ids.Intern(name, func() uint32 {
-		return r.preds.Append(predInfo{name: name, arity: arity})
+	id, isNew := r.ids.Intern(name, func() (uint32, string) {
+		return r.preds.Append(predInfo{name: name, arity: arity}), name
 	})
 	if !isNew {
 		if got, _ := r.preds.Get(id); got.arity != arity {

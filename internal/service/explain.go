@@ -9,6 +9,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/plan"
 	"repro/internal/schema"
+	"repro/internal/term"
 )
 
 // Per-query tracing. A QueryTrace is built when the request asks for
@@ -147,6 +148,16 @@ type ViewJoin struct {
 // don't implement it silently drop the trace.
 type TraceSink interface {
 	Trace(tr *QueryTrace) error
+}
+
+// TermSink is optionally implemented by Sinks that render answer terms
+// themselves: QueryStream then calls RowTerms in place of Row, with the
+// naming context the terms resolve against, and never renders a name on
+// the sink's behalf (the HTTP sink copies each constant's JSON literal,
+// encoded when it was interned). The tuple is reused between calls, like
+// Row's. Sinks that don't implement it get Row with the rendered names.
+type TermSink interface {
+	RowTerms(st *term.Store, tuple []term.Term) error
 }
 
 // traceClock starts stage timing: the zero Time when no trace is

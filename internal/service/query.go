@@ -86,11 +86,12 @@ type QueryResponse struct {
 }
 
 // Sink receives one query's answer incrementally: Begin once, Row per
-// answer tuple in enumeration order, End once (on success). The tuple
-// slice passed to Row is reused between calls — implementations retaining
-// it must copy. A non-nil error from any method aborts the enumeration
-// and propagates out of QueryStream; the HTTP layer uses this to stop
-// evaluating the moment a streaming client disconnects.
+// answer tuple in enumeration order (RowTerms instead, if the sink is a
+// TermSink), End once (on success). The tuple slice passed to Row is
+// reused between calls — implementations retaining it must copy. A
+// non-nil error from any method aborts the enumeration and propagates out
+// of QueryStream; the HTTP layer uses this to stop evaluating the moment
+// a streaming client disconnects.
 type Sink interface {
 	Begin(epoch uint64, columns int) error
 	Row(tuple []string) error
@@ -125,15 +126,29 @@ func (c *collectSink) Begin(epoch uint64, columns int) error {
 }
 
 func (c *collectSink) Row(tuple []string) error {
-	n := len(tuple)
+	copy(c.next(len(tuple)), tuple)
+	return nil
+}
+
+func (c *collectSink) RowTerms(st *term.Store, tuple []term.Term) error {
+	row := c.next(len(tuple))
+	for i, t := range tuple {
+		row[i] = st.Name(t)
+	}
+	return nil
+}
+
+// next appends an n-wide row to the response and returns it for filling.
+func (c *collectSink) next(n int) []string {
 	if len(c.arena)+n > cap(c.arena) {
 		rows := min(max(2*cap(c.arena)/max(n, 1), 16), 1024)
 		c.arena = make([]string, 0, rows*max(n, 1))
 	}
 	start := len(c.arena)
-	c.arena = append(c.arena, tuple...)
-	c.resp.Tuples = append(c.resp.Tuples, c.arena[start:start+n:start+n])
-	return nil
+	c.arena = c.arena[:start+n]
+	row := c.arena[start : start+n : start+n]
+	c.resp.Tuples = append(c.resp.Tuples, row)
+	return row
 }
 
 func (c *collectSink) End(truncated bool, boolAns *bool) error {
@@ -145,6 +160,69 @@ func (c *collectSink) End(truncated bool, boolAns *bool) error {
 func (c *collectSink) Trace(tr *QueryTrace) error {
 	c.resp.Explain = tr
 	return nil
+}
+
+// answerRows is the one emission loop of both query paths: it hands each
+// answer tuple to the sink as terms under the request's limit, then
+// closes the answer. A sink that is no TermSink gets the tuple's names
+// through Row, rendered into one reused slice.
+type answerRows struct {
+	sink      Sink
+	terms     TermSink // nil: render names for sink.Row
+	names     []string
+	st        *term.Store
+	limit     int
+	emitted   int
+	truncated bool
+	abort     error
+}
+
+func newAnswerRows(sink Sink, st *term.Store, limit int) *answerRows {
+	r := &answerRows{sink: sink, st: st, limit: limit}
+	r.terms, _ = sink.(TermSink)
+	return r
+}
+
+// room reports whether another answer fits under the limit; the first
+// match past it only flags the truncation.
+func (r *answerRows) room() bool {
+	if r.emitted >= r.limit {
+		r.truncated = true
+		return false
+	}
+	return true
+}
+
+// emit delivers one answer tuple and reports whether the enumeration
+// goes on.
+func (r *answerRows) emit(tup []term.Term) bool {
+	var err error
+	if r.terms != nil {
+		err = r.terms.RowTerms(r.st, tup)
+	} else {
+		if len(r.names) != len(tup) {
+			r.names = make([]string, len(tup))
+		}
+		for i, t := range tup {
+			r.names[i] = r.st.Name(t)
+		}
+		err = r.sink.Row(r.names)
+	}
+	if err != nil {
+		r.abort = sinkErr(err)
+		return false
+	}
+	r.emitted++
+	return true
+}
+
+// end closes the answer: the error that stopped the enumeration, else
+// the sink's End.
+func (r *answerRows) end() error {
+	if r.abort != nil {
+		return r.abort
+	}
+	return sinkErr(r.sink.End(r.truncated, nil))
 }
 
 // Query evaluates one request against the current epoch's snapshot,
@@ -296,16 +374,13 @@ func (s *Service) patternQueryStream(bud *plan.Budget, e *epoch, req *QueryReque
 	if pt != nil {
 		pt.PlanCached = cached
 	}
-	st := prog.Store
-	names := make([]string, arity)
-	emitted, truncated, pending := 0, false, 0
-	var abort error
+	rows := newAnswerRows(sink, prog.Store, limit)
+	pending := 0
 	e.snap.DB().Probe(p, frame, 0, 0, 1, func() bool {
 		if pt != nil {
 			pt.Matches++
 		}
-		if emitted >= limit {
-			truncated = true
+		if !rows.room() {
 			return false
 		}
 		// A local pending counter flushes into the shared budget once per
@@ -313,27 +388,16 @@ func (s *Service) patternQueryStream(bud *plan.Budget, e *epoch, req *QueryReque
 		if pending++; pending == queryCancelStride {
 			pending = 0
 			if err := bud.AddProbes(queryCancelStride); err != nil {
-				abort = err
+				rows.abort = err
 				return false
 			}
 		}
-		for i := 0; i < arity; i++ {
-			names[i] = st.Name(frame[i])
-		}
-		if err := sink.Row(names); err != nil {
-			abort = sinkErr(err)
-			return false
-		}
-		emitted++
-		return true
+		return rows.emit(frame)
 	})
 	if tr != nil {
-		tr.Truncated = truncated
+		tr.Truncated = rows.truncated
 	}
-	if abort != nil {
-		return class, emitted, abort
-	}
-	return class, emitted, sinkErr(sink.End(truncated, nil))
+	return class, rows.emitted, rows.end()
 }
 
 // patternPlan returns the generation's cached scan plan for the shape,
@@ -441,36 +505,18 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 	if err := sink.Begin(e.seq.Load(), len(q.Output)); err != nil {
 		return class, 0, sinkErr(err)
 	}
-	st := prog.Store
-	names := make([]string, len(q.Output))
-	emitted, truncated := 0, false
-	var abort error
+	rows := newAnswerRows(sink, prog.Store, limit)
 	if _, err := p.RunBudgetTraced(bud, pt, sdb, func(tup []term.Term) bool {
-		if emitted >= limit {
-			truncated = true
-			return false
-		}
-		for i, t := range tup {
-			names[i] = st.Name(t)
-		}
-		if err := sink.Row(names); err != nil {
-			abort = sinkErr(err)
-			return false
-		}
-		emitted++
-		return true
+		return rows.room() && rows.emit(tup)
 	}); err != nil {
-		return class, emitted, err
+		return class, rows.emitted, err
 	}
 	if tr != nil {
 		tr.CQ = &CQTrace{JoinOrder: p.Order, PlanCached: cached, Matches: pt.CQMatches}
-		tr.Truncated = truncated
+		tr.Truncated = rows.truncated
 		tr.stage("enumerate", mark)
 	}
-	if abort != nil {
-		return class, emitted, abort
-	}
-	return class, emitted, sinkErr(sink.End(truncated, nil))
+	return class, rows.emitted, rows.end()
 }
 
 // cqPlan returns the generation's cached compiled plan for the query

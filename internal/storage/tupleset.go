@@ -41,6 +41,25 @@ func NewTupleSet(arity int) *TupleSet {
 // Len reports the number of distinct tuples added.
 func (s *TupleSet) Len() int { return s.n }
 
+// Reset empties the set for reuse at the given arity, keeping its storage.
+// It clears only the probe slots the previous contents filled, found again
+// from their retained hashes, so it costs O(Len), not O(table): a small
+// answer after a large one does not pay for the large one's table.
+func (s *TupleSet) Reset(arity int) {
+	mask := uint64(len(s.tab) - 1)
+	for ti, h := range s.hashes {
+		i := h & mask
+		for s.tab[i] != int32(ti) {
+			i = (i + 1) & mask
+		}
+		s.tab[i] = -1
+	}
+	s.arity = arity
+	s.flat = s.flat[:0]
+	s.hashes = s.hashes[:0]
+	s.n = 0
+}
+
 // Add inserts the tuple, reporting whether it was new. The tuple is copied
 // into the set's arena; callers may reuse tup as a scratch buffer.
 func (s *TupleSet) Add(tup []term.Term) bool {

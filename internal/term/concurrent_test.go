@@ -137,42 +137,3 @@ func TestConcurrentFreshness(t *testing.T) {
 		t.Fatalf("NullCount = %d, want %d", s.NullCount(), workers*perW)
 	}
 }
-
-// TestCloneDuringIntern: cloning the store while interning is in flight
-// yields a consistent prefix — every ID the clone knows renders to the
-// name that interned it — and the two stores diverge independently
-// afterwards.
-func TestCloneDuringIntern(t *testing.T) {
-	s := NewStore()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.Const(fmt.Sprintf("c%d", i))
-		}
-	}()
-	for k := 0; k < 30; k++ {
-		c := s.Clone()
-		n := c.NumConsts()
-		for i := 0; i < n; i++ {
-			want := fmt.Sprintf("c%d", i)
-			if got := c.Name(MkConst(uint32(i))); got != want {
-				t.Fatalf("clone %d: Name(%d) = %q, want %q", k, i, got, want)
-			}
-		}
-		// Divergence: the clone's new interns stay private.
-		priv := c.Const("only-in-clone")
-		if _, ok := s.HasConst("only-in-clone"); ok && s.NumConsts() <= int(priv.ID) {
-			t.Fatal("original observed clone-private constant")
-		}
-	}
-	close(stop)
-	wg.Wait()
-}

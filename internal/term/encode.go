@@ -25,17 +25,18 @@ import (
 
 // AppendEncoded serializes the store onto buf.
 func (s *Store) AppendEncoded(buf []byte) []byte {
-	buf = appendNames(buf, s.consts.arena.Len(), s.consts.arena.Get)
-	buf = appendNames(buf, s.vars.arena.Len(), s.vars.arena.Get)
+	buf = s.consts.appendEncoded(buf)
+	buf = s.vars.appendEncoded(buf)
 	return binary.LittleEndian.AppendUint32(buf, s.nextNull.Load())
 }
 
-func appendNames(buf []byte, n int, get func(uint32) (string, bool)) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	for i := 0; i < n; i++ {
-		name, _ := get(uint32(i))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
-		buf = append(buf, name...)
+func (n *names) appendEncoded(buf []byte) []byte {
+	count := n.arena.Len()
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
+	for i := 0; i < count; i++ {
+		e, _ := n.arena.Get(uint32(i))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.name)))
+		buf = append(buf, e.name...)
 	}
 	return buf
 }

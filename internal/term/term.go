@@ -76,28 +76,28 @@ func MkVar(id uint32) Term { return Term{Kind: Var, ID: id} }
 func MkNull(label uint32) Term { return Term{Kind: Null, ID: label} }
 
 // names interns one sort of names: a striped name→ID map with a lock-free
-// read path plus a chunked append-only ID→name arena (see internal/intern).
+// read path plus a chunked append-only ID→entry arena (see internal/intern).
 // IDs stay dense and sequential in first-intern order — exactly the
 // assignment a single-threaded map-plus-slice store produces — so columnar
 // storage indexed by ID and ID-ordered deterministic outputs are untouched
-// by the concurrency rework.
+// by the concurrency rework. The map keys on the entry's own copy of the
+// name, so each name's bytes are stored once.
 type names struct {
 	ids   *intern.Map
-	arena *intern.Arena[string]
+	arena *intern.Arena[entry]
 }
 
 func newNames() names {
-	return names{ids: intern.NewMap(), arena: intern.NewArena[string]()}
+	return names{ids: intern.NewMap(), arena: intern.NewArena[entry]()}
 }
 
 // intern returns name's ID, assigning the next dense ID if absent, and
 // whether this call created it.
 func (n *names) intern(name string) (uint32, bool) {
-	return n.ids.Intern(name, func() uint32 { return n.arena.Append(name) })
-}
-
-func (n *names) clone() names {
-	return names{ids: n.ids.Clone(), arena: n.arena.Clone()}
+	return n.ids.Intern(name, func() (uint32, string) {
+		e := newEntry(name)
+		return n.arena.Append(e), e.name
+	})
 }
 
 // Store interns constant and variable names. A Store is the naming context
@@ -118,18 +118,6 @@ type Store struct {
 // NewStore returns an empty interning store.
 func NewStore() *Store {
 	return &Store{consts: newNames(), vars: newNames()}
-}
-
-// Clone returns an independent copy of the store. Term IDs remain valid
-// across the copy, so atoms built against the original render identically
-// against the clone. The copy is cheap — the cap-limited-sharing
-// discipline of DB.Clone applied to names: promoted (immutable) name maps
-// and full arena chunks are shared, and only the partial tail chunk of
-// each arena is copied. Safe concurrently with interning on the receiver.
-func (s *Store) Clone() *Store {
-	out := &Store{consts: s.consts.clone(), vars: s.vars.clone()}
-	out.nextNull.Store(s.nextNull.Load())
-	return out
 }
 
 // Const interns the constant name and returns its term. Interning the same
@@ -185,13 +173,13 @@ func (s *Store) HasConst(name string) (Term, bool) {
 func (s *Store) Name(t Term) string {
 	switch t.Kind {
 	case Const:
-		if name, ok := s.consts.arena.Get(t.ID); ok {
-			return name
+		if e, ok := s.consts.arena.Get(t.ID); ok {
+			return e.name
 		}
 		return "const#" + strconv.FormatUint(uint64(t.ID), 10)
 	case Var:
-		if name, ok := s.vars.arena.Get(t.ID); ok {
-			return name
+		if e, ok := s.vars.arena.Get(t.ID); ok {
+			return e.name
 		}
 		return "Var#" + strconv.FormatUint(uint64(t.ID), 10)
 	case Null:
