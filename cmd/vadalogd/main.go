@@ -486,6 +486,7 @@ func buildHandler(svc *service.Service, opts handlerOpts) http.Handler {
 		}
 	})
 	registerQueueGauge(opts.adm)
+	registerStorageGauges(svc)
 	return logRecover(opts.log(), withRequestID(withObs(withDraining(opts.draining, withTimeout(opts.timeout, mux)))))
 }
 

@@ -123,6 +123,13 @@ func TestDaemonMetrics(t *testing.T) {
 			t.Errorf("%s moved by %v, want %v", series, delta, want)
 		}
 	}
+	// The storage-bytes gauges read the current epoch: every relation is
+	// binary, so each row holds 16 B of columns and a 4 B insertion index.
+	cols, global := after[`vadalog_storage_bytes{structure="cols"}`], after[`vadalog_storage_bytes{structure="global"}`]
+	if cols == 0 || cols != 4*global || after[`vadalog_storage_bytes{structure="dedup"}`] == 0 {
+		t.Errorf("vadalog_storage_bytes cols %v, global %v, dedup %v: want cols = 4·global > 0 and dedup > 0",
+			cols, global, after[`vadalog_storage_bytes{structure="dedup"}`])
+	}
 	var st service.Stats
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Engine.Kept != 3 || st.Engine.Overdeleted != 3 || st.Engine.Rederived != 0 {

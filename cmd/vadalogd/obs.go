@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // Daemon-level series: request latency per endpoint plus the two
@@ -65,6 +66,18 @@ func registerQueueGauge(adm *admission) {
 		}
 		return float64(adm.waiting.Load())
 	})
+}
+
+// registerStorageGauges exposes the served instance's bytes by structure,
+// read from the current epoch at scrape time. Last registration wins, as
+// for the queue gauge.
+func registerStorageGauges(svc *service.Service) {
+	for _, structure := range []string{"cols", "global", "dedup", "postings", "liveness"} {
+		obs.NewGaugeFunc("vadalog_storage_bytes", fmt.Sprintf("structure=%q", structure),
+			"Bytes of the current epoch's instance, by structure (storage.DB.Footprint).", func() float64 {
+				return float64(svc.Footprint()[structure])
+			})
+	}
 }
 
 // Request IDs: a process-unique prefix (startup nanos) plus a counter —

@@ -261,6 +261,18 @@ func (s *Service) publish() uint64 {
 	return e.seq.Load()
 }
 
+// Footprint returns the current epoch's storage.DB.Footprint — the
+// served instance's bytes by structure (nil before the first Load or
+// while recovering).
+func (s *Service) Footprint() map[string]int {
+	e, err := s.acquire()
+	if err != nil {
+		return nil
+	}
+	defer e.release()
+	return e.snap.DB().Footprint()
+}
+
 // maybeCompact retries physical reclamation if a drained epoch requested
 // it, and piggybacks the periodic durability checkpoint on the same
 // writer-lock quiet point. Caller holds mu.

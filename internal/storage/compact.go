@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"math/bits"
+
 	"repro/internal/obs"
 	"repro/internal/term"
 )
@@ -13,19 +15,15 @@ import (
 // re-runs Compact after the snapshots release). The rebuild is localized:
 // live rows are re-packed into fresh columns, a freshly-sized dedup table,
 // and fresh postings for the positions that were built, KEEPING their
-// original global insertion indexes, and the insertion log is patched in
-// a fresh copy — reclaimed entries become holes (row == holeRow),
-// surviving entries are re-pointed at their packed rows. Relations below
-// the threshold are completely untouched: their global columns, row
-// handles, and outstanding marks all stay valid, so a workload churning
-// one small relation inside a huge instance pays O(churning relation),
-// never O(instance).
+// original global insertion indexes; the reclaimed rows' indexes become
+// holes that no row holds. Relations below the threshold are completely
+// untouched: their global columns, row handles, and outstanding marks all
+// stay valid, so a workload churning one small relation inside a huge
+// instance pays O(churning relation), never O(instance).
 //
-// Holes keep the log monotone (global indexes never renumber) at 8 bytes
-// each; once they outnumber live entries — and nothing is pinned — the
-// log is squashed: holes drop out, every global index renumbers, and
-// every relation's global column is rewritten into fresh backings. Only
-// the squash invalidates marks and handles of untouched relations.
+// Holes cost nothing to hold; once they outnumber the indexes rows hold —
+// and nothing is pinned — squash renumbers every index, the only step
+// that invalidates marks and handles of untouched relations.
 //
 // Nothing is ever mutated in place (old backings may be shared with
 // clones and snapshots). Returns the number of rows reclaimed.
@@ -49,71 +47,52 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 	if db.dead == 0 && db.holes == 0 {
 		return 0
 	}
-	// Compaction rewrites log entries in place: own the whole log first.
-	db.order, db.base = db.fullLog(), nil
 	t0 := obs.Now()
-	var reclaim []int
-	for p, r := range db.rels {
-		if r != nil && r.nDead > 0 && float64(r.nDead) >= minDeadFrac*float64(r.rows()) &&
-			(!respectPins || r.pins.Load() == 0) {
-			reclaim = append(reclaim, p)
-		}
-	}
 	removed := 0
-	if len(reclaim) > 0 {
-		// Patch a fresh copy of the insertion log; the old backing may be
-		// shared cap-limited with clones and snapshot views.
-		newOrder := append([]rowRef(nil), db.order...)
-		for _, p := range reclaim {
-			r := db.rels[p]
-			nr := newRelation(r.pred, r.arity)
-			live := r.liveRows()
-			nr.cols = make([]term.Term, 0, live*r.arity)
-			nr.global = make([]int32, 0, live)
-			nr.hashes = make([]uint64, 0, live)
-			for ri, n := 0, r.rows(); ri < n; ri++ {
-				g := r.global[ri]
-				if r.isDead(int32(ri)) {
-					newOrder[g] = rowRef{pred: r.pred, row: holeRow}
-					removed++
-					continue
-				}
-				nrow := int32(len(nr.hashes))
-				nr.cols = append(nr.cols, r.args(int32(ri))...)
-				nr.hashes = append(nr.hashes, r.hashes[ri])
-				// Survivors keep their global indexes: the column stays
-				// strictly increasing and the log positions of every OTHER
-				// relation stay untouched.
-				nr.global = append(nr.global, g)
-				newOrder[g] = rowRef{pred: r.pred, row: nrow}
-			}
-			if len(nr.hashes) > 0 {
-				// Pre-size the dedup sub-tables, then link every packed row
-				// (all live by construction) — one rehash total.
-				nr.growTabTo(len(nr.hashes))
-				for ri := range nr.hashes {
-					nr.tabInsert(nr.hashes[ri], int32(ri))
-				}
-			}
-			// The packed relation keeps the positions its predecessor
-			// carried, and goes on hearing the readers of its views.
-			nr.want = r.want
-			for i := range r.idx {
-				if r.idx[i].base != nil {
-					nr.catchUp(i)
-				}
-			}
-			db.rels[p] = nr
+	for p, r := range db.rels {
+		if r == nil || r.nDead == 0 || float64(r.nDead) < minDeadFrac*float64(r.rows()) ||
+			respectPins && r.pins.Load() != 0 {
+			continue
 		}
-		db.order = newOrder
-		db.dead -= removed
-		db.holes += removed
+		nr := newRelation(r.pred, r.arity)
+		live := r.liveRows()
+		nr.cols = make([]term.Term, 0, live*r.arity)
+		nr.global = make([]int32, 0, live)
+		// Pre-size the dedup sub-tables, then link every packed row (all
+		// live by construction) — one rehash total.
+		if live > 0 {
+			nr.growTabTo(live)
+		}
+		for ri, n := 0, r.rows(); ri < n; ri++ {
+			if r.isDead(int32(ri)) {
+				continue
+			}
+			args := r.args(int32(ri))
+			nr.tabInsert(hashArgs(r.pred, args), int32(nr.nrows))
+			nr.cols = append(nr.cols, args...)
+			nr.nrows++
+			// Survivors keep their global indexes: the column stays strictly
+			// increasing and every OTHER relation stays untouched.
+			nr.global = append(nr.global, r.global[ri])
+		}
+		// The packed relation keeps the positions its predecessor
+		// carried, and goes on hearing the readers of its views.
+		nr.want = r.want
+		for i := range r.idx {
+			if r.idx[i].base != nil {
+				nr.catchUp(i)
+			}
+		}
+		db.rels[p] = nr
+		removed += r.nDead
 	}
+	db.dead -= removed
+	db.holes += removed
 	// Squashing only replaces headers and fresh slices, so it is safe
 	// under live snapshots; the pin check merely keeps the deferring
 	// Compact from invalidating marks while readers are active.
-	if db.holes > 0 && 2*db.holes > len(db.order) && (!respectPins || !db.pinnedLive()) {
-		db.squashLog()
+	if db.holes > 0 && 2*db.holes > db.next && (!respectPins || !db.pinnedLive()) {
+		db.squash()
 	}
 	if !t0.IsZero() {
 		obsCompactSec.ObserveSince(t0)
@@ -122,30 +101,34 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 	return removed
 }
 
-// squashLog drops every hole from the insertion log, renumbering global
-// indexes and rewriting each relation's global column into fresh backings
-// (replacing headers only — old arrays stay intact for clones and
-// snapshots). Invalidates every outstanding Mark.
-func (db *DB) squashLog() {
-	newGlobal := make([][]int32, len(db.rels))
-	for p, r := range db.rels {
+// squash renumbers every global index to its rank among the indexes rows
+// hold (a prefix popcount over a bitmap of them), into fresh global
+// columns: old arrays stay intact for clones and snapshots.
+func (db *DB) squash() {
+	used := make([]uint64, (db.next+63)/64)
+	for _, r := range db.rels {
 		if r != nil {
-			newGlobal[p] = make([]int32, 0, r.rows())
+			for _, g := range r.global {
+				used[g>>6] |= 1 << (uint(g) & 63)
+			}
 		}
 	}
-	newOrder := make([]rowRef, 0, len(db.order)-db.holes)
-	for _, ref := range db.order {
-		if ref.row == holeRow {
+	rank := make([]int32, len(used)) // held indexes below each word
+	for w, held := 0, 0; w < len(used); w++ {
+		rank[w] = int32(held)
+		held += bits.OnesCount64(used[w])
+	}
+	for _, r := range db.rels {
+		if r == nil {
 			continue
 		}
-		newGlobal[ref.pred] = append(newGlobal[ref.pred], int32(len(newOrder)))
-		newOrder = append(newOrder, ref)
-	}
-	for p, r := range db.rels {
-		if r != nil {
-			r.global = newGlobal[p]
+		global := make([]int32, len(r.global))
+		for ri, g := range r.global {
+			below := used[g>>6] & (1<<(uint(g)&63) - 1)
+			global[ri] = rank[g>>6] + int32(bits.OnesCount64(below))
 		}
+		r.global = global
 	}
-	db.order = newOrder
+	db.next -= db.holes
 	db.holes = 0
 }

@@ -20,37 +20,25 @@ import (
 // DB is an instance over a schema: a deduplicated set of ground atoms
 // (constants and nulls). Facts live in per-predicate columnar relations
 // (flat arity-strided term arrays with predicate-local dedup tables and
-// per-position indexes); a single global insertion-order log stitches the
-// relations into one instance for Mark-based delta windows, provenance
-// row indexes, and deterministic enumeration. The zero value is not
-// usable; call NewDB.
+// per-position indexes); each row carries its global insertion index, and
+// those indexes stitch the relations into one instance for Mark-based
+// delta windows, provenance row indexes, and deterministic enumeration.
+// The zero value is not usable; call NewDB.
 type DB struct {
 	// rels is dense by PredID; entries are nil until the predicate's first
 	// fact arrives.
 	rels []*relation
-	// order is the global insertion log: order[g] locates the fact with
-	// global insertion index g inside its relation.
-	order []rowRef
-	// base is the frozen log prefix an Overlay shares with its snapshot
-	// (nil on every other DB): global index g lives at base[g] below
-	// len(base) and at order[g-len(base)] above. An overlay's inserts
-	// append to its own short order — appending to a cap-limited copy of
-	// the whole log would copy the instance's log once per overlay.
-	base []rowRef
+	// next is the next global insertion index.
+	next int
 	// dead is the total number of tombstoned rows across relations; Len and
 	// the per-window counts report live rows only.
 	dead int
-	// holes counts insertion-log entries whose rows were physically
-	// reclaimed by a localized Compact (row == holeRow): neither live nor
-	// tombstoned, skipped by every log walk. The log itself is squashed
-	// only once holes dominate (see compact.go).
+	// holes counts the insertion indexes below next that no row holds —
+	// rows a localized Compact reclaimed (see compact.go).
 	holes int
 	// frozen marks a snapshot view: every mutating operation panics.
 	frozen bool
 }
-
-// holeRow is the rowRef.row sentinel of a reclaimed insertion-log entry.
-const holeRow int32 = -1
 
 // mutable panics when the DB is a frozen snapshot view — the guard on
 // every mutating entry point.
@@ -60,27 +48,9 @@ func (db *DB) mutable() {
 	}
 }
 
-// rowRef locates one fact: the relation of pred, local row index row.
-type rowRef struct {
-	pred schema.PredID
-	row  int32
-}
-
 // NewDB returns an empty instance.
 func NewDB() *DB {
 	return &DB{}
-}
-
-// logLen is the next global insertion index.
-func (db *DB) logLen() int { return len(db.base) + len(db.order) }
-
-// fullLog returns the whole insertion log as one slice: the receiver's own
-// when it shares no prefix, a fresh concatenation otherwise.
-func (db *DB) fullLog() []rowRef {
-	if db.base == nil {
-		return db.order
-	}
-	return append(db.base[:len(db.base):len(db.base)], db.order...)
 }
 
 // relOf returns the predicate's relation, or nil if no fact with that
@@ -133,19 +103,17 @@ func (db *DB) InsertArgs(pred schema.PredID, args []term.Term) bool {
 	if r.borrowed {
 		r.own()
 	}
-	ri := int32(r.rows())
-	r.tabInsert(h, ri)
+	r.tabInsert(h, int32(r.nrows))
 	r.cols = append(grow(r.cols, len(args)), args...)
-	r.global = append(grow(r.global, 1), int32(db.logLen()))
-	r.hashes = append(grow(r.hashes, 1), h)
-	db.order = append(grow(db.order, 1), rowRef{pred: pred, row: ri})
+	r.nrows++
+	r.global = append(grow(r.global, 1), int32(db.next))
+	db.next++
 	return true
 }
 
 // grow returns s with room for n more elements, doubling the capacity when
-// it runs out. The columns and the insertion log only ever grow, and
-// append's 1.25x steps for large slices re-copy a column about five times
-// its final size over a load.
+// it runs out. The columns only ever grow, and append's 1.25x steps for
+// large slices re-copy a column about five times its final size over a load.
 func grow[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
@@ -183,7 +151,7 @@ func (db *DB) ContainsArgs(pred schema.PredID, args []term.Term) bool {
 }
 
 // Len reports the number of live stored atoms (tombstoned rows excluded).
-func (db *DB) Len() int { return db.logLen() - db.dead - db.holes }
+func (db *DB) Len() int { return db.next - db.dead - db.holes }
 
 // CountPred reports the number of live atoms with the given predicate.
 func (db *DB) CountPred(p schema.PredID) int {
@@ -224,39 +192,38 @@ func (db *DB) Facts(p schema.PredID) []atom.Atom {
 }
 
 // All returns every live stored atom in insertion order. The slice is
-// fresh but the atoms' argument slices alias the columnar backing.
+// fresh but the atoms' argument slices alias the columnar backing. A cold
+// path (export, provenance seeding, the REPL): the live rows are scattered
+// by insertion index, then gathered in place.
 func (db *DB) All() []atom.Atom {
-	out := make([]atom.Atom, 0, db.Len())
-	for _, ref := range db.fullLog() {
-		if ref.row == holeRow {
-			continue
+	at, live := make([]atom.Atom, db.next), make([]bool, db.next)
+	for _, r := range db.rels {
+		for ri := 0; r != nil && ri < r.nrows; ri++ {
+			if g := r.global[ri]; !r.isDead(int32(ri)) {
+				at[g], live[g] = r.atomAt(int32(ri)), true
+			}
 		}
-		r := db.rels[ref.pred]
-		if r.nDead != 0 && r.isDead(ref.row) {
-			continue
+	}
+	out := at[:0]
+	for g := range at {
+		if live[g] {
+			out = append(out, at[g])
 		}
-		out = append(out, r.atomAt(ref.row))
 	}
 	return out
 }
 
 // Clone returns an observationally identical, independently growable copy.
-// The columnar backings, the insertion log, every posting list and every
-// frozen posting index are shared with the original (row storage only ever
-// appends, and an append past a shared view's capacity reallocates); the
-// dedup arrays are read through until the clone's first insert into a
-// relation copies them (relation.own); only the liveness bitmaps and the
-// posting maps the original still extends in place are copied here — no
-// re-insertion, no re-hashing. Clone only reads its receiver. Tombstones
-// flipped on either side after the clone stay invisible to the other.
+// The columnar backings, every posting list and every frozen posting index
+// are shared with the original (row storage only ever appends, and an append
+// past a shared view's capacity reallocates); the dedup arrays are read
+// through until the clone's first insert into a relation copies them
+// (relation.own); only the liveness bitmaps and the posting maps the
+// original still extends in place are copied here — no re-insertion, no
+// re-hashing. Clone only reads its receiver. Tombstones flipped on either
+// side after the clone stay invisible to the other.
 func (db *DB) Clone() *DB {
-	out := &DB{
-		rels:  make([]*relation, len(db.rels)),
-		order: db.order[:len(db.order):len(db.order)],
-		base:  db.base,
-		dead:  db.dead,
-		holes: db.holes,
-	}
+	out := &DB{rels: make([]*relation, len(db.rels)), next: db.next, dead: db.dead, holes: db.holes}
 	for p, r := range db.rels {
 		if r != nil {
 			out.rels[p] = r.clone()

@@ -11,7 +11,7 @@ import (
 type Mark int
 
 // Mark returns the current insertion position.
-func (db *DB) Mark() Mark { return Mark(db.logLen()) }
+func (db *DB) Mark() Mark { return Mark(db.next) }
 
 // IndexOf returns the insertion index of a ground atom, if present.
 // Insertion indexes order derivations: a chase trigger's atoms always have

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,7 @@ import (
 //     additionally folded with intra-relation parallelism over its hash
 //     sub-shards (see mergeSharded) — heavy single-predicate batches, the
 //     common case in bulk CSV loads, no longer serialize on one goroutine.
-//     Only the global insertion log is stitched serially, after every
+//     Only the global insertion indexes are assigned serially, after every
 //     relation settles.
 //
 // The result is deterministic regardless of par and of which tuple was
@@ -88,12 +89,12 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 				if _, ok := r.find(h, args); ok {
 					continue
 				}
-				r.tabInsert(h, int32(len(r.hashes)))
+				r.tabInsert(h, int32(r.nrows))
 				r.cols = append(grow(r.cols, len(args)), args...)
-				r.hashes = append(grow(r.hashes, 1), h)
+				r.nrows++
 			}
 		}
-		accepted[pi] = len(r.hashes) - base
+		accepted[pi] = r.nrows - base
 	}
 	if par <= 1 {
 		for pi := range preds {
@@ -117,18 +118,15 @@ func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 			accepted[pi] = db.mergeSharded(p, bufs, staged[p], par)
 		}
 	}
-	// Stitch the insertion log: accepted rows enter in predicate order,
-	// each relation's global column staying strictly increasing.
+	// Number the accepted rows: they enter in predicate order, each
+	// relation's global column staying strictly increasing.
 	added := 0
 	for pi, p := range preds {
 		r := db.rels[p]
-		base := r.rows()
 		r.global = grow(r.global, accepted[pi])
-		db.order = grow(db.order, accepted[pi])
 		for k := 0; k < accepted[pi]; k++ {
-			ri := int32(base + k)
-			r.global = append(r.global, int32(db.logLen()))
-			db.order = append(db.order, rowRef{pred: p, row: ri})
+			r.global = append(r.global, int32(db.next))
+			db.next++
 		}
 		added += accepted[pi]
 	}
@@ -157,19 +155,18 @@ const shardedMergeRows = 2048
 //	B (serial): append accepted rows to the columns in (buffer, append)
 //	  order — byte-identical to the serial merge's layout.
 //	C (parallel by sub-shard): link the new rows into the dedup
-//	  sub-tables (one job per hash shard) and into the posting
-//	  sub-indexes of the positions that were current (one job per such
-//	  position × term shard). Jobs write disjoint structures; the
-//	  columns they read are settled.
+//	  sub-tables (one job per hash shard, reading the hashes the buffers
+//	  staged) and into the posting sub-indexes of the positions that were
+//	  current (one job per such position × term shard). Jobs write
+//	  disjoint structures; the columns they read are settled.
 //
-// Returns the number of accepted rows; the caller stitches the insertion
-// log.
+// Returns the number of accepted rows; the caller numbers them.
 func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par int) int {
 	r := db.rels[p]
 	if r.borrowed {
 		r.own()
 	}
-	base := len(r.hashes)
+	base := r.nrows
 	r.growTabTo(base + estimate)
 	tA := obs.Now()
 	// Phase A.
@@ -205,25 +202,26 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 	})
 	obsMergeAccept.ObserveSince(tA)
 	tB := obs.Now()
-	// Phase B.
-	for bi, b := range bufs {
-		if accept[bi] == nil {
-			continue
-		}
-		pb := b.bufs[p]
-		for k, n := 0, pb.rows(); k < n; k++ {
-			if accept[bi][k>>6]>>(uint(k)&63)&1 == 0 {
-				continue
+	// eachAccepted calls fn for every accepted staged row, in append order.
+	eachAccepted := func(fn func(pb *predBuffer, k int)) {
+		for bi, b := range bufs {
+			for k := range accept[bi] {
+				for w := accept[bi][k]; w != 0; w &= w - 1 {
+					fn(b.bufs[p], k<<6|bits.TrailingZeros64(w))
+				}
 			}
-			r.cols = append(grow(r.cols, r.arity), pb.args(k)...)
-			r.hashes = append(grow(r.hashes, 1), pb.hashes[k])
 		}
 	}
+	// Phase B.
+	eachAccepted(func(pb *predBuffer, k int) {
+		r.cols = append(grow(r.cols, r.arity), pb.args(k)...)
+		r.nrows++
+	})
 	obsMergeAppend.ObserveSince(tB)
 	tC := obs.Now()
 	// Phase C. Only positions that were current when the merge started are
 	// extended; the rest stay behind their watermark until probed.
-	n := len(r.hashes)
+	n := r.nrows
 	var (
 		current []int
 		into    []*posIndex
@@ -236,11 +234,13 @@ func (db *DB) mergeSharded(p schema.PredID, bufs []*TupleBuffer, estimate, par i
 	}
 	runPool(par, relShards+len(current)*relShards, func(j int) {
 		if j < relShards {
-			for ri := base; ri < n; ri++ {
-				if h := r.hashes[ri]; hashShard(h) == j {
-					r.tabInsert(h, int32(ri))
+			ri := int32(base)
+			eachAccepted(func(pb *predBuffer, k int) {
+				if h := pb.hashes[k]; hashShard(h) == j {
+					r.tabInsert(h, ri)
 				}
-			}
+				ri++
+			})
 			return
 		}
 		j -= relShards

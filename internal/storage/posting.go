@@ -221,6 +221,33 @@ func (r *relation) catchUp(i int) position {
 	return r.idx[i]
 }
 
+// settled returns position i as a reader resolves it without building:
+// on a frozen view, a position a reader built late stands in for the
+// never-built one.
+func (r *relation) settled(i int) position {
+	p := r.idx[i]
+	if r.late != nil && p.base == nil {
+		if l := r.late.idx[i].Load(); l != nil {
+			p = position{base: l, split: int32(r.nrows), built: int32(r.nrows)}
+		}
+	}
+	return p
+}
+
+// bytes is the size of an index over rows rows: 12 B a key, 4 B a row
+// in an overflow list, 24 B a list header.
+func (px *posIndex) bytes(rows int) int {
+	if px == nil {
+		return 0
+	}
+	keys, lists := 0, 0
+	for s := range px.m {
+		keys += len(px.m[s])
+		lists += len(px.over[s])
+	}
+	return 12*keys + 4*(rows-keys+lists) + 24*lists
+}
+
 // catchUpBuilt catches up every position that is built at all or that a
 // reader asked for — what a writer does before it shares the relation
 // (Snapshot) or writes it out (AppendSegment).

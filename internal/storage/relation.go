@@ -49,16 +49,14 @@ type relation struct {
 	arity int
 	// cols is the arity-strided backing array: local row r occupies
 	// cols[r*arity : (r+1)*arity]. Inserting a fact is one bulk append —
-	// no per-fact slice header or argument allocation survives.
-	cols []term.Term
+	// no per-fact slice header, argument allocation or hash survives. nrows
+	// counts its rows (the bulk merge numbers them after appending).
+	cols  []term.Term
+	nrows int
 	// global maps local row -> global insertion index. It is strictly
 	// increasing, so a Mark-based delta window is a contiguous local row
 	// range [firstSince(mark), rows()), resolved by binary search.
 	global []int32
-	// hashes holds each row's fact hash: dedup probes compare hashes
-	// before touching the columns, and sub-table rebuilds re-place rows
-	// without re-reading the columns.
-	hashes []uint64
 	// tabs is the partitioned dedup table: per hash sub-shard, an
 	// open-addressed (linear-probing, power-of-two) hash set of local
 	// rows, live and dead alike. Its only mutation is "empty slot -> row
@@ -111,7 +109,7 @@ func newRelation(pred schema.PredID, arity int) *relation {
 }
 
 // rows is the number of stored facts.
-func (r *relation) rows() int { return len(r.global) }
+func (r *relation) rows() int { return r.nrows }
 
 // args returns the argument tuple of local row ri as a cap-limited view of
 // the backing array: safe to hand out because rows are immutable and
@@ -138,26 +136,25 @@ func (r *relation) equalRow(ri int32, args []term.Term) bool {
 }
 
 // find returns the LIVE local row holding args, if present, given their
-// hash. Dead rows stay linked, so a hash and tuple match on a tombstoned
-// row keeps probing: a re-inserted fact sits further down the same chain.
-// A slot naming a row this relation does not have — empty, or filled by
-// the table's writer after this view was taken — ends the chain: slots
-// never revert, so no chain of rows visible here crosses a slot that was
-// empty when the view was taken. Probes touch exactly one sub-table — the
-// fact's hash shard.
+// hash. Dead rows stay linked, so a tuple match on a tombstoned row keeps
+// probing: a re-inserted fact sits further down the same chain. A slot
+// naming a row this relation does not have — empty, or filled by the table's
+// writer after this view was taken — ends the chain: slots never revert, so
+// no chain of rows visible here crosses a slot that was empty when the view
+// was taken. Probes touch exactly one sub-table — the fact's hash shard.
 func (r *relation) find(h uint64, args []term.Term) (int32, bool) {
 	tab := r.tabs[hashShard(h)]
 	if len(tab) == 0 {
 		return 0, false
 	}
-	n := uint32(len(r.hashes))
+	n := uint32(r.nrows)
 	mask := uint64(len(tab) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		ri := atomic.LoadInt32(&tab[i])
 		if uint32(ri) >= n {
 			return 0, false
 		}
-		if r.hashes[ri] == h && r.equalRow(ri, args) && !r.isDead(ri) {
+		if r.equalRow(ri, args) && !r.isDead(ri) {
 			return ri, true
 		}
 	}
@@ -173,14 +170,14 @@ func (r *relation) findAny(h uint64, args []term.Term) (int32, bool) {
 		return 0, false
 	}
 	best := tabEmpty
-	n := uint32(len(r.hashes))
+	n := uint32(r.nrows)
 	mask := uint64(len(tab) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		ri := atomic.LoadInt32(&tab[i])
 		if uint32(ri) >= n {
 			return best, best != tabEmpty
 		}
-		if ri > best && r.hashes[ri] == h && r.equalRow(ri, args) {
+		if ri > best && r.equalRow(ri, args) {
 			best = ri
 		}
 	}
@@ -252,9 +249,10 @@ func newTab(n int) []int32 {
 
 // rebuildShard replaces dedup sub-table s with a fresh one of n slots (a
 // power of two), re-placing the rows the old one links, dead ones
-// included. The old array is left as it was for the views that hold it;
-// the new one is nobody else's until the next Snapshot() hands it out.
-// Rebuilding costs O(sub-table), never O(relation).
+// included, re-hashed from the columns. The old array is left as it was
+// for the views that hold it; the new one is nobody else's until the next
+// Snapshot() hands it out. Rebuilding costs O(sub-table), never
+// O(relation).
 func (r *relation) rebuildShard(s, n int) {
 	tab := newTab(n)
 	mask := uint64(n - 1)
@@ -262,7 +260,7 @@ func (r *relation) rebuildShard(s, n int) {
 		if ri == tabEmpty {
 			continue
 		}
-		i := r.hashes[ri] & mask
+		i := hashArgs(r.pred, r.args(ri)) & mask
 		for tab[i] != tabEmpty {
 			i = (i + 1) & mask
 		}
@@ -279,7 +277,7 @@ func (r *relation) rebuildShard(s, n int) {
 // its own once it has that many. The view's late-built positions stay
 // behind: they cover the view's rows only.
 func (r *relation) own() {
-	n := uint32(len(r.hashes))
+	n := uint32(r.nrows)
 	for s := range r.tabs {
 		if !r.tabShared[s] {
 			continue // empty, or copied when the clone was taken

@@ -320,20 +320,18 @@ func postingLowerBound(rows []int32, lo int32) int {
 	return a
 }
 
-// Row returns the stored atom at the given insertion index. Compiled plans
-// use insertion indexes for provenance; Row panics on out-of-range input
-// exactly like a slice access, and on indexes whose row a localized
-// Compact reclaimed (provenance consumers never delete, so they never
-// see holes).
+// Row returns the stored atom at the given insertion index, binary-searching
+// each relation's global column — provenance's cold path. It panics on an
+// index no row holds: out of range, or reclaimed by a localized Compact
+// (provenance consumers never delete, so they never see one).
 func (db *DB) Row(i int) atom.Atom {
-	var ref rowRef
-	if i < len(db.base) {
-		ref = db.base[i]
-	} else {
-		ref = db.order[i-len(db.base)]
+	for _, r := range db.rels {
+		if r == nil {
+			continue
+		}
+		if k := postingLowerBound(r.global, int32(i)); k < len(r.global) && int(r.global[k]) == i {
+			return r.atomAt(int32(k))
+		}
 	}
-	if ref.row == holeRow {
-		panic("storage: Row at a compacted insertion-log hole")
-	}
-	return db.rels[ref.pred].atomAt(ref.row)
+	panic("storage: Row at an insertion index no row holds")
 }

@@ -15,7 +15,7 @@ import (
 // not re-insertion — the recovery-time budget of ROADMAP item 3
 // ("restart O(load), not O(re-chase)") is spent here.
 //
-//	u32 nRels | u32 orderLen | per relation slot: u8 present | body
+//	u32 nRels | u32 next | per relation slot: u8 present | body
 //
 // A present relation's body:
 //
@@ -40,7 +40,9 @@ import (
 //     written before liveness became the bitmap alone unlinked dead rows
 //     and left a bridge code (-2) behind; a relation whose arrays hold
 //     one, or link fewer rows than it has, gets its tables rebuilt from
-//     the hash column on load.
+//     the columns on load.
+//   - Row hashes are not kept in memory: written from the columns, and
+//     checked against them on read (ErrSegmentHash).
 //   - The posting indexes that are built ARE serialized — rebuilding
 //     them through idxAdd would cost a map insert per (row, position),
 //     the dominant term for large closures. Instead each (position,
@@ -52,14 +54,17 @@ import (
 //     is caught up first and written as ONE index (a tail is folded into
 //     a copy of its base on the way out), so keys always cover every row
 //     and the bytes of an instance do not depend on who shared it.
-//   - The global insertion log is serialized implicitly: each
-//     relation's global column re-points its rows, and unclaimed log
-//     entries are exactly the holes a localized Compact left behind.
+//   - The insertion order is each relation's global column; indexes below
+//     next that no row holds are exactly the holes a localized Compact
+//     left behind.
 //
 // Encoded segments embed term and predicate IDs; they are only
 // meaningful next to the term.Store / schema.Registry encodings taken
 // at the same quiesced point (the service checkpoints all of them under
 // its writer lock).
+
+// ErrSegmentHash reports a segment row whose stored hash is not its tuple's.
+var ErrSegmentHash = errors.New("storage: segment: stored hash is not the tuple's")
 
 // legacyTabDeleted is the bridge code segments written before dead rows
 // stayed linked hold in the slots of unlinked rows.
@@ -68,7 +73,7 @@ const legacyTabDeleted int32 = -2
 // AppendSegment serializes the instance onto buf.
 func (db *DB) AppendSegment(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(db.rels)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(db.logLen()))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(db.next))
 	for _, r := range db.rels {
 		if r == nil {
 			buf = append(buf, 0)
@@ -92,8 +97,8 @@ func (r *relation) appendSegment(buf []byte) []byte {
 		buf = append(buf, byte(t.Kind))
 		buf = binary.LittleEndian.AppendUint32(buf, t.ID)
 	}
-	for _, h := range r.hashes[:n] {
-		buf = binary.LittleEndian.AppendUint64(buf, h)
+	for ri := 0; ri < n; ri++ {
+		buf = binary.LittleEndian.AppendUint64(buf, hashArgs(r.pred, r.args(int32(ri))))
 	}
 	for _, g := range r.global[:n] {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(g))
@@ -164,24 +169,22 @@ func (r *relation) appendSegment(buf []byte) []byte {
 func ReadSegment(data []byte) (*DB, error) {
 	rd := &segReader{data: data}
 	nRels := int(rd.u32())
-	orderLen := int(rd.u32())
-	// Both counts size an allocation before any body byte is read, so both
-	// are held to what the bytes can back: a relation slot takes at least a
-	// byte, a row at least 17, and a log with more than a thousand holes
-	// per row is long past the point where Compact squashes it.
-	if rd.err != nil || nRels > len(data) || orderLen > 64*len(data) {
+	next := int(rd.u32())
+	// Both counts size an allocation (next: Verify's bitmap) before any
+	// body byte is read, so both are held to what the bytes can back: a
+	// relation slot takes at least a byte, a row at least 17, and more than
+	// a thousand holes per row is long past the point where Compact
+	// squashes them.
+	if rd.err != nil || nRels > len(data) || next > 64*len(data) {
 		return nil, errors.New("storage: segment: bad header")
 	}
-	db := &DB{rels: make([]*relation, nRels), order: make([]rowRef, orderLen)}
-	for i := range db.order {
-		db.order[i].row = holeRow
-	}
+	db := &DB{rels: make([]*relation, nRels), next: next}
 	totalRows := 0
 	for p := 0; p < nRels; p++ {
 		if rd.u8() == 0 {
 			continue
 		}
-		r, err := readRelation(rd, orderLen)
+		r, err := readRelation(rd, next)
 		if err != nil {
 			return nil, err
 		}
@@ -191,9 +194,6 @@ func ReadSegment(data []byte) (*DB, error) {
 		db.rels[p] = r
 		db.dead += r.nDead
 		totalRows += r.rows()
-		for ri, g := range r.global {
-			db.order[g] = rowRef{pred: r.pred, row: int32(ri)}
-		}
 	}
 	if rd.err != nil {
 		return nil, fmt.Errorf("storage: segment: %w", rd.err)
@@ -201,24 +201,22 @@ func ReadSegment(data []byte) (*DB, error) {
 	if rd.off != len(rd.data) {
 		return nil, errors.New("storage: segment: trailing bytes")
 	}
-	db.holes = orderLen - totalRows
-	if db.holes < 0 {
-		return nil, errors.New("storage: segment: more rows than log entries")
-	}
+	db.holes = next - totalRows
 	// The decoder above only bounds what it allocates and indexes; whether
-	// the structures agree with each other is Verify's to say.
+	// the structures agree with each other (rows hold distinct indexes
+	// below next, so holes >= 0) is Verify's to say.
 	if err := db.Verify(); err != nil {
 		return nil, fmt.Errorf("storage: segment: %w", err)
 	}
 	return db, nil
 }
 
-func readRelation(rd *segReader, orderLen int) (*relation, error) {
+func readRelation(rd *segReader, next int) (*relation, error) {
 	malformed := errors.New("storage: segment: malformed relation")
 	pred := schema.PredID(rd.u32())
 	arity := int(rd.u32())
 	n := int(rd.u32())
-	if rd.err != nil || arity <= 0 || arity > 1<<16 || n < 0 || n > orderLen ||
+	if rd.err != nil || arity <= 0 || arity > 1<<16 || n < 0 || n > next ||
 		n*(5*arity+12) > len(rd.data)-rd.off { // columns, hashes, global
 		return nil, malformed
 	}
@@ -227,14 +225,16 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 	for i := range r.cols {
 		r.cols[i] = rd.term()
 	}
-	r.hashes = make([]uint64, n)
-	for i := range r.hashes {
-		r.hashes[i] = rd.u64()
+	r.nrows = n
+	for ri := 0; ri < n; ri++ {
+		if h := rd.u64(); rd.err == nil && h != hashArgs(pred, r.args(int32(ri))) {
+			return nil, fmt.Errorf("%w: pred %d row %d", ErrSegmentHash, pred, ri)
+		}
 	}
 	r.global = make([]int32, n)
 	for i := range r.global {
 		g := rd.u32()
-		if int(g) >= orderLen {
+		if int(g) >= next {
 			return nil, malformed
 		}
 		r.global[i] = int32(g)
@@ -283,8 +283,8 @@ func readRelation(rd *segReader, orderLen int) (*relation, error) {
 		// Written before dead rows stayed linked (or damaged: Verify says).
 		r.tabs, r.tabUsed = [relShards][]int32{}, [relShards]int32{}
 		r.growTabTo(n)
-		for ri, h := range r.hashes {
-			r.tabInsert(h, int32(ri))
+		for ri := 0; ri < n; ri++ {
+			r.tabInsert(hashArgs(pred, r.args(int32(ri))), int32(ri))
 		}
 	}
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -318,15 +319,17 @@ func TestSegmentDecodesLegacyTombstones(t *testing.T) {
 // typed error, or an instance Verify accepts and the read and write paths
 // can use — never a panic. Seeds: the encoded segmentFixture (positions
 // built, behind and never built), every torn prefix of it, and bit flips
-// across its posting sections, and the legacy segment whose slot arrays
-// hold bridge codes. Crashers go under testdata/fuzz/.
+// across its posting sections, the legacy segment whose slot arrays hold
+// bridge codes, and a flipped stored hash. Crashers go under
+// testdata/fuzz/.
 func FuzzReadSegment(f *testing.F) {
 	if legacy, err := os.ReadFile(legacySegment); err != nil {
 		f.Fatal(err)
 	} else {
 		f.Add(legacy)
 	}
-	enc := segmentFixture(f).AppendSegment(nil)
+	fx := segmentFixture(f)
+	enc := fx.AppendSegment(nil)
 	f.Add(enc)
 	for cut := 0; cut < len(enc); cut++ {
 		f.Add(enc[:cut])
@@ -338,6 +341,14 @@ func FuzzReadSegment(f *testing.F) {
 		cp[off] ^= 1 << (off % 8)
 		f.Add(cp)
 	}
+	// One flipped byte of e's first stored hash (header, nil slot 0, e's
+	// present byte and counts, then its columns): ErrSegmentHash.
+	cp := append([]byte(nil), enc...)
+	cp[8+1+1+12+fx.relOf(segE).rows()*2*5] ^= 0x10
+	if _, err := ReadSegment(cp); !errors.Is(err, ErrSegmentHash) {
+		f.Fatalf("flipped stored hash: err %v, want ErrSegmentHash", err)
+	}
+	f.Add(cp)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadSegment(data)
 		if err != nil {

@@ -13,9 +13,9 @@ import (
 // originating DB. A publish copies nothing and a write copies what it
 // changes:
 //
-//   - The append-only columns (cols, global, hashes, the insertion log)
-//     are captured as cap-limited views. The writer's appends land at
-//     indexes the view can never reach, so they need no coordination.
+//   - The append-only columns (cols, global) are captured as cap-limited
+//     views. The writer's appends land at indexes the view can never
+//     reach, so they need no coordination.
 //   - The dedup sub-tables are shared for good. Liveness is the bitmap and
 //     nothing else, so the only write a table ever sees is the live
 //     relation filling an empty slot with a new row's number (an atomic
@@ -64,14 +64,7 @@ func (db *DB) Snapshot() *Snapshot {
 	if db.frozen {
 		panic("storage: Snapshot of a frozen snapshot view")
 	}
-	out := &DB{
-		rels:   make([]*relation, len(db.rels)),
-		order:  db.order[:len(db.order):len(db.order)],
-		base:   db.base,
-		dead:   db.dead,
-		holes:  db.holes,
-		frozen: true,
-	}
+	out := &DB{rels: make([]*relation, len(db.rels)), next: db.next, dead: db.dead, holes: db.holes, frozen: true}
 	s := &Snapshot{db: out, pinned: make([]*relation, 0, len(db.rels))}
 	for p, r := range db.rels {
 		if r == nil {
@@ -118,9 +111,8 @@ func (s *Snapshot) DB() *DB { return s.db }
 
 // Overlay returns a mutable copy-on-write overlay of a frozen snapshot
 // view: reads fall through to the snapshot's backings, and writes copy
-// what they change. Overlay copies only the per-relation headers (and
-// shares the insertion log as DB.base, so the first insert does not copy
-// it): an overlay relation reads through the view's dedup arrays until the
+// what they change. Overlay copies only the per-relation headers: an
+// overlay relation reads through the view's dedup arrays until the
 // first row it appends (relation.own — it is a second writer of the view's
 // row space), indexes its own rows into tails beside the view's frozen
 // posting bases, copies the bitmap before its first tombstone, and
@@ -139,12 +131,7 @@ func (db *DB) Overlay() *DB {
 	if !db.frozen {
 		panic("storage: Overlay of a live DB (snapshot it first)")
 	}
-	out := &DB{
-		rels:  make([]*relation, len(db.rels)),
-		base:  db.fullLog(),
-		dead:  db.dead,
-		holes: db.holes,
-	}
+	out := &DB{rels: make([]*relation, len(db.rels)), next: db.next, dead: db.dead, holes: db.holes}
 	for p, r := range db.rels {
 		if r == nil {
 			continue
@@ -179,8 +166,8 @@ func (r *relation) view() *relation {
 		pred:      r.pred,
 		arity:     r.arity,
 		cols:      r.cols[:len(r.cols):len(r.cols)],
+		nrows:     r.nrows,
 		global:    r.global[:len(r.global):len(r.global)],
-		hashes:    r.hashes[:len(r.hashes):len(r.hashes)],
 		tabs:      r.tabs,
 		tabUsed:   r.tabUsed,
 		tabShared: r.tabShared,
@@ -193,7 +180,7 @@ func (r *relation) view() *relation {
 }
 
 // pinnedLive reports whether any relation of the DB is pinned by a live
-// snapshot — the guard that defers insertion-log squashing.
+// snapshot — the guard that defers renumbering insertion indexes.
 func (db *DB) pinnedLive() bool {
 	for _, r := range db.rels {
 		if r != nil && r.pins.Load() > 0 {

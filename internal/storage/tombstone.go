@@ -21,7 +21,7 @@ import (
 // so the fact can be re-inserted as a fresh row further down the chain,
 // and a dead-inclusive probe (FindRowAny) is how a deletion pass finds the
 // row it tombstoned. Columns, postings, the dedup table and the global
-// insertion log keep their layout, so marks stay contiguous local windows
+// insertion indexes keep their layout, so marks stay contiguous local windows
 // and views keep sharing all of them; the bitmap is copied once per epoch
 // that tombstones (8 KB for the 65 k-row closure of tc.churn-durable,
 // counted in vadalog_storage_cow_bytes_total). Physical reclamation is a
@@ -39,7 +39,7 @@ func (r *relation) isDead(ri int32) bool {
 }
 
 // liveRows is the number of stored facts that are not tombstoned.
-func (r *relation) liveRows() int { return len(r.global) - r.nDead }
+func (r *relation) liveRows() int { return r.nrows - r.nDead }
 
 // ownDead makes the bitmap this relation's to write: a private copy if a
 // view reads the one at hand.
@@ -181,7 +181,7 @@ func (db *DB) DeadCount() int { return db.dead }
 // — equivalently the next global insertion index. Consumers keying
 // side tables by insertion index (chase provenance) must use this, not
 // Len, which counts live rows only.
-func (db *DB) PhysicalLen() int { return db.logLen() }
+func (db *DB) PhysicalLen() int { return db.next }
 
 // Alive reports whether the handle denotes a live row.
 func (db *DB) Alive(pred schema.PredID, row int32) bool {

@@ -10,17 +10,18 @@ import (
 )
 
 // Verify checks that the instance's redundant structures agree: every
-// relation's columns, hash column, liveness bitmap, dedup sub-tables
-// (every row linked exactly once, live or dead; at most one live row per
-// tuple; no slot naming a row the relation lacks, unless another writer
-// owns the arrays) and posting indexes (base rows before tail rows, both
-// ascending and complete to their watermarks), and the insertion log with
-// the tombstone and hole counts. It is the invariant the property suites
-// assert after every kind of write, and what ReadSegment holds decoded
-// bytes to; it reads only, never panics on a malformed instance, and costs
-// one pass over the rows plus one over every built posting.
+// relation's columns, liveness bitmap, dedup sub-tables (every row linked
+// exactly once, live or dead; at most one live row per tuple; no slot naming
+// a row the relation lacks, unless another writer owns the arrays) and
+// posting indexes (base rows before tail rows, both ascending and complete
+// to their watermarks), and the insertion indexes (unique across relations)
+// with the tombstone and hole counts. It is the invariant the property
+// suites assert after every kind of write, and what ReadSegment holds
+// decoded bytes to; it reads only, never panics on a malformed instance, and
+// costs one pass over the rows plus one over every built posting.
 func (db *DB) Verify() error {
 	rows, dead := 0, 0
+	held := make([]uint64, (db.next+63)/64)
 	for p, r := range db.rels {
 		if r == nil {
 			continue
@@ -28,42 +29,28 @@ func (db *DB) Verify() error {
 		if int(r.pred) != p {
 			return fmt.Errorf("storage: verify: relation %d claims pred %d", p, r.pred)
 		}
-		if err := r.verify(db.logLen(), db.frozen); err != nil {
+		if err := r.verify(db.next, db.frozen); err != nil {
 			return fmt.Errorf("storage: verify: pred %d: %w", p, err)
+		}
+		for _, g := range r.global {
+			if held[g>>6]>>(uint(g)&63)&1 != 0 {
+				return fmt.Errorf("storage: verify: insertion index %d held by two rows", g)
+			}
+			held[g>>6] |= 1 << (uint(g) & 63)
 		}
 		rows += r.rows()
 		dead += r.nDead
 	}
-	entries, holes := 0, 0
-	for g := 0; g < db.logLen(); g++ {
-		var ref rowRef
-		if g < len(db.base) {
-			ref = db.base[g]
-		} else {
-			ref = db.order[g-len(db.base)]
-		}
-		if ref.row == holeRow {
-			holes++
-			continue
-		}
-		r := db.relOf(ref.pred)
-		if r == nil || ref.row < 0 || int(ref.row) >= r.rows() || int(r.global[ref.row]) != g {
-			return fmt.Errorf("storage: verify: log entry %d does not point back at its row", g)
-		}
-		entries++
-	}
-	// Globals are strictly increasing per relation, so distinct rows claim
-	// distinct entries: equal counts make the log a bijection.
-	if entries != rows || holes != db.holes || dead != db.dead {
-		return fmt.Errorf("storage: verify: log has %d entries and %d holes for %d rows and %d counted holes; %d dead rows for %d counted",
-			entries, holes, rows, db.holes, dead, db.dead)
+	if rows+db.holes != db.next || dead != db.dead {
+		return fmt.Errorf("storage: verify: %d rows and %d counted holes for %d insertion indexes; %d dead rows for %d counted",
+			rows, db.holes, db.next, dead, db.dead)
 	}
 	return nil
 }
 
-func (r *relation) verify(logLen int, frozen bool) error {
-	n := len(r.global)
-	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.hashes) != n || len(r.idx) != r.arity || len(r.want) != r.arity {
+func (r *relation) verify(next int, frozen bool) error {
+	n := r.nrows
+	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.global) != n || len(r.idx) != r.arity || len(r.want) != r.arity {
 		return errors.New("column lengths disagree")
 	}
 	for ri := 0; ri < n; ri++ {
@@ -73,10 +60,7 @@ func (r *relation) verify(logLen int, frozen bool) error {
 				return fmt.Errorf("row %d holds a non-ground term", ri)
 			}
 		}
-		if r.hashes[ri] != hashArgs(r.pred, args) {
-			return fmt.Errorf("row %d: stored hash is not the tuple's", ri)
-		}
-		if g := r.global[ri]; g < 0 || int(g) >= logLen || ri > 0 && g <= r.global[ri-1] {
+		if g := r.global[ri]; g < 0 || int(g) >= next || ri > 0 && g <= r.global[ri-1] {
 			return fmt.Errorf("row %d: insertion index %d out of order", ri, g)
 		}
 	}
@@ -107,7 +91,7 @@ func (r *relation) verify(logLen int, frozen bool) error {
 			if ri == tabEmpty || int(ri) >= n && (frozen || r.borrowed) {
 				continue
 			}
-			if ri < 0 || int(ri) >= n || hashShard(r.hashes[ri]) != s || linked[ri>>6]>>(uint(ri)&63)&1 != 0 {
+			if ri < 0 || int(ri) >= n || hashShard(hashArgs(r.pred, r.args(ri))) != s || linked[ri>>6]>>(uint(ri)&63)&1 != 0 {
 				return fmt.Errorf("dedup sub-table %d: bad or repeated row %d", s, ri)
 			}
 			linked[ri>>6] |= 1 << (uint(ri) & 63)
@@ -122,21 +106,16 @@ func (r *relation) verify(logLen int, frozen bool) error {
 			return fmt.Errorf("row %d is not linked in the dedup table", ri)
 		}
 		args := r.args(int32(ri))
-		if r.isDead(int32(ri)) {
-			if got, ok := r.findAny(r.hashes[ri], args); !ok || int(got) < ri {
+		if h := hashArgs(r.pred, args); r.isDead(int32(ri)) {
+			if got, ok := r.findAny(h, args); !ok || int(got) < ri {
 				return fmt.Errorf("dead row %d is past the newest row of its tuple", ri)
 			}
-		} else if got, ok := r.find(r.hashes[ri], args); !ok || int(got) != ri {
+		} else if got, ok := r.find(h, args); !ok || int(got) != ri {
 			return fmt.Errorf("row %d is not the row a dedup probe for its tuple finds", ri)
 		}
 	}
 	for i := range r.idx {
-		p := r.idx[i]
-		if r.late != nil && p.base == nil {
-			if l := r.late.idx[i].Load(); l != nil {
-				p = position{base: l, split: int32(n), built: int32(n)}
-			}
-		}
+		p := r.settled(i)
 		if p.split < 0 || p.split > p.built || int(p.built) > n || p.tail == nil && p.split != p.built || p.base == nil && p.built != 0 {
 			return fmt.Errorf("position %d: base to %d, tail to %d of %d rows", i, p.split, p.built, n)
 		}
