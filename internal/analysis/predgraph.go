@@ -44,9 +44,6 @@ func newPredGraph(nodes map[schema.PredID]bool, edges map[schema.PredID]map[sche
 	return g
 }
 
-// Succ returns the successors of a predicate.
-func (g *PredGraph) Succ(p schema.PredID) []schema.PredID { return g.adj[p] }
-
 // Nodes returns all predicates in deterministic order.
 func (g *PredGraph) Nodes() []schema.PredID { return g.nodes }
 

@@ -63,15 +63,6 @@ func (s Subst) ApplyAtoms(atoms []Atom) []Atom {
 	return out
 }
 
-// ApplyTerms applies the substitution to a tuple of terms.
-func (s Subst) ApplyTerms(ts []term.Term) []term.Term {
-	out := make([]term.Term, len(ts))
-	for i, t := range ts {
-		out[i] = s.Apply(t)
-	}
-	return out
-}
-
 // Bind records t ↦ u. It refuses to bind constants (which must stay fixed)
 // and reports whether the binding is consistent with existing entries.
 func (s Subst) Bind(t, u term.Term) bool {

@@ -67,9 +67,6 @@ func (t *TGD) Existentials() map[term.Term]bool {
 // BodyVars returns the set of body variables.
 func (t *TGD) BodyVars() map[term.Term]bool { return atom.VarSet(t.Body) }
 
-// HeadVars returns the set of head variables.
-func (t *TGD) HeadVars() map[term.Term]bool { return atom.VarSet(t.Head) }
-
 // IsFull reports whether the TGD has no existentially quantified variables
 // (a "full TGD"; Datalog rules are full TGDs with single-atom heads, §6.1).
 func (t *TGD) IsFull() bool { return len(t.Existentials()) == 0 }

@@ -137,18 +137,13 @@ func (p *CQPlan) RunCtx(ctx context.Context, db *storage.DB, yield func(tup []te
 	return done, err
 }
 
-// RunBudget is Run charged against a budget: every cqCancelStride row
-// matches flush into the budget's probe counter and poll its limits and
-// deadline — a cross-product query burns gas even when the limit
-// pushdown never fires. A nil budget behaves exactly like Run.
-func (p *CQPlan) RunBudget(bud *Budget, db *storage.DB, yield func(tup []term.Term) bool) (bool, error) {
-	done, _, err := p.run(bud.Context(), bud, db, yield)
-	return done, err
-}
-
-// RunBudgetTraced is RunBudget recording the enumeration into tr: the
-// compiled join order and the row-match count across all join levels.
-// A nil tr behaves exactly like RunBudget.
+// RunBudgetTraced is Run charged against a budget and recording the
+// enumeration into tr: every cqCancelStride row matches flush into the
+// budget's probe counter and poll its limits and deadline — a
+// cross-product query burns gas even when the limit pushdown never
+// fires. It records the compiled join order and the row-match count
+// across all join levels.
+// A nil budget and a nil tr behave exactly like Run.
 func (p *CQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, yield func(tup []term.Term) bool) (bool, error) {
 	done, matches, err := p.run(bud.Context(), bud, db, yield)
 	tr.CQ(p.Order, matches)

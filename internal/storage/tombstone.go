@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"repro/internal/atom"
 	"repro/internal/schema"
 	"repro/internal/term"
 )
@@ -158,13 +157,6 @@ func (db *DB) FindRowAny(pred schema.PredID, args []term.Term) (int32, bool) {
 		return 0, false
 	}
 	return r.findAny(hashArgs(pred, args), args)
-}
-
-// FactAt materializes the fact at a handle, live or dead — deletion
-// worklists read the tuples of rows they have already tombstoned. The
-// atom's argument slice aliases the columnar backing.
-func (db *DB) FactAt(pred schema.PredID, row int32) atom.Atom {
-	return db.rels[pred].atomAt(row)
 }
 
 // FactArgs returns the argument tuple at a handle, live or dead, as a
