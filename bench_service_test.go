@@ -546,11 +546,11 @@ func evalCQLegacy(db *storage.DB, q *logic.CQ) [][]term.Term {
 	tupleKey := func(ts []term.Term) string {
 		var b strings.Builder
 		for _, t := range ts {
-			b.WriteByte(byte(t.Kind))
-			b.WriteByte(byte(t.ID >> 24))
-			b.WriteByte(byte(t.ID >> 16))
-			b.WriteByte(byte(t.ID >> 8))
-			b.WriteByte(byte(t.ID))
+			b.WriteByte(byte(t.Kind()))
+			b.WriteByte(byte(t.ID() >> 24))
+			b.WriteByte(byte(t.ID() >> 16))
+			b.WriteByte(byte(t.ID() >> 8))
+			b.WriteByte(byte(t.ID()))
 		}
 		return b.String()
 	}

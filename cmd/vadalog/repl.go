@@ -231,7 +231,10 @@ func replProve(out io.Writer, factSrc string, prog *logic.Program, db *storage.D
 	q := &logic.CQ{}
 	args := make([]term.Term, len(f.Args))
 	for i := range f.Args {
-		v := prog.Store.FreshVar("_prove")
+		v, err := prog.Store.FreshVar("_prove")
+		if err != nil {
+			return err
+		}
 		args[i] = v
 		q.Output = append(q.Output, v)
 	}

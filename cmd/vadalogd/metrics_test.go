@@ -124,10 +124,10 @@ func TestDaemonMetrics(t *testing.T) {
 		}
 	}
 	// The storage-bytes gauges read the current epoch: every relation is
-	// binary, so each row holds 16 B of columns and a 4 B insertion index.
+	// binary, so each row holds 8 B of columns and a 4 B insertion index.
 	cols, global := after[`vadalog_storage_bytes{structure="cols"}`], after[`vadalog_storage_bytes{structure="global"}`]
-	if cols == 0 || cols != 4*global || after[`vadalog_storage_bytes{structure="dedup"}`] == 0 {
-		t.Errorf("vadalog_storage_bytes cols %v, global %v, dedup %v: want cols = 4·global > 0 and dedup > 0",
+	if cols == 0 || cols != 2*global || after[`vadalog_storage_bytes{structure="dedup"}`] == 0 {
+		t.Errorf("vadalog_storage_bytes cols %v, global %v, dedup %v: want cols = 2·global > 0 and dedup > 0",
 			cols, global, after[`vadalog_storage_bytes{structure="dedup"}`])
 	}
 	var st service.Stats

@@ -95,7 +95,7 @@ func (a Atom) Hash() uint64 {
 	h ^= uint64(a.Pred)
 	h *= prime
 	for _, t := range a.Args {
-		h ^= t.Key()
+		h ^= uint64(t)
 		h *= prime
 	}
 	return h
@@ -146,8 +146,8 @@ func SortKey(a Atom) string {
 	var b strings.Builder
 	b.WriteString(string(rune(a.Pred)))
 	for _, t := range a.Args {
-		b.WriteByte(byte(t.Kind))
-		b.WriteString(string(rune(t.ID)))
+		b.WriteByte(byte(t.Kind()))
+		b.WriteString(string(rune(t.ID())))
 	}
 	return b.String()
 }

@@ -25,7 +25,7 @@ func (c *ctx) atom(pred string, args ...string) Atom {
 		if a[0] >= 'A' && a[0] <= 'Z' {
 			ts[i] = c.st.Var(a)
 		} else if a[0] == '_' {
-			ts[i] = c.st.FreshNull()
+			ts[i], _ = c.st.FreshNull()
 		} else {
 			ts[i] = c.st.Const(a)
 		}

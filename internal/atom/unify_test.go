@@ -31,7 +31,7 @@ func TestUnifyTermsBasic(t *testing.T) {
 
 func TestUnifyNullsFlexible(t *testing.T) {
 	c := newCtx()
-	n := c.st.FreshNull()
+	n, _ := c.st.FreshNull()
 	a := c.st.Const("a")
 	s := NewSubst()
 	if !UnifyTerms(s, n, a) {

@@ -160,6 +160,7 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 	// away.
 	plans := plan.Cached(prog, plan.Options{DeltaFirst: true, NeedBodyImage: true})
 	var nulls []term.Term // scratch for fresh existential witnesses
+	var nullErr error     // ErrIDSpace: no label left for a fresh null
 
 	// match returns the trigger step of rule ti.
 	// Negation-as-failure needs no guard here: the driver skips blocked
@@ -209,9 +210,13 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 			if hasExist {
 				nulls = nulls[:0]
 				for range r.ExistSlots {
-					n := prog.Store.FreshNull()
+					n, err := prog.Store.FreshNull()
+					if err != nil {
+						nullErr = err
+						return false
+					}
 					nulls = append(nulls, n)
-					nullDepth[n.ID] = depth + 1
+					nullDepth[n.ID()] = depth + 1
 					if depth+1 > res.MaxNullDepth {
 						res.MaxNullDepth = depth + 1
 					}
@@ -256,6 +261,9 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 	}
 	fx := plan.Fixpoint{DB: work, Plans: plans, Budget: opt.Budget, MaxRounds: opt.MaxRounds, Match: match}
 	fx.Run(groups, 0)
+	if nullErr != nil {
+		return nil, fmt.Errorf("chase: %w", nullErr)
+	}
 	if err := opt.Budget.Err(); err != nil {
 		return nil, err
 	}
@@ -286,7 +294,7 @@ func frameDepth(frame []term.Term, nullDepth map[uint32]int) int {
 	d := 0
 	for _, t := range frame {
 		if t.IsNull() {
-			if nd := nullDepth[t.ID]; nd > d {
+			if nd := nullDepth[t.ID()]; nd > d {
 				d = nd
 			}
 		}
@@ -301,7 +309,7 @@ func triggerKey(tgd int, img []atom.Atom) string {
 	for _, a := range img {
 		b.WriteString(fmt.Sprintf("%d(", a.Pred))
 		for _, t := range a.Args {
-			b.WriteString(fmt.Sprintf("%d:%d,", t.Kind, t.ID))
+			b.WriteString(fmt.Sprintf("%d:%d,", t.Kind(), t.ID()))
 		}
 		b.WriteByte(')')
 	}

@@ -51,19 +51,19 @@ func Canonicalize(atoms []atom.Atom) Pattern {
 			}
 			switch {
 			case t.IsNull():
-				id, ok := nulls[t.ID]
+				id, ok := nulls[t.ID()]
 				if !ok {
 					id = len(nulls)
-					nulls[t.ID] = id
+					nulls[t.ID()] = id
 				}
 				b.WriteByte('N')
 				b.WriteString(strconv.Itoa(id))
 			case t.IsConst():
 				b.WriteByte('c')
-				b.WriteString(strconv.FormatUint(uint64(t.ID), 36))
+				b.WriteString(strconv.FormatUint(uint64(t.ID()), 36))
 			default:
 				b.WriteByte('v')
-				b.WriteString(strconv.FormatUint(uint64(t.ID), 36))
+				b.WriteString(strconv.FormatUint(uint64(t.ID()), 36))
 			}
 		}
 		b.WriteByte(')')

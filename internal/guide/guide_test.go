@@ -17,7 +17,7 @@ func TestCanonicalizeNullRenaming(t *testing.T) {
 	reg := schema.NewRegistry()
 	r := reg.Intern("r", 2)
 	c := st.Const("c")
-	n1, n2, n3 := st.FreshNull(), st.FreshNull(), st.FreshNull()
+	n1, n2, n3 := term.MkNull(0), term.MkNull(1), term.MkNull(2)
 
 	// r(c, n1) ≡ r(c, n2)
 	p1 := Canonicalize([]atom.Atom{mk(r, c, n1)})
@@ -49,10 +49,9 @@ func TestCanonicalizeNullRenaming(t *testing.T) {
 }
 
 func TestTriggerMemo(t *testing.T) {
-	st := term.NewStore()
 	reg := schema.NewRegistry()
 	p := reg.Intern("p", 1)
-	n1, n2 := st.FreshNull(), st.FreshNull()
+	n1, n2 := term.MkNull(0), term.MkNull(1)
 	m := NewTriggerMemo()
 	if !m.Admit(0, []atom.Atom{mk(p, n1)}) {
 		t.Fatalf("first trigger must be admitted")
@@ -76,7 +75,7 @@ func TestFactPatterns(t *testing.T) {
 	reg := schema.NewRegistry()
 	r := reg.Intern("r", 2)
 	c := st.Const("c")
-	n1, n2 := st.FreshNull(), st.FreshNull()
+	n1, n2 := term.MkNull(0), term.MkNull(1)
 	f := NewFactPatterns()
 	if !f.Admit(mk(r, c, n1)) {
 		t.Fatalf("first fact admitted")

@@ -109,12 +109,13 @@ func (m *Map) Lookup(name string) (uint32, bool) {
 // equal to name, so a caller whose arena holds its own copy can have both
 // directions share one allocation. isNew reports whether this call
 // performed the assignment — the freshness signal FreshVar-style probing
-// builds on.
-func (m *Map) Intern(name string, alloc func() (uint32, string)) (id uint32, isNew bool) {
+// builds on. alloc may refuse (a full arena) by returning false: the map
+// then keeps nothing for name, and Intern reports ok false.
+func (m *Map) Intern(name string, alloc func() (uint32, string, bool)) (id uint32, isNew, ok bool) {
 	sh := &m.shards[shardOf(name)]
 	if r := sh.read.Load(); r != nil {
 		if id, ok := (*r)[name]; ok {
-			return id, false
+			return id, false, true
 		}
 	}
 	sh.mu.Lock()
@@ -122,12 +123,12 @@ func (m *Map) Intern(name string, alloc func() (uint32, string)) (id uint32, isN
 	r := sh.read.Load()
 	if r != nil {
 		if id, ok := (*r)[name]; ok {
-			return id, false
+			return id, false, true
 		}
 	}
 	if id, ok := sh.dirty[name]; ok {
 		sh.missLocked()
-		return id, false
+		return id, false, true
 	}
 	if sh.dirty == nil {
 		// First insert since promotion: rebuild dirty as a copy of read.
@@ -142,9 +143,12 @@ func (m *Map) Intern(name string, alloc func() (uint32, string)) (id uint32, isN
 			}
 		}
 	}
-	id, key := alloc()
+	id, key, ok := alloc()
+	if !ok {
+		return 0, false, false
+	}
 	sh.dirty[key] = id
-	return id, true
+	return id, true, true
 }
 
 // missLocked counts a read-map miss that resolved in dirty and promotes the
@@ -183,11 +187,15 @@ func NewArena[T any]() *Arena[T] {
 	return a
 }
 
-// Append stores v and returns its ID (the append index).
-func (a *Arena[T]) Append(v T) uint32 {
+// Append stores v and returns its ID (the append index), or stores
+// nothing and returns false once the arena holds limit values.
+func (a *Arena[T]) Append(v T, limit uint32) (uint32, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	id := a.n.Load()
+	if id >= limit {
+		return 0, false
+	}
 	ci, co := int(id)/chunkLen, int(id)%chunkLen
 	spine := *a.spine.Load()
 	if ci == len(spine) {
@@ -202,7 +210,7 @@ func (a *Arena[T]) Append(v T) uint32 {
 	}
 	spine[ci][co] = v
 	a.n.Store(id + 1)
-	return id
+	return id, true
 }
 
 // Get returns the value with the given ID, if it has been appended.

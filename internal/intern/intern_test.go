@@ -2,6 +2,7 @@ package intern
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -14,14 +15,14 @@ func TestMapArenaSequentialIDs(t *testing.T) {
 	a := NewArena[string]()
 	for i := 0; i < 5000; i++ {
 		name := fmt.Sprintf("n%d", i)
-		id, isNew := m.Intern(name, func() (uint32, string) { return a.Append(name), name })
+		id, isNew, _ := m.Intern(name, func() (uint32, string, bool) { id, ok := a.Append(name, math.MaxUint32); return id, name, ok })
 		if !isNew || id != uint32(i) {
 			t.Fatalf("intern %q: got (%d,%v), want (%d,true)", name, id, isNew, i)
 		}
 	}
 	for i := 0; i < 5000; i++ {
 		name := fmt.Sprintf("n%d", i)
-		id, isNew := m.Intern(name, func() (uint32, string) { panic("alloc on re-intern") })
+		id, isNew, _ := m.Intern(name, func() (uint32, string, bool) { panic("alloc on re-intern") })
 		if isNew || id != uint32(i) {
 			t.Fatalf("re-intern %q: got (%d,%v), want (%d,false)", name, id, isNew, i)
 		}
@@ -62,7 +63,7 @@ func TestMapConcurrentIntern(t *testing.T) {
 			// so shard contention and first-intern races are maximized.
 			for i := 0; i < names; i++ {
 				name := fmt.Sprintf("k%d", (i*7+w*names/workers)%names)
-				id, _ := m.Intern(name, func() (uint32, string) { return a.Append(name), name })
+				id, _, _ := m.Intern(name, func() (uint32, string, bool) { id, ok := a.Append(name, math.MaxUint32); return id, name, ok })
 				if prev, ok := mine[name]; ok && prev != id {
 					t.Errorf("worker %d: %q changed ID %d -> %d", w, name, prev, id)
 					return
@@ -100,5 +101,35 @@ func TestMapConcurrentIntern(t *testing.T) {
 		if int(id) >= names {
 			t.Fatalf("ID %d out of dense range [0,%d)", id, names)
 		}
+	}
+}
+
+// TestArenaLimitRefusesBeforeMinting: once the arena holds its limit, a new
+// name is refused — no ID minted, nothing kept in the map, so asking again
+// is refused again — while names interned before still resolve.
+func TestArenaLimitRefusesBeforeMinting(t *testing.T) {
+	m := NewMap()
+	a := NewArena[string]()
+	intern := func(name string) (uint32, bool, bool) {
+		return m.Intern(name, func() (uint32, string, bool) {
+			id, ok := a.Append(name, 3)
+			return id, name, ok
+		})
+	}
+	for i := 0; i < 3; i++ {
+		if id, isNew, ok := intern(fmt.Sprint(i)); !ok || !isNew || id != uint32(i) {
+			t.Fatalf("intern %d = (%d, %v, %v)", i, id, isNew, ok)
+		}
+	}
+	for try := 0; try < 2; try++ {
+		if _, _, ok := intern("full"); ok {
+			t.Fatalf("try %d: a fourth name was interned past the limit", try)
+		}
+		if _, found := m.Lookup("full"); found || a.Len() != 3 {
+			t.Fatalf("try %d: refused name kept (found %v, arena %d)", try, found, a.Len())
+		}
+	}
+	if id, isNew, ok := intern("1"); !ok || isNew || id != 1 {
+		t.Fatalf("known name on a full arena = (%d, %v, %v)", id, isNew, ok)
 	}
 }

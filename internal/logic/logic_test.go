@@ -137,7 +137,7 @@ func TestValidate(t *testing.T) {
 	bad2 := NewProgram()
 	pr2 := bad2.Reg.Intern("p", 1)
 	bad2.Add(&TGD{
-		Body: []atom.Atom{atom.New(pr2, bad2.Store.FreshNull())},
+		Body: []atom.Atom{atom.New(pr2, term.MkNull(0))},
 		Head: []atom.Atom{atom.New(pr2, bad2.Store.Var("X"))},
 	})
 	if err := bad2.Validate(); err == nil {

@@ -293,25 +293,22 @@ func (p *parser) atom(vars *varScope) (atom.Atom, error) {
 }
 
 func (p *parser) term(vars *varScope) (term.Term, error) {
+	var t term.Term
+	var err error
 	switch p.tok.kind {
 	case tokVariable:
-		t := vars.get(p.tok.text)
-		return t, p.advance()
+		t, err = vars.get(p.tok.text)
 	case tokUnderscore:
-		t := vars.fresh()
-		return t, p.advance()
-	case tokIdent:
-		t := p.prog.Store.Const(p.tok.text)
-		return t, p.advance()
-	case tokString:
-		t := p.prog.Store.Const(p.tok.text)
-		return t, p.advance()
-	case tokInt:
-		t := p.prog.Store.Const(p.tok.text)
-		return t, p.advance()
+		t, err = p.prog.Store.FreshVar(fmt.Sprintf("_dc%d_", vars.scope))
+	case tokIdent, tokString, tokInt:
+		t, err = p.prog.Store.InternConst(p.tok.text)
 	default:
-		return term.Term{}, p.errorf("expected a term, found %v %q", p.tok.kind, p.tok.text)
+		return 0, p.errorf("expected a term, found %v %q", p.tok.kind, p.tok.text)
 	}
+	if err != nil {
+		return 0, fmt.Errorf("%d:%d: %w", p.tok.line, p.tok.col, err)
+	}
+	return t, p.advance()
 }
 
 // varScope scopes variable names to a single statement: the same surface
@@ -329,15 +326,13 @@ func newVarScope(p *parser) *varScope {
 	return &varScope{p: p, scope: p.freshIdx, names: make(map[string]term.Term)}
 }
 
-func (v *varScope) get(name string) term.Term {
+func (v *varScope) get(name string) (term.Term, error) {
 	if t, ok := v.names[name]; ok {
-		return t
+		return t, nil
 	}
-	t := v.p.prog.Store.Var(fmt.Sprintf("%s@%d", name, v.scope))
-	v.names[name] = t
-	return t
-}
-
-func (v *varScope) fresh() term.Term {
-	return v.p.prog.Store.FreshVar(fmt.Sprintf("_dc%d_", v.scope))
+	t, err := v.p.prog.Store.InternVar(fmt.Sprintf("%s@%d", name, v.scope))
+	if err == nil {
+		v.names[name] = t
+	}
+	return t, err
 }

@@ -35,7 +35,7 @@ e(a,b). e(b,c).
 	}
 	// The constant 'a' in the query must be interned as a constant.
 	if !q.Atoms[0].Args[0].IsConst() {
-		t.Fatalf("query constant parsed as %v", q.Atoms[0].Args[0].Kind)
+		t.Fatalf("query constant parsed as %v", q.Atoms[0].Args[0].Kind())
 	}
 }
 

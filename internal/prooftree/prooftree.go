@@ -490,11 +490,11 @@ func (h *stateHeap) Pop() any {
 // to discharge completely, so accepting states surface quickly on positive
 // instances; negative instances still exhaust the same reachable space.
 func priority(st resolution.State) int {
-	vars := make(map[uint64]bool)
+	vars := make(map[term.Term]bool)
 	for _, a := range st.Atoms {
 		for _, t := range a.Args {
 			if t.IsVar() {
-				vars[t.Key()] = true
+				vars[t] = true
 			}
 		}
 	}

@@ -114,7 +114,9 @@ func LoadBufferedSwap(prog *logic.Program, r io.Reader, pred string, batch int, 
 			return staged, fmt.Errorf("%s: row %d has %d columns, want %d", pred, line, len(rec), arity)
 		}
 		for i, v := range rec {
-			args[i] = prog.Store.Const(strings.TrimSpace(v))
+			if args[i], err = prog.Store.InternConst(strings.TrimSpace(v)); err != nil {
+				return staged, fmt.Errorf("%s: row %d: %w", pred, line, err)
+			}
 		}
 		buf.Append(pid, args)
 		staged++
@@ -172,7 +174,7 @@ func Dump(prog *logic.Program, db *storage.DB, pred string, w io.Writer) error {
 		rec := make([]string, len(f.Args))
 		for i, t := range f.Args {
 			if t.IsNull() {
-				rec[i] = fmt.Sprintf("_:n%d", t.ID)
+				rec[i] = fmt.Sprintf("_:n%d", t.ID())
 			} else {
 				rec[i] = prog.Store.Name(t)
 			}

@@ -360,7 +360,7 @@ func structuralKey(a atom.Atom) string {
 			b.WriteByte('V')
 		} else {
 			b.WriteByte(byte('c'))
-			b.WriteString(strconv.FormatUint(t.Key(), 36))
+			b.WriteString(strconv.FormatUint(uint64(t), 36))
 		}
 		b.WriteByte(',')
 	}
@@ -383,7 +383,7 @@ func signature(a atom.Atom, rank map[term.Term]int) string {
 			}
 		} else {
 			b.WriteByte('c')
-			b.WriteString(strconv.FormatUint(t.Key(), 36))
+			b.WriteString(strconv.FormatUint(uint64(t), 36))
 		}
 		b.WriteByte(',')
 	}
@@ -398,7 +398,7 @@ func structuralKeyFull(a atom.Atom) string {
 	b.WriteString(strconv.FormatUint(uint64(a.Pred), 36))
 	b.WriteByte('(')
 	for _, t := range a.Args {
-		b.WriteString(strconv.FormatUint(t.Key(), 36))
+		b.WriteString(strconv.FormatUint(uint64(t), 36))
 		b.WriteByte(',')
 	}
 	b.WriteByte(')')

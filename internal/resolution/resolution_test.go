@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/atom"
 	"repro/internal/parser"
-	"repro/internal/term"
 )
 
 func TestMGCUBasicResolution(t *testing.T) {
@@ -263,5 +262,4 @@ t(U,V) :- e(U,V).
 	if !shared {
 		t.Fatalf("resolution lost the connection between atoms: %v", res.Atoms)
 	}
-	_ = term.Term{}
 }

@@ -136,7 +136,9 @@ func Translate(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 		for i := 0; i < k; i++ {
 			v, ok := blockVar[part[i]]
 			if !ok {
-				v = prog.Store.FreshVar("o")
+				if v, err = prog.Store.FreshVar("o"); err != nil {
+					return nil, err
+				}
 				blockVar[part[i]] = v
 			}
 			headArgs[i] = v
@@ -161,7 +163,10 @@ func Translate(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 	// Final query: ans(o0,...,ok-1).
 	outs := make([]term.Term, k)
 	for i := range outs {
-		outs[i] = prog.Store.FreshVar("qo")
+		var err error
+		if outs[i], err = prog.Store.FreshVar("qo"); err != nil {
+			return nil, err
+		}
 	}
 	query := &logic.CQ{Output: outs, Atoms: []atom.Atom{atom.New(ansPred, outs...)}}
 	return &Result{Program: tr.out, Query: query, Classes: len(tr.classes), Bound: bound}, nil
@@ -250,7 +255,7 @@ func (tr *translator) canonOrder(st resolution.State) []atom.Atom {
 					s += "V"
 				}
 			default:
-				s += "c" + strconv.FormatUint(t.Key(), 36)
+				s += "c" + strconv.FormatUint(uint64(t), 36)
 			}
 			s += ","
 		}
@@ -323,7 +328,7 @@ func (tr *translator) canonical(st resolution.State) (resolution.State, string, 
 	for _, a := range renamed.Atoms {
 		key += strconv.FormatUint(uint64(a.Pred), 36) + "("
 		for _, t := range a.Args {
-			key += strconv.FormatUint(t.Key(), 36) + ","
+			key += strconv.FormatUint(uint64(t), 36) + ","
 		}
 		key += ");"
 	}
@@ -392,7 +397,7 @@ func (tr *translator) expand(c *cqClass) error {
 	sort.Slice(vars, func(i, j int) bool { return vars[i].Key() < vars[j].Key() })
 	for _, v := range vars {
 		fresh := tr.freshSkolem(st)
-		if fresh == (term.Term{}) {
+		if fresh == 0 {
 			continue
 		}
 		promoted := resolution.State{Atoms: resolution.ApplyFlat(map[term.Term]term.Term{v: fresh}, st.Atoms)}
@@ -447,7 +452,7 @@ func (tr *translator) freshSkolem(st resolution.State) term.Term {
 			return s
 		}
 	}
-	return term.Term{}
+	return 0
 }
 
 // emitClassRule emits C[c1](..), ..., C[ck](..) → C[p](..), where the

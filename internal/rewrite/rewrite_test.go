@@ -37,7 +37,7 @@ func evalTranslated(t *testing.T, res *Result, db *storage.DB) map[string]bool {
 	for _, tup := range ans {
 		key := ""
 		for _, x := range tup {
-			key += fmt.Sprintf("%d:%d|", x.Kind, x.ID)
+			key += fmt.Sprintf("%d:%d|", x.Kind(), x.ID())
 		}
 		out[key] = true
 	}
@@ -47,7 +47,7 @@ func evalTranslated(t *testing.T, res *Result, db *storage.DB) map[string]bool {
 func tupleKey(tup []term.Term) string {
 	key := ""
 	for _, x := range tup {
-		key += fmt.Sprintf("%d:%d|", x.Kind, x.ID)
+		key += fmt.Sprintf("%d:%d|", x.Kind(), x.ID())
 	}
 	return key
 }

@@ -5,6 +5,7 @@ package schema
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/intern"
@@ -47,9 +48,13 @@ func NewRegistry() *Registry {
 // different arity is an error surfaced via panic, because it indicates a
 // malformed program (the parser reports this condition gracefully first).
 func (r *Registry) Intern(name string, arity int) PredID {
-	id, isNew := r.ids.Intern(name, func() (uint32, string) {
-		return r.preds.Append(predInfo{name: name, arity: arity}), name
+	id, isNew, ok := r.ids.Intern(name, func() (uint32, string, bool) {
+		id, ok := r.preds.Append(predInfo{name: name, arity: arity}, math.MaxUint32)
+		return id, name, ok
 	})
+	if !ok {
+		panic("schema: predicate ID space exhausted")
+	}
 	if !isNew {
 		if got, _ := r.preds.Get(id); got.arity != arity {
 			panic(fmt.Sprintf("schema: predicate %s used with arities %d and %d",

@@ -232,7 +232,9 @@ func (s *Service) replayRecord(ctx context.Context, r wal.Record) error {
 		args := make([]term.Term, arity)
 		for i := 0; i+arity <= len(cells); i += arity {
 			for j := 0; j < arity; j++ {
-				args[j] = s.gen.prog.Store.Const(cells[i+j])
+				if args[j], err = s.gen.prog.Store.InternConst(cells[i+j]); err != nil {
+					return err
+				}
 			}
 			buf.Append(pid, args)
 		}

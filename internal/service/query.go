@@ -769,7 +769,7 @@ func appendAtoms(b []byte, atoms []atom.Atom) []byte {
 }
 
 func appendTerm(b []byte, t term.Term) []byte {
-	return appendU32(append(b, byte(t.Kind)), t.ID)
+	return appendU32(append(b, byte(t.Kind())), t.ID())
 }
 
 func appendU32(b []byte, v uint32) []byte {

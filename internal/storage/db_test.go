@@ -57,7 +57,7 @@ func TestInsertNonGroundPanics(t *testing.T) {
 
 func TestInsertNullOK(t *testing.T) {
 	r, db := load(t, `e(a,b).`)
-	n := r.Program.Store.FreshNull()
+	n, _ := r.Program.Store.FreshNull()
 	withNull := atom.New(r.Facts[0].Pred, r.Program.Store.Const("a"), n)
 	if !db.Insert(withNull) {
 		t.Fatalf("null atom rejected")
@@ -73,7 +73,7 @@ func TestActiveDomainAndConstants(t *testing.T) {
 	if len(dom) != 3 {
 		t.Fatalf("dom size = %d, want 3", len(dom))
 	}
-	n := r.Program.Store.FreshNull()
+	n, _ := r.Program.Store.FreshNull()
 	db.Insert(atom.New(r.Facts[0].Pred, dom[0], n))
 	if len(db.ActiveDomain()) != 4 {
 		t.Fatalf("null not in active domain")
@@ -122,7 +122,8 @@ e(a,b).
 	// Insert e(b, null): the null must not surface as an answer.
 	st := r.Program.Store
 	pred := r.Facts[0].Pred
-	db.Insert(atom.New(pred, st.Const("b"), st.FreshNull()))
+	n, _ := st.FreshNull()
+	db.Insert(atom.New(pred, st.Const("b"), n))
 	ans := db.EvalCQ(r.Queries[0])
 	if len(ans) != 1 || st.Name(ans[0][0]) != "b" {
 		t.Fatalf("nulls leaked into answers: %v", ans)

@@ -18,7 +18,7 @@ func (db *DB) Footprint() map[string]int {
 		if r == nil {
 			continue
 		}
-		f["cols"] += len(r.cols) * int(unsafe.Sizeof(term.Term{}))
+		f["cols"] += len(r.cols) * int(unsafe.Sizeof(term.Term(0)))
 		f["global"] += 4 * len(r.global)
 		for _, tab := range r.tabs {
 			f["dedup"] += 4 * len(tab)

@@ -11,9 +11,10 @@ import (
 	"repro/internal/term"
 )
 
-// TestFootprint pins what a stored binary fact costs: its columns (16 B),
-// its insertion index (4 B) and its share of the dedup slots — at most
-// 32 B a row together for a 100 k-row relation — and checks the posting
+// TestFootprint pins what a stored binary fact costs: its columns (two
+// 4-byte terms), its insertion index (4 B) and its share of the dedup
+// slots — at most 24 B a row together for a 100 k-row relation — and
+// checks the posting
 // and liveness figures against the structures' exact shapes, on the live
 // instance and on a frozen view whose position readers build late while
 // it is read.
@@ -24,16 +25,16 @@ func TestFootprint(t *testing.T) {
 		db.InsertArgs(e, []term.Term{segConst(i), segConst(i % 10)})
 	}
 	fp := db.Footprint()
-	if fp["cols"] != 16*rows || fp["global"] != 4*rows || fp["postings"] != 0 || fp["liveness"] != 0 {
-		t.Fatalf("footprint %v, want cols %d, global %d, no postings or liveness", fp, 16*rows, 4*rows)
+	if fp["cols"] != 8*rows || fp["global"] != 4*rows || fp["postings"] != 0 || fp["liveness"] != 0 {
+		t.Fatalf("footprint %v, want cols %d, global %d, no postings or liveness", fp, 8*rows, 4*rows)
 	}
-	if perRow := float64(fp["cols"]+fp["global"]+fp["dedup"]) / rows; perRow > 32 {
-		t.Fatalf("cols+global+dedup = %.1f B per row, want <= 32 (%v)", perRow, fp)
+	if perRow := float64(fp["cols"]+fp["global"]+fp["dedup"]) / rows; perRow > 24 {
+		t.Fatalf("cols+global+dedup = %.1f B per row, want <= 24 (%v)", perRow, fp)
 	}
 	// Position 1 holds ten keys of 10 000 rows each: a key and a list
 	// header per key, 4 B per row.
 	probeAt(db, e, 2, 1, segConst(3))
-	if got, want := db.Footprint()["postings"], 10*(12+24)+4*rows; got != want {
+	if got, want := db.Footprint()["postings"], 10*(8+24)+4*rows; got != want {
 		t.Fatalf("postings after building position 1 = %d B, want %d", got, want)
 	}
 	snap := db.Snapshot()
@@ -43,7 +44,7 @@ func TestFootprint(t *testing.T) {
 		t.Fatalf("view footprint %v, live %v", got, db.Footprint())
 	}
 	// Readers build position 0 late while a scrape reads the view. It
-	// holds every key once, inline: 12 B a row.
+	// holds every key once, inline: 8 B a row.
 	var wg sync.WaitGroup
 	for k := 0; k < 4; k++ {
 		wg.Add(2)
@@ -51,7 +52,7 @@ func TestFootprint(t *testing.T) {
 		go func() { defer wg.Done(); view.Footprint() }()
 	}
 	wg.Wait()
-	if got, want := view.Footprint()["postings"], 10*(12+24)+4*rows+12*rows; got != want {
+	if got, want := view.Footprint()["postings"], 10*(8+24)+4*rows+8*rows; got != want {
 		t.Fatalf("view postings after a late build = %d B, want %d", got, want)
 	}
 	row, _ := db.FindRow(e, []term.Term{segConst(rows - 1), segConst(9)})

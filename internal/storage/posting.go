@@ -24,8 +24,8 @@ import (
 // map[...][]int32 representation disappears, the map value shrinks to 4
 // bytes, and steady-state updates of hot keys touch the map only once: the
 // overflow row list is appended in place through the table, never
-// re-stored. The key is term.Term.Key(), not the term: a padded struct key
-// takes the runtime's generic hash path, a uint64 key the fast one.
+// re-stored. The key is term.Term.Key(), the term as a uint32: a named
+// type key takes the runtime's generic hash path, a uint32 key the fast one.
 //
 // A position is paid for when it is probed, not when its relation is
 // written. position.built is the watermark — rows [0, built) are indexed —
@@ -67,7 +67,7 @@ import (
 //     shared with the live relation, so the writer carries the position
 //     from its next Snapshot() on.
 type posIndex struct {
-	m      [relShards]map[uint64]int32
+	m      [relShards]map[uint32]int32
 	over   [relShards][][]int32
 	frozen bool
 }
@@ -103,7 +103,7 @@ func (px *posIndex) clone(second bool) *posIndex {
 	bytes := 0
 	for s := range px.m {
 		out.m[s] = maps.Clone(px.m[s])
-		bytes += 12 * len(px.m[s])
+		bytes += 8 * len(px.m[s])
 		if ov := px.over[s]; ov != nil {
 			out.over[s] = slices.Clone(ov)
 			for k, rows := range ov {
@@ -123,10 +123,10 @@ func (px *posIndex) clone(second bool) *posIndex {
 // sub-shard s). Rows arrive in ascending order, so every posting stays
 // ascending without comparison. Safe to call concurrently for DISTINCT
 // sub-shards — each call touches only its own sub-map and sub-overflow.
-func (px *posIndex) idxAdd(s int, k uint64, ri int32) {
+func (px *posIndex) idxAdd(s int, k uint32, ri int32) {
 	m := px.m[s]
 	if m == nil {
-		m = make(map[uint64]int32)
+		m = make(map[uint32]int32)
 		px.m[s] = m
 	}
 	v, ok := m[k]
@@ -234,7 +234,7 @@ func (r *relation) settled(i int) position {
 	return p
 }
 
-// bytes is the size of an index over rows rows: 12 B a key, 4 B a row
+// bytes is the size of an index over rows rows: 8 B a key, 4 B a row
 // in an overflow list, 24 B a list header.
 func (px *posIndex) bytes(rows int) int {
 	if px == nil {
@@ -245,7 +245,7 @@ func (px *posIndex) bytes(rows int) int {
 		keys += len(px.m[s])
 		lists += len(px.over[s])
 	}
-	return 12*keys + 4*(rows-keys+lists) + 24*lists
+	return 8*keys + 4*(rows-keys+lists) + 24*lists
 }
 
 // catchUpBuilt catches up every position that is built at all or that a
@@ -279,7 +279,7 @@ func (rn *run) list() []int32 {
 }
 
 // lookup resolves key k (of sub-shard s) in px; a nil index holds nothing.
-func (px *posIndex) lookup(s int, k uint64) run {
+func (px *posIndex) lookup(s int, k uint32) run {
 	if px == nil {
 		return run{}
 	}

@@ -31,11 +31,18 @@ const (
 // hashShard selects a fact's dedup sub-table from its hash top bits.
 func hashShard(h uint64) int { return int(h >> (64 - relShardBits)) }
 
-// keyShard selects a posting sub-map for a term's packed key. The fib-mix
+// keyShard selects a posting sub-map for a term's key. The fib-mix
 // spreads the dense low-entropy term IDs across shards.
-func keyShard(k uint64) int {
-	return int((k * 0x9E3779B97F4A7C15) >> (64 - relShardBits))
+func keyShard(k uint32) int {
+	return int((hashKey(term.Term(k)) * 0x9E3779B97F4A7C15) >> (64 - relShardBits))
 }
+
+// hashKey is what hashes and sub-shard choices mix for a term: kind<<32 |
+// ID, the key terms had before they were packed into 32 bits, and for a
+// constant the term itself. Hashes and shards, and with them the slot
+// arrays and row hashes a checkpoint holds, stay what they were for every
+// kind, so segments written before the packing still decode.
+func hashKey(t term.Term) uint64 { return uint64(t.Kind())<<32 | uint64(t.ID()) }
 
 // relation is the columnar store for one predicate: a flat, arity-strided
 // backing array of terms, a partitioned predicate-local dedup table, and
@@ -350,7 +357,7 @@ func hashArgs(pred schema.PredID, args []term.Term) uint64 {
 	h ^= uint64(pred)
 	h *= prime
 	for _, t := range args {
-		h ^= t.Key()
+		h ^= hashKey(t)
 		h *= prime
 	}
 	return h

@@ -9,7 +9,7 @@ import (
 // Unbound is the sentinel value of an unbound slot in a binding frame. Its
 // Kind is outside the three term sorts, so it can never collide with a
 // stored term.
-var Unbound = term.Term{Kind: ^term.Kind(0)}
+const Unbound = ^term.Term(0)
 
 // NewFrame returns a binding frame of n slots, all unbound. Frames are the
 // slot-indexed replacement for map-based substitutions on the enumeration

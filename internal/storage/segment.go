@@ -66,6 +66,10 @@ import (
 // ErrSegmentHash reports a segment row whose stored hash is not its tuple's.
 var ErrSegmentHash = errors.New("storage: segment: stored hash is not the tuple's")
 
+// ErrSegmentTerm reports a segment term whose kind is none of the three
+// sorts or whose ID is past term.MaxID.
+var ErrSegmentTerm = errors.New("storage: segment: term out of range")
+
 // legacyTabDeleted is the bridge code segments written before dead rows
 // stayed linked hold in the slots of unlinked rows.
 const legacyTabDeleted int32 = -2
@@ -94,8 +98,7 @@ func (r *relation) appendSegment(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.arity))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	for _, t := range r.cols[:n*r.arity] {
-		buf = append(buf, byte(t.Kind))
-		buf = binary.LittleEndian.AppendUint32(buf, t.ID)
+		buf = appendTerm(buf, t)
 	}
 	for ri := 0; ri < n; ri++ {
 		buf = binary.LittleEndian.AppendUint64(buf, hashArgs(r.pred, r.args(int32(ri))))
@@ -145,8 +148,7 @@ func (r *relation) appendSegment(buf []byte) []byte {
 			// the key-record order.
 			keys := keyScratch[:0]
 			for k, v := range m {
-				keys = append(keys, byte(k>>32))
-				keys = binary.LittleEndian.AppendUint32(keys, uint32(k))
+				keys = appendTerm(keys, term.Term(k))
 				if v >= 0 {
 					keys = binary.LittleEndian.AppendUint32(keys, 1)
 					keys = binary.LittleEndian.AppendUint32(keys, uint32(v))
@@ -211,7 +213,7 @@ func ReadSegment(data []byte) (*DB, error) {
 	return db, nil
 }
 
-func readRelation(rd *segReader, next int) (*relation, error) {
+func readRelation(rd *segReader, next int) (r *relation, err error) {
 	malformed := errors.New("storage: segment: malformed relation")
 	pred := schema.PredID(rd.u32())
 	arity := int(rd.u32())
@@ -220,10 +222,12 @@ func readRelation(rd *segReader, next int) (*relation, error) {
 		n*(5*arity+12) > len(rd.data)-rd.off { // columns, hashes, global
 		return nil, malformed
 	}
-	r := newRelation(pred, arity)
+	r = newRelation(pred, arity)
 	r.cols = make([]term.Term, n*arity)
 	for i := range r.cols {
-		r.cols[i] = rd.term()
+		if r.cols[i], err = rd.term(); err != nil {
+			return nil, err
+		}
 	}
 	r.nrows = n
 	for ri := 0; ri < n; ri++ {
@@ -307,11 +311,15 @@ func readRelation(rd *segReader, next int) (*relation, error) {
 			if nKeys == 0 {
 				continue
 			}
-			m := make(map[uint64]int32, nKeys)
+			m := make(map[uint32]int32, nKeys)
 			var over [][]int32
 			cursor := 0
 			for k := 0; k < nKeys; k++ {
-				key := rd.term().Key()
+				t, err := rd.term()
+				if err != nil {
+					return nil, err
+				}
+				key := t.Key()
 				cnt := int(rd.u32())
 				if rd.err != nil || cnt <= 0 || cnt > n {
 					return nil, malformed
@@ -385,15 +393,30 @@ func (rd *segReader) u64() uint64 {
 	return v
 }
 
-func (rd *segReader) term() term.Term {
+// term reads one term as the segment writes it: a kind byte and a 4-byte
+// ID. A kind outside the three sorts or an ID past term.MaxID is
+// ErrSegmentTerm.
+func (rd *segReader) term() (term.Term, error) {
 	if rd.off+5 > len(rd.data) {
 		rd.fail()
-		return term.Term{}
+		return 0, nil
 	}
-	t := term.Term{
-		Kind: term.Kind(rd.data[rd.off]),
-		ID:   binary.LittleEndian.Uint32(rd.data[rd.off+1:]),
-	}
+	k, id := term.Kind(rd.data[rd.off]), binary.LittleEndian.Uint32(rd.data[rd.off+1:])
 	rd.off += 5
-	return t
+	if id <= term.MaxID {
+		switch k {
+		case term.Const:
+			return term.MkConst(id), nil
+		case term.Var:
+			return term.MkVar(id), nil
+		case term.Null:
+			return term.MkNull(id), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: kind %d, ID %d at byte %d", ErrSegmentTerm, k, id, rd.off-5)
+}
+
+// appendTerm writes t as a kind byte and a 4-byte ID.
+func appendTerm(buf []byte, t term.Term) []byte {
+	return binary.LittleEndian.AppendUint32(append(buf, byte(t.Kind())), t.ID())
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,7 +22,7 @@ func sortedFacts(db *DB) []string {
 	for _, a := range db.All() {
 		s := fmt.Sprintf("%d(", a.Pred)
 		for _, t := range a.Args {
-			s += fmt.Sprintf("%d:%d,", t.Kind, t.ID)
+			s += fmt.Sprintf("%d:%d,", t.Kind(), t.ID())
 		}
 		out = append(out, s+")")
 	}
@@ -243,6 +245,74 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSegmentTermRange: a term the segment stores as a kind byte and a
+// 4-byte ID decodes only when it is one a term can hold — a kind outside
+// the three sorts or an ID past term.MaxID, in a column or in a posting
+// key, is ErrSegmentTerm, never a term of another kind.
+func TestSegmentTermRange(t *testing.T) {
+	const e = schema.PredID(0)
+	db := NewDB()
+	for i := 0; i < 10; i++ {
+		db.InsertArgs(e, []term.Term{term.MkConst(uint32(i)), term.MkNull(uint32(i))})
+	}
+	probeAt(db, e, 2, 1, term.MkNull(3))
+	enc := db.AppendSegment(nil)
+	if _, err := ReadSegment(enc); err != nil {
+		t.Fatalf("ReadSegment: %v", err)
+	}
+	// Header, present byte, pred/arity/rows: the first column term. The
+	// encoding ends with the last key record of position 1's last
+	// sub-shard, which holds keys of these nulls: kind, ID, count 1, row.
+	for _, at := range []int{8 + 1 + 12, len(enc) - 13} {
+		for _, c := range []struct {
+			off int
+			set byte
+		}{{0, 3}, {0, 0xff}, {4, 0x40}, {4, 0x80}} {
+			cp := append([]byte(nil), enc...)
+			cp[at+c.off] = c.set
+			if _, err := ReadSegment(cp); !errors.Is(err, ErrSegmentTerm) {
+				t.Errorf("term at byte %d, byte %d set to %#x: err %v, want ErrSegmentTerm", at, c.off, c.set, err)
+			}
+		}
+	}
+}
+
+// TestSegmentBytesUnchanged: the bytes AppendSegment writes for a fixed
+// instance — constants and nulls, tombstones, compaction holes — are the
+// ones segments were written with before terms were packed into 32 bits,
+// so checkpoints from either side read on the other.
+func TestSegmentBytesUnchanged(t *testing.T) {
+	const e, tt, u = schema.PredID(0), schema.PredID(1), schema.PredID(2)
+	db := NewDB()
+	for i := 0; i < 6100; i++ {
+		c := term.MkConst(uint32(i))
+		switch i % 3 {
+		case 0:
+			db.InsertArgs(e, []term.Term{c, term.MkConst(uint32(i * 7 % 101))})
+		case 1:
+			db.InsertArgs(tt, []term.Term{c, term.MkNull(uint32(i % 17)), term.MkConst(uint32(i % 5))})
+		default:
+			db.InsertArgs(u, []term.Term{term.MkNull(uint32(i))})
+		}
+	}
+	for i := 0; i < 6100; i += 9 {
+		if row, ok := db.FindRow(e, []term.Term{term.MkConst(uint32(i)), term.MkConst(uint32(i * 7 % 101))}); ok {
+			db.Tombstone(e, row)
+		}
+	}
+	db.Compact(0.01)
+	for i := 2; i < 6100; i += 15 {
+		if row, ok := db.FindRow(u, []term.Term{term.MkNull(uint32(i))}); ok {
+			db.Tombstone(u, row)
+		}
+	}
+	// No position is built: a posting section lists its keys in map order.
+	const want = "98823ebe84ec0968d5d73129155e5e39bdd70f21de76fb2ca6d52efcb3f70d6c"
+	if sum := sha256.Sum256(db.AppendSegment(nil)); hex.EncodeToString(sum[:]) != want {
+		t.Fatalf("segment SHA-256 %x, want %s", sum, want)
+	}
+}
+
 // legacyFixture replays the operations behind
 // testdata/segment_pr17_tombstones.seg: segmentFixture, then dead rows in
 // tt, then some of u's deleted facts re-inserted. The file is what the
@@ -320,7 +390,9 @@ func TestSegmentDecodesLegacyTombstones(t *testing.T) {
 // can use — never a panic. Seeds: the encoded segmentFixture (positions
 // built, behind and never built), every torn prefix of it, and bit flips
 // across its posting sections, the legacy segment whose slot arrays hold
-// bridge codes, and a flipped stored hash. Crashers go under
+// bridge codes, a flipped stored hash, and a column term with a kind
+// outside the three sorts and one with an ID past term.MaxID. Crashers go
+// under
 // testdata/fuzz/.
 func FuzzReadSegment(f *testing.F) {
 	if legacy, err := os.ReadFile(legacySegment); err != nil {
@@ -349,6 +421,19 @@ func FuzzReadSegment(f *testing.F) {
 		f.Fatalf("flipped stored hash: err %v, want ErrSegmentHash", err)
 	}
 	f.Add(cp)
+	// e's first column term (after the header, nil slot 0, e's present
+	// byte and counts): kind byte 3, then ID 2^30.
+	for _, c := range []struct {
+		off int
+		set byte
+	}{{0, 3}, {4, 0x40}} {
+		cp := append([]byte(nil), enc...)
+		cp[8+1+1+12+c.off] = c.set
+		if _, err := ReadSegment(cp); !errors.Is(err, ErrSegmentTerm) {
+			f.Fatalf("column term byte %d set to %#x: err %v, want ErrSegmentTerm", c.off, c.set, err)
+		}
+		f.Add(cp)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadSegment(data)
 		if err != nil {

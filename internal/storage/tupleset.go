@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"sort"
 
 	"repro/internal/term"
@@ -131,29 +132,16 @@ func hashTuple(tup []term.Term) uint64 {
 	)
 	h := uint64(offset)
 	for _, t := range tup {
-		h ^= t.Key()
+		h ^= uint64(t)
 		h *= prime
 	}
 	return h
 }
 
 // CompareTerms orders two terms by (Kind, ID) — the total order the old
-// rendered tuple keys encoded byte by byte.
-func CompareTerms(a, b term.Term) int {
-	if a.Kind != b.Kind {
-		if a.Kind < b.Kind {
-			return -1
-		}
-		return 1
-	}
-	if a.ID != b.ID {
-		if a.ID < b.ID {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
+// rendered tuple keys encoded byte by byte, and the packed terms' integer
+// order.
+func CompareTerms(a, b term.Term) int { return cmp.Compare(a, b) }
 
 // CompareTuples orders two equal-length tuples lexicographically by
 // per-position (Kind, ID).

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
-
-	"repro/internal/term"
 )
 
 // Verify checks that the instance's redundant structures agree: every
@@ -56,7 +54,7 @@ func (r *relation) verify(next int, frozen bool) error {
 	for ri := 0; ri < n; ri++ {
 		args := r.args(int32(ri))
 		for _, t := range args {
-			if t.Kind != term.Const && t.Kind != term.Null {
+			if !t.IsConst() && !t.IsNull() {
 				return fmt.Errorf("row %d holds a non-ground term", ri)
 			}
 		}
@@ -137,7 +135,7 @@ func (r *relation) verifyPostings(px *posIndex, i, lo, hi int) error {
 	if px == nil {
 		return nil // verify checked lo == hi
 	}
-	holds := func(ri int32, k uint64, prev int32) bool {
+	holds := func(ri int32, k uint32, prev int32) bool {
 		return ri > prev && int(ri) >= lo && int(ri) < hi && r.cols[int(ri)*r.arity+i].Key() == k
 	}
 	covered := 0

@@ -38,23 +38,23 @@ func TestConcurrentConstVarStableIDs(t *testing.T) {
 					t.Errorf("worker %d: wrong kinds %v %v", w, ct, vt)
 					return
 				}
-				if prev, ok := mc[cn]; ok && prev != ct.ID {
-					t.Errorf("worker %d: const %q changed ID %d -> %d", w, cn, prev, ct.ID)
+				if prev, ok := mc[cn]; ok && prev != ct.ID() {
+					t.Errorf("worker %d: const %q changed ID %d -> %d", w, cn, prev, ct.ID())
 					return
 				}
-				if prev, ok := mv[vn]; ok && prev != vt.ID {
-					t.Errorf("worker %d: var %q changed ID %d -> %d", w, vn, prev, vt.ID)
+				if prev, ok := mv[vn]; ok && prev != vt.ID() {
+					t.Errorf("worker %d: var %q changed ID %d -> %d", w, vn, prev, vt.ID())
 					return
 				}
-				mc[cn], mv[vn] = ct.ID, vt.ID
+				mc[cn], mv[vn] = ct.ID(), vt.ID()
 				// Lookup-by-ID must serve the just-interned name immediately,
 				// concurrently with everyone else's interning.
 				if got := s.Name(ct); got != cn {
-					t.Errorf("worker %d: Name(const %d) = %q, want %q", w, ct.ID, got, cn)
+					t.Errorf("worker %d: Name(const %d) = %q, want %q", w, ct.ID(), got, cn)
 					return
 				}
 				if got := s.Name(vt); got != vn {
-					t.Errorf("worker %d: Name(var %d) = %q, want %q", w, vt.ID, got, vn)
+					t.Errorf("worker %d: Name(var %d) = %q, want %q", w, vt.ID(), got, vn)
 					return
 				}
 			}
@@ -86,7 +86,7 @@ func TestConcurrentConstVarStableIDs(t *testing.T) {
 			t.Fatalf("const ID %d assigned twice", id)
 		}
 		seen[id] = true
-		if ct, ok := s.HasConst(n); !ok || ct.ID != id {
+		if ct, ok := s.HasConst(n); !ok || ct.ID() != id {
 			t.Fatalf("HasConst(%q) = (%v,%v), want ID %d", n, ct, ok, id)
 		}
 	}
@@ -109,8 +109,14 @@ func TestConcurrentFreshness(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				fresh[w] = append(fresh[w], s.FreshVar("x"))
-				nulls[w] = append(nulls[w], s.FreshNull())
+				v, errV := s.FreshVar("x")
+				n, errN := s.FreshNull()
+				if errV != nil || errN != nil {
+					t.Errorf("fresh: %v, %v", errV, errN)
+					return
+				}
+				fresh[w] = append(fresh[w], v)
+				nulls[w] = append(nulls[w], n)
 				// Interleave adversarial interning of the same prefix space.
 				s.Var(fmt.Sprintf("x%d", i*workers+w))
 			}
@@ -121,16 +127,16 @@ func TestConcurrentFreshness(t *testing.T) {
 	seenN := make(map[uint32]bool)
 	for w := 0; w < workers; w++ {
 		for _, v := range fresh[w] {
-			if seenV[v.ID] {
-				t.Fatalf("FreshVar returned variable ID %d twice", v.ID)
+			if seenV[v.ID()] {
+				t.Fatalf("FreshVar returned variable ID %d twice", v.ID())
 			}
-			seenV[v.ID] = true
+			seenV[v.ID()] = true
 		}
 		for _, n := range nulls[w] {
-			if seenN[n.ID] {
-				t.Fatalf("FreshNull returned label %d twice", n.ID)
+			if seenN[n.ID()] {
+				t.Fatalf("FreshNull returned label %d twice", n.ID())
 			}
-			seenN[n.ID] = true
+			seenN[n.ID()] = true
 		}
 	}
 	if s.NullCount() != workers*perW {

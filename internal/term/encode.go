@@ -41,37 +41,40 @@ func (n *names) appendEncoded(buf []byte) []byte {
 	return buf
 }
 
-// DecodeStore rebuilds a Store from AppendEncoded output.
+// DecodeStore rebuilds a Store from AppendEncoded output. A header
+// declaring more names (or nulls) than the ID space holds is ErrIDSpace,
+// rejected before anything is interned.
 func DecodeStore(data []byte) (*Store, error) {
 	s := NewStore()
-	data, err := decodeNames(data, func(name string) uint32 {
-		id, _ := s.consts.intern(name)
-		return id
-	})
+	data, err := decodeNames(data, &s.consts)
 	if err != nil {
 		return nil, fmt.Errorf("term: decode store consts: %w", err)
 	}
-	data, err = decodeNames(data, func(name string) uint32 {
-		id, _ := s.vars.intern(name)
-		return id
-	})
+	data, err = decodeNames(data, &s.vars)
 	if err != nil {
 		return nil, fmt.Errorf("term: decode store vars: %w", err)
 	}
 	if len(data) != 4 {
 		return nil, errors.New("term: decode store: bad trailer")
 	}
-	s.nextNull.Store(binary.LittleEndian.Uint32(data))
+	next := binary.LittleEndian.Uint32(data)
+	if next > MaxID+1 {
+		return nil, fmt.Errorf("term: decode store nulls: %w", ErrIDSpace)
+	}
+	s.nextNull.Store(next)
 	return s, nil
 }
 
-func decodeNames(data []byte, intern func(string) uint32) ([]byte, error) {
+func decodeNames(data []byte, n *names) ([]byte, error) {
 	if len(data) < 4 {
 		return nil, errors.New("short header")
 	}
-	n := int(binary.LittleEndian.Uint32(data))
+	count := binary.LittleEndian.Uint32(data)
+	if count > MaxID+1 {
+		return nil, ErrIDSpace
+	}
 	data = data[4:]
-	for i := 0; i < n; i++ {
+	for i := 0; i < int(count); i++ {
 		if len(data) < 4 {
 			return nil, errors.New("short name length")
 		}
@@ -80,7 +83,7 @@ func decodeNames(data []byte, intern func(string) uint32) ([]byte, error) {
 		if l < 0 || l > len(data) {
 			return nil, errors.New("short name")
 		}
-		if id := intern(string(data[:l])); id != uint32(i) {
+		if id, _, err := n.intern(string(data[:l])); err != nil || id != uint32(i) {
 			return nil, fmt.Errorf("non-sequential ID %d for entry %d (duplicate name?)", id, i)
 		}
 		data = data[l:]

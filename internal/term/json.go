@@ -102,8 +102,8 @@ func AppendJSONString(dst []byte, s string) []byte {
 // copy of the literal encoded at intern time; any other term (answers
 // hold constants, so only a null in practice) is escaped on the spot.
 func (s *Store) AppendJSON(dst []byte, t Term) []byte {
-	if t.Kind == Const {
-		if e, ok := s.consts.arena.Get(t.ID); ok {
+	if t.IsConst() {
+		if e, ok := s.consts.arena.Get(t.ID()); ok {
 			return append(dst, e.json...)
 		}
 	}

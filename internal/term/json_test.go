@@ -85,7 +85,7 @@ func FuzzAppendJSONString(f *testing.F) {
 // render through the escaper on the spot, matching json.Marshal of Name.
 func TestAppendJSONTerms(t *testing.T) {
 	st := NewStore()
-	for _, tm := range []Term{st.Var("X<1>"), st.FreshNull(), MkConst(99), MkVar(99), {Kind: 7}} {
+	for _, tm := range []Term{st.Var("X<1>"), MkNull(0), MkConst(99), MkVar(99), ^Term(0)} {
 		want, _ := json.Marshal(st.Name(tm))
 		if got := st.AppendJSON(nil, tm); !bytes.Equal(got, want) {
 			t.Errorf("AppendJSON(%v) = %s, want %s", tm, got, want)

@@ -4,13 +4,16 @@
 //
 // The paper ("The Space-Efficient Core of Vadalog", PODS 2019, Section 2)
 // works over three disjoint countably infinite sets: constants C, labeled
-// nulls N, and variables V. Go has no algebraic data types, so a term is a
-// small value struct {Kind, ID}; all name information lives in a Store.
-// This keeps atoms flat, comparable with ==, and cheap to hash — essential
-// for the chase and the proof-tree search, which keep millions of terms live.
+// nulls N, and variables V. Go has no algebraic data types, so a term is
+// one uint32 packing its kind (top two bits) and its ID (low 30 bits); all
+// name information lives in a Store. This keeps atoms flat, comparable
+// with ==, and cheap to hash, and a stored term 4 bytes — essential for
+// the chase and the proof-tree search, which keep millions of terms live,
+// and for storage, whose term columns are most of an instance's bytes.
 package term
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -45,35 +48,49 @@ func (k Kind) String() string {
 	}
 }
 
-// Term is a single term: a constant, a variable, or a labeled null.
-// The zero value is the constant with ID 0 of whatever Store is in scope.
-// Terms are pure values: they can be compared with == and used as map keys.
-type Term struct {
-	Kind Kind
-	ID   uint32
-}
+// Term is a single term: a constant, a variable, or a labeled null, packed
+// as kind<<30 | ID. Const is kind 0, so a constant is its ID, and the
+// packed order is the (kind, ID) order. The zero value is the constant
+// with ID 0 of whatever Store is in scope. Terms are pure values: they can
+// be compared with == and used as map keys.
+type Term uint32
+
+const idBits = 30
+
+// MaxID is the largest ID a term carries: a Store holds at most MaxID+1
+// constants, MaxID+1 variables and MaxID+1 nulls.
+const MaxID = 1<<idBits - 1
+
+// ErrIDSpace reports that a Store has no ID left for a new name or null.
+var ErrIDSpace = errors.New("term: ID space exhausted (2^30 names of one kind)")
+
+// Kind returns the term's sort.
+func (t Term) Kind() Kind { return Kind(t >> idBits) }
+
+// ID returns the term's intern ID (a null's label).
+func (t Term) ID() uint32 { return uint32(t) & MaxID }
 
 // IsConst reports whether t is a constant.
-func (t Term) IsConst() bool { return t.Kind == Const }
+func (t Term) IsConst() bool { return t>>idBits == Term(Const) }
 
 // IsVar reports whether t is a variable.
-func (t Term) IsVar() bool { return t.Kind == Var }
+func (t Term) IsVar() bool { return t>>idBits == Term(Var) }
 
 // IsNull reports whether t is a labeled null.
-func (t Term) IsNull() bool { return t.Kind == Null }
+func (t Term) IsNull() bool { return t>>idBits == Term(Null) }
 
-// Key packs the term into a single uint64, useful as a compact map key or as
-// input to hash mixing. Distinct terms have distinct keys.
-func (t Term) Key() uint64 { return uint64(t.Kind)<<32 | uint64(t.ID) }
+// Key returns the term as a map key or hash input: the term itself, so a
+// constant's key is its ID. Distinct terms have distinct keys.
+func (t Term) Key() uint32 { return uint32(t) }
 
-// MkConst builds a constant term with the given intern ID.
-func MkConst(id uint32) Term { return Term{Kind: Const, ID: id} }
+// MkConst builds a constant term with the given intern ID (at most MaxID).
+func MkConst(id uint32) Term { return Term(id) }
 
-// MkVar builds a variable term with the given intern ID.
-func MkVar(id uint32) Term { return Term{Kind: Var, ID: id} }
+// MkVar builds a variable term with the given intern ID (at most MaxID).
+func MkVar(id uint32) Term { return Term(Var)<<idBits | Term(id) }
 
-// MkNull builds a labeled null with the given label.
-func MkNull(label uint32) Term { return Term{Kind: Null, ID: label} }
+// MkNull builds a labeled null with the given label (at most MaxID).
+func MkNull(label uint32) Term { return Term(Null)<<idBits | Term(label) }
 
 // names interns one sort of names: a striped name→ID map with a lock-free
 // read path plus a chunked append-only ID→entry arena (see internal/intern).
@@ -92,12 +109,18 @@ func newNames() names {
 }
 
 // intern returns name's ID, assigning the next dense ID if absent, and
-// whether this call created it.
-func (n *names) intern(name string) (uint32, bool) {
-	return n.ids.Intern(name, func() (uint32, string) {
+// whether this call created it. A new name past MaxID is ErrIDSpace: it
+// is refused before an ID is minted, so the arena never holds one.
+func (n *names) intern(name string) (uint32, bool, error) {
+	id, isNew, ok := n.ids.Intern(name, func() (uint32, string, bool) {
 		e := newEntry(name)
-		return n.arena.Append(e), e.name
+		id, ok := n.arena.Append(e, MaxID+1)
+		return id, e.name, ok
 	})
+	if !ok {
+		return 0, false, ErrIDSpace
+	}
+	return id, isNew, nil
 }
 
 // Store interns constant and variable names. A Store is the naming context
@@ -121,35 +144,67 @@ func NewStore() *Store {
 }
 
 // Const interns the constant name and returns its term. Interning the same
-// name twice yields the same term.
-func (s *Store) Const(name string) Term {
-	id, _ := s.consts.intern(name)
-	return MkConst(id)
+// name twice yields the same term. It is for names the program itself
+// makes; paths that intern names read from outside (program text, CSV,
+// log replay) call InternConst, which reports a full ID space as an
+// error. Const panics with ErrIDSpace instead.
+func (s *Store) Const(name string) Term { return must(s.InternConst(name)) }
+
+// Var interns the variable name and returns its term; like Const, it
+// panics with ErrIDSpace where InternVar reports it.
+func (s *Store) Var(name string) Term { return must(s.InternVar(name)) }
+
+// InternConst interns the constant name and returns its term, or
+// ErrIDSpace when the name is new and the store already holds MaxID+1
+// constants.
+func (s *Store) InternConst(name string) (Term, error) {
+	id, _, err := s.consts.intern(name)
+	return MkConst(id), err
 }
 
-// Var interns the variable name and returns its term.
-func (s *Store) Var(name string) Term {
-	id, _ := s.vars.intern(name)
-	return MkVar(id)
+// InternVar is InternConst for a variable name.
+func (s *Store) InternVar(name string) (Term, error) {
+	id, _, err := s.vars.intern(name)
+	return MkVar(id), err
+}
+
+func must(t Term, err error) Term {
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // FreshVar interns a new variable whose name does not clash with any interned
 // variable, using the given prefix. Concurrent FreshVar calls return
 // distinct variables: freshness is decided by winning the intern race, not
 // by observing a count.
-func (s *Store) FreshVar(prefix string) Term {
+func (s *Store) FreshVar(prefix string) (Term, error) {
 	for i := s.vars.arena.Len(); ; i++ {
 		name := prefix + strconv.Itoa(i)
-		if id, isNew := s.vars.intern(name); isNew {
-			return MkVar(id)
+		id, isNew, err := s.vars.intern(name)
+		if err != nil {
+			return 0, err
+		}
+		if isNew {
+			return MkVar(id), nil
 		}
 	}
 }
 
 // FreshNull returns a fresh labeled null, never returned before by this
-// store. Nulls model the existential witnesses invented by chase steps.
-func (s *Store) FreshNull() Term {
-	return MkNull(s.nextNull.Add(1) - 1)
+// store, or ErrIDSpace once MaxID+1 nulls have been issued. Nulls model
+// the existential witnesses invented by chase steps.
+func (s *Store) FreshNull() (Term, error) {
+	for {
+		n := s.nextNull.Load()
+		if n > MaxID {
+			return 0, ErrIDSpace
+		}
+		if s.nextNull.CompareAndSwap(n, n+1) {
+			return MkNull(n), nil
+		}
+	}
 }
 
 // NullCount reports how many nulls this store has generated.
@@ -171,21 +226,21 @@ func (s *Store) HasConst(name string) (Term, bool) {
 // "_:nK" (blank-node style); unknown IDs render with a #K fallback so that
 // Name never panics on foreign terms. Safe concurrently with interning.
 func (s *Store) Name(t Term) string {
-	switch t.Kind {
+	switch t.Kind() {
 	case Const:
-		if e, ok := s.consts.arena.Get(t.ID); ok {
+		if e, ok := s.consts.arena.Get(t.ID()); ok {
 			return e.name
 		}
-		return "const#" + strconv.FormatUint(uint64(t.ID), 10)
+		return "const#" + strconv.FormatUint(uint64(t.ID()), 10)
 	case Var:
-		if e, ok := s.vars.arena.Get(t.ID); ok {
+		if e, ok := s.vars.arena.Get(t.ID()); ok {
 			return e.name
 		}
-		return "Var#" + strconv.FormatUint(uint64(t.ID), 10)
+		return "Var#" + strconv.FormatUint(uint64(t.ID()), 10)
 	case Null:
-		return "_:n" + strconv.FormatUint(uint64(t.ID), 10)
+		return "_:n" + strconv.FormatUint(uint64(t.ID()), 10)
 	default:
-		return fmt.Sprintf("?term(%d,%d)", t.Kind, t.ID)
+		return fmt.Sprintf("?term(%d,%d)", t.Kind(), t.ID())
 	}
 }
 

@@ -1,8 +1,10 @@
 package term
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -71,16 +73,72 @@ func TestConstVarDisjoint(t *testing.T) {
 
 func TestFreshNull(t *testing.T) {
 	s := NewStore()
-	n1 := s.FreshNull()
-	n2 := s.FreshNull()
+	n1, err1 := s.FreshNull()
+	n2, err2 := s.FreshNull()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if n1 == n2 {
 		t.Fatalf("FreshNull returned duplicate %v", n1)
 	}
 	if !n1.IsNull() {
-		t.Fatalf("FreshNull kind = %v", n1.Kind)
+		t.Fatalf("FreshNull kind = %v", n1.Kind())
 	}
 	if s.NullCount() != 2 {
 		t.Fatalf("NullCount = %d, want 2", s.NullCount())
+	}
+}
+
+// TestFreshNullIDSpace: the last label is MaxID; past it FreshNull is
+// ErrIDSpace, every time, and the counter does not wrap back to labels it
+// already issued.
+func TestFreshNullIDSpace(t *testing.T) {
+	s := NewStore()
+	s.nextNull.Store(MaxID - 1)
+	for _, want := range []uint32{MaxID - 1, MaxID} {
+		if n, err := s.FreshNull(); err != nil || n != MkNull(want) {
+			t.Fatalf("FreshNull = %v, %v; want null %d", n, err, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if n, err := s.FreshNull(); !errors.Is(err, ErrIDSpace) {
+			t.Fatalf("FreshNull past MaxID = %v (ID %d), %v; want ErrIDSpace", n, n.ID(), err)
+		}
+	}
+	if s.NullCount() != MaxID+1 {
+		t.Fatalf("NullCount = %d, want %d", s.NullCount(), MaxID+1)
+	}
+}
+
+// TestTermIsFourBytes: a term is one uint32 — what storage columns,
+// posting keys and join frames pay per term.
+func TestTermIsFourBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Term(0)); n != 4 {
+		t.Fatalf("unsafe.Sizeof(Term) = %d, want 4", n)
+	}
+}
+
+// mkTerm builds the term of kind k (one of the three sorts) and ID id.
+func mkTerm(k Kind, id uint32) Term {
+	return [...]func(uint32) Term{MkConst, MkVar, MkNull}[k](id)
+}
+
+// Property: packing keeps kind and ID, and a constant is its ID.
+func TestPackRoundTrip(t *testing.T) {
+	f := func(k uint8, id uint32) bool {
+		kind, id := Kind(k%3), id&MaxID
+		tm := mkTerm(kind, id)
+		return tm.Kind() == kind && tm.ID() == id && tm.IsConst() == (kind == Const) &&
+			tm.IsVar() == (kind == Var) && tm.IsNull() == (kind == Null) &&
+			(kind != Const || tm.Key() == id)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tm := range []Term{MkConst(MaxID), MkVar(MaxID), MkNull(MaxID), MkNull(0)} {
+		if tm.ID() > MaxID || mkTerm(tm.Kind(), tm.ID()) != tm {
+			t.Fatalf("%#x does not round-trip", uint32(tm))
+		}
 	}
 }
 
@@ -88,12 +146,15 @@ func TestFreshVarAvoidsClash(t *testing.T) {
 	s := NewStore()
 	s.Var("v0")
 	s.Var("v1")
-	f := s.FreshVar("v")
+	f, err := s.FreshVar("v")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if name := s.Name(f); name == "v0" || name == "v1" {
 		t.Fatalf("FreshVar returned clashing name %q", name)
 	}
-	f2 := s.FreshVar("v")
-	if f == f2 {
+	f2, err := s.FreshVar("v")
+	if err != nil || f == f2 {
 		t.Fatalf("consecutive FreshVar calls returned same var")
 	}
 }
@@ -102,7 +163,7 @@ func TestName(t *testing.T) {
 	s := NewStore()
 	a := s.Const("alice")
 	x := s.Var("X")
-	n := s.FreshNull()
+	n, _ := s.FreshNull()
 	if got := s.Name(a); got != "alice" {
 		t.Errorf("Name(const) = %q", got)
 	}
@@ -119,7 +180,7 @@ func TestName(t *testing.T) {
 	if got := s.Name(MkVar(999)); got == "" {
 		t.Errorf("Name(foreign var) empty")
 	}
-	if got := s.Name(Term{Kind: Kind(7), ID: 1}); got == "" {
+	if got := s.Name(^Term(0)); got == "" {
 		t.Errorf("Name(bad kind) empty")
 	}
 }
@@ -152,7 +213,7 @@ func TestInterningRoundTrip(t *testing.T) {
 	f := func(name string) bool {
 		c := s.Const(name)
 		v := s.Var(name)
-		return s.Name(c) == name && s.Name(v) == name && c.Kind == Const && v.Kind == Var
+		return s.Name(c) == name && s.Name(v) == name && c.Kind() == Const && v.Kind() == Var
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -162,8 +223,8 @@ func TestInterningRoundTrip(t *testing.T) {
 // Property: Key is injective over kind+ID.
 func TestKeyInjective(t *testing.T) {
 	f := func(k1, k2 uint8, id1, id2 uint32) bool {
-		a := Term{Kind: Kind(k1 % 3), ID: id1}
-		b := Term{Kind: Kind(k2 % 3), ID: id2}
+		a := mkTerm(Kind(k1%3), id1&MaxID)
+		b := mkTerm(Kind(k2%3), id2&MaxID)
 		if a == b {
 			return a.Key() == b.Key()
 		}

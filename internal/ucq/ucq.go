@@ -177,7 +177,7 @@ func (r *Result) Eval(db *storage.DB) [][]term.Term {
 func tupKey(ts []term.Term) string {
 	b := make([]byte, 0, 12*len(ts))
 	for _, t := range ts {
-		b = append(b, fmt.Sprintf("%d:%d;", t.Kind, t.ID)...)
+		b = append(b, fmt.Sprintf("%d:%d;", t.Kind(), t.ID())...)
 	}
 	return string(b)
 }

@@ -189,7 +189,10 @@ func queryFor(prog *logic.Program, predName string) (*logic.CQ, error) {
 	ar := prog.Reg.Arity(id)
 	outs := make([]term.Term, ar)
 	for i := range outs {
-		outs[i] = prog.Store.FreshVar(fmt.Sprintf("qv%d_", i))
+		var err error
+		if outs[i], err = prog.Store.FreshVar(fmt.Sprintf("qv%d_", i)); err != nil {
+			return nil, err
+		}
 	}
 	return &logic.CQ{Output: outs, Atoms: []atom.Atom{atom.New(id, outs...)}}, nil
 }

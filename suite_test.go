@@ -188,7 +188,7 @@ func TestSuiteUCQSoundness(t *testing.T) {
 func tupKey(tup []term.Term) string {
 	k := ""
 	for _, x := range tup {
-		k += fmt.Sprintf("%d:%d|", x.Kind, x.ID)
+		k += fmt.Sprintf("%d:%d|", x.Kind(), x.ID())
 	}
 	return k
 }
