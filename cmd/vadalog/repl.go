@@ -231,12 +231,10 @@ func replProve(out io.Writer, factSrc string, prog *logic.Program, db *storage.D
 	q := &logic.CQ{}
 	args := make([]term.Term, len(f.Args))
 	for i := range f.Args {
-		v, err := prog.Store.FreshVar("_prove")
-		if err != nil {
+		if args[i], err = prog.Store.FreshVar("_prove"); err != nil {
 			return err
 		}
-		args[i] = v
-		q.Output = append(q.Output, v)
+		q.Output = append(q.Output, args[i])
 	}
 	q.Atoms = []atom.Atom{atom.New(f.Pred, args...)}
 	ok, tr, stats, err := prooftree.DecideWithTrace(prog, db, q, f.Args,

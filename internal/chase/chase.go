@@ -160,7 +160,7 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 	// away.
 	plans := plan.Cached(prog, plan.Options{DeltaFirst: true, NeedBodyImage: true})
 	var nulls []term.Term // scratch for fresh existential witnesses
-	var nullErr error     // ErrIDSpace: no label left for a fresh null
+	var nullErr error
 
 	// match returns the trigger step of rule ti.
 	// Negation-as-failure needs no guard here: the driver skips blocked
@@ -210,9 +210,8 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 			if hasExist {
 				nulls = nulls[:0]
 				for range r.ExistSlots {
-					n, err := prog.Store.FreshNull()
-					if err != nil {
-						nullErr = err
+					var n term.Term
+					if n, nullErr = prog.Store.FreshNull(); nullErr != nil {
 						return false
 					}
 					nulls = append(nulls, n)

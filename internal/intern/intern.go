@@ -107,10 +107,10 @@ func (m *Map) Lookup(name string) (uint32, bool) {
 // over the Map's lifetime; it typically appends to an Arena and returns the
 // new index, together with the key the map keeps for the name: a string
 // equal to name, so a caller whose arena holds its own copy can have both
-// directions share one allocation. isNew reports whether this call
+// directions share one allocation, or false to refuse (a full arena; the
+// map keeps nothing, and ok is false). isNew reports whether this call
 // performed the assignment — the freshness signal FreshVar-style probing
-// builds on. alloc may refuse (a full arena) by returning false: the map
-// then keeps nothing for name, and Intern reports ok false.
+// builds on.
 func (m *Map) Intern(name string, alloc func() (uint32, string, bool)) (id uint32, isNew, ok bool) {
 	sh := &m.shards[shardOf(name)]
 	if r := sh.read.Load(); r != nil {
@@ -144,11 +144,10 @@ func (m *Map) Intern(name string, alloc func() (uint32, string, bool)) (id uint3
 		}
 	}
 	id, key, ok := alloc()
-	if !ok {
-		return 0, false, false
+	if ok {
+		sh.dirty[key] = id
 	}
-	sh.dirty[key] = id
-	return id, true, true
+	return id, ok, ok
 }
 
 // missLocked counts a read-map miss that resolved in dirty and promotes the

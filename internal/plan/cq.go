@@ -137,13 +137,11 @@ func (p *CQPlan) RunCtx(ctx context.Context, db *storage.DB, yield func(tup []te
 	return done, err
 }
 
-// RunBudgetTraced is Run charged against a budget and recording the
-// enumeration into tr: every cqCancelStride row matches flush into the
-// budget's probe counter and poll its limits and deadline — a
-// cross-product query burns gas even when the limit pushdown never
-// fires. It records the compiled join order and the row-match count
-// across all join levels.
-// A nil budget and a nil tr behave exactly like Run.
+// RunBudgetTraced is Run charged against a budget and recorded into tr:
+// every cqCancelStride row matches flush into the budget's probe counter
+// and poll its limits and deadline — a cross-product query burns gas even
+// when the limit pushdown never fires — and tr gets the compiled join
+// order and the row-match count. A nil bud or tr behaves like Run.
 func (p *CQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, yield func(tup []term.Term) bool) (bool, error) {
 	done, matches, err := p.run(bud.Context(), bud, db, yield)
 	tr.CQ(p.Order, matches)

@@ -24,8 +24,8 @@ import (
 // map[...][]int32 representation disappears, the map value shrinks to 4
 // bytes, and steady-state updates of hot keys touch the map only once: the
 // overflow row list is appended in place through the table, never
-// re-stored. The key is term.Term.Key(), the term as a uint32: a named
-// type key takes the runtime's generic hash path, a uint32 key the fast one.
+// re-stored. The key is term.Term.Key(), the term as a uint32, which takes
+// the runtime's fast 32-bit map path.
 //
 // A position is paid for when it is probed, not when its relation is
 // written. position.built is the watermark — rows [0, built) are indexed —

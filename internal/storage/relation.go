@@ -38,10 +38,8 @@ func keyShard(k uint32) int {
 }
 
 // hashKey is what hashes and sub-shard choices mix for a term: kind<<32 |
-// ID, the key terms had before they were packed into 32 bits, and for a
-// constant the term itself. Hashes and shards, and with them the slot
-// arrays and row hashes a checkpoint holds, stay what they were for every
-// kind, so segments written before the packing still decode.
+// ID, a constant's being the term itself. Checkpoints hold row hashes and
+// slot arrays placed by it, so it may not change for any kind.
 func hashKey(t term.Term) uint64 { return uint64(t.Kind())<<32 | uint64(t.ID()) }
 
 // relation is the columnar store for one predicate: a flat, arity-strided

@@ -316,11 +316,10 @@ func readRelation(rd *segReader, next int) (r *relation, err error) {
 			cursor := 0
 			for k := 0; k < nKeys; k++ {
 				t, err := rd.term()
+				key, cnt := t.Key(), int(rd.u32())
 				if err != nil {
 					return nil, err
 				}
-				key := t.Key()
-				cnt := int(rd.u32())
 				if rd.err != nil || cnt <= 0 || cnt > n {
 					return nil, malformed
 				}
@@ -401,19 +400,12 @@ func (rd *segReader) term() (term.Term, error) {
 		rd.fail()
 		return 0, nil
 	}
-	k, id := term.Kind(rd.data[rd.off]), binary.LittleEndian.Uint32(rd.data[rd.off+1:])
+	k, id := rd.data[rd.off], binary.LittleEndian.Uint32(rd.data[rd.off+1:])
 	rd.off += 5
-	if id <= term.MaxID {
-		switch k {
-		case term.Const:
-			return term.MkConst(id), nil
-		case term.Var:
-			return term.MkVar(id), nil
-		case term.Null:
-			return term.MkNull(id), nil
-		}
+	if k > byte(term.Null) || id > term.MaxID {
+		return 0, fmt.Errorf("%w: kind %d, ID %d at byte %d", ErrSegmentTerm, k, id, rd.off-5)
 	}
-	return 0, fmt.Errorf("%w: kind %d, ID %d at byte %d", ErrSegmentTerm, k, id, rd.off-5)
+	return [...]term.Term{term.MkConst(id), term.MkVar(id), term.MkNull(id)}[k], nil
 }
 
 // appendTerm writes t as a kind byte and a 4-byte ID.

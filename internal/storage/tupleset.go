@@ -139,8 +139,7 @@ func hashTuple(tup []term.Term) uint64 {
 }
 
 // CompareTerms orders two terms by (Kind, ID) — the total order the old
-// rendered tuple keys encoded byte by byte, and the packed terms' integer
-// order.
+// rendered tuple keys encoded byte by byte, and the packed integer order.
 func CompareTerms(a, b term.Term) int { return cmp.Compare(a, b) }
 
 // CompareTuples orders two equal-length tuples lexicographically by

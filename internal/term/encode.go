@@ -41,9 +41,8 @@ func (n *names) appendEncoded(buf []byte) []byte {
 	return buf
 }
 
-// DecodeStore rebuilds a Store from AppendEncoded output. A header
-// declaring more names (or nulls) than the ID space holds is ErrIDSpace,
-// rejected before anything is interned.
+// DecodeStore rebuilds a Store from AppendEncoded output. A count past
+// the ID space is ErrIDSpace, refused before anything is interned.
 func DecodeStore(data []byte) (*Store, error) {
 	s := NewStore()
 	data, err := decodeNames(data, &s.consts)

@@ -144,14 +144,12 @@ func NewStore() *Store {
 }
 
 // Const interns the constant name and returns its term. Interning the same
-// name twice yields the same term. It is for names the program itself
-// makes; paths that intern names read from outside (program text, CSV,
-// log replay) call InternConst, which reports a full ID space as an
-// error. Const panics with ErrIDSpace instead.
+// name twice yields the same term. It panics with ErrIDSpace where
+// InternConst, which paths interning input (text, CSV, log replay) call,
+// returns it.
 func (s *Store) Const(name string) Term { return must(s.InternConst(name)) }
 
-// Var interns the variable name and returns its term; like Const, it
-// panics with ErrIDSpace where InternVar reports it.
+// Var is Const for a variable name.
 func (s *Store) Var(name string) Term { return must(s.InternVar(name)) }
 
 // InternConst interns the constant name and returns its term, or
@@ -181,13 +179,8 @@ func must(t Term, err error) Term {
 // by observing a count.
 func (s *Store) FreshVar(prefix string) (Term, error) {
 	for i := s.vars.arena.Len(); ; i++ {
-		name := prefix + strconv.Itoa(i)
-		id, isNew, err := s.vars.intern(name)
-		if err != nil {
-			return 0, err
-		}
-		if isNew {
-			return MkVar(id), nil
+		if id, isNew, err := s.vars.intern(prefix + strconv.Itoa(i)); isNew || err != nil {
+			return MkVar(id), err
 		}
 	}
 }
@@ -196,15 +189,12 @@ func (s *Store) FreshVar(prefix string) (Term, error) {
 // store, or ErrIDSpace once MaxID+1 nulls have been issued. Nulls model
 // the existential witnesses invented by chase steps.
 func (s *Store) FreshNull() (Term, error) {
-	for {
-		n := s.nextNull.Load()
-		if n > MaxID {
-			return 0, ErrIDSpace
-		}
+	for n := s.nextNull.Load(); n <= MaxID; n = s.nextNull.Load() {
 		if s.nextNull.CompareAndSwap(n, n+1) {
 			return MkNull(n), nil
 		}
 	}
+	return 0, ErrIDSpace
 }
 
 // NullCount reports how many nulls this store has generated.
