@@ -14,7 +14,7 @@ import (
 // built on first probe, and shared with views as a frozen base plus a
 // small tail.
 //
-// A posIndex maps, per sub-shard s = keyShard(key), a term's packed key to
+// A posIndex maps, per sub-shard s = keyShard(key), a term's key to
 // an int32 code: a non-negative code IS the single local row holding the
 // term at the position (stored inline — no slice, no allocation), while a
 // negative code -(k+1) points at entry k of the sub-shard's overflow table
@@ -119,7 +119,7 @@ func (px *posIndex) clone(second bool) *posIndex {
 	return out
 }
 
-// idxAdd records that local row ri holds the term with packed key k (of
+// idxAdd records that local row ri holds the term with key k (of
 // sub-shard s). Rows arrive in ascending order, so every posting stays
 // ascending without comparison. Safe to call concurrently for DISTINCT
 // sub-shards — each call touches only its own sub-map and sub-overflow.
