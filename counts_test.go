@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -9,12 +10,16 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/atom"
 	"repro/internal/datalog"
+	"repro/internal/incremental"
 	"repro/internal/parser"
+	"repro/internal/service"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -24,18 +29,36 @@ var update = flag.Bool("update", false, "rewrite testdata/counts.golden.json fro
 const countsGolden = "testdata/counts.golden.json"
 
 // shapeCounts is what one workload shape records: the load's fixpoint
-// counts and the materialized instance's bytes by storage structure.
+// counts, the materialized instance's bytes by storage structure, the
+// checkpoint a durable service writes for it and, for the churned shape,
+// the maintenance counts of a seeded update stream.
 type shapeCounts struct {
-	Facts        int                `json:"facts"`
-	Derived      int                `json:"derived_per_load"`
-	Rounds       int                `json:"rounds_per_load"`
-	Bytes        map[string]int     `json:"footprint_bytes"`
-	BytesPerFact map[string]float64 `json:"footprint_bytes_per_fact"`
+	Facts           int                `json:"facts"`
+	Derived         int                `json:"derived_per_load"`
+	Rounds          int                `json:"rounds_per_load"`
+	Bytes           map[string]int     `json:"footprint_bytes"`
+	BytesPerFact    map[string]float64 `json:"footprint_bytes_per_fact"`
+	CheckpointBytes int64              `json:"checkpoint_bytes"`
+	Stream          *streamCounts      `json:"update_stream,omitempty"`
+}
+
+// streamCounts is what a delete/re-insert stream records: the engine's
+// maintenance totals and the live fact count after each phase.
+type streamCounts struct {
+	Deletes           int `json:"deletes"`
+	Overdeleted       int `json:"overdeleted"`
+	Kept              int `json:"kept"`
+	Rederived         int `json:"rederived"`
+	DerivedNew        int `json:"derived_new"`
+	LiveAfterDeletes  int `json:"live_after_deletes"`
+	LiveAfterReinsert int `json:"live_after_reinserts"`
 }
 
 // TestWorkloadCounts is the count gate: exact, run-to-run repeatable
 // numbers of the benchmark's workload shapes, computed in process and
-// compared with testdata/counts.golden.json. A change that moves one on
+// compared with testdata/counts.golden.json. Each shape records its load
+// counts, footprint and checkpoint bytes; tc.blocks also records a seeded
+// stream of 200 edge deletes and their re-inserts. A change that moves one on
 // purpose re-baselines with `go test -run TestWorkloadCounts -update .`
 // and says why; any other drift fails.
 func TestWorkloadCounts(t *testing.T) {
@@ -44,7 +67,12 @@ func TestWorkloadCounts(t *testing.T) {
 		"iwarded.materialize": iwardedLoadText(t, 5),
 		"tc.blocks":           tcBlocksLoadText(60),
 	} {
-		got[name] = loadCounts(t, text)
+		c := loadCounts(t, text)
+		c.CheckpointBytes = checkpointBytes(t, text)
+		if name == "tc.blocks" {
+			c.Stream = streamCountsOf(t, text, 200)
+		}
+		got[name] = c
 	}
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
@@ -87,6 +115,74 @@ func loadCounts(t *testing.T, text string) shapeCounts {
 	c := shapeCounts{Facts: db.Len(), Derived: stats.Derived, Rounds: stats.Rounds, Bytes: db.Footprint(), BytesPerFact: map[string]float64{}}
 	for k, v := range c.Bytes {
 		c.BytesPerFact[k] = math.Round(100*float64(v)/float64(c.Facts)) / 100
+	}
+	return c
+}
+
+// checkpointBytes is the size of the checkpoint file a durable service
+// writes when it loads the text.
+func checkpointBytes(t *testing.T, text string) int64 {
+	t.Helper()
+	dir := t.TempDir()
+	svc, err := service.Open(service.Options{DataDir: dir, Fsync: "never"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Load(text); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(ckpts) != 1 {
+		t.Fatalf("checkpoints after load: %v %v", ckpts, err)
+	}
+	fi, err := os.Stat(ckpts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// streamCountsOf materializes the text in an incremental engine, deletes
+// n of its base facts one at a time in a seeded order, then re-inserts
+// them in the same order.
+func streamCountsOf(t *testing.T, text string, n int) *streamCounts {
+	t.Helper()
+	res, err := parser.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := storage.NewDB()
+	base.InsertAll(res.Facts)
+	eng, err := incremental.New(res.Program, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims := make([]atom.Atom, n)
+	for i, j := range rand.New(rand.NewSource(7)).Perm(len(res.Facts))[:n] {
+		victims[i] = res.Facts[j]
+	}
+	c, loaded := &streamCounts{Deletes: n}, eng.DB().Len()
+	for _, f := range victims {
+		if err := eng.Delete(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.LiveAfterDeletes = eng.DB().Len()
+	for _, f := range victims {
+		if err := eng.Insert(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.LiveAfterReinsert = eng.DB().Len()
+	st := eng.Stats()
+	c.Overdeleted, c.Kept, c.Rederived, c.DerivedNew = st.Overdeleted, st.Kept, st.Rederived, st.DerivedNew
+	// Re-inserting every deleted fact restores the loaded closure.
+	if st.Deleted != n || st.Inserted != n || c.LiveAfterReinsert != loaded {
+		t.Fatalf("stream: %+v, %d live after re-inserts, %d loaded", st, c.LiveAfterReinsert, loaded)
 	}
 	return c
 }
