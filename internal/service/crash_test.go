@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -479,4 +482,97 @@ func TestNoOpUpdateChangesNothing(t *testing.T) {
 	}
 	assertMatchesOracle(t, svc2, mirror, "restart over a log with no-op records")
 	assertKeyedReadsMatchOracle(t, svc2, mirror, "restart over a log with no-op records")
+}
+
+// legacyCheckpointDir is a data directory written by the five-section
+// checkpoint layout, which stored the base instance beside the
+// materialization: tcProgram over e(a,b), e(b,c), e(c,d) loaded (the
+// checkpoint), then e(d,e) inserted and e(b,c) deleted (the WAL tail).
+const legacyCheckpointDir = "testdata/ckpt_five_sections"
+
+// copyDataDir copies a committed data directory to where recovery may
+// rotate and truncate it.
+func copyDataDir(t *testing.T, from string) string {
+	t.Helper()
+	dir := t.TempDir()
+	ents, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestRecoverLegacyCheckpoint: a data directory whose checkpoint holds
+// the base instance as a section of its own recovers to the oracle's
+// state, and the recovered service keeps writing durably. A base section
+// whose bytes are damaged under a valid checksum is a typed error.
+func TestRecoverLegacyCheckpoint(t *testing.T) {
+	t.Run("recover", func(t *testing.T) {
+		dir := copyDataDir(t, legacyCheckpointDir)
+		svc := openRecovered(t, dir, 1<<20)
+		mirror := baseMirror{"e(a,b)": true, "e(c,d)": true, "e(d,e)": true}
+		assertMatchesOracle(t, svc, mirror, "legacy checkpoint")
+		if err := svc.eng.DB().Verify(); err != nil {
+			t.Fatalf("recovered materialization: %v", err)
+		}
+		if n := svc.Stats().Durability.ReplayedRecords; n != 2 {
+			t.Fatalf("replayed %d records, want 2", n)
+		}
+		if _, err := svc.Insert("e(e,f)."); err != nil {
+			t.Fatal(err)
+		}
+		mirror["e(e,f)"] = true
+		assertMatchesOracle(t, svc, mirror, "write after legacy recovery")
+		svc.Close()
+		svc2 := openRecovered(t, dir, 1<<20)
+		defer svc2.Close()
+		assertMatchesOracle(t, svc2, mirror, "restart after the write")
+	})
+	t.Run("damaged base section", func(t *testing.T) {
+		dir := copyDataDir(t, legacyCheckpointDir)
+		path := filepath.Join(dir, "ckpt-0000000000000000.ckpt")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "VDCKPT01" | u64 seq | u32 nSections, then per section u32 len |
+		// u32 CRC32-C | bytes; the base instance is the fourth section.
+		off := 20
+		for i := 0; i < 3; i++ {
+			off += 8 + int(binary.LittleEndian.Uint32(raw[off:]))
+		}
+		sec := raw[off+8 : off+8+int(binary.LittleEndian.Uint32(raw[off:]))]
+		// Past the segment's u32 nRels | u32 next, skip absent relation
+		// slots; the first present one's body opens with u32 pred | u32
+		// arity | u32 nRows, then its first term's kind byte.
+		p := 8
+		for sec[p] == 0 {
+			p++
+		}
+		sec[p+13] = 0xff
+		binary.LittleEndian.PutUint32(raw[off+4:], crc32.Checksum(sec, crc32.MakeTable(crc32.Castagnoli)))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := Open(durableOpts(dir, 1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close()
+		if err := svc.Recover(context.Background()); !errors.Is(err, storage.ErrSegmentTerm) {
+			t.Fatalf("Recover over a damaged base section: %v, want %v", err, storage.ErrSegmentTerm)
+		}
+		if h := svc.Health(); h != HealthBroken {
+			t.Fatalf("health = %q, want %q", h, HealthBroken)
+		}
+	})
 }
