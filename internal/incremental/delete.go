@@ -357,11 +357,6 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	for _, h := range pend {
 		e.db.Tombstone(h.pred, h.row)
 	}
-	for _, f := range facts {
-		if row, ok := e.base.FindRow(f.Pred, f.Args); ok {
-			e.base.Tombstone(f.Pred, row)
-		}
-	}
 
 	// Phase 2 — rederive: only an unsure refutation can hide a derivation
 	// from the surviving instance, so only unsure facts get a head-bound
@@ -417,7 +412,7 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 
 	if err := bud.Err(); err != nil {
 		// Tombstones applied but rederivation didn't finish: facts still
-		// derivable from the surviving base may be missing. Partial
+		// derivable from the surviving base facts may be missing. Partial
 		// revives are sound (each had a derivation), but the
 		// materialization is an under-approximation until Rebuild.
 		e.broken = fmt.Errorf("incremental: delete aborted mid-rederivation: %w", err)
@@ -428,6 +423,5 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	// invalidates row handles, so it runs only here, after the worklists
 	// have drained.
 	e.stats.Compacted += e.db.Compact(CompactFraction)
-	e.stats.Compacted += e.base.Compact(CompactFraction)
 	return nil
 }

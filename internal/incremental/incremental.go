@@ -17,9 +17,9 @@
 // row) handles, the overestimate enumerates rule instances through each
 // deleted row with seed-bound plans (Exec.RunSeed), the support search and
 // rederivation enumerate head-bound plans (Exec.Supports) and restorations
-// propagate through the same seed-bound plans. Neither store is ever
-// rebuilt; physical space is reclaimed by storage.Compact once a relation
-// is mostly dead.
+// propagate through the same seed-bound plans. The materialization, base
+// facts included, is the only store and is never rebuilt; physical space
+// is reclaimed by storage.Compact once a relation is mostly dead.
 //
 // The engine supports full single-head TGDs without negation (negation
 // under updates requires maintaining strata fronts; callers can rebuild
@@ -51,12 +51,9 @@ const CompactFraction = 0.5
 type Engine struct {
 	prog *logic.Program
 	an   *analysis.Analysis
-	// base holds the extensional facts currently asserted. Invariant: the
-	// extensional slice of db equals base (rules only derive intensional
-	// predicates), so one membership probe answers for both stores.
-	base *storage.DB
-	// db is the maintained materialization: base plus every derivable
-	// intensional fact.
+	// db is the maintained materialization and the only store: rules
+	// never derive an extensional predicate, so its extensional relations
+	// are the base facts currently asserted.
 	db *storage.DB
 	// intensional marks maintained predicates, by PredID.
 	intensional []bool
@@ -74,8 +71,8 @@ type Engine struct {
 
 	// broken is the typed abort error of a budgeted update that stopped
 	// AFTER mutating the materialization: db no longer equals the closure
-	// of base, so every further update is refused until Rebuild
-	// re-materializes from base. Aborts that land before any mutation
+	// of its extensional facts, so every further update is refused until
+	// Rebuild re-materializes from them. Aborts that land before any mutation
 	// (insert preflight, Delete phase 1 — tombstones only apply after the
 	// overestimate completes) leave the engine healthy and broken unset.
 	broken error
@@ -116,30 +113,36 @@ func New(prog *logic.Program, base *storage.DB) (*Engine, error) {
 }
 
 // Restore builds an engine around an ALREADY-materialized instance — the
-// recovery path from a durability checkpoint. base and db are decoded
-// segment instances; the caller asserts the invariant New would have
-// established by evaluation: db is the closure of base under prog, and
-// the extensional slice of db equals base. Nothing is re-evaluated and
-// ownership of both stores transfers to the engine (no clone — the
-// decoded instances have no other referent). Program validation and all
-// plan/index compilation run exactly as in New.
-func Restore(prog *logic.Program, base, db *storage.DB) (*Engine, error) {
+// recovery path from a durability checkpoint. db is a decoded segment
+// instance; the caller asserts what New would have established by
+// evaluation: db is the closure of its extensional facts under prog.
+// Nothing is re-evaluated and ownership of db transfers to the engine (no
+// clone — the decoded instance has no other referent). Program validation
+// and all plan/index compilation run exactly as in New.
+func Restore(prog *logic.Program, db *storage.DB) (*Engine, error) {
 	e, err := newShell(prog)
 	if err != nil {
 		return nil, err
 	}
-	e.base = base
 	e.db = db
 	return e, nil
 }
 
-// Base exposes the extensional store (read-only by convention) — the
-// checkpoint writer serializes it beside the materialization so
-// recovery can keep maintaining updates without a re-chase.
-func (e *Engine) Base() *storage.DB { return e.base }
+// Base returns a fresh instance of the live extensional facts of DB(), in
+// insertion order: a cold-path copy made on each call. A fact over an
+// intensional predicate given to New is maintained, so it is not one.
+func (e *Engine) Base() *storage.DB {
+	base := storage.NewDB()
+	for _, f := range e.db.All() {
+		if !e.idb(f.Pred) {
+			base.InsertArgs(f.Pred, f.Args)
+		}
+	}
+	return base
+}
 
 // newShell validates the program and compiles every maintenance
-// structure of an engine EXCEPT the two stores — the shared prefix of
+// structure of an engine EXCEPT the store — the shared prefix of
 // NewBudgeted (which evaluates the closure) and Restore (which trusts a
 // checkpoint).
 func newShell(prog *logic.Program) (*Engine, error) {
@@ -189,7 +192,6 @@ func NewBudgeted(prog *logic.Program, base *storage.DB, bud *plan.Budget) (*Engi
 	if err != nil {
 		return nil, err
 	}
-	e.base = base.Clone()
 	e.db = db
 	return e, nil
 }
@@ -204,12 +206,12 @@ func (e *Engine) Stats() Stats { return e.stats }
 // while healthy). A broken engine refuses updates until Rebuild.
 func (e *Engine) Broken() error { return e.broken }
 
-// Rebuild re-materializes db from the (authoritative) base store,
-// clearing the broken state — the recovery path after an aborted update.
-// The base facts themselves are never partial: an update either applied
-// them all before its fixpoint started or touched nothing.
+// Rebuild re-materializes db from its extensional facts, clearing the
+// broken state — the recovery path after an aborted update. The
+// extensional facts themselves are never partial: an update either
+// applied them all before its fixpoint started or touched nothing.
 func (e *Engine) Rebuild() error {
-	db, _, err := datalog.Eval(e.prog, e.base, datalog.Options{Stratify: true, BiasRecursiveAtom: true})
+	db, _, err := datalog.Eval(e.prog, e.Base(), datalog.Options{Stratify: true, BiasRecursiveAtom: true, InPlace: true})
 	if err != nil {
 		return err
 	}
@@ -266,11 +268,8 @@ func (e *Engine) InsertBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	added := 0
 	for _, f := range facts {
 		// The atoms are ground and interned, so dedup runs on the scratch
-		// argument path directly; and since the extensional slice of db
-		// equals base, db's verdict decides base's insert too — a duplicate
-		// costs one probe instead of two.
+		// argument path directly.
 		if e.db.InsertArgs(f.Pred, f.Args) {
-			e.base.InsertArgs(f.Pred, f.Args)
 			added++
 		}
 	}
@@ -304,9 +303,9 @@ func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string) error
 
 // InsertBulk asserts base facts staged in columnar tuple buffers — the
 // streaming bulk-load path (relio.LoadBuffered feeds it batch by batch).
-// Buffers land through storage.DB.MergeBuffers on both stores (one
-// pre-sized dedup grow per relation, cached hashes, no per-fact probe
-// pair), then one semi-naive delta fixpoint propagates the whole batch.
+// Buffers land through one storage.DB.MergeBuffers (one pre-sized dedup
+// grow per relation, cached hashes, no per-fact probe), then one
+// semi-naive delta fixpoint propagates the whole batch.
 // Buffers are read-only here; the caller may Reset and refill them.
 func (e *Engine) InsertBulk(bufs []*storage.TupleBuffer) (int, error) {
 	return e.InsertBulkBudgeted(nil, bufs)
@@ -329,13 +328,9 @@ func (e *Engine) InsertBulkBudgeted(bud *plan.Budget, bufs []*storage.TupleBuffe
 		}
 	}
 	mark := e.db.Mark()
-	// The extensional slice of db equals base, so the two merges accept
-	// exactly the same rows. Large batches engage the sharded
-	// intra-relation merge when cores are available; the result is
-	// deterministic for any par.
-	par := runtime.GOMAXPROCS(0)
-	added := e.db.MergeBuffers(bufs, par)
-	e.base.MergeBuffers(bufs, par)
+	// Large batches engage the sharded intra-relation merge when cores
+	// are available; the result is deterministic for any par.
+	added := e.db.MergeBuffers(bufs, runtime.GOMAXPROCS(0))
 	e.stats.Inserted += added
 	if added > 0 {
 		if err := e.propagate(mark, bud, "bulk insert"); err != nil {
@@ -352,7 +347,7 @@ func (e *Engine) InsertBulkBudgeted(bud *plan.Budget, bufs []*storage.TupleBuffe
 // deferred again, so dead rows cannot accumulate under continuous query
 // load. Returns rows reclaimed.
 func (e *Engine) Compact() int {
-	n := e.db.CompactAll(CompactFraction) + e.base.CompactAll(CompactFraction)
+	n := e.db.CompactAll(CompactFraction)
 	e.stats.Compacted += n
 	return n
 }

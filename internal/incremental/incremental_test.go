@@ -145,9 +145,9 @@ func TestDeleteAbsentFactIsNoop(t *testing.T) {
 	}
 }
 
-// assertMatchesRecompute checks the maintained instance (and, through the
-// extensional-slice invariant, the base store) against a from-scratch
-// recomputation over the live base facts.
+// assertMatchesRecompute checks the maintained instance against a
+// from-scratch recomputation over the live base facts, and its
+// extensional facts against the live set itself.
 func assertMatchesRecompute(t *testing.T, label string, eng *Engine, live []atom.Atom) {
 	t.Helper()
 	base := storage.NewDB()
@@ -159,10 +159,8 @@ func assertMatchesRecompute(t *testing.T, label string, eng *Engine, live []atom
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
 	got := eng.DB()
-	for name, db := range map[string]*storage.DB{"maintained instance": got, "base store": eng.base} {
-		if err := db.Verify(); err != nil {
-			t.Fatalf("%s: %s: %v", label, name, err)
-		}
+	if err := got.Verify(); err != nil {
+		t.Fatalf("%s: maintained instance: %v", label, err)
 	}
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: maintained %d facts, recompute %d", label, got.Len(), want.Len())
@@ -172,15 +170,58 @@ func assertMatchesRecompute(t *testing.T, label string, eng *Engine, live []atom
 			t.Fatalf("%s: maintained instance missing %v", label, f)
 		}
 	}
-	// The base store must hold exactly the live extensional facts.
-	if eng.base.Len() != len(live) {
-		t.Fatalf("%s: base store holds %d facts, want %d", label, eng.base.Len(), len(live))
-	}
-	for _, f := range live {
-		if !eng.base.Contains(f) {
-			t.Fatalf("%s: base store lost %v", label, f)
+	// The extensional facts must be exactly the live base facts.
+	heads, ext := eng.prog.HeadPreds(), 0
+	for _, f := range got.All() {
+		if !heads[f.Pred] {
+			ext++
 		}
 	}
+	if ext != len(live) {
+		t.Fatalf("%s: maintained instance holds %d extensional facts, want %d", label, ext, len(live))
+	}
+	for _, f := range live {
+		if !got.Contains(f) {
+			t.Fatalf("%s: maintained instance lost base fact %v", label, f)
+		}
+	}
+}
+
+// TestBaseIsACopy: Base is a fresh instance of the live extensional
+// facts in insertion order; writing to it changes neither the
+// materialization nor what Rebuild derives.
+func TestBaseIsACopy(t *testing.T) {
+	r, db := load(t, tcSrc+`e(a,b). e(b,c). e(c,d).`)
+	eng, err := New(r.Program, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Delete(edge(r, "b", "c")); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Insert(edge(r, "d", "e")); err != nil {
+		t.Fatal(err)
+	}
+	live := []atom.Atom{edge(r, "a", "b"), edge(r, "c", "d"), edge(r, "d", "e")}
+	base := eng.Base()
+	if err := base.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if got := base.All(); !slices.EqualFunc(got, live, atom.Atom.Equal) {
+		t.Fatalf("Base() = %v, want %v", got, live)
+	}
+	base.Insert(edge(r, "x", "y"))
+	for _, f := range live[:2] {
+		if row, ok := base.FindRow(f.Pred, f.Args); ok {
+			base.Tombstone(f.Pred, row)
+		}
+	}
+	base.Compact(0)
+	assertMatchesRecompute(t, "after writing to Base()", eng, live)
+	if err := eng.Rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesRecompute(t, "Rebuild after writing to Base()", eng, live)
 }
 
 // TestDeleteOnColdPositionsMatchesRebuild: the initial materialization of a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/incremental"
 	"repro/internal/logic"
@@ -18,7 +19,7 @@ import (
 // write-ahead-logs every update batch from inside the serialized writer
 // critical section — AFTER the engine applied it, BEFORE the epoch
 // publishes — and periodically checkpoints the full quiesced state
-// (program text, naming arenas, both instance segments) so recovery is
+// (program text, naming arenas, the instance segment) so recovery is
 // checkpoint load + WAL tail replay instead of a re-chase from CSV.
 //
 // Protocol and its crash-consistency argument:
@@ -163,7 +164,6 @@ const (
 	secProgram  = iota // rules in surface syntax (parseable, facts-free)
 	secStore           // term.Store arenas
 	secRegistry        // schema.Registry arena
-	secBase            // extensional instance segment
 	secDB              // materialized instance segment
 	numSections
 )
@@ -171,6 +171,14 @@ const (
 // loadCheckpoint rebuilds the generation and engine from checkpoint
 // sections. Caller holds mu.
 func (s *Service) loadCheckpoint(sections [][]byte) error {
+	if len(sections) == numSections+1 {
+		// An older layout also wrote the base instance, before secDB:
+		// decoded, so damage to it is still a typed error, then dropped.
+		if _, err := storage.ReadSegment(sections[secDB]); err != nil {
+			return fmt.Errorf("checkpoint base segment: %w", err)
+		}
+		sections = slices.Delete(sections, secDB, secDB+1)
+	}
 	if len(sections) != numSections {
 		return fmt.Errorf("checkpoint has %d sections, want %d", len(sections), numSections)
 	}
@@ -186,15 +194,11 @@ func (s *Service) loadCheckpoint(sections [][]byte) error {
 	if _, err := parser.ParseInto(prog, string(sections[secProgram])); err != nil {
 		return fmt.Errorf("checkpoint program: %w", err)
 	}
-	base, err := storage.ReadSegment(sections[secBase])
-	if err != nil {
-		return fmt.Errorf("checkpoint base segment: %w", err)
-	}
 	db, err := storage.ReadSegment(sections[secDB])
 	if err != nil {
 		return fmt.Errorf("checkpoint db segment: %w", err)
 	}
-	eng, err := incremental.Restore(prog, base, db)
+	eng, err := incremental.Restore(prog, db)
 	if err != nil {
 		return err
 	}
@@ -306,7 +310,6 @@ func (s *Service) checkpoint() error {
 	sections[secProgram] = []byte(s.gen.prog.String())
 	sections[secStore] = s.gen.prog.Store.AppendEncoded(nil)
 	sections[secRegistry] = s.gen.prog.Reg.AppendEncoded(nil)
-	sections[secBase] = s.eng.Base().AppendSegment(nil)
 	sections[secDB] = s.eng.DB().AppendSegment(nil)
 	if err := s.wal.WriteCheckpoint(sections); err != nil {
 		return err
