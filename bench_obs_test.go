@@ -13,9 +13,9 @@ import (
 // PR 10 — observability overhead. Both benchmarks run their workload
 // twice under identical conditions, collection disabled (the library
 // default — every obs hook reduces to one atomic load) and enabled
-// (timestamps, histogram observes, counters). The off/on pair lands in
-// BENCH_pr10.json adjacently, so the A/B is interleaved within one
-// `make bench` run on the same warmed process. Acceptance: collect=off
+// (timestamps, histogram observes, counters). The off/on pair runs
+// adjacently, so the A/B is interleaved within one `go test -bench
+// Instrumented` run on the same warmed process. Acceptance: collect=off
 // within 2% of the uninstrumented PR 9 numbers (it IS the same code
 // path P1/S1 measure — BenchmarkP1_PlanFixpointSeq runs with collection
 // off); collect=on records what scraping costs.
