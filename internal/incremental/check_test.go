@@ -13,7 +13,7 @@ import (
 )
 
 // assertMatchesRebuild checks the maintained instance against Rebuild's
-// from-scratch materialization over the engine's own base store.
+// from-scratch materialization over the engine's own extensional facts.
 func assertMatchesRebuild(t *testing.T, e *Engine) {
 	t.Helper()
 	facts := func() []string {

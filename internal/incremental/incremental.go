@@ -129,8 +129,8 @@ func Restore(prog *logic.Program, db *storage.DB) (*Engine, error) {
 }
 
 // Base returns a fresh instance of the live extensional facts of DB(), in
-// insertion order: a cold-path copy made on each call. A fact over an
-// intensional predicate given to New is maintained, so it is not one.
+// insertion order: a cold-path copy made on each call. Facts over
+// intensional predicates, even ones given to New, are maintained, not base.
 func (e *Engine) Base() *storage.DB {
 	base := storage.NewDB()
 	for _, f := range e.db.All() {
