@@ -65,7 +65,7 @@ func TestWorkloadCounts(t *testing.T) {
 	got := map[string]shapeCounts{}
 	for name, text := range map[string]string{
 		"iwarded.materialize": iwardedLoadText(t, 5),
-		"tc.blocks":           tcBlocksLoadText(60),
+		"tc.blocks":           workload.TCBlocksText(60),
 	} {
 		c := loadCounts(t, text)
 		c.CheckpointBytes = checkpointBytes(t, text)
@@ -185,31 +185,6 @@ func streamCountsOf(t *testing.T, text string, n int) *streamCounts {
 		t.Fatalf("stream: %+v, %d live after re-inserts, %d loaded", st, c.LiveAfterReinsert, loaded)
 	}
 	return c
-}
-
-// tcBlocksLoadText is the tc.* workloads' program over their block graph:
-// blocks of 150 nodes in which node i has an edge to each of i+1..i+5
-// with probability 0.3, drawn from the benchmark's structure seed.
-func tcBlocksLoadText(blocks int) string {
-	const blockSize = 150
-	rng := rand.New(rand.NewSource(20190625))
-	g := &workload.Graph{N: blocks * blockSize}
-	for b := 0; b < blocks; b++ {
-		base := b * blockSize
-		for i := 0; i < blockSize; i++ {
-			for d := 1; d <= 5 && i+d < blockSize; d++ {
-				if rng.Float64() < 0.3 {
-					g.Edges = append(g.Edges, [2]int{base + i, base + i + d})
-				}
-			}
-		}
-	}
-	var b strings.Builder
-	b.WriteString("t(X,Y) :- e(X,Y).\nt(X,Z) :- e(X,Y), t(Y,Z).\n")
-	for _, e := range g.Edges {
-		fmt.Fprintf(&b, "e(n%d,n%d).\n", e[0], e[1])
-	}
-	return b.String()
 }
 
 // iwardedLoadText is the text iwarded.materialize loads at a run seed:

@@ -8,6 +8,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/atom"
 	"repro/internal/logic"
@@ -100,4 +101,30 @@ func (g *Graph) DB(prog *logic.Program, pred, prefix string) *storage.DB {
 	db := storage.NewDB()
 	db.InsertAll(g.Facts(prog, pred, prefix))
 	return db
+}
+
+// TCBlocksText is the tc.* benchmark workloads' program over their block
+// graph, as program text: blocks of 150 nodes n<i> in which node i has an
+// edge to each of i+1..i+5 with probability 0.3, drawn from the
+// benchmark's structure seed.
+func TCBlocksText(blocks int) string {
+	const blockSize = 150
+	rng := rand.New(rand.NewSource(20190625))
+	g := &Graph{N: blocks * blockSize}
+	for b := 0; b < blocks; b++ {
+		base := b * blockSize
+		for i := 0; i < blockSize; i++ {
+			for d := 1; d <= 5 && i+d < blockSize; d++ {
+				if rng.Float64() < 0.3 {
+					g.Edges = append(g.Edges, [2]int{base + i, base + i + d})
+				}
+			}
+		}
+	}
+	var b strings.Builder
+	b.WriteString("t(X,Y) :- e(X,Y).\nt(X,Z) :- e(X,Y), t(Y,Z).\n")
+	for _, e := range g.Edges {
+		fmt.Fprintf(&b, "e(n%d,n%d).\n", e[0], e[1])
+	}
+	return b.String()
 }
