@@ -562,8 +562,10 @@ const drainAt = 32 << 10
 // the chunked terminator. The bytes are exactly what json.Marshal of the
 // equivalent QueryResponse produces (plus the trailing newline). Rows
 // arrive as terms (service.TermSink), each constant copied from the JSON
-// literal its store encoded when it was interned. A failed Write (client
-// gone) propagates back into the service, which stops the enumeration.
+// literal its store encoded when it was interned; the sink owns its
+// buffer, so AppendJSON may write past the row into its spare capacity. A
+// failed Write (client gone) propagates back into the service, which
+// stops the enumeration.
 //
 // The buffer comes from sinkBufs in Begin and goes back after the final
 // Write; a stream that dies mid-answer leaves its buffer to the collector.

@@ -212,15 +212,14 @@ func (a *Arena[T]) Append(v T, limit uint32) (uint32, bool) {
 	return id, true
 }
 
-// Get returns the value with the given ID, if it has been appended.
-// Lock-free; safe concurrently with Append.
-func (a *Arena[T]) Get(id uint32) (T, bool) {
+// Get returns a pointer to the value with the given ID, or nil if it has
+// not been appended: a published slot is never written again and its
+// chunk never moves. Lock-free; safe concurrently with Append.
+func (a *Arena[T]) Get(id uint32) *T {
 	if id >= a.n.Load() {
-		var zero T
-		return zero, false
+		return nil
 	}
-	spine := *a.spine.Load()
-	return spine[int(id)/chunkLen][int(id)%chunkLen], true
+	return &(*a.spine.Load())[int(id)/chunkLen][int(id)%chunkLen]
 }
 
 // Len reports the number of appended values.

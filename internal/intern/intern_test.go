@@ -26,14 +26,14 @@ func TestMapArenaSequentialIDs(t *testing.T) {
 		if isNew || id != uint32(i) {
 			t.Fatalf("re-intern %q: got (%d,%v), want (%d,false)", name, id, isNew, i)
 		}
-		if got, ok := a.Get(uint32(i)); !ok || got != name {
-			t.Fatalf("arena get %d: got (%q,%v), want %q", i, got, ok, name)
+		if got := a.Get(uint32(i)); got == nil || *got != name {
+			t.Fatalf("arena get %d: got %v, want %q", i, got, name)
 		}
 	}
 	if a.Len() != 5000 {
 		t.Fatalf("arena len = %d, want 5000", a.Len())
 	}
-	if _, ok := a.Get(5000); ok {
+	if a.Get(5000) != nil {
 		t.Fatal("arena get past end succeeded")
 	}
 	if _, ok := m.Lookup("nope"); ok {
@@ -70,8 +70,8 @@ func TestMapConcurrentIntern(t *testing.T) {
 				}
 				mine[name] = id
 				// The inverse direction must already serve the new ID.
-				if back, ok := a.Get(id); !ok || back != name {
-					t.Errorf("worker %d: arena(%d) = (%q,%v), want %q", w, id, back, ok, name)
+				if back := a.Get(id); back == nil || *back != name {
+					t.Errorf("worker %d: arena(%d) = %v, want %q", w, id, back, name)
 					return
 				}
 			}

@@ -22,7 +22,7 @@ func (r *Registry) AppendEncoded(buf []byte) []byte {
 	n := r.preds.Len()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	for i := 0; i < n; i++ {
-		info, _ := r.preds.Get(uint32(i))
+		info := r.preds.Get(uint32(i))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(info.name)))
 		buf = append(buf, info.name...)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(info.arity))

@@ -56,9 +56,9 @@ func (r *Registry) Intern(name string, arity int) PredID {
 		panic("schema: predicate ID space exhausted")
 	}
 	if !isNew {
-		if got, _ := r.preds.Get(id); got.arity != arity {
+		if got := r.preds.Get(id).arity; got != arity {
 			panic(fmt.Sprintf("schema: predicate %s used with arities %d and %d",
-				name, got.arity, arity))
+				name, got, arity))
 		}
 	}
 	return PredID(id)
@@ -76,13 +76,12 @@ func (r *Registry) CheckArity(name string, arity int) bool {
 	if !ok {
 		return true
 	}
-	info, _ := r.preds.Get(id)
-	return info.arity == arity
+	return r.preds.Get(id).arity == arity
 }
 
 // Name returns the name of an interned predicate.
 func (r *Registry) Name(id PredID) string {
-	if info, ok := r.preds.Get(uint32(id)); ok {
+	if info := r.preds.Get(uint32(id)); info != nil {
 		return info.name
 	}
 	return fmt.Sprintf("pred#%d", id)
@@ -90,7 +89,7 @@ func (r *Registry) Name(id PredID) string {
 
 // Arity returns the arity of an interned predicate.
 func (r *Registry) Arity(id PredID) int {
-	if info, ok := r.preds.Get(uint32(id)); ok {
+	if info := r.preds.Get(uint32(id)); info != nil {
 		return info.arity
 	}
 	return -1

@@ -34,9 +34,9 @@ func (n *names) appendEncoded(buf []byte) []byte {
 	count := n.arena.Len()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(count))
 	for i := 0; i < count; i++ {
-		e, _ := n.arena.Get(uint32(i))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.name)))
-		buf = append(buf, e.name...)
+		name := n.arena.Get(uint32(i)).name()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
+		buf = append(buf, name...)
 	}
 	return buf
 }

@@ -1,6 +1,8 @@
 package term
 
 import (
+	"encoding/binary"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -10,27 +12,54 @@ import (
 // interned, and an answer row is a copy of pre-encoded bytes: no per-byte
 // work per emitted constant.
 
-// entry is one interned name as its arena publishes it: the name and its
-// JSON string literal in one slot, so a reader never sees a name without
-// its encoding. A name with nothing to escape is the inner substring of
-// its literal — one allocation holds both, costing two bytes and a string
-// header over the bare name. Only names that need escaping keep a separate
-// escaped copy.
+// entry is one interned name as its arena publishes it, in 32 bytes: the
+// name and its JSON string literal in one slot, so a reader never sees a
+// name without its encoding. A literal of at most 15 bytes lives inline
+// in lit, with its length in lit[15], and s is the name's own copy. A
+// longer literal is the first lit[0:4] (little-endian) bytes of s, and
+// lit[15] is 0: a name with nothing to escape is the literal's inside, so
+// one allocation holds both; a name that needs escaping follows its
+// literal in s.
 type entry struct {
-	name string
-	json string
+	s   string
+	lit [16]byte
 }
 
 // newEntry builds name's entry. It keeps no reference to name itself,
 // which may be a slice of a larger buffer (a CSV record, say).
 func newEntry(name string) entry {
-	for i := 0; i < len(name); i++ {
-		if !jsonSafe[name[i]] {
-			return entry{name: strings.Clone(name), json: string(AppendJSONString(nil, name))}
+	var e entry
+	// A literal is at least the name and two quotes, so only a name of at
+	// most 13 bytes can fit inline.
+	if len(name) <= len(e.lit)-3 {
+		if lit := AppendJSONString(e.lit[:0:len(e.lit)-1], name); len(lit) < len(e.lit) {
+			e.s, e.lit[len(e.lit)-1] = strings.Clone(name), byte(len(lit))
+			return e
 		}
 	}
-	lit := `"` + name + `"`
-	return entry{name: lit[1 : len(lit)-1], json: lit}
+	for i := 0; i < len(name); i++ {
+		if !jsonSafe[name[i]] {
+			var buf [64]byte
+			lit := AppendJSONString(buf[:0], name)
+			e.s = string(lit) + name
+			binary.LittleEndian.PutUint32(e.lit[:], uint32(len(lit)))
+			return e
+		}
+	}
+	e.s = `"` + name + `"`
+	binary.LittleEndian.PutUint32(e.lit[:], uint32(len(e.s)))
+	return e
+}
+
+// name returns the entry's name.
+func (e *entry) name() string {
+	if e.lit[len(e.lit)-1] != 0 {
+		return e.s
+	}
+	if n := int(binary.LittleEndian.Uint32(e.lit[:])); n < len(e.s) {
+		return e.s[n:]
+	}
+	return e.s[1 : len(e.s)-1]
 }
 
 // jsonSafe marks the bytes AppendJSONString copies through unescaped:
@@ -99,12 +128,22 @@ func AppendJSONString(dst []byte, s string) []byte {
 
 // AppendJSON appends the JSON string literal of t's name — the bytes
 // json.Marshal(s.Name(t)) produces. For an interned constant that is a
-// copy of the literal encoded at intern time; any other term (answers
-// hold constants, so only a null in practice) is escaped on the spot.
+// copy of the literal encoded at intern time: a literal of at most 15
+// bytes is one 16-byte store of the entry's inline record, so AppendJSON
+// may overwrite up to 15 bytes of dst's spare capacity past the returned
+// slice. Any other term (answers hold constants, so only a null in
+// practice) is escaped on the spot.
 func (s *Store) AppendJSON(dst []byte, t Term) []byte {
 	if t.IsConst() {
-		if e, ok := s.consts.arena.Get(t.ID()); ok {
-			return append(dst, e.json...)
+		if e := s.consts.arena.Get(t.ID()); e != nil {
+			n := int(e.lit[len(e.lit)-1])
+			if n == 0 {
+				return append(dst, e.s[:binary.LittleEndian.Uint32(e.lit[:])]...)
+			}
+			dst = slices.Grow(dst, len(e.lit))
+			l := len(dst)
+			*(*[16]byte)(dst[l : l+len(e.lit)]) = e.lit
+			return dst[:l+n]
 		}
 	}
 	return AppendJSONString(dst, s.Name(t))

@@ -2,8 +2,16 @@ package term
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -33,6 +41,12 @@ var escaperSeeds = []string{
 	"\xf4\x90\x80\x80", // beyond U+10FFFF
 	"a\xffb\"c d<e",
 	"\ufffd", // the replacement rune itself is valid and passes through
+	// Either side of the 15-byte inline literal (TestEntryLiteralInline).
+	"abcdefghijkl",   // 12 bytes, a 14-byte literal
+	"abcdefghijklm",  // 13 bytes, 15
+	"abcdefghijklmn", // 14 bytes, 16
+	"a<b",            // escaped: "a\u003cb", 10 bytes
+	"h\u00e9 \u65e5", // non-ASCII, passed through: 8 bytes, 10
 }
 
 // checkEscaper holds both renderings of s to json.Marshal: the escaper
@@ -93,14 +107,140 @@ func TestAppendJSONTerms(t *testing.T) {
 	}
 }
 
-// TestEntryStoresPlainNameOnce: a name with nothing to escape is the inner
-// substring of its literal, so interning it stores its bytes once.
-func TestEntryStoresPlainNameOnce(t *testing.T) {
-	e := newEntry(string([]byte("plain-name_42")))
-	if e.json != `"plain-name_42"` || unsafe.StringData(e.name) != unsafe.StringData(e.json[1:]) {
-		t.Errorf("plain entry %q / %q does not share one allocation", e.name, e.json)
+// TestEntryLiteralInline: an entry is 32 bytes. A literal of at most 15
+// bytes lives inline in it, and its name is then its own copy. A longer
+// one heads the entry's string: a printable ASCII name with nothing to
+// escape is that literal's inside, any other name follows the literal.
+// AppendJSON renders either as json.Marshal does, after any prefix, which
+// it leaves intact.
+func TestEntryLiteralInline(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 32 {
+		t.Errorf("entry is %d bytes, want 32", size)
 	}
-	if e := newEntry("a<b"); e.name != "a<b" || e.json != `"a\u003cb"` {
-		t.Errorf("escaped entry = %q / %q", e.name, e.json)
+	for _, name := range []string{
+		"abcdefghijkl", "abcdefghijklm", "abcdefghijklmn",
+		"a<b", "a<b&c>d\"e", "h\u00e9 \u65e5", "h\u00e9llo w\u00f6rld \u65e5\u672c",
+	} {
+		want, _ := json.Marshal(name)
+		in := string([]byte(name))
+		e := newEntry(in)
+		if e.name() != name || unsafe.StringData(e.name()) == unsafe.StringData(in) {
+			t.Errorf("%q: entry name %q is not its own copy", name, e.name())
+		}
+		n := int(binary.LittleEndian.Uint32(e.lit[:]))
+		plain := !strings.ContainsFunc(name, func(r rune) bool { return r >= utf8.RuneSelf || !jsonSafe[r] })
+		switch inline := e.lit[len(e.lit)-1] != 0; {
+		case inline != (len(want) <= 15):
+			t.Errorf("%q: %d-byte literal inline = %v", name, len(want), inline)
+		case inline:
+			if got := e.lit[:len(want)]; !bytes.Equal(got, want) || e.s != name {
+				t.Errorf("%q: inline literal %s, string %q; want %s", name, got, e.s, want)
+			}
+		case n > len(e.s) || e.s[:n] != string(want):
+			t.Errorf("%q: literal is %d bytes of %q, want %s", name, n, e.s, want)
+		case plain && (n != len(e.s) || unsafe.StringData(e.name()) != unsafe.StringData(e.s[1:])):
+			t.Errorf("%q: plain name and its literal do not share one allocation: %q", name, e.s)
+		case !plain && e.s[n:] != name:
+			t.Errorf("%q: name does not follow its literal: %q", name, e.s)
+		}
+		st := NewStore()
+		c := st.Const(name)
+		for _, prefix := range [][]byte{nil, []byte(`[["x",`), append(make([]byte, 0, 64), `[["x",`...)} {
+			got := st.AppendJSON(prefix, c)
+			if string(got) != string(prefix)+string(want) {
+				t.Errorf("%q after %q: got %s", name, prefix, got)
+			}
+		}
+	}
+}
+
+// TestAppendJSONUnderConcurrentInterning: readers render every constant
+// below the count they observe while writers intern short, long and
+// escaped names; every render is json.Marshal of the constant's name, and
+// every name is one the writers interned.
+func TestAppendJSONUnderConcurrentInterning(t *testing.T) {
+	const (
+		writers = 4
+		readers = 4
+		perW    = 400
+	)
+	formats := []string{"c%d", "http://example.org/resource/item-%08d", "a<%d>&\"b\"", "h\u00e9%d", "%d-\u65e5\u672c\u8a9e-\u2028"}
+	names := make([][]string, writers)
+	known := map[string]bool{}
+	for w := range names {
+		for i := 0; i < perW; i++ {
+			n := fmt.Sprintf(formats[i%len(formats)], w*perW+i)
+			names[w] = append(names[w], n)
+			known[n] = true
+		}
+	}
+	st := NewStore()
+	var wg, rg sync.WaitGroup
+	var done atomic.Bool
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			buf := make([]byte, 0, 64)
+			for id := 0; ; id++ {
+				for !done.Load() && id >= st.NumConsts() {
+					runtime.Gosched()
+				}
+				if id >= st.NumConsts() {
+					return
+				}
+				c := MkConst(uint32(id))
+				name := st.Name(c)
+				want, _ := json.Marshal(name)
+				if buf = st.AppendJSON(buf[:0], c); !bytes.Equal(buf, want) || !known[name] {
+					t.Errorf("constant %d (%q): rendered %s, want %s", id, name, buf, want)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for _, n := range names[w] {
+				st.Const(n)
+			}
+		}(w)
+	}
+	wg.Wait()
+	done.Store(true)
+	rg.Wait()
+	if st.NumConsts() != writers*perW {
+		t.Fatalf("interned %d constants, want %d", st.NumConsts(), writers*perW)
+	}
+}
+
+// BenchmarkAppendJSON renders interned constants the way the daemon's
+// sink does, in a seeded random order over 16 384 distinct names of one
+// shape — about the 16 800 constants of the benchmark's TC graphs: short
+// (6 bytes), boundary (13 bytes, a 15-byte literal), long (a 40-byte URI)
+// and escaped (non-ASCII, a 23-byte literal).
+func BenchmarkAppendJSON(b *testing.B) {
+	for _, bc := range []struct{ name, format string }{
+		{"short", "n%05d"},
+		{"boundary", "node-%08d"},
+		{"long", "http://example.org/resource/item%08d"},
+		{"escaped", "Zürich-%05d-Genève"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := NewStore()
+			ts := make([]Term, 1<<14)
+			for i := range ts {
+				ts[i] = st.Const(fmt.Sprintf(bc.format, i))
+			}
+			rand.New(rand.NewSource(1)).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+			dst := make([]byte, 0, 256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = st.AppendJSON(dst[:0], ts[i&(len(ts)-1)])
+			}
+		})
 	}
 }

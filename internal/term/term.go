@@ -115,7 +115,7 @@ func (n *names) intern(name string) (uint32, bool, error) {
 	id, isNew, ok := n.ids.Intern(name, func() (uint32, string, bool) {
 		e := newEntry(name)
 		id, ok := n.arena.Append(e, MaxID+1)
-		return id, e.name, ok
+		return id, e.name(), ok
 	})
 	if !ok {
 		return 0, false, ErrIDSpace
@@ -218,13 +218,13 @@ func (s *Store) HasConst(name string) (Term, bool) {
 func (s *Store) Name(t Term) string {
 	switch t.Kind() {
 	case Const:
-		if e, ok := s.consts.arena.Get(t.ID()); ok {
-			return e.name
+		if e := s.consts.arena.Get(t.ID()); e != nil {
+			return e.name()
 		}
 		return "const#" + strconv.FormatUint(uint64(t.ID()), 10)
 	case Var:
-		if e, ok := s.vars.arena.Get(t.ID()); ok {
-			return e.name
+		if e := s.vars.arena.Get(t.ID()); e != nil {
+			return e.name()
 		}
 		return "Var#" + strconv.FormatUint(uint64(t.ID()), 10)
 	case Null:
