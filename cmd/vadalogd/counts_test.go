@@ -32,8 +32,8 @@ type bodyCount struct {
 // graph (the root TestWorkloadCounts loads the same text), compared with
 // testdata/http_counts.golden.json. It records the two tc.bulk-scan
 // queries, one keyed scan and one ground hit. A change that moves one on
-// purpose re-baselines with `go test -run TestHTTPCounts -update
-// ./cmd/vadalogd` and says why; any other drift fails.
+// purpose re-baselines with `go test ./cmd/vadalogd -run TestHTTPCounts
+// -update` and says why; any other drift fails.
 func TestHTTPCounts(t *testing.T) {
 	svc := service.New(service.Options{})
 	ts := httptest.NewServer(newHandler(svc))

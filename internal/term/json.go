@@ -39,6 +39,7 @@ func newEntry(name string) entry {
 	}
 	for i := 0; i < len(name); i++ {
 		if !jsonSafe[name[i]] {
+			// On the stack: the entry's string is its one allocation.
 			var buf [64]byte
 			lit := AppendJSONString(buf[:0], name)
 			e.s = string(lit) + name
