@@ -11,6 +11,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -19,6 +21,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/incremental"
 	"repro/internal/parser"
+	"repro/internal/relio"
 	"repro/internal/service"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -35,10 +38,10 @@ const countsGolden = "testdata/counts.golden.json"
 type shapeCounts struct {
 	Facts           int                `json:"facts"`
 	Derived         int                `json:"derived_per_load"`
-	Rounds          int                `json:"rounds_per_load"`
+	Rounds          int                `json:"rounds_per_load,omitempty"`
 	Bytes           map[string]int     `json:"footprint_bytes"`
 	BytesPerFact    map[string]float64 `json:"footprint_bytes_per_fact"`
-	CheckpointBytes int64              `json:"checkpoint_bytes"`
+	CheckpointBytes int64              `json:"checkpoint_bytes,omitempty"`
 	Stream          *streamCounts      `json:"update_stream,omitempty"`
 }
 
@@ -58,9 +61,11 @@ type streamCounts struct {
 // numbers of the benchmark's workload shapes, computed in process and
 // compared with testdata/counts.golden.json. Each shape records its load
 // counts, footprint and checkpoint bytes; tc.blocks also records a seeded
-// stream of 200 edge deletes and their re-inserts. A change that moves one on
-// purpose re-baselines with `go test -run TestWorkloadCounts -update .`
-// and says why; any other drift fails.
+// stream of 200 edge deletes and their re-inserts. tc.blocks.csv loads the
+// same graph's edges as one CSV bulk batch, at GOMAXPROCS 1 and 4, which
+// must record the same numbers. A change that moves one on purpose
+// re-baselines with `go test -run TestWorkloadCounts -update .` and says
+// why; any other drift fails.
 func TestWorkloadCounts(t *testing.T) {
 	got := map[string]shapeCounts{}
 	for name, text := range map[string]string{
@@ -74,6 +79,14 @@ func TestWorkloadCounts(t *testing.T) {
 		}
 		got[name] = c
 	}
+	csv := csvLoadCounts(t, workload.TCBlocksText(60), 1)
+	if again := csvLoadCounts(t, workload.TCBlocksText(60), 4); !reflect.DeepEqual(csv, again) {
+		t.Errorf("tc.blocks.csv: GOMAXPROCS 1 records %+v, GOMAXPROCS 4 records %+v", csv, again)
+	}
+	if csv.Facts != got["tc.blocks"].Facts {
+		t.Errorf("tc.blocks.csv: %d live facts, tc.blocks has %d", csv.Facts, got["tc.blocks"].Facts)
+	}
+	got["tc.blocks.csv"] = csv
 	out, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +125,51 @@ func loadCounts(t *testing.T, text string) shapeCounts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := shapeCounts{Facts: db.Len(), Derived: stats.Derived, Rounds: stats.Rounds, Bytes: db.Footprint(), BytesPerFact: map[string]float64{}}
+	c := shapeCounts{Facts: db.Len(), Derived: stats.Derived, Rounds: stats.Rounds}
+	c.footprint(db)
+	return c
+}
+
+// footprint records the instance's bytes by structure, in total and per
+// fact.
+func (c *shapeCounts) footprint(db *storage.DB) {
+	c.Bytes, c.BytesPerFact = db.Footprint(), map[string]float64{}
 	for k, v := range c.Bytes {
 		c.BytesPerFact[k] = math.Round(100*float64(v)/float64(c.Facts)) / 100
 	}
+}
+
+// csvLoadCounts loads the TC text's rules into an incremental engine, then
+// its edges as CSV through relio.LoadBuffered at the default batch into
+// InsertBulk — the path Service.LoadCSV takes — with GOMAXPROCS set to
+// procs for the load.
+func csvLoadCounts(t *testing.T, text string, procs int) shapeCounts {
+	t.Helper()
+	var rules, rows strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if edge, ok := strings.CutPrefix(line, "e("); ok {
+			rows.WriteString(strings.Replace(edge, ").", "", 1))
+		} else {
+			rules.WriteString(line)
+		}
+	}
+	res, err := parser.Parse(rules.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := incremental.New(res.Program, storage.NewDB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	if _, err := relio.LoadBuffered(res.Program, strings.NewReader(rows.String()), "e", 0, func(b *storage.TupleBuffer) error {
+		_, err := eng.InsertBulk([]*storage.TupleBuffer{b})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c := shapeCounts{Facts: eng.DB().Len(), Derived: eng.Stats().DerivedNew}
+	c.footprint(eng.DB())
 	return c
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/atom"
@@ -142,10 +143,12 @@ func BenchmarkInsertWideDomain(b *testing.B) {
 }
 
 // BenchmarkMergeBuffers: bulk-merging staged columnar tuples (hashes
-// cached at append time, one pre-sized table grow) vs the per-row Insert
-// path over the same facts — the coordinator-side cost of one big parallel
-// round.
+// cached at append time, one pre-sized table grow) at the par InsertBulk
+// passes: 16 384 edges in one or four buffers into an empty instance, and
+// one 16 384-row buffer into a 200 000-row instance with one built
+// posting position.
 func BenchmarkMergeBuffers(b *testing.B) {
+	par := runtime.GOMAXPROCS(0)
 	facts, e := benchEdges(16384)
 	for _, nb := range []int{1, 4} {
 		b.Run(fmt.Sprintf("buffers=%d", nb), func(b *testing.B) {
@@ -160,12 +163,35 @@ func BenchmarkMergeBuffers(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				db := NewDB()
-				if got := db.MergeBuffers(bufs, 1); got != len(facts) {
+				if got := db.MergeBuffers(bufs, par); got != len(facts) {
 					b.Fatalf("merged %d, want %d", got, len(facts))
 				}
 			}
 		})
 	}
+	b.Run("into=200000", func(b *testing.B) {
+		all, e := benchEdges(200000 + 16384)
+		base, buf := NewTupleBuffer(), NewTupleBuffer()
+		for i, f := range all {
+			if i < 200000 {
+				base.Append(e, f.Args)
+			} else {
+				buf.Append(e, f.Args)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := NewDB()
+			db.MergeBuffers([]*TupleBuffer{base}, 1)
+			probeAt(db, e, 2, 0, all[0].Args[0])
+			b.StartTimer()
+			if got := db.MergeBuffers([]*TupleBuffer{buf}, par); got != buf.Len() {
+				b.Fatalf("merged %d, want %d", got, buf.Len())
+			}
+		}
+	})
 }
 
 // BenchmarkClone: structural clone cost (shared backings, copied tables).
