@@ -29,7 +29,6 @@ package incremental
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/analysis"
 	"repro/internal/atom"
@@ -304,7 +303,7 @@ func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string) error
 // InsertBulk asserts base facts staged in columnar tuple buffers — the
 // streaming bulk-load path (relio.LoadBuffered feeds it batch by batch).
 // Buffers land through one storage.DB.MergeBuffers (one pre-sized dedup
-// grow per relation, cached hashes, no per-fact probe), then one
+// grow per relation, cached hashes), then one
 // semi-naive delta fixpoint propagates the whole batch.
 // Buffers are read-only here; the caller may Reset and refill them.
 func (e *Engine) InsertBulk(bufs []*storage.TupleBuffer) (int, error) {
@@ -328,9 +327,7 @@ func (e *Engine) InsertBulkBudgeted(bud *plan.Budget, bufs []*storage.TupleBuffe
 		}
 	}
 	mark := e.db.Mark()
-	// Large batches engage the sharded intra-relation merge when cores
-	// are available; the result is deterministic for any par.
-	added := e.db.MergeBuffers(bufs, runtime.GOMAXPROCS(0))
+	added := e.db.MergeBuffers(bufs, 1)
 	e.stats.Inserted += added
 	if added > 0 {
 		if err := e.propagate(mark, bud, "bulk insert"); err != nil {

@@ -94,8 +94,13 @@ func (db *DB) InsertArgs(pred schema.PredID, args []term.Term) bool {
 			panic("storage: inserting non-ground atom")
 		}
 	}
-	r := db.rel(pred, len(args))
-	h := hashArgs(pred, args)
+	return db.insert(db.rel(pred, len(args)), hashArgs(pred, args), args)
+}
+
+// insert is the one-row step of InsertArgs and MergeBuffers: unless a live
+// row of r holds args (fact hash h), it appends them as r's next row and
+// numbers it with the next global insertion index. Reports whether it did.
+func (db *DB) insert(r *relation, h uint64, args []term.Term) bool {
 	if _, ok := r.find(h, args); ok {
 		return false
 	}

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/atom"
@@ -60,12 +59,21 @@ func TestMergeBuffersDedup(t *testing.T) {
 // TestMergeBuffersMatchesInsert: merging random buffers (with nil entries,
 // empty buffers, and heavy duplication) is observationally identical to
 // per-row insertion in the merge's documented order, for any par, and
-// preserves every store invariant the per-row path guarantees.
+// preserves every store invariant the per-row path guarantees. Every
+// fifth trial stages batches past 2048 rows over a base with tombstoned
+// rows that the merge re-inserts. A live snapshot taken before the merge
+// keeps the pre-merge instance, and merging the same buffers again adds
+// nothing.
 func TestMergeBuffersMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		st, p, q := mergeFixture()
-		consts := make([]term.Term, 6)
+		big := trial%5 == 0
+		nconst, nbase, nrows := 6, rng.Intn(10), 15
+		if big {
+			nconst, nbase, nrows = 400, 3000, 4000
+		}
+		consts := make([]term.Term, nconst)
 		for i := range consts {
 			consts[i] = st.Const(fmt.Sprintf("c%d", i))
 		}
@@ -74,14 +82,23 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 		}
 
 		db := NewDB()
-		for i := 0; i < rng.Intn(10); i++ {
+		for i := 0; i < nbase; i++ {
 			db.InsertArgs(p, tuple())
+		}
+		var dead [][]term.Term
+		if big {
+			// Dead rows must be re-insertable.
+			for ri := int32(0); ri < 200; ri++ {
+				if db.Tombstone(p, ri) {
+					dead = append(dead, db.relOf(p).args(ri))
+				}
+			}
 		}
 		nb := 1 + rng.Intn(4)
 		bufs := make([]*TupleBuffer, nb+1) // one nil entry
 		for bi := 0; bi < nb; bi++ {
 			b := NewTupleBuffer()
-			for i := 0; i < rng.Intn(15); i++ {
+			for i := 0; i < rng.Intn(nrows); i++ {
 				if rng.Intn(3) == 0 {
 					b.Append(q, []term.Term{consts[rng.Intn(len(consts))]})
 				} else {
@@ -89,6 +106,13 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 				}
 			}
 			bufs[bi] = b
+		}
+		if big {
+			b := NewTupleBuffer()
+			for b.Len() < 2*2048 {
+				b.Append(p, tuple())
+			}
+			bufs[nb] = b
 		}
 
 		// Reference: per-row insertion in merge order (predicates in
@@ -125,6 +149,8 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 		par := 1 + rng.Intn(4)
 		got := db.Clone()
 		probeAt(got, p, 2, trial%2, consts[0]) // one position built, one not
+		snap := got.Snapshot()
+		before := snap.DB().All()
 		added := got.MergeBuffers(bufs, par)
 		if added != refAdded {
 			t.Fatalf("trial %d: added = %d, want %d", trial, added, refAdded)
@@ -139,13 +165,48 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 				t.Fatalf("trial %d: order[%d] = %v, want %v", trial, i, gotAll[i], refAll[i])
 			}
 		}
-		// Store invariants after a bulk merge: IndexOf agrees with the
-		// insertion log, and Mark windows see exactly the merged facts.
+		// Store invariants after a bulk merge: every fact resolves through
+		// the dedup table to the insertion index per-row insertion gave it,
+		// and the positions probed answer alike.
 		for i, a := range gotAll {
-			if gi, ok := got.IndexOf(a); !ok || gi != i {
-				t.Fatalf("trial %d: IndexOf(All[%d]) = %d,%v", trial, i, gi, ok)
+			gi, ok := got.IndexOf(a)
+			wi, wok := ref.IndexOf(a)
+			if !ok || !wok || gi != wi {
+				t.Fatalf("trial %d: IndexOf(All[%d]) = %d,%v, want %d,%v", trial, i, gi, ok, wi, wok)
 			}
 		}
+		for _, c := range consts[:min(len(consts), 50)] {
+			for pos := 0; pos < 2; pos++ {
+				if g, w := probeAt(got, p, 2, pos, c), probeAt(ref, p, 2, pos, c); g != w {
+					t.Fatalf("trial %d: probe of %v at %d = %s, want %s", trial, c, pos, g, w)
+				}
+			}
+		}
+		revived := 0
+		for _, args := range dead {
+			if got.ContainsArgs(p, args) {
+				revived++
+			}
+		}
+		if big && revived == 0 {
+			t.Fatalf("trial %d: no tombstoned fact was re-inserted", trial)
+		}
+		// The snapshot still holds exactly the pre-merge instance.
+		mustVerify(t, snap.DB(), fmt.Sprintf("trial %d: snapshot", trial))
+		after := snap.DB().All()
+		if len(after) != len(before) {
+			t.Fatalf("trial %d: snapshot Len = %d, want %d", trial, len(after), len(before))
+		}
+		for i := range before {
+			if !before[i].Equal(after[i]) {
+				t.Fatalf("trial %d: snapshot[%d] = %v, want %v", trial, i, after[i], before[i])
+			}
+		}
+		snap.Release()
+		if again := got.MergeBuffers(bufs, par); again != 0 {
+			t.Fatalf("trial %d: re-merge added %d", trial, again)
+		}
+		mustVerify(t, got, fmt.Sprintf("trial %d: re-merged", trial))
 	}
 }
 
@@ -202,143 +263,5 @@ func TestTupleBufferReset(t *testing.T) {
 	}
 	if db.CountPred(p) != 0 {
 		t.Fatalf("stale p rows survived the reset")
-	}
-}
-
-// TestMergeShardedMatchesSerial: past the sharded-merge threshold the
-// intra-relation parallel fold must be byte-identical to the serial merge
-// — same accepted set, same insertion order, same indexes — including
-// cross-buffer duplicates, duplicates against a base instance with
-// tombstoned rows, and a snapshot forcing detach mid-merge.
-func TestMergeShardedMatchesSerial(t *testing.T) {
-	// MergeBuffers clamps par to GOMAXPROCS; raise it so the sharded path
-	// actually runs even when this test executes on a single-CPU box
-	// without a -cpu flag.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	rng := rand.New(rand.NewSource(41))
-	st, p, q := mergeFixture()
-	consts := make([]term.Term, 400)
-	for i := range consts {
-		consts[i] = st.Const(fmt.Sprintf("k%d", i))
-	}
-	tuple := func() []term.Term {
-		return []term.Term{consts[rng.Intn(len(consts))], consts[rng.Intn(len(consts))]}
-	}
-	base := NewDB()
-	for i := 0; i < 3000; i++ {
-		base.InsertArgs(p, tuple())
-	}
-	// Tombstone a slice of the base: dead rows must be re-insertable.
-	for ri := int32(0); ri < 200; ri++ {
-		base.Tombstone(p, ri)
-	}
-	nb := 4
-	bufs := make([]*TupleBuffer, nb)
-	for bi := range bufs {
-		b := NewTupleBuffer()
-		for i := 0; i < 4000; i++ {
-			b.Append(p, tuple()) // far past shardedMergeRows, heavy duplication
-			if i%5 == 0 {
-				b.Append(q, []term.Term{consts[rng.Intn(len(consts))]})
-			}
-		}
-		bufs[bi] = b
-	}
-	// Position 0 is built and current, so phase C extends it; position 1
-	// was never probed and must come out of the merge still unbuilt.
-	probeAt(base, p, 2, 0, consts[0])
-	serial := base.Clone()
-	wantAdded := serial.MergeBuffers(bufs, 1)
-	mustVerify(t, serial, "serial")
-	if builtAt(serial, p, 0) != base.relOf(p).rows() {
-		t.Fatalf("serial merge moved a watermark: %d, want %d", builtAt(serial, p, 0), base.relOf(p).rows())
-	}
-	for _, par := range []int{2, 4, 8} {
-		got := base.Clone()
-		// A live snapshot marks every relation shared: the sharded path
-		// must detach before phase C mutates sub-tables and postings.
-		snap := got.Snapshot()
-		added := got.MergeBuffers(bufs, par)
-		if added != wantAdded {
-			t.Fatalf("par %d: added = %d, want %d", par, added, wantAdded)
-		}
-		mustVerify(t, got, fmt.Sprintf("par %d", par))
-		mustVerify(t, snap.DB(), fmt.Sprintf("par %d: view detached from", par))
-		if builtAt(got, p, 0) != got.relOf(p).rows() || builtAt(got, p, 1) != 0 {
-			t.Fatalf("par %d: watermarks %d, %d of %d rows; want the built position extended, the other left alone",
-				par, builtAt(got, p, 0), builtAt(got, p, 1), got.relOf(p).rows())
-		}
-		for _, c := range consts[:50] {
-			if g, w := probeAt(got, p, 2, 0, c)+probeAt(got, p, 2, 1, c), probeAt(serial, p, 2, 0, c)+probeAt(serial, p, 2, 1, c); g != w {
-				t.Fatalf("par %d: probes of %v differ from the serial merge's", par, c)
-			}
-		}
-		if got.Len() != serial.Len() {
-			t.Fatalf("par %d: Len = %d, want %d", par, got.Len(), serial.Len())
-		}
-		gotAll, wantAll := got.All(), serial.All()
-		for i := range wantAll {
-			if !wantAll[i].Equal(gotAll[i]) {
-				t.Fatalf("par %d: order[%d] = %v, want %v", par, i, gotAll[i], wantAll[i])
-			}
-		}
-		// Index integrity: every merged fact resolves through the dedup
-		// table to the same global log position as under the serial merge
-		// (dead base rows make log positions differ from All() positions).
-		for i, a := range gotAll {
-			gi, ok := got.IndexOf(a)
-			wi, wok := serial.IndexOf(a)
-			if !ok || !wok || gi != wi {
-				t.Fatalf("par %d: IndexOf(All[%d]) = %d,%v, want %d,%v", par, i, gi, ok, wi, wok)
-			}
-		}
-		// The snapshot still sees exactly the pre-merge state.
-		if snap.DB().Len() != base.Len() {
-			t.Fatalf("par %d: snapshot Len = %d, want %d", par, snap.DB().Len(), base.Len())
-		}
-		snap.Release()
-		// Dedup-table and posting invariants on the merged result.
-		mustVerify(t, got, fmt.Sprintf("par %d", par))
-		// Re-merge must be a no-op at any par.
-		if again := got.MergeBuffers(bufs, par); again != 0 {
-			t.Fatalf("par %d: re-merge added %d", par, again)
-		}
-	}
-}
-
-// TestMergeShardedAcceptRace is the lost-fact regression: phase A's jobs
-// mark accepted rows in bitmap words they share (rows of different hash
-// sub-shards interleave within one word), so with plain |= marks a bulk
-// load dropped facts on a multi-core box. One all-distinct buffer far
-// past shardedMergeRows, merged 50 times, must land row for row where
-// the serial merge put it, every time. CI runs it under -race -cpu 2,4.
-func TestMergeShardedAcceptRace(t *testing.T) {
-	st, p, _ := mergeFixture()
-	const rows = 8192
-	buf := NewTupleBuffer()
-	for i := 0; i < rows; i++ {
-		buf.Append(p, []term.Term{st.Const(fmt.Sprintf("a%d", i)), st.Const(fmt.Sprintf("b%d", i%97))})
-	}
-	bufs := []*TupleBuffer{buf}
-	serial := NewDB()
-	if added := serial.MergeBuffers(bufs, 1); added != rows {
-		t.Fatalf("serial merge added %d, want %d", added, rows)
-	}
-	want := serial.All()
-	par := max(2, runtime.GOMAXPROCS(0))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par)) // MergeBuffers clamps par to it
-	for i := 0; i < 50; i++ {
-		got := NewDB()
-		if added := got.MergeBuffers(bufs, par); added != rows {
-			t.Fatalf("merge %d: added %d of %d rows", i, added, rows)
-		}
-		// Same rows at the same log positions, each linked into the dedup
-		// table (a segment's posting sections follow map order, so the
-		// comparison is on the log, not on AppendSegment bytes).
-		for g, a := range got.All() {
-			if gi, ok := got.IndexOf(a); !a.Equal(want[g]) || !ok || gi != g {
-				t.Fatalf("merge %d: log[%d] = %v (IndexOf %d,%v), serial has %v", i, g, a, gi, ok, want[g])
-			}
-		}
 	}
 }

@@ -6,15 +6,9 @@ import "repro/internal/obs"
 // compaction.
 // Observed per call, never per row.
 var (
-	obsMergeSec  = obs.NewHistogram("vadalog_storage_merge_seconds", "", "MergeBuffers fold duration.", obs.Seconds, obs.LatencyBuckets)
-	obsMergeRows = obs.NewCounter("vadalog_storage_merge_rows_total", "", "Rows accepted by MergeBuffers folds.")
-	// Per-phase timings of the intra-relation sharded merge:
-	// accept (parallel dedup decision), append (serial column append),
-	// link (parallel dedup/posting linking).
-	obsMergeAccept = obs.NewHistogram("vadalog_storage_merge_phase_seconds", `phase="accept"`, "Sharded merge phase durations.", obs.Seconds, obs.LatencyBuckets)
-	obsMergeAppend = obs.NewHistogram("vadalog_storage_merge_phase_seconds", `phase="append"`, "Sharded merge phase durations.", obs.Seconds, obs.LatencyBuckets)
-	obsMergeLink   = obs.NewHistogram("vadalog_storage_merge_phase_seconds", `phase="link"`, "Sharded merge phase durations.", obs.Seconds, obs.LatencyBuckets)
-	obsCompactSec  = obs.NewHistogram("vadalog_storage_compaction_seconds", "", "Compact/CompactAll duration (when any work ran).", obs.Seconds, obs.LatencyBuckets)
+	obsMergeSec   = obs.NewHistogram("vadalog_storage_merge_seconds", "", "MergeBuffers fold duration.", obs.Seconds, obs.LatencyBuckets)
+	obsMergeRows  = obs.NewCounter("vadalog_storage_merge_rows_total", "", "Rows accepted by MergeBuffers folds.")
+	obsCompactSec = obs.NewHistogram("vadalog_storage_compaction_seconds", "", "Compact/CompactAll duration (when any work ran).", obs.Seconds, obs.LatencyBuckets)
 	// Late builds cost a reader the whole position once per view; a
 	// steadily rising count means readers keep probing positions the
 	// writer does not carry (each build also asks it to).

@@ -121,8 +121,7 @@ func (px *posIndex) clone(second bool) *posIndex {
 
 // idxAdd records that local row ri holds the term with key k (of
 // sub-shard s). Rows arrive in ascending order, so every posting stays
-// ascending without comparison. Safe to call concurrently for DISTINCT
-// sub-shards — each call touches only its own sub-map and sub-overflow.
+// ascending without comparison.
 func (px *posIndex) idxAdd(s int, k uint32, ri int32) {
 	m := px.m[s]
 	if m == nil {
@@ -143,14 +142,11 @@ func (px *posIndex) idxAdd(s int, k uint32, ri int32) {
 }
 
 // indexRows adds rows [lo, hi) of position i to px — the one loop that
-// builds postings. shard >= 0 restricts it to the terms of that sub-shard
-// (the sharded merge extends all sub-shards of a position concurrently).
-func (r *relation) indexRows(px *posIndex, i, lo, hi, shard int) {
+// builds postings.
+func (r *relation) indexRows(px *posIndex, i, lo, hi int) {
 	for ri := lo; ri < hi; ri++ {
 		k := r.cols[ri*r.arity+i].Key()
-		if s := keyShard(k); shard < 0 || s == shard {
-			px.idxAdd(s, k, int32(ri))
-		}
+		px.idxAdd(keyShard(k), k, int32(ri))
 	}
 }
 
@@ -193,7 +189,7 @@ func (r *relation) advance(i, n int) {
 func (r *relation) folded(i int) *posIndex {
 	p := &r.idx[i]
 	px := p.base.clone(r.second)
-	r.indexRows(px, i, int(p.split), int(p.built), -1)
+	r.indexRows(px, i, int(p.split), int(p.built))
 	return px
 }
 
@@ -208,7 +204,7 @@ func (r *relation) catchUp(i int) position {
 			defer l.mu.Unlock()
 			if px = l.idx[i].Load(); px == nil {
 				px = &posIndex{frozen: true}
-				r.indexRows(px, i, 0, n, -1)
+				r.indexRows(px, i, 0, n)
 				l.idx[i].Store(px)
 				r.want[i].Store(true)
 				obsLateBuilds.Inc()
@@ -216,7 +212,7 @@ func (r *relation) catchUp(i int) position {
 		}
 		return position{base: px, split: int32(n), built: int32(n)}
 	}
-	r.indexRows(r.writable(i, n), i, int(r.idx[i].built), n, -1)
+	r.indexRows(r.writable(i, n), i, int(r.idx[i].built), n)
 	r.advance(i, n)
 	return r.idx[i]
 }

@@ -19,10 +19,8 @@ import (
 //
 // Partitioning changes no observable behavior — a fact's sub-shard is a
 // pure function of its hash, so find/insert/delete simply operate on a
-// table an eighth the size — but it makes the write paths decomposable:
-// the bulk-merge path (MergeBuffers) folds one large relation with up to
-// relShards-way parallelism on disjoint sub-tables, and grow/rebuild work
-// per sub-table instead of stopping the world on one big array.
+// table an eighth the size — but growth works per sub-table: a grow or a
+// rebuild costs O(sub-table), never one pass over one big array.
 const (
 	relShardBits = 3
 	relShards    = 1 << relShardBits
@@ -192,8 +190,6 @@ func (r *relation) findAny(h uint64, args []term.Term) (int32, bool) {
 // sub-table, growing that sub-table at 3/4 load. The caller owns the
 // table (see own) — so its own plain loads race with no store — and has
 // established that no live row holds the tuple.
-// Safe to call concurrently for rows of DISTINCT hash shards (the sharded
-// merge path): each call touches only its own sub-table and used counter.
 func (r *relation) tabInsert(h uint64, ri int32) {
 	s := hashShard(h)
 	if 4*(int(r.tabUsed[s])+1) > 3*len(r.tabs[s]) {
