@@ -303,8 +303,8 @@ func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string) error
 // InsertBulk asserts base facts staged in columnar tuple buffers — the
 // streaming bulk-load path (relio.LoadBuffered feeds it batch by batch).
 // Buffers land through one storage.DB.MergeBuffers (one pre-sized dedup
-// grow per relation, cached hashes), then one
-// semi-naive delta fixpoint propagates the whole batch.
+// grow per relation, cached hashes), then one semi-naive delta fixpoint
+// propagates the whole batch.
 // Buffers are read-only here; the caller may Reset and refill them.
 func (e *Engine) InsertBulk(bufs []*storage.TupleBuffer) (int, error) {
 	return e.InsertBulkBudgeted(nil, bufs)

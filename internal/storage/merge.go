@@ -17,10 +17,10 @@ import (
 //     (its rows plus every staged distinct tuple) in ONE rehash, instead
 //     of growing power-of-two by power-of-two under per-row inserts.
 //
-// The fold is serial, and its result is a function of the buffers alone:
-// predicates are folded in first-touched order across the buffers (ties
-// by buffer order), tuples within a predicate in (buffer, append) order,
-// each numbered as it lands. par is unused.
+// The fold is serial, so no result depends on par (which is unused) or on
+// GOMAXPROCS: predicates are folded in first-touched order across the
+// buffers (ties by buffer order), tuples within a predicate in (buffer,
+// append) order, each numbered as it lands.
 func (db *DB) MergeBuffers(bufs []*TupleBuffer, par int) int {
 	t0 := obs.Now()
 	db.mutable()

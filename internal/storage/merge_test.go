@@ -58,20 +58,25 @@ func TestMergeBuffersDedup(t *testing.T) {
 
 // TestMergeBuffersMatchesInsert: merging random buffers (with nil entries,
 // empty buffers, and heavy duplication) is observationally identical to
-// per-row insertion in the merge's documented order, for any par, and
-// preserves every store invariant the per-row path guarantees. Every
+// per-row insertion in the merge's documented order, for any par and into
+// a clone that borrows its source's dedup tables, and preserves every
+// store invariant the per-row path guarantees. Every
 // fifth trial stages batches past 2048 rows over a base with tombstoned
-// rows that the merge re-inserts. A live snapshot taken before the merge
+// rows that the merge re-inserts; every third merges a batch past 2048
+// rows into the borrowing clone. A live snapshot taken before the merge
 // keeps the pre-merge instance, and merging the same buffers again adds
 // nothing.
 func TestMergeBuffersMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		st, p, q := mergeFixture()
-		big := trial%5 == 0
+		big, pinned := trial%5 == 0, trial%3 == 1
 		nconst, nbase, nrows := 6, rng.Intn(10), 15
-		if big {
+		switch {
+		case big:
 			nconst, nbase, nrows = 400, 3000, 4000
+		case pinned:
+			nconst, nbase = 40, 1+nbase
 		}
 		consts := make([]term.Term, nconst)
 		for i := range consts {
@@ -107,7 +112,7 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 			}
 			bufs[bi] = b
 		}
-		if big {
+		if big || pinned {
 			b := NewTupleBuffer()
 			for b.Len() < 2*2048 {
 				b.Append(p, tuple())
@@ -147,7 +152,17 @@ func TestMergeBuffersMatchesInsert(t *testing.T) {
 		}
 
 		par := 1 + rng.Intn(4)
+		if pinned {
+			// A clone of a pinned instance borrows its dedup tables, and
+			// the source goes on filling them with rows the clone lacks
+			// until they grow: the merge must copy them before it grows
+			// them.
+			defer db.Snapshot().Release()
+		}
 		got := db.Clone()
+		for i := 0; pinned && i < 50; i++ {
+			db.InsertArgs(p, tuple())
+		}
 		probeAt(got, p, 2, trial%2, consts[0]) // one position built, one not
 		snap := got.Snapshot()
 		before := snap.DB().All()
