@@ -143,10 +143,10 @@ func BenchmarkInsertWideDomain(b *testing.B) {
 }
 
 // BenchmarkMergeBuffers: bulk-merging staged columnar tuples (hashes
-// cached at append time, one pre-sized table grow) at the par InsertBulk
-// passes: 16 384 edges in one or four buffers into an empty instance, and
-// one 16 384-row buffer into a 200 000-row instance with one built
-// posting position.
+// cached at append time, one pre-sized table grow) at par GOMAXPROCS, the
+// most any merge could use: 16 384 edges in one or four buffers into an
+// empty instance, and one 16 384-row buffer into a 200 000-row instance
+// with one built posting position.
 func BenchmarkMergeBuffers(b *testing.B) {
 	par := runtime.GOMAXPROCS(0)
 	facts, e := benchEdges(16384)
