@@ -17,7 +17,7 @@ import (
 // and fresh postings for the positions that were built, KEEPING their
 // original global insertion indexes; the reclaimed rows' indexes become
 // holes that no row holds. Relations below the threshold are completely
-// untouched: their global columns, row handles, and outstanding marks all
+// untouched: their insertion spans, row handles, and outstanding marks all
 // stay valid, so a workload churning one small relation inside a huge
 // instance pays O(churning relation), never O(instance).
 //
@@ -57,7 +57,6 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 		nr := newRelation(r.pred, r.arity)
 		live := r.liveRows()
 		nr.cols = make([]term.Term, 0, live*r.arity)
-		nr.global = make([]int32, 0, live)
 		// Pre-size the dedup sub-tables, then link every packed row (all
 		// live by construction) — one rehash total.
 		if live > 0 {
@@ -70,10 +69,11 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 			args := r.args(int32(ri))
 			nr.tabInsert(hashArgs(r.pred, args), int32(nr.nrows))
 			nr.cols = append(nr.cols, args...)
+			// Survivors keep their global indexes: they stay strictly
+			// increasing and every OTHER relation stays untouched. A reclaimed
+			// row splits its span.
+			nr.spans = extend(nr.spans, int32(nr.nrows), r.indexOf(int32(ri)))
 			nr.nrows++
-			// Survivors keep their global indexes: the column stays strictly
-			// increasing and every OTHER relation stays untouched.
-			nr.global = append(nr.global, r.global[ri])
 		}
 		// The packed relation keeps the positions its predecessor
 		// carried, and goes on hearing the readers of its views.
@@ -102,15 +102,16 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 }
 
 // squash renumbers every global index to its rank among the indexes rows
-// hold (a prefix popcount over a bitmap of them), into fresh global
-// columns: old arrays stay intact for clones and snapshots.
+// hold (a prefix popcount over a bitmap of them), into fresh span lists:
+// old arrays stay intact for clones and snapshots. A span's indexes are
+// consecutive and all held, so it takes one rank; spans the renumbering
+// closes up merge.
 func (db *DB) squash() {
 	used := make([]uint64, (db.next+63)/64)
 	for _, r := range db.rels {
-		if r != nil {
-			for _, g := range r.global {
-				used[g>>6] |= 1 << (uint(g) & 63)
-			}
+		for ri := int32(0); r != nil && ri < int32(r.nrows); ri++ {
+			g := r.indexOf(ri)
+			used[g>>6] |= 1 << (uint(g) & 63)
 		}
 	}
 	rank := make([]int32, len(used)) // held indexes below each word
@@ -122,12 +123,12 @@ func (db *DB) squash() {
 		if r == nil {
 			continue
 		}
-		global := make([]int32, len(r.global))
-		for ri, g := range r.global {
-			below := used[g>>6] & (1<<(uint(g)&63) - 1)
-			global[ri] = rank[g>>6] + int32(bits.OnesCount64(below))
+		var spans []span
+		for _, s := range r.spans {
+			below := used[s.at>>6] & (1<<(uint(s.at)&63) - 1)
+			spans = extend(spans, s.row, rank[s.at>>6]+int32(bits.OnesCount64(below)))
 		}
-		r.global = global
+		r.spans = spans
 	}
 	db.next -= db.holes
 	db.holes = 0

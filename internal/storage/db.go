@@ -110,8 +110,8 @@ func (db *DB) insert(r *relation, h uint64, args []term.Term) bool {
 	}
 	r.tabInsert(h, int32(r.nrows))
 	r.cols = append(grow(r.cols, len(args)), args...)
+	r.spans = extend(r.spans, int32(r.nrows), int32(db.next))
 	r.nrows++
-	r.global = append(grow(r.global, 1), int32(db.next))
 	db.next++
 	return true
 }
@@ -203,9 +203,9 @@ func (db *DB) Facts(p schema.PredID) []atom.Atom {
 func (db *DB) All() []atom.Atom {
 	at, live := make([]atom.Atom, db.next), make([]bool, db.next)
 	for _, r := range db.rels {
-		for ri := 0; r != nil && ri < r.nrows; ri++ {
-			if g := r.global[ri]; !r.isDead(int32(ri)) {
-				at[g], live[g] = r.atomAt(int32(ri)), true
+		for ri := int32(0); r != nil && ri < int32(r.nrows); ri++ {
+			if g := r.indexOf(ri); !r.isDead(ri) {
+				at[g], live[g] = r.atomAt(ri), true
 			}
 		}
 	}

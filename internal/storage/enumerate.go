@@ -25,7 +25,7 @@ func (db *DB) IndexOf(a atom.Atom) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	return int(r.global[ri]), true
+	return int(r.indexOf(ri)), true
 }
 
 // matchRows is the shared core of the substitution-based matching family:

@@ -7,7 +7,7 @@ import (
 )
 
 // Footprint returns the bytes the instance's structures take, by
-// structure: "cols" (term columns), "global" (insertion indexes), "dedup"
+// structure: "cols" (term columns), "global" (insertion index spans), "dedup"
 // (dedup slots), "postings" (built posting indexes, see posIndex.bytes)
 // and "liveness" (tombstone bitmaps). It reads lengths only — element
 // bytes, no map buckets or spare capacity; a structure a view shares is
@@ -19,7 +19,7 @@ func (db *DB) Footprint() map[string]int {
 			continue
 		}
 		f["cols"] += len(r.cols) * int(unsafe.Sizeof(term.Term(0)))
-		f["global"] += 4 * len(r.global)
+		f["global"] += int(unsafe.Sizeof(span{})) * len(r.spans)
 		for _, tab := range r.tabs {
 			f["dedup"] += 4 * len(tab)
 		}

@@ -12,9 +12,9 @@ import (
 )
 
 // TestFootprint pins what a stored binary fact costs: its columns (two
-// 4-byte terms), its insertion index (4 B) and its share of the dedup
-// slots — at most 24 B a row together for a 100 k-row relation — and
-// checks the posting
+// 4-byte terms) and its share of the dedup slots — at most 16 B a row
+// together with the insertion indexes for a 100 k-row relation, which one
+// burst of inserts numbers as one 8-byte span — and checks the posting
 // and liveness figures against the structures' exact shapes, on the live
 // instance and on a frozen view whose position readers build late while
 // it is read.
@@ -25,11 +25,11 @@ func TestFootprint(t *testing.T) {
 		db.InsertArgs(e, []term.Term{segConst(i), segConst(i % 10)})
 	}
 	fp := db.Footprint()
-	if fp["cols"] != 8*rows || fp["global"] != 4*rows || fp["postings"] != 0 || fp["liveness"] != 0 {
-		t.Fatalf("footprint %v, want cols %d, global %d, no postings or liveness", fp, 8*rows, 4*rows)
+	if fp["cols"] != 8*rows || fp["global"] != 8 || fp["postings"] != 0 || fp["liveness"] != 0 {
+		t.Fatalf("footprint %v, want cols %d, global 8 (one span), no postings or liveness", fp, 8*rows)
 	}
-	if perRow := float64(fp["cols"]+fp["global"]+fp["dedup"]) / rows; perRow > 24 {
-		t.Fatalf("cols+global+dedup = %.1f B per row, want <= 24 (%v)", perRow, fp)
+	if perRow := float64(fp["cols"]+fp["global"]+fp["dedup"]) / rows; perRow > 16 {
+		t.Fatalf("cols+global+dedup = %.1f B per row, want <= 16 (%v)", perRow, fp)
 	}
 	// Position 1 holds ten keys of 10 000 rows each: a key and a list
 	// header per key, 4 B per row.

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/atom"
@@ -56,10 +57,14 @@ type relation struct {
 	// counts its rows (the bulk merge numbers them after appending).
 	cols  []term.Term
 	nrows int
-	// global maps local row -> global insertion index. It is strictly
-	// increasing, so a Mark-based delta window is a contiguous local row
-	// range [firstSince(mark), rows()), resolved by binary search.
-	global []int32
+	// spans maps local rows to global insertion indexes as runs: span k
+	// covers rows [spans[k].row, spans[k+1].row) (the last one up to
+	// rows()), which hold the consecutive indexes spans[k].at, +1, ….
+	// Rows land in bursts, so a relation holds a handful of spans, not one
+	// index per row. The indexes are strictly increasing, so a Mark-based
+	// delta window is a contiguous local row range [firstSince(mark),
+	// rows()), resolved by binary search over the spans.
+	spans []span
 	// tabs is the partitioned dedup table: per hash sub-shard, an
 	// open-addressed (linear-probing, power-of-two) hash set of local
 	// rows, live and dead alike. Its only mutation is "empty slot -> row
@@ -296,13 +301,71 @@ func (r *relation) own() {
 	r.borrowed = false
 }
 
+// span is one run of a relation's insertion indexes (see relation.spans).
+// No two adjacent spans close up: span k+1 starts past the index span k
+// would give its next row.
+type span struct{ row, at int32 }
+
+// extend returns spans with local row ri — the row after the last one
+// they cover — holding insertion index g, past every index they hold. It
+// writes nothing when g follows on from the last span.
+func extend(spans []span, ri, g int32) []span {
+	if k := len(spans) - 1; k >= 0 && spans[k].at+ri-spans[k].row == g {
+		return spans
+	}
+	return append(spans, span{ri, g})
+}
+
+// spanEnd returns the local row past span k's last row.
+func (r *relation) spanEnd(k int) int32 {
+	if k+1 < len(r.spans) {
+		return r.spans[k+1].row
+	}
+	return int32(r.nrows)
+}
+
+// spanAt returns the last span whose first index is at or below g, and
+// the local row past its last row; k is -1 when every index exceeds g.
+// Every probe of a delta window binary-searches here.
+func (r *relation) spanAt(g int32) (k int, end int32) {
+	a, b := 0, len(r.spans)
+	for a < b {
+		if mid := int(uint(a+b) >> 1); r.spans[mid].at > g {
+			b = mid
+		} else {
+			a = mid + 1
+		}
+	}
+	return a - 1, r.spanEnd(a - 1)
+}
+
+// indexOf returns local row ri's insertion index.
+func (r *relation) indexOf(ri int32) int32 {
+	k := sort.Search(len(r.spans), func(i int) bool { return r.spans[i].row > ri }) - 1
+	return r.spans[k].at + ri - r.spans[k].row
+}
+
+// rowOf returns the local row holding insertion index g, if one does.
+func (r *relation) rowOf(g int32) (int32, bool) {
+	k, end := r.spanAt(g)
+	if k < 0 {
+		return 0, false
+	}
+	ri := r.spans[k].row + g - r.spans[k].at
+	return ri, ri < end
+}
+
 // firstSince returns the first local row whose global insertion index is at
 // or after the mark — the lower bound of the contiguous delta window.
 func (r *relation) firstSince(since Mark) int {
 	if since <= 0 {
 		return 0
 	}
-	return postingLowerBound(r.global, int32(since))
+	k, end := r.spanAt(int32(since))
+	if k < 0 {
+		return 0
+	}
+	return int(min(r.spans[k].row+int32(since)-r.spans[k].at, end))
 }
 
 // clone returns an observationally identical, independently writable

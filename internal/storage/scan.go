@@ -321,7 +321,7 @@ func postingLowerBound(rows []int32, lo int32) int {
 }
 
 // Row returns the stored atom at the given insertion index, binary-searching
-// each relation's global column — provenance's cold path. It panics on an
+// each relation's insertion spans — provenance's cold path. It panics on an
 // index no row holds: out of range, or reclaimed by a localized Compact
 // (provenance consumers never delete, so they never see one).
 func (db *DB) Row(i int) atom.Atom {
@@ -329,8 +329,8 @@ func (db *DB) Row(i int) atom.Atom {
 		if r == nil {
 			continue
 		}
-		if k := postingLowerBound(r.global, int32(i)); k < len(r.global) && int(r.global[k]) == i {
-			return r.atomAt(int32(k))
+		if ri, ok := r.rowOf(int32(i)); ok {
+			return r.atomAt(ri)
 		}
 	}
 	panic("storage: Row at an insertion index no row holds")

@@ -54,9 +54,9 @@ import (
 //     is caught up first and written as ONE index (a tail is folded into
 //     a copy of its base on the way out), so keys always cover every row
 //     and the bytes of an instance do not depend on who shared it.
-//   - The insertion order is each relation's global column; indexes below
-//     next that no row holds are exactly the holes a localized Compact
-//     left behind.
+//   - The insertion order is each relation's spans, written out one index
+//     per row and read back into spans; indexes below next that no row
+//     holds are exactly the holes a localized Compact left behind.
 //
 // Encoded segments embed term and predicate IDs; they are only
 // meaningful next to the term.Store / schema.Registry encodings taken
@@ -69,6 +69,10 @@ var ErrSegmentHash = errors.New("storage: segment: stored hash is not the tuple'
 // ErrSegmentTerm reports a segment term whose kind is none of the three
 // sorts or whose ID is past term.MaxID.
 var ErrSegmentTerm = errors.New("storage: segment: term out of range")
+
+// errMalformedRelation reports a relation body the decoder cannot read
+// as one.
+var errMalformedRelation = errors.New("storage: segment: malformed relation")
 
 // legacyTabDeleted is the bridge code segments written before dead rows
 // stayed linked hold in the slots of unlinked rows.
@@ -103,8 +107,10 @@ func (r *relation) appendSegment(buf []byte) []byte {
 	for ri := 0; ri < n; ri++ {
 		buf = binary.LittleEndian.AppendUint64(buf, hashArgs(r.pred, r.args(int32(ri))))
 	}
-	for _, g := range r.global[:n] {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(g))
+	for k, s := range r.spans {
+		for g, end := s.at, s.at+r.spanEnd(k)-s.row; g < end; g++ {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(g))
+		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.nDead))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.dead)))
@@ -214,13 +220,12 @@ func ReadSegment(data []byte) (*DB, error) {
 }
 
 func readRelation(rd *segReader, next int) (r *relation, err error) {
-	malformed := errors.New("storage: segment: malformed relation")
 	pred := schema.PredID(rd.u32())
 	arity := int(rd.u32())
 	n := int(rd.u32())
 	if rd.err != nil || arity <= 0 || arity > 1<<16 || n < 0 || n > next ||
 		n*(5*arity+12) > len(rd.data)-rd.off { // columns, hashes, global
-		return nil, malformed
+		return nil, errMalformedRelation
 	}
 	r = newRelation(pred, arity)
 	r.cols = make([]term.Term, n*arity)
@@ -235,18 +240,18 @@ func readRelation(rd *segReader, next int) (r *relation, err error) {
 			return nil, fmt.Errorf("%w: pred %d row %d", ErrSegmentHash, pred, ri)
 		}
 	}
-	r.global = make([]int32, n)
-	for i := range r.global {
-		g := rd.u32()
-		if int(g) >= next {
-			return nil, malformed
+	// Per-row indexes, read back into spans: strictly increasing below next.
+	for ri, prev := int32(0), int32(-1); ri < int32(n); ri++ {
+		g := int32(rd.u32())
+		if g <= prev || int(g) >= next {
+			return nil, errMalformedRelation
 		}
-		r.global[i] = int32(g)
+		r.spans, prev = extend(r.spans, ri, g), g
 	}
 	r.nDead = int(rd.u32())
 	nWords := int(rd.u32())
 	if rd.err != nil || r.nDead > n || nWords > n/64+1 {
-		return nil, malformed
+		return nil, errMalformedRelation
 	}
 	if nWords > 0 {
 		r.dead = make([]uint64, nWords)
@@ -264,7 +269,7 @@ func readRelation(rd *segReader, next int) (r *relation, err error) {
 		used := int(rd.u32())
 		if rd.err != nil || tabLen < 0 || tabLen&(tabLen-1) != 0 ||
 			tabLen > 4*n+16 || used < 0 || used > tabLen {
-			return nil, malformed
+			return nil, errMalformedRelation
 		}
 		if tabLen == 0 {
 			continue
@@ -273,7 +278,7 @@ func readRelation(rd *segReader, next int) (r *relation, err error) {
 		for k := range tab {
 			v := int32(rd.u32())
 			if v >= int32(n) || v < legacyTabDeleted {
-				return nil, malformed
+				return nil, errMalformedRelation
 			}
 			if v >= 0 {
 				linked++
@@ -299,7 +304,7 @@ func readRelation(rd *segReader, next int) (r *relation, err error) {
 			nKeys := int(rd.u32())
 			slabLen := int(rd.u32())
 			if rd.err != nil || nKeys < 0 || slabLen < 0 || nKeys > n*2 || slabLen > n+1 {
-				return nil, malformed
+				return nil, errMalformedRelation
 			}
 			var slab []int32
 			if slabLen > 0 {
@@ -321,21 +326,21 @@ func readRelation(rd *segReader, next int) (r *relation, err error) {
 					return nil, err
 				}
 				if rd.err != nil || cnt <= 0 || cnt > n {
-					return nil, malformed
+					return nil, errMalformedRelation
 				}
 				if cnt == 1 {
 					m[key] = int32(rd.u32())
 					continue
 				}
 				if cursor+cnt > len(slab) {
-					return nil, malformed
+					return nil, errMalformedRelation
 				}
 				over = append(over, slab[cursor:cursor+cnt:cursor+cnt])
 				m[key] = -int32(len(over))
 				cursor += cnt
 			}
 			if cursor != len(slab) {
-				return nil, malformed
+				return nil, errMalformedRelation
 			}
 			if r.idx[i].base == nil {
 				r.idx[i] = position{base: &posIndex{}, split: int32(n), built: int32(n)}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -245,6 +246,36 @@ func TestSegmentRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSegmentRejectsUnorderedIndexes: the per-row insertion indexes of a
+// relation must strictly increase; the decoder rejects a repeated or a
+// falling one as it reads them, as a malformed relation.
+func TestSegmentRejectsUnorderedIndexes(t *testing.T) {
+	const e, q, n = schema.PredID(0), schema.PredID(1), 10
+	db := NewDB()
+	for i := 0; i < n; i++ {
+		db.InsertArgs(e, []term.Term{segConst(i), segConst(i + 1)})
+		db.InsertArgs(q, []term.Term{segConst(i)})
+	}
+	enc := db.AppendSegment(nil)
+	if _, err := ReadSegment(enc); err != nil {
+		t.Fatalf("ReadSegment: %v", err)
+	}
+	// Header, e's present byte and counts, its columns and hashes: e's
+	// indexes 0, 2, 4, ….
+	at := 8 + 1 + 12 + n*2*5 + n*8
+	for name, edit := range map[string]func(b []byte){
+		"repeated": func(b []byte) { copy(b[at+4:at+8], b[at:at+4]) },
+		"falling":  func(b []byte) { copy(b[at+8:at+12], b[at:at+4]) },
+		"negative": func(b []byte) { binary.LittleEndian.PutUint32(b[at:], 1<<31) },
+	} {
+		cp := append([]byte(nil), enc...)
+		edit(cp)
+		if _, err := ReadSegment(cp); !errors.Is(err, errMalformedRelation) {
+			t.Errorf("%s insertion index: err %v, want the malformed-relation error", name, err)
+		}
+	}
+}
+
 // TestSegmentTermRange: a term the segment stores as a kind byte and a
 // 4-byte ID decodes only when it is one a term can hold — a kind outside
 // the three sorts or an ID past term.MaxID, in a column or in a posting
@@ -390,9 +421,9 @@ func TestSegmentDecodesLegacyTombstones(t *testing.T) {
 // can use — never a panic. Seeds: the encoded segmentFixture (positions
 // built, behind and never built), every torn prefix of it, and bit flips
 // across its posting sections, the legacy segment whose slot arrays hold
-// bridge codes, a flipped stored hash, and a column term with a kind
-// outside the three sorts and one with an ID past term.MaxID. Crashers go
-// under
+// bridge codes, a flipped stored hash, a column term with a kind outside
+// the three sorts and one with an ID past term.MaxID, and a repeated
+// insertion index. Crashers go under
 // testdata/fuzz/.
 func FuzzReadSegment(f *testing.F) {
 	if legacy, err := os.ReadFile(legacySegment); err != nil {
@@ -434,6 +465,15 @@ func FuzzReadSegment(f *testing.F) {
 		}
 		f.Add(cp)
 	}
+	// e's second insertion index repeats its first (after its columns and
+	// hashes): a malformed relation.
+	cp = append([]byte(nil), enc...)
+	at := 8 + 1 + 1 + 12 + fx.relOf(segE).rows()*(2*5+8)
+	copy(cp[at+4:at+8], cp[at:at+4])
+	if _, err := ReadSegment(cp); !errors.Is(err, errMalformedRelation) {
+		f.Fatalf("repeated insertion index: err %v, want the malformed-relation error", err)
+	}
+	f.Add(cp)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := ReadSegment(data)
 		if err != nil {

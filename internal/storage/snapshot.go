@@ -13,7 +13,7 @@ import (
 // originating DB. A publish copies nothing and a write copies what it
 // changes:
 //
-//   - The append-only columns (cols, global) are captured as cap-limited
+//   - The append-only columns (cols, spans) are captured as cap-limited
 //     views. The writer's appends land at indexes the view can never
 //     reach, so they need no coordination.
 //   - The dedup sub-tables are shared for good. Liveness is the bitmap and
@@ -167,7 +167,7 @@ func (r *relation) view() *relation {
 		arity:     r.arity,
 		cols:      r.cols[:len(r.cols):len(r.cols)],
 		nrows:     r.nrows,
-		global:    r.global[:len(r.global):len(r.global)],
+		spans:     r.spans[:len(r.spans):len(r.spans)],
 		tabs:      r.tabs,
 		tabUsed:   r.tabUsed,
 		tabShared: r.tabShared,

@@ -354,7 +354,7 @@ func TestSnapshotConcurrentIsolation(t *testing.T) {
 }
 
 // TestCompactLocalized: compacting one churning relation leaves the other
-// relations' row handles, marks, and global columns completely untouched,
+// relations' row handles, marks, and insertion spans completely untouched,
 // and the insertion-log holes stay invisible to every read path until the
 // squash reclaims them.
 func TestCompactLocalized(t *testing.T) {

@@ -30,11 +30,13 @@ func (db *DB) Verify() error {
 		if err := r.verify(db.next, db.frozen); err != nil {
 			return fmt.Errorf("storage: verify: pred %d: %w", p, err)
 		}
-		for _, g := range r.global {
-			if held[g>>6]>>(uint(g)&63)&1 != 0 {
-				return fmt.Errorf("storage: verify: insertion index %d held by two rows", g)
+		for k, s := range r.spans {
+			for g := s.at; g < s.at+r.spanEnd(k)-s.row; g++ {
+				if held[g>>6]>>(uint(g)&63)&1 != 0 {
+					return fmt.Errorf("storage: verify: insertion index %d held by two rows", g)
+				}
+				held[g>>6] |= 1 << (uint(g) & 63)
 			}
-			held[g>>6] |= 1 << (uint(g) & 63)
 		}
 		rows += r.rows()
 		dead += r.nDead
@@ -48,8 +50,18 @@ func (db *DB) Verify() error {
 
 func (r *relation) verify(next int, frozen bool) error {
 	n := r.nrows
-	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.global) != n || len(r.idx) != r.arity || len(r.want) != r.arity {
+	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.idx) != r.arity || len(r.want) != r.arity ||
+		(n == 0) != (len(r.spans) == 0) {
 		return errors.New("column lengths disagree")
+	}
+	// Spans: from row 0, non-empty, indexes strictly increasing below next,
+	// and no two adjacent ones closing up (extend would have merged them).
+	for k, s := range r.spans {
+		end := int(r.spanEnd(k))
+		if k == 0 && s.row != 0 || int(s.row) >= end || s.at < 0 || int(s.at)+end-int(s.row) > next ||
+			k > 0 && int(s.at) <= int(r.spans[k-1].at)+int(s.row-r.spans[k-1].row) {
+			return fmt.Errorf("insertion span %d: rows from %d, indexes from %d out of order", k, s.row, s.at)
+		}
 	}
 	for ri := 0; ri < n; ri++ {
 		args := r.args(int32(ri))
@@ -57,9 +69,6 @@ func (r *relation) verify(next int, frozen bool) error {
 			if !t.IsConst() && !t.IsNull() {
 				return fmt.Errorf("row %d holds a non-ground term", ri)
 			}
-		}
-		if g := r.global[ri]; g < 0 || int(g) >= next || ri > 0 && g <= r.global[ri-1] {
-			return fmt.Errorf("row %d: insertion index %d out of order", ri, g)
 		}
 	}
 	dead := 0
