@@ -18,9 +18,11 @@ import (
 	"testing"
 
 	"repro/internal/atom"
+	"repro/internal/chase"
 	"repro/internal/datalog"
 	"repro/internal/incremental"
 	"repro/internal/parser"
+	"repro/internal/prooftree"
 	"repro/internal/relio"
 	"repro/internal/service"
 	"repro/internal/storage"
@@ -57,15 +59,28 @@ type streamCounts struct {
 	LiveAfterReinsert int `json:"live_after_reinserts"`
 }
 
+// searchCounts is what one scenario of the seed-17 engine suite records:
+// the chase's fact count and, on a PWL scenario, the linear proof-tree
+// search's Stats summed over every candidate tuple; on
+// iwarded_005_linearizable, the alternating search's Stats for each of the
+// first two chase answers.
+type searchCounts struct {
+	ChaseFacts  int               `json:"chase_facts"`
+	Linear      *prooftree.Stats  `json:"linear,omitempty"`
+	Alternating []prooftree.Stats `json:"alternating,omitempty"`
+}
+
 // TestWorkloadCounts is the count gate: exact, run-to-run repeatable
 // numbers of the benchmark's workload shapes, computed in process and
 // compared with testdata/counts.golden.json. Each shape records its load
 // counts, footprint and checkpoint bytes; tc.blocks also records a seeded
 // stream of 200 edge deletes and their re-inserts. tc.blocks.csv loads the
 // same graph's edges as one CSV bulk batch, at GOMAXPROCS 1 and 4, which
-// must record the same numbers. A change that moves one on purpose
-// re-baselines with `go test -run TestWorkloadCounts -update .` and says
-// why; any other drift fails.
+// must record the same numbers. prooftree.suite17 records the chase and
+// proof-tree searches of TestSuiteEnginesAgree's scenarios. A change that
+// moves one on purpose re-baselines with
+// `go test -run TestWorkloadCounts -update .` and says why; any other
+// drift fails.
 func TestWorkloadCounts(t *testing.T) {
 	got := map[string]shapeCounts{}
 	for name, text := range map[string]string{
@@ -87,7 +102,11 @@ func TestWorkloadCounts(t *testing.T) {
 		t.Errorf("tc.blocks.csv: %d live facts, tc.blocks has %d", csv.Facts, got["tc.blocks"].Facts)
 	}
 	got["tc.blocks.csv"] = csv
-	out, err := json.MarshalIndent(got, "", "  ")
+	all := map[string]any{"prooftree.suite17": suiteSearchCounts(t)}
+	for name, c := range got {
+		all[name] = c
+	}
+	out, err := json.MarshalIndent(all, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +128,42 @@ func TestWorkloadCounts(t *testing.T) {
 	if iw := got["iwarded.materialize"]; iw.Derived != 58829 || iw.Rounds != 56 {
 		t.Errorf("iwarded.materialize: %d derived in %d rounds, the ladder reads 58829 in 56", iw.Derived, iw.Rounds)
 	}
+}
+
+// suiteSearchCounts runs the chase on every scenario of the seed-17 engine
+// suite, the linear proof-tree search on its PWL scenarios and the
+// alternating search on iwarded_005_linearizable's first two chase
+// answers, with TestSuiteEnginesAgree's options.
+func suiteSearchCounts(t *testing.T) map[string]searchCounts {
+	t.Helper()
+	out := map[string]searchCounts{}
+	for _, sc := range engineSuite(t) {
+		ans, cres, err := chase.CertainAnswers(sc.Program, sc.DB, sc.Query, chase.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := searchCounts{ChaseFacts: cres.DB.Len()}
+		switch {
+		case sc.Shape == workload.ShapePWL:
+			_, st, err := prooftree.Answers(sc.Program, sc.DB, sc.Query,
+				prooftree.Options{Mode: prooftree.Linear, MaxVisited: 3_000_000})
+			if err != nil {
+				t.Fatalf("%s: %v", sc.Name, err)
+			}
+			c.Linear = st
+		case sc.Name == "iwarded_005_linearizable":
+			for _, tup := range ans[:min(2, len(ans))] {
+				_, st, err := prooftree.Decide(sc.Program, sc.DB, sc.Query, tup,
+					prooftree.Options{Mode: prooftree.Alternating, MaxVisited: spotBudget})
+				if err != nil {
+					t.Fatalf("%s: %v", sc.Name, err)
+				}
+				c.Alternating = append(c.Alternating, *st)
+			}
+		}
+		out[sc.Name] = c
+	}
+	return out
 }
 
 // loadCounts parses and materializes one program text with the options

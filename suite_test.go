@@ -67,14 +67,7 @@ func TestE3_ShapeStatistics(t *testing.T) {
 // answers; on warded non-PWL scenarios the chase and the alternating
 // search must agree on spot-check tuples, within spotBudget.
 func TestSuiteEnginesAgree(t *testing.T) {
-	params := workload.DefaultSuiteParams(8, 17)
-	params.DataSize = 16
-	params.ModulesPer = 2
-	suite, err := workload.GenSuite(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sc := range suite {
+	for _, sc := range engineSuite(t) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			chaseAns, cres, err := chase.CertainAnswers(sc.Program, sc.DB, sc.Query, chase.Default())
@@ -119,6 +112,20 @@ func TestSuiteEnginesAgree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// engineSuite generates the eight seed-17 scenarios TestSuiteEnginesAgree
+// checks and TestWorkloadCounts records.
+func engineSuite(t *testing.T) []*workload.Scenario {
+	t.Helper()
+	params := workload.DefaultSuiteParams(8, 17)
+	params.DataSize = 16
+	params.ModulesPer = 2
+	suite, err := workload.GenSuite(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite
 }
 
 // spotBudget caps one alternating spot check. The search visits the same
