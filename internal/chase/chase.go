@@ -196,7 +196,7 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 					return true
 				}
 			}
-			if opt.Restricted && headSatisfied(work, r, ex) {
+			if opt.Restricted && ex.HeadSatisfied(work) {
 				res.SuppressedRestricted++
 				return true
 			}
@@ -272,20 +272,6 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 	return res, nil
 }
 
-// headSatisfied reports whether the head of the TGD is already satisfied
-// under the frontier bindings of the matched frame (the restricted-chase
-// test: I |= σ for this trigger).
-func headSatisfied(db *storage.DB, r *plan.RulePlan, ex *plan.Exec) bool {
-	// Fast path: a single-atom head with no existentials instantiates to a
-	// ground atom (every full TGD) and reduces to a hash lookup over the
-	// executor's scratch buffer — no atom materialized.
-	if len(r.Head) == 1 && len(r.ExistSlots) == 0 {
-		return db.ContainsArgs(ex.HeadArgs(0))
-	}
-	_, ok := db.Homomorphism(r.TGD.Head, ex.FrontierSubst())
-	return ok
-}
-
 // frameDepth is the maximum birth depth among nulls bound in the frame —
 // the depth of the trigger image, read off the slots instead of the
 // materialized atoms.
@@ -328,5 +314,5 @@ func CertainAnswers(prog *logic.Program, db *storage.DB, q *logic.CQ, opt Option
 	if err != nil {
 		return nil, nil, err
 	}
-	return res.DB.EvalCQ(q), res, nil
+	return plan.EvalCQ(res.DB, q), res, nil
 }

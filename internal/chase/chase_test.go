@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/term"
 )
@@ -49,7 +50,7 @@ t(X,Z) :- e(X,Y), t(Y,Z).
 e(a,b). e(b,c). e(c,d).
 ?(X,Y) :- t(X,Y).
 `, Default())
-	ans := res.DB.EvalCQ(r.Queries[0])
+	ans := plan.EvalCQ(res.DB, r.Queries[0])
 	if len(ans) != 6 {
 		t.Fatalf("TC answers = %d, want 6: %v", len(ans), names(r, ans))
 	}
@@ -66,7 +67,7 @@ t(X,Z) :- t(X,Y), t(Y,Z).
 e(a,b). e(b,c). e(c,d). e(d,e1). e(e1,f).
 ?(X,Y) :- t(X,Y).
 `, Default())
-	ans := res.DB.EvalCQ(r.Queries[0])
+	ans := plan.EvalCQ(res.DB, r.Queries[0])
 	if len(ans) != 15 {
 		t.Fatalf("TC (assoc) answers = %d, want 15", len(ans))
 	}
@@ -79,7 +80,7 @@ p(a).
 ?(X) :- r(a,X).
 `, Default())
 	// The null is not a constant answer; but the boolean projection holds.
-	ans := res.DB.EvalCQ(r.Queries[0])
+	ans := plan.EvalCQ(res.DB, r.Queries[0])
 	if len(ans) != 0 {
 		t.Fatalf("null leaked as answer: %v", names(r, ans))
 	}
@@ -87,7 +88,7 @@ p(a).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.DB.EvalCQ(rq.Queries[0]); len(got) != 1 {
+	if got := plan.EvalCQ(res.DB, rq.Queries[0]); len(got) != 1 {
 		t.Fatalf("boolean query should hold")
 	}
 	if res.MaxNullDepth != 1 {
@@ -133,7 +134,7 @@ p(a).
 		t.Fatalf("termination control failed to stop the chase (facts=%d)", res.DB.Len())
 	}
 	// Certain answers: only p(a) among constants.
-	ans := res.DB.EvalCQ(r.Queries[0])
+	ans := plan.EvalCQ(res.DB, r.Queries[0])
 	if len(ans) != 1 || joinNames(r, ans[0]) != "a" {
 		t.Fatalf("answers = %v", names(r, ans))
 	}
@@ -180,7 +181,7 @@ p(a).
 ? :- r(X,Y), s(Y).
 `, Default())
 	// The same fresh null must appear in both head atoms.
-	if got := res.DB.EvalCQ(r.Queries[0]); len(got) != 1 {
+	if got := plan.EvalCQ(res.DB, r.Queries[0]); len(got) != 1 {
 		t.Fatalf("shared-null join failed")
 	}
 }
@@ -208,7 +209,7 @@ inverse(hasId, idOf).
 	if res.Truncated {
 		t.Fatalf("OWL example chase truncated")
 	}
-	ans := res.DB.EvalCQ(r.Queries[0])
+	ans := plan.EvalCQ(res.DB, r.Queries[0])
 	got := map[string]bool{}
 	for _, a := range ans {
 		got[joinNames(r, a)] = true

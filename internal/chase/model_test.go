@@ -2,14 +2,33 @@ package chase
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/atom"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/storage"
+	"repro/internal/term"
 	"repro/internal/workload"
 )
+
+// homs calls fn for every homomorphism from the atoms into db extending
+// h: a nested loop over Facts in written order, the naive reference the
+// engine's compiled checks are held to. fn returning false stops it; homs
+// reports whether it ran to completion.
+func homs(db *storage.DB, atoms []atom.Atom, h atom.Subst, fn func(atom.Subst) bool) bool {
+	if len(atoms) == 0 {
+		return fn(h)
+	}
+	for _, f := range db.Facts(atoms[0].Pred) {
+		if s := h.Clone(); atom.MatchAtom(s, atoms[0], f) && !homs(db, atoms[1:], s, fn) {
+			return false
+		}
+	}
+	return true
+}
 
 // headSatisfiedSubst is the substitution-based I |= σ check used by the
 // model test (the engine itself checks through the compiled plan's frame).
@@ -18,8 +37,7 @@ func headSatisfiedSubst(db *storage.DB, tgd *logic.TGD, h atom.Subst) bool {
 	for x := range tgd.Frontier() {
 		base[x] = h.Apply(x)
 	}
-	_, ok := db.Homomorphism(tgd.Head, base)
-	return ok
+	return !homs(db, tgd.Head, base, func(atom.Subst) bool { return false })
 }
 
 // TestChaseResultIsModel: a terminating, untruncated restricted chase
@@ -57,7 +75,7 @@ c(k1). c(k2).
 			t.Fatalf("case %d truncated", i)
 		}
 		for ti, tgd := range r.Program.TGDs {
-			res.DB.HomomorphismsEach(tgd.Body, nil, -1, 0, func(h atom.Subst) bool {
+			homs(res.DB, tgd.Body, nil, func(h atom.Subst) bool {
 				if !headSatisfiedSubst(res.DB, tgd, h) {
 					t.Fatalf("case %d: TGD %d violated under %v", i, ti, h)
 				}
@@ -100,8 +118,9 @@ t(X,Z) :- e(X,Y), t(Y,Z).
 	if err != nil {
 		t.Fatal(err)
 	}
+	ansBig := plan.EvalCQ(resBig.DB, r.Queries[0])
 	for _, tup := range ansSmall {
-		if !resBig.DB.HasAnswer(r.Queries[0], tup) {
+		if !slices.ContainsFunc(ansBig, func(b []term.Term) bool { return slices.Equal(b, tup) }) {
 			t.Fatalf("answer lost under fact addition: %v", tup)
 		}
 	}

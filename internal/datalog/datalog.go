@@ -198,5 +198,5 @@ func Answers(prog *logic.Program, db *storage.DB, q *logic.CQ, opt Options) ([][
 	if err != nil {
 		return nil, nil, err
 	}
-	return out.EvalCQ(q), stats, nil
+	return plan.EvalCQ(out, q), stats, nil
 }

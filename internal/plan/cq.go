@@ -11,10 +11,11 @@ import (
 
 // Compiled conjunctive queries.
 //
-// Ad-hoc CQs used to run through the substitution-based compatibility path
-// (DB.MatchEach with a cloned map substitution per match, rendered-string
-// dedup keys, sort-by-rendered-key). A CQPlan runs the same query through
-// the machinery the fixpoint engines already use: variables live in a flat
+// The evaluation of a CQ q(x̄) over an instance I is the set of tuples h(x̄)
+// of CONSTANTS with h a homomorphism from atoms(q) to I (paper §2). Nulls
+// may be used by h internally but never appear in answer tuples. A CQPlan
+// runs the query through the machinery the fixpoint engines use: variables
+// live in a flat
 // slot frame, the body joins through a greedy-ordered ScanPlan chain with
 // per-position argument modes (constants as ArgConst index keys, dead
 // variables projected to ArgSkip, fully bound atoms resolved through the
@@ -217,9 +218,9 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 }
 
 // EvalCQ evaluates q over db through a freshly compiled CQPlan, returning
-// the full answer set sorted into the deterministic order of the
-// substitution-based reference (per-position (Kind, ID) comparison). This
-// is the compiled implementation behind storage.DB.EvalCQ.
+// the full answer set — constant tuples, deduplicated — in
+// storage.SortTuples order (per-position (Kind, ID) comparison). Output
+// positions holding constants act as selections.
 func EvalCQ(db *storage.DB, q *logic.CQ) [][]term.Term {
 	p := CompileCQ(q)
 	var answers [][]term.Term
@@ -229,12 +230,4 @@ func EvalCQ(db *storage.DB, q *logic.CQ) [][]term.Term {
 	})
 	storage.SortTuples(answers)
 	return answers
-}
-
-func init() {
-	// Install the compiled evaluator behind storage.DB.EvalCQ: every
-	// engine, the chase, and the service link this package, so the
-	// substitution-based reference only runs in storage-only builds (and
-	// as the property-test oracle).
-	storage.SetCQEvaluator(EvalCQ)
 }

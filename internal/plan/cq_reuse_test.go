@@ -54,7 +54,7 @@ func TestCQPlanDedupReuse(t *testing.T) {
 		}
 		q := res.Queries[0]
 		plans[i] = CompileCQ(q)
-		want[i] = db.EvalCQRef(q)
+		want[i] = naiveCQ(db, q)
 	}
 	if len(want[0]) != 30000 || len(want[1]) != 3 || len(want[2]) != 25000 {
 		t.Fatalf("fixture answers: %d, %d, %d", len(want[0]), len(want[1]), len(want[2]))

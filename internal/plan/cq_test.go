@@ -41,6 +41,50 @@ func sameAnswers(a, b [][]term.Term) bool {
 	return true
 }
 
+// naiveCQ is the reference the compiled CQ paths are checked against: a
+// nested loop over each body atom's Facts in written order — no postings,
+// no join order — binding through atom.MatchAtom, with answers kept only
+// when every output term is a constant, deduplicated and sorted as
+// EvalCQ promises.
+func naiveCQ(db *storage.DB, q *logic.CQ) [][]term.Term {
+	facts := make([][]atom.Atom, len(q.Atoms))
+	for i, a := range q.Atoms {
+		facts[i] = db.Facts(a.Pred)
+	}
+	seen := storage.NewTupleSet(len(q.Output))
+	var out [][]term.Term
+	var rec func(i int, s atom.Subst)
+	rec = func(i int, s atom.Subst) {
+		if i == len(q.Atoms) {
+			tup := make([]term.Term, len(q.Output))
+			for j, t := range q.Output {
+				if tup[j] = s.Apply(t); !tup[j].IsConst() {
+					return
+				}
+			}
+			if seen.Add(tup) {
+				out = append(out, tup)
+			}
+			return
+		}
+		pa := q.Atoms[i]
+	facts:
+		for _, f := range facts[i] {
+			for j, t := range pa.Args {
+				if v := s.Apply(t); !v.IsVar() && v != f.Args[j] {
+					continue facts // clone only for facts the bound terms admit
+				}
+			}
+			if s2 := s.Clone(); atom.MatchAtom(s2, pa, f) {
+				rec(i+1, s2)
+			}
+		}
+	}
+	rec(0, atom.NewSubst())
+	storage.SortTuples(out)
+	return out
+}
+
 // collect runs the plan, copying every yielded tuple.
 func collect(p *CQPlan, db *storage.DB) [][]term.Term {
 	var out [][]term.Term
@@ -51,8 +95,8 @@ func collect(p *CQPlan, db *storage.DB) [][]term.Term {
 	return out
 }
 
-// TestCQPlanMatchesReference: the compiled plan agrees with the
-// substitution-based reference on a representative mix of shapes.
+// TestCQPlanMatchesReference: the compiled plan agrees with the naive
+// reference on a representative mix of shapes.
 func TestCQPlanMatchesReference(t *testing.T) {
 	cases := []string{
 		`e(a,b). e(b,c). e(c,d). ?(X,Y) :- e(X,Y).`,
@@ -69,7 +113,7 @@ func TestCQPlanMatchesReference(t *testing.T) {
 	for _, src := range cases {
 		db, r := parseCQ(t, src)
 		q := r.Queries[0]
-		want := db.EvalCQRef(q)
+		want := naiveCQ(db, q)
 		got := EvalCQ(db, q)
 		if !sameAnswers(got, want) {
 			t.Errorf("%s:\ncompiled  %v\nreference %v", src, got, want)
@@ -141,7 +185,7 @@ func TestCQPlanNullsNeverAnswer(t *testing.T) {
 	db.Insert(atom.Atom{Pred: pred, Args: []term.Term{term.MkNull(7), c}})
 	q := r.Queries[0]
 	got := EvalCQ(db, q)
-	if want := db.EvalCQRef(q); !sameAnswers(got, want) {
+	if want := naiveCQ(db, q); !sameAnswers(got, want) {
 		t.Fatalf("nulls: compiled %v, reference %v", got, want)
 	}
 	if len(got) != 1 {
@@ -155,7 +199,7 @@ func TestCQPlanNullsNeverAnswer(t *testing.T) {
 	}
 	q2 := r2.Queries[0]
 	got2 := EvalCQ(db, q2)
-	if want2 := db.EvalCQRef(q2); !sameAnswers(got2, want2) {
+	if want2 := naiveCQ(db, q2); !sameAnswers(got2, want2) {
 		t.Fatalf("null witness: compiled %v, reference %v", got2, want2)
 	}
 	if len(got2) != 1 {

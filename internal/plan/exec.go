@@ -282,15 +282,12 @@ func (e *Exec) BodyImage() []atom.Atom {
 	return out
 }
 
-// FrontierSubst materializes the frontier bindings h|front(σ) as a map
-// substitution — the compatibility bridge into the substitution-based
-// Homomorphism API used by the restricted-chase head check.
-func (e *Exec) FrontierSubst() atom.Subst {
-	s := atom.NewSubst()
-	for _, fv := range e.Rule.Frontier {
-		s[fv.Var] = e.frame[fv.Slot]
-	}
-	return s
+// HeadSatisfied reports whether the rule's head already holds in db under
+// the frontier bindings of the current frame — the restricted chase's
+// test, run through the precompiled HeadCheck join before the existential
+// slots are filled.
+func (e *Exec) HeadSatisfied(db *storage.DB) bool {
+	return !e.Rule.HeadCheck.each(db, e.frame, func() bool { return false })
 }
 
 // SetExistentials fills the existential slots from vals (aligned with

@@ -105,8 +105,7 @@ type RulePlan struct {
 	// chase with fresh nulls just before head instantiation.
 	ExistSlots []int
 	// Frontier lists the frontier variables (body vars occurring in the
-	// head) with their slots — the base bindings for restricted-chase head
-	// checks.
+	// head) with their slots — the slots HeadCheck compares against.
 	Frontier []SlotVar
 
 	// Body, Neg, Head instantiate the trigger image, the negated body
@@ -129,6 +128,14 @@ type RulePlan struct {
 	// the join projected away. Compiled only for full single-head rules
 	// (one head atom, no existential variables); nil otherwise.
 	Rederive *JoinPlan
+
+	// HeadCheck is the restricted chase's test that a trigger's head
+	// already holds (Exec.HeadSatisfied): the head atoms ordered greedily
+	// under the frontier slots, every frontier slot compiled as a
+	// comparison and every existential variable unread past the join
+	// projected away. A full single-head rule compiles to one ground
+	// existence check.
+	HeadCheck *JoinPlan
 }
 
 // SlotVar pairs a rule variable with its frame slot.
@@ -254,6 +261,11 @@ func compileRule(idx int, t *logic.TGD, opt Options) *RulePlan {
 	if opt.NeedBodyImage {
 		markTemplateSlots(live, r.Body)
 	}
+	frontier := make([]bool, r.NumSlots)
+	for _, f := range r.Frontier {
+		frontier[f.Slot] = true
+	}
+	r.HeadCheck = compileJoin(t.Head, greedyOrderBound(t.Head, slotOf, frontier), -1, slotOf, make([]bool, r.NumSlots), frontier)
 	r.Variants = make([]*Variant, len(t.Body))
 	for di := range t.Body {
 		r.Variants[di] = compileVariant(t.Body, di, slotOf, live, opt)

@@ -31,6 +31,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/logic"
+	"repro/internal/plan"
 	"repro/internal/resolution"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -204,6 +205,11 @@ type searcher struct {
 	// level sequence of the linear proof tree). Only the outermost search
 	// records; nested atom-provability probes suspend it.
 	trace *traceRec
+	// patterns are the compiled joins every read of D and of the oracle
+	// runs through — discharges, dead-atom and acceptance checks — keyed
+	// by state shape, so one plan serves every state of the same shape
+	// for the length of this Decide call.
+	patterns plan.Patterns
 }
 
 // atomProvable decides (with caching) whether the single-atom state {a}
@@ -253,7 +259,8 @@ func (s *searcher) atomProvable(a atom.Atom) bool {
 func (s *searcher) simplify(st resolution.State) (resolution.State, bool) {
 	var kept []atom.Atom
 	changed := false
-	for _, a := range st.Atoms {
+	for i, a := range st.Atoms {
+		one := st.Atoms[i : i+1]
 		if a.IsGround() {
 			if s.db.Contains(a) {
 				changed = true
@@ -265,10 +272,13 @@ func (s *searcher) simplify(st resolution.State) (resolution.State, bool) {
 			kept = append(kept, a)
 			continue
 		}
-		if s.edb[a.Pred] && !s.hasMatch(a) {
+		if s.edb[a.Pred] && !s.patterns.Exists(s.db, one) {
 			return st, true
 		}
-		if s.opt.Oracle != nil && !oracleMatch(s.opt.Oracle, a) {
+		// Variables bind anything in the oracle; constants are rigid, so a
+		// null never counts as a specific constant — facts over nulls
+		// witness only existentials.
+		if s.opt.Oracle != nil && !s.patterns.Exists(s.opt.Oracle, one) {
 			return st, true
 		}
 		if !s.opt.DisableAtomPrune && !s.edb[a.Pred] && !s.atomProvable(a) {
@@ -280,36 +290,13 @@ func (s *searcher) simplify(st resolution.State) (resolution.State, bool) {
 	// homomorphically into chase(D, Σ) (its atoms are jointly witnessed
 	// there — the Θ-image of §4.2); states that do not embed are dead.
 	// This is the strong version of the per-atom check above.
-	if s.opt.Oracle != nil && len(kept) > 1 {
-		if _, ok := s.opt.Oracle.Homomorphism(kept, nil); !ok {
-			return st, true
-		}
+	if s.opt.Oracle != nil && len(kept) > 1 && !s.patterns.Exists(s.opt.Oracle, kept) {
+		return st, true
 	}
 	if !changed {
 		return st, false
 	}
 	return resolution.State{Atoms: kept}, false
-}
-
-func (s *searcher) hasMatch(a atom.Atom) bool {
-	found := false
-	s.db.MatchEach(a, nil, func(atom.Subst) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
-// oracleMatch reports whether some oracle fact is an instance of the atom
-// (variables bind anything; constants are rigid, so a null never counts as
-// a specific constant — facts over nulls witness only existentials).
-func oracleMatch(oracle *storage.DB, a atom.Atom) bool {
-	found := false
-	oracle.MatchEach(a, nil, func(atom.Subst) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 func (s *searcher) renamedTGDs() []*logic.TGD {
@@ -426,10 +413,14 @@ func (s *searcher) dischargeAtom(st resolution.State, i int, fn func(resolution.
 	rest = append(rest, st.Atoms[:i]...)
 	rest = append(rest, st.Atoms[i+1:]...)
 	var op string
-	s.db.MatchEach(pa, nil, func(h atom.Subst) bool {
+	s.patterns.Each(s.db, st.Atoms[i:i+1], func(vars, vals []term.Term) bool {
 		s.stats.Discharges++
 		if op == "" {
 			op = "discharge " + pa.String(s.prog.Store, s.prog.Reg)
+		}
+		h := make(atom.Subst, len(vars))
+		for n, v := range vars {
+			h[v] = vals[n]
 		}
 		return fn(resolution.NewState(h.ApplyAtoms(rest)), op)
 	})
@@ -448,12 +439,7 @@ func (s *searcher) opLabel(kind string, tgdIdx int) string {
 // embeds into D simultaneously (the final run of specialization +
 // decomposition steps of the §4.3 algorithm).
 func (s *searcher) accepts(st resolution.State) bool {
-	if st.Empty() {
-		return true
-	}
-	// Nulls never occur in states; Homomorphism binds the variables.
-	_, ok := s.db.Homomorphism(st.Atoms, nil)
-	return ok
+	return st.Empty() || s.patterns.Exists(s.db, st.Atoms)
 }
 
 // stateItem is a prioritized search state.

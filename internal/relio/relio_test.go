@@ -10,6 +10,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -136,7 +137,7 @@ t(X,Z) :- edge(X,Y), t(Y,Z).
 	if err != nil {
 		t.Fatalf("chase: %v", err)
 	}
-	ans := cres.DB.EvalCQ(res.Queries[0])
+	ans := plan.EvalCQ(cres.DB, res.Queries[0])
 	if len(ans) != 2 {
 		t.Fatalf("answers = %d, want 2 (b and c)", len(ans))
 	}

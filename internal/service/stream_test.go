@@ -12,6 +12,7 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/logic"
 	"repro/internal/parser"
+	"repro/internal/plan"
 )
 
 // recordSink records the stream verbatim plus the call protocol.
@@ -178,7 +179,7 @@ func TestQueryStreamCancellation(t *testing.T) {
 
 // viewCloneOracle evaluates view rules + query the way the service did
 // before overlays: datalog.Eval over a private clone of the snapshot,
-// then the reference CQ evaluator.
+// then plan.EvalCQ.
 func viewCloneOracle(t *testing.T, svc *Service, src string) [][]string {
 	t.Helper()
 	e, err := svc.acquire()
@@ -201,7 +202,7 @@ func viewCloneOracle(t *testing.T, svc *Service, src string) [][]string {
 		sdb = out
 	}
 	var rows [][]string
-	for _, tup := range sdb.EvalCQRef(res.Queries[0]) {
+	for _, tup := range plan.EvalCQ(sdb, res.Queries[0]) {
 		rows = append(rows, prog.Store.Names(tup))
 	}
 	return rows

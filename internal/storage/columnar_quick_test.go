@@ -139,7 +139,7 @@ func TestColumnarObservationalEquivalence(t *testing.T) {
 
 // TestColumnarMarkWindows: facts at or after a mark are exactly the
 // insertion-order suffix, for marks taken at random points of the insert
-// sequence, via both MatchEachSince and Probe.
+// sequence, via Probe.
 func TestColumnarMarkWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	prog := logic.NewProgram()
@@ -158,17 +158,11 @@ func TestColumnarMarkWindows(t *testing.T) {
 	}
 	marks = append(marks, db.Mark())
 	counts = append(counts, db.Len())
-	pat := atom.New(p, prog.Store.Var("X"), prog.Store.Var("Y"))
 	sp := CompileScan(p, []ScanArg{{Mode: ArgBind, Slot: 0}, {Mode: ArgBind, Slot: 1}})
 	frame := NewFrame(2)
 	for mi, m := range marks {
 		want := db.Len() - counts[mi]
 		got := 0
-		db.MatchEachSince(pat, nil, m, func(atom.Subst) bool { got++; return true })
-		if got != want {
-			t.Fatalf("mark %d: MatchEachSince = %d, want %d", mi, got, want)
-		}
-		got = 0
 		db.Probe(sp, frame, m, 0, 1, func() bool { got++; return true })
 		if got != want {
 			t.Fatalf("mark %d: Probe window = %d, want %d", mi, got, want)
@@ -192,14 +186,14 @@ func TestColumnarCandidatesSelectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	prog, db, ref := randomInstance(t, rng, 300)
 	p, _ := prog.Reg.Lookup("p")
-	x := prog.Store.Var("X")
+	r := db.relOf(p)
+	if r == nil {
+		t.Fatalf("no relation for p")
+	}
+	frame := NewFrame(1)
 	for i := 0; i < 12; i++ {
 		c := prog.Store.Const(fmt.Sprintf("c%d", i))
-		pat := atom.New(p, c, x)
-		r, rows, full := db.candidates(pat, nil)
-		if r == nil {
-			t.Fatalf("no relation for p")
-		}
+		rows := r.posting(0, c)
 		want := 0
 		for _, a := range ref.rows {
 			if a.Pred == p && a.Args[0] == c {
@@ -207,12 +201,10 @@ func TestColumnarCandidatesSelectivity(t *testing.T) {
 			}
 		}
 		got := 0
-		db.MatchEach(pat, nil, func(atom.Subst) bool { got++; return true })
+		sp := CompileScan(p, []ScanArg{{Mode: ArgConst, Const: c}, {Mode: ArgBind, Slot: 0}})
+		db.Probe(sp, frame, 0, 0, 1, func() bool { got++; return true })
 		if got != want {
-			t.Fatalf("c%d: MatchEach = %d, want %d", i, got, want)
-		}
-		if full {
-			continue // whole-relation scan is trivially a superset
+			t.Fatalf("c%d: Probe = %d, want %d", i, got, want)
 		}
 		if rows.size() > r.rows() {
 			t.Fatalf("c%d: candidate set larger than relation", i)

@@ -1,18 +1,15 @@
 // Package storage implements the finite-instance layer: a deduplicating
 // fact store with per-predicate columnar relations and per-position hash
-// indexes, pattern matching, and conjunctive-query evaluation over
-// instances that may contain labeled nulls (as produced by the chase).
-//
-// The evaluation of a CQ q(x̄) over an instance I is the set of tuples h(x̄)
-// of CONSTANTS with h a homomorphism from atoms(q) to I (paper §2). Nulls
-// may be used by h internally but never appear in answer tuples.
+// indexes over instances that may contain labeled nulls (as produced by
+// the chase). It is read one way: a compiled ScanPlan probed into a slot
+// frame (Probe). Package plan compiles every rule, query and pattern into
+// chains of such scans.
 package storage
 
 import (
 	"sort"
 
 	"repro/internal/atom"
-	"repro/internal/logic"
 	"repro/internal/schema"
 	"repro/internal/term"
 )
@@ -268,193 +265,6 @@ func (db *DB) Constants() []term.Term {
 	for _, t := range db.ActiveDomain() {
 		if t.IsConst() {
 			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// candidates returns the pattern's relation and the most selective
-// candidate posting under the substitution s. full reports that no index
-// narrowed the scan (rows is empty then, and the caller scans every local
-// row); otherwise rows is an ascending set of local candidate rows.
-func (db *DB) candidates(pa atom.Atom, s atom.Subst) (r *relation, rows candSet, full bool) {
-	r = db.relOf(pa.Pred)
-	if r == nil {
-		return nil, candSet{}, false
-	}
-	best := r.rows()
-	full = true
-	for i, t := range pa.Args {
-		rt := s.Apply(t)
-		if rt.IsVar() {
-			continue
-		}
-		if cand := r.posting(i, rt); cand.size() < best {
-			best, rows, full = cand.size(), cand, false
-		}
-	}
-	return r, rows, full
-}
-
-// MatchEach calls fn with an extended substitution for every stored atom
-// matching the pattern under base. Iteration stops early if fn returns
-// false. The substitution passed to fn is freshly cloned per match.
-func (db *DB) MatchEach(pa atom.Atom, base atom.Subst, fn func(atom.Subst) bool) {
-	db.matchRows(pa, base, 0, fn)
-}
-
-// Homomorphism searches for a homomorphism from the pattern atom set into
-// the instance extending base; nulls in the pattern are rigid.
-func (db *DB) Homomorphism(pattern []atom.Atom, base atom.Subst) (atom.Subst, bool) {
-	if base == nil {
-		base = atom.NewSubst()
-	}
-	var rec func(i int, s atom.Subst) (atom.Subst, bool)
-	order := orderForJoin(pattern)
-	rec = func(i int, s atom.Subst) (atom.Subst, bool) {
-		if i == len(order) {
-			return s, true
-		}
-		var out atom.Subst
-		found := false
-		db.MatchEach(order[i], s, func(s2 atom.Subst) bool {
-			if r, ok := rec(i+1, s2); ok {
-				out = r
-				found = true
-				return false
-			}
-			return true
-		})
-		return out, found
-	}
-	return rec(0, base)
-}
-
-// cqEval, when non-nil, is the compiled conjunctive-query evaluator
-// installed by internal/plan at init time (SetCQEvaluator). The indirection
-// exists because the compiled machinery lives above storage in the import
-// graph: plan compiles CQs into ScanPlan chains and drives Probe, and
-// every engine package already links plan, so in practice EvalCQ always
-// runs compiled. Binaries that link storage alone fall back to the
-// substitution-based reference implementation (EvalCQRef).
-var cqEval func(*DB, *logic.CQ) [][]term.Term
-
-// SetCQEvaluator installs the compiled CQ evaluator. Called once from
-// internal/plan's init; the contract is that f returns exactly what
-// EvalCQRef returns (answers, dedup, deterministic order) — the plan
-// package's property suite enforces the equivalence.
-func SetCQEvaluator(f func(*DB, *logic.CQ) [][]term.Term) { cqEval = f }
-
-// EvalCQ evaluates a conjunctive query over the instance, returning the set
-// of answer tuples (tuples of constants only), deduplicated, in a
-// deterministic order. Output positions already holding constants act as
-// selections.
-//
-// EvalCQ is a thin compatibility wrapper: when internal/plan is linked
-// (every engine and service build), evaluation runs through a compiled
-// plan.CQPlan — slot frames and indexed ScanPlan probes instead of
-// per-match substitution clones.
-func (db *DB) EvalCQ(q *logic.CQ) [][]term.Term {
-	if cqEval != nil {
-		return cqEval(db, q)
-	}
-	return db.EvalCQRef(q)
-}
-
-// EvalCQRef is the substitution-based reference evaluation of a CQ — the
-// oracle the compiled path is property-tested against, and the fallback
-// when the plan package is not linked. Same contract as EvalCQ.
-func (db *DB) EvalCQRef(q *logic.CQ) [][]term.Term {
-	var answers [][]term.Term
-	seen := NewTupleSet(len(q.Output))
-	order := orderForJoin(q.Atoms)
-	var rec func(i int, s atom.Subst)
-	rec = func(i int, s atom.Subst) {
-		if i == len(order) {
-			tup := make([]term.Term, len(q.Output))
-			for j, t := range q.Output {
-				v := s.Apply(t)
-				if !v.IsConst() {
-					return // answers must be constant tuples
-				}
-				tup[j] = v
-			}
-			if seen.Add(tup) {
-				answers = append(answers, tup)
-			}
-			return
-		}
-		db.MatchEach(order[i], s, func(s2 atom.Subst) bool {
-			rec(i+1, s2)
-			return true
-		})
-	}
-	rec(0, atom.NewSubst())
-	SortTuples(answers)
-	return answers
-}
-
-// HasAnswer reports whether the given constant tuple is an answer of q
-// over the instance — the decision problem of §2 for a finite instance.
-func (db *DB) HasAnswer(q *logic.CQ, c []term.Term) bool {
-	if len(c) != len(q.Output) {
-		return false
-	}
-	base := atom.NewSubst()
-	for i, t := range q.Output {
-		if !base.Bind(t, c[i]) {
-			return false
-		}
-	}
-	_, ok := db.Homomorphism(q.Atoms, base)
-	return ok
-}
-
-// orderForJoin orders pattern atoms greedily: start with the atom with the
-// fewest variables, then repeatedly take an atom sharing variables with the
-// already-ordered prefix (most shared first). This is the standard
-// connected join order and keeps backtracking local.
-func orderForJoin(pattern []atom.Atom) []atom.Atom {
-	if len(pattern) <= 1 {
-		return pattern
-	}
-	n := len(pattern)
-	used := make([]bool, n)
-	bound := make(map[term.Term]bool)
-	out := make([]atom.Atom, 0, n)
-	countNew := func(a atom.Atom) (newVars, boundVars int) {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				if bound[t] {
-					boundVars++
-				} else {
-					newVars++
-				}
-			}
-		}
-		return
-	}
-	for len(out) < n {
-		best, bestScore := -1, 1<<30
-		for i, a := range pattern {
-			if used[i] {
-				continue
-			}
-			nv, bv := countNew(a)
-			score := nv*4 - bv // prefer few new vars, many bound vars
-			if len(out) > 0 && bv == 0 {
-				score += 100 // heavily penalize cartesian products
-			}
-			if score < bestScore {
-				bestScore, best = score, i
-			}
-		}
-		used[best] = true
-		out = append(out, pattern[best])
-		for _, t := range pattern[best].Args {
-			if t.IsVar() {
-				bound[t] = true
-			}
 		}
 	}
 	return out

@@ -310,15 +310,3 @@ func (r *relation) posting(i int, t term.Term) candSet {
 	s := keyShard(k)
 	return candSet{base: p.base.lookup(s, k), tail: p.tail.lookup(s, k)}
 }
-
-// eachFrom calls fn for every candidate row at or after lo in ascending
-// order, stopping early if fn returns false.
-func (c *candSet) eachFrom(lo int32, fn func(int32) bool) {
-	for _, rows := range [2][]int32{c.base.list(), c.tail.list()} {
-		for k := postingLowerBound(rows, lo); k < len(rows); k++ {
-			if !fn(rows[k]) {
-				return
-			}
-		}
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/atom"
 	"repro/internal/logic"
 	"repro/internal/parser"
-	"repro/internal/term"
 )
 
 // TestInsertContainsConsistency: whatever is inserted is contained; Len
@@ -48,82 +47,9 @@ func TestInsertContainsConsistency(t *testing.T) {
 	}
 }
 
-// TestEvalCQMonotone: adding facts never removes CQ answers.
-func TestEvalCQMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	r, err := parser.Parse(`?(X,Z) :- e(X,Y), e(Y,Z).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := r.Program.Reg.Lookup("e")
-	db := NewDB()
-	var prev [][]term.Term
-	for step := 0; step < 60; step++ {
-		db.Insert(atom.New(e,
-			r.Program.Store.Const(fmt.Sprintf("v%d", rng.Intn(8))),
-			r.Program.Store.Const(fmt.Sprintf("v%d", rng.Intn(8)))))
-		cur := db.EvalCQ(r.Queries[0])
-		if len(cur) < len(prev) {
-			t.Fatalf("step %d: answers shrank %d -> %d", step, len(prev), len(cur))
-		}
-		seen := map[string]bool{}
-		for _, tup := range cur {
-			seen[fmt.Sprint(tup)] = true
-		}
-		for _, tup := range prev {
-			if !seen[fmt.Sprint(tup)] {
-				t.Fatalf("step %d: lost answer %v", step, tup)
-			}
-		}
-		prev = cur
-	}
-}
-
-// TestEvalCQAgainstBruteForce: the indexed join agrees with a naive
-// enumeration of all substitutions on random instances.
-func TestEvalCQAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	r, err := parser.Parse(`?(X) :- e(X,Y), f(Y,X).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := r.Program.Reg.Lookup("e")
-	f, _ := r.Program.Reg.Lookup("f")
-	for trial := 0; trial < 20; trial++ {
-		db := NewDB()
-		n := 2 + rng.Intn(5)
-		cs := make([]term.Term, n)
-		for i := range cs {
-			cs[i] = r.Program.Store.Const(fmt.Sprintf("t%d_%d", trial, i))
-		}
-		for i := 0; i < n*2; i++ {
-			db.Insert(atom.New(e, cs[rng.Intn(n)], cs[rng.Intn(n)]))
-			db.Insert(atom.New(f, cs[rng.Intn(n)], cs[rng.Intn(n)]))
-		}
-		got := db.EvalCQ(r.Queries[0])
-		// Brute force: for every pair (a,b): e(a,b) ∧ f(b,a) → answer a.
-		want := map[term.Term]bool{}
-		for _, a := range cs {
-			for _, b := range cs {
-				if db.Contains(atom.New(e, a, b)) && db.Contains(atom.New(f, b, a)) {
-					want[a] = true
-				}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d answers, want %d", trial, len(got), len(want))
-		}
-		for _, tup := range got {
-			if !want[tup[0]] {
-				t.Fatalf("trial %d: spurious answer %v", trial, tup)
-			}
-		}
-	}
-}
-
-// TestMatchEachSinceDelta: the delta restriction sees exactly the facts
+// TestProbeSinceDelta: the delta restriction sees exactly the facts
 // inserted after the mark.
-func TestMatchEachSinceDelta(t *testing.T) {
+func TestProbeSinceDelta(t *testing.T) {
 	r, err := parser.Parse(`?(X,Y) :- e(X,Y).`)
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +60,10 @@ func TestMatchEachSinceDelta(t *testing.T) {
 	db.Insert(atom.New(e, st.Const("a"), st.Const("b")))
 	mark := db.Mark()
 	db.Insert(atom.New(e, st.Const("b"), st.Const("c")))
-	pattern := r.Queries[0].Atoms[0]
+	sp := CompileScan(e, []ScanArg{{Mode: ArgBind, Slot: 0}, {Mode: ArgBind, Slot: 1}})
+	frame := NewFrame(2)
 	var count int
-	db.MatchEachSince(pattern, nil, mark, func(atom.Subst) bool {
+	db.Probe(sp, frame, mark, 0, 1, func() bool {
 		count++
 		return true
 	})
@@ -144,7 +71,7 @@ func TestMatchEachSinceDelta(t *testing.T) {
 		t.Fatalf("delta matched %d facts, want 1", count)
 	}
 	count = 0
-	db.MatchEachSince(pattern, nil, 0, func(atom.Subst) bool {
+	db.Probe(sp, frame, 0, 0, 1, func() bool {
 		count++
 		return true
 	})

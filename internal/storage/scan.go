@@ -167,8 +167,8 @@ func (sp *ScanPlan) matchRow(row, frame []term.Term) bool {
 // unchanged afterwards. fn returning false stops the enumeration; Probe
 // reports whether it ran to completion.
 //
-// Probe is the slot-based core the compiled rule plans drive; MatchEach and
-// friends remain as the substitution-based compatibility layer.
+// Probe is the one way rows are read by pattern: every compiled rule,
+// query and proof-search pattern of package plan runs on it.
 func (db *DB) Probe(sp *ScanPlan, frame []term.Term, since Mark, shard, shards int, fn func() bool) bool {
 	return db.ProbeWithRow(sp, frame, since, shard, shards, func(int32) bool { return fn() })
 }

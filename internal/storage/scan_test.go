@@ -137,20 +137,3 @@ func TestProbeSinceAndShards(t *testing.T) {
 		t.Fatalf("sharded since matches = %d, want 3", total)
 	}
 }
-
-// TestMatchEachAgreesWithProbe: the substitution compatibility wrappers
-// and the slot pipeline enumerate the same rows.
-func TestMatchEachAgreesWithProbe(t *testing.T) {
-	db, st, e := scanDB(t)
-	x, y := st.Var("X"), st.Var("Y")
-	pat := atom.New(e, x, y)
-	viaSubst := 0
-	db.MatchEach(pat, atom.NewSubst(), func(s atom.Subst) bool { viaSubst++; return true })
-	sp := CompileScan(e, []ScanArg{{Mode: ArgBind, Slot: 0}, {Mode: ArgBind, Slot: 1}})
-	frame := NewFrame(2)
-	viaProbe := 0
-	db.Probe(sp, frame, 0, 0, 1, func() bool { viaProbe++; return true })
-	if viaSubst != viaProbe {
-		t.Fatalf("MatchEach = %d rows, Probe = %d rows", viaSubst, viaProbe)
-	}
-}

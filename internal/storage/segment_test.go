@@ -11,7 +11,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/atom"
 	"repro/internal/schema"
 	"repro/internal/term"
 )
@@ -161,20 +160,18 @@ func TestSegmentRoundTrip(t *testing.T) {
 		t.Fatal("decoded dedup table accepted a duplicate")
 	}
 	// Postings: live facts must be findable through each position's
-	// index (MatchEach with one bound arg exercises posting resolution).
+	// index (a probe with one constant arg exercises posting resolution).
 	probe := live
 	if len(probe) > 25 {
 		probe = probe[:25]
 	}
+	frame := NewFrame(1)
 	for _, a := range probe {
 		found := false
-		pat := atom.Atom{Pred: e, Args: []term.Term{a.Args[0], term.MkVar(9999)}}
-		got.MatchEach(pat, atom.NewSubst(), func(s atom.Subst) bool {
-			if s.Apply(pat.Args[1]) == a.Args[1] {
-				found = true
-				return false
-			}
-			return true
+		sp := CompileScan(e, []ScanArg{{Mode: ArgConst, Const: a.Args[0]}, {Mode: ArgBind, Slot: 0}})
+		got.Probe(sp, frame, 0, 0, 1, func() bool {
+			found = frame[0] == a.Args[1]
+			return !found
 		})
 		if !found {
 			t.Fatalf("posting lost fact %v", a)

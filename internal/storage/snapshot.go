@@ -45,7 +45,8 @@ import (
 
 // Snapshot is a read-only view of a DB at one instant. The view is
 // reachable through DB(): a frozen *storage.DB on which every read path —
-// Probe, MatchEach, EvalCQ, Facts, All, Contains — works unchanged, and
+// Probe (and so every compiled plan), Facts, All, Contains — works
+// unchanged, and
 // every mutating path panics. Snapshots are safe for concurrent readers;
 // Release must be called exactly once when no reader uses the view
 // anymore (the service refcounts its epochs for this).

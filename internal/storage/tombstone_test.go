@@ -91,15 +91,15 @@ func checkLiveEquivalence(t *testing.T, prog *logic.Program, db *DB, ref *refLiv
 				t.Fatalf("%s: Facts(%s)[%d] out of live insertion order", label, name, i)
 			}
 		}
-		// Full-pattern matching must enumerate exactly the live rows.
-		vars := make([]term.Term, arities[name])
-		for j := range vars {
-			vars[j] = prog.Store.Var(fmt.Sprintf("V%d", j))
+		// A full scan must enumerate exactly the live rows.
+		args := make([]ScanArg, arities[name])
+		for j := range args {
+			args[j] = ScanArg{Mode: ArgBind, Slot: j}
 		}
 		count := 0
-		db.MatchEach(atom.New(id, vars...), nil, func(atom.Subst) bool { count++; return true })
+		db.Probe(CompileScan(id, args), NewFrame(len(args)), 0, 0, 1, func() bool { count++; return true })
 		if count != len(want) {
-			t.Fatalf("%s: MatchEach(%s) = %d matches, want %d", label, name, count, len(want))
+			t.Fatalf("%s: Probe(%s) = %d matches, want %d", label, name, count, len(want))
 		}
 	}
 	dom := db.ActiveDomain()

@@ -24,6 +24,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/logic"
+	"repro/internal/plan"
 	"repro/internal/resolution"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -162,7 +163,7 @@ func (r *Result) Eval(db *storage.DB) [][]term.Term {
 	seen := make(map[string]bool)
 	var out [][]term.Term
 	for _, q := range r.CQs {
-		for _, tup := range db.EvalCQ(q) {
+		for _, tup := range plan.EvalCQ(db, q) {
 			k := tupKey(tup)
 			if !seen[k] {
 				seen[k] = true
