@@ -19,7 +19,6 @@ package ucq
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/atom"
@@ -158,29 +157,23 @@ func Rewrite(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 }
 
 // Eval evaluates the UCQ over a database: the deduplicated union of the
-// member CQs' answers, in deterministic order.
+// member CQs' answers, in storage.SortTuples order — the order
+// plan.EvalCQ, and so chase.CertainAnswers, returns.
 func (r *Result) Eval(db *storage.DB) [][]term.Term {
-	seen := make(map[string]bool)
+	if len(r.CQs) == 0 {
+		return nil
+	}
+	seen := storage.NewTupleSet(len(r.CQs[0].Output))
 	var out [][]term.Term
 	for _, q := range r.CQs {
 		for _, tup := range plan.EvalCQ(db, q) {
-			k := tupKey(tup)
-			if !seen[k] {
-				seen[k] = true
+			if seen.Add(tup) {
 				out = append(out, tup)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return tupKey(out[i]) < tupKey(out[j]) })
+	storage.SortTuples(out)
 	return out
-}
-
-func tupKey(ts []term.Term) string {
-	b := make([]byte, 0, 12*len(ts))
-	for _, t := range ts {
-		b = append(b, fmt.Sprintf("%d:%d;", t.Kind(), t.ID())...)
-	}
-	return string(b)
 }
 
 // Answers rewrites and evaluates in one call. The boolean result of a

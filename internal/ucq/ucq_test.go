@@ -3,6 +3,7 @@ package ucq
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -241,4 +242,35 @@ func TestRandomNonRecursiveAgreesWithChase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAnswerOrderMatchesChase: answers come in the chase's order —
+// storage.SortTuples on term identity, c0 c1 … c11 — not the decimal
+// order of rendered keys, which put c10 and c11 before c1.
+func TestAnswerOrderMatchesChase(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&src, "e(c%d,c%d). ", i, i+1)
+	}
+	src.WriteString("p(X) :- e(X,Y).\n?(X) :- p(X).\n")
+	r, db := load(t, src.String())
+	got, _, err := Answers(r.Program, db, r.Queries[0], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := chase.CertainAnswers(r.Program, db, r.Queries[0], chase.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 12 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ucq answers %v, chase answers %v", r.Program.Store.Names(flatten(got)), r.Program.Store.Names(flatten(want)))
+	}
+}
+
+func flatten(tuples [][]term.Term) []term.Term {
+	var out []term.Term
+	for _, tup := range tuples {
+		out = append(out, tup...)
+	}
+	return out
 }
