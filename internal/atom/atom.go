@@ -129,17 +129,6 @@ func VarSet(atoms []Atom) map[term.Term]bool {
 	return vs
 }
 
-// TermSet returns the set of all terms occurring in the atom set.
-func TermSet(atoms []Atom) map[term.Term]bool {
-	ts := make(map[term.Term]bool)
-	for _, a := range atoms {
-		for _, t := range a.Args {
-			ts[t] = true
-		}
-	}
-	return ts
-}
-
 // SortKey gives a deterministic ordering key for atoms with identical
 // naming context; used to canonicalize atom sets in reports and tests.
 func SortKey(a Atom) string {

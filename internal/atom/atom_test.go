@@ -105,10 +105,6 @@ func TestVarsAndSets(t *testing.T) {
 	if len(set) != 3 {
 		t.Fatalf("VarSet size = %d, want 3", len(set))
 	}
-	ts := TermSet([]Atom{a})
-	if len(ts) != 3 {
-		t.Fatalf("TermSet size = %d, want 3", len(ts))
-	}
 }
 
 func TestSortAtomsDeterministic(t *testing.T) {
@@ -171,21 +167,6 @@ func TestSubstBind(t *testing.T) {
 	}
 }
 
-func TestSubstCompose(t *testing.T) {
-	c := newCtx()
-	x, y := c.st.Var("X"), c.st.Var("Y")
-	a := c.st.Const("a")
-	s := Subst{x: y}
-	g := Subst{y: a}
-	comp := Compose(g, s)
-	if comp.Apply(x) != a {
-		t.Fatalf("Compose: (g∘s)(x) = %v, want a", comp.Apply(x))
-	}
-	if comp.Apply(y) != a {
-		t.Fatalf("Compose: (g∘s)(y) = %v, want a", comp.Apply(y))
-	}
-}
-
 func TestSubstRestrict(t *testing.T) {
 	c := newCtx()
 	x, y := c.st.Var("X"), c.st.Var("Y")
@@ -197,18 +178,5 @@ func TestSubstRestrict(t *testing.T) {
 	}
 	if _, ok := r[y]; ok {
 		t.Fatalf("Restrict kept y")
-	}
-}
-
-func TestIsIdentityOn(t *testing.T) {
-	c := newCtx()
-	x, y := c.st.Var("X"), c.st.Var("Y")
-	a := c.st.Const("a")
-	s := Subst{x: a}
-	if s.IsIdentityOn(map[term.Term]bool{x: true}) {
-		t.Fatalf("X is mapped, not identity")
-	}
-	if !s.IsIdentityOn(map[term.Term]bool{y: true}) {
-		t.Fatalf("Y is untouched, should be identity")
 	}
 }

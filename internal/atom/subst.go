@@ -95,29 +95,3 @@ func (s Subst) Restrict(keep map[term.Term]bool) Subst {
 	}
 	return out
 }
-
-// Compose returns the substitution t ↦ g(s.Apply(t)) for all t in dom(s) ∪
-// dom(g) — i.e. g ∘ s in the paper's notation γ' ∘ γ.
-func Compose(g, s Subst) Subst {
-	out := make(Subst, len(s)+len(g))
-	for k := range s {
-		out[k] = g.Apply(s.Apply(k))
-	}
-	for k := range g {
-		if _, done := out[k]; !done {
-			out[k] = g.Apply(k)
-		}
-	}
-	return out
-}
-
-// IsIdentityOn reports whether the substitution maps every term of the set
-// to itself.
-func (s Subst) IsIdentityOn(ts map[term.Term]bool) bool {
-	for t := range ts {
-		if s.Apply(t) != t {
-			return false
-		}
-	}
-	return true
-}

@@ -98,91 +98,3 @@ func MatchAtom(s Subst, pa, ga Atom) bool {
 	}
 	return true
 }
-
-// HomomorphismTo reports whether there exists a homomorphism from the atom
-// set pattern to the atom set target extending base: a substitution that is
-// the identity on constants, maps each pattern atom onto some target atom.
-// Nulls in the pattern are treated as rigid (instance-to-instance
-// homomorphisms rename nulls via the base substitution supplied by the
-// caller if desired).
-//
-// The target is given as a plain slice; packages with indexed stores provide
-// faster entry points. Search is backtracking with the standard
-// most-constrained-first static order.
-func HomomorphismTo(pattern, target []Atom, base Subst) (Subst, bool) {
-	if base == nil {
-		base = NewSubst()
-	}
-	// Order pattern atoms: those sharing variables with already-placed atoms
-	// first is approximated by a greedy connectivity order.
-	ordered := connectivityOrder(pattern)
-	var rec func(i int, s Subst) (Subst, bool)
-	rec = func(i int, s Subst) (Subst, bool) {
-		if i == len(ordered) {
-			return s, true
-		}
-		pa := ordered[i]
-		for _, ga := range target {
-			if ga.Pred != pa.Pred {
-				continue
-			}
-			s2 := s.Clone()
-			if MatchAtom(s2, pa, ga) {
-				if out, ok := rec(i+1, s2); ok {
-					return out, true
-				}
-			}
-		}
-		return nil, false
-	}
-	return rec(0, base)
-}
-
-// connectivityOrder orders atoms so that each atom (after the first) shares
-// a variable with an earlier one when possible, improving backtracking.
-func connectivityOrder(atoms []Atom) []Atom {
-	if len(atoms) <= 2 {
-		return atoms
-	}
-	placed := make([]bool, len(atoms))
-	seen := make(map[term.Term]bool)
-	out := make([]Atom, 0, len(atoms))
-	for len(out) < len(atoms) {
-		best := -1
-		for i, a := range atoms {
-			if placed[i] {
-				continue
-			}
-			if best == -1 {
-				best = i
-			}
-			for _, t := range a.Args {
-				if t.IsVar() && seen[t] {
-					best = i
-					break
-				}
-			}
-			if best == i && len(out) > 0 && sharesVar(a, seen) {
-				break
-			}
-		}
-		placed[best] = true
-		a := atoms[best]
-		out = append(out, a)
-		for _, t := range a.Args {
-			if t.IsVar() {
-				seen[t] = true
-			}
-		}
-	}
-	return out
-}
-
-func sharesVar(a Atom, seen map[term.Term]bool) bool {
-	for _, t := range a.Args {
-		if t.IsVar() && seen[t] {
-			return true
-		}
-	}
-	return false
-}

@@ -133,104 +133,3 @@ func TestMatchAtomOneWay(t *testing.T) {
 		t.Fatalf("null should be rigid in MatchAtom")
 	}
 }
-
-func TestHomomorphismTo(t *testing.T) {
-	c := newCtx()
-	// Pattern: path of length 2. Target: triangle a->b->c->a.
-	pattern := []Atom{c.atom("e", "X", "Y"), c.atom("e", "Y", "Z")}
-	target := []Atom{
-		c.atom("e", "a", "b"),
-		c.atom("e", "b", "cc"),
-		c.atom("e", "cc", "a"),
-	}
-	h, ok := HomomorphismTo(pattern, target, nil)
-	if !ok {
-		t.Fatalf("homomorphism must exist")
-	}
-	// Verify h maps pattern into target.
-	for _, pa := range pattern {
-		img := h.ApplyAtom(pa)
-		found := false
-		for _, ga := range target {
-			if img.Equal(ga) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("image %v not in target", img.String(c.st, c.reg))
-		}
-	}
-}
-
-func TestHomomorphismToFails(t *testing.T) {
-	c := newCtx()
-	// Pattern needs a 2-cycle; target is a simple edge.
-	pattern := []Atom{c.atom("e", "X", "Y"), c.atom("e", "Y", "X")}
-	target := []Atom{c.atom("e", "a", "b")}
-	if _, ok := HomomorphismTo(pattern, target, nil); ok {
-		t.Fatalf("no homomorphism should exist")
-	}
-}
-
-func TestHomomorphismRespectsBase(t *testing.T) {
-	c := newCtx()
-	pattern := []Atom{c.atom("e", "X", "Y")}
-	target := []Atom{c.atom("e", "a", "b"), c.atom("e", "b", "cc")}
-	base := Subst{c.st.Var("X"): c.st.Const("b")}
-	h, ok := HomomorphismTo(pattern, target, base)
-	if !ok {
-		t.Fatalf("homomorphism with base must exist")
-	}
-	if h.Apply(c.st.Var("Y")) != c.st.Const("cc") {
-		t.Fatalf("base binding not respected: Y = %v", c.st.Name(h.Apply(c.st.Var("Y"))))
-	}
-}
-
-// Property: homomorphisms compose — if h1 : A→B and h2 : B→C then the
-// composed substitution maps A into C.
-func TestHomomorphismComposition(t *testing.T) {
-	c := newCtx()
-	a := []Atom{c.atom("e", "X", "Y")}
-	b := []Atom{c.atom("e", "U", "V"), c.atom("e", "V", "U")}
-	cs := []Atom{c.atom("e", "k1", "k2"), c.atom("e", "k2", "k1")}
-	h1, ok1 := HomomorphismTo(a, b, nil)
-	h2, ok2 := HomomorphismTo(b, cs, nil)
-	if !ok1 || !ok2 {
-		t.Fatalf("homomorphisms must exist")
-	}
-	comp := Compose(h2, h1)
-	img := comp.ApplyAtoms(a)
-	for _, ia := range img {
-		found := false
-		for _, ga := range cs {
-			if ia.Equal(ga) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("composition image %v not in C", ia.String(c.st, c.reg))
-		}
-	}
-}
-
-func TestConnectivityOrder(t *testing.T) {
-	c := newCtx()
-	// Disconnected first atom should still work; order must contain all.
-	atoms := []Atom{
-		c.atom("p", "A"),
-		c.atom("q", "B", "C"),
-		c.atom("r", "C", "D"),
-		c.atom("s", "A", "B"),
-	}
-	ord := connectivityOrder(atoms)
-	if len(ord) != len(atoms) {
-		t.Fatalf("order lost atoms: %d", len(ord))
-	}
-	seen := make(map[string]bool)
-	for _, a := range ord {
-		seen[a.String(c.st, c.reg)] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("order duplicated/lost atoms")
-	}
-}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"sync"
 
 	"repro/internal/logic"
@@ -31,8 +30,8 @@ import (
 // snapshot or view overlay a query pins).
 
 // CQPlan is one compiled conjunctive query. Plans are immutable and safe
-// for concurrent Run/RunCtx calls (each run owns its frame and, for the
-// run's duration, its dedup set).
+// for concurrent runs (each run owns its frame and, for the run's
+// duration, its dedup set).
 type CQPlan struct {
 	// Arity is the answer tuple width (len of the query's output row).
 	Arity int
@@ -55,7 +54,7 @@ type CQPlan struct {
 	unsat bool
 }
 
-// cqCancelStride is how many row matches pass between context checks on
+// cqCancelStride is how many row matches pass between budget checks on
 // the enumeration hot path.
 const cqCancelStride = 1024
 
@@ -125,31 +124,24 @@ func CompileCQ(q *logic.CQ) *CQPlan {
 // query stops at its first body match either way. Run reports whether the
 // enumeration ran to completion.
 func (p *CQPlan) Run(db *storage.DB, yield func(tup []term.Term) bool) bool {
-	done, _, _ := p.run(context.Background(), nil, db, yield)
+	done, _, _ := p.run(nil, db, yield)
 	return done
-}
-
-// RunCtx is Run with cooperative cancellation: ctx is checked every
-// cqCancelStride row matches, and a cancelled enumeration returns the
-// context's error. The completion flag reports false when yield stopped
-// the run early OR the context fired.
-func (p *CQPlan) RunCtx(ctx context.Context, db *storage.DB, yield func(tup []term.Term) bool) (bool, error) {
-	done, _, err := p.run(ctx, nil, db, yield)
-	return done, err
 }
 
 // RunBudgetTraced is Run charged against a budget and recorded into tr:
 // every cqCancelStride row matches flush into the budget's probe counter
 // and poll its limits and deadline — a cross-product query burns gas even
 // when the limit pushdown never fires — and tr gets the compiled join
-// order and the row-match count. A nil bud or tr behaves like Run.
+// order and the row-match count. A nil bud or tr behaves like Run. The
+// completion flag reports false when yield stopped the run early or the
+// budget tripped.
 func (p *CQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, yield func(tup []term.Term) bool) (bool, error) {
-	done, matches, err := p.run(bud.Context(), bud, db, yield)
+	done, matches, err := p.run(bud, db, yield)
 	tr.CQ(p.Order, matches)
 	return done, err
 }
 
-func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield func(tup []term.Term) bool) (bool, int, error) {
+func (p *CQPlan) run(bud *Budget, db *storage.DB, yield func(tup []term.Term) bool) (bool, int, error) {
 	if p.unsat {
 		return true, 0, nil
 	}
@@ -160,7 +152,7 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 	out := make([]term.Term, p.Arity)
 	seen := dedupSets.Get().(*storage.TupleSet)
 	seen.Reset(p.Arity)
-	var ctxErr error
+	var budErr error
 	completed := true
 	matches := 0
 	var rec func(k int) bool
@@ -195,14 +187,8 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 		return db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
 			matches++
 			if matches%cqCancelStride == 0 {
-				var err error
-				if bud != nil {
-					err = bud.AddProbes(cqCancelStride)
-				} else {
-					err = ctx.Err()
-				}
-				if err != nil {
-					ctxErr = err
+				if err := bud.AddProbes(cqCancelStride); err != nil {
+					budErr = err
 					completed = false
 					return false
 				}
@@ -214,7 +200,7 @@ func (p *CQPlan) run(ctx context.Context, bud *Budget, db *storage.DB, yield fun
 	if seen.Len() <= maxPooledAnswers {
 		dedupSets.Put(seen)
 	}
-	return completed, matches, ctxErr
+	return completed, matches, budErr
 }
 
 // EvalCQ evaluates q over db through a freshly compiled CQPlan, returning

@@ -207,8 +207,8 @@ func TestCQPlanNullsNeverAnswer(t *testing.T) {
 	}
 }
 
-// TestCQPlanCancellation: a cancelled context stops a long enumeration
-// mid-run with the context's error.
+// TestCQPlanCancellation: a cancelled budget context stops a long
+// enumeration mid-run with the budget's error.
 func TestCQPlanCancellation(t *testing.T) {
 	r, err := parser.Parse(`?(X,Y,Z,W) :- e(X,Y), e(Z,W).`)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestCQPlanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := CompileCQ(r.Queries[0])
 	n := 0
-	done, errRun := p.RunCtx(ctx, db, func([]term.Term) bool {
+	done, errRun := p.RunBudgetTraced(NewBudget(ctx, 0, 0), nil, db, func([]term.Term) bool {
 		n++
 		if n == 10 {
 			cancel()
