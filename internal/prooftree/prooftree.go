@@ -205,10 +205,10 @@ type searcher struct {
 	// level sequence of the linear proof tree). Only the outermost search
 	// records; nested atom-provability probes suspend it.
 	trace *traceRec
-	// patterns are the compiled joins every read of D and of the oracle
-	// runs through — discharges, dead-atom and acceptance checks — keyed
-	// by state shape, so one plan serves every state of the same shape
-	// for the length of this Decide call.
+	// patterns are the compiled joins every match of state atoms into D
+	// and into the oracle runs through — discharges, dead-atom and
+	// acceptance checks — keyed by shape, so one plan serves every state
+	// of the same shape for the length of this Decide call.
 	patterns plan.Patterns
 }
 
