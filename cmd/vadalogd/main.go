@@ -10,7 +10,6 @@
 // Flags:
 //
 //	-addr :8077            listen address
-//	-adaptive              adaptive join-order selection in fixpoints
 //	-csv-batch 0           rows per staged bulk-load buffer (0: default)
 //	-max-concurrent 64     queries evaluating concurrently (0: unlimited)
 //	-queue 128             queries waiting for a slot before 429s
@@ -84,9 +83,9 @@
 //	               later failure can only cut the 200's body short.
 //	               With ?explain=1 (or "explain": true in the body) the
 //	               response carries an "explain" object: the structured
-//	               execution trace (join orders with adaptive decisions,
-//	               per-stratum rounds/probes/derived, plan- and view-cache
-//	               hits, per-stage wall time).
+//	               execution trace (join orders, per-stratum
+//	               rounds/probes/derived, plan- and view-cache hits,
+//	               per-stage wall time).
 //	POST /insert   {"facts": "e(b,c). e(c,d)."} -> {"epoch": N}
 //	POST /delete   {"facts": "e(a,b)."}         -> {"epoch": N}
 //	GET  /stats    -> service + maintenance counters
@@ -154,7 +153,6 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vadalogd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8077", "listen address")
-	adaptive := fs.Bool("adaptive", false, "adaptive join-order selection in materialization fixpoints")
 	csvBatch := fs.Int("csv-batch", 0, "rows per staged buffer on the CSV bulk-load path (0: default)")
 	maxConc := fs.Int("max-concurrent", 64, "queries evaluating concurrently (0: unlimited)")
 	queue := fs.Int("queue", 128, "queries waiting for an evaluation slot before 429s")
@@ -177,7 +175,7 @@ func run(args []string, out io.Writer) error {
 	obs.SetEnabled(true)
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("component", "vadalogd")
 	svc, err := service.Open(service.Options{
-		Adaptive: *adaptive, CSVBatch: *csvBatch,
+		CSVBatch:   *csvBatch,
 		MaxDerived: *maxDerived, MaxProbes: *maxProbes, MaxTimeout: *timeout,
 		DataDir: *dataDir, Fsync: *fsync, FsyncInterval: *fsyncInterval,
 		CheckpointEvery: *ckptEvery,

@@ -44,9 +44,9 @@ type Options struct {
 	// caller owns the aliasing consequences: db must not be read
 	// concurrently with Eval, and on error it may hold a partial fixpoint.
 	// The reasoning service sets this when evaluating view rules into a
-	// copy-on-write overlay of an epoch snapshot — the overlay IS the
-	// private copy, and cloning it again would eagerly duplicate every
-	// relation's dedup and posting structures.
+	// copy-on-write overlay of an epoch snapshot: the overlay IS the
+	// private copy, and a Clone of it would only stack a second overlay
+	// on a snapshot of the first.
 	InPlace bool
 	// Budget, when non-nil, bounds the fixpoint: derived-fact and probe
 	// caps plus the budget context's deadline/cancellation, checked on

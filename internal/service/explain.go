@@ -134,12 +134,11 @@ type ViewTrace struct {
 // ViewJoin is one join-order decision of a view build, with the rule
 // resolved to a label.
 type ViewJoin struct {
-	Rule     string `json:"rule"`
-	Delta    int    `json:"delta"`
-	Round    int    `json:"round"`
-	Alt      int    `json:"alt"`
-	Adaptive bool   `json:"adaptive,omitempty"`
-	Order    []int  `json:"order"`
+	Rule  string `json:"rule"`
+	Delta int    `json:"delta"`
+	Round int    `json:"round"`
+	Alt   int    `json:"alt"`
+	Order []int  `json:"order"`
 }
 
 // TraceSink is optionally implemented by Sinks to receive the explain
@@ -193,12 +192,11 @@ func buildViewTrace(reg *schema.Registry, view *logic.Program, pt *plan.Tracer) 
 	}
 	for _, jc := range pt.Joins {
 		vt.JoinOrders = append(vt.JoinOrders, ViewJoin{
-			Rule:     ruleLabel(reg, view, jc.Rule),
-			Delta:    jc.Delta,
-			Round:    jc.Round,
-			Alt:      jc.Alt,
-			Adaptive: jc.Adaptive,
-			Order:    jc.Order,
+			Rule:  ruleLabel(reg, view, jc.Rule),
+			Delta: jc.Delta,
+			Round: jc.Round,
+			Alt:   jc.Alt,
+			Order: jc.Order,
 		})
 	}
 	return vt

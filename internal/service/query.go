@@ -60,11 +60,10 @@ type QueryRequest struct {
 	MaxDerived int `json:"max_derived,omitempty"`
 	MaxProbes  int `json:"max_probes,omitempty"`
 	// Explain requests a structured execution trace alongside the
-	// answer: join orders (with adaptive decisions), per-stratum round
-	// counts, probes, derived facts, cache hits, and per-stage wall
-	// time. Delivered through the sink's TraceSink hook after End (the
-	// HTTP layer maps ?explain=1 here and attaches it to the JSON
-	// response).
+	// answer: join orders, per-stratum round counts, probes, derived
+	// facts, cache hits, and per-stage wall time. Delivered through the
+	// sink's TraceSink hook after End (the HTTP layer maps ?explain=1 here
+	// and attaches it to the JSON response).
 	Explain bool `json:"explain,omitempty"`
 	// RequestID tags the query's trace and slow-query log line; set by
 	// the transport (never from the request body).
@@ -714,7 +713,7 @@ func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, view *logic.Program, 
 		ov.Insert(seed)
 	}
 	if _, _, err := datalog.Eval(view, ov, datalog.Options{
-		Stratify: true, BiasRecursiveAtom: true, Adaptive: s.opt.Adaptive, InPlace: true, Budget: bud,
+		Stratify: true, BiasRecursiveAtom: true, InPlace: true, Budget: bud,
 		Tracer: pt,
 	}); err != nil {
 		return nil, fmt.Errorf("service: view: %w", err)

@@ -64,9 +64,6 @@ var ErrNotLoaded = errors.New("service: no program loaded")
 
 // Options configures the service.
 type Options struct {
-	// Adaptive enables per-round adaptive join-order selection in the
-	// materialization fixpoints (datalog.Options.Adaptive).
-	Adaptive bool
 	// CSVBatch is the row count per staged buffer of the bulk-load path
 	// (0: relio's default).
 	CSVBatch int
@@ -308,9 +305,10 @@ func (s *Service) LoadCtx(ctx context.Context, src string) (uint64, error) {
 }
 
 // LoadProgram is the embedding entry point of Load: materialize an
-// already-parsed program over the given base facts (the DB is cloned by
-// the engine; the caller keeps ownership) and publish the first epoch of
-// a fresh generation.
+// already-parsed program over the given base facts and publish the first
+// epoch of a fresh generation. The engine evaluates into a Clone of base,
+// so the caller keeps ownership, but cloning a live DB is a write: base
+// must not be used concurrently with the call.
 func (s *Service) LoadProgram(prog *logic.Program, base *storage.DB) (uint64, error) {
 	return s.LoadProgramCtx(context.Background(), prog, base)
 }

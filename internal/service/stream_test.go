@@ -178,8 +178,8 @@ func TestQueryStreamCancellation(t *testing.T) {
 }
 
 // viewCloneOracle evaluates view rules + query the way the service did
-// before overlays: datalog.Eval over a private clone of the snapshot,
-// then plan.EvalCQ.
+// before demand rewriting and the overlay cache: datalog.Eval of every
+// view rule into a Clone of the snapshot, then plan.EvalCQ.
 func viewCloneOracle(t *testing.T, svc *Service, src string) [][]string {
 	t.Helper()
 	e, err := svc.acquire()
@@ -208,8 +208,9 @@ func viewCloneOracle(t *testing.T, svc *Service, src string) [][]string {
 	return rows
 }
 
-// TestOverlayViewMatchesCloneOracle: overlay-evaluated view queries agree
-// with the private-clone evaluation they replaced.
+// TestOverlayViewMatchesCloneOracle: view queries the service answers
+// (demand rewriting, cached overlays) agree with a plain datalog.Eval of
+// the view rules into a Clone of the epoch's view.
 func TestOverlayViewMatchesCloneOracle(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()

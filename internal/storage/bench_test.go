@@ -194,7 +194,8 @@ func BenchmarkMergeBuffers(b *testing.B) {
 	})
 }
 
-// BenchmarkClone: structural clone cost (shared backings, copied tables).
+// BenchmarkClone: what Clone of a live DB costs, a snapshot plus an
+// overlay. Nothing is copied until the clone writes a relation.
 func BenchmarkClone(b *testing.B) {
 	facts, _ := benchEdges(16384)
 	db := NewDB()

@@ -8,6 +8,7 @@ package storage
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/atom"
 	"repro/internal/schema"
@@ -215,20 +216,24 @@ func (db *DB) All() []atom.Atom {
 	return out
 }
 
-// Clone returns an observationally identical, independently growable copy.
-// The columnar backings, every posting list and every frozen posting index
-// are shared with the original (row storage only ever appends, and an append
-// past a shared view's capacity reallocates); the dedup arrays are read
-// through until the clone's first insert into a relation copies them
-// (relation.own); only the liveness bitmaps and the posting maps the
-// original still extends in place are copied here — no re-insertion, no
-// re-hashing. Clone only reads its receiver. Tombstones flipped on either
-// side after the clone stay invisible to the other.
+// Clone returns an observationally identical, independently writable
+// copy: the Overlay of a frozen view, and on a live DB the Overlay of a
+// Snapshot that is released at once. The overlay copies nothing up front
+// and needs no pin, since Compact never mutates a backing in place. On a
+// live DB, Clone is a writer-side operation, like Snapshot, and the
+// clone's relations hear only their own probes (fresh want flags), so it
+// never makes its source build a posting position. Writes on either side
+// after the clone stay invisible to the other.
 func (db *DB) Clone() *DB {
-	out := &DB{rels: make([]*relation, len(db.rels)), next: db.next, dead: db.dead, holes: db.holes}
-	for p, r := range db.rels {
+	if db.frozen {
+		return db.Overlay()
+	}
+	s := db.Snapshot()
+	defer s.Release()
+	out := s.DB().Overlay()
+	for _, r := range out.rels {
 		if r != nil {
-			out.rels[p] = r.clone()
+			r.want = make([]atomic.Bool, r.arity)
 		}
 	}
 	return out

@@ -14,10 +14,10 @@ var (
 	// writer does not carry (each build also asks it to).
 	obsLateBuilds = obs.NewCounter("vadalog_storage_index_late_builds_total", "", "Posting positions built by a reader on a frozen view.")
 	// What sharing costs the write path: bytes a writer copied because a
-	// view, overlay or clone holds the original (a tail or bitmap per
-	// epoch, a base per fold, the dedup arrays of an overlay or clone
-	// relation that appends), and how often a tail was folded. Counted
-	// per copy, never per row.
+	// view or overlay holds the original (a tail or bitmap per epoch, a
+	// base per fold, the dedup array of an overlay relation that
+	// appends), and how often a tail was folded. Counted per copy, never
+	// per row.
 	obsCowBytes    = obs.NewCounter("vadalog_storage_cow_bytes_total", "", "Bytes copied by writers on behalf of snapshot, overlay and clone sharing.")
 	obsFolds       = obs.NewCounter("vadalog_storage_index_folds_total", "", "Posting tails folded into a new base.")
 	obsCompactRows = obs.NewCounter("vadalog_storage_compaction_reclaimed_rows_total", "", "Tombstoned rows physically reclaimed by compaction.")

@@ -36,7 +36,7 @@ import (
 // What a write copies. A posIndex is either private to one writer, which
 // extends it in place, or frozen — handed to a view by Snapshot(), or
 // built by a reader on a view — and immutable from then on, so any number
-// of views, overlays and clones may hold it. A position is a base over
+// of views and overlays may hold it. A position is a base over
 // rows [0, split) plus a tail over [split, built): while the base is
 // private there is no tail; once it is frozen, later rows are indexed by
 // the same builder into the tail, and a tail a view holds is copied (it is
@@ -52,7 +52,7 @@ import (
 //
 // Who may catch up:
 //
-//   - A writer-owned relation (a live DB, a Clone, an overlay relation
+//   - A writer-owned relation (a live DB, an overlay or Clone relation
 //     that has appended rows) catches up inline, unsynchronized — its
 //     probes belong to the goroutine that owns its writes, so concurrent
 //     readers probe a frozen view (Snapshot), never the writer's DB.
@@ -94,9 +94,8 @@ type lateIndex struct {
 // clone returns a private copy of px: the map is copied, the overflow
 // row lists shared. The relation the rows were first written to
 // goes on appending into the lists' spare capacity, past what any holder
-// of px reads; for every other writer (second: an overlay or a clone
-// relation) the lists are cap-limited, so that its first append to one
-// reallocates it.
+// of px reads; for every other writer (second: an overlay relation) the
+// lists are cap-limited, so that its first append to one reallocates it.
 func (px *posIndex) clone(second bool) *posIndex {
 	out := &posIndex{m: maps.Clone(px.m), over: slices.Clone(px.over)}
 	if second {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"math/bits"
-	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -66,16 +65,16 @@ type relation struct {
 	// of tombstoned rows. See tombstone.go.
 	dead  []uint64
 	nDead int
-	// second marks an overlay or clone relation: a second writer of a row
-	// space, which may not append where the first one does (see
+	// second marks an overlay relation (a Clone is one): a second writer
+	// of a row space, which may not append where the first one does (see
 	// posIndex.clone). borrowed marks that tab still belongs to that other
 	// writer: the first row this relation appends takes a private copy
-	// first (own). deadShared
-	// marks that someone else reads the bitmap: the first kill or revive
-	// copies it. pins counts live snapshots referencing this relation's
-	// backings: Compact defers pinned relations. pins is atomic because
-	// snapshots release from reader goroutines; the flags are only
-	// touched by the relation's writer. See snapshot.go.
+	// first (own). deadShared marks that someone else reads the bitmap:
+	// the first kill or revive copies it. pins counts live snapshots
+	// referencing this relation's backings: Compact defers pinned
+	// relations. pins is atomic because snapshots release from reader
+	// goroutines; the flags are only touched by the relation's writer.
+	// See snapshot.go.
 	second     bool
 	borrowed   bool
 	deadShared bool
@@ -266,15 +265,15 @@ func newTab(n int) []int32 {
 	return tab
 }
 
-// own gives a relation that reads through another writer's dedup array
-// a private copy, before the first row it appends: the one table copy
-// left, paid by the second writer of a row space (an overlay or a clone),
-// never by the live relation. Slots the other writer filled with rows
-// this relation does not have are scrubbed — they would read as rows of
-// its own once it has that many. The view's late-built positions stay
-// behind: they cover the view's rows only.
+// own gives an overlay relation, which reads through another writer's
+// dedup array, a private copy before the first row it appends: the only
+// table copy there is, paid by the second writer of a row space, never
+// by the first. Slots the other writer filled with rows this relation
+// does not have are scrubbed — they would read as rows of its own once
+// it has that many. The view's late-built positions stay behind: they
+// cover the view's rows only.
 func (r *relation) own() {
-	if r.tabShared { // else empty, or copied when the clone was taken
+	if r.tabShared { // else empty
 		n, m := uint32(r.nrows), rowMask(len(r.tab))
 		tab := newTab(len(r.tab))
 		for k := range tab {
@@ -354,38 +353,6 @@ func (r *relation) firstSince(since Mark) int {
 		return 0
 	}
 	return int(min(r.spans[k].row+int32(since)-r.spans[k].at, end))
-}
-
-// clone returns an observationally identical, independently writable
-// copy. Columns are read through the source's (see view), and so is a
-// dedup array that views already read along with (see own); what the
-// source may still mutate unannounced — the liveness bitmap, the posting
-// indexes no view has frozen, a dedup array no view holds — is copied,
-// because Clone must not write to its receiver to tell it about the
-// sharing.
-func (r *relation) clone() *relation {
-	out := r.view()
-	out.second = true
-	if r.tabShared {
-		out.borrowed = true
-	} else {
-		// The source stores into this array plainly: nothing may read along.
-		out.tab = slices.Clone(r.tab)
-		obsCowBytes.Add(uint64(4 * len(r.tab)))
-	}
-	out.late = nil
-	out.want = make([]atomic.Bool, r.arity)
-	out.dead = slices.Clone(r.dead)
-	for i := range out.idx {
-		p := &out.idx[i]
-		if p.base != nil && !p.base.frozen {
-			p.base = p.base.clone(true)
-		}
-		if p.tail != nil && !p.tail.frozen {
-			p.tail = p.tail.clone(true)
-		}
-	}
-	return out
 }
 
 // hashArgs is the FNV-1a fact hash over an unboxed (pred, args) pair, so

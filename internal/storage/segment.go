@@ -94,7 +94,8 @@ func (db *DB) AppendSegment(buf []byte) []byte {
 
 func (r *relation) appendSegment(buf []byte) []byte {
 	// A position is written whole or not at all: the decoder reads keys as
-	// "built over every row" and no keys as "never built".
+	// "built over every row" and no keys as "never built". A position a
+	// reader built late on the view this relation overlays counts as built.
 	r.catchUpBuilt()
 	n := r.rows()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.pred))
@@ -119,8 +120,9 @@ func (r *relation) appendSegment(buf []byte) []byte {
 	buf = appendEmptyParts(buf, segParts)
 	var keys []byte
 	for i := range r.idx {
-		px := r.idx[i].base
-		if r.idx[i].tail != nil {
+		p := r.settled(i)
+		px := p.base
+		if p.tail != nil {
 			px = r.folded(i)
 		} else if px == nil {
 			px = &posIndex{}

@@ -394,9 +394,9 @@ func TestSegmentDecodesV1(t *testing.T) {
 	if !equalStrings(sortedFacts(got), sortedFacts(want)) {
 		t.Fatalf("decoded v1 segment holds %d facts, the replay %d, or they differ", got.Len(), want.Len())
 	}
-	if got.DeadCount() != want.DeadCount() || got.PhysicalLen() != want.PhysicalLen() || got.next != want.next {
+	if got.dead != want.dead || got.PhysicalLen() != want.PhysicalLen() || got.next != want.next {
 		t.Fatalf("dead/physical/next = %d/%d/%d, want %d/%d/%d",
-			got.DeadCount(), got.PhysicalLen(), got.next, want.DeadCount(), want.PhysicalLen(), want.next)
+			got.dead, got.PhysicalLen(), got.next, want.dead, want.PhysicalLen(), want.next)
 	}
 	const u = schema.PredID(2) // bytesFixture's unary relation of nulls
 	for i := 0; i < 6100; i += 7 {
@@ -427,8 +427,8 @@ func TestSegmentDecodesLegacyTombstones(t *testing.T) {
 	if !equalStrings(sortedFacts(got), sortedFacts(want)) {
 		t.Fatalf("decoded legacy segment holds %d facts, the replay %d, or they differ", got.Len(), want.Len())
 	}
-	if got.DeadCount() != want.DeadCount() || got.PhysicalLen() != want.PhysicalLen() {
-		t.Fatalf("dead/physical = %d/%d, want %d/%d", got.DeadCount(), got.PhysicalLen(), want.DeadCount(), want.PhysicalLen())
+	if got.dead != want.dead || got.PhysicalLen() != want.PhysicalLen() {
+		t.Fatalf("dead/physical = %d/%d, want %d/%d", got.dead, got.PhysicalLen(), want.dead, want.PhysicalLen())
 	}
 	for id := 0; id < 200; id++ {
 		if g, w := probeAt(got, segU, 1, 0, segConst(id)), probeAt(want, segU, 1, 0, segConst(id)); g != w {

@@ -22,8 +22,8 @@ import (
 //     store; growth swaps in a fresh array and leaves the old one to its
 //     views). A view reads a slot naming a row it does not have as empty.
 //     Only the relation that appends rows may write a table; a second
-//     writer of the same row space — an overlay or a clone — copies the
-//     arrays first (relation.own), scrubbing rows it cannot see.
+//     writer of the same row space — an overlay, and so a Clone — copies
+//     the array first (relation.own), scrubbing rows it cannot see.
 //   - The posting indexes a view gets are frozen: the writer indexes later
 //     rows into a small tail beside the frozen base and copies at most
 //     that tail per epoch (see posting.go).
@@ -41,15 +41,17 @@ import (
 // Each captured relation also carries an atomic pin count. Compact defers
 // relations with live pins instead of reclaiming them, so a long-running
 // reader never holds the double-memory cost of a rewrite-under-pin; the
-// caller re-runs Compact after snapshots release (see Compact).
+// caller re-runs Compact after snapshots release (see Compact). A pin
+// only defers reclamation: Compact and squash never mutate a backing in
+// place, so what a view holds stays valid without it.
 
 // Snapshot is a read-only view of a DB at one instant. The view is
 // reachable through DB(): a frozen *storage.DB on which every read path —
 // Probe (and so every compiled plan), Facts, All, Contains — works
-// unchanged, and
-// every mutating path panics. Snapshots are safe for concurrent readers;
-// Release must be called exactly once when no reader uses the view
-// anymore (the service refcounts its epochs for this).
+// unchanged, and every mutating path panics. Snapshots are safe for
+// concurrent readers. Until Release, Compact on the source defers the
+// relations the view holds; the service releases an epoch's snapshot when
+// its last reader is done.
 type Snapshot struct {
 	db       *DB
 	pinned   []*relation
@@ -59,7 +61,7 @@ type Snapshot struct {
 // Snapshot captures the current state of the instance. The returned view
 // observes exactly the facts live at this instant, regardless of later
 // inserts, tombstones, or compaction on the receiver. Snapshotting a
-// snapshot is a programming error (panic); Clone a snapshot instead to
+// snapshot is a programming error (panic); overlay a snapshot instead to
 // get a private mutable copy.
 func (db *DB) Snapshot() *Snapshot {
 	if db.frozen {
@@ -105,7 +107,7 @@ func (db *DB) Snapshot() *Snapshot {
 // DB returns the frozen view. All read APIs of storage.DB apply; mutating
 // it panics. Overlay() of the view yields a mutable copy-on-write overlay
 // (the rule-defined-view query path materializes view predicates into
-// such overlays); Clone() yields a fully private mutable copy.
+// such overlays).
 func (s *Snapshot) DB() *DB { return s.db }
 
 // Overlay returns a mutable copy-on-write overlay of a frozen snapshot
@@ -123,9 +125,9 @@ func (s *Snapshot) DB() *DB { return s.db }
 // Overlay is only valid on frozen snapshot views: what they hold is
 // immutable or, for the dedup arrays, read under the row-visibility rule,
 // so sharing it without coordination is sound. Overlaying a live DB
-// would race its writer and panics. The overlay borrows the snapshot's
-// backings, so it must not outlive the snapshot's Release (the service
-// scopes overlays to their epoch's refcount for exactly this reason).
+// would race its writer and panics (Clone snapshots it first). The
+// overlay may outlive the snapshot's Release: a pin only defers
+// compaction, which never mutates what the overlay reads.
 func (db *DB) Overlay() *DB {
 	if !db.frozen {
 		panic("storage: Overlay of a live DB (snapshot it first)")
@@ -143,9 +145,9 @@ func (db *DB) Overlay() *DB {
 }
 
 // Release unpins the snapshot's relations, allowing Compact on the source
-// DB to reclaim them. Idempotent; reading the view after Release is a
-// use-after-free in spirit (the backings stay valid only until the source
-// compacts them away — callers must not race Release with readers).
+// DB to reclaim them. Idempotent. The view and its overlays stay readable
+// after it: compaction rebuilds into fresh backings and leaves the old
+// ones to whoever holds them, so Release only gives up the deferral.
 func (s *Snapshot) Release() {
 	if s.released.Swap(true) {
 		return

@@ -126,8 +126,8 @@ func TestSnapshotPinsDeferCompact(t *testing.T) {
 	if n := db.Compact(0.1); n != 0 {
 		t.Fatalf("Compact reclaimed %d rows from a pinned relation", n)
 	}
-	if db.DeadCount() != 50 {
-		t.Fatalf("DeadCount = %d after deferred compact, want 50", db.DeadCount())
+	if db.dead != 50 {
+		t.Fatalf("dead = %d after deferred compact, want 50", db.dead)
 	}
 	if got := snap.DB().Len(); got != 100 {
 		t.Fatalf("snapshot Len = %d, want 100", got)
@@ -136,8 +136,8 @@ func TestSnapshotPinsDeferCompact(t *testing.T) {
 	if n := db.Compact(0.1); n != 50 {
 		t.Fatalf("post-release Compact reclaimed %d, want 50", n)
 	}
-	if db.Len() != 50 || db.DeadCount() != 0 {
-		t.Fatalf("post-release state Len=%d DeadCount=%d", db.Len(), db.DeadCount())
+	if db.Len() != 50 || db.dead != 0 {
+		t.Fatalf("post-release state Len=%d dead=%d", db.Len(), db.dead)
 	}
 	snap.Release() // idempotent
 }
@@ -176,6 +176,34 @@ func TestSnapshotFrozenViewPanics(t *testing.T) {
 	}
 	if sdb.Len() != 1 || db.Len() != 1 {
 		t.Fatalf("clone mutation leaked into view or source")
+	}
+}
+
+// TestCloneLeavesNoTrace: a Clone of a live DB overlays a snapshot it
+// releases at once and hears only its own probes. So a Compact of the
+// source right after the Clone reclaims instead of deferring to a pin,
+// and the clone's probe of a never-built position leaves the source's
+// next view without it.
+func TestCloneLeavesNoTrace(t *testing.T) {
+	db, p, consts := postingFixture(400, 30)
+	for ri := int32(0); ri < 100; ri++ {
+		db.Tombstone(p, ri)
+	}
+	cl := db.Clone()
+	if got := db.Compact(0.1); got != 100 {
+		t.Fatalf("Compact right after Clone reclaimed %d rows, want 100", got)
+	}
+	ref := indexed(cl)
+	for _, c := range consts {
+		if got, want := probeAt(cl, p, 2, 1, c), probeAt(ref, p, 2, 1, c); got != want {
+			t.Fatalf("clone probe of %v: %q, want %q", c, got, want)
+		}
+	}
+	mustVerify(t, cl, "clone of the compacted source")
+	snap := db.Snapshot()
+	defer snap.Release()
+	if got := builtAt(snap.DB(), p, 1); got != 0 {
+		t.Fatalf("the clone's probe made the source build position 1 (watermark %d)", got)
 	}
 }
 
@@ -301,7 +329,7 @@ func TestSnapshotConcurrentIsolation(t *testing.T) {
 				}
 				db.Tombstone(a.Pred, row)
 				ref.delete(a)
-			case rng.Intn(8) == 0 && db.DeadCount() > 0:
+			case rng.Intn(8) == 0 && db.dead > 0:
 				db.Compact(0.01)
 			default:
 				a := mk()
@@ -347,8 +375,8 @@ func TestSnapshotConcurrentIsolation(t *testing.T) {
 	}
 	mu.Unlock()
 	db.Compact(0)
-	if db.DeadCount() != 0 {
-		t.Fatalf("DeadCount = %d after post-release full compact", db.DeadCount())
+	if db.dead != 0 {
+		t.Fatalf("dead = %d after post-release full compact", db.dead)
 	}
 	checkLiveEquivalence(t, prog, db, ref, "post-compact")
 }

@@ -165,18 +165,8 @@ func (db *DB) FactArgs(pred schema.PredID, row int32) []term.Term {
 	return db.rels[pred].args(row)
 }
 
-// DeadCount reports the number of tombstoned rows still physically stored
-// (reclaimable by Compact).
-func (db *DB) DeadCount() int { return db.dead }
-
 // PhysicalLen reports the number of physically stored rows, dead included
 // — equivalently the next global insertion index. Consumers keying
 // side tables by insertion index (chase provenance) must use this, not
 // Len, which counts live rows only.
 func (db *DB) PhysicalLen() int { return db.next }
-
-// Alive reports whether the handle denotes a live row.
-func (db *DB) Alive(pred schema.PredID, row int32) bool {
-	r := db.relOf(pred)
-	return r != nil && int(row) < r.rows() && !r.isDead(row)
-}

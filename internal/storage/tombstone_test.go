@@ -162,7 +162,7 @@ func TestTombstoneObservationalEquivalence(t *testing.T) {
 					t.Fatalf("trial %d step %d: tombstoned fact still contained", trial, step)
 				}
 				ref.delete(a)
-			case rng.Intn(6) == 0 && db.DeadCount() > 0:
+			case rng.Intn(6) == 0 && db.dead > 0:
 				db.Compact(0.01) // aggressive: reclaim nearly any dead row
 			default:
 				a := mk()
@@ -176,8 +176,8 @@ func TestTombstoneObservationalEquivalence(t *testing.T) {
 		}
 		// Final full compaction must change nothing observable.
 		db.Compact(0)
-		if db.DeadCount() != 0 {
-			t.Fatalf("trial %d: DeadCount = %d after full compact", trial, db.DeadCount())
+		if db.dead != 0 {
+			t.Fatalf("trial %d: dead = %d after full compact", trial, db.dead)
 		}
 		checkLiveEquivalence(t, prog, db, ref, fmt.Sprintf("trial %d post-compact", trial))
 	}
@@ -243,7 +243,7 @@ func TestTombstoneReviveRestores(t *testing.T) {
 	db.Insert(a)
 	row, _ := db.FindRow(p, a.Args)
 	db.Tombstone(p, row)
-	if db.Contains(a) || db.Len() != 0 || db.Alive(p, row) {
+	if db.Contains(a) || db.Len() != 0 || !db.rels[p].isDead(row) {
 		t.Fatalf("tombstoned fact still visible")
 	}
 	if !db.Revive(p, row) {
@@ -252,7 +252,7 @@ func TestTombstoneReviveRestores(t *testing.T) {
 	if db.Revive(p, row) {
 		t.Fatalf("double Revive returned true")
 	}
-	if !db.Contains(a) || db.Len() != 1 || !db.Alive(p, row) {
+	if !db.Contains(a) || db.Len() != 1 || db.rels[p].isDead(row) {
 		t.Fatalf("revived fact not visible")
 	}
 	if db.Insert(a) {
@@ -309,8 +309,8 @@ func TestCompactCloneIsolation(t *testing.T) {
 	if n := cl.Compact(0.1); n != 50 {
 		t.Fatalf("Compact reclaimed %d, want 50", n)
 	}
-	if cl.Len() != 50 || cl.DeadCount() != 0 {
-		t.Fatalf("clone after compact: Len %d DeadCount %d", cl.Len(), cl.DeadCount())
+	if cl.Len() != 50 || cl.dead != 0 {
+		t.Fatalf("clone after compact: Len %d dead %d", cl.Len(), cl.dead)
 	}
 	for i, a := range atoms {
 		if !db.Contains(a) {
