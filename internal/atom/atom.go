@@ -65,16 +65,6 @@ func (a Atom) IsGround() bool {
 	return true
 }
 
-// HasNull reports whether any argument is a labeled null.
-func (a Atom) HasNull() bool {
-	for _, t := range a.Args {
-		if t.IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
 // Vars appends the variables of a (with duplicates) to dst and returns it.
 func (a Atom) Vars(dst []term.Term) []term.Term {
 	for _, t := range a.Args {

@@ -58,9 +58,6 @@ func TestAtomBasics(t *testing.T) {
 	if !n.IsGround() {
 		t.Errorf("atom with null is ground")
 	}
-	if !n.HasNull() || a.HasNull() {
-		t.Errorf("HasNull wrong")
-	}
 }
 
 func TestAtomClone(t *testing.T) {

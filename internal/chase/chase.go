@@ -42,10 +42,6 @@ type Options struct {
 	// TriggerMemo enables guide-structure termination control: triggers
 	// isomorphic to an already-fired trigger of the same TGD are suppressed.
 	TriggerMemo bool
-	// FactIso additionally suppresses creation of facts isomorphic to an
-	// existing fact of the same predicate (linear-forest summary). More
-	// aggressive; only sound for atomic-query workloads, so off by default.
-	FactIso bool
 	// MaxRounds, MaxFacts, MaxDepth are hard budgets (0 = unlimited).
 	// MaxDepth bounds the birth depth of nulls.
 	MaxRounds int
@@ -138,14 +134,6 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 		res.Prov = make(map[int]Derivation)
 	}
 	memo := guide.NewTriggerMemo()
-	factIso := guide.NewFactPatterns()
-	if opt.FactIso {
-		// Seed with the database facts so derived isomorphs of EDB facts
-		// are still admitted (they carry nulls and thus differ).
-		for _, a := range work.All() {
-			factIso.Admit(a)
-		}
-	}
 	// Trigger-level dedup for existential TGDs (semi-oblivious firing):
 	// re-firing a full TGD is harmless (insert dedups), but re-firing an
 	// existential TGD would invent spurious fresh nulls.
@@ -169,10 +157,10 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 	match := func(ti int, ex *plan.Exec) func() bool {
 		r := ex.Rule
 		hasExist := len(r.ExistSlots) > 0
-		// Full TGDs with no provenance and no fact-isomorphism control
-		// insert through the scratch-buffer path: the head never needs to
-		// exist as an atom before the store copies it.
-		fastInsert := !hasExist && res.Prov == nil && !opt.FactIso
+		// Full TGDs with no provenance insert through the scratch-buffer
+		// path: the head never needs to exist as an atom before the store
+		// copies it.
+		fastInsert := !hasExist && res.Prov == nil
 		return func() bool {
 			// The trigger image is only materialized when a control or
 			// provenance actually consumes it; full TGDs without provenance
@@ -230,9 +218,6 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 					continue
 				}
 				f := ex.Head(hi)
-				if opt.FactIso && f.HasNull() && !factIso.Admit(f) {
-					continue
-				}
 				// Provenance keys on the global insertion index, so the
 				// physical length (tombstoned rows included — a caller may
 				// hand the chase a store that has seen deletions), not the

@@ -268,17 +268,6 @@ e(a,b). e(b,c).
 	}
 }
 
-func TestFactIsoSuppression(t *testing.T) {
-	_, res := run(t, `
-r(X,Z) :- p(X).
-p(Y) :- r(X,Y).
-p(a).
-`, Options{Restricted: true, FactIso: true, TriggerMemo: true, MaxRounds: 1000, MaxFacts: 10000})
-	if res.Truncated {
-		t.Fatalf("FactIso chase should terminate")
-	}
-}
-
 func TestEmptyProgramChase(t *testing.T) {
 	r, err := parser.Parse(`e(a,b).`)
 	if err != nil {

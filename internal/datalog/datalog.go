@@ -27,19 +27,12 @@ type Options struct {
 	// effective.
 	Stratify bool
 	// BiasRecursiveAtom places the mutually-recursive (delta) body atom
-	// first in every join (§7(2)). When false, the remaining atoms are
-	// joined in written order after the delta atom, without connectivity
-	// reordering.
+	// first in every join and orders the rest greedily by bound
+	// variables (§7(2), plan.Options.DeltaFirst). When false, every join
+	// keeps the written body order with the delta restriction in place.
+	// Either way each (rule, delta position) runs one join order, fixed
+	// at compile time.
 	BiasRecursiveAtom bool
-	// Adaptive re-picks each rule's join-order variant every round from
-	// current predicate cardinalities (plan.ChooseAlt over the plans'
-	// precompiled alternatives — the ROADMAP "index swap"): when a delta
-	// window decisively outgrows a side relation, the join drives from the
-	// small relation and probes the window by index instead. The fixpoint
-	// is unchanged for any selection; only probe counts move. Off, every
-	// round keeps the compile-time order — the E8 baselines measure the
-	// static bias choice in isolation.
-	Adaptive bool
 	// InPlace evaluates directly into db instead of a private Clone. The
 	// caller owns the aliasing consequences: db must not be read
 	// concurrently with Eval, and on error it may hold a partial fixpoint.
@@ -60,8 +53,8 @@ type Options struct {
 	// unlimited, with zero hot-loop cost beyond one nil-check per probe.
 	Budget *plan.Budget
 	// Tracer, when non-nil, records the evaluation's execution trace:
-	// join-order decisions per (rule, delta, round) including adaptive
-	// switches, per-stratum round/derived/probe counts, and run totals.
+	// the join order of each (rule, delta) pair, once, per-stratum
+	// round/derived/probe counts, and run totals.
 	// The hooks fire at round granularity (never per probe), so a nil
 	// Tracer costs one nil-check per round×rule×delta and a live one stays
 	// off the hot loop.
@@ -121,7 +114,7 @@ func Eval(prog *logic.Program, db *storage.DB, opt Options) (*storage.DB, *Stats
 	}
 	fx := plan.Fixpoint{
 		DB: edb, Plans: plans, Budget: opt.Budget, Tracer: opt.Tracer,
-		Adaptive: opt.Adaptive, Stratified: opt.Stratify,
+		Stratified: opt.Stratify,
 	}
 	fx.Run(groups, 0)
 	stats := fx.Stats

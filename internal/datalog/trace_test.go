@@ -59,24 +59,28 @@ func TestTracerCrossEngineDeterminism(t *testing.T) {
 // disabled path of the whole explain machinery.
 func TestTracerNilSafe(t *testing.T) {
 	var tr *plan.Tracer
-	tr.Join(0, 0, 1, 0, false, []int{0})
+	tr.Join(0, 0, 1, []int{0})
 	tr.Stratum(0, 1, 2, 3)
 	tr.Fixpoint(1, 2, 3)
 	tr.CQ([]int{0, 1}, 7)
 }
 
-// TestTracerJoinDedup: repeated rounds with the SAME chosen alternative
-// collapse into one JoinChoice; a change of alternative appends.
+// TestTracerJoinDedup: each (rule, delta) pair records its join order
+// once — later rounds of the same pair drop — while a different rule or
+// delta position records.
 func TestTracerJoinDedup(t *testing.T) {
 	tr := &plan.Tracer{}
-	tr.Join(2, 0, 1, 0, true, []int{0, 1})
-	tr.Join(2, 0, 2, 0, true, []int{0, 1}) // same alt: deduped
-	tr.Join(2, 0, 3, 1, true, []int{1, 0}) // alt switch: recorded
-	tr.Join(3, 0, 3, 0, true, []int{0})    // different rule: recorded
-	if len(tr.Joins) != 3 {
-		t.Fatalf("joins = %+v, want 3 entries", tr.Joins)
+	tr.Join(2, 0, 1, []int{0, 1})
+	tr.Join(2, 0, 2, []int{0, 1}) // same pair: dropped
+	tr.Join(2, 1, 2, []int{1, 0}) // other delta: recorded
+	tr.Join(2, 0, 3, []int{0, 1}) // same pair again: dropped
+	tr.Join(3, 0, 3, []int{0})    // other rule: recorded
+	want := []plan.JoinChoice{
+		{Rule: 2, Delta: 0, Round: 1, Order: []int{0, 1}},
+		{Rule: 2, Delta: 1, Round: 2, Order: []int{1, 0}},
+		{Rule: 3, Delta: 0, Round: 3, Order: []int{0}},
 	}
-	if tr.Joins[1].Round != 3 || tr.Joins[1].Alt != 1 {
-		t.Fatalf("alt switch not recorded: %+v", tr.Joins[1])
+	if !reflect.DeepEqual(tr.Joins, want) {
+		t.Fatalf("joins = %+v, want %+v", tr.Joins, want)
 	}
 }

@@ -14,9 +14,7 @@
 //   - Pattern canonicalization of atom sequences (constants stay rigid,
 //     nulls are numbered by first occurrence across the sequence);
 //   - A TriggerMemo that remembers, per TGD, the patterns of body images it
-//     has fired on (the lifted forest's node set);
-//   - A FactPatterns set recording patterns of derived facts (the linear
-//     forest's per-predicate summaries).
+//     has fired on (the lifted forest's node set).
 //
 // On piece-wise linear warded programs the trigger memo is "by design more
 // effective at terminating recursion earlier" (§7(1)): the single recursive
@@ -113,33 +111,3 @@ func (m *TriggerMemo) Size() int {
 	}
 	return n
 }
-
-// FactPatterns records patterns of single facts; used to suppress the
-// *generation* of a fact isomorphic to an existing one (per-predicate
-// linear-forest summary).
-type FactPatterns struct {
-	seen map[Pattern]bool
-	hits int
-}
-
-// NewFactPatterns returns an empty set.
-func NewFactPatterns() *FactPatterns {
-	return &FactPatterns{seen: make(map[Pattern]bool)}
-}
-
-// Admit reports whether the fact's pattern is new, recording it.
-func (f *FactPatterns) Admit(a atom.Atom) bool {
-	p := Canonicalize([]atom.Atom{a})
-	if f.seen[p] {
-		f.hits++
-		return false
-	}
-	f.seen[p] = true
-	return true
-}
-
-// Suppressed reports how many facts were rejected.
-func (f *FactPatterns) Suppressed() int { return f.hits }
-
-// Size reports the number of distinct fact patterns.
-func (f *FactPatterns) Size() int { return len(f.seen) }

@@ -69,24 +69,3 @@ func TestTriggerMemo(t *testing.T) {
 		t.Fatalf("Size = %d", m.Size())
 	}
 }
-
-func TestFactPatterns(t *testing.T) {
-	st := term.NewStore()
-	reg := schema.NewRegistry()
-	r := reg.Intern("r", 2)
-	c := st.Const("c")
-	n1, n2 := term.MkNull(0), term.MkNull(1)
-	f := NewFactPatterns()
-	if !f.Admit(mk(r, c, n1)) {
-		t.Fatalf("first fact admitted")
-	}
-	if f.Admit(mk(r, c, n2)) {
-		t.Fatalf("isomorphic fact suppressed")
-	}
-	if !f.Admit(mk(r, n1, c)) {
-		t.Fatalf("different shape admitted")
-	}
-	if f.Suppressed() != 1 || f.Size() != 2 {
-		t.Fatalf("counters wrong: %d/%d", f.Suppressed(), f.Size())
-	}
-}

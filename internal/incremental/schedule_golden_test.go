@@ -30,21 +30,17 @@ func TestFixpointScheduleGolden(t *testing.T) {
 	add := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
 
 	for _, w := range goldenPrograms(t) {
-		for _, base := range []datalog.Options{
+		for _, opt := range []datalog.Options{
 			{Stratify: true, BiasRecursiveAtom: true},
 			{},
 		} {
-			for _, adaptive := range []bool{false, true} {
-				opt := base
-				opt.Adaptive = adaptive
-				label := fmt.Sprintf("%s strat=%v bias=%v adaptive=%v", w.name, opt.Stratify, opt.BiasRecursiveAtom, adaptive)
-				_, s, err := datalog.Eval(w.prog, w.db, opt)
-				if err != nil {
-					t.Fatalf("%s: eval: %v", label, err)
-				}
-				add("eval %s: rounds=%d derived=%d probes=%d peak=%d strata=%d",
-					label, s.Rounds, s.Derived, s.Probes, s.PeakDelta, s.Strata)
+			label := fmt.Sprintf("%s strat=%v bias=%v", w.name, opt.Stratify, opt.BiasRecursiveAtom)
+			_, s, err := datalog.Eval(w.prog, w.db, opt)
+			if err != nil {
+				t.Fatalf("%s: eval: %v", label, err)
 			}
+			add("eval %s: rounds=%d derived=%d probes=%d peak=%d strata=%d",
+				label, s.Rounds, s.Derived, s.Probes, s.PeakDelta, s.Strata)
 		}
 	}
 
@@ -220,22 +216,14 @@ const goldenWardedSeed = 2
 // without strata, two recursive atoms in one body), where the round a
 // fact lands in depends on when its newer body fact is consumed.
 var scheduleGolden = []string{
-	"eval tc256 strat=true bias=true adaptive=false: rounds=255 derived=32640 probes=65280 peak=509 strata=1",
-	"eval tc256 strat=true bias=true adaptive=true: rounds=255 derived=32640 probes=65280 peak=509 strata=1",
-	"eval tc256 strat=false bias=false adaptive=false: rounds=255 derived=32640 probes=97665 peak=509 strata=0",
-	"eval tc256 strat=false bias=false adaptive=true: rounds=255 derived=32640 probes=83616 peak=509 strata=0",
-	"eval dense60 strat=true bias=true adaptive=false: rounds=3 derived=3600 probes=412388 peak=3278 strata=1",
-	"eval dense60 strat=true bias=true adaptive=true: rounds=3 derived=3600 probes=412388 peak=3278 strata=1",
-	"eval dense60 strat=false bias=false adaptive=false: rounds=4 derived=3600 probes=406766 peak=3245 strata=0",
-	"eval dense60 strat=false bias=false adaptive=true: rounds=4 derived=3600 probes=403166 peak=3245 strata=0",
-	"eval iwarded strat=true bias=true adaptive=false: rounds=38 derived=8972 probes=26871 peak=3955 strata=3",
-	"eval iwarded strat=true bias=true adaptive=true: rounds=36 derived=8972 probes=23029 peak=4215 strata=3",
-	"eval iwarded strat=false bias=false adaptive=false: rounds=14 derived=8972 probes=100020 peak=4081 strata=0",
-	"eval iwarded strat=false bias=false adaptive=true: rounds=13 derived=8972 probes=24266 peak=4646 strata=0",
-	"eval negation strat=true bias=true adaptive=false: rounds=5 derived=1445 probes=27127 peak=621 strata=2",
-	"eval negation strat=true bias=true adaptive=true: rounds=5 derived=1445 probes=27127 peak=621 strata=2",
-	"eval negation strat=false bias=false adaptive=false: rounds=5 derived=1445 probes=28359 peak=621 strata=2",
-	"eval negation strat=false bias=false adaptive=true: rounds=5 derived=1445 probes=27654 peak=621 strata=2",
+	"eval tc256 strat=true bias=true: rounds=255 derived=32640 probes=65280 peak=509 strata=1",
+	"eval tc256 strat=false bias=false: rounds=255 derived=32640 probes=97665 peak=509 strata=0",
+	"eval dense60 strat=true bias=true: rounds=3 derived=3600 probes=412388 peak=3278 strata=1",
+	"eval dense60 strat=false bias=false: rounds=4 derived=3600 probes=406766 peak=3245 strata=0",
+	"eval iwarded strat=true bias=true: rounds=38 derived=8972 probes=26871 peak=3955 strata=3",
+	"eval iwarded strat=false bias=false: rounds=14 derived=8972 probes=100020 peak=4081 strata=0",
+	"eval negation strat=true bias=true: rounds=5 derived=1445 probes=27127 peak=621 strata=2",
+	"eval negation strat=false bias=false: rounds=5 derived=1445 probes=28359 peak=621 strata=2",
 	"insert tc-linear: derived=1095 probes=3385",
 	"insert tc-nonlinear: derived=1095 probes=38968",
 	"chase tc256: facts=32895 rounds=255 apps=32640 memo=0 restricted=0 depth=0 patterns=0 maxdepth=0 truncated=false prov=0",

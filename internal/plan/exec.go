@@ -40,7 +40,7 @@ type Exec struct {
 }
 
 // SetBudget attaches (or with nil detaches) the budget every subsequent
-// Run/RunAlt/RunSeed/Supports enumeration charges its probes to.
+// Run/RunSeed/Supports enumeration charges its probes to.
 func (e *Exec) SetBudget(b *Budget) {
 	e.bud = b
 	e.budLeft = BudgetStride
@@ -70,18 +70,9 @@ func (e *Exec) Frame() []term.Term { return e.frame }
 // di (body atom di restricted to rows at/after since). fn is invoked with
 // the bindings in e.Frame(); returning false stops the enumeration. Run
 // reports whether it ran to completion, and leaves every body slot
-// unbound. It uses the variant's default join order; RunAlt selects an
-// alternative.
+// unbound.
 func (e *Exec) Run(db *storage.DB, di int, since storage.Mark, fn func() bool) bool {
-	return e.RunAlt(db, di, 0, since, fn)
-}
-
-// RunAlt is Run with an explicit join-order alternative (an index into the
-// variant's Alts, as picked by ChooseAlt). Every alternative applies the
-// same delta restriction, so the enumerated match set is identical for any
-// alt — only the order (and hence the probe count) changes.
-func (e *Exec) RunAlt(db *storage.DB, di, alt int, since storage.Mark, fn func() bool) bool {
-	j := e.Rule.Variants[di].Alts[alt]
+	j := &e.Rule.Variants[di].JoinPlan
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(j.Scans) {
@@ -107,7 +98,7 @@ func (e *Exec) RunAlt(db *storage.DB, di, alt int, since storage.Mark, fn func()
 // delete plan: the deleted (overestimate) or just-revived (rederive
 // propagation) fact is pinned at the variant's delta step via
 // storage.ProbeRow and the remaining scans enumerate around it with the
-// default join order. fn and the frame behave exactly as in Run.
+// variant's join order. fn and the frame behave exactly as in Run.
 func (e *Exec) RunSeed(db *storage.DB, di int, seed int32, fn func() bool) bool {
 	j := &e.Rule.Variants[di].JoinPlan
 	var rec func(k int) bool
@@ -237,36 +228,6 @@ func (e *Exec) HeadArgs(i int) (schema.PredID, []term.Term) {
 	t := &e.Rule.Head[i]
 	e.scratch = t.AppendArgs(e.scratch[:0], e.frame)
 	return t.Pred, e.scratch
-}
-
-// ChooseAlt picks a join-order alternative for delta position di from
-// current predicate cardinalities — the per-round "index swap" the
-// adaptive engines perform. The estimated cost driver of an order is its
-// first scan: the delta window's row count when the delta atom leads, the
-// predicate's full cardinality otherwise. The compile-time order Alts[0]
-// wins ties and anything within a 4x band, so selection only overrides the
-// static heuristic when the cardinalities are decisively skewed (e.g. a
-// huge delta window joined against a small stable relation).
-func ChooseAlt(db *storage.DB, r *RulePlan, di int, since storage.Mark) int {
-	v := r.Variants[di]
-	if len(v.Alts) <= 1 {
-		return 0
-	}
-	est := func(j *JoinPlan) int {
-		first := j.Order[0]
-		p := r.Body[first].Pred
-		if j.DeltaStep == 0 {
-			return db.CountSince(p, since)
-		}
-		return db.CountPred(p)
-	}
-	bestAlt, best := 0, est(v.Alts[0])
-	for k := 1; k < len(v.Alts); k++ {
-		if e := est(v.Alts[k]); 4*e < best {
-			bestAlt, best = k, e
-		}
-	}
-	return bestAlt
 }
 
 // BodyImage instantiates the full body under the current frame — the

@@ -61,10 +61,10 @@ type FixpointStats struct {
 // Fixpoint is the semi-naive round driver every bottom-up engine runs:
 // Datalog evaluation, incremental insert propagation, and the chase. It
 // owns the per-pair delta marks, the group loop, the delta-position rule,
-// adaptive join-order choice, tracer hooks and budget stops. A round runs
-// every (rule, delta) pair in turn and derived facts land at once, so
-// later pairs of the round see them; each pair reads its delta atom from
-// where its previous join began, so no pair joins a delta row twice.
+// tracer hooks and budget stops. A round runs every (rule, delta) pair in
+// turn and derived facts land at once, so later pairs of the round see
+// them; each pair reads its delta atom from where its previous join
+// began, so no pair joins a delta row twice.
 //
 // A Fixpoint runs once: set the fields, call Run, read Stats.
 type Fixpoint struct {
@@ -76,9 +76,6 @@ type Fixpoint struct {
 	Execs  []*Exec
 	Budget *Budget
 	Tracer *Tracer
-	// Adaptive re-picks each pair's join-order alternative every round
-	// from current cardinalities (ChooseAlt); otherwise alt 0.
-	Adaptive bool
 	// Stratified marks the groups as predicate-level strata: a rule's
 	// steady-state delta positions are then only the body atoms over the
 	// group's own head predicates (lower strata are closed), and each
@@ -211,7 +208,7 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 }
 
 // join runs pair p's rule with its delta atom restricted to rows from
-// p.mark on, in the join order Adaptive picks (reported to the tracer).
+// p.mark on, in the variant's join order (reported to the tracer).
 // Negated atoms are checked once the positive body is matched: they are
 // ground then (safe negation) and range over closed lower strata, so the
 // check is stable for the whole group. Without a Match function each head
@@ -221,18 +218,14 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 // completes, one more aborts here mid-round.
 func (f *Fixpoint) join(p pair, round int) bool {
 	ex := f.exec(p.rule)
-	alt := 0
-	if f.Adaptive {
-		alt = ChooseAlt(f.DB, ex.Rule, p.delta, p.mark)
-	}
 	if f.Tracer != nil {
-		f.Tracer.Join(p.rule, p.delta, round, alt, f.Adaptive, ex.Rule.Variants[p.delta].Alts[alt].Order)
+		f.Tracer.Join(p.rule, p.delta, round, ex.Rule.Variants[p.delta].Order)
 	}
 	db := f.DB
 	hasNeg := len(ex.Rule.Neg) > 0
 	if f.Match == nil {
 		room, n := f.Budget.Headroom(), 0
-		ok := ex.RunAlt(db, p.delta, alt, p.mark, func() bool {
+		ok := ex.Run(db, p.delta, p.mark, func() bool {
 			if hasNeg && ex.Blocked(db) {
 				return true
 			}
@@ -253,7 +246,7 @@ func (f *Fixpoint) join(p pair, round int) bool {
 		step := fn
 		fn = func() bool { return ex.Blocked(db) || step() }
 	}
-	return ex.RunAlt(db, p.delta, alt, p.mark, fn)
+	return ex.Run(db, p.delta, p.mark, fn)
 }
 
 // exec returns rule ri's executor, creating it on first use. Every

@@ -9,8 +9,10 @@
 // architecture (Bellomarini et al., VLDB 2018), each TGD is compiled ONCE
 // into a RulePlan holding, per delta-atom position:
 //
-//   - a fixed join order (greedy bound-variable heuristic, delta atom
-//     first when Options.DeltaFirst — the §7(2) bias);
+//   - exactly one join order, fixed at compile time: under
+//     Options.DeltaFirst the delta atom first and the rest by a greedy
+//     bound-variable heuristic (the §7(2) bias), the written order
+//     otherwise;
 //   - one storage.ScanPlan per body atom with pre-resolved index
 //     selections and per-position argument modes;
 //   - slot assignments for every rule variable, so bindings live in a
@@ -144,24 +146,15 @@ type SlotVar struct {
 	Slot int
 }
 
-// Variant is the compiled join for one delta-atom position. Its embedded
-// JoinPlan is the default order (compile-time heuristic); Alts holds every
-// precompiled alternative order, so per-round data-adaptive selection is
-// an index swap, never a recompilation.
+// Variant is the compiled join for one delta-atom position: exactly one
+// join order, fixed at compile time.
 type Variant struct {
 	// DeltaPos is the body atom index carrying the delta restriction.
 	DeltaPos int
-	// JoinPlan is the default order: delta atom first plus greedy
+	// JoinPlan is the join order: delta atom first plus greedy
 	// bound-variable connectivity under Options.DeltaFirst, the written
 	// order otherwise.
 	JoinPlan
-	// Alts are the distinct precompiled join orders for this delta
-	// position: Alts[0] is the embedded default; each further entry seeds
-	// the greedy connected order at a different body atom. The engines
-	// pick one per round from current predicate cardinalities
-	// (ChooseAlt); every alternative applies the same delta restriction,
-	// so any choice enumerates the same matches.
-	Alts []*JoinPlan
 }
 
 // JoinPlan is one fixed join order for a delta position: the atom order
@@ -333,53 +326,19 @@ func compileTemplates(atoms []atom.Atom, slotOf map[term.Term]int) []Template {
 	return out
 }
 
-// compileVariant compiles every join order for one delta position: the
-// default order (delta-first greedy under DeltaFirst, written order
-// otherwise) plus one alternative seeded at each other body atom, deduped.
-// Alternatives exist so the engines can swap the join order per round from
-// current cardinalities; compiling them all up front keeps the adaptive
-// path allocation-free.
+// compileVariant compiles the join order for one delta position: the
+// delta-first greedy order under DeltaFirst, the written order otherwise.
 func compileVariant(body []atom.Atom, di int, slotOf map[term.Term]int, live []bool, opt Options) *Variant {
-	v := &Variant{DeltaPos: di}
-	var def []int
+	var ord []int
 	if opt.DeltaFirst {
-		def = greedyOrder(body, di, slotOf)
+		ord = greedyOrder(body, di, slotOf)
 	} else {
-		def = make([]int, len(body))
-		for i := range def {
-			def[i] = i
-		}
-	}
-	v.JoinPlan = *compileJoin(body, def, di, slotOf, live, nil)
-	v.Alts = append(v.Alts, &v.JoinPlan)
-	for first := 0; first < len(body); first++ {
-		ord := greedyOrder(body, first, slotOf)
-		if containsOrder(v.Alts, ord) {
-			continue
-		}
-		v.Alts = append(v.Alts, compileJoin(body, ord, di, slotOf, live, nil))
-	}
-	return v
-}
-
-// containsOrder reports whether the order is already compiled.
-func containsOrder(alts []*JoinPlan, ord []int) bool {
-	for _, a := range alts {
-		if len(a.Order) != len(ord) {
-			continue
-		}
-		same := true
+		ord = make([]int, len(body))
 		for i := range ord {
-			if a.Order[i] != ord[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
+			ord[i] = i
 		}
 	}
-	return false
+	return &Variant{DeltaPos: di, JoinPlan: *compileJoin(body, ord, di, slotOf, live, nil)}
 }
 
 // compileJoin fixes one join order for one delta position, assigns

@@ -1,8 +1,7 @@
 package plan
 
 // Tracer collects one evaluation's structured execution trace: the
-// join orders actually chosen per rule and delta position (including
-// the adaptive alternative picked each round), per-stratum fixpoint
+// join order each (rule, delta position) pair ran, per-stratum fixpoint
 // effort, and run totals. The service attaches one per explain/slow
 // query; the engines call the hooks unconditionally.
 //
@@ -12,10 +11,9 @@ package plan
 // hooks from the goroutine that runs it, so one tracer per evaluation
 // needs no locking.
 type Tracer struct {
-	// Joins holds the join-order decisions in execution order,
-	// deduplicated per (rule, delta) on change: a rule re-running the
-	// same alternative every round records once; an adaptive switch
-	// records again.
+	// Joins holds the join orders in execution order, one per
+	// (rule, delta) pair: a variant's order is fixed at compile time, so
+	// a pair re-running every round records once, in its first round.
 	Joins []JoinChoice
 	// Strata holds per-stratum fixpoint effort (stratified runs only).
 	Strata []StratumTrace
@@ -32,12 +30,12 @@ type Tracer struct {
 	CQOrder   []int
 	CQMatches int
 
-	last map[joinKey]int // last recorded alt per (rule, delta)
+	seen map[joinKey]bool // (rule, delta) pairs already recorded
 }
 
 type joinKey struct{ rule, delta int }
 
-// JoinChoice is one recorded join-order decision.
+// JoinChoice is one recorded join order.
 type JoinChoice struct {
 	// Rule is the rule's index in the compiled program (RulePlan
 	// order); callers resolve it to a label for rendering.
@@ -45,15 +43,10 @@ type JoinChoice struct {
 	// Delta is the delta atom position driving this variant.
 	Delta int `json:"delta"`
 	// Round is the 1-based fixpoint round (within the stratum) the
-	// decision was made in.
+	// pair first ran in.
 	Round int `json:"round"`
-	// Alt is the index of the chosen join-order alternative; Adaptive
-	// reports whether it was picked by the per-round cost heuristic
-	// (false: the static default, alt 0).
-	Alt      int  `json:"alt"`
-	Adaptive bool `json:"adaptive,omitempty"`
-	// Order is the body-atom visit order of the chosen alternative
-	// (indices into the rule body). Shared with the compiled plan —
+	// Order is the variant's body-atom visit order (indices into the
+	// rule body). Shared with the compiled plan —
 	// read-only.
 	Order []int `json:"order"`
 }
@@ -66,21 +59,21 @@ type StratumTrace struct {
 	Probes  int64 `json:"probes"`
 }
 
-// Join records a join-order decision. Repeated decisions with the
-// same alternative for the same (rule, delta) are dropped.
-func (t *Tracer) Join(rule, delta, round, alt int, adaptive bool, order []int) {
+// Join records the join order a (rule, delta) pair runs. Each pair
+// records once; repeats are dropped.
+func (t *Tracer) Join(rule, delta, round int, order []int) {
 	if t == nil {
 		return
 	}
 	k := joinKey{rule, delta}
-	if prev, ok := t.last[k]; ok && prev == alt {
+	if t.seen[k] {
 		return
 	}
-	if t.last == nil {
-		t.last = make(map[joinKey]int)
+	if t.seen == nil {
+		t.seen = make(map[joinKey]bool)
 	}
-	t.last[k] = alt
-	t.Joins = append(t.Joins, JoinChoice{Rule: rule, Delta: delta, Round: round, Alt: alt, Adaptive: adaptive, Order: order})
+	t.seen[k] = true
+	t.Joins = append(t.Joins, JoinChoice{Rule: rule, Delta: delta, Round: round, Order: order})
 }
 
 // Plan records whether the compiled program was a plan-cache hit.

@@ -126,18 +126,17 @@ type ViewTrace struct {
 	Probes   int64 `json:"probes,omitempty"`
 	// Strata is the per-stratum fixpoint effort of the build.
 	Strata []plan.StratumTrace `json:"strata,omitempty"`
-	// JoinOrders are the join-order decisions of the build, rule
-	// indices resolved to "headpred/ruleindex" labels.
+	// JoinOrders are the join orders of the build, one per (rule,
+	// delta) pair, rule indices resolved to "headpred/ruleindex" labels.
 	JoinOrders []ViewJoin `json:"join_orders,omitempty"`
 }
 
-// ViewJoin is one join-order decision of a view build, with the rule
-// resolved to a label.
+// ViewJoin is the join order one (rule, delta) pair of a view build
+// ran, with the rule resolved to a label.
 type ViewJoin struct {
 	Rule  string `json:"rule"`
 	Delta int    `json:"delta"`
 	Round int    `json:"round"`
-	Alt   int    `json:"alt"`
 	Order []int  `json:"order"`
 }
 
@@ -195,7 +194,6 @@ func buildViewTrace(reg *schema.Registry, view *logic.Program, pt *plan.Tracer) 
 			Rule:  ruleLabel(reg, view, jc.Rule),
 			Delta: jc.Delta,
 			Round: jc.Round,
-			Alt:   jc.Alt,
 			Order: jc.Order,
 		})
 	}

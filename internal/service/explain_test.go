@@ -99,10 +99,22 @@ func TestExplainViewDeterminism(t *testing.T) {
 	if a.Rows != b.Rows || a.Rows != 15 {
 		t.Fatalf("rows = %d/%d, want 15", a.Rows, b.Rows)
 	}
+	// One compiled join order per (rule, delta) pair: the build records
+	// each pair once, however many rounds it ran.
+	type pairKey struct {
+		rule  string
+		delta int
+	}
+	seen := make(map[pairKey]bool)
 	for _, jo := range a.View.JoinOrders {
 		if !strings.HasPrefix(jo.Rule, "v/") {
 			t.Fatalf("rule label %q not resolved to head predicate", jo.Rule)
 		}
+		k := pairKey{jo.Rule, jo.Delta}
+		if seen[k] {
+			t.Fatalf("pair %+v recorded twice: %+v", k, a.View.JoinOrders)
+		}
+		seen[k] = true
 	}
 }
 

@@ -165,9 +165,7 @@ func (db *DB) CountPred(p schema.PredID) int {
 }
 
 // CountSince reports the number of live atoms with the given predicate
-// inserted at or after the mark — the delta-window row count the fixpoint
-// engines use for cost-based shard scheduling and adaptive join-order
-// selection.
+// inserted at or after the mark: the live rows of its delta window.
 func (db *DB) CountSince(p schema.PredID, since Mark) int {
 	if r := db.relOf(p); r != nil {
 		lo := r.firstSince(since)

@@ -289,6 +289,76 @@ func TestOverlaysShareOneLateBuild(t *testing.T) {
 	}
 }
 
+// TestLateBuildSurvivesOwn: a position a reader built late on a view
+// covers exactly the rows an overlay of it holds, so the overlay's first
+// append keeps that build as the position's frozen base and indexes the
+// new rows into a tail, instead of rebuilding the position from row 0 —
+// for a Clone, and for an overlay whose view readers keep probing the
+// shared build meanwhile. Run under -race -cpu 1,2,4,8 in CI.
+func TestLateBuildSurvivesOwn(t *testing.T) {
+	db, p, consts := postingFixture(1000, 50)
+	watermarks := func(d *DB) (int, int) {
+		pos := d.relOf(p).idx[0]
+		return int(pos.split), int(pos.built)
+	}
+	agree := func(d *DB, label string) {
+		t.Helper()
+		ref := indexed(d)
+		for _, c := range consts {
+			if got, want := probeAt(d, p, 2, 0, c), probeAt(ref, p, 2, 0, c); got != want {
+				t.Fatalf("%s: probe of %v: %q, want %q", label, c, got, want)
+			}
+		}
+		mustVerify(t, d, label)
+	}
+	// appendRow inserts the first pair from the k-th on that d lacks.
+	appendRow := func(d *DB, k int) {
+		for ; !d.InsertArgs(p, []term.Term{consts[k%50], consts[k/50%50]}); k++ {
+		}
+	}
+
+	cl := db.Clone()
+	probeAt(cl, p, 2, 0, consts[0]) // a late build over the clone's 1000 rows
+	appendRow(cl, 0)
+	agree(cl, "clone after its first append")
+	if split, built := watermarks(cl); split != 1000 || built != 1001 {
+		t.Fatalf("clone: split %d, built %d, want 1000, 1001", split, built)
+	}
+
+	snap := db.Snapshot()
+	defer snap.Release()
+	view := snap.DB()
+	probeAt(view, p, 2, 0, consts[0])
+	ov := view.Overlay()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				probeAt(view, p, 2, 0, consts[(w+k)%len(consts)])
+			}
+		}(w)
+	}
+	for i := 0; i < 50; i++ {
+		appendRow(ov, 37*i)
+		probeAt(ov, p, 2, 0, consts[i%50])
+	}
+	close(done)
+	wg.Wait()
+	agree(ov, "overlay after 50 appends")
+	if split, built := watermarks(ov); split != 1000 || built != 1050 {
+		t.Fatalf("overlay: split %d, built %d, want 1000, 1050", split, built)
+	}
+	agree(view, "view under the overlay")
+}
+
 // BenchmarkProbeFrozen pins the steady-state cost of a probe of a built
 // position on a frozen view — the path every service read takes — so the
 // watermark check in relation.posting stays a compare, not a lock or an

@@ -270,8 +270,9 @@ func newTab(n int) []int32 {
 // table copy there is, paid by the second writer of a row space, never
 // by the first. Slots the other writer filled with rows this relation
 // does not have are scrubbed — they would read as rows of its own once
-// it has that many. The view's late-built positions stay behind: they
-// cover the view's rows only.
+// it has that many. A position a reader built late over the view covers
+// exactly the rows this relation holds, so it becomes the position's
+// frozen base, and the rows appended from here on go into a tail.
 func (r *relation) own() {
 	if r.tabShared { // else empty
 		n, m := uint32(r.nrows), rowMask(len(r.tab))
@@ -283,6 +284,9 @@ func (r *relation) own() {
 		}
 		r.tab, r.tabShared = tab, false
 		obsCowBytes.Add(uint64(4 * len(tab)))
+	}
+	for i := range r.idx {
+		r.idx[i] = r.settled(i)
 	}
 	r.late = nil
 	r.borrowed = false
