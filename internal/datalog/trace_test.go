@@ -84,3 +84,35 @@ func TestTracerJoinDedup(t *testing.T) {
 		t.Fatalf("joins = %+v, want %+v", tr.Joins, want)
 	}
 }
+
+// TestTracerJoinsOncePerPair: a traced evaluation records each
+// (rule, delta) pair once, in the order the compiled variant runs, however
+// many rounds the pair ran — under both join-order policies.
+func TestTracerJoinsOncePerPair(t *testing.T) {
+	src := chain64()
+	for _, bias := range []bool{false, true} {
+		r, db := load(t, src)
+		tr := &plan.Tracer{}
+		if _, _, err := Eval(r.Program, db, Options{BiasRecursiveAtom: bias, Tracer: tr}); err != nil {
+			t.Fatal(err)
+		}
+		p := plan.Compile(r.Program, plan.Options{DeltaFirst: bias})
+		type pair struct{ rule, delta int }
+		seen := make(map[pair]bool)
+		for _, jc := range tr.Joins {
+			k := pair{jc.Rule, jc.Delta}
+			if seen[k] {
+				t.Fatalf("bias=%v: pair %+v recorded twice: %+v", bias, k, tr.Joins)
+			}
+			seen[k] = true
+			if want := p.Rules[jc.Rule].Variants[jc.Delta].Order; !reflect.DeepEqual(jc.Order, want) {
+				t.Fatalf("bias=%v: pair %+v order %v, compiled %v", bias, k, jc.Order, want)
+			}
+		}
+		// The recursive rule's t-delta variant ran in every one of the
+		// chain's rounds and recorded once.
+		if !seen[pair{1, 1}] || tr.Rounds <= len(tr.Joins) {
+			t.Fatalf("bias=%v: %d rounds, joins %+v", bias, tr.Rounds, tr.Joins)
+		}
+	}
+}
