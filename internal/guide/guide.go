@@ -11,8 +11,8 @@
 // contribute new certain answers for warded programs and is suppressed.
 // This package provides that abstraction:
 //
-//   - Pattern canonicalization of atom sequences (constants stay rigid,
-//     nulls are numbered by first occurrence across the sequence);
+//   - Patterns of body images (atom.NewNullCanonicalizer: constants stay
+//     rigid, nulls are numbered by first occurrence across the image);
 //   - A TriggerMemo that remembers, per TGD, the patterns of body images it
 //     has fired on (the lifted forest's node set).
 //
@@ -22,80 +22,38 @@
 // memo saturates after polynomially many distinct patterns.
 package guide
 
-import (
-	"strconv"
-	"strings"
-
-	"repro/internal/atom"
-)
-
-// Pattern is a canonical string form of an atom sequence where nulls are
-// replaced by their first-occurrence index. Two sequences have equal
-// Patterns iff they are isomorphic over null renaming.
-type Pattern string
-
-// Canonicalize computes the pattern of an atom sequence. Variables are not
-// expected (trigger images and facts are ground); they are rendered
-// distinctly if present so the function stays total.
-func Canonicalize(atoms []atom.Atom) Pattern {
-	var b strings.Builder
-	nulls := make(map[uint32]int)
-	for _, a := range atoms {
-		b.WriteString(strconv.FormatUint(uint64(a.Pred), 36))
-		b.WriteByte('(')
-		for i, t := range a.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			switch {
-			case t.IsNull():
-				id, ok := nulls[t.ID()]
-				if !ok {
-					id = len(nulls)
-					nulls[t.ID()] = id
-				}
-				b.WriteByte('N')
-				b.WriteString(strconv.Itoa(id))
-			case t.IsConst():
-				b.WriteByte('c')
-				b.WriteString(strconv.FormatUint(uint64(t.ID()), 36))
-			default:
-				b.WriteByte('v')
-				b.WriteString(strconv.FormatUint(uint64(t.ID()), 36))
-			}
-		}
-		b.WriteByte(')')
-	}
-	return Pattern(b.String())
-}
+import "repro/internal/atom"
 
 // TriggerMemo suppresses repeated isomorphic triggers per TGD. It is the
 // core of the termination control ablated in experiment E7.
 type TriggerMemo struct {
-	seen map[int]map[Pattern]bool
-	hits int
+	canon *atom.Canonicalizer
+	seen  map[trigger]bool
+	hits  int
+}
+
+// trigger is a TGD (by index) and the pattern of a body image.
+type trigger struct {
+	tgd     int
+	pattern string
 }
 
 // NewTriggerMemo returns an empty memo.
 func NewTriggerMemo() *TriggerMemo {
-	return &TriggerMemo{seen: make(map[int]map[Pattern]bool)}
+	return &TriggerMemo{canon: atom.NewNullCanonicalizer(), seen: make(map[trigger]bool)}
 }
 
 // Admit reports whether the TGD (by index) should fire on a trigger whose
 // body image is the given atom sequence; the first call for each (TGD,
 // pattern) admits, later calls are suppressed.
 func (m *TriggerMemo) Admit(tgd int, bodyImage []atom.Atom) bool {
-	p := Canonicalize(bodyImage)
-	s := m.seen[tgd]
-	if s == nil {
-		s = make(map[Pattern]bool)
-		m.seen[tgd] = s
-	}
-	if s[p] {
+	// Body atom i's image is atom i, so the image is keyed in body order.
+	k := trigger{tgd, m.canon.Key(bodyImage)}
+	if m.seen[k] {
 		m.hits++
 		return false
 	}
-	s[p] = true
+	m.seen[k] = true
 	return true
 }
 
@@ -104,10 +62,4 @@ func (m *TriggerMemo) Suppressed() int { return m.hits }
 
 // Size reports how many distinct trigger patterns are stored — the memory
 // footprint proxy reported by E7.
-func (m *TriggerMemo) Size() int {
-	n := 0
-	for _, s := range m.seen {
-		n += len(s)
-	}
-	return n
-}
+func (m *TriggerMemo) Size() int { return len(m.seen) }

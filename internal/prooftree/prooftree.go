@@ -89,7 +89,9 @@ type Stats struct {
 	// MaxStateAtoms is the largest state encountered (must be ≤ Bound).
 	MaxStateAtoms int
 	// MaxStateBytes is the largest canonical state key in bytes — the
-	// per-state space usage, the quantity NLogSpace bounds.
+	// per-state space usage, the quantity NLogSpace bounds. The key is
+	// 4 B per predicate and per argument (atom.Canonicalizer), so it
+	// follows the state's shape only.
 	MaxStateBytes int
 	// PeakFrontier is the largest BFS frontier (linear mode only).
 	PeakFrontier int
@@ -167,6 +169,7 @@ func decideImpl(prog *logic.Program, db *storage.DB, q *logic.CQ, c []term.Term,
 		stats: &Stats{Bound: bound},
 		edb:   sh.EDB(),
 		trace: tr,
+		canon: atom.NewCanonicalizer(sh.Store, nil),
 	}
 	var ok bool
 	var err error
@@ -200,6 +203,9 @@ type searcher struct {
 	atomCache      map[string]bool
 	atomInProgress map[string]bool
 	abortErr       error
+	// canon names states up to renaming for the visited sets and the
+	// atom-wise cache; nested searches share it.
+	canon *atom.Canonicalizer
 	// trace, when non-nil, records parent pointers and transition labels of
 	// the linear search so an accepting run can be reconstructed (the
 	// level sequence of the linear proof tree). Only the outermost search
@@ -222,7 +228,7 @@ func (s *searcher) atomProvable(a atom.Atom) bool {
 		s.atomInProgress = make(map[string]bool)
 	}
 	st := resolution.NewState([]atom.Atom{a.Clone()})
-	_, key := resolution.Canonical(st, s.prog.Store)
+	_, key := resolution.Canonical(st, s.canon)
 	if v, ok := s.atomCache[key]; ok {
 		return v
 	}
@@ -496,7 +502,7 @@ func (s *searcher) bfs(init resolution.State) (bool, error) {
 	if dead {
 		return false, nil
 	}
-	canon, key := resolution.Canonical(init, s.prog.Store)
+	canon, key := resolution.Canonical(init, s.canon)
 	s.note(canon, key)
 	if canon.Size() > s.bound {
 		// The initial query can exceed the bound only if the caller forced
@@ -529,7 +535,7 @@ func (s *searcher) bfs(init resolution.State) (bool, error) {
 			if dead {
 				return true
 			}
-			cc, ck := resolution.Canonical(child, s.prog.Store)
+			cc, ck := resolution.Canonical(child, s.canon)
 			if visited[ck] {
 				return true
 			}
@@ -600,7 +606,7 @@ func (s *searcher) alternatingGraph(init resolution.State) (bool, map[string]*al
 		if dead {
 			return deadKey, nil
 		}
-		canon, key := resolution.Canonical(st, s.prog.Store)
+		canon, key := resolution.Canonical(st, s.canon)
 		if _, ok := nodes[key]; ok {
 			return key, nil
 		}

@@ -213,6 +213,7 @@ func DecideWithProofTree(prog *logic.Program, db *storage.DB, q *logic.CQ, c []t
 		opt:   opt,
 		stats: &Stats{Bound: bound},
 		edb:   sh.EDB(),
+		canon: atom.NewCanonicalizer(sh.Store, nil),
 	}
 	ok, nodes, rootKey, err := s.alternatingGraph(init)
 	if err != nil || !ok {

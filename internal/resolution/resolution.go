@@ -13,9 +13,7 @@
 package resolution
 
 import (
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 
 	"repro/internal/atom"
 	"repro/internal/logic"
@@ -35,16 +33,9 @@ func NewState(atoms []atom.Atom) State {
 }
 
 func dedup(atoms []atom.Atom) []atom.Atom {
-	var out []atom.Atom
+	out := make([]atom.Atom, 0, len(atoms))
 	for _, a := range atoms {
-		dup := false
-		for _, b := range out {
-			if a.Equal(b) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(out, a.Equal) {
 			out = append(out, a)
 		}
 	}
@@ -275,60 +266,11 @@ func Decompose(s State) []State {
 	return out
 }
 
-// Canonical renames the variables of the state into a fixed pool (v0, v1,
-// ...) by a deterministic traversal and returns both the renamed state and
-// its string key. Isomorphic states (equal up to variable renaming and atom
-// order) receive equal keys for the common case; the key is used for
-// memoization, where an occasional imperfect canonicalization only costs a
-// re-exploration, never soundness.
-func Canonical(s State, st *term.Store) (State, string) {
-	atoms := append([]atom.Atom(nil), s.Atoms...)
-	// Initial deterministic order ignoring variable identity.
-	sort.SliceStable(atoms, func(i, j int) bool {
-		return structuralKey(atoms[i]) < structuralKey(atoms[j])
-	})
-	// Greedy canonical labeling: repeatedly pick the unplaced atom with the
-	// smallest signature under current ranks, then rank its fresh vars.
-	rank := make(map[term.Term]int)
-	placed := make([]bool, len(atoms))
-	ordered := make([]atom.Atom, 0, len(atoms))
-	for len(ordered) < len(atoms) {
-		best := -1
-		var bestSig string
-		for i, a := range atoms {
-			if placed[i] {
-				continue
-			}
-			sig := signature(a, rank)
-			if best == -1 || sig < bestSig {
-				best, bestSig = i, sig
-			}
-		}
-		placed[best] = true
-		a := atoms[best]
-		for _, t := range a.Args {
-			if t.IsVar() {
-				if _, ok := rank[t]; !ok {
-					rank[t] = len(rank)
-				}
-			}
-		}
-		ordered = append(ordered, a)
-	}
-	// Apply the renaming FLAT (single step): the target names v0, v1, ...
-	// may themselves occur in the state (states are re-canonicalized), so
-	// chain-following substitution would conflate distinct variables.
-	sub := make(map[term.Term]term.Term, len(rank))
-	for v, r := range rank {
-		sub[v] = st.Var("v" + strconv.Itoa(r))
-	}
-	renamed := ApplyFlat(sub, ordered)
-	var b strings.Builder
-	for _, a := range renamed {
-		b.WriteString(structuralKeyFull(a))
-		b.WriteByte(';')
-	}
-	return State{Atoms: renamed}, b.String()
+// Canonical renames the state by c (atom.Canonicalizer): its atoms in
+// canonical order over c's variable pool v0, v1, ..., and its memo key.
+func Canonical(s State, c *atom.Canonicalizer) (State, string) {
+	atoms, key := c.Canonical(s.Atoms)
+	return State{Atoms: atoms}, key
 }
 
 // ApplyFlat applies a term-to-term mapping in a single step (no chain
@@ -348,59 +290,4 @@ func ApplyFlat(m map[term.Term]term.Term, atoms []atom.Atom) []atom.Atom {
 		out[i] = atom.Atom{Pred: a.Pred, Args: args}
 	}
 	return out
-}
-
-// structuralKey identifies an atom ignoring variable identity.
-func structuralKey(a atom.Atom) string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(uint64(a.Pred), 36))
-	b.WriteByte('(')
-	for _, t := range a.Args {
-		if t.IsVar() {
-			b.WriteByte('V')
-		} else {
-			b.WriteByte(byte('c'))
-			b.WriteString(strconv.FormatUint(uint64(t), 36))
-		}
-		b.WriteByte(',')
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-// signature identifies an atom under a partial variable ranking.
-func signature(a atom.Atom, rank map[term.Term]int) string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(uint64(a.Pred), 36))
-	b.WriteByte('(')
-	for _, t := range a.Args {
-		if t.IsVar() {
-			if r, ok := rank[t]; ok {
-				b.WriteByte('r')
-				b.WriteString(strconv.Itoa(r))
-			} else {
-				b.WriteByte('V')
-			}
-		} else {
-			b.WriteByte('c')
-			b.WriteString(strconv.FormatUint(uint64(t), 36))
-		}
-		b.WriteByte(',')
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-// structuralKeyFull identifies an atom including variable identity (after
-// canonical renaming all variables have stable IDs).
-func structuralKeyFull(a atom.Atom) string {
-	var b strings.Builder
-	b.WriteString(strconv.FormatUint(uint64(a.Pred), 36))
-	b.WriteByte('(')
-	for _, t := range a.Args {
-		b.WriteString(strconv.FormatUint(uint64(t), 36))
-		b.WriteByte(',')
-	}
-	b.WriteByte(')')
-	return b.String()
 }

@@ -168,9 +168,9 @@ func TestCanonicalIsomorphicStates(t *testing.T) {
 ?() :- e(U,V), f(U).
 `)
 	st := r.Program.Store
-	_, k1 := Canonical(NewState(r.Queries[0].Atoms), st)
-	_, k2 := Canonical(NewState(r.Queries[1].Atoms), st)
-	_, k3 := Canonical(NewState(r.Queries[2].Atoms), st)
+	_, k1 := Canonical(NewState(r.Queries[0].Atoms), atom.NewCanonicalizer(st, nil))
+	_, k2 := Canonical(NewState(r.Queries[1].Atoms), atom.NewCanonicalizer(st, nil))
+	_, k3 := Canonical(NewState(r.Queries[2].Atoms), atom.NewCanonicalizer(st, nil))
 	if k1 != k2 {
 		t.Fatalf("isomorphic states got different keys:\n%q\n%q", k1, k2)
 	}
@@ -185,8 +185,8 @@ func TestCanonicalAtomOrderInvariance(t *testing.T) {
 ?() :- e(X,Y), f(Y).
 `)
 	st := r.Program.Store
-	_, k1 := Canonical(NewState(r.Queries[0].Atoms), st)
-	_, k2 := Canonical(NewState(r.Queries[1].Atoms), st)
+	_, k1 := Canonical(NewState(r.Queries[0].Atoms), atom.NewCanonicalizer(st, nil))
+	_, k2 := Canonical(NewState(r.Queries[1].Atoms), atom.NewCanonicalizer(st, nil))
 	if k1 != k2 {
 		t.Fatalf("atom order changed the canonical key")
 	}
@@ -198,8 +198,8 @@ func TestCanonicalConstantsRigid(t *testing.T) {
 ?() :- e(b,X).
 `)
 	st := r.Program.Store
-	_, k1 := Canonical(NewState(r.Queries[0].Atoms), st)
-	_, k2 := Canonical(NewState(r.Queries[1].Atoms), st)
+	_, k1 := Canonical(NewState(r.Queries[0].Atoms), atom.NewCanonicalizer(st, nil))
+	_, k2 := Canonical(NewState(r.Queries[1].Atoms), atom.NewCanonicalizer(st, nil))
 	if k1 == k2 {
 		t.Fatalf("different constants must yield different keys")
 	}

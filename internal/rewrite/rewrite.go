@@ -81,29 +81,13 @@ func Translate(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 	if maxClasses == 0 {
 		maxClasses = 50000
 	}
-	tr := &translator{
-		prog:       sh,
-		edb:        sh.EDB(),
-		bound:      bound,
-		maxClasses: maxClasses,
-		out:        &logic.Program{Store: prog.Store, Reg: prog.Reg},
-		classes:    make(map[string]*cqClass),
-		skolemIDs:  make(map[term.Term]int),
-		// nonce makes generated predicate names unique across multiple
-		// translations over one shared naming context.
-		nonce: prog.Reg.Len(),
-	}
 	// The skolem pool: reserved constants representing frozen outputs.
 	// 2*bound*maxArity is a safe ceiling on distinct skolems per state.
 	maxSk := 2 * bound * maxArity(sh)
 	if n := len(q.Output); n > maxSk {
 		maxSk = n
 	}
-	for i := 0; i < maxSk; i++ {
-		s := prog.Store.Const(skolemPrefix + strconv.Itoa(i))
-		tr.skolems = append(tr.skolems, s)
-		tr.skolemIDs[s] = i
-	}
+	tr := newTranslator(sh, prog, bound, maxClasses, maxSk)
 
 	// Answer predicate and root states, one per partition of the output
 	// positions (the partition π of Definition 4.6).
@@ -125,7 +109,7 @@ func Translate(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 			continue
 		}
 		root := resolution.NewState(sub.ApplyAtoms(q.Atoms))
-		cls, err := tr.classOf(root)
+		cls, rootArgs, err := tr.classOf(root)
 		if err != nil {
 			return nil, err
 		}
@@ -143,12 +127,11 @@ func Translate(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 			}
 			headArgs[i] = v
 		}
-		// The class's canonical argument order corresponds to the concrete
-		// root's skolems via classArgs; map each concrete skolem back to
-		// its partition block to pick the right rule variable.
-		concreteOrdered := tr.classArgs(cls, root)
-		bodyArgs := make([]term.Term, len(concreteOrdered))
-		for j, sk := range concreteOrdered {
+		// The class's argument j is the root's j-th skolem in canonical
+		// order; map each back to its partition block to pick the right
+		// rule variable.
+		bodyArgs := make([]term.Term, len(rootArgs))
+		for j, sk := range rootArgs {
 			bodyArgs[j] = blockVar[tr.skolemIDs[sk]]
 		}
 		tr.out.Add(&logic.TGD{
@@ -207,132 +190,57 @@ type translator struct {
 	order      []*cqClass
 	skolems    []term.Term
 	skolemIDs  map[term.Term]int
-	renames    int
-	nonce      int
+	// canon renames variables and skolems (separate rank spaces) over a
+	// greedy atom order that never depends on concrete skolem identities,
+	// so two instances of one class order corresponding atoms alike.
+	canon   *atom.Canonicalizer
+	renames int
+	nonce   int
 }
 
-// classOf canonicalizes a state and returns (creating if needed) its class.
-func (tr *translator) classOf(st resolution.State) (*cqClass, error) {
-	canon, key, sks := tr.canonical(st)
+// newTranslator returns a translator of the single-head program sh whose
+// output program shares prog's naming context, with a pool of nSkolems
+// skolem constants.
+func newTranslator(sh, prog *logic.Program, bound, maxClasses, nSkolems int) *translator {
+	tr := &translator{
+		prog:       sh,
+		edb:        sh.EDB(),
+		bound:      bound,
+		maxClasses: maxClasses,
+		out:        &logic.Program{Store: prog.Store, Reg: prog.Reg},
+		classes:    make(map[string]*cqClass),
+		skolemIDs:  make(map[term.Term]int),
+		// nonce makes generated predicate names unique across multiple
+		// translations over one shared naming context.
+		nonce: prog.Reg.Len(),
+	}
+	for i := 0; i < nSkolems; i++ {
+		s := prog.Store.Const(skolemPrefix + strconv.Itoa(i))
+		tr.skolems = append(tr.skolems, s)
+		tr.skolemIDs[s] = i
+	}
+	tr.canon = atom.NewCanonicalizer(prog.Store, tr.skolems)
+	return tr
+}
+
+// classOf canonicalizes a state and returns (creating if needed) its
+// class, with the state's concrete skolems in canonical order: the
+// class's argument tuple for this instance, position by position.
+func (tr *translator) classOf(st resolution.State) (*cqClass, []term.Term, error) {
+	canon, key := resolution.Canonical(st, tr.canon)
+	args := append([]term.Term(nil), tr.canon.Skolems()...)
 	if c, ok := tr.classes[key]; ok {
-		return c, nil
+		return c, args, nil
 	}
 	if len(tr.classes) >= tr.maxClasses {
-		return nil, fmt.Errorf("rewrite: class budget %d exhausted (bound %d)", tr.maxClasses, tr.bound)
+		return nil, nil, fmt.Errorf("rewrite: class budget %d exhausted (bound %d)", tr.maxClasses, tr.bound)
 	}
 	id := len(tr.classes)
-	pred := tr.prog.Reg.Intern(fmt.Sprintf("cq_%d_%d", tr.nonce, id), len(sks))
-	c := &cqClass{id: id, pred: pred, state: canon, skolems: sks}
+	pred := tr.prog.Reg.Intern(fmt.Sprintf("cq_%d_%d", tr.nonce, id), len(args))
+	c := &cqClass{id: id, pred: pred, state: canon, skolems: tr.skolems[:len(args):len(args)]}
 	tr.classes[key] = c
 	tr.order = append(tr.order, c)
-	return c, nil
-}
-
-// canonOrder orders the state's atoms greedily so that the order is
-// invariant under renaming of BOTH variables and skolem constants: atoms
-// are ranked by signatures in which already-seen variables/skolems carry
-// their rank and unseen ones a placeholder, real constants stay rigid.
-// Crucially the order never depends on concrete skolem identities, so two
-// instances of the same class order corresponding atoms identically.
-func (tr *translator) canonOrder(st resolution.State) []atom.Atom {
-	atoms := st.Atoms
-	vrank := make(map[term.Term]int)
-	skrank := make(map[term.Term]int)
-	sig := func(a atom.Atom) string {
-		s := strconv.FormatUint(uint64(a.Pred), 36) + "("
-		for _, t := range a.Args {
-			switch {
-			case tr.isSkolem(t):
-				if r, ok := skrank[t]; ok {
-					s += "s" + strconv.Itoa(r)
-				} else {
-					s += "S"
-				}
-			case t.IsVar():
-				if r, ok := vrank[t]; ok {
-					s += "r" + strconv.Itoa(r)
-				} else {
-					s += "V"
-				}
-			default:
-				s += "c" + strconv.FormatUint(uint64(t), 36)
-			}
-			s += ","
-		}
-		return s + ")"
-	}
-	placed := make([]bool, len(atoms))
-	out := make([]atom.Atom, 0, len(atoms))
-	for len(out) < len(atoms) {
-		best := -1
-		var bestSig string
-		for i, a := range atoms {
-			if placed[i] {
-				continue
-			}
-			s := sig(a)
-			if best == -1 || s < bestSig {
-				best, bestSig = i, s
-			}
-		}
-		placed[best] = true
-		a := atoms[best]
-		for _, t := range a.Args {
-			if tr.isSkolem(t) {
-				if _, ok := skrank[t]; !ok {
-					skrank[t] = len(skrank)
-				}
-			} else if t.IsVar() {
-				if _, ok := vrank[t]; !ok {
-					vrank[t] = len(vrank)
-				}
-			}
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-func (tr *translator) isSkolem(t term.Term) bool {
-	_, ok := tr.skolemIDs[t]
-	return ok
-}
-
-// canonical renames variables AND skolem constants canonically (separate
-// namespaces, first-occurrence order over the canonical atom order) and
-// returns the renamed state, its key, and the renamed state's skolems in
-// canonical order.
-func (tr *translator) canonical(st resolution.State) (resolution.State, string, []term.Term) {
-	ordered := tr.canonOrder(st)
-	sub := make(map[term.Term]term.Term)
-	var sks []term.Term
-	vcount := 0
-	for _, a := range ordered {
-		for _, t := range a.Args {
-			if tr.isSkolem(t) {
-				if _, done := sub[t]; !done {
-					ren := tr.skolems[len(sks)]
-					sub[t] = ren
-					sks = append(sks, ren)
-				}
-			} else if t.IsVar() {
-				if _, done := sub[t]; !done {
-					sub[t] = tr.prog.Store.Var("v" + strconv.Itoa(vcount))
-					vcount++
-				}
-			}
-		}
-	}
-	renamed := resolution.State{Atoms: resolution.ApplyFlat(sub, ordered)}
-	key := ""
-	for _, a := range renamed.Atoms {
-		key += strconv.FormatUint(uint64(a.Pred), 36) + "("
-		for _, t := range a.Args {
-			key += strconv.FormatUint(uint64(t), 36) + ","
-		}
-		key += ");"
-	}
-	return renamed, key, sks
+	return c, args, nil
 }
 
 // explore processes classes until closure, emitting rules.
@@ -373,17 +281,15 @@ func (tr *translator) expand(c *cqClass) error {
 	// (2) Decomposition into variable-connected components.
 	comps := resolution.Decompose(st)
 	if len(comps) > 1 {
-		children := make([]*cqClass, len(comps))
-		childStates := make([]resolution.State, len(comps))
+		body := make([]atom.Atom, len(comps))
 		for i, comp := range comps {
-			cc, err := tr.classOf(comp)
+			cc, args, err := tr.classOf(comp)
 			if err != nil {
 				return err
 			}
-			children[i] = cc
-			childStates[i] = comp
+			body[i] = atom.New(cc.pred, args...)
 		}
-		tr.emitClassRule(c, children, childStates)
+		tr.emit(c, body)
 		return nil
 	}
 
@@ -404,11 +310,11 @@ func (tr *translator) expand(c *cqClass) error {
 		if len(resolution.Decompose(promoted)) <= 1 {
 			continue
 		}
-		pc, err := tr.classOf(promoted)
+		pc, args, err := tr.classOf(promoted)
 		if err != nil {
 			return err
 		}
-		tr.emitClassRule(c, []*cqClass{pc}, []resolution.State{promoted})
+		tr.emit(c, []atom.Atom{atom.New(pc.pred, args...)})
 	}
 
 	// (3b) Resolution with every TGD (same chunk policy as the proof
@@ -426,11 +332,11 @@ func (tr *translator) expand(c *cqClass) error {
 			if child.Size() > tr.bound {
 				continue
 			}
-			cc, err := tr.classOf(child)
+			cc, args, err := tr.classOf(child)
 			if err != nil {
 				return err
 			}
-			tr.emitClassRule(c, []*cqClass{cc}, []resolution.State{child})
+			tr.emit(c, []atom.Atom{atom.New(cc.pred, args...)})
 		}
 	}
 	return nil
@@ -453,36 +359,6 @@ func (tr *translator) freshSkolem(st resolution.State) term.Term {
 		}
 	}
 	return 0
-}
-
-// emitClassRule emits C[c1](..), ..., C[ck](..) → C[p](..), where the
-// children are given as concrete states sharing the parent's skolem
-// identities.
-func (tr *translator) emitClassRule(parent *cqClass, children []*cqClass, childStates []resolution.State) {
-	var body []atom.Atom
-	for i, cc := range children {
-		body = append(body, atom.New(cc.pred, tr.classArgs(cc, childStates[i])...))
-	}
-	tr.emit(parent, body)
-}
-
-// classArgs computes the argument tuple of C[cc] for a concrete state
-// instance: the concrete skolems of the instance in canonical
-// first-occurrence order, which corresponds position-by-position to the
-// class's canonical skolem order (canonOrder is renaming-invariant).
-func (tr *translator) classArgs(cc *cqClass, concrete resolution.State) []term.Term {
-	ordered := tr.canonOrder(concrete)
-	orderedConcrete := make([]term.Term, 0, len(cc.skolems))
-	seen := make(map[term.Term]bool)
-	for _, a := range ordered {
-		for _, t := range a.Args {
-			if tr.isSkolem(t) && !seen[t] {
-				seen[t] = true
-				orderedConcrete = append(orderedConcrete, t)
-			}
-		}
-	}
-	return orderedConcrete
 }
 
 // emit adds a rule body → C[parent](parent skolems), turning skolem

@@ -164,16 +164,6 @@ func (db *DB) CountPred(p schema.PredID) int {
 	return 0
 }
 
-// CountSince reports the number of live atoms with the given predicate
-// inserted at or after the mark: the live rows of its delta window.
-func (db *DB) CountSince(p schema.PredID, since Mark) int {
-	if r := db.relOf(p); r != nil {
-		lo := r.firstSince(since)
-		return r.rows() - lo - r.deadInRange(lo, r.rows())
-	}
-	return 0
-}
-
 // Facts returns the live stored atoms with the given predicate in
 // insertion order. The atoms' argument slices alias the columnar backing;
 // callers must not mutate them.

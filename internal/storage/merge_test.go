@@ -242,9 +242,6 @@ func TestMergeBuffersMarkWindow(t *testing.T) {
 	if added := db.MergeBuffers([]*TupleBuffer{b}, 1); added != 7 {
 		t.Fatalf("added = %d, want 7", added)
 	}
-	if n := db.CountSince(p, mark); n != 7 {
-		t.Fatalf("CountSince = %d, want 7", n)
-	}
 	sp := CompileScan(p, []ScanArg{{Mode: ArgBind, Slot: 0}, {Mode: ArgBind, Slot: 1}})
 	frame := NewFrame(2)
 	matched := 0

@@ -183,8 +183,8 @@ func TestSegmentRoundTrip(t *testing.T) {
 	if !got.InsertArgs(e, []term.Term{mk(997), mk(998)}) {
 		t.Fatal("decoded instance refused a fresh insert")
 	}
-	if got.CountSince(e, mark) != 1 {
-		t.Fatalf("CountSince = %d, want 1", got.CountSince(e, mark))
+	if n := windowCounter(got, e)(mark); n != 1 {
+		t.Fatalf("window count = %d, want 1", n)
 	}
 	if row, ok := got.FindRow(e, []term.Term{mk(997), mk(998)}); !ok || !got.Tombstone(e, row) {
 		t.Fatal("decoded instance cannot tombstone a fresh row")

@@ -424,8 +424,8 @@ func TestCompactLocalized(t *testing.T) {
 			t.Fatalf("q%d handle moved: %d -> %d (ok=%v)", i, qRows[i], row, ok)
 		}
 	}
-	if got := db.CountSince(q, mark); got != 20 {
-		t.Fatalf("CountSince(q, mark) = %d after localized compact, want 20", got)
+	if got := windowCounter(db, q)(mark); got != 20 {
+		t.Fatalf("window count (q, mark) = %d after localized compact, want 20", got)
 	}
 	if db.Len() != 50+120 || db.CountPred(p) != 50 {
 		t.Fatalf("Len=%d CountPred(p)=%d, want 170/50", db.Len(), db.CountPred(p))

@@ -119,7 +119,8 @@ type spanWorld struct {
 
 // check holds the instance to its reference: Verify, every row's
 // insertion index and tuple through the spans, IndexOf of every live
-// tuple, Row at every held index, and CountSince at every mark in [0, next].
+// tuple, Row at every held index, and a Probe's live-row count at every
+// mark in [0, next].
 func (w *spanWorld) check(t *testing.T, seed int64, step int) {
 	t.Helper()
 	fail := func(format string, args ...any) {
@@ -154,10 +155,11 @@ func (w *spanWorld) check(t *testing.T, seed int64, step int) {
 				fail("IndexOf pred %d %v = %d %v, want %d", p, row.args, g, ok, row.g)
 			}
 		}
+		count := windowCounter(w.db, pred)
 		for m := w.ref.next; m >= 0; m-- {
 			since[m] += since[m+1]
-			if got := w.db.CountSince(pred, Mark(m)); got != since[m] {
-				fail("CountSince(pred %d, %d) = %d, want %d", p, m, got, since[m])
+			if got := count(Mark(m)); got != since[m] {
+				fail("window count (pred %d, %d) = %d, want %d", p, m, got, since[m])
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/schema"
@@ -79,30 +78,6 @@ func (r *relation) revive(ri int32) bool {
 	r.dead[ri>>6] &^= 1 << (uint(ri) & 63)
 	r.nDead--
 	return true
-}
-
-// deadInRange counts tombstoned rows ri with lo <= ri < hi — the live-row
-// correction for Mark-window counts, a word-wise popcount over the bitmap.
-func (r *relation) deadInRange(lo, hi int) int {
-	if r.nDead == 0 || lo >= hi {
-		return 0
-	}
-	count := 0
-	for w := lo >> 6; w < len(r.dead) && w<<6 < hi; w++ {
-		word := r.dead[w]
-		if word == 0 {
-			continue
-		}
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << uint(lo-base)
-		}
-		if base+64 > hi {
-			word &= ^uint64(0) >> uint(base+64-hi)
-		}
-		count += bits.OnesCount64(word)
-	}
-	return count
 }
 
 // Tombstone marks the fact at the (pred, local row) handle deleted in

@@ -95,7 +95,8 @@ func Rewrite(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 	init := resolution.NewState(freeze.ApplyAtoms(q.Atoms))
 
 	res := &Result{Complete: true}
-	canon, key := resolution.Canonical(init, st)
+	cz := atom.NewCanonicalizer(st, nil)
+	canon, key := resolution.Canonical(init, cz)
 	seen := map[string]bool{key: true}
 	// Breadth-first closure: on recursive programs the rewriting set is
 	// infinite, and a depth-first worklist would spend the whole state
@@ -118,7 +119,7 @@ func Rewrite(prog *logic.Program, q *logic.CQ, opt Options) (*Result, error) {
 					res.Complete = false
 					continue
 				}
-				nc, nk := resolution.Canonical(ns, st)
+				nc, nk := resolution.Canonical(ns, cz)
 				if seen[nk] {
 					continue
 				}
