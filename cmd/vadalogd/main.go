@@ -93,7 +93,8 @@
 //	               per-endpoint request latency, in-flight/queue gauges,
 //	               per-class query latency/rows, fixpoint effort, WAL
 //	               append/fsync latency, checkpoint size/duration,
-//	               storage merge/compaction timings
+//	               storage merge/compaction timings, and the served
+//	               service's /stats counters rendered at scrape time
 //	GET  /healthz  -> {"status": "ok"} (200), or 503 with status
 //	               "recovering" (WAL replay in progress), "broken"
 //	               (unrecoverable engine or durability failure), or
@@ -484,7 +485,7 @@ func buildHandler(svc *service.Service, opts handlerOpts) http.Handler {
 		}
 	})
 	registerQueueGauge(opts.adm)
-	registerStorageGauges(svc)
+	registerServiceSeries(svc)
 	return logRecover(opts.log(), withRequestID(withObs(withDraining(opts.draining, withTimeout(opts.timeout, mux)))))
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // scrape fetches /metrics and returns the sample values keyed by the
-// full series line prefix (name plus label set).
-func scrape(t *testing.T, base string) map[string]float64 {
+// full series line prefix (name plus label set), and each family's type.
+func scrape(t *testing.T, base string) (map[string]float64, map[string]string) {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -34,8 +34,11 @@ func scrape(t *testing.T, base string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]float64{}
+	out, types := map[string]float64{}, map[string]string{}
 	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -49,14 +52,15 @@ func scrape(t *testing.T, base string) map[string]float64 {
 		}
 		out[line[:sp]] = v
 	}
-	return out
+	return out, types
 }
 
-// TestDaemonMetrics drives load → query → insert against a DURABLE
-// in-process daemon and asserts the core series actually moved: request
-// histogram counts per endpoint, query counters, the epoch gauge, and
-// the WAL append counters. This is the in-process twin of the CI smoke's
-// /metrics scrape.
+// TestDaemonMetrics drives load → query → view reads → insert → delete
+// against a DURABLE in-process daemon. It asserts that the request and
+// query histograms moved, and that every series rendered from the
+// served Service equals the /stats field it reads: a count kept in one
+// place shows the same in both. This is the in-process twin of the CI
+// smoke's /metrics scrape.
 func TestDaemonMetrics(t *testing.T) {
 	prev := obs.SetEnabled(true)
 	defer obs.SetEnabled(prev)
@@ -72,7 +76,7 @@ func TestDaemonMetrics(t *testing.T) {
 	defer ts.Close()
 	defer svc.Close()
 
-	before := scrape(t, ts.URL)
+	before, _ := scrape(t, ts.URL)
 
 	postJSON(t, ts.URL+"/load", map[string]string{"program": tcSource}, nil)
 	var qresp struct {
@@ -82,13 +86,24 @@ func TestDaemonMetrics(t *testing.T) {
 	if err := json.Unmarshal(qbody, &qresp); err != nil || len(qresp.Tuples) != 3 {
 		t.Fatalf("query returned %d tuples (err %v), want 3", len(qresp.Tuples), err)
 	}
+	qbytes := len(qbody)
+	// A bound goal evaluates on demand; the all-free goal then builds the
+	// full view and caches it on the epoch, and its repeat is a hit.
+	for _, q := range []string{
+		"back(X,Y) :- t(Y,X). ?(X) :- back(d,X).",
+		"back(X,Y) :- t(Y,X). ?(X,Y) :- back(X,Y).",
+		"back(X,Y) :- t(Y,X). ?(X,Y) :- back(X,Y).",
+	} {
+		_, vbody := postRaw(t, ts.URL+"/query", map[string]string{"query": q})
+		qbytes += len(vbody)
+	}
 	postJSON(t, ts.URL+"/insert", map[string]string{"facts": "e(d,e). e(a,c)."}, nil)
 	// a→b→c→d→e plus a→c: deleting e(b,c) reaches t(a,c), t(a,d), t(a,e)
 	// through t(b,·), and the support search keeps all three; only the
 	// three t(b,·) facts go.
 	postJSON(t, ts.URL+"/delete", map[string]string{"facts": "e(b,c)."}, nil)
 
-	after := scrape(t, ts.URL)
+	after, types := scrape(t, ts.URL)
 	moved := func(series string, by float64) {
 		t.Helper()
 		if delta := after[series] - before[series]; delta < by {
@@ -100,29 +115,14 @@ func TestDaemonMetrics(t *testing.T) {
 	moved(`vadalog_http_request_seconds_count{path="/insert"}`, 1)
 	moved(`vadalog_queries_total`, 1)
 	// The byte counter reproduces the ladder's http.bytes_per_op: it grew
-	// by exactly the body the client read.
+	// by exactly the bodies the client read.
 	const bytesSeries = `vadalog_http_response_bytes_total{path="/query"}`
-	if delta := after[bytesSeries] - before[bytesSeries]; delta != float64(len(qbody)) {
-		t.Errorf("%s moved by %v, client read %d bytes", bytesSeries, delta, len(qbody))
+	if delta := after[bytesSeries] - before[bytesSeries]; delta != float64(qbytes) {
+		t.Errorf("%s moved by %v, client read %d bytes", bytesSeries, delta, qbytes)
 	}
 	moved(`vadalog_query_seconds_count{class="pattern"}`, 1)
 	moved(`vadalog_query_rows_count{class="pattern"}`, 1)
-	moved(`vadalog_wal_records_total`, 1) // the insert's WAL append
-	moved(`vadalog_fixpoints_total`, 1)   // the load's materialization
-	if after[`vadalog_epoch_seq`] < 3 {   // load, insert and delete each published
-		t.Errorf("vadalog_epoch_seq = %v, want >= 3", after[`vadalog_epoch_seq`])
-	}
-	for series, want := range map[string]float64{
-		`vadalog_incremental_overdeleted_total`: 3,
-		`vadalog_incremental_kept_total`:        3,
-		`vadalog_incremental_rederived_total`:   0,
-	} {
-		if _, ok := after[series]; !ok {
-			t.Errorf("%s not exposed", series)
-		} else if delta := after[series] - before[series]; delta != want {
-			t.Errorf("%s moved by %v, want %v", series, delta, want)
-		}
-	}
+	moved(`vadalog_fixpoints_total`, 1) // the load's materialization
 	// The storage-bytes gauges read the current epoch: every relation is
 	// binary, so each row holds 8 B of columns, and each run of insertion
 	// indexes takes one 8-byte span.
@@ -131,10 +131,40 @@ func TestDaemonMetrics(t *testing.T) {
 		t.Errorf("vadalog_storage_bytes cols %v, global %v, dedup %v: want cols > 0, global a positive multiple of 8 and dedup > 0",
 			cols, global, after[`vadalog_storage_bytes{structure="dedup"}`])
 	}
+	// Neither GET is a query or a write, so the two reads agree exactly.
 	var st service.Stats
 	getJSON(t, ts.URL+"/stats", &st)
 	if st.Engine.Kept != 3 || st.Engine.Overdeleted != 3 || st.Engine.Rederived != 0 {
 		t.Errorf("/stats engine = %+v, want Kept 3, Overdeleted 3, Rederived 0", st.Engine)
+	}
+	if st.Queries != 4 || st.ViewBuilds != 2 || st.ViewDemand != 1 || st.ViewHits != 1 || st.Epoch < 3 || st.Durability.Records != 2 {
+		t.Errorf("/stats = %+v, want 4 queries, 2 view builds (1 on demand), 1 cache hit, epoch >= 3 and 2 WAL records", st)
+	}
+	for series, want := range map[string]uint64{
+		`vadalog_queries_total`:                           st.Queries,
+		`vadalog_view_cache_hits_total`:                   st.ViewHits,
+		`vadalog_view_cache_misses_total`:                 st.ViewBuilds - st.ViewDemand,
+		`vadalog_view_demand_total`:                       st.ViewDemand,
+		`vadalog_epoch_seq`:                               st.Epoch,
+		`vadalog_incremental_overdeleted_total`:           uint64(st.Engine.Overdeleted),
+		`vadalog_incremental_rederived_total`:             uint64(st.Engine.Rederived),
+		`vadalog_incremental_kept_total`:                  uint64(st.Engine.Kept),
+		`vadalog_storage_compaction_reclaimed_rows_total`: uint64(st.Engine.Compacted),
+		`vadalog_wal_records_total`:                       st.Durability.Records,
+		`vadalog_wal_bytes_total`:                         st.Durability.Bytes,
+	} {
+		if got, ok := after[series]; !ok {
+			t.Errorf("%s not exposed", series)
+		} else if got != float64(want) {
+			t.Errorf("%s = %v, /stats says %d", series, got, want)
+		}
+		kind := "counter"
+		if series == `vadalog_epoch_seq` {
+			kind = "gauge"
+		}
+		if types[series] != kind {
+			t.Errorf("%s has type %q, want %s", series, types[series], kind)
+		}
 	}
 	// The scrape observes itself mid-flight: exactly one request (the
 	// /metrics GET) is being served at exposition time.

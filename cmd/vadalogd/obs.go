@@ -68,15 +68,43 @@ func registerQueueGauge(adm *admission) {
 	})
 }
 
-// registerStorageGauges exposes the served instance's bytes by structure,
-// read from the current epoch at scrape time. Last registration wins, as
-// for the queue gauge.
-func registerStorageGauges(svc *service.Service) {
+// registerServiceSeries exposes the served Service's own numbers, read
+// at scrape time: the current epoch's bytes by structure
+// (storage.DB.Footprint), and the counts /stats reports, each rendered
+// from the one place that keeps it. Last registration wins, as for the
+// queue gauge.
+func registerServiceSeries(svc *service.Service) {
 	for _, structure := range []string{"cols", "global", "dedup", "postings", "liveness"} {
 		obs.NewGaugeFunc("vadalog_storage_bytes", fmt.Sprintf("structure=%q", structure),
 			"Bytes of the current epoch's instance, by structure (storage.DB.Footprint).", func() float64 {
 				return float64(svc.Footprint()[structure])
 			})
+	}
+	obs.NewGaugeFunc("vadalog_epoch_seq", "", "Sequence number of the last published epoch.", func() float64 {
+		return float64(svc.Stats().Epoch)
+	})
+	durability := func(st service.Stats) service.DurabilityStats {
+		if st.Durability == nil {
+			return service.DurabilityStats{}
+		}
+		return *st.Durability
+	}
+	for _, c := range []struct {
+		name, help string
+		read       func(service.Stats) uint64
+	}{
+		{"vadalog_queries_total", "Queries served (all classes, including failed ones).", func(st service.Stats) uint64 { return st.Queries }},
+		{"vadalog_view_cache_hits_total", "Rule-query view materializations served from the overlay cache.", func(st service.Stats) uint64 { return st.ViewHits }},
+		{"vadalog_view_cache_misses_total", "Rule-query view materializations that had to build the full overlay.", func(st service.Stats) uint64 { return st.ViewBuilds - st.ViewDemand }},
+		{"vadalog_view_demand_total", "Rule-query views evaluated on demand (magic-set rewriting of a bound goal) instead of building the full overlay.", func(st service.Stats) uint64 { return st.ViewDemand }},
+		{"vadalog_incremental_overdeleted_total", "Facts the DRed overestimate deleted.", func(st service.Stats) uint64 { return uint64(st.Engine.Overdeleted) }},
+		{"vadalog_incremental_rederived_total", "Overdeleted facts DRed put back.", func(st service.Stats) uint64 { return uint64(st.Engine.Rederived) }},
+		{"vadalog_incremental_kept_total", "Facts the DRed overestimate reached but proved before deleting them.", func(st service.Stats) uint64 { return uint64(st.Engine.Kept) }},
+		{"vadalog_storage_compaction_reclaimed_rows_total", "Tombstoned rows physically reclaimed by compaction.", func(st service.Stats) uint64 { return uint64(st.Engine.Compacted) }},
+		{"vadalog_wal_records_total", "WAL records appended.", func(st service.Stats) uint64 { return durability(st).Records }},
+		{"vadalog_wal_bytes_total", "WAL bytes appended (framed).", func(st service.Stats) uint64 { return durability(st).Bytes }},
+	} {
+		obs.NewCounterFunc(c.name, "", c.help, func() uint64 { return c.read(svc.Stats()) })
 	}
 }
 

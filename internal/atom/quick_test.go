@@ -1,6 +1,7 @@
 package atom
 
 import (
+	"maps"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,35 @@ func TestUnifyTermsProperty(t *testing.T) {
 		}
 		// Failure only between two distinct constants.
 		return a.IsConst() && b.IsConst() && a != b
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: UnifyAtomsTrail agrees with UnifyAtoms on a copy, and
+// deleting the terms it trailed restores the substitution it extended,
+// after a failure too.
+func TestUnifyAtomsTrailUndoes(t *testing.T) {
+	c := newCtx()
+	p := c.reg.Intern("p", 3)
+	f := func(pre, x, y [6]uint8) bool {
+		s := NewSubst()
+		for i := 0; i < 6; i += 2 {
+			UnifyTerms(s, genTerm(c, pre[i], pre[i+1]), genTerm(c, pre[i+1], pre[i]))
+		}
+		before := s.Clone()
+		a := New(p, genTerm(c, x[0], x[1]), genTerm(c, x[2], x[3]), genTerm(c, x[4], x[5]))
+		b := New(p, genTerm(c, y[0], y[1]), genTerm(c, y[2], y[3]), genTerm(c, y[4], y[5]))
+		ref := s.Clone()
+		var trail []term.Term
+		if UnifyAtomsTrail(s, a, b, &trail) != UnifyAtoms(ref, a, b) || !maps.Equal(s, ref) {
+			return false
+		}
+		for _, v := range trail {
+			delete(s, v)
+		}
+		return maps.Equal(s, before)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/chase"
@@ -161,60 +162,28 @@ func (r *Reasoner) checkStrategy(s Strategy) error {
 }
 
 // IsCertain decides whether the tuple is a certain answer of the query
-// (the decision problem CQAns of §2).
+// (the decision problem CQAns of §2). The proof-tree strategies decide
+// the tuple alone; the others compute CertainAnswers and look it up.
 func (r *Reasoner) IsCertain(db *storage.DB, q *logic.CQ, tuple []term.Term, s Strategy) (bool, *Info, error) {
 	strat := r.pick(s)
+	if strat != ProofTreeLinear && strat != ProofTreeAlternating {
+		ans, info, err := r.CertainAnswers(db, q, strat)
+		if err != nil {
+			return false, info, err
+		}
+		return slices.ContainsFunc(ans, func(a []term.Term) bool { return slices.Equal(a, tuple) }), info, nil
+	}
 	info := &Info{Strategy: strat, Class: r.class}
 	if err := r.checkStrategy(strat); err != nil {
 		return false, info, err
 	}
-	switch strat {
-	case ProofTreeLinear, ProofTreeAlternating:
-		opt, err := r.proofOpts(strat, db)
-		if err != nil {
-			return false, info, err
-		}
-		ok, st, err := prooftree.Decide(r.prog, db, q, tuple, opt)
-		info.ProofStats = st
-		return ok, info, err
-	case Translated:
-		ans, _, err := r.translatedAnswers(db, q)
-		if err != nil {
-			return false, info, err
-		}
-		for _, a := range ans {
-			if sameTuple(a, tuple) {
-				return true, info, nil
-			}
-		}
-		return false, info, nil
-	case UCQRewrite:
-		ans, ures, err := ucq.Answers(r.prog, db, q, r.UCQOptions)
-		if err != nil {
-			return false, info, err
-		}
-		info.UCQStats = ures
-		info.Incomplete = !ures.Complete
-		for _, a := range ans {
-			if sameTuple(a, tuple) {
-				return true, info, nil
-			}
-		}
-		return false, info, nil
-	default:
-		ans, res, err := chase.CertainAnswers(r.prog, db, q, r.ChaseOptions)
-		if err != nil {
-			return false, info, err
-		}
-		info.ChaseStats = res
-		info.Incomplete = res.Truncated || !r.class.Warded
-		for _, a := range ans {
-			if sameTuple(a, tuple) {
-				return true, info, nil
-			}
-		}
-		return false, info, nil
+	opt, err := r.proofOpts(strat, db)
+	if err != nil {
+		return false, info, err
 	}
+	ok, st, err := prooftree.Decide(r.prog, db, q, tuple, opt)
+	info.ProofStats = st
+	return ok, info, err
 }
 
 // CertainAnswers computes all certain answers of the query.
@@ -284,16 +253,4 @@ func (r *Reasoner) translatedAnswers(db *storage.DB, q *logic.CQ) ([][]term.Term
 	}
 	ans, _, err := datalogAnswers(tr, db)
 	return ans, false, err
-}
-
-func sameTuple(a, b []term.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

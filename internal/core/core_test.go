@@ -73,12 +73,15 @@ func TestIsCertain(t *testing.T) {
 	c := r.Program().Store.Const("c")
 	a := r.Program().Store.Const("a")
 	for _, s := range []Strategy{Auto, ChaseEngine, Translated} {
-		ok, _, err := r.IsCertain(db, qs[0], []term.Term{c}, s)
+		ok, info, err := r.IsCertain(db, qs[0], []term.Term{c}, s)
 		if err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
 		}
 		if !ok {
 			t.Fatalf("strategy %v: t(a,c) must hold", s)
+		}
+		if s == ChaseEngine && (info.ChaseStats == nil || info.Incomplete) {
+			t.Fatalf("chase: info %+v, want chase stats of a complete run", info)
 		}
 		ok, _, err = r.IsCertain(db, qs[0], []term.Term{a}, s)
 		if err != nil {
@@ -86,6 +89,27 @@ func TestIsCertain(t *testing.T) {
 		}
 		if ok {
 			t.Fatalf("strategy %v: t(a,a) must not hold", s)
+		}
+	}
+
+	// A non-recursive program, where the UCQ closure is complete.
+	r, db, qs, err = FromSource(`
+t(X,Y) :- e(X,Y).
+s(X,Z) :- t(X,Y), e(Y,Z).
+e(a,b). e(b,c).
+?(X) :- s(a,X).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Program().Store
+	for tuple, want := range map[string]bool{"c": true, "b": false} {
+		ok, info, err := r.IsCertain(db, qs[0], []term.Term{st.Const(tuple)}, UCQRewrite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != want || info.Strategy != UCQRewrite || info.UCQStats == nil || info.Incomplete {
+			t.Fatalf("UCQRewrite on s(a,%s): certain %v, info %+v; want certain %v from a complete closure", tuple, ok, info, want)
 		}
 	}
 }

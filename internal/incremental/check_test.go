@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/atom"
-	"repro/internal/obs"
 )
 
 // assertMatchesRebuild checks the maintained instance against Rebuild's
@@ -164,36 +163,6 @@ func TestDeleteDeepProofLadder(t *testing.T) {
 		t.Fatal("delete left marks or search state behind")
 	}
 	assertMatchesRebuild(t, e)
-}
-
-// TestDeleteCountsObserved: the maintenance series move once per delete,
-// by exactly that delete's counts.
-func TestDeleteCountsObserved(t *testing.T) {
-	prev := obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
-	series := func() [3]uint64 {
-		return [3]uint64{
-			obs.NewCounter("vadalog_incremental_overdeleted_total", "", "").Load(),
-			obs.NewCounter("vadalog_incremental_rederived_total", "", "").Load(),
-			obs.NewCounter("vadalog_incremental_kept_total", "", "").Load(),
-		}
-	}
-	// a→b→d, a→c→d, and d→e: deleting e(a,b) kills t(a,b) and keeps
-	// t(a,d) and t(a,e).
-	r, db := load(t, tcSrc+`e(a,b). e(b,d). e(a,c). e(c,d). e(d,e).`)
-	e, err := New(r.Program, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := series()
-	if err := e.Delete(edge(r, "a", "b")); err != nil {
-		t.Fatal(err)
-	}
-	after, st := series(), e.Stats()
-	got := [3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
-	if want := [3]uint64{uint64(st.Overdeleted), uint64(st.Rederived), uint64(st.Kept)}; got != want || st.Kept != 2 {
-		t.Fatalf("series moved by %v (overdeleted, rederived, kept), stats %+v", got, st)
-	}
 }
 
 // TestDeleteBatchStreamMatchesRecompute: the stream property with the

@@ -4,17 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/atom"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/schema"
-)
-
-// Maintenance series, added once per delete from its counts, never per
-// fact.
-var (
-	obsOverdeleted = obs.NewCounter("vadalog_incremental_overdeleted_total", "", "Facts the DRed overestimate deleted.")
-	obsRederived   = obs.NewCounter("vadalog_incremental_rederived_total", "", "Overdeleted facts DRed put back.")
-	obsKept        = obs.NewCounter("vadalog_incremental_kept_total", "", "Facts the DRed overestimate reached but proved before deleting them.")
 )
 
 // handle locates one fact of the materialization: its predicate and the
@@ -404,11 +395,6 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 		}
 	}
 	e.stats.Rederived += rederived
-	if obs.On() {
-		obsOverdeleted.Add(uint64(len(pend) - seeds))
-		obsRederived.Add(uint64(rederived))
-		obsKept.Add(uint64(kept))
-	}
 
 	if err := bud.Err(); err != nil {
 		// Tombstones applied but rederivation didn't finish: facts still

@@ -30,7 +30,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteString(f.name)
 		bw.WriteByte(' ')
 		switch f.kind {
-		case counterKind:
+		case counterKind, counterFuncKind:
 			bw.WriteString("counter\n")
 		case histogramKind:
 			bw.WriteString("histogram\n")
@@ -41,6 +41,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.kind {
 			case counterKind:
 				writeSample(bw, f.name, "", s.labels, "", strconv.FormatUint(s.c.Load(), 10))
+			case counterFuncKind:
+				writeSample(bw, f.name, "", s.labels, "", strconv.FormatUint(s.cf(), 10))
 			case gaugeKind:
 				writeSample(bw, f.name, "", s.labels, "", strconv.FormatInt(s.g.Load(), 10))
 			case gaugeFuncKind:

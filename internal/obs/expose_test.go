@@ -20,6 +20,7 @@ func buildTestRegistry() *Registry {
 	g := r.Gauge("vadalog_test_depth", "", "Test depth.")
 	g.Set(-2)
 	r.GaugeFunc("vadalog_test_lag_seconds", "", "Test lag.", func() float64 { return 1.5 })
+	r.CounterFunc("vadalog_test_kept_total", "", "Test count kept elsewhere.", func() uint64 { return 7 })
 	h := r.Histogram("vadalog_test_latency_seconds", "", "Test latency.", Seconds, []int64{1_000_000, 10_000_000})
 	h.Observe(500_000)   // 0.5ms -> bucket le=0.001
 	h.Observe(2_000_000) // 2ms   -> bucket le=0.01
@@ -85,13 +86,16 @@ func TestPrometheusConformance(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range []string{"vadalog_test_ops_total", "vadalog_test_depth", "vadalog_test_lag_seconds", "vadalog_test_latency_seconds"} {
+	for _, fam := range []string{"vadalog_test_ops_total", "vadalog_test_depth", "vadalog_test_lag_seconds", "vadalog_test_kept_total", "vadalog_test_latency_seconds"} {
 		if _, ok := seenType[fam]; !ok {
 			t.Fatalf("family %s missing TYPE line", fam)
 		}
 	}
 	if seenType["vadalog_test_latency_seconds"] != "histogram" {
 		t.Fatalf("latency family type = %q", seenType["vadalog_test_latency_seconds"])
+	}
+	if seenType["vadalog_test_kept_total"] != "counter" {
+		t.Fatalf("counter func family type = %q", seenType["vadalog_test_kept_total"])
 	}
 
 	// Histogram semantics: cumulative buckets, +Inf present, _count
@@ -128,5 +132,8 @@ func TestPrometheusConformance(t *testing.T) {
 	}
 	if !strings.Contains(out, "vadalog_test_lag_seconds 1.5") {
 		t.Fatalf("gauge func sample missing:\n%s", out)
+	}
+	if !strings.Contains(out, "vadalog_test_kept_total 7") {
+		t.Fatalf("counter func sample missing:\n%s", out)
 	}
 }

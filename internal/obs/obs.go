@@ -16,7 +16,9 @@
 //
 // Metrics are registered once at package init of the instrumented
 // package via the package-level constructors (NewCounter, NewGauge,
-// NewGaugeFunc, NewHistogram) against the Default registry.
+// NewGaugeFunc, NewHistogram) against the Default registry. A count
+// that a component already keeps for itself is not counted again here:
+// NewCounterFunc renders it at scrape time.
 // Registration is idempotent: asking for an existing (name, labels)
 // pair returns the same metric, so tests that build many services per
 // process share series instead of panicking.
@@ -153,6 +155,7 @@ type metricKind uint8
 
 const (
 	counterKind metricKind = iota
+	counterFuncKind
 	gaugeKind
 	gaugeFuncKind
 	histogramKind
@@ -162,6 +165,7 @@ const (
 type series struct {
 	labels string // rendered label pairs, e.g. `class="pattern"`, or ""
 	c      *Counter
+	cf     func() uint64
 	g      *Gauge
 	gf     func() float64
 	h      *Histogram
@@ -255,6 +259,20 @@ func (r *Registry) GaugeFunc(name, labels, help string, fn func() float64) {
 	f.series = append(f.series, &series{labels: labels, gf: fn})
 }
 
+// CounterFunc is the counter twin of GaugeFunc: fn reads, at scrape
+// time, a monotone count kept elsewhere, and the series is exposed with
+// counter type. Re-registering the same (name, labels) replaces fn.
+func (r *Registry) CounterFunc(name, labels, help string, fn func() uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.family(name, help, counterFuncKind)
+	if s := f.find(labels); s != nil {
+		s.cf = fn
+		return
+	}
+	f.series = append(f.series, &series{labels: labels, cf: fn})
+}
+
 // Histogram returns the histogram series (name, labels), creating it
 // with the given bucket bounds and exposition scale if needed. bounds
 // must be strictly increasing and is retained without copying.
@@ -283,6 +301,11 @@ func NewGauge(name, labels, help string) *Gauge {
 // NewGaugeFunc registers a scrape-time gauge in the Default registry.
 func NewGaugeFunc(name, labels, help string, fn func() float64) {
 	Default.GaugeFunc(name, labels, help, fn)
+}
+
+// NewCounterFunc registers a scrape-time counter in the Default registry.
+func NewCounterFunc(name, labels, help string, fn func() uint64) {
+	Default.CounterFunc(name, labels, help, fn)
 }
 
 // NewHistogram registers a histogram in the Default registry.

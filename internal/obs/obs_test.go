@@ -22,6 +22,11 @@ func TestRegistryIdempotent(t *testing.T) {
 	if h1 != h2 {
 		t.Fatal("re-registering the same histogram returned a new metric")
 	}
+	r.CounterFunc("f_total", "", "help", func() uint64 { return 1 })
+	r.CounterFunc("f_total", "", "help", func() uint64 { return 2 })
+	if s := r.byName["f_total"].series; len(s) != 1 || s[0].cf() != 2 {
+		t.Fatal("re-registering a counter func must replace its fn")
+	}
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {

@@ -263,46 +263,46 @@ func (s *searcher) atomProvable(a atom.Atom) bool {
 // matches no database fact can never be discharged, and EDB atoms cannot be
 // resolved, so the whole state is unprovable.
 func (s *searcher) simplify(st resolution.State) (resolution.State, bool) {
+	// kept stays nil until the first dropped atom: until then the kept
+	// atoms are a prefix of st.Atoms.
 	var kept []atom.Atom
-	changed := false
 	for i, a := range st.Atoms {
 		one := st.Atoms[i : i+1]
-		if a.IsGround() {
-			if s.db.Contains(a) {
-				changed = true
-				continue
+		ground := a.IsGround()
+		if ground && s.db.Contains(a) {
+			if kept == nil {
+				kept = append(make([]atom.Atom, 0, len(st.Atoms)-1), st.Atoms[:i]...)
 			}
-			if s.edb[a.Pred] {
-				return st, true
-			}
-			kept = append(kept, a)
 			continue
 		}
-		if s.edb[a.Pred] && !s.patterns.Exists(s.db, one) {
+		if s.edb[a.Pred] && (ground || !s.patterns.Exists(s.db, one)) {
 			return st, true
 		}
 		// Variables bind anything in the oracle; constants are rigid, so a
 		// null never counts as a specific constant — facts over nulls
 		// witness only existentials.
-		if s.opt.Oracle != nil && !s.patterns.Exists(s.opt.Oracle, one) {
+		if !ground && s.opt.Oracle != nil && !s.patterns.Exists(s.opt.Oracle, one) {
 			return st, true
 		}
-		if !s.opt.DisableAtomPrune && !s.edb[a.Pred] && !s.atomProvable(a) {
+		if !ground && !s.opt.DisableAtomPrune && !s.edb[a.Pred] && !s.atomProvable(a) {
 			return st, true
 		}
-		kept = append(kept, a)
+		if kept != nil {
+			kept = append(kept, a)
+		}
+	}
+	out := st
+	if kept != nil {
+		out = resolution.State{Atoms: kept}
 	}
 	// Whole-state oracle check: a proof-tree state must embed
 	// homomorphically into chase(D, Σ) (its atoms are jointly witnessed
 	// there — the Θ-image of §4.2); states that do not embed are dead.
 	// This is the strong version of the per-atom check above.
-	if s.opt.Oracle != nil && len(kept) > 1 && !s.patterns.Exists(s.opt.Oracle, kept) {
+	if s.opt.Oracle != nil && len(out.Atoms) > 1 && !s.patterns.Exists(s.opt.Oracle, out.Atoms) {
 		return st, true
 	}
-	if !changed {
-		return st, false
-	}
-	return resolution.State{Atoms: kept}, false
+	return out, false
 }
 
 func (s *searcher) renamedTGDs() []*logic.TGD {

@@ -95,12 +95,16 @@ func MGCUs(s State, tgd *logic.TGD, maxChunk int) []Chunk {
 	ex := tgd.Existentials()
 	var out []Chunk
 	// Enumerate subsets of cand of size ≤ maxChunk incrementally, pruning
-	// branches whose partial unifier already fails.
-	var rec func(start int, s1 []int, g atom.Subst)
-	rec = func(start int, s1 []int, g atom.Subst) {
+	// branches whose partial unifier already fails. One unifier g is
+	// extended per atom and undone through the trail of the terms each
+	// unification bound; only an emitted chunk's unifier is copied.
+	g := atom.NewSubst()
+	var trail []term.Term
+	var rec func(start int, s1 []int)
+	rec = func(start int, s1 []int) {
 		if len(s1) > 0 {
 			if chunkConditions(s, s1, g, ex, tgd) {
-				out = append(out, Chunk{S1: append([]int(nil), s1...), Gamma: g})
+				out = append(out, Chunk{S1: append([]int(nil), s1...), Gamma: g.Clone()})
 			}
 		}
 		if len(s1) == maxChunk {
@@ -108,14 +112,17 @@ func MGCUs(s State, tgd *logic.TGD, maxChunk int) []Chunk {
 		}
 		for bit := start; bit < len(cand); bit++ {
 			i := cand[bit]
-			g2 := g.Clone()
-			if !atom.UnifyAtoms(g2, s.Atoms[i], head) {
-				continue
+			mark := len(trail)
+			if atom.UnifyAtomsTrail(g, s.Atoms[i], head, &trail) {
+				rec(bit+1, append(s1, i))
 			}
-			rec(bit+1, append(s1, i), g2)
+			for _, v := range trail[mark:] {
+				delete(g, v)
+			}
+			trail = trail[:mark]
 		}
 	}
-	rec(0, nil, atom.NewSubst())
+	rec(0, nil)
 	return out
 }
 

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -202,19 +201,18 @@ func TestDemandAbortLeavesNoCache(t *testing.T) {
 // on demand with every adorned rule's first-round join driving from its
 // magic atom; a second goal with another constant reuses the rewriting,
 // the compiled rules (plan.Cached) and the compiled goal; and the
-// slow-query log and the metrics registry show the demand path.
+// slow-query log and the service's demand counter show the demand path.
 func TestDemandExplain(t *testing.T) {
 	var buf bytes.Buffer
 	svc := New(Options{SlowQuery: time.Nanosecond, Logger: slog.New(slog.NewTextHandler(&buf, nil))})
 	defer svc.Close()
-	defer obs.SetEnabled(obs.SetEnabled(true))
 	mustLoad(t, svc, chainSource(16))
 	for _, v := range []struct{ rules, goal, adornment string }{
 		{"back(Y,X) :- t(X,Y). ", "?(X) :- back(%s,X).", "back#bf"},
 		{"v(X,Y) :- e(X,Y). v(X,Z) :- e(X,Y), v(Y,Z). ", "?(X) :- v(%s,X).", "v#bf"},
 		{"v(X,Y) :- e(X,Y). v(X,Z) :- v(X,Y), e(Y,Z). ", "?(X) :- v(X,%s).", "v#fb"},
 	} {
-		demand0, builds0 := obsViewDemand.Load(), svc.Stats().ViewBuilds
+		st0 := svc.Stats()
 		first := explainQuery(t, svc, &QueryRequest{Query: v.rules + fmt.Sprintf(v.goal, "n5")})
 		vt := first.View
 		if !vt.Demand || vt.Adornment != v.adornment || vt.RewriteCached || vt.MagicDerived == 0 || vt.MagicDerived >= vt.Derived {
@@ -238,10 +236,11 @@ func TestDemandExplain(t *testing.T) {
 		if first.Rows == second.Rows {
 			t.Fatalf("%s: both constants returned %d rows", v.rules, first.Rows)
 		}
-		if got := obsViewDemand.Load() - demand0; got != 2 {
-			t.Fatalf("%s: vadalog_view_demand_total moved by %d, want 2", v.rules, got)
+		st := svc.Stats()
+		if got := st.ViewDemand - st0.ViewDemand; got != 2 {
+			t.Fatalf("%s: ViewDemand moved by %d, want 2", v.rules, got)
 		}
-		if got := svc.Stats().ViewBuilds - builds0; got != 2 {
+		if got := st.ViewBuilds - st0.ViewBuilds; got != 2 {
 			t.Fatalf("%s: ViewBuilds moved by %d, want 2", v.rules, got)
 		}
 	}

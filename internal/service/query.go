@@ -279,7 +279,6 @@ func (s *Service) QueryStream(ctx context.Context, req *QueryRequest, sink Sink)
 		elapsed = time.Since(t0)
 	}
 	if obs.On() {
-		obsQueries.Inc()
 		qSeconds[class].Observe(int64(elapsed))
 		qRows[class].Observe(int64(rows))
 	}
@@ -648,9 +647,7 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 					continue // builder aborted; its entry is evicted — retry
 				}
 				if ent.err == nil {
-					if obs.On() {
-						obsViewHits.Inc()
-					}
+					s.viewHits.Add(1)
 					if tr != nil {
 						tr.View = &ViewTrace{Rules: len(view.TGDs), CacheHit: true}
 					}
@@ -667,9 +664,7 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 		}
 		e.ovMu.Unlock()
 
-		if obs.On() {
-			obsViewMisses.Inc()
-		}
+		s.viewFull.Add(1)
 		db, err := s.buildOverlay(bud, e, view, atom.Atom{}, tr)
 		if err == nil {
 			// Any number of queries read a finished overlay at once, and a
@@ -700,16 +695,13 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 // and on abort the partially evaluated overlay is simply dropped; the
 // snapshot backings it borrowed stay pinned by the epoch, untouched.
 func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, view *logic.Program, seed atom.Atom, tr *QueryTrace) (*storage.DB, error) {
-	s.viewBuilds.Add(1)
 	var pt *plan.Tracer
 	if tr != nil {
 		pt = &plan.Tracer{}
 	}
 	ov := e.snap.DB().Overlay()
 	if seed.Args != nil {
-		if obs.On() {
-			obsViewDemand.Inc()
-		}
+		s.viewDemand.Add(1)
 		ov.Insert(seed)
 	}
 	if _, _, err := datalog.Eval(view, ov, datalog.Options{

@@ -125,11 +125,14 @@ type Service struct {
 
 	queries atomic.Uint64
 	drained atomic.Uint64
-	// viewBuilds counts overlay fixpoints actually executed, full builds
-	// and demand evaluations alike — overlay-cache hits don't count, so
-	// the gap between rule queries and viewBuilds is the cache's work
+	// viewFull and viewDemand count the overlay fixpoints actually
+	// executed: full view builds and demand evaluations of a bound goal.
+	// viewHits counts rule queries served from an epoch's overlay cache,
+	// so the gap between rule queries and builds is the cache's work
 	// saved.
-	viewBuilds atomic.Uint64
+	viewFull   atomic.Uint64
+	viewDemand atomic.Uint64
+	viewHits   atomic.Uint64
 	// aborted counts queries stopped early by context cancellation or a
 	// failed sink delivery (a streaming client that disconnected);
 	// overBudget counts gas-limit trips (plan.ErrOverBudget), timedOut
@@ -147,11 +150,6 @@ type Service struct {
 	walFailed  atomic.Bool
 	engBroken  atomic.Bool
 	replayed   atomic.Uint64
-
-	// lastEngine caches the most recent engine stats snapshot so Stats
-	// can report (staleness-marked) numbers instead of zeros when the
-	// writer lock is contended; see Stats.
-	lastEngine atomic.Pointer[incremental.Stats]
 }
 
 // generation is the program-scoped state shared by every epoch published
@@ -193,6 +191,9 @@ type epoch struct {
 	// and advanced by an update that changed nothing (see unchanged).
 	seq  atomic.Uint64
 	snap *storage.Snapshot
+	// eng is the engine's counters as of the publish: Stats reads them
+	// here instead of from the writer-owned engine.
+	eng incremental.Stats
 	// overlays caches materialized rule-defined views of this epoch's
 	// snapshot, keyed by the view rules' structural shape (see
 	// viewOverlay). Overlay DBs borrow the snapshot's backings, so the
@@ -245,14 +246,13 @@ func New(opt Options) *Service {
 // publish snapshots the current materialization as the next epoch and
 // retires the previous one. Caller holds mu.
 func (s *Service) publish() uint64 {
-	e := &epoch{svc: s, gen: s.gen, snap: s.eng.DB().Snapshot()}
+	e := &epoch{svc: s, gen: s.gen, snap: s.eng.DB().Snapshot(), eng: s.eng.Stats()}
 	e.seq.Store(s.seq.Add(1))
 	e.refs.Store(1)
 	if old := s.cur.Swap(e); old != nil {
 		old.release()
 	}
 	if obs.On() {
-		obsEpochSeq.Set(int64(e.seq.Load()))
 		lastPublishNano.Store(time.Now().UnixNano())
 	}
 	return e.seq.Load()
@@ -542,9 +542,6 @@ func (s *Service) unchanged() uint64 {
 	}
 	n := s.seq.Add(1)
 	e.seq.Store(n)
-	if obs.On() {
-		obsEpochSeq.Set(int64(n))
-	}
 	return n
 }
 
@@ -597,31 +594,38 @@ func (s *Service) recoverEngine() {
 	s.engBroken.Store(s.eng != nil && s.eng.Broken() != nil)
 }
 
-// Stats is a point-in-time service report.
+// Stats is a point-in-time service report. ViewBuilds counts overlay
+// fixpoints run: full view builds plus the ViewDemand demand
+// evaluations; ViewHits counts rule queries served from an epoch's
+// overlay cache.
 type Stats struct {
 	Loaded        bool              `json:"loaded"`
 	Epoch         uint64            `json:"epoch"`
 	Facts         int               `json:"facts"`
 	Queries       uint64            `json:"queries"`
 	ViewBuilds    uint64            `json:"view_builds"`
+	ViewDemand    uint64            `json:"view_demand"`
+	ViewHits      uint64            `json:"view_cache_hits"`
 	Aborted       uint64            `json:"queries_aborted"`
 	OverBudget    uint64            `json:"queries_over_budget"`
 	TimedOut      uint64            `json:"queries_timeout"`
 	EpochsDrained uint64            `json:"epochs_drained"`
 	Engine        incremental.Stats `json:"engine"`
-	// EngineStale marks Engine as a cached earlier snapshot (or, before
-	// any snapshot exists, all zeros): the writer lock was contended or
-	// recovery was in progress, so live engine counters were unavailable.
-	EngineStale bool             `json:"stats_engine_stale,omitempty"`
-	Durability  *DurabilityStats `json:"durability,omitempty"`
+	Durability    *DurabilityStats  `json:"durability,omitempty"`
 }
 
-// Stats reports the current epoch, the live fact count of its snapshot,
-// and the accumulated maintenance counters.
+// Stats reports the current epoch, the live fact count of its snapshot
+// and the engine counters as of its publish, plus the service's own
+// counters. It never takes the writer lock: while nothing is served
+// (before the first Load, during recovery, after Close) the epoch
+// fields are zero.
 func (s *Service) Stats() Stats {
+	full, demand := s.viewFull.Load(), s.viewDemand.Load()
 	st := Stats{
 		Queries:       s.queries.Load(),
-		ViewBuilds:    s.viewBuilds.Load(),
+		ViewBuilds:    full + demand,
+		ViewDemand:    demand,
+		ViewHits:      s.viewHits.Load(),
 		Aborted:       s.aborted.Load(),
 		OverBudget:    s.overBudget.Load(),
 		TimedOut:      s.timedOut.Load(),
@@ -631,6 +635,7 @@ func (s *Service) Stats() Stats {
 		st.Loaded = true
 		st.Epoch = e.seq.Load()
 		st.Facts = e.snap.DB().Len()
+		st.Engine = e.eng
 		e.release()
 	}
 	if s.wal != nil {
@@ -640,25 +645,6 @@ func (s *Service) Stats() Stats {
 			ReplayedRecords: s.replayed.Load(),
 			Stats:           s.wal.Stats(),
 		}
-	}
-	// Engine stats need the writer lock; during recovery mu is held for
-	// the whole replay, and blocking a health probe behind a bulk load
-	// would defeat its purpose. When the lock is immediately available,
-	// read live counters and refresh the cache; otherwise serve the last
-	// snapshot, explicitly marked stale (previously this silently
-	// reported zeros).
-	if !s.recovering.Load() && s.mu.TryLock() {
-		if s.eng != nil {
-			es := s.eng.Stats()
-			st.Engine = es
-			s.lastEngine.Store(&es)
-		}
-		s.mu.Unlock()
-	} else if p := s.lastEngine.Load(); p != nil {
-		st.Engine = *p
-		st.EngineStale = true
-	} else {
-		st.EngineStale = true
 	}
 	return st
 }

@@ -91,10 +91,7 @@ func (db *DB) compact(minDeadFrac float64, respectPins bool) int {
 	if db.holes > 0 && 2*db.holes > db.next && (!respectPins || !db.pinnedLive()) {
 		db.squash()
 	}
-	if !t0.IsZero() {
-		obsCompactSec.ObserveSince(t0)
-		obsCompactRows.Add(uint64(removed))
-	}
+	obsCompactSec.ObserveSince(t0)
 	return removed
 }
 

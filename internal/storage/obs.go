@@ -3,8 +3,8 @@ package storage
 import "repro/internal/obs"
 
 // Storage maintenance series: bulk merge folds (CSV loads) and tombstone
-// compaction.
-// Observed per call, never per row.
+// compaction. Observed per call, never per row. Reclaimed rows are
+// counted by the caller (incremental.Stats.Compacted), not here.
 var (
 	obsMergeSec   = obs.NewHistogram("vadalog_storage_merge_seconds", "", "MergeBuffers fold duration.", obs.Seconds, obs.LatencyBuckets)
 	obsMergeRows  = obs.NewCounter("vadalog_storage_merge_rows_total", "", "Rows accepted by MergeBuffers folds.")
@@ -18,7 +18,6 @@ var (
 	// base per fold, the dedup array of an overlay relation that
 	// appends), and how often a tail was folded. Counted per copy, never
 	// per row.
-	obsCowBytes    = obs.NewCounter("vadalog_storage_cow_bytes_total", "", "Bytes copied by writers on behalf of snapshot, overlay and clone sharing.")
-	obsFolds       = obs.NewCounter("vadalog_storage_index_folds_total", "", "Posting tails folded into a new base.")
-	obsCompactRows = obs.NewCounter("vadalog_storage_compaction_reclaimed_rows_total", "", "Tombstoned rows physically reclaimed by compaction.")
+	obsCowBytes = obs.NewCounter("vadalog_storage_cow_bytes_total", "", "Bytes copied by writers on behalf of snapshot, overlay and clone sharing.")
+	obsFolds    = obs.NewCounter("vadalog_storage_index_folds_total", "", "Posting tails folded into a new base.")
 )

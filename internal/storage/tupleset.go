@@ -138,15 +138,15 @@ func hashTuple(tup []term.Term) uint64 {
 	return h
 }
 
-// CompareTerms orders two terms by (Kind, ID) — the total order the old
+// compareTerms orders two terms by (Kind, ID) — the total order the old
 // rendered tuple keys encoded byte by byte, and the packed integer order.
-func CompareTerms(a, b term.Term) int { return cmp.Compare(a, b) }
+func compareTerms(a, b term.Term) int { return cmp.Compare(a, b) }
 
 // CompareTuples orders two equal-length tuples lexicographically by
 // per-position (Kind, ID).
 func CompareTuples(a, b []term.Term) int {
 	for i := range a {
-		if c := CompareTerms(a[i], b[i]); c != 0 {
+		if c := compareTerms(a[i], b[i]); c != 0 {
 			return c
 		}
 	}

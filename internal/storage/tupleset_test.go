@@ -7,7 +7,7 @@ import (
 	"repro/internal/term"
 )
 
-// Property: CompareTerms orders terms of all three kinds lexicographically
+// Property: compareTerms orders terms of all three kinds lexicographically
 // by (kind, ID) — the order sorted answers have always had.
 func TestCompareTermsIsKindIDOrder(t *testing.T) {
 	mk := [...]func(uint32) term.Term{term.MkConst, term.MkVar, term.MkNull}
@@ -29,7 +29,7 @@ func TestCompareTermsIsKindIDOrder(t *testing.T) {
 		if want == 0 {
 			want = sign(id1&term.MaxID, id2&term.MaxID)
 		}
-		return CompareTerms(a, b) == want
+		return compareTerms(a, b) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
 		t.Fatal(err)

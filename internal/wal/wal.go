@@ -282,14 +282,13 @@ func (m *Manager) Recover() (*Recovery, error) {
 
 // WAL effort series. Append latency includes the inline fsync under
 // SyncAlways (that IS the append cost the caller pays); background
-// interval syncs land in the fsync histogram only.
+// interval syncs land in the fsync histogram only. Record and byte
+// counts live in Stats alone.
 var (
-	obsAppendSec  = obs.NewHistogram("vadalog_wal_append_seconds", "", "WAL record append latency (frame encode + write, plus fsync under the always policy).", obs.Seconds, obs.LatencyBuckets)
-	obsFsyncSec   = obs.NewHistogram("vadalog_wal_fsync_seconds", "", "WAL fsync latency.", obs.Seconds, obs.LatencyBuckets)
-	obsWalRecords = obs.NewCounter("vadalog_wal_records_total", "", "WAL records appended.")
-	obsWalBytes   = obs.NewCounter("vadalog_wal_bytes_total", "", "WAL bytes appended (framed).")
-	obsCkptSec    = obs.NewHistogram("vadalog_checkpoint_seconds", "", "Checkpoint write duration (serialize + fsync + rename + rotation).", obs.Seconds, obs.LatencyBuckets)
-	obsCkptBytes  = obs.NewHistogram("vadalog_checkpoint_bytes", "", "Checkpoint file size.", obs.Units, obs.BytesBuckets)
+	obsAppendSec = obs.NewHistogram("vadalog_wal_append_seconds", "", "WAL record append latency (frame encode + write, plus fsync under the always policy).", obs.Seconds, obs.LatencyBuckets)
+	obsFsyncSec  = obs.NewHistogram("vadalog_wal_fsync_seconds", "", "WAL fsync latency.", obs.Seconds, obs.LatencyBuckets)
+	obsCkptSec   = obs.NewHistogram("vadalog_checkpoint_seconds", "", "Checkpoint write duration (serialize + fsync + rename + rotation).", obs.Seconds, obs.LatencyBuckets)
+	obsCkptBytes = obs.NewHistogram("vadalog_checkpoint_bytes", "", "Checkpoint file size.", obs.Units, obs.BytesBuckets)
 )
 
 // Append logs one record, assigning and returning its sequence number.
@@ -335,11 +334,7 @@ func (m *Manager) Append(kind byte, data []byte) (uint64, error) {
 		m.syncLocked() //nolint:errcheck // dying anyway
 		return 0, m.die()
 	}
-	if !t0.IsZero() {
-		obsAppendSec.ObserveSince(t0)
-		obsWalRecords.Inc()
-		obsWalBytes.Add(uint64(len(frame)))
-	}
+	obsAppendSec.ObserveSince(t0)
 	return seq, nil
 }
 
@@ -398,9 +393,9 @@ func (m *Manager) scheduleSync() {
 	})
 }
 
-// LastSeq reports the sequence number of the last appended record (0 if
+// lastSeq reports the sequence number of the last appended record (0 if
 // none yet).
-func (m *Manager) LastSeq() uint64 {
+func (m *Manager) lastSeq() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.nextSeq - 1

@@ -55,8 +55,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", seq, i+1)
 		}
 	}
-	if m.LastSeq() != uint64(len(payloads)) {
-		t.Fatalf("LastSeq = %d", m.LastSeq())
+	if m.lastSeq() != uint64(len(payloads)) {
+		t.Fatalf("lastSeq = %d", m.lastSeq())
 	}
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
