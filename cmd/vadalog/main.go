@@ -121,13 +121,7 @@ func runIO(args []string, in io.Reader, out io.Writer) error {
 		}
 	}
 	if *exportDir != "" {
-		var cres *chase.Result
-		var err error
-		if res.Program.HasNegation() {
-			cres, err = chase.RunStratified(res.Program, db, r.ChaseOptions)
-		} else {
-			cres, err = chase.Run(res.Program, db, r.ChaseOptions)
-		}
+		cres, err := chase.Run(res.Program, db, r.ChaseOptions)
 		if err != nil {
 			return fmt.Errorf("-export: %w", err)
 		}

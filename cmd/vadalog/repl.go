@@ -269,11 +269,7 @@ func replWhy(out io.Writer, factSrc string, prog *logic.Program, db *storage.DB)
 	}
 	opt := chase.Default()
 	opt.Provenance = true
-	run := chase.Run
-	if prog.HasNegation() {
-		run = chase.RunStratified
-	}
-	cres, err := run(prog, db, opt)
+	cres, err := chase.Run(prog, db, opt)
 	if err != nil {
 		return err
 	}

@@ -234,3 +234,62 @@ func TestDaemonExplainAndRequestID(t *testing.T) {
 		t.Fatalf("client-supplied id not echoed: %q", got)
 	}
 }
+
+// TestMetricsOneSnapshotPerScrape scrapes /metrics while a writer
+// alternates deleting and re-inserting one edge. Every delete overdeletes
+// the same facts and every write publishes one epoch, so within one
+// scrape vadalog_epoch_seq fixes how many deletes the engine counters
+// must show: the series come from one Stats snapshot, never from epochs
+// on either side of a write.
+func TestMetricsOneSnapshotPerScrape(t *testing.T) {
+	svc := service.New(service.Options{})
+	ts := httptest.NewServer(newHandler(svc))
+	defer ts.Close()
+	defer svc.Close()
+	loaded, err := svc.Load(tcSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Delete("e(c,d)."); err != nil {
+		t.Fatal(err)
+	}
+	perDelete := svc.Stats().Engine.Overdeleted
+	if _, err := svc.Insert("e(c,d)."); err != nil {
+		t.Fatal(err)
+	}
+	if perDelete == 0 {
+		t.Fatal("the delete overdeleted nothing")
+	}
+	stop, done := make(chan struct{}), make(chan error)
+	go func() {
+		var err error
+		for i := 0; err == nil; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if i%2 == 0 {
+				_, err = svc.Delete("e(c,d).")
+			} else {
+				_, err = svc.Insert("e(c,d).")
+			}
+		}
+		done <- err
+	}()
+	for i := 0; i < 200; i++ {
+		m, _ := scrape(t, ts.URL)
+		writes := int(m["vadalog_epoch_seq"]) - int(loaded)
+		if want := float64(perDelete * ((writes + 1) / 2)); m["vadalog_incremental_overdeleted_total"] != want {
+			close(stop)
+			<-done
+			t.Fatalf("epoch %v (%d writes since load) beside %v overdeleted, want %v",
+				m["vadalog_epoch_seq"], writes, m["vadalog_incremental_overdeleted_total"], want)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -71,17 +71,24 @@ func registerQueueGauge(adm *admission) {
 // registerServiceSeries exposes the served Service's own numbers, read
 // at scrape time: the current epoch's bytes by structure
 // (storage.DB.Footprint), and the counts /stats reports, each rendered
-// from the one place that keeps it. Last registration wins, as for the
-// queue gauge.
+// from the one place that keeps it. The scrape hook takes one Stats and
+// one Footprint per scrape, and every series reads that snapshot, so a
+// scrape's series agree with each other. Last registration wins, as for
+// the queue gauge.
 func registerServiceSeries(svc *service.Service) {
+	var (
+		snap service.Stats
+		fp   map[string]int
+	)
+	obs.SetScrapeHook(func() { snap, fp = svc.Stats(), svc.Footprint() })
 	for _, structure := range []string{"cols", "global", "dedup", "postings", "liveness"} {
 		obs.NewGaugeFunc("vadalog_storage_bytes", fmt.Sprintf("structure=%q", structure),
 			"Bytes of the current epoch's instance, by structure (storage.DB.Footprint).", func() float64 {
-				return float64(svc.Footprint()[structure])
+				return float64(fp[structure])
 			})
 	}
 	obs.NewGaugeFunc("vadalog_epoch_seq", "", "Sequence number of the last published epoch.", func() float64 {
-		return float64(svc.Stats().Epoch)
+		return float64(snap.Epoch)
 	})
 	durability := func(st service.Stats) service.DurabilityStats {
 		if st.Durability == nil {
@@ -104,7 +111,7 @@ func registerServiceSeries(svc *service.Service) {
 		{"vadalog_wal_records_total", "WAL records appended.", func(st service.Stats) uint64 { return durability(st).Records }},
 		{"vadalog_wal_bytes_total", "WAL bytes appended (framed).", func(st service.Stats) uint64 { return durability(st).Bytes }},
 	} {
-		obs.NewCounterFunc(c.name, "", c.help, func() uint64 { return c.read(svc.Stats()) })
+		obs.NewCounterFunc(c.name, "", c.help, func() uint64 { return c.read(snap) })
 	}
 }
 

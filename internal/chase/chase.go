@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/guide"
 	"repro/internal/logic"
@@ -103,17 +104,26 @@ type Result struct {
 }
 
 // Run chases the database under the program. The input DB is not mutated.
-// Programs with negation must be chased through RunStratified, which
-// schedules strata so that negated predicates are closed before any rule
-// negating them fires.
+// A program with negation is chased under stratified semantics: rules are
+// grouped by the minimum level of their head predicates and each group is
+// chased to completion before the next starts, so a rule's negated
+// predicates — which sit at strictly lower levels by stratifiedness — are
+// closed when the rule fires. All groups run on one copy of the input, so
+// provenance rows refer to TGD indices of the program and BaseFacts is the
+// size of the input database.
 func Run(prog *logic.Program, db *storage.DB, opt Options) (*Result, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("chase: %w", err)
 	}
+	groups := plan.AllRules(len(prog.TGDs))
 	if prog.HasNegation() {
-		return nil, fmt.Errorf("chase: program uses negation; use RunStratified")
+		strata, err := analysis.Analyze(prog).NegationStrata()
+		if err != nil {
+			return nil, fmt.Errorf("chase: %w", err)
+		}
+		groups = plan.GroupByLevel(strata)
 	}
-	return chaseGroups(prog, db, opt, plan.AllRules(len(prog.TGDs)))
+	return chaseGroups(prog, db, opt, groups)
 }
 
 // chaseGroups chases one clone of db through the rule groups in order:
@@ -152,7 +162,7 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 
 	// match returns the trigger step of rule ti.
 	// Negation-as-failure needs no guard here: the driver skips blocked
-	// matches, which is sound because RunStratified only admits rules whose
+	// matches, which is sound because Run groups rules so that their
 	// negated predicates are closed.
 	match := func(ti int, ex *plan.Exec) func() bool {
 		r := ex.Rule
@@ -289,13 +299,9 @@ func triggerKey(tgd int, img []atom.Atom) string {
 // CertainAnswers chases the database and evaluates the CQ over the result,
 // returning the certain answers (Proposition 2.1). If the chase truncated,
 // the answers are a sound under-approximation and Truncated is reported.
-// Programs with negation are chased stratum by stratum (RunStratified).
+// Programs with negation are chased stratum by stratum (see Run).
 func CertainAnswers(prog *logic.Program, db *storage.DB, q *logic.CQ, opt Options) ([][]term.Term, *Result, error) {
-	run := Run
-	if prog.HasNegation() {
-		run = RunStratified
-	}
-	res, err := run(prog, db, opt)
+	res, err := Run(prog, db, opt)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -106,7 +106,7 @@ node(a). node(b). e(a,b).
 `)
 	opt := Default()
 	opt.Provenance = true
-	res, err := RunStratified(r.Program, db, opt)
+	res, err := Run(r.Program, db, opt)
 	if err != nil {
 		t.Fatalf("chase: %v", err)
 	}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/parser"
@@ -18,35 +19,12 @@ func loadNeg(t *testing.T, src string) (*parser.Result, *storage.DB) {
 	return r, db
 }
 
+// TestRunRejectsNegation: Run stratifies negation, and refuses negation
+// through recursion, which has no stratification.
 func TestRunRejectsNegation(t *testing.T) {
-	r, db := loadNeg(t, `p(X) :- a(X), not b(X). a(1).`)
-	if _, err := Run(r.Program, db, Default()); err == nil {
-		t.Fatalf("Run accepted a program with negation")
-	}
-}
-
-func TestRunStratifiedPlainProgramMatchesRun(t *testing.T) {
-	src := `
-t(X,Y) :- e(X,Y).
-t(X,Z) :- e(X,Y), t(Y,Z).
-e(a,b). e(b,c). e(c,d).
-`
-	r, db := loadNeg(t, src)
-	plain, err := Run(r.Program, db, Default())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	strat, err := RunStratified(r.Program, db, Default())
-	if err != nil {
-		t.Fatalf("RunStratified: %v", err)
-	}
-	if plain.DB.Len() != strat.DB.Len() {
-		t.Fatalf("Run %d facts, RunStratified %d", plain.DB.Len(), strat.DB.Len())
-	}
-	for _, f := range plain.DB.All() {
-		if !strat.DB.Contains(f) {
-			t.Fatalf("stratified chase missing fact")
-		}
+	r, db := loadNeg(t, `win(X) :- move(X,Y), not win(Y). move(a,b).`)
+	if _, err := Run(r.Program, db, Default()); err == nil || !strings.Contains(err.Error(), "not stratified") {
+		t.Fatalf("Run on unstratified negation: err = %v", err)
 	}
 }
 
@@ -58,9 +36,9 @@ unreach(X,Y) :- node(X), node(Y), not t(X,Y).
 node(a). node(b). node(c).
 e(a,b).
 `)
-	res, err := RunStratified(r.Program, db, Default())
+	res, err := Run(r.Program, db, Default())
 	if err != nil {
-		t.Fatalf("RunStratified: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	unreach, _ := r.Program.Reg.Lookup("unreach")
 	if got := res.DB.CountPred(unreach); got != 8 { // 9 pairs - (a,b)
@@ -78,9 +56,9 @@ assigned(E) :- hasDept(E,D).
 floating(E) :- person(E), not assigned(E).
 emp(alice). person(alice). person(bob).
 `)
-	res, err := RunStratified(r.Program, db, Default())
+	res, err := Run(r.Program, db, Default())
 	if err != nil {
-		t.Fatalf("RunStratified: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	floating, _ := r.Program.Reg.Lookup("floating")
 	facts := res.DB.Facts(floating)
@@ -103,9 +81,9 @@ a(1). blocked(2).
 `)
 	opt := Default()
 	opt.Provenance = true
-	res, err := RunStratified(r.Program, db, opt)
+	res, err := Run(r.Program, db, opt)
 	if err != nil {
-		t.Fatalf("RunStratified: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	// Every provenance entry must reference a TGD index of the original
 	// 3-rule program, and the derived c(1) must come from rule 1.

@@ -86,11 +86,7 @@ func TestEnginesProduceIdenticalInstances(t *testing.T) {
 			}
 			// The chase drives the same RulePlans; on full programs its
 			// result is the same least fixpoint.
-			run := chase.Run
-			if r.Program.HasNegation() {
-				run = chase.RunStratified
-			}
-			cres, err := run(r.Program, db, chase.Options{Restricted: true, MaxRounds: 10000, MaxFacts: 1000000})
+			cres, err := chase.Run(r.Program, db, chase.Options{Restricted: true, MaxRounds: 10000, MaxFacts: 1000000})
 			if err != nil {
 				t.Fatalf("program %d trial %d: chase: %v", pi, trial, err)
 			}

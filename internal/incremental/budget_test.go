@@ -3,6 +3,7 @@ package incremental
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,21 +104,25 @@ func diamondEdges(n int) [][2]string {
 // from-scratch recomputation over its live base facts. On the chain the
 // overestimate deletes the whole cone; on the diamonds every reached fact
 // has a detour, so nearly every probe is the support search's and the
-// traps land inside it.
+// traps land inside it; on the unsure ladder most of what the overestimate
+// deletes comes back in phase 2, so traps land there too. The sweep as a
+// whole must see all three outcomes.
 func TestDeleteBudgetTrapSweep(t *testing.T) {
 	const n = 64
 	var chain [][2]string
 	for i := 0; i+1 < n; i++ {
 		chain = append(chain, [2]string{fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)})
 	}
+	var outcomes [3]int // (a) phase-1 abort, (b) broken, (c) completed
 	for _, tc := range []struct {
 		name  string
 		edges [][2]string
-		del   [2]string
+		del   [][2]string
 		kept  bool // the delete keeps every fact it reaches
 	}{
-		{"chain", chain, chain[n/2], false},
-		{"diamonds", diamondEdges(n), [2]string{"n0", "n1"}, true},
+		{"chain", chain, [][2]string{chain[n/2]}, false},
+		{"diamonds", diamondEdges(n), [][2]string{{"n0", "n1"}}, true},
+		{"unsure", unsureLadderEdges(40, 40), [][2]string{{"a", "x"}, {"d", "w"}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var src strings.Builder
@@ -128,13 +133,19 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 			liveAfter := func(r *parser.Result, deleted bool) []atom.Atom {
 				var live []atom.Atom
 				for _, ed := range tc.edges {
-					if !deleted || ed != tc.del {
+					if !deleted || !slices.Contains(tc.del, ed) {
 						live = append(live, edge(r, ed[0], ed[1]))
 					}
 				}
 				return live
 			}
-			del := func(r *parser.Result) atom.Atom { return edge(r, tc.del[0], tc.del[1]) }
+			del := func(r *parser.Result) []atom.Atom {
+				var out []atom.Atom
+				for _, ed := range tc.del {
+					out = append(out, edge(r, ed[0], ed[1]))
+				}
+				return out
+			}
 
 			// Calibrate: run the delete once with an unlimited (but
 			// attached) budget to learn the total flushed probe count.
@@ -144,7 +155,7 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 				t.Fatalf("new: %v", err)
 			}
 			calib := plan.NewBudget(nil, 0, 0)
-			if err := e0.DeleteBudgeted(calib, del(r0)); err != nil {
+			if err := e0.DeleteBudgeted(calib, del(r0)...); err != nil {
 				t.Fatalf("calibration delete: %v", err)
 			}
 			total := calib.Probes()
@@ -182,11 +193,12 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 				}
 				bud := plan.NewBudget(nil, 0, 0)
 				bud.SetProbeTrap(trap, plan.ErrCanceled)
-				err = e.DeleteBudgeted(bud, del(r))
+				err = e.DeleteBudgeted(bud, del(r)...)
 
 				switch {
 				case err == nil:
 					// (c) completed: trap landed past the delete's work.
+					outcomes[2]++
 					if e.Broken() != nil {
 						t.Fatalf("trap %d: completed delete left engine broken", trap)
 					}
@@ -195,6 +207,7 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 					// (b) mid-rederivation: broken until Rebuild, which
 					// completes the delete (the base tombstones already
 					// applied).
+					outcomes[1]++
 					if !errors.Is(err, plan.ErrCanceled) {
 						t.Fatalf("trap %d: broken with err = %v", trap, err)
 					}
@@ -210,6 +223,7 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 					// stats untouched, and the same delete retried without a
 					// budget completes.
 					healthy++
+					outcomes[0]++
 					if !errors.Is(err, plan.ErrCanceled) {
 						t.Fatalf("trap %d: err = %v, want ErrCanceled", trap, err)
 					}
@@ -217,7 +231,7 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 						t.Fatalf("trap %d: phase-1 abort bumped stats: %+v", trap, st)
 					}
 					assertMatchesRecompute(t, fmt.Sprintf("trap %d healthy", trap), e, liveAfter(r, false))
-					if err := e.Delete(del(r)); err != nil {
+					if err := e.Delete(del(r)...); err != nil {
 						t.Fatalf("trap %d: retry delete: %v", trap, err)
 					}
 					assertMatchesRecompute(t, fmt.Sprintf("trap %d retried", trap), e, liveAfter(r, true))
@@ -228,6 +242,32 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 			}
 		})
 	}
+	if outcomes[0] == 0 || outcomes[1] == 0 || outcomes[2] == 0 {
+		t.Fatalf("sweep outcomes (phase-1 abort, broken, completed) = %v, want each seen", outcomes)
+	}
+}
+
+// unsureLadderEdges is the graph of TestDeleteUnsureRefutationIsRechecked
+// with an n-step path p0→…→d into d and an m-step path z→y0→… out of z.
+// Deleting e(a,x) and e(d,w) refutes every t(d,·) towards z and the ys
+// unsure; phase 2 re-checks and re-inserts them, and propagation brings
+// back every t(p_i,·) behind them.
+func unsureLadderEdges(n, m int) [][2]string {
+	out := [][2]string{{"a", "x"}, {"x", "z"}, {"a", "b"}, {"a", "c"}, {"c", "z"}, {"b", "a"}, {"d", "w"}, {"w", "z"}, {"d", "b"}}
+	for i := 0; i < n; i++ {
+		next := fmt.Sprintf("p%d", i+1)
+		if i+1 == n {
+			next = "d"
+		}
+		out = append(out, [2]string{fmt.Sprintf("p%d", i), next})
+	}
+	prev := "z"
+	for j := 0; j < m; j++ {
+		y := fmt.Sprintf("y%d", j)
+		out = append(out, [2]string{prev, y})
+		prev = y
+	}
+	return out
 }
 
 // TestDeletePhase1AbortIsPreMutation pins the healthy-abort contract

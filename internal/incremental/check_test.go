@@ -112,8 +112,10 @@ func TestDeleteUnsureRefutationIsRechecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The worklist is a stack: e(a,x), listed last, is expanded first.
-	if err := e.Delete(edge(r, "d", "w"), edge(r, "a", "x")); err != nil {
+	// A round reaches heads rule by rule, each rule's through the listed
+	// facts in order: e(a,x), listed first, reaches t(a,z) before e(d,w)
+	// reaches t(d,z), so t(a,z)'s search refutes t(b,z) first.
+	if err := e.Delete(edge(r, "a", "x"), edge(r, "d", "w")); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range [][2]string{{"a", "z"}, {"b", "z"}, {"d", "z"}} {
@@ -233,4 +235,60 @@ func TestDeleteBatchStreamMatchesRecompute(t *testing.T) {
 	if total.Kept == 0 || total.Rederived == 0 {
 		t.Fatalf("stream never kept or never rederived a fact: %+v", total)
 	}
+}
+
+// TestRederiveCycleReclaimsDeadRows: a stream that deletes and re-inserts
+// the same two edges of the unsure ladder, so every delete rederives
+// hundreds of facts. Each rederived fact lands as a fresh row beside its
+// dead one; after every update the instance must pass Verify, equal a
+// from-scratch recomputation, and hold at most twice its live facts
+// physically — compaction reclaims what re-insertion leaves behind.
+func TestRederiveCycleReclaimsDeadRows(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(tcSrc)
+	edges := unsureLadderEdges(12, 12)
+	for _, ed := range edges {
+		fmt.Fprintf(&src, "e(%s,%s).\n", ed[0], ed[1])
+	}
+	r, db := load(t, src.String())
+	var live []atom.Atom
+	for _, ed := range edges {
+		live = append(live, edge(r, ed[0], ed[1]))
+	}
+	e, err := New(r.Program, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := []atom.Atom{edge(r, "a", "x"), edge(r, "d", "w")}
+	rest := live[:0:0]
+	for _, f := range live {
+		if !f.Equal(cut[0]) && !f.Equal(cut[1]) {
+			rest = append(rest, f)
+		}
+	}
+	check := func(label string, want []atom.Atom) {
+		t.Helper()
+		assertMatchesRecompute(t, label, e, want)
+		if n, phys := e.DB().Len(), e.DB().PhysicalLen(); phys > 2*n {
+			t.Fatalf("%s: %d rows stored for %d live facts", label, phys, n)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		before := e.Stats().Rederived
+		if err := e.Delete(cut...); err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats().Rederived == before {
+			t.Fatalf("delete %d rederived nothing", i)
+		}
+		check(fmt.Sprintf("delete %d", i), rest)
+		if err := e.Insert(cut...); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("insert %d", i), live)
+	}
+	if e.Stats().Compacted == 0 {
+		t.Fatal("the stream never compacted")
+	}
+	assertMatchesRebuild(t, e)
 }

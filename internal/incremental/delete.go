@@ -10,11 +10,9 @@ import (
 
 // handle locates one fact of the materialization: its predicate and the
 // local row inside the predicate's relation. Deletion worklists carry
-// handles; no side index from tuples to rows exists.
-type handle struct {
-	pred schema.PredID
-	row  int32
-}
+// handles; no side index from tuples to rows exists. The overestimate's
+// rounds take them as they are.
+type handle = plan.Seed
 
 // mark is what one Delete pass knows about a fact, as bit flags.
 type mark uint8
@@ -45,32 +43,32 @@ type marks struct {
 }
 
 func (m *marks) get(h handle) mark {
-	if int(h.pred) < len(m.rows) {
-		if r := m.rows[h.pred]; int(h.row) < len(r) {
-			return r[h.row]
+	if int(h.Pred) < len(m.rows) {
+		if r := m.rows[h.Pred]; int(h.Row) < len(r) {
+			return r[h.Row]
 		}
 	}
 	return 0
 }
 
 func (m *marks) set(h handle, v mark) {
-	for len(m.rows) <= int(h.pred) {
+	for len(m.rows) <= int(h.Pred) {
 		m.rows = append(m.rows, nil)
 	}
-	r := m.rows[h.pred]
-	if int(h.row) >= len(r) {
-		r = append(r, make([]mark, int(h.row)+1-len(r))...)
-		m.rows[h.pred] = r
+	r := m.rows[h.Pred]
+	if int(h.Row) >= len(r) {
+		r = append(r, make([]mark, int(h.Row)+1-len(r))...)
+		m.rows[h.Pred] = r
 	}
-	if r[h.row] == 0 {
+	if r[h.Row] == 0 {
 		m.touched = append(m.touched, h)
 	}
-	r[h.row] = v
+	r[h.Row] = v
 }
 
 func (m *marks) reset() {
 	for _, h := range m.touched {
-		m.rows[h.pred][h.row] = 0
+		m.rows[h.Pred][h.Row] = 0
 	}
 	m.touched = m.touched[:0]
 }
@@ -112,7 +110,7 @@ func (e *Engine) verdict(b handle) verdict {
 	switch {
 	case st&mPending != 0:
 		return dead
-	case st&mProved != 0 || !e.idb(b.pred):
+	case st&mProved != 0 || !e.idb(b.Pred):
 		return alive
 	case st&(mRefuted|mUnsure) == mRefuted:
 		return dead
@@ -140,14 +138,14 @@ func (e *Engine) open(h handle) {
 	s := &e.search
 	e.marks.set(h, mOnStack)
 	lo, unsure, proved := len(s.cands), false, false
-	args := e.db.FactArgs(h.pred, h.row)
-	for _, ri := range e.headRules[h.pred] {
+	args := e.db.FactArgs(h.Pred, h.Row)
+	for _, ri := range e.headRules[h.Pred] {
 		ex := e.execs[ri]
 		body := ex.Rule.Body
-		ex.Supports(e.db, h.pred, args, func(rows []int32) bool {
+		ex.Supports(e.db, h.Pred, args, func(rows []int32) bool {
 			start := len(s.cands)
 			for i, row := range rows {
-				b := handle{pred: body[i].Pred, row: row}
+				b := handle{Pred: body[i].Pred, Row: row}
 				switch e.verdict(b) {
 				case unknown:
 					s.cands = append(s.cands, b)
@@ -163,7 +161,7 @@ func (e *Engine) open(h handle) {
 				proved = true
 				return false
 			}
-			s.cands = append(s.cands, handle{row: -1})
+			s.cands = append(s.cands, handle{Row: -1})
 			return true
 		})
 		if proved {
@@ -186,9 +184,9 @@ func (e *Engine) open(h handle) {
 // fact on the stack never supports anything, so a proved fact survives the
 // delete. A refutation is sure when every support has a body fact that
 // is, or is bound to turn, pending: the overestimate then reaches the
-// fact and phase 2's restore propagation covers it. Otherwise it is
-// unsure and phase 2 re-checks it. Proved and refuted facts stay memoized
-// for the whole pass.
+// fact, and if it comes back, phase 2's propagation derives it again from
+// a re-inserted body fact. Otherwise it is unsure and phase 2 re-checks
+// it. Proved and refuted facts stay memoized for the whole pass.
 func (e *Engine) prove(h handle, bud *plan.Budget) error {
 	s := &e.search
 	e.open(h)
@@ -202,7 +200,7 @@ func (e *Engine) prove(h handle, bud *plan.Budget) error {
 			continue
 		}
 		b := s.cands[g.at]
-		if b.row < 0 {
+		if b.Row < 0 {
 			e.settle(mProved) // every body fact of the group is alive
 			continue
 		}
@@ -215,7 +213,7 @@ func (e *Engine) prove(h handle, bud *plan.Budget) error {
 			g.unsure = true
 			fallthrough
 		case dead:
-			for s.cands[g.at].row >= 0 {
+			for s.cands[g.at].Row >= 0 {
 				g.at++
 			}
 			g.at++
@@ -234,11 +232,11 @@ func (e *Engine) settle(v mark) {
 }
 
 // Delete retracts base facts and maintains the materialization with DRed,
-// entirely in place: the overestimate walks seed-bound compiled plans over
-// the still-intact instance and proves what it reaches before deleting
-// it, deletion applies as tombstone flips (no store rebuild), and
-// rederivation combines head-bound checks of unsure facts with
-// seed-bound propagation of restored ones.
+// entirely in place: the overestimate runs row-list rounds of the compiled
+// plans over the still-intact instance and proves what it reaches before
+// deleting it, deletion applies as tombstone flips (no store rebuild), and
+// rederivation re-inserts the unsure facts that head-bound checks still
+// derive and propagates them like an insertion.
 func (e *Engine) Delete(facts ...atom.Atom) error {
 	return e.DeleteBudgeted(nil, facts...)
 }
@@ -247,7 +245,7 @@ func (e *Engine) Delete(facts ...atom.Atom) error {
 // abort differently: phase 1 (overestimate and support search) runs over
 // the intact instance — an abort there returns the typed error with
 // NOTHING mutated, the engine stays healthy. Once tombstones apply, an
-// abort in phase 2 (rederive) leaves overdeleted facts unrestored, so the
+// abort in phase 2 (rederive) leaves overdeleted facts missing, so the
 // engine is marked broken and Rebuild recovers. A nil budget is exactly
 // Delete.
 func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
@@ -275,7 +273,7 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 		if !ok {
 			continue
 		}
-		if h := (handle{pred: f.Pred, row: row}); m.get(h) == 0 {
+		if h := (handle{Pred: f.Pred, Row: row}); m.get(h) == 0 {
 			m.set(h, mPending)
 			pend = append(pend, h)
 		}
@@ -285,39 +283,32 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	}
 	seeds := len(pend)
 
-	// Phase 1 — overestimate, checked: every fact derived through a pending
-	// fact is reached, and proved or refuted by the support search before
-	// it may turn pending; a proved fact is kept and not propagated from.
-	// Tombstones land only after the whole phase, so every join runs over
-	// the OLD, intact instance.
-	work := append([]handle(nil), pend...)
+	// Phase 1 — overestimate, checked: each round joins every rule through
+	// the facts that turned pending in the round before and records the
+	// heads it reaches; between rounds each reached fact is proved or
+	// refuted by the support search before it may turn pending, and a
+	// proved fact is kept and not propagated from. Tombstones land only
+	// after the whole phase, so every join runs over the OLD, intact
+	// instance.
 	var reached []handle
 	kept := 0
-	for len(work) > 0 {
-		if err := bud.Err(); err != nil {
-			// Nothing has been mutated yet: the delete simply didn't
-			// happen, and the engine stays healthy.
-			return err
-		}
-		g := work[len(work)-1]
-		work = work[:len(work)-1]
-		// Heads are checked after the seed-bound runs: the search joins on
-		// the same executors, whose frames a run holds bound.
-		reached = reached[:0]
-		for _, occ := range e.bodyOcc[g.pred] {
-			ex := e.execs[occ.rule]
-			ex.RunSeed(e.db, occ.pos, g.row, func() bool {
-				if row, ok := e.db.FindRow(ex.HeadArgs(0)); ok {
-					reached = append(reached, handle{pred: ex.Rule.Head[0].Pred, row: row})
+	fx := plan.Fixpoint{DB: e.db, Plans: e.plans, Execs: e.execs, Budget: bud,
+		Match: func(_ int, ex *plan.Exec) func() bool {
+			return func() bool {
+				p, args := ex.HeadArgs(0)
+				if row, ok := e.db.FindRow(p, args); ok {
+					reached = append(reached, handle{Pred: p, Row: row})
 				}
 				return true
-			})
-		}
+			}
+		}}
+	fx.RunRows(pend, func() []handle {
+		from := len(pend)
 		for _, h := range reached {
 			st := m.get(h)
 			if st == 0 {
-				if err := e.prove(h, bud); err != nil {
-					return err
+				if e.prove(h, bud) != nil {
+					return nil
 				}
 				st = m.get(h)
 			}
@@ -331,12 +322,15 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 			default:
 				m.set(h, st|mPending)
 				pend = append(pend, h)
-				work = append(work, h)
 			}
 		}
-	}
+		reached = reached[:0]
+		return pend[from:]
+	})
 	if err := bud.Err(); err != nil {
-		return err // still pre-mutation: the last join may have stopped early
+		// Nothing has been mutated yet: the delete simply didn't happen,
+		// and the engine stays healthy.
+		return err
 	}
 	e.stats.Deleted += seeds
 	e.stats.Overdeleted += len(pend) - seeds
@@ -346,63 +340,32 @@ func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	// put.
 	// From here on an abort leaves the materialization partial.
 	for _, h := range pend {
-		e.db.Tombstone(h.pred, h.row)
+		e.db.Tombstone(h.Pred, h.Row)
 	}
 
 	// Phase 2 — rederive: only an unsure refutation can hide a derivation
 	// from the surviving instance, so only unsure facts get a head-bound
-	// check; every other pending fact that returns does so through a
-	// restored body fact, and each restoration propagates through the
-	// seed-bound plans to the still-pending facts it re-supports.
-	rederived := 0
-	var restored []handle
-	revive := func(h handle) {
-		e.db.Revive(h.pred, h.row)
-		m.set(h, m.get(h)&^mPending)
-		rederived++
-		restored = append(restored, h)
-	}
+	// check. One that passes is inserted again, as a fresh row beside its
+	// dead one, and propagation derives every pending fact it re-supports.
+	mark := e.db.Mark()
 	for _, h := range pend {
 		if bud.Aborted() {
-			break // verdict handled after the worklists drain
+			break // propagate reports the abort
 		}
-		if m.get(h)&(mPending|mUnsure) != mPending|mUnsure {
+		if m.get(h)&mUnsure == 0 {
 			continue
 		}
-		args := e.db.FactArgs(h.pred, h.row)
-		for _, ri := range e.headRules[h.pred] {
-			if e.execs[ri].Rederivable(e.db, h.pred, args) {
-				revive(h)
+		args := e.db.FactArgs(h.Pred, h.Row)
+		for _, ri := range e.headRules[h.Pred] {
+			if e.execs[ri].Rederivable(e.db, h.Pred, args) {
+				e.db.InsertArgs(h.Pred, args)
+				e.stats.Rederived++
 				break
 			}
 		}
 	}
-	for len(restored) > 0 {
-		if bud.Aborted() {
-			break
-		}
-		g := restored[len(restored)-1]
-		restored = restored[:len(restored)-1]
-		for _, occ := range e.bodyOcc[g.pred] {
-			ex := e.execs[occ.rule]
-			ex.RunSeed(e.db, occ.pos, g.row, func() bool {
-				hp, hargs := ex.HeadArgs(0)
-				if row, ok := e.db.FindRowAny(hp, hargs); ok && m.get(handle{pred: hp, row: row})&mPending != 0 {
-					revive(handle{pred: hp, row: row})
-				}
-				return true
-			})
-		}
-	}
-	e.stats.Rederived += rederived
-
-	if err := bud.Err(); err != nil {
-		// Tombstones applied but rederivation didn't finish: facts still
-		// derivable from the surviving base facts may be missing. Partial
-		// revives are sound (each had a derivation), but the
-		// materialization is an under-approximation until Rebuild.
-		e.broken = fmt.Errorf("incremental: delete aborted mid-rederivation: %w", err)
-		return e.broken
+	if err := e.propagate(mark, bud, "delete", &e.stats.Rederived); err != nil {
+		return err
 	}
 
 	// Reclaim physical space once a relation is mostly tombstones. Compact

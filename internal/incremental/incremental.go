@@ -8,18 +8,20 @@
 //   - Delete: (1) overestimate — every derived fact with a derivation
 //     through a deleted fact is reached, and deleted unless a backward
 //     support search proves it from the surviving instance first;
-//     (2) rederive — put back overdeleted facts that still have a
+//     (2) rederive — insert again the overdeleted facts that still have a
 //     derivation, re-checking only those whose refutation was unsure.
 //
-// Both directions run the compiled-plan pipeline shared with the fixpoint
-// engines, and both are in-place: insertion appends through the scratch
-// paths, deletion flips storage tombstones — the worklists carry (pred,
-// row) handles, the overestimate enumerates rule instances through each
-// deleted row with seed-bound plans (Exec.RunSeed), the support search and
-// rederivation enumerate head-bound plans (Exec.Supports) and restorations
-// propagate through the same seed-bound plans. The materialization, base
-// facts included, is the only store and is never rebuilt; physical space
-// is reclaimed by storage.Compact once a relation is mostly dead.
+// Both directions run on the round driver shared with the fixpoint
+// engines (plan.Fixpoint), and both are in place. Insertion appends
+// through the scratch paths and propagates with Fixpoint.Run. Deletion's
+// overestimate is Fixpoint.RunRows: rounds of rule instances through the
+// (pred, row) handles that turned pending in the round before. The
+// support search and the rederive check enumerate head-bound plans
+// (Exec.Supports), deletion flips storage tombstones, and a rederived
+// fact lands as a fresh row and propagates exactly as an inserted one
+// does. The materialization, base facts included, is the only store and
+// is never rebuilt; physical space is reclaimed by storage.Compact once a
+// relation is mostly dead.
 //
 // The engine supports full single-head TGDs without negation (negation
 // under updates requires maintaining strata fronts; callers can rebuild
@@ -61,11 +63,8 @@ type Engine struct {
 	// fixpoint engines; compiled once at New.
 	plans *plan.Program
 	execs []*plan.Exec
-	// bodyOcc[p] lists the (rule, body position) pairs where predicate p
-	// occurs in a rule body — the seed-bound delete plans fired when a fact
-	// over p is deleted or revived. headRules[p] lists the rules deriving p
-	// — the head-bound rederive plans tried for an overdeleted fact.
-	bodyOcc   map[schema.PredID][]occurrence
+	// headRules[p] lists the rules deriving p — the head-bound plans of the
+	// support search and the rederive check.
 	headRules map[schema.PredID][]int
 
 	// broken is the typed abort error of a budgeted update that stopped
@@ -84,11 +83,6 @@ type Engine struct {
 	stats Stats
 }
 
-// occurrence is one body-atom occurrence of a predicate.
-type occurrence struct {
-	rule, pos int
-}
-
 // Stats accumulates maintenance effort across updates.
 type Stats struct {
 	// Inserted / Deleted count base-fact changes applied.
@@ -97,7 +91,9 @@ type Stats struct {
 	DerivedNew int
 	// Overdeleted counts facts removed by the DRed overestimate.
 	Overdeleted int
-	// Rederived counts overdeleted facts the rederivation step restored.
+	// Rederived counts overdeleted facts the rederivation step inserted
+	// again: the unsure facts its check re-derived and the facts their
+	// propagation derived.
 	Rederived int
 	// Kept counts facts the overestimate reached but the support search
 	// proved from the surviving instance, so they were never deleted.
@@ -156,7 +152,6 @@ func newShell(prog *logic.Program) (*Engine, error) {
 		prog:      prog,
 		an:        an,
 		plans:     plan.Cached(prog, plan.Options{DeltaFirst: true}),
-		bodyOcc:   make(map[schema.PredID][]occurrence),
 		headRules: make(map[schema.PredID][]int),
 	}
 	e.execs = make([]*plan.Exec, len(prog.TGDs))
@@ -171,9 +166,6 @@ func newShell(prog *logic.Program) (*Engine, error) {
 	}
 	for ri, t := range prog.TGDs {
 		e.headRules[t.Head[0].Pred] = append(e.headRules[t.Head[0].Pred], ri)
-		for di, b := range t.Body {
-			e.bodyOcc[b.Pred] = append(e.bodyOcc[b.Pred], occurrence{rule: ri, pos: di})
-		}
 	}
 	return e, nil
 }
@@ -276,23 +268,26 @@ func (e *Engine) InsertBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	if added == 0 {
 		return nil
 	}
-	return e.propagate(mark, bud, "insert")
+	return e.propagate(mark, bud, "insert", &e.stats.DerivedNew)
 }
 
-// propagate runs the budgeted delta fixpoint after an insertion batch
-// landed at mark — the round driver over every rule, every pair starting
-// at the batch — marking the engine broken when the budget trips mid-way.
-// The budget (nil = unlimited) is charged the facts each join inserts;
-// probes charge through the executors' attached budget.
-func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string) error {
+// propagate runs the budgeted delta fixpoint after facts landed at mark —
+// the round driver over every rule, every pair starting at those facts —
+// adds the facts it derives to *derived, and marks the engine broken when
+// the budget has tripped, during the run or before it. The budget (nil =
+// unlimited) is charged the facts each join inserts; probes charge
+// through the executors' attached budget.
+func (e *Engine) propagate(mark storage.Mark, bud *plan.Budget, op string, derived *int) error {
 	if bud != nil {
 		e.attach(bud)
 		defer e.attach(nil)
 	}
-	before := e.db.Len()
-	fx := plan.Fixpoint{DB: e.db, Plans: e.plans, Execs: e.execs, Budget: bud}
-	fx.Run(plan.AllRules(len(e.prog.TGDs)), mark)
-	e.stats.DerivedNew += e.db.Len() - before
+	if e.db.Mark() > mark {
+		before := e.db.Len()
+		fx := plan.Fixpoint{DB: e.db, Plans: e.plans, Execs: e.execs, Budget: bud}
+		fx.Run(plan.AllRules(len(e.prog.TGDs)), mark)
+		*derived += e.db.Len() - before
+	}
 	if err := bud.Err(); err != nil {
 		e.broken = fmt.Errorf("incremental: %s aborted mid-propagation: %w", op, err)
 		return e.broken
@@ -330,7 +325,7 @@ func (e *Engine) InsertBulkBudgeted(bud *plan.Budget, bufs []*storage.TupleBuffe
 	added := e.db.MergeBuffers(bufs, 1)
 	e.stats.Inserted += added
 	if added > 0 {
-		if err := e.propagate(mark, bud, "bulk insert"); err != nil {
+		if err := e.propagate(mark, bud, "bulk insert", &e.stats.DerivedNew); err != nil {
 			return added, err
 		}
 	}

@@ -201,7 +201,7 @@ emp(alice). emp(carol). person(alice). person(bob). person(dave). boss(alice,car
 `)
 	opt := chase.Default()
 	opt.Provenance = true
-	out = append(out, goldenChase{"stratified", prog, db, opt, chase.RunStratified})
+	out = append(out, goldenChase{"stratified", prog, db, opt, chase.Run})
 	return out
 }
 

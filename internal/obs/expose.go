@@ -16,10 +16,13 @@ import (
 // Scrapes race with concurrent observations; each sample line is an
 // atomic load, and a histogram's _count is computed from the same
 // bucket loads it renders, so every individual series is internally
-// consistent even mid-update.
+// consistent even mid-update. The scrape hook, if set, runs first.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.scrape != nil {
+		r.scrape()
+	}
 	bw := bufio.NewWriter(w)
 	for _, f := range r.families {
 		bw.WriteString("# HELP ")

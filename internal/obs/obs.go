@@ -193,6 +193,9 @@ type Registry struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	// scrape runs once per WritePrometheus, under mu, before any series
+	// renders (SetScrapeHook).
+	scrape func()
 }
 
 // NewRegistry returns an empty registry.
@@ -273,6 +276,16 @@ func (r *Registry) CounterFunc(name, labels, help string, fn func() uint64) {
 	f.series = append(f.series, &series{labels: labels, cf: fn})
 }
 
+// SetScrapeHook sets the function WritePrometheus runs once, under the
+// registry lock, before it renders any series: scrape-time series that
+// read one snapshot taken there agree with each other. Setting it again
+// replaces it (last one wins, as for GaugeFunc).
+func (r *Registry) SetScrapeHook(fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.scrape = fn
+}
+
 // Histogram returns the histogram series (name, labels), creating it
 // with the given bucket bounds and exposition scale if needed. bounds
 // must be strictly increasing and is retained without copying.
@@ -307,6 +320,9 @@ func NewGaugeFunc(name, labels, help string, fn func() float64) {
 func NewCounterFunc(name, labels, help string, fn func() uint64) {
 	Default.CounterFunc(name, labels, help, fn)
 }
+
+// SetScrapeHook sets the Default registry's scrape hook.
+func SetScrapeHook(fn func()) { Default.SetScrapeHook(fn) }
 
 // NewHistogram registers a histogram in the Default registry.
 func NewHistogram(name, labels, help string, scale float64, bounds []int64) *Histogram {

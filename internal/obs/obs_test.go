@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -138,5 +140,37 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if g.Load() != workers*perWorker {
 		t.Fatalf("gauge = %d", g.Load())
+	}
+}
+
+// TestScrapeHookOncePerScrape: a scrape runs the hook once, before any
+// series renders, so every scrape-time series reading the hook's snapshot
+// shows the same value; setting the hook again replaces it.
+func TestScrapeHookOncePerScrape(t *testing.T) {
+	r := NewRegistry()
+	runs, snap := 0, uint64(0)
+	r.SetScrapeHook(func() { runs++; snap = uint64(10 * runs) })
+	for _, name := range []string{"vadalog_test_a_total", "vadalog_test_b_total", "vadalog_test_c_total"} {
+		r.CounterFunc(name, "", "Test snapshot read.", func() uint64 { return snap })
+	}
+	r.GaugeFunc("vadalog_test_d", "", "Test snapshot read.", func() float64 { return float64(snap) })
+	for scrape := 1; scrape <= 2; scrape++ {
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if runs != scrape {
+			t.Fatalf("after %d scrapes the hook ran %d times", scrape, runs)
+		}
+		want := fmt.Sprintf(" %d\n", 10*scrape)
+		if n := strings.Count(sb.String(), want); n != 4 {
+			t.Fatalf("scrape %d: %d of 4 series read the snapshot:\n%s", scrape, n, sb.String())
+		}
+	}
+	r.SetScrapeHook(func() { snap = 7 })
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if runs != 2 || strings.Count(sb.String(), " 7\n") != 4 {
+		t.Fatalf("the replaced hook still ran (runs %d) or the new one did not:\n%s", runs, sb.String())
 	}
 }

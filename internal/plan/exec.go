@@ -40,7 +40,7 @@ type Exec struct {
 }
 
 // SetBudget attaches (or with nil detaches) the budget every subsequent
-// Run/RunSeed/Supports enumeration charges its probes to.
+// Run/runSeed/Supports enumeration charges its probes to.
 func (e *Exec) SetBudget(b *Budget) {
 	e.bud = b
 	e.budLeft = BudgetStride
@@ -93,13 +93,12 @@ func (e *Exec) Run(db *storage.DB, di int, since storage.Mark, fn func() bool) b
 	return rec(0)
 }
 
-// RunSeed enumerates every rule instance whose body atom di is EXACTLY the
-// fact stored at local row seed of its relation — the seed-bound DRed
-// delete plan: the deleted (overestimate) or just-revived (rederive
-// propagation) fact is pinned at the variant's delta step via
-// storage.ProbeRow and the remaining scans enumerate around it with the
-// variant's join order. fn and the frame behave exactly as in Run.
-func (e *Exec) RunSeed(db *storage.DB, di int, seed int32, fn func() bool) bool {
+// runSeed enumerates every rule instance whose body atom di is EXACTLY the
+// fact stored at local row seed of its relation — the join of a row-list
+// round (Fixpoint.RunRows): the fact is pinned at the variant's delta step
+// via storage.ProbeRow and the remaining scans enumerate around it with
+// the variant's join order. fn and the frame behave exactly as in Run.
+func (e *Exec) runSeed(db *storage.DB, di int, seed int32, fn func() bool) bool {
 	j := &e.Rule.Variants[di].JoinPlan
 	var rec func(k int) bool
 	rec = func(k int) bool {

@@ -59,14 +59,15 @@ type FixpointStats struct {
 }
 
 // Fixpoint is the semi-naive round driver every bottom-up engine runs:
-// Datalog evaluation, incremental insert propagation, and the chase. It
-// owns the per-pair delta marks, the group loop, the delta-position rule,
-// tracer hooks and budget stops. A round runs every (rule, delta) pair in
-// turn and derived facts land at once, so later pairs of the round see
-// them; each pair reads its delta atom from where its previous join
-// began, so no pair joins a delta row twice.
+// Datalog evaluation, incremental insertion and rederivation, the chase
+// (Run), and DRed's overestimate (RunRows). It owns the per-pair delta
+// marks, the group loop, the delta-position rule, tracer hooks and budget
+// stops. A round runs every (rule, delta) pair in turn and derived facts
+// land at once, so later pairs of the round see them; each pair reads its
+// delta atom from where its previous join began, so no pair joins a delta
+// row twice.
 //
-// A Fixpoint runs once: set the fields, call Run, read Stats.
+// A Fixpoint runs once: set the fields, call Run or RunRows, read Stats.
 type Fixpoint struct {
 	DB    *storage.DB
 	Plans *Program
@@ -88,7 +89,7 @@ type Fixpoint struct {
 	// Match, when non-nil, replaces direct insertion: called once per rule
 	// with the rule index and its executor, it returns the function run
 	// for every body match negation does not block; that function
-	// returning false stops the fixpoint.
+	// returning false stops the fixpoint. RunRows requires it.
 	Match func(ri int, ex *Exec) func() bool
 
 	Stats  FixpointStats
@@ -107,15 +108,19 @@ type pair struct {
 	mark        storage.Mark
 }
 
+// Seed is one stored fact a row-list round pins a delta atom to: its
+// predicate and its local row.
+type Seed struct {
+	Pred schema.PredID
+	Row  int32
+}
+
 // Run drives each group to its fixpoint in order, every group's pairs
 // starting at start (0: the whole instance is delta). The run stops
 // early when a join is stopped (a tripped budget, or Match returning
 // false), when the budget has tripped, or at MaxRounds.
 func (f *Fixpoint) Run(groups []Group, start storage.Mark) {
-	if f.Execs == nil {
-		f.Execs = make([]*Exec, len(f.Plans.Rules))
-	}
-	f.steps = make([]func() bool, len(f.Plans.Rules))
+	f.init()
 	probes0 := f.probes()
 	for _, g := range groups {
 		if f.Budget.Aborted() {
@@ -137,6 +142,47 @@ func (f *Fixpoint) Run(groups []Group, start storage.Mark) {
 		}
 	}
 	f.Stats.Probes += int(f.probes() - probes0)
+}
+
+// RunRows drives rounds over listed rows instead of insertion windows.
+// In each round every (rule, body position) pair, in program order, joins
+// with its delta atom pinned in turn to each listed row of that
+// position's predicate, in list order, and runs Match's function for
+// every match; a pinned row is read whether live or not, the other atoms
+// range over live rows. After the round next returns the following
+// round's rows. The run ends when there are none, when a join is
+// stopped, or when the budget has tripped.
+func (f *Fixpoint) RunRows(rows []Seed, next func() []Seed) {
+	f.init()
+	probes0 := f.probes()
+	byPred := make(map[schema.PredID][]int32)
+rounds:
+	for round := 1; len(rows) > 0 && !f.Budget.Aborted(); round++ {
+		f.Stats.Rounds++
+		for p, rs := range byPred {
+			byPred[p] = rs[:0]
+		}
+		for _, s := range rows {
+			byPred[s.Pred] = append(byPred[s.Pred], s.Row)
+		}
+		for ri, r := range f.Plans.Rules {
+			for di, b := range r.TGD.Body {
+				if rs := byPred[b.Pred]; len(rs) > 0 && !f.joinRows(ri, di, rs, round) {
+					break rounds
+				}
+			}
+		}
+		rows = next()
+	}
+	f.Stats.Probes += int(f.probes() - probes0)
+}
+
+// init readies the executors and per-run match functions.
+func (f *Fixpoint) init() {
+	if f.Execs == nil {
+		f.Execs = make([]*Exec, len(f.Plans.Rules))
+	}
+	f.steps = make([]func() bool, len(f.Plans.Rules))
 }
 
 // group runs one group's rounds to saturation, reporting false when the
@@ -237,16 +283,39 @@ func (f *Fixpoint) join(p pair, round int) bool {
 		})
 		return f.Budget.AddDerived(n) == nil && ok
 	}
-	fn := f.steps[p.rule]
+	return ex.Run(db, p.delta, p.mark, f.step(p.rule, ex))
+}
+
+// joinRows runs rule ri once per listed row, the delta atom at body
+// position di pinned to that row (Exec.runSeed), reporting false when a
+// join is stopped.
+func (f *Fixpoint) joinRows(ri, di int, rows []int32, round int) bool {
+	ex := f.exec(ri)
+	if f.Tracer != nil {
+		f.Tracer.Join(ri, di, round, ex.Rule.Variants[di].Order)
+	}
+	fn := f.step(ri, ex)
+	for _, row := range rows {
+		if !ex.runSeed(f.DB, di, row, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// step returns Match's function for rule ri, made once per run; a rule
+// with negated atoms runs it only for matches they do not block.
+func (f *Fixpoint) step(ri int, ex *Exec) func() bool {
+	fn := f.steps[ri]
 	if fn == nil {
-		fn = f.Match(p.rule, ex)
-		f.steps[p.rule] = fn
+		fn = f.Match(ri, ex)
+		if len(ex.Rule.Neg) > 0 {
+			match, db := fn, f.DB
+			fn = func() bool { return ex.Blocked(db) || match() }
+		}
+		f.steps[ri] = fn
 	}
-	if hasNeg {
-		step := fn
-		fn = func() bool { return ex.Blocked(db) || step() }
-	}
-	return ex.Run(db, p.delta, p.mark, fn)
+	return fn
 }
 
 // exec returns rule ri's executor, creating it on first use. Every

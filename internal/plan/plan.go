@@ -19,10 +19,11 @@
 //     flat, reusable frame instead of a per-binding map substitution;
 //   - instantiation templates for head, negated-body, and body atoms.
 //
-// Semi-naive Datalog evaluation (internal/datalog), incremental insert
-// propagation, and the chase (internal/chase) all run their rounds on one
-// driver (Fixpoint) that executes RulePlans through Exec; the only
-// per-binding allocation left on the hot path is the derived fact itself.
+// Semi-naive Datalog evaluation (internal/datalog), incremental insertion,
+// deletion and rederivation (internal/incremental), and the chase
+// (internal/chase) all run their rounds on one driver (Fixpoint) that
+// executes RulePlans through Exec; the only per-binding allocation left on
+// the hot path is the derived fact itself.
 package plan
 
 import (
@@ -119,8 +120,9 @@ type RulePlan struct {
 	// Variants[di] is the join plan that treats body atom di as the
 	// semi-naive delta position. Every variant is compiled up front;
 	// selecting a delta position per round is an index, not a computation.
-	// The same variants double as the DRed delete plans: Exec.RunSeed pins
-	// the delta scan to one stored row instead of a delta window.
+	// The same variants run the row-list rounds of DRed's overestimate
+	// (Fixpoint.RunRows), which pin the delta scan to one stored row
+	// instead of a delta window.
 	Variants []*Variant
 
 	// Rederive is the head-bound join behind DRed's support search and

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/atom"
 	"repro/internal/incremental"
 	"repro/internal/logic"
 	"repro/internal/obs"
@@ -499,6 +500,19 @@ func (s *Service) Insert(src string) (uint64, error) {
 // base under the writer lock before the next update (the asserted facts
 // themselves stay asserted and surface in the next published epoch).
 func (s *Service) InsertCtx(ctx context.Context, src string) (uint64, error) {
+	return s.write(ctx, src, "insert", wal.KindInsert, (*incremental.Engine).InsertBudgeted,
+		func(st incremental.Stats) int { return st.Inserted })
+}
+
+// write is the one update path behind InsertCtx and DeleteCtx: under the
+// writer lock it parses the facts, applies them through the engine call
+// under the write budget, and logs and publishes the update, or answers
+// unchanged() when the engine's count (applied) did not move. An aborted
+// update publishes nothing and recovers the engine. op names the update
+// in errors and kind its WAL record.
+func (s *Service) write(ctx context.Context, src, op string, kind byte,
+	apply func(*incremental.Engine, *plan.Budget, ...atom.Atom) error,
+	applied func(incremental.Stats) int) (uint64, error) {
 	if s.recovering.Load() {
 		return 0, ErrRecovering
 	}
@@ -510,19 +524,19 @@ func (s *Service) InsertCtx(ctx context.Context, src string) (uint64, error) {
 	s.maybeCompact()
 	res, err := s.parseFacts(src)
 	if err != nil {
-		return 0, fmt.Errorf("service: insert: %w", err)
+		return 0, fmt.Errorf("service: %s: %w", op, err)
 	}
 	bud, cancel := s.writeBudget(ctx)
 	defer cancel()
-	before := s.eng.Stats().Inserted
-	if err := s.eng.InsertBudgeted(bud, res.Facts...); err != nil {
+	before := applied(s.eng.Stats())
+	if err := apply(s.eng, bud, res.Facts...); err != nil {
 		s.recoverEngine()
-		return 0, fmt.Errorf("service: insert: %w", err)
+		return 0, fmt.Errorf("service: %s: %w", op, err)
 	}
-	if s.eng.Stats().Inserted == before {
+	if applied(s.eng.Stats()) == before {
 		return s.unchanged(), nil
 	}
-	if err := s.logRecord(wal.KindInsert, []byte(src)); err != nil {
+	if err := s.logRecord(kind, []byte(src)); err != nil {
 		return 0, err
 	}
 	return s.publish(), nil
@@ -553,33 +567,8 @@ func (s *Service) Delete(src string) (uint64, error) {
 
 // DeleteCtx is Delete with the InsertCtx budget and recovery semantics.
 func (s *Service) DeleteCtx(ctx context.Context, src string) (uint64, error) {
-	if s.recovering.Load() {
-		return 0, ErrRecovering
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		return 0, ErrNotLoaded
-	}
-	s.maybeCompact()
-	res, err := s.parseFacts(src)
-	if err != nil {
-		return 0, fmt.Errorf("service: delete: %w", err)
-	}
-	bud, cancel := s.writeBudget(ctx)
-	defer cancel()
-	before := s.eng.Stats().Deleted
-	if err := s.eng.DeleteBudgeted(bud, res.Facts...); err != nil {
-		s.recoverEngine()
-		return 0, fmt.Errorf("service: delete: %w", err)
-	}
-	if s.eng.Stats().Deleted == before {
-		return s.unchanged(), nil
-	}
-	if err := s.logRecord(wal.KindDelete, []byte(src)); err != nil {
-		return 0, err
-	}
-	return s.publish(), nil
+	return s.write(ctx, src, "delete", wal.KindDelete, (*incremental.Engine).DeleteBudgeted,
+		func(st incremental.Stats) int { return st.Deleted })
 }
 
 // recoverEngine re-materializes a broken engine (an update aborted after

@@ -70,7 +70,7 @@ type relation struct {
 	// posIndex.clone). borrowed marks that tab still belongs to that other
 	// writer: the first row this relation appends takes a private copy
 	// first (own). deadShared marks that someone else reads the bitmap:
-	// the first kill or revive copies it. pins counts live snapshots
+	// the first kill copies it. pins counts live snapshots
 	// referencing this relation's backings: Compact defers pinned
 	// relations. pins is atomic because snapshots release from reader
 	// goroutines; the flags are only touched by the relation's writer.
@@ -145,8 +145,8 @@ func (r *relation) find(h uint64, args []term.Term) (int32, bool) {
 
 // findAny returns the most recently inserted row holding args, live or
 // dead. At most the newest row of a tuple is live (a fact is re-inserted
-// only while every earlier row of it is dead), so this is the row a
-// deletion pass tombstoned, if it tombstoned the fact at all.
+// only while every earlier row of it is dead), which Verify checks with
+// it.
 func (r *relation) findAny(h uint64, args []term.Term) (int32, bool) {
 	tab := r.tab
 	if len(tab) == 0 {

@@ -283,12 +283,12 @@ func (db *DB) ProbeWithRow(sp *ScanPlan, frame []term.Term, since Mark, shard, s
 }
 
 // ProbeRow applies the scan plan to exactly one local row of its relation
-// — the seed-bound enumeration step of the compiled DRed delete plans: the
-// deleted (or just-revived) fact is pinned at the plan's delta position
-// and the remaining scans enumerate around it. Liveness is NOT checked:
-// the overestimate seeds with rows that are still live (tombstones land
-// only after the whole overestimate), and rederive propagation seeds with
-// rows it has just revived. Binding and reset behave exactly as in Probe.
+// — the pinned delta step of a row-list round (plan.Fixpoint.RunRows,
+// DRed's overestimate): the listed fact is pinned at the plan's delta
+// position and the remaining scans enumerate around it. Liveness is NOT
+// checked, so the caller may pin a dead row; the overestimate pins rows
+// that are still live, since tombstones land only after it drains.
+// Binding and reset behave exactly as in Probe.
 func (db *DB) ProbeRow(sp *ScanPlan, frame []term.Term, row int32, fn func() bool) bool {
 	r := db.relOf(sp.Pred)
 	if r == nil || int(row) >= r.rows() {

@@ -221,8 +221,8 @@ func TestPinnedEpochsUnderWrites(t *testing.T) {
 			mu.Unlock()
 		}
 		mustVerify(t, db, fmt.Sprintf("epoch %d after inserts", epoch))
-		// Tombstone a tenth of the live rows; revive a third of those
-		// while they are still this step's.
+		// Tombstone a tenth of the live rows; insert a third of those
+		// again at once, as fresh rows of this step.
 		for ri := range rows {
 			if !rows[ri].live || rng.Intn(10) != 0 {
 				continue
@@ -230,14 +230,11 @@ func TestPinnedEpochsUnderWrites(t *testing.T) {
 			if !db.Tombstone(p, int32(ri)) {
 				t.Fatalf("epoch %d: tombstone of live row %d refused", epoch, ri)
 			}
-			if rng.Intn(3) == 0 {
-				if !db.Revive(p, int32(ri)) {
-					t.Fatalf("epoch %d: revive of row %d refused", epoch, ri)
-				}
-				continue
-			}
 			rows[ri].live = false
 			gone = append(gone, rows[ri].tp)
+			if rng.Intn(3) == 0 {
+				insert(rows[ri].tp)
+			}
 		}
 		mustVerify(t, db, fmt.Sprintf("epoch %d after tombstones", epoch))
 		// Deleted facts come back as fresh rows behind their dead ones.
@@ -294,28 +291,26 @@ func TestPinnedEpochsUnderWrites(t *testing.T) {
 }
 
 // TestDuplicateInsertCopiesNothing: a write that changes nothing copies
-// nothing. After Snapshot() a duplicate insert, a tombstone of a dead row
-// and a revive of a live one allocate no memory on the live relation, and
-// a duplicate insert into an overlay leaves it reading through the view's
-// dedup arrays.
+// nothing. After Snapshot() a duplicate insert and a tombstone of a dead
+// row allocate no memory on the live relation, and a duplicate insert
+// into an overlay leaves it reading through the view's dedup arrays.
 func TestDuplicateInsertCopiesNothing(t *testing.T) {
 	db, p, consts := postingFixture(2000, 50)
 	probeAt(db, p, 2, 0, consts[0])
-	row, _ := db.FindRow(p, db.FactArgs(p, 7))
 	db.Tombstone(p, 3)
 	snap := db.Snapshot()
 	defer snap.Release()
 	dup := slices.Clone(db.FactArgs(p, 7))
 	cow := obsCowBytes.Load()
 	if n := testing.AllocsPerRun(20, func() {
-		if db.InsertArgs(p, dup) || db.Tombstone(p, 3) || db.Revive(p, row) {
+		if db.InsertArgs(p, dup) || db.Tombstone(p, 3) {
 			t.Fatal("a no-op write reported a change")
 		}
 	}); n != 0 {
 		t.Fatalf("no-op writes after Snapshot() allocate %v times", n)
 	}
 	ov := snap.DB().Overlay()
-	if ov.InsertArgs(p, dup) || ov.Tombstone(p, 3) || ov.Revive(p, row) {
+	if ov.InsertArgs(p, dup) || ov.Tombstone(p, 3) {
 		t.Fatal("a no-op write on an overlay reported a change")
 	}
 	if r := ov.relOf(p); !r.borrowed || !r.deadShared {

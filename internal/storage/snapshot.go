@@ -28,7 +28,7 @@ import (
 //     rows into a small tail beside the frozen base and copies at most
 //     that tail per epoch (see posting.go).
 //   - The liveness bitmap (1 bit per row) is the one structure copied
-//     whole, by the first kill or revive of an epoch.
+//     whole, by the first kill of an epoch.
 //
 // Snapshot() itself therefore costs O(#relations) header copies, plus
 // catching up the posting positions that are built over the rows written

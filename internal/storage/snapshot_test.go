@@ -165,7 +165,7 @@ func TestSnapshotFrozenViewPanics(t *testing.T) {
 	b := atom.New(p, prog.Store.Const("y"))
 	mustPanic("Insert", func() { sdb.Insert(b) })
 	mustPanic("Tombstone", func() { sdb.Tombstone(p, 0) })
-	mustPanic("Revive", func() { sdb.Revive(p, 0) })
+	mustPanic("InsertArgs", func() { sdb.InsertArgs(p, b.Args) })
 	mustPanic("Compact", func() { sdb.Compact(0) })
 	mustPanic("Snapshot", func() { sdb.Snapshot() })
 	mustPanic("MergeBuffers", func() { sdb.MergeBuffers(nil, 1) })

@@ -242,15 +242,15 @@ func TestInsertionSpansMatchColumn(t *testing.T) {
 					row.dead = true
 				}
 			case op < 15:
-				// Revive a dead row no live row of its tuple shadows.
+				// Re-insert the tuple of a dead row no live row shadows: it
+				// lands as a fresh row.
 				p := rng.Intn(3)
 				for ri := range w.ref.rels[p] {
-					if row := &w.ref.rels[p][ri]; row.dead {
+					if row := w.ref.rels[p][ri]; row.dead {
 						if _, ok := w.ref.live(p, row.args); !ok {
-							if !w.db.Revive(schema.PredID(p), int32(ri)) {
-								t.Fatalf("seed %d step %d, %s: revive %d row %d failed", seed, step, w.name, p, ri)
+							if !w.db.InsertArgs(schema.PredID(p), row.args) || !w.ref.insert(p, row.args) {
+								t.Fatalf("seed %d step %d, %s: re-insert of %d row %d failed", seed, step, w.name, p, ri)
 							}
-							row.dead = false
 							break
 						}
 					}

@@ -12,19 +12,19 @@ import (
 // A relation's rows are physically immutable, but each relation carries a
 // liveness bitmap (one bit per local row, words allocated on first kill),
 // and liveness is that bitmap and nothing else: deleting a fact flips its
-// bit, reviving it flips the bit back, and no other structure changes.
-// Every enumeration path — full scans, posting probes, the substitution
-// matchers, Facts/All/ActiveDomain — skips dead rows with a single word
+// bit, no other structure changes, and a dead row never comes back.
+// Every enumeration path — full scans, posting probes, compiled scan
+// plans, Facts/All/ActiveDomain — skips dead rows with a single word
 // test; a dedup probe that matches a dead row keeps probing (relation.find),
-// so the fact can be re-inserted as a fresh row further down the chain,
-// and a dead-inclusive probe (FindRowAny) is how a deletion pass finds the
-// row it tombstoned. Columns, postings, the dedup table and the global
-// insertion indexes keep their layout, so marks stay contiguous local windows
-// and views keep sharing all of them; the bitmap is copied once per epoch
-// that tombstones (8 KB for the 65 k-row closure of tc.churn-durable,
-// counted in vadalog_storage_cow_bytes_total). Physical reclamation is a
-// separate, explicitly requested step (DB.Compact), so steady-state
-// deletes are O(affected facts), never O(instance).
+// so a fact that holds again — re-asserted, or rederived by DRed — is
+// inserted as a fresh row further down the chain, and its dead row stays
+// until Compact reclaims it. Columns, postings, the dedup table and the
+// global insertion indexes keep their layout, so marks stay contiguous
+// local windows and views keep sharing all of them; the bitmap is copied
+// once per epoch that tombstones (8 KB for the 65 k-row closure of
+// tc.churn-durable, counted in vadalog_storage_cow_bytes_total). Physical
+// reclamation is a separate, explicitly requested step (DB.Compact), so
+// steady-state deletes are O(affected facts), never O(instance).
 
 // tabEmpty is the dedup-table code of a slot no row has claimed.
 const tabEmpty int32 = -1
@@ -64,22 +64,6 @@ func (r *relation) kill(ri int32) bool {
 	return true
 }
 
-// revive un-tombstones local row ri. The caller must know no OTHER live
-// row holds the same tuple (true for DRed rederivation: the fact was live
-// before the overestimate killed it, and nothing is inserted between the
-// kill and the revive — an insert would not find the dead row and would
-// add the tuple as a fresh one, so revive is only sound within one Delete
-// pass). Reports whether the row was dead.
-func (r *relation) revive(ri int32) bool {
-	if !r.isDead(ri) {
-		return false
-	}
-	r.ownDead()
-	r.dead[ri>>6] &^= 1 << (uint(ri) & 63)
-	r.nDead--
-	return true
-}
-
 // Tombstone marks the fact at the (pred, local row) handle deleted in
 // place: scans, probes, counts, and containment stop seeing it, but no
 // column moves and no store is rebuilt. Reports whether the row was live.
@@ -96,22 +80,6 @@ func (db *DB) Tombstone(pred schema.PredID, row int32) bool {
 	return true
 }
 
-// Revive un-tombstones the fact at the handle — the DRed rederivation
-// path. Only sound while no equal live row exists (see relation.revive).
-// Reports whether the row was dead.
-func (db *DB) Revive(pred schema.PredID, row int32) bool {
-	db.mutable()
-	r := db.relOf(pred)
-	if r == nil || int(row) >= r.rows() {
-		return false
-	}
-	if !r.revive(row) {
-		return false
-	}
-	db.dead--
-	return true
-}
-
 // FindRow returns the (pred, local row) handle of the live fact
 // pred(args...); tombstoned rows are never found. Handles stay valid until
 // the next Compact.
@@ -121,17 +89,6 @@ func (db *DB) FindRow(pred schema.PredID, args []term.Term) (int32, bool) {
 		return 0, false
 	}
 	return r.find(hashArgs(pred, args), args)
-}
-
-// FindRowAny returns the handle of the most recently inserted row holding
-// pred(args...), live or dead: the row a Delete pass tombstoned, if it
-// tombstoned the fact at all (see relation.findAny).
-func (db *DB) FindRowAny(pred schema.PredID, args []term.Term) (int32, bool) {
-	r := db.relOf(pred)
-	if r == nil {
-		return 0, false
-	}
-	return r.findAny(hashArgs(pred, args), args)
 }
 
 // FactArgs returns the argument tuple at a handle, live or dead, as a

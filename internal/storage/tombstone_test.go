@@ -250,33 +250,6 @@ func TestTombstoneMarkWindows(t *testing.T) {
 	}
 }
 
-// TestTombstoneReviveRestores: revive undoes a kill — containment, counts,
-// and dedup (re-inserting a revived fact is a duplicate again).
-func TestTombstoneReviveRestores(t *testing.T) {
-	prog := logic.NewProgram()
-	p := prog.Reg.Intern("p", 1)
-	db := NewDB()
-	a := atom.New(p, prog.Store.Const("x"))
-	db.Insert(a)
-	row, _ := db.FindRow(p, a.Args)
-	db.Tombstone(p, row)
-	if db.Contains(a) || db.Len() != 0 || !db.rels[p].isDead(row) {
-		t.Fatalf("tombstoned fact still visible")
-	}
-	if !db.Revive(p, row) {
-		t.Fatalf("Revive on dead row returned false")
-	}
-	if db.Revive(p, row) {
-		t.Fatalf("double Revive returned true")
-	}
-	if !db.Contains(a) || db.Len() != 1 || db.rels[p].isDead(row) {
-		t.Fatalf("revived fact not visible")
-	}
-	if db.Insert(a) {
-		t.Fatalf("revived fact lost from dedup")
-	}
-}
-
 // TestTombstoneDedupAfterReinsert: a fact deleted and re-inserted occupies
 // a fresh row; the dead row stays skipped and dedup works on the new one.
 func TestTombstoneDedupAfterReinsert(t *testing.T) {
@@ -287,6 +260,9 @@ func TestTombstoneDedupAfterReinsert(t *testing.T) {
 	db.Insert(a)
 	row0, _ := db.FindRow(p, a.Args)
 	db.Tombstone(p, row0)
+	if db.Contains(a) || db.Len() != 0 || !db.rels[p].isDead(row0) {
+		t.Fatalf("tombstoned fact still visible")
+	}
 	if !db.Insert(a) {
 		t.Fatalf("re-insert of tombstoned fact not accepted")
 	}
@@ -347,12 +323,11 @@ func TestCompactCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestReviveAtGrowthBoundary sweeps every relation size across the dedup
-// table's growth boundaries: a revive whose tabInsert triggers growTab
-// must not leave the row linked twice (rebuildTab re-placing an
-// already-live row plus the explicit insert), which would make a later
-// Tombstone clear only one link and resurrect the dead fact.
-func TestReviveAtGrowthBoundary(t *testing.T) {
+// TestReinsertAtGrowthBoundary sweeps every relation size across the
+// dedup table's growth boundaries: deleting and re-inserting each fact
+// grows the table past dead rows, and every row, live or dead, must stay
+// linked exactly once, so that killing the fresh row hides the fact.
+func TestReinsertAtGrowthBoundary(t *testing.T) {
 	prog := logic.NewProgram()
 	p := prog.Reg.Intern("p", 1)
 	for n := 1; n <= 100; n++ {
@@ -366,14 +341,16 @@ func TestReviveAtGrowthBoundary(t *testing.T) {
 		for i := range atoms {
 			row, _ := db.FindRow(p, atoms[i].Args)
 			db.Tombstone(p, row)
-			db.Revive(p, row)
-			db.Tombstone(p, row)
-			if db.Contains(atoms[i]) {
-				t.Fatalf("n=%d row %d: fact contained after tombstone (stale dedup link from revive)", n, i)
+			if !db.Insert(atoms[i]) {
+				t.Fatalf("n=%d fact %d: re-insert after tombstone was a duplicate", n, i)
 			}
-			db.Revive(p, row)
-			if !db.Contains(atoms[i]) {
-				t.Fatalf("n=%d row %d: fact lost after final revive", n, i)
+			fresh, _ := db.FindRow(p, atoms[i].Args)
+			db.Tombstone(p, fresh)
+			if db.Contains(atoms[i]) {
+				t.Fatalf("n=%d fact %d: contained after its fresh row's tombstone", n, i)
+			}
+			if !db.Insert(atoms[i]) || !db.Contains(atoms[i]) {
+				t.Fatalf("n=%d fact %d: lost after the final re-insert", n, i)
 			}
 		}
 		r := db.relOf(p)
@@ -383,8 +360,8 @@ func TestReviveAtGrowthBoundary(t *testing.T) {
 				counts[v]++
 			}
 		}
-		if len(counts) != n {
-			t.Fatalf("n=%d: tab holds %d distinct rows", n, len(counts))
+		if len(counts) != 3*n {
+			t.Fatalf("n=%d: tab holds %d distinct rows, want %d", n, len(counts), 3*n)
 		}
 		for ri, c := range counts {
 			if c != 1 {
@@ -395,11 +372,11 @@ func TestReviveAtGrowthBoundary(t *testing.T) {
 }
 
 // TestDedupTableLiveInvariant: liveness is the bitmap and nothing else.
-// Kills and revives leave the dedup table as it was — every row linked
-// exactly once, live or dead — a probe finds a tuple's live row and only
-// that, a re-inserted fact becomes a fresh row in the chain its dead rows
-// stay in, and the dead-inclusive probe answers with the newest row of
-// the tuple whatever its liveness.
+// Kills leave the dedup table as it was — every row linked exactly once,
+// live or dead — a probe finds a tuple's live row and only that, a
+// re-inserted fact becomes a fresh row in the chain its dead rows stay
+// in, and the dead-inclusive probe Verify uses answers with the newest
+// row of the tuple whatever its liveness.
 func TestDedupTableLiveInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	prog := logic.NewProgram()
@@ -424,11 +401,6 @@ func TestDedupTableLiveInvariant(t *testing.T) {
 				t.Fatalf("step %d: tombstone of live row %d refused", step, newest[k])
 			}
 			live[k] = false
-		case rng.Intn(2) == 0:
-			if !db.Revive(p, newest[k]) {
-				t.Fatalf("step %d: revive of dead row %d refused", step, newest[k])
-			}
-			live[k] = true
 		default:
 			if !db.Insert(fact(k)) {
 				t.Fatalf("step %d: re-insert of deleted fact %d was a duplicate", step, k)
@@ -436,7 +408,7 @@ func TestDedupTableLiveInvariant(t *testing.T) {
 			newest[k], live[k], grew = int32(r.rows()-1), true, true
 		}
 		if after := r.tabEntries(); !grew && !slices.Equal(before, after) {
-			t.Fatalf("step %d: a kill or revive wrote the dedup table", step)
+			t.Fatalf("step %d: a kill wrote the dedup table", step)
 		}
 		counts := make(map[int32]int)
 		for _, v := range r.tabEntries() {
@@ -457,8 +429,9 @@ func TestDedupTableLiveInvariant(t *testing.T) {
 			if ok != live[k] || ok && row != newest[k] {
 				t.Fatalf("step %d: FindRow(k%d) = %d,%v, want row %d live %v", step, k, row, ok, newest[k], live[k])
 			}
-			if row, ok := db.FindRowAny(p, fact(k).Args); !ok || row != newest[k] {
-				t.Fatalf("step %d: FindRowAny(k%d) = %d,%v, want %d", step, k, row, ok, newest[k])
+			args := fact(k).Args
+			if row, ok := r.findAny(hashArgs(p, args), args); !ok || row != newest[k] {
+				t.Fatalf("step %d: findAny(k%d) = %d,%v, want %d", step, k, row, ok, newest[k])
 			}
 		}
 		mustVerify(t, db, fmt.Sprintf("step %d", step))
