@@ -77,12 +77,11 @@ func BenchmarkE15_EngineAblation(b *testing.B) {
 }
 
 // --------------------------------------------------------------------
-// E17 — ablations of the two search accelerators DESIGN.md calls out:
-// the atom-wise refutation cache (nested single-atom provability probes
-// that kill dead states early) and the chase oracle (one materialization
-// pruning states that embed in no chase extension). Metric: visited
-// states and wall time for a full certain-answer enumeration with a
-// negative-heavy candidate space.
+// E17 — the chase oracle, the search accelerator that is an option (one
+// materialization pruning states that embed in no chase extension),
+// against the search with the atom-wise refutation cache alone. Metric:
+// visited states and wall time for a full certain-answer enumeration with
+// a negative-heavy candidate space.
 // --------------------------------------------------------------------
 
 func BenchmarkE17_PruningAblation(b *testing.B) {
@@ -96,7 +95,6 @@ func BenchmarkE17_PruningAblation(b *testing.B) {
 		opt  prooftree.Options
 	}{
 		{"full", prooftree.Options{Mode: prooftree.Linear}},
-		{"no-atom-prune", prooftree.Options{Mode: prooftree.Linear, DisableAtomPrune: true}},
 		{"oracle", prooftree.Options{Mode: prooftree.Linear}}, // Oracle filled below
 	}
 	for _, cfg := range configs {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -240,9 +241,27 @@ func TestDaemonExplainAndRequestID(t *testing.T) {
 // the same facts and every write publishes one epoch, so within one
 // scrape vadalog_epoch_seq fixes how many deletes the engine counters
 // must show: the series come from one Stats snapshot, never from epochs
-// on either side of a write.
+// on either side of a write. On a durable service every write also logs
+// one WAL record, so vadalog_wal_records_total − vadalog_epoch_seq stays
+// what it was at load.
 func TestMetricsOneSnapshotPerScrape(t *testing.T) {
-	svc := service.New(service.Options{})
+	for _, durable := range []bool{false, true} {
+		var opt service.Options
+		if durable {
+			opt = service.Options{DataDir: t.TempDir(), Fsync: "never"}
+		}
+		svc, err := service.Open(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Recover(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		scrapeBesideWriter(t, svc, durable)
+	}
+}
+
+func scrapeBesideWriter(t *testing.T, svc *service.Service, durable bool) {
 	ts := httptest.NewServer(newHandler(svc))
 	defer ts.Close()
 	defer svc.Close()
@@ -259,6 +278,11 @@ func TestMetricsOneSnapshotPerScrape(t *testing.T) {
 	}
 	if perDelete == 0 {
 		t.Fatal("the delete overdeleted nothing")
+	}
+	m, _ := scrape(t, ts.URL)
+	offset := m["vadalog_wal_records_total"] - m["vadalog_epoch_seq"]
+	if durable && m["vadalog_wal_records_total"] != 2 {
+		t.Fatalf("durable service logged %v records for two writes", m["vadalog_wal_records_total"])
 	}
 	stop, done := make(chan struct{}), make(chan error)
 	go func() {
@@ -281,15 +305,46 @@ func TestMetricsOneSnapshotPerScrape(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m, _ := scrape(t, ts.URL)
 		writes := int(m["vadalog_epoch_seq"]) - int(loaded)
-		if want := float64(perDelete * ((writes + 1) / 2)); m["vadalog_incremental_overdeleted_total"] != want {
+		want := float64(perDelete * ((writes + 1) / 2))
+		got := m["vadalog_wal_records_total"] - m["vadalog_epoch_seq"]
+		if m["vadalog_incremental_overdeleted_total"] != want || durable && got != offset {
 			close(stop)
 			<-done
-			t.Fatalf("epoch %v (%d writes since load) beside %v overdeleted, want %v",
-				m["vadalog_epoch_seq"], writes, m["vadalog_incremental_overdeleted_total"], want)
+			t.Fatalf("durable %v: epoch %v (%d writes since load): %v overdeleted, want %v; WAL records − epoch %v, want %v",
+				durable, m["vadalog_epoch_seq"], writes, m["vadalog_incremental_overdeleted_total"], want, got, offset)
 		}
 	}
 	close(stop)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEpochLagReadsServedService: vadalog_epoch_lag_seconds renders the
+// publish time of the served Service's epoch, so it reads 0 before that
+// service's first Load even after another Service in the process has
+// published, and the time since the publish once it has.
+func TestEpochLagReadsServedService(t *testing.T) {
+	prev := obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	other := service.New(service.Options{})
+	defer other.Close()
+	if _, err := other.Load(tcSource); err != nil {
+		t.Fatal(err)
+	}
+	svc := service.New(service.Options{})
+	ts := httptest.NewServer(newHandler(svc))
+	defer ts.Close()
+	defer svc.Close()
+	if m, _ := scrape(t, ts.URL); m["vadalog_epoch_lag_seconds"] != 0 {
+		t.Fatalf("lag %v before the served service's first load, want 0", m["vadalog_epoch_lag_seconds"])
+	}
+	t0 := time.Now()
+	if _, err := svc.Load(tcSource); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := scrape(t, ts.URL)
+	if lag := m["vadalog_epoch_lag_seconds"]; lag <= 0 || lag > time.Since(t0).Seconds() {
+		t.Fatalf("lag %v after the load, want in (0, %v]", lag, time.Since(t0).Seconds())
 	}
 }

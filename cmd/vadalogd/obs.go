@@ -70,25 +70,28 @@ func registerQueueGauge(adm *admission) {
 
 // registerServiceSeries exposes the served Service's own numbers, read
 // at scrape time: the current epoch's bytes by structure
-// (storage.DB.Footprint), and the counts /stats reports, each rendered
-// from the one place that keeps it. The scrape hook takes one Stats and
-// one Footprint per scrape, and every series reads that snapshot, so a
-// scrape's series agree with each other. Last registration wins, as for
-// the queue gauge.
+// (storage.DB.Footprint), the time since its publish, and the counts
+// /stats reports, each rendered from the one place that keeps it. The
+// scrape hook takes one service.Scrape per scrape — every number of one
+// epoch — and every series reads it, so a scrape's series agree with each
+// other. Last registration wins, as for the queue gauge.
 func registerServiceSeries(svc *service.Service) {
-	var (
-		snap service.Stats
-		fp   map[string]int
-	)
-	obs.SetScrapeHook(func() { snap, fp = svc.Stats(), svc.Footprint() })
+	var sc service.Scrape
+	obs.SetScrapeHook(func() { sc = svc.Scrape() })
 	for _, structure := range []string{"cols", "global", "dedup", "postings", "liveness"} {
 		obs.NewGaugeFunc("vadalog_storage_bytes", fmt.Sprintf("structure=%q", structure),
 			"Bytes of the current epoch's instance, by structure (storage.DB.Footprint).", func() float64 {
-				return float64(fp[structure])
+				return float64(sc.Footprint[structure])
 			})
 	}
 	obs.NewGaugeFunc("vadalog_epoch_seq", "", "Sequence number of the last published epoch.", func() float64 {
-		return float64(snap.Epoch)
+		return float64(sc.Stats.Epoch)
+	})
+	obs.NewGaugeFunc("vadalog_epoch_lag_seconds", "", "Seconds since the served epoch's publish (0 before the first).", func() float64 {
+		if sc.Published.IsZero() {
+			return 0
+		}
+		return time.Since(sc.Published).Seconds()
 	})
 	durability := func(st service.Stats) service.DurabilityStats {
 		if st.Durability == nil {
@@ -111,7 +114,7 @@ func registerServiceSeries(svc *service.Service) {
 		{"vadalog_wal_records_total", "WAL records appended.", func(st service.Stats) uint64 { return durability(st).Records }},
 		{"vadalog_wal_bytes_total", "WAL bytes appended (framed).", func(st service.Stats) uint64 { return durability(st).Bytes }},
 	} {
-		obs.NewCounterFunc(c.name, "", c.help, func() uint64 { return c.read(snap) })
+		obs.NewCounterFunc(c.name, "", c.help, func() uint64 { return c.read(sc.Stats) })
 	}
 }
 

@@ -16,8 +16,9 @@ import (
 // fixpoint over an instance holding one seed fact derives only the view
 // facts the goal can reach, and the goal restated over that program. The
 // goal's constants are abstracted into the seed, so one Magic serves every
-// constant combination of a (rules, goal shape) pair and its *logic.TGD
-// pointers stay stable across queries (plan.Cached hits).
+// constant combination of a (rules, goal shape) pair: whoever caches it
+// (the reasoning service, per generation) compiles its rules and goal
+// once and reuses them for every constant.
 type Magic struct {
 	// Prog holds the rewritten rules: per reachable (view predicate,
 	// adornment) the adorned copies of its rules — each guarded by its

@@ -150,13 +150,12 @@ func chaseGroups(prog *logic.Program, db *storage.DB, opt Options, groups []plan
 	fired := make(map[string]bool)
 	nullDepth := make(map[uint32]int)
 
-	// Compile each TGD once (cached across runs of the same program): join
-	// orders, index access paths, and head/body templates are rule
-	// properties, not round properties. NeedBodyImage keeps every body
-	// variable live: the chase reads full frames for trigger keys,
-	// memoization, and null-depth tracking, so nothing may be projected
-	// away.
-	plans := plan.Cached(prog, plan.Options{DeltaFirst: true, NeedBodyImage: true})
+	// Compile each TGD once per run: join orders, index access paths, and
+	// head/body templates are rule properties, not round properties.
+	// NeedBodyImage keeps every body variable live: the chase reads full
+	// frames for trigger keys, memoization, and null-depth tracking, so
+	// nothing may be projected away.
+	plans := plan.Compile(prog, plan.Options{DeltaFirst: true, NeedBodyImage: true})
 	var nulls []term.Term // scratch for fresh existential witnesses
 	var nullErr error
 

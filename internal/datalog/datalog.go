@@ -79,12 +79,18 @@ func Eval(prog *logic.Program, db *storage.DB, opt Options) (*storage.DB, *Stats
 		if err := prog.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("datalog: %w", err)
 		}
-		opt.Stratify = true
 	}
-	plans, cached := plan.CachedHit(prog, plan.Options{DeltaFirst: opt.BiasRecursiveAtom})
-	opt.Tracer.Plan(cached)
-	// Analyzed once per compiled program, not once per Eval: the reasoning
-	// service evaluates one cached demand rewriting per query, and
+	return Run(plan.Compile(prog, plan.Options{DeltaFirst: opt.BiasRecursiveAtom}), db, opt)
+}
+
+// Run is Eval over an already-compiled program: its owner (the
+// incremental engine, the reasoning service's demand rewritings) compiles
+// once and evaluates it any number of times. The plans fix each join
+// order, so Options.BiasRecursiveAtom is not read; a program with negated
+// body atoms is evaluated stratified, as under Eval.
+func Run(plans *plan.Program, db *storage.DB, opt Options) (*storage.DB, *Stats, error) {
+	// Analyzed once per compiled program, not once per evaluation: the
+	// reasoning service evaluates one demand rewriting per query, and
 	// re-analyzing it was a third of that.
 	an := plans.Analysis()
 	if !an.IsFullSingleHead() {
@@ -103,11 +109,13 @@ func Eval(prog *logic.Program, db *storage.DB, opt Options) (*storage.DB, *Stats
 	// Stratified, rules are grouped by the level of their head predicate
 	// and each level runs to its fixpoint, lowest first: lower strata are
 	// fully materialized when a stratum starts, so only the stratum's own
-	// predicates can grow during its fixpoint.
-	groups := plan.AllRules(len(prog.TGDs))
+	// predicates can grow during its fixpoint. Negation forces it.
+	rules := an.Prog.TGDs
+	opt.Stratify = opt.Stratify || an.Prog.HasNegation()
+	groups := plan.AllRules(len(rules))
 	if opt.Stratify {
-		level := make([]int, len(prog.TGDs))
-		for i, t := range prog.TGDs {
+		level := make([]int, len(rules))
+		for i, t := range rules {
 			level[i] = an.Level(t.Head[0].Pred)
 		}
 		groups = plan.GroupByLevel(level)
@@ -154,7 +162,7 @@ func Naive(prog *logic.Program, db *storage.DB) (*storage.DB, error) {
 		groups = plan.GroupByLevel(strata)
 	}
 	work := db.Clone()
-	plans := plan.Cached(prog, plan.Options{})
+	plans := plan.Compile(prog, plan.Options{})
 	execs := make([]*plan.Exec, len(prog.TGDs))
 	for _, g := range groups {
 		for {

@@ -32,7 +32,6 @@ package incremental
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/datalog"
 	"repro/internal/logic"
@@ -51,7 +50,6 @@ const CompactFraction = 0.5
 // Engine holds a program and its maintained materialization.
 type Engine struct {
 	prog *logic.Program
-	an   *analysis.Analysis
 	// db is the maintained materialization and the only store: rules
 	// never derive an extensional predicate, so its extensional relations
 	// are the base facts currently asserted.
@@ -60,7 +58,8 @@ type Engine struct {
 	intensional []bool
 	// plans / execs drive insertion deltas, deletion overestimates, and
 	// rederivation through the compiled-plan pipeline shared with the
-	// fixpoint engines; compiled once at New.
+	// fixpoint engines; compiled once at New, and the program the initial
+	// materialization and Rebuild evaluate.
 	plans *plan.Program
 	execs []*plan.Exec
 	// headRules[p] lists the rules deriving p — the head-bound plans of the
@@ -141,18 +140,16 @@ func (e *Engine) Base() *storage.DB {
 // NewBudgeted (which evaluates the closure) and Restore (which trusts a
 // checkpoint).
 func newShell(prog *logic.Program) (*Engine, error) {
-	an := analysis.Analyze(prog)
-	if !an.IsFullSingleHead() {
-		return nil, fmt.Errorf("incremental: program is not full single-head (Datalog)")
-	}
 	if prog.HasNegation() {
 		return nil, fmt.Errorf("incremental: negation is not supported under updates; rebuild per stratum")
 	}
 	e := &Engine{
 		prog:      prog,
-		an:        an,
-		plans:     plan.Cached(prog, plan.Options{DeltaFirst: true}),
+		plans:     plan.Compile(prog, plan.Options{DeltaFirst: true}),
 		headRules: make(map[schema.PredID][]int),
+	}
+	if !e.plans.Analysis().IsFullSingleHead() {
+		return nil, fmt.Errorf("incremental: program is not full single-head (Datalog)")
 	}
 	e.execs = make([]*plan.Exec, len(prog.TGDs))
 	for i, r := range e.plans.Rules {
@@ -179,7 +176,7 @@ func NewBudgeted(prog *logic.Program, base *storage.DB, bud *plan.Budget) (*Engi
 	if err != nil {
 		return nil, err
 	}
-	db, _, err := datalog.Eval(prog, base, datalog.Options{Stratify: true, BiasRecursiveAtom: true, Budget: bud})
+	db, _, err := datalog.Run(e.plans, base, datalog.Options{Stratify: true, Budget: bud})
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +199,7 @@ func (e *Engine) Broken() error { return e.broken }
 // extensional facts themselves are never partial: an update either
 // applied them all before its fixpoint started or touched nothing.
 func (e *Engine) Rebuild() error {
-	db, _, err := datalog.Eval(e.prog, e.Base(), datalog.Options{Stratify: true, BiasRecursiveAtom: true, InPlace: true})
+	db, _, err := datalog.Run(e.plans, e.Base(), datalog.Options{Stratify: true, InPlace: true})
 	if err != nil {
 		return err
 	}

@@ -67,8 +67,8 @@ type Program struct {
 
 // Analysis returns the syntactic analysis of the compiled rules, computed
 // on first use: like the plans it is a function of the rule set alone, so
-// a program served from the plan cache is analyzed once, not once per
-// evaluation. It reads the rules the plans were compiled from, not
+// a program its owner keeps and re-evaluates is analyzed once, not once
+// per evaluation. It reads the rules the plans were compiled from, not
 // Source.TGDs, which the owner may have grown since.
 func (p *Program) Analysis() *analysis.Analysis {
 	p.analyze.Do(func() {

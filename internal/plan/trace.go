@@ -21,9 +21,6 @@ type Tracer struct {
 	Rounds  int
 	Derived int
 	Probes  int64
-	// PlanCached reports that the evaluation's compiled program came from
-	// the plan cache.
-	PlanCached bool
 	// CQOrder and CQMatches describe a compiled conjunctive query
 	// enumeration (RunBudgetTraced): the atom join order and the
 	// number of row matches across all join levels.
@@ -74,13 +71,6 @@ func (t *Tracer) Join(rule, delta, round int, order []int) {
 	}
 	t.seen[k] = true
 	t.Joins = append(t.Joins, JoinChoice{Rule: rule, Delta: delta, Round: round, Order: order})
-}
-
-// Plan records whether the compiled program was a plan-cache hit.
-func (t *Tracer) Plan(cached bool) {
-	if t != nil {
-		t.PlanCached = cached
-	}
 }
 
 // Stratum records one stratum's fixpoint effort.

@@ -67,11 +67,6 @@ type Options struct {
 	// answers. Build it from a chase.Run result (core.Reasoner.HybridOracle
 	// does this automatically).
 	Oracle *storage.DB
-	// DisableAtomPrune switches off the atom-wise refutation cache (the
-	// nested single-atom provability probes in simplify). For ablation
-	// only — the search stays sound and complete, just slower on negative
-	// instances.
-	DisableAtomPrune bool
 }
 
 // Stats instruments the search; the E1/E11 experiments report these.
@@ -284,7 +279,7 @@ func (s *searcher) simplify(st resolution.State) (resolution.State, bool) {
 		if !ground && s.opt.Oracle != nil && !s.patterns.Exists(s.opt.Oracle, one) {
 			return st, true
 		}
-		if !ground && !s.opt.DisableAtomPrune && !s.edb[a.Pred] && !s.atomProvable(a) {
+		if !ground && !s.edb[a.Pred] && !s.atomProvable(a) {
 			return st, true
 		}
 		if kept != nil {

@@ -199,8 +199,8 @@ func TestDemandAbortLeavesNoCache(t *testing.T) {
 // TestDemandExplain is the acceptance scenario on the trace: for the
 // churn benchmark's view and both linear closures, a bound goal evaluates
 // on demand with every adorned rule's first-round join driving from its
-// magic atom; a second goal with another constant reuses the rewriting,
-// the compiled rules (plan.Cached) and the compiled goal; and the
+// magic atom; a second goal with another constant reuses the generation's
+// compiled rewriting, its rules' program and its goal's plan; and the
 // slow-query log and the service's demand counter show the demand path.
 func TestDemandExplain(t *testing.T) {
 	var buf bytes.Buffer
@@ -230,8 +230,8 @@ func TestDemandExplain(t *testing.T) {
 			t.Fatalf("%s: goal joins %v, want the seed atom first", v.rules, first.CQ.JoinOrder)
 		}
 		second := explainQuery(t, svc, &QueryRequest{Query: v.rules + fmt.Sprintf(v.goal, "n9")})
-		if vt := second.View; !vt.Demand || !vt.RewriteCached || !vt.PlanCached || !second.CQ.PlanCached {
-			t.Fatalf("%s: second constant: view %+v, goal plan cached %v", v.rules, vt, second.CQ.PlanCached)
+		if vt := second.View; !vt.Demand || !vt.RewriteCached || !second.CQ.Cached {
+			t.Fatalf("%s: second constant: view %+v, goal plan cached %v", v.rules, vt, second.CQ.Cached)
 		}
 		if first.Rows == second.Rows {
 			t.Fatalf("%s: both constants returned %d rows", v.rules, first.Rows)
@@ -247,6 +247,90 @@ func TestDemandExplain(t *testing.T) {
 	if line := buf.String(); !strings.Contains(line, `\"demand\":true`) || !strings.Contains(line, `\"adornment\":\"back#bf\"`) {
 		t.Fatalf("slow-query log does not show the demand path: %q", line)
 	}
+}
+
+// TestCompiledRewritingOwnedByGeneration: the generation owns each demand
+// rewriting compiled. Two bound view reads of one shape with different
+// constants evaluate the rule program and goal plan its entry holds —
+// the traced join orders are those plans' own slices — and a reload, a
+// new generation, compiles both anew.
+func TestCompiledRewritingOwnedByGeneration(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	const goal = "back(Y,X) :- t(X,Y). ?(X) :- back(%s,X)."
+	// entry returns the served generation's one rewriting.
+	entry := func() *demand {
+		t.Helper()
+		e, err := svc.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.release()
+		e.gen.planMu.RLock()
+		defer e.gen.planMu.RUnlock()
+		if len(e.gen.rewrites) != 1 {
+			t.Fatalf("generation holds %d rewritings, want 1", len(e.gen.rewrites))
+		}
+		for _, d := range e.gen.rewrites {
+			if d == nil {
+				t.Fatal("bound goal cached as a full-view shape")
+			}
+			return d
+		}
+		return nil
+	}
+	// ran asserts that the traced evaluation ran d's compiled plans.
+	ran := func(tr *QueryTrace, d *demand) {
+		t.Helper()
+		if !tr.View.Demand || len(tr.View.JoinOrders) == 0 {
+			t.Fatalf("view trace %+v, want a demand evaluation", tr.View)
+		}
+		for _, jo := range tr.View.JoinOrders {
+			if !variantOf(d.rules, jo.Order) {
+				t.Fatalf("join %+v does not come from the generation's compiled rules", jo)
+			}
+		}
+		if &tr.CQ.JoinOrder[0] != &d.goal.Order[0] {
+			t.Fatal("goal ran a plan other than the generation's")
+		}
+	}
+
+	mustLoad(t, svc, chainSource(16))
+	first := explainQuery(t, svc, &QueryRequest{Query: fmt.Sprintf(goal, "n5")})
+	d := entry()
+	ran(first, d)
+	second := explainQuery(t, svc, &QueryRequest{Query: fmt.Sprintf(goal, "n9")})
+	if entry() != d || !second.View.RewriteCached || !second.CQ.Cached {
+		t.Fatalf("second constant did not reuse the compiled rewriting: view %+v", second.View)
+	}
+	ran(second, d)
+	if first.Rows == second.Rows {
+		t.Fatalf("both constants returned %d rows", first.Rows)
+	}
+
+	mustLoad(t, svc, chainSource(16))
+	reloaded := explainQuery(t, svc, &QueryRequest{Query: fmt.Sprintf(goal, "n5")})
+	d2 := entry()
+	if d2.rules == d.rules || d2.goal == d.goal || reloaded.View.RewriteCached {
+		t.Fatal("reload served the previous generation's compiled rewriting")
+	}
+	ran(reloaded, d2)
+	if reloaded.Rows != first.Rows {
+		t.Fatalf("reload answers %d rows, first load %d", reloaded.Rows, first.Rows)
+	}
+}
+
+// variantOf reports whether order is the join order slice of one of the
+// compiled program's variants (the same backing array, not equal values).
+func variantOf(p *plan.Program, order []int) bool {
+	for _, r := range p.Rules {
+		for _, v := range r.Variants {
+			if len(v.Order) > 0 && len(order) > 0 && &v.Order[0] == &order[0] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestGroundQueryAllocation: an in-process ground lookup — the path

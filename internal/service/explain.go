@@ -6,9 +6,7 @@ import (
 	"log/slog"
 	"time"
 
-	"repro/internal/logic"
 	"repro/internal/plan"
-	"repro/internal/schema"
 	"repro/internal/term"
 )
 
@@ -77,9 +75,9 @@ type PatternTrace struct {
 	Pred string `json:"pred"`
 	// BoundMask has bit i set when argument position i was bound.
 	BoundMask uint64 `json:"bound_mask"`
-	// PlanCached reports whether the (pred, mask) scan plan came from
-	// the generation's cache.
-	PlanCached bool `json:"plan_cached"`
+	// Cached reports whether the (pred, mask) scan plan came from the
+	// generation's cache.
+	Cached bool `json:"plan_cached"`
 	// Matches counts probe matches (emitted rows plus the truncation
 	// probe, when the limit fired).
 	Matches int `json:"matches"`
@@ -90,9 +88,9 @@ type CQTrace struct {
 	// JoinOrder is the greedy join order: JoinOrder[k] is the body atom
 	// index visited at join level k.
 	JoinOrder []int `json:"join_order"`
-	// PlanCached reports whether the compiled plan came from the
-	// generation's cache.
-	PlanCached bool `json:"plan_cached"`
+	// Cached reports whether the compiled plan came from the
+	// generation's cache (for a demand read, with its cached rewriting).
+	Cached bool `json:"plan_cached"`
 	// Matches counts row matches across all join levels.
 	Matches int `json:"matches"`
 }
@@ -107,16 +105,13 @@ type ViewTrace struct {
 	// overlay instead of the full view being built. Adornment names the
 	// goal's adorned view atoms ("back#bf"), MagicDerived counts the facts
 	// of the magic predicates (the demand bookkeeping inside Derived), and
-	// RewriteCached reports that the rewriting came from the generation's
-	// cache. The CQ trace then describes the adorned goal, whose atom 0 is
-	// the seed atom.
+	// RewriteCached reports that the rewriting, compiled rules and goal
+	// plan included, came from the generation's cache. The CQ trace then
+	// describes the adorned goal, whose atom 0 is the seed atom.
 	Demand        bool   `json:"demand,omitempty"`
 	Adornment     string `json:"adornment,omitempty"`
 	MagicDerived  int    `json:"magic_derived,omitempty"`
 	RewriteCached bool   `json:"rewrite_cached,omitempty"`
-	// PlanCached: the rules' compiled program came from plan.Cached (rule
-	// text re-parsed per request never does; a cached rewriting does).
-	PlanCached bool `json:"plan_cached,omitempty"`
 	// CacheHit: the overlay came from the epoch's view cache (the build
 	// fields below are zero — the work happened in an earlier query,
 	// possibly a concurrent one this query waited on).
@@ -179,19 +174,18 @@ func (t *QueryTrace) stage(name string, start time.Time) time.Time {
 }
 
 // buildViewTrace renders a view build's plan.Tracer into the trace's
-// wire shape, resolving rule indices against the parsed view program.
-func buildViewTrace(reg *schema.Registry, view *logic.Program, pt *plan.Tracer) *ViewTrace {
+// wire shape, resolving rule indices against the compiled rules.
+func buildViewTrace(rules *plan.Program, pt *plan.Tracer) *ViewTrace {
 	vt := &ViewTrace{
-		Rules:      len(view.TGDs),
-		Rounds:     pt.Rounds,
-		Derived:    pt.Derived,
-		Probes:     pt.Probes,
-		Strata:     pt.Strata,
-		PlanCached: pt.PlanCached,
+		Rules:   len(rules.Rules),
+		Rounds:  pt.Rounds,
+		Derived: pt.Derived,
+		Probes:  pt.Probes,
+		Strata:  pt.Strata,
 	}
 	for _, jc := range pt.Joins {
 		vt.JoinOrders = append(vt.JoinOrders, ViewJoin{
-			Rule:  ruleLabel(reg, view, jc.Rule),
+			Rule:  ruleLabel(rules, jc.Rule),
 			Delta: jc.Delta,
 			Round: jc.Round,
 			Order: jc.Order,
@@ -200,13 +194,13 @@ func buildViewTrace(reg *schema.Registry, view *logic.Program, pt *plan.Tracer) 
 	return vt
 }
 
-// ruleLabel renders "headpred/ruleindex" for rule ri of the view
-// program — stable across runs (rule order is the parse order).
-func ruleLabel(reg *schema.Registry, view *logic.Program, ri int) string {
-	if ri < 0 || ri >= len(view.TGDs) {
+// ruleLabel renders "headpred/ruleindex" for compiled rule ri — stable
+// across runs (rule order is the parse order).
+func ruleLabel(rules *plan.Program, ri int) string {
+	if ri < 0 || ri >= len(rules.Rules) {
 		return fmt.Sprintf("rule#%d", ri)
 	}
-	return fmt.Sprintf("%s/%d", reg.Name(view.TGDs[ri].Head[0].Pred), ri)
+	return fmt.Sprintf("%s/%d", rules.Source.Reg.Name(rules.Rules[ri].TGD.Head[0].Pred), ri)
 }
 
 // logger returns the service's structured logger (Options.Logger, or

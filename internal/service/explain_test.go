@@ -45,13 +45,13 @@ func TestExplainPatternTrace(t *testing.T) {
 	if tr.Rows != 7 || tr.Pattern.Matches != 7 {
 		t.Fatalf("rows/matches = %d/%d, want 7/7", tr.Rows, tr.Pattern.Matches)
 	}
-	if tr.Pattern.PlanCached {
+	if tr.Pattern.Cached {
 		t.Fatal("first query of the shape reported a plan-cache hit")
 	}
 
 	// Same shape again: the scan plan must come from the cache now.
 	tr = explainQuery(t, svc, &QueryRequest{Pred: "t", Args: []string{"n1", "_"}})
-	if !tr.Pattern.PlanCached {
+	if !tr.Pattern.Cached {
 		t.Fatal("second query of the shape missed the plan cache")
 	}
 
@@ -132,7 +132,7 @@ func TestExplainViewCacheHit(t *testing.T) {
 	if second.View.Rounds != 0 || len(second.View.JoinOrders) != 0 {
 		t.Fatalf("cache-hit trace carries build effort: %+v", second.View)
 	}
-	if !second.CQ.PlanCached {
+	if !second.CQ.Cached {
 		t.Fatal("repeat query missed the CQ plan cache")
 	}
 	if first.Rows != second.Rows {

@@ -1,17 +1,11 @@
 package service
 
-import (
-	"sync/atomic"
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Service-level series. Query latency/rows are labeled by query class
-// (see queryClass); the lag gauge tracks the writer's publish cadence
-// so a stalled writer is visible as growing lag. The service's counts
-// (queries, view builds, the epoch number) live in Service and Stats
-// only; a daemon renders them at scrape time for the service it serves.
+// (see queryClass). The service's counts (queries, view builds, the epoch
+// number) and its epoch's publish time live in Service only; a daemon
+// renders them at scrape time for the service it serves (Service.Scrape).
 var (
 	qSeconds = [nClasses]*obs.Histogram{
 		classPattern: obs.NewHistogram("vadalog_query_seconds", `class="pattern"`, "Query latency by class.", obs.Seconds, obs.LatencyBuckets),
@@ -25,19 +19,4 @@ var (
 		classCQ:      obs.NewHistogram("vadalog_query_rows", `class="cq"`, "Rows returned per query by class.", obs.Units, obs.RowsBuckets),
 		classView:    obs.NewHistogram("vadalog_query_rows", `class="view"`, "Rows returned per query by class.", obs.Units, obs.RowsBuckets),
 	}
-
-	// lastPublishNano is the wall time of the last epoch publish across
-	// all services in the process (the daemon runs one), read by the
-	// epoch-lag gauge at scrape time.
-	lastPublishNano atomic.Int64
 )
-
-func init() {
-	obs.NewGaugeFunc("vadalog_epoch_lag_seconds", "", "Seconds since the last epoch publish (0 before the first).", func() float64 {
-		ns := lastPublishNano.Load()
-		if ns == 0 {
-			return 0
-		}
-		return time.Since(time.Unix(0, ns)).Seconds()
-	})
-}

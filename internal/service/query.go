@@ -370,7 +370,7 @@ func (s *Service) patternQueryStream(bud *plan.Budget, e *epoch, req *QueryReque
 
 	p, cached := s.patternPlan(e.gen, pid, mask, arity)
 	if pt != nil {
-		pt.PlanCached = cached
+		pt.Cached = cached
 	}
 	rows := newAnswerRows(sink, prog.Store, limit)
 	pending := 0
@@ -454,16 +454,20 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 	mark = tr.stage("parse", mark)
 	q := res.Queries[0]
 	sdb := e.snap.DB()
+	var (
+		p      *plan.CQPlan
+		cached bool
+	)
 	if len(tmp.TGDs) > 0 {
 		class = classView
 		vk := viewKey(tmp.TGDs)
 		name := "view_build"
-		if mg, consts, hit := s.demandRewrite(e, vk, tmp, q); mg != nil {
-			name, q = "view_demand", mg.Query
-			sdb, err = s.buildOverlay(bud, e, mg.Prog, atom.New(mg.Seed, consts...), tr)
+		if d, consts, hit := s.demandRewrite(e, vk, tmp, q); d != nil {
+			name, q, p, cached = "view_demand", d.Query, d.goal, hit
+			sdb, err = s.buildOverlay(bud, e, d.rules, atom.New(d.Seed, consts...), tr)
 			if tr != nil && err == nil {
-				tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, mg.Adornment, hit
-				for _, p := range mg.MagicPreds {
+				tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, d.Adornment, hit
+				for _, p := range d.MagicPreds {
 					tr.View.MagicDerived += sdb.CountPred(p)
 				}
 			}
@@ -475,7 +479,9 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 		}
 		mark = tr.stage(name, mark)
 	}
-	p, cached := s.cqPlan(e.gen, q)
+	if p == nil {
+		p, cached = s.cqPlan(e.gen, q)
+	}
 	mark = tr.stage("plan", mark)
 	var pt *plan.Tracer
 	if tr != nil {
@@ -491,7 +497,7 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 			return class, 0, err
 		}
 		if tr != nil {
-			tr.CQ = &CQTrace{JoinOrder: p.Order, PlanCached: cached, Matches: pt.CQMatches}
+			tr.CQ = &CQTrace{JoinOrder: p.Order, Cached: cached, Matches: pt.CQMatches}
 			tr.stage("enumerate", mark)
 		}
 		if err := sink.Begin(e.seq.Load(), 0); err != nil {
@@ -510,7 +516,7 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 		return class, rows.emitted, err
 	}
 	if tr != nil {
-		tr.CQ = &CQTrace{JoinOrder: p.Order, PlanCached: cached, Matches: pt.CQMatches}
+		tr.CQ = &CQTrace{JoinOrder: p.Order, Cached: cached, Matches: pt.CQMatches}
 		tr.Truncated = rows.truncated
 		tr.stage("enumerate", mark)
 	}
@@ -546,16 +552,27 @@ func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, bool) {
 // than growing it.
 const maxCQPlans = 256
 
-// demandRewrite returns the magic-set rewriting of (view rules, query)
-// and the query's constants — the seed fact's arguments — or nil when the
-// query takes the full-overlay path: the epoch already holds the finished
-// overlay (one still building does not count — a bound query does not
-// wait out someone else's whole-view build), or analysis.MagicSets finds
-// no binding to push. Rewritings are cached per generation by the rules'
-// shape plus the query's shape with its constants blanked: one entry,
-// with stable rule pointers, serves every constant. hit reports that the
-// cache had it.
-func (s *Service) demandRewrite(e *epoch, vk string, view *logic.Program, q *logic.CQ) (mg *analysis.Magic, consts []term.Term, hit bool) {
+// demand is a magic-set rewriting of (view rules, goal shape) compiled
+// for reuse: the rewritten rules' program and the adorned goal's plan.
+// The generation that caches it owns both, so they live and die with the
+// loaded program.
+type demand struct {
+	*analysis.Magic
+	rules *plan.Program
+	goal  *plan.CQPlan
+}
+
+// demandRewrite returns the compiled magic-set rewriting of (view rules,
+// query) and the query's constants — the seed fact's arguments — or nil
+// when the query takes the full-overlay path: the epoch already holds the
+// finished overlay (one still building does not count — a bound query
+// does not wait out someone else's whole-view build), or
+// analysis.MagicSets finds no binding to push. Rewritings are cached per
+// generation by the rules' shape plus the query's shape with its
+// constants blanked: one entry serves every constant, so a demand read
+// compiles nothing once its shape is cached. hit reports that the cache
+// had it.
+func (s *Service) demandRewrite(e *epoch, vk string, view *logic.Program, q *logic.CQ) (d *demand, consts []term.Term, hit bool) {
 	e.ovMu.Lock()
 	ent := e.overlays[vk]
 	e.ovMu.Unlock()
@@ -588,18 +605,20 @@ func (s *Service) demandRewrite(e *epoch, vk string, view *logic.Program, q *log
 	}
 	g, k := e.gen, string(b)
 	g.planMu.RLock()
-	mg, hit = g.rewrites[k]
+	d, hit = g.rewrites[k]
 	g.planMu.RUnlock()
 	if !hit {
-		mg = analysis.MagicSets(view, q)
+		if mg := analysis.MagicSets(view, q); mg != nil {
+			d = &demand{Magic: mg, rules: plan.Compile(mg.Prog, plan.Options{DeltaFirst: true}), goal: plan.CompileCQ(mg.Query)}
+		}
 		g.planMu.Lock()
 		if len(g.rewrites) >= maxCQPlans {
 			clear(g.rewrites)
 		}
-		g.rewrites[k] = mg
+		g.rewrites[k] = d
 		g.planMu.Unlock()
 	}
-	return mg, consts, hit
+	return d, consts, hit
 }
 
 // maxOverlays bounds an epoch's materialized-view cache; shapes beyond
@@ -665,7 +684,7 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 		e.ovMu.Unlock()
 
 		s.viewFull.Add(1)
-		db, err := s.buildOverlay(bud, e, view, atom.Atom{}, tr)
+		db, err := s.buildOverlay(bud, e, plan.Compile(view, plan.Options{DeltaFirst: true}), atom.Atom{}, tr)
 		if err == nil {
 			// Any number of queries read a finished overlay at once, and a
 			// probe of a writer-owned store may build an index: serve its
@@ -688,13 +707,13 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 	}
 }
 
-// buildOverlay evaluates rules — view rules, or their demand rewriting
-// from the goal's seed fact (no seed: nil Args) — into a fresh overlay of
-// the epoch snapshot. The fixpoint runs in place (datalog.Options.
-// InPlace): the overlay IS the private copy, so no clone precedes it —
-// and on abort the partially evaluated overlay is simply dropped; the
-// snapshot backings it borrowed stay pinned by the epoch, untouched.
-func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, view *logic.Program, seed atom.Atom, tr *QueryTrace) (*storage.DB, error) {
+// buildOverlay evaluates compiled rules — view rules, or their demand
+// rewriting from the goal's seed fact (no seed: nil Args) — into a fresh
+// overlay of the epoch snapshot. The fixpoint runs in place (datalog.
+// Options.InPlace): the overlay IS the private copy, so no clone precedes
+// it — and on abort the partially evaluated overlay is simply dropped;
+// the snapshot backings it borrowed stay pinned by the epoch, untouched.
+func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, rules *plan.Program, seed atom.Atom, tr *QueryTrace) (*storage.DB, error) {
 	var pt *plan.Tracer
 	if tr != nil {
 		pt = &plan.Tracer{}
@@ -704,14 +723,13 @@ func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, view *logic.Program, 
 		s.viewDemand.Add(1)
 		ov.Insert(seed)
 	}
-	if _, _, err := datalog.Eval(view, ov, datalog.Options{
-		Stratify: true, BiasRecursiveAtom: true, InPlace: true, Budget: bud,
-		Tracer: pt,
+	if _, _, err := datalog.Run(rules, ov, datalog.Options{
+		Stratify: true, InPlace: true, Budget: bud, Tracer: pt,
 	}); err != nil {
 		return nil, fmt.Errorf("service: view: %w", err)
 	}
 	if tr != nil {
-		tr.View = buildViewTrace(view.Reg, view, pt)
+		tr.View = buildViewTrace(rules, pt)
 	}
 	return ov, nil
 }

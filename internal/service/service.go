@@ -47,11 +47,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/atom"
 	"repro/internal/incremental"
 	"repro/internal/logic"
-	"repro/internal/obs"
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/relio"
@@ -154,25 +152,24 @@ type Service struct {
 }
 
 // generation is the program-scoped state shared by every epoch published
-// since one Load: the naming context and the pattern-query plan cache
-// (predicate IDs are generation-local, so plans must never leak across a
-// reload — epochs of the old generation keep resolving and rendering
-// against their own generation until they drain).
+// since one Load: the naming context and the query plans compiled against
+// it (predicate IDs are generation-local, so plans must never leak across
+// a reload — epochs of the old generation keep resolving and rendering
+// against their own generation until they drain, and its plans go with
+// it).
 type generation struct {
 	prog *logic.Program
-	// plans caches compiled pattern-query scan plans by (pred, bound
-	// mask); see query.go. An RWMutex-guarded map rather than sync.Map:
-	// the read path is one RLock and one map probe with no key boxing,
-	// keeping the ground-lookup fast path in the hundreds of
-	// nanoseconds.
-	// The maps share planMu: pattern plans by (pred, bound mask), compiled
-	// conjunctive queries by structural shape (see cqKey), magic-set
-	// rewritings of view queries by rules and goal shape (see
-	// demandRewrite; nil marks a shape that must build the full view).
+	// The maps share planMu: pattern scan plans by (pred, bound mask),
+	// compiled conjunctive queries by structural shape (see cqKey),
+	// compiled magic-set rewritings of view queries by rules and goal
+	// shape (see demandRewrite; nil marks a shape that must build the
+	// full view). An RWMutex-guarded map rather than sync.Map: the read
+	// path is one RLock and one map probe with no key boxing, keeping the
+	// ground-lookup fast path in the hundreds of nanoseconds.
 	planMu   sync.RWMutex
 	plans    map[planKey]*storage.ScanPlan
 	cqPlans  map[string]*plan.CQPlan
-	rewrites map[string]*analysis.Magic
+	rewrites map[string]*demand
 }
 
 func newGeneration(prog *logic.Program) *generation {
@@ -180,7 +177,7 @@ func newGeneration(prog *logic.Program) *generation {
 		prog:     prog,
 		plans:    make(map[planKey]*storage.ScanPlan),
 		cqPlans:  make(map[string]*plan.CQPlan),
-		rewrites: make(map[string]*analysis.Magic),
+		rewrites: make(map[string]*demand),
 	}
 }
 
@@ -192,9 +189,13 @@ type epoch struct {
 	// and advanced by an update that changed nothing (see unchanged).
 	seq  atomic.Uint64
 	snap *storage.Snapshot
-	// eng is the engine's counters as of the publish: Stats reads them
-	// here instead of from the writer-owned engine.
-	eng incremental.Stats
+	// eng is the engine's counters as of the publish, walRecords and
+	// walBytes the WAL's, and published the publish's wall time: Stats
+	// and Scrape read them here instead of from the writer-owned engine
+	// and log, so one epoch's numbers always agree.
+	eng                  incremental.Stats
+	walRecords, walBytes uint64
+	published            time.Time
 	// overlays caches materialized rule-defined views of this epoch's
 	// snapshot, keyed by the view rules' structural shape (see
 	// viewOverlay). Overlay DBs borrow the snapshot's backings, so the
@@ -247,28 +248,17 @@ func New(opt Options) *Service {
 // publish snapshots the current materialization as the next epoch and
 // retires the previous one. Caller holds mu.
 func (s *Service) publish() uint64 {
-	e := &epoch{svc: s, gen: s.gen, snap: s.eng.DB().Snapshot(), eng: s.eng.Stats()}
+	e := &epoch{svc: s, gen: s.gen, snap: s.eng.DB().Snapshot(), eng: s.eng.Stats(), published: time.Now()}
+	if s.wal != nil {
+		ws := s.wal.Stats()
+		e.walRecords, e.walBytes = ws.Records, ws.Bytes
+	}
 	e.seq.Store(s.seq.Add(1))
 	e.refs.Store(1)
 	if old := s.cur.Swap(e); old != nil {
 		old.release()
 	}
-	if obs.On() {
-		lastPublishNano.Store(time.Now().UnixNano())
-	}
 	return e.seq.Load()
-}
-
-// Footprint returns the current epoch's storage.DB.Footprint — the
-// served instance's bytes by structure (nil before the first Load or
-// while recovering).
-func (s *Service) Footprint() map[string]int {
-	e, err := s.acquire()
-	if err != nil {
-		return nil
-	}
-	defer e.release()
-	return e.snap.DB().Footprint()
 }
 
 // maybeCompact retries physical reclamation if a drained epoch requested
@@ -332,11 +322,8 @@ func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base 
 	}
 	// A fresh generation: in-flight queries of the previous one keep
 	// their epoch's generation pointer, so they resolve and render
-	// against the old naming context until they drain. Its compiled plans
-	// go now — they would keep that context alive long after.
-	if s.gen != nil {
-		plan.Forget(s.gen.prog)
-	}
+	// against the old naming context, with its compiled plans, until
+	// they drain.
 	s.gen = newGeneration(prog)
 	s.eng = eng
 	// A program replace rebases the whole durable state: it is
@@ -603,12 +590,22 @@ type Stats struct {
 	Durability    *DurabilityStats  `json:"durability,omitempty"`
 }
 
-// Stats reports the current epoch, the live fact count of its snapshot
-// and the engine counters as of its publish, plus the service's own
-// counters. It never takes the writer lock: while nothing is served
-// (before the first Load, during recovery, after Close) the epoch
-// fields are zero.
+// Stats reports the current epoch, the live fact count of its snapshot,
+// the engine counters and WAL record and byte counts as of its publish,
+// plus the service's own counters. It never takes the writer lock: while
+// nothing is served (before the first Load, during recovery, after
+// Close) the epoch fields are zero.
 func (s *Service) Stats() Stats {
+	e, err := s.acquire()
+	if err != nil {
+		return s.stats(nil)
+	}
+	defer e.release()
+	return s.stats(e)
+}
+
+// stats is Stats over an acquired epoch (nil: none served).
+func (s *Service) stats(e *epoch) Stats {
 	full, demand := s.viewFull.Load(), s.viewDemand.Load()
 	st := Stats{
 		Queries:       s.queries.Load(),
@@ -620,12 +617,13 @@ func (s *Service) Stats() Stats {
 		TimedOut:      s.timedOut.Load(),
 		EpochsDrained: s.drained.Load(),
 	}
-	if e, err := s.acquire(); err == nil {
+	var walRecords, walBytes uint64
+	if e != nil {
 		st.Loaded = true
 		st.Epoch = e.seq.Load()
 		st.Facts = e.snap.DB().Len()
 		st.Engine = e.eng
-		e.release()
+		walRecords, walBytes = e.walRecords, e.walBytes
 	}
 	if s.wal != nil {
 		st.Durability = &DurabilityStats{
@@ -634,8 +632,31 @@ func (s *Service) Stats() Stats {
 			ReplayedRecords: s.replayed.Load(),
 			Stats:           s.wal.Stats(),
 		}
+		// Syncs and checkpoints happen between publishes and read live;
+		// records and bytes are the served epoch's.
+		st.Durability.Records, st.Durability.Bytes = walRecords, walBytes
 	}
 	return st
+}
+
+// Scrape is one reading of the served Service for a metrics scrape,
+// taken from a single acquired epoch: its Stats, its instance's bytes by
+// structure (storage.DB.Footprint) and its publish time. Footprint is nil
+// and Published zero while nothing is served.
+type Scrape struct {
+	Stats     Stats
+	Footprint map[string]int
+	Published time.Time
+}
+
+// Scrape reads Stats, Footprint and the publish time of one epoch.
+func (s *Service) Scrape() Scrape {
+	e, err := s.acquire()
+	if err != nil {
+		return Scrape{Stats: s.stats(nil)}
+	}
+	defer e.release()
+	return Scrape{Stats: s.stats(e), Footprint: e.snap.DB().Footprint(), Published: e.published}
 }
 
 // Close retires the current epoch and, for a durable service, fsyncs

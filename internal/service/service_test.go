@@ -439,9 +439,10 @@ func TestServiceEpochConsistency(t *testing.T) {
 	}
 }
 
-// TestReloadReleasesGeneration: a load used to leave its compiled plans —
-// and through them its whole naming context — in the plan cache, so heap
-// grew by a term store and a registry per /load until the cache reset.
+// TestReloadReleasesGeneration: a replaced generation — its compiled
+// plans and through them its whole naming context — is garbage once its
+// epochs drain, so heap does not grow by a term store and a registry per
+// /load.
 func TestReloadReleasesGeneration(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
