@@ -50,10 +50,10 @@ func TestUnifyAtomsTrailUndoes(t *testing.T) {
 		for i := 0; i < 6; i += 2 {
 			UnifyTerms(s, genTerm(c, pre[i], pre[i+1]), genTerm(c, pre[i+1], pre[i]))
 		}
-		before := s.Clone()
+		before := maps.Clone(s)
 		a := New(p, genTerm(c, x[0], x[1]), genTerm(c, x[2], x[3]), genTerm(c, x[4], x[5]))
 		b := New(p, genTerm(c, y[0], y[1]), genTerm(c, y[2], y[3]), genTerm(c, y[4], y[5]))
-		ref := s.Clone()
+		ref := maps.Clone(s)
 		var trail []term.Term
 		if UnifyAtomsTrail(s, a, b, &trail) != UnifyAtoms(ref, a, b) || !maps.Equal(s, ref) {
 			return false

@@ -12,15 +12,6 @@ type Subst map[term.Term]term.Term
 // NewSubst returns an empty substitution.
 func NewSubst() Subst { return make(Subst) }
 
-// Clone returns a copy of the substitution.
-func (s Subst) Clone() Subst {
-	out := make(Subst, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // Apply resolves a single term through the substitution, following chains
 // (x ↦ y, y ↦ c resolves x to c). Chains arise during unification; Resolve
 // keeps application correct without eager path compression.

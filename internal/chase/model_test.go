@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -23,7 +24,7 @@ func homs(db *storage.DB, atoms []atom.Atom, h atom.Subst, fn func(atom.Subst) b
 		return fn(h)
 	}
 	for _, f := range db.Facts(atoms[0].Pred) {
-		if s := h.Clone(); atom.MatchAtom(s, atoms[0], f) && !homs(db, atoms[1:], s, fn) {
+		if s := maps.Clone(h); atom.MatchAtom(s, atoms[0], f) && !homs(db, atoms[1:], s, fn) {
 			return false
 		}
 	}
@@ -75,7 +76,7 @@ c(k1). c(k2).
 			t.Fatalf("case %d truncated", i)
 		}
 		for ti, tgd := range r.Program.TGDs {
-			homs(res.DB, tgd.Body, nil, func(h atom.Subst) bool {
+			homs(res.DB, tgd.Body, atom.NewSubst(), func(h atom.Subst) bool {
 				if !headSatisfiedSubst(res.DB, tgd, h) {
 					t.Fatalf("case %d: TGD %d violated under %v", i, ti, h)
 				}

@@ -32,7 +32,9 @@ func chainFacts(n int) string {
 
 // TestBudgetDerivedBoundaryEngines: limit == |closure| completes with the full
 // fixpoint; limit == |closure|-1 aborts with ErrOverBudget and returns
-// no instance.
+// no instance, and so does a limit below |e|, which the union rule
+// t(X,Y) :- e(X,Y) alone exceeds (its window does not fit the headroom,
+// so it is joined row by row up to the cap).
 func TestBudgetDerivedBoundaryEngines(t *testing.T) {
 	src := tcNonLinear + chainFacts(24)
 	r, db := load(t, src)
@@ -53,13 +55,19 @@ func TestBudgetDerivedBoundaryEngines(t *testing.T) {
 	if out.Len() != ref.Len() {
 		t.Fatalf("limit==closure: %d facts, want %d", out.Len(), ref.Len())
 	}
-	// One fewer: must trip.
-	out, _, err = Eval(r.Program, db, Options{Budget: plan.NewBudget(nil, closure-1, 0)})
-	if !errors.Is(err, plan.ErrOverBudget) {
-		t.Fatalf("limit==closure-1: err = %v, want ErrOverBudget", err)
-	}
-	if out != nil {
-		t.Fatal("limit==closure-1: aborted Eval returned an instance")
+	// One fewer, or fewer than the edges: must trip.
+	for _, limit := range []int{closure - 1, 22, 1} {
+		bud := plan.NewBudget(nil, limit, 0)
+		out, _, err = Eval(r.Program, db, Options{Budget: bud})
+		if !errors.Is(err, plan.ErrOverBudget) {
+			t.Fatalf("limit %d: err = %v, want ErrOverBudget", limit, err)
+		}
+		if out != nil {
+			t.Fatalf("limit %d: aborted Eval returned an instance", limit)
+		}
+		if bud.Derived() != int64(limit)+1 {
+			t.Fatalf("limit %d: charged %d derived facts, want the one past the cap", limit, bud.Derived())
+		}
 	}
 }
 

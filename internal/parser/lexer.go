@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind int
@@ -87,31 +88,43 @@ type token struct {
 	col  int
 }
 
+// lexer scans the source by byte offset, decoding runes past ASCII only;
+// identifier and integer tokens are substrings, and line:col count runes.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (l *lexer) errorf(line, col int, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", line, col, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
+// runeAt returns the rune at byte offset i and its width in bytes (0, 0
+// past the end); an invalid byte reads as utf8.RuneError of width 1.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.pos]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
+}
+
+func (l *lexer) peek() rune {
+	r, _ := l.runeAt(l.pos)
+	return r
 }
 
 func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
+	r, w := l.runeAt(l.pos)
+	l.pos += w
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -188,22 +201,22 @@ func (l *lexer) next() (token, error) {
 			b.WriteRune(c)
 		}
 		return token{tokString, b.String(), line, col}, nil
-	case r == '_' && !isIdentRune(peekAt(l, 1)):
+	case r == '_' && !isIdentRune(peekNext(l)):
 		l.advance()
 		return token{tokUnderscore, "_", line, col}, nil
-	case unicode.IsDigit(r) || (r == '-' && unicode.IsDigit(peekAt(l, 1))):
-		var b strings.Builder
-		b.WriteRune(l.advance())
+	case unicode.IsDigit(r) || (r == '-' && unicode.IsDigit(peekNext(l))):
+		start := l.pos
+		l.advance()
 		for l.pos < len(l.src) && unicode.IsDigit(l.peek()) {
-			b.WriteRune(l.advance())
+			l.advance()
 		}
-		return token{tokInt, b.String(), line, col}, nil
+		return token{tokInt, l.src[start:l.pos], line, col}, nil
 	case isIdentStart(r):
-		var b strings.Builder
+		start := l.pos
 		for l.pos < len(l.src) && isIdentRune(l.peek()) {
-			b.WriteRune(l.advance())
+			l.advance()
 		}
-		text := b.String()
+		text := l.src[start:l.pos]
 		if isVariableName(text) {
 			return token{tokVariable, text, line, col}, nil
 		}
@@ -213,11 +226,11 @@ func (l *lexer) next() (token, error) {
 	}
 }
 
-func peekAt(l *lexer, k int) rune {
-	if l.pos+k >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos+k]
+// peekNext returns the rune after the current one (0 past the end).
+func peekNext(l *lexer) rune {
+	_, w := l.runeAt(l.pos)
+	r, _ := l.runeAt(l.pos + w)
+	return r
 }
 
 func isIdentStart(r rune) bool {
@@ -236,7 +249,7 @@ func isVariableName(s string) bool {
 	if s == "" {
 		return false
 	}
-	r := []rune(s)[0]
+	r, _ := utf8.DecodeRuneInString(s)
 	if r == '_' {
 		return true
 	}

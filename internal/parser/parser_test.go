@@ -3,6 +3,7 @@ package parser
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/atom"
 )
@@ -260,4 +261,37 @@ func TestQueryWithConstantOutput(t *testing.T) {
 		t.Fatalf("constant output term should parse")
 	}
 	_ = atom.VarSet(q.Atoms)
+}
+
+// TestNonASCIISource: names with non-ASCII letters and digits lex whole,
+// positions count runes, not bytes, and a predicate name the registry
+// keeps does not share the source's bytes.
+func TestNonASCIISource(t *testing.T) {
+	r, err := Parse("préféré(wörld, ١٢).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := r.Facts[0]
+	if got := r.Program.Reg.Name(f.Pred); got != "préféré" {
+		t.Fatalf("predicate %q", got)
+	}
+	if got := r.Program.Store.Names(f.Args); got[0] != "wörld" || got[1] != "١٢" {
+		t.Fatalf("arguments %q", got)
+	}
+	for src, want := range map[string]string{
+		"p(é). ü":        "1:8:",
+		"p(ö).\nqü(ä) &": "2:7:",
+		"ü(a) : q(a).":   "1:6:",
+	} {
+		if _, err := Parse(src); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Parse(%q) = %v, want an error at %s", src, err, want)
+		}
+	}
+	src := strings.Repeat(" ", 1<<10) + "kept(a)."
+	r = MustParse(src)
+	name := r.Program.Reg.Name(r.Facts[0].Pred)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(name))); p >= lo && p < lo+uintptr(len(src)) {
+		t.Fatal("the registry keeps a name inside the program text")
+	}
 }

@@ -133,8 +133,8 @@ func TestExecBudgetStride(t *testing.T) {
 	e := &Exec{}
 	e.SetBudget(b)
 	for i := 0; i < 3*BudgetStride; i++ {
-		if !e.budgetStep() {
-			t.Fatalf("budgetStep aborted at %d with no limit", i)
+		if !e.probe() {
+			t.Fatalf("probe aborted at %d with no limit", i)
 		}
 	}
 	if got := b.Probes(); got != 3*BudgetStride {

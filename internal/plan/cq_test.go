@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"maps"
 	"testing"
 
 	"repro/internal/atom"
@@ -75,7 +76,7 @@ func naiveCQ(db *storage.DB, q *logic.CQ) [][]term.Term {
 					continue facts // clone only for facts the bound terms admit
 				}
 			}
-			if s2 := s.Clone(); atom.MatchAtom(s2, pa, f) {
+			if s2 := maps.Clone(s); atom.MatchAtom(s2, pa, f) {
 				rec(i+1, s2)
 			}
 		}

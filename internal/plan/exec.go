@@ -34,7 +34,8 @@ type Exec struct {
 	// (one atomic add + one limit/deadline poll). A tripped budget stops
 	// the enumeration exactly like a callback returning false — every
 	// slot unbinds on the way out — and the engine reads the verdict from
-	// Budget.Err. The unbudgeted path pays one nil-check per probe.
+	// Budget.Err. The unbudgeted path counts down too and flushes into
+	// the nil budget, which never stops it.
 	bud     *Budget
 	budLeft int
 }
@@ -46,12 +47,20 @@ func (e *Exec) SetBudget(b *Budget) {
 	e.budLeft = BudgetStride
 }
 
-// budgetStep flushes one stride of probes into the shared budget,
-// reporting whether the enumeration may continue.
-func (e *Exec) budgetStep() bool {
-	if e.budLeft--; e.budLeft > 0 {
-		return true
-	}
+// probe counts one probe of a join and reports whether the enumeration
+// may continue: every BudgetStride probes it flushes them into the
+// shared budget.
+func (e *Exec) probe() bool {
+	e.Probes++
+	e.budLeft--
+	return e.budLeft > 0 || e.flush()
+}
+
+// flush charges one stride of probes to the budget, reporting whether
+// the enumeration may continue. Out of line, so that probe inlines.
+//
+//go:noinline
+func (e *Exec) flush() bool {
 	e.budLeft = BudgetStride
 	return e.bud.AddProbes(BudgetStride) == nil
 }
@@ -83,11 +92,7 @@ func (e *Exec) Run(db *storage.DB, di int, since storage.Mark, fn func() bool) b
 			s = since
 		}
 		return db.ProbeWithRow(j.Scans[k], e.frame, s, 0, 1, func(int32) bool {
-			e.Probes++
-			if e.bud != nil && !e.budgetStep() {
-				return false
-			}
-			return rec(k + 1)
+			return e.probe() && rec(k+1)
 		})
 	}
 	return rec(0)
@@ -105,13 +110,7 @@ func (e *Exec) runSeed(db *storage.DB, di int, seed int32, fn func() bool) bool 
 		if k == len(j.Scans) {
 			return fn()
 		}
-		probe := func() bool {
-			e.Probes++
-			if e.bud != nil && !e.budgetStep() {
-				return false
-			}
-			return rec(k + 1)
-		}
+		probe := func() bool { return e.probe() && rec(k+1) }
 		if k == j.DeltaStep {
 			return db.ProbeRow(j.Scans[k], e.frame, seed, probe)
 		}
@@ -148,8 +147,7 @@ func (e *Exec) Supports(db *storage.DB, pred schema.PredID, args []term.Term, fn
 				return fn(e.rows)
 			}
 			return db.ProbeWithRow(j.Scans[k], e.frame, 0, 0, 1, func(row int32) bool {
-				e.Probes++
-				if e.bud != nil && !e.budgetStep() {
+				if !e.probe() {
 					return false
 				}
 				e.rows[j.Order[k]] = row

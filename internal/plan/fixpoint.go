@@ -261,7 +261,9 @@ func (f *Fixpoint) group(g Group, mark storage.Mark) bool {
 // image is inserted at once and counted; the join stops at the insert
 // past the budget's headroom and charges its count once, which keeps the
 // derived-fact cap exact — a closure of exactly MaxDerived facts
-// completes, one more aborts here mid-round.
+// completes, one more aborts here mid-round. A union rule lands a window
+// that storage.BulkWindow admits and the headroom holds in one append,
+// charged as the same probes and derived facts.
 func (f *Fixpoint) join(p pair, round int) bool {
 	ex := f.exec(p.rule)
 	if f.Tracer != nil {
@@ -269,6 +271,17 @@ func (f *Fixpoint) join(p pair, round int) bool {
 	}
 	db := f.DB
 	hasNeg := len(ex.Rule.Neg) > 0
+	if u := ex.Rule.Union; u != nil && f.Match == nil {
+		dst, src := ex.Rule.Head[0].Pred, ex.Rule.Body[0].Pred
+		if n, ok := db.BulkWindow(dst, src, p.mark); ok && n <= f.Budget.Headroom() {
+			k := 0 // rows the budget admits, probed as the join would
+			for k < n && ex.probe() {
+				k++
+			}
+			db.AppendWindow(dst, src, p.mark, u, k)
+			return f.Budget.AddDerived(k) == nil && k == n
+		}
+	}
 	if f.Match == nil {
 		room, n := f.Budget.Headroom(), 0
 		ok := ex.Run(db, p.delta, p.mark, func() bool {

@@ -133,6 +133,11 @@ type RulePlan struct {
 	// (one head atom, no existential variables); nil otherwise.
 	Rederive *JoinPlan
 
+	// Union, for a union rule — one positive body atom over distinct
+	// variables, one head atom over another predicate holding exactly
+	// those — is the body column each head position reads; nil otherwise.
+	Union []int
+
 	// HeadCheck is the restricted chase's test that a trigger's head
 	// already holds (Exec.HeadSatisfied): the head atoms ordered greedily
 	// under the frontier slots, every frontier slot compiled as a
@@ -248,6 +253,14 @@ func compileRule(idx int, t *logic.TGD, opt Options) *RulePlan {
 	r.Body = compileTemplates(t.Body, slotOf)
 	r.Neg = compileTemplates(t.NegBody, slotOf)
 	r.Head = compileTemplates(t.Head, slotOf)
+	if len(t.Body) == 1 && len(t.NegBody) == 0 && len(t.Head) == 1 && t.Head[0].Pred != t.Body[0].Pred &&
+		r.BodySlots == len(t.Body[0].Args) && len(r.Frontier) == r.BodySlots && len(t.Head[0].Args) == r.BodySlots {
+		// A union rule: the body's distinct variables hold slots 0, 1, …
+		// in position order, and each fills one head position.
+		for _, a := range r.Head[0].Args {
+			r.Union = append(r.Union, a.Slot)
+		}
+	}
 	// Template liveness: slots read after the join finishes. Frontier slots
 	// are a subset of head-template slots, so they need no separate marking.
 	live := make([]bool, r.NumSlots)

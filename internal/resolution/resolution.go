@@ -29,11 +29,12 @@ type State struct {
 
 // NewState builds a state from atoms, deduplicating identical atoms.
 func NewState(atoms []atom.Atom) State {
-	return State{Atoms: dedup(atoms)}
+	return State{Atoms: dedup(slices.Clone(atoms))}
 }
 
+// dedup drops repeated atoms in place, keeping first occurrences in order.
 func dedup(atoms []atom.Atom) []atom.Atom {
-	out := make([]atom.Atom, 0, len(atoms))
+	out := atoms[:0]
 	for _, a := range atoms {
 		if !slices.ContainsFunc(out, a.Equal) {
 			out = append(out, a)
@@ -55,9 +56,13 @@ func (s State) Empty() bool { return len(s.Atoms) == 0 }
 type Chunk struct {
 	// S1 holds indices into the state's atom slice.
 	S1 []int
-	// Gamma is the most general unifier of the chunk with the head.
-	Gamma atom.Subst
+	// Gamma is the most general unifier of the chunk with the head: the
+	// terms it binds, each with its image resolved through the chains.
+	Gamma []Binding
 }
+
+// Binding is one term a chunk unifier binds and the term it resolves to.
+type Binding struct{ From, To term.Term }
 
 // MGCUs enumerates the most general chunk unifiers of the state with the
 // (variable-renamed, single-head) TGD. For each non-empty subset S1 of
@@ -97,14 +102,18 @@ func MGCUs(s State, tgd *logic.TGD, maxChunk int) []Chunk {
 	// Enumerate subsets of cand of size ≤ maxChunk incrementally, pruning
 	// branches whose partial unifier already fails. One unifier g is
 	// extended per atom and undone through the trail of the terms each
-	// unification bound; only an emitted chunk's unifier is copied.
+	// unification bound; an emitted chunk's unifier is the trail resolved.
 	g := atom.NewSubst()
 	var trail []term.Term
 	var rec func(start int, s1 []int)
 	rec = func(start int, s1 []int) {
 		if len(s1) > 0 {
 			if chunkConditions(s, s1, g, ex, tgd) {
-				out = append(out, Chunk{S1: append([]int(nil), s1...), Gamma: g.Clone()})
+				gamma := make([]Binding, len(trail))
+				for k, v := range trail {
+					gamma[k] = Binding{v, g.Apply(v)}
+				}
+				out = append(out, Chunk{S1: slices.Clone(s1), Gamma: gamma})
 			}
 		}
 		if len(s1) == maxChunk {
@@ -183,20 +192,29 @@ func chunkConditions(s State, s1 []int, g atom.Subst, ex map[term.Term]bool, tgd
 // Resolve applies a chunk unifier, producing the σ-resolvent state
 // (Definition 4.3): γ((atoms(q) \ S1) ∪ body(σ)).
 func Resolve(s State, tgd *logic.TGD, c Chunk) State {
-	inS1 := make(map[int]bool, len(c.S1))
-	for _, i := range c.S1 {
-		inS1[i] = true
-	}
-	var atoms []atom.Atom
+	atoms := make([]atom.Atom, 0, len(s.Atoms)+len(tgd.Body))
 	for i, a := range s.Atoms {
-		if !inS1[i] {
-			atoms = append(atoms, c.Gamma.ApplyAtom(a))
+		if !slices.Contains(c.S1, i) {
+			atoms = append(atoms, c.apply(a))
 		}
 	}
 	for _, b := range tgd.Body {
-		atoms = append(atoms, c.Gamma.ApplyAtom(b))
+		atoms = append(atoms, c.apply(b))
 	}
-	return NewState(atoms)
+	return State{Atoms: dedup(atoms)}
+}
+
+// apply returns atom a under the chunk's unifier.
+func (c Chunk) apply(a atom.Atom) atom.Atom {
+	args := slices.Clone(a.Args)
+	for i, t := range args {
+		for _, b := range c.Gamma {
+			if b.From == t {
+				args[i] = b.To
+			}
+		}
+	}
+	return atom.Atom{Pred: a.Pred, Args: args}
 }
 
 // Specializations enumerates the useful atom-merging specializations of the

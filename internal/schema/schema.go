@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/intern"
 )
@@ -49,6 +50,9 @@ func NewRegistry() *Registry {
 // malformed program (the parser reports this condition gracefully first).
 func (r *Registry) Intern(name string, arity int) PredID {
 	id, isNew, ok := r.ids.Intern(name, func() (uint32, string, bool) {
+		// A copy, so that a name sliced from a program text does not keep
+		// the whole text alive.
+		name := strings.Clone(name)
 		id, ok := r.preds.Append(predInfo{name: name, arity: arity}, math.MaxUint32)
 		return id, name, ok
 	})

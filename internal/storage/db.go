@@ -7,6 +7,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -121,9 +122,68 @@ func grow[T any](s []T, n int) []T {
 	if len(s)+n <= cap(s) {
 		return s
 	}
-	out := make([]T, len(s), max(2*cap(s), len(s)+n, 8))
+	out := make([]T, len(s), growCap(cap(s), len(s)+n))
 	copy(out, s)
 	return out
+}
+
+// growCap is the capacity grow gives a slice of capacity c that must hold
+// need elements.
+func growCap(c, need int) int { return max(2*c, need, 8) }
+
+// BulkWindow reports the rows src holds from since on, and whether
+// AppendWindow may land them in dst: they exist, none is tombstoned, and
+// dst holds no row.
+func (db *DB) BulkWindow(dst, src schema.PredID, since Mark) (int, bool) {
+	d, r := db.relOf(dst), db.relOf(src)
+	if d != nil && d.nrows > 0 || r == nil {
+		return 0, false
+	}
+	lo := r.firstSince(since)
+	for ri := lo; r.nDead > 0 && ri < r.nrows; ri++ {
+		if r.isDead(int32(ri)) {
+			return 0, false
+		}
+	}
+	return r.nrows - lo, true
+}
+
+// AppendWindow lands the first n rows of src's window from since on in
+// dst, which BulkWindow admitted, column i of each new row reading column
+// cols[i] (a permutation) of its source row. Every row is new, so the
+// instance is the one n InsertArgs calls in window order build, down to
+// insertion indexes (one span), column capacity and dedup slots.
+func (db *DB) AppendWindow(dst, src schema.PredID, since Mark, cols []int, n int) {
+	db.mutable()
+	if n == 0 {
+		return
+	}
+	s, r := db.relOf(src), db.rel(dst, len(cols))
+	if r.borrowed {
+		r.own()
+	}
+	a, lo := r.arity, s.firstSince(since)
+	if need := n * a; need > cap(r.cols) {
+		c := cap(r.cols)
+		for c < need {
+			c = growCap(c, c/a*a+a)
+		}
+		r.cols = make([]term.Term, 0, c)
+	}
+	r.cols = r.cols[:n*a]
+	if slices.IsSorted(cols) { // the identity: one copy
+		copy(r.cols, s.cols[lo*a:(lo+n)*a])
+	} else {
+		for k := range n {
+			row, from := r.cols[k*a:(k+1)*a], s.args(int32(lo+k))
+			for i, c := range cols {
+				row[i] = from[c]
+			}
+		}
+	}
+	r.spans = extend(r.spans, 0, int32(db.next))
+	r.nrows, db.next = n, db.next+n
+	r.rebuild(tabFor(len(r.tab), n))
 }
 
 // InsertAll inserts a batch of atoms, reporting how many were new.

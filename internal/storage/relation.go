@@ -201,15 +201,24 @@ func nextSlot(i, n int) int {
 // row holds the tuple.
 func (r *relation) tabInsert(h uint64, ri int32) {
 	if n := len(r.tab); 4*(int(r.tabUsed)+1) > 3*n {
-		// Double while the table is under 256 KB; from there Go's append
-		// taper, held to ×1.5 so that a grown table is at least half full.
-		if n < 1<<16 {
-			r.rebuild(max(16, 2*n))
-		} else {
-			r.rebuild(n + min(n/2, (n+3<<16)/4))
-		}
+		r.rebuild(tabFor(n, int(r.tabUsed)+1))
 	}
 	r.place(h, ri)
+}
+
+// tabFor returns the slot count an n-slot table reaches by growing at 3/4
+// load until it holds rows: doubling while it is under 256 KB; from there
+// Go's append taper, held to ×1.5 so that a grown table is at least half
+// full.
+func tabFor(n, rows int) int {
+	for 4*rows > 3*n {
+		if n < 1<<16 {
+			n = max(16, 2*n)
+		} else {
+			n += min(n/2, (n+3<<16)/4)
+		}
+	}
+	return n
 }
 
 // place links local row ri (fact hash h) in the first empty slot from

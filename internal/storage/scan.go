@@ -131,9 +131,6 @@ func CompileScan(pred schema.PredID, args []ScanArg) *ScanPlan {
 	return sp
 }
 
-// Binds returns the slots this scan binds (read-only; used by plan tests).
-func (sp *ScanPlan) Binds() []int { return sp.binds }
-
 // matchRow applies the plan's argument modes to one stored row: constants
 // and bound slots filter, bind slots are written, skip positions are
 // ignored. It reports whether the row matches; the caller is responsible
