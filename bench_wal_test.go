@@ -52,7 +52,7 @@ func BenchmarkS4_WALOverhead(b *testing.B) {
 		defer svc.Close()
 		res := mustParse(b, tcLinear)
 		base := workload.Chain(n).DB(res.Program, "e", "n")
-		if _, err := svc.LoadProgram(res.Program, base); err != nil {
+		if _, err := svc.LoadProgramCtx(context.Background(), res.Program, base); err != nil {
 			b.Fatal(err)
 		}
 		last := fmt.Sprintf("e(n%d,n%d).", n-2, n-1)
@@ -89,7 +89,7 @@ func BenchmarkS4_Recovery(b *testing.B) {
 	seed := durableService(b, dir, "never")
 	res := mustParse(b, tcLinear)
 	base := workload.Chain(n).DB(res.Program, "e", "n")
-	if _, err := seed.LoadProgram(res.Program, base); err != nil {
+	if _, err := seed.LoadProgramCtx(context.Background(), res.Program, base); err != nil {
 		b.Fatal(err)
 	}
 	tailFacts := make([]string, tail)

@@ -136,9 +136,6 @@ func (g *PredGraph) computeSCCs() {
 // SCC returns the component id of a predicate.
 func (g *PredGraph) SCC(p schema.PredID) int { return g.sccOf[p] }
 
-// OnCycle reports whether p lies on some cycle of pg(Σ).
-func (g *PredGraph) OnCycle(p schema.PredID) bool { return g.sccCycle[g.sccOf[p]] }
-
 // MutuallyRecursive reports whether P and R lie on a common cycle of pg(Σ)
 // (§4: "R is reachable from P, and vice versa"). A predicate is mutually
 // recursive with itself iff it lies on a cycle.
@@ -149,17 +146,6 @@ func (g *PredGraph) MutuallyRecursive(p, r schema.PredID) bool {
 		return false
 	}
 	return g.sccCycle[sp]
-}
-
-// Rec returns rec(P): the predicates mutually recursive with P (§4.2).
-func (g *PredGraph) Rec(p schema.PredID) []schema.PredID {
-	s, ok := g.sccOf[p]
-	if !ok || !g.sccCycle[s] {
-		return nil
-	}
-	comp := append([]schema.PredID(nil), g.sccOrder[s]...)
-	sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-	return comp
 }
 
 // Levels computes the level function ℓΣ of §4.2:

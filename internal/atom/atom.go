@@ -44,16 +44,6 @@ func (a Atom) Equal(b Atom) bool {
 	return true
 }
 
-// IsFact reports whether the atom contains only constants.
-func (a Atom) IsFact() bool {
-	for _, t := range a.Args {
-		if !t.IsConst() {
-			return false
-		}
-	}
-	return true
-}
-
 // IsGround reports whether the atom contains no variables (constants and
 // nulls are both allowed — this is the notion of instance atom).
 func (a Atom) IsGround() bool {
@@ -150,16 +140,4 @@ func Less(a, b Atom) bool {
 		}
 	}
 	return false
-}
-
-// StringSet renders a set of atoms deterministically, comma-separated.
-func StringSet(atoms []Atom, st *term.Store, reg *schema.Registry) string {
-	cp := make([]Atom, len(atoms))
-	copy(cp, atoms)
-	SortAtoms(cp)
-	parts := make([]string, len(cp))
-	for i, a := range cp {
-		parts[i] = a.String(st, reg)
-	}
-	return strings.Join(parts, ", ")
 }

@@ -100,41 +100,6 @@ func TestMatchAtomProperty(t *testing.T) {
 	}
 }
 
-// Property: Subst.Restrict keeps exactly the requested bindings.
-func TestRestrictProperty(t *testing.T) {
-	c := newCtx()
-	f := func(n uint8, keepMask uint8) bool {
-		s := NewSubst()
-		var vars []term.Term
-		for i := uint8(0); i < n%6+1; i++ {
-			v := c.st.Var("R" + string(rune('A'+i)))
-			vars = append(vars, v)
-			s[v] = c.st.Const("rc" + string(rune('a'+i)))
-		}
-		keep := map[term.Term]bool{}
-		for i, v := range vars {
-			if keepMask&(1<<uint(i)) != 0 {
-				keep[v] = true
-			}
-		}
-		r := s.Restrict(keep)
-		for v := range keep {
-			if r.Apply(v) != s.Apply(v) {
-				return false
-			}
-		}
-		for v := range r {
-			if !keep[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: hashes agree on equal atoms (and rarely collide on unequal
 // ones — tested statistically over the small vocabulary).
 func TestHashEqualityProperty(t *testing.T) {

@@ -75,14 +75,3 @@ func (s Subst) Bind(t, u term.Term) bool {
 	}
 	return false
 }
-
-// Restrict returns s restricted to the given set of terms (paper §2, h|S).
-func (s Subst) Restrict(keep map[term.Term]bool) Subst {
-	out := make(Subst)
-	for k := range keep {
-		if v := s.Apply(k); v != k {
-			out[k] = v
-		}
-	}
-	return out
-}

@@ -64,29 +64,6 @@ func UnifyAtomsTrail(s Subst, a, b Atom, trail *[]term.Term) bool {
 	return true
 }
 
-// MGU computes a most general unifier of the two atom sets A and B in the
-// sense of the paper (§4.1): a substitution γ with γ(A) = γ(B). The sets
-// unify when there is a pairing of atoms that unifies; because the paper's
-// chunk unifiers are built from explicitly chosen atom pairings, MGU here
-// unifies the sets positionally after sorting is NOT correct in general —
-// instead the caller supplies the pairing. MGU therefore unifies two equal-
-// length *sequences* of atoms pairwise.
-//
-// It returns (γ, true) on success; γ is idempotent up to chain resolution
-// via Apply.
-func MGU(as, bs []Atom) (Subst, bool) {
-	if len(as) != len(bs) {
-		return nil, false
-	}
-	s := NewSubst()
-	for i := range as {
-		if !UnifyAtoms(s, as[i], bs[i]) {
-			return nil, false
-		}
-	}
-	return s, true
-}
-
 // MatchTerm extends s to match pattern term p against ground term g, where
 // only variables in the pattern may be bound (constants and nulls in the
 // pattern are rigid). This is one-way matching, the building block of

@@ -60,24 +60,6 @@ func TestUnifyAtoms(t *testing.T) {
 	}
 }
 
-func TestMGUSequences(t *testing.T) {
-	c := newCtx()
-	as := []Atom{c.atom("p", "X", "Y"), c.atom("q", "Y")}
-	bs := []Atom{c.atom("p", "a", "Z"), c.atom("q", "b")}
-	g, ok := MGU(as, bs)
-	if !ok {
-		t.Fatalf("MGU failed")
-	}
-	for i := range as {
-		if !g.ApplyAtom(as[i]).Equal(g.ApplyAtom(bs[i])) {
-			t.Fatalf("MGU does not unify pair %d", i)
-		}
-	}
-	if _, ok := MGU(as, bs[:1]); ok {
-		t.Fatalf("length mismatch must fail")
-	}
-}
-
 // Property: for random unifiable pairs, the MGU is most general — any other
 // unifier factors through it. We approximate by checking that applying the
 // MGU twice equals applying it once (idempotence up to chain resolution).

@@ -29,7 +29,6 @@ import "repro/internal/atom"
 type TriggerMemo struct {
 	canon *atom.Canonicalizer
 	seen  map[trigger]bool
-	hits  int
 }
 
 // trigger is a TGD (by index) and the pattern of a body image.
@@ -50,15 +49,11 @@ func (m *TriggerMemo) Admit(tgd int, bodyImage []atom.Atom) bool {
 	// Body atom i's image is atom i, so the image is keyed in body order.
 	k := trigger{tgd, m.canon.Key(bodyImage)}
 	if m.seen[k] {
-		m.hits++
 		return false
 	}
 	m.seen[k] = true
 	return true
 }
-
-// Suppressed reports how many triggers the memo rejected.
-func (m *TriggerMemo) Suppressed() int { return m.hits }
 
 // Size reports how many distinct trigger patterns are stored — the memory
 // footprint proxy reported by E7.

@@ -65,9 +65,6 @@ func TestTriggerMemo(t *testing.T) {
 	if !m.Admit(1, []atom.Atom{mk(p, n2)}) {
 		t.Fatalf("different TGD index is a different memo bucket")
 	}
-	if m.Suppressed() != 1 {
-		t.Fatalf("Suppressed = %d", m.Suppressed())
-	}
 	if m.Size() != 2 {
 		t.Fatalf("Size = %d", m.Size())
 	}

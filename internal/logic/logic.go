@@ -163,18 +163,6 @@ func (q *CQ) Vars() map[term.Term]bool {
 	return vs
 }
 
-// OutputVars returns the set of output variables (ignoring any output
-// positions already instantiated to constants).
-func (q *CQ) OutputVars() map[term.Term]bool {
-	out := make(map[term.Term]bool)
-	for _, t := range q.Output {
-		if t.IsVar() {
-			out[t] = true
-		}
-	}
-	return out
-}
-
 // IsBoolean reports whether the query has no output variables.
 func (q *CQ) IsBoolean() bool { return len(q.Output) == 0 }
 

@@ -172,9 +172,6 @@ func TestCQHelpers(t *testing.T) {
 	if q.IsBoolean() {
 		t.Errorf("q has output, not boolean")
 	}
-	if !q.OutputVars()[x] {
-		t.Errorf("OutputVars missing X")
-	}
 	b := &CQ{Atoms: q.Atoms}
 	if !b.IsBoolean() {
 		t.Errorf("no output -> boolean")
@@ -184,11 +181,7 @@ func TestCQHelpers(t *testing.T) {
 	if q.Atoms[0].Args[0] == cl.Atoms[0].Args[0] {
 		t.Errorf("Clone shares atom storage")
 	}
-	// Instantiated output constant is not an output var.
 	q2 := &CQ{Output: []term.Term{p.Store.Const("c")}, Atoms: q.Atoms}
-	if len(q2.OutputVars()) != 0 {
-		t.Errorf("constant output counted as var")
-	}
 	if q2.IsBoolean() {
 		t.Errorf("q2 has an output position")
 	}

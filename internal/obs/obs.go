@@ -148,9 +148,6 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// Sum returns the raw (unscaled) sum of observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 type metricKind uint8
 
 const (

@@ -73,8 +73,8 @@ func TestHistogramBuckets(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("count = %d, want 5", h.Count())
 	}
-	if h.Sum() != 1+10+11+100+5000 {
-		t.Fatalf("sum = %d", h.Sum())
+	if got := h.sum.Load(); got != 1+10+11+100+5000 {
+		t.Fatalf("sum = %d", got)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestHistogramConcurrent(t *testing.T) {
 			wantSum += int64(w) + int64(i)%1000
 		}
 	}
-	if got := h.Sum(); got != wantSum {
+	if got := h.sum.Load(); got != wantSum {
 		t.Fatalf("sum = %d, want %d", got, wantSum)
 	}
 	if c.Load() != workers*perWorker {

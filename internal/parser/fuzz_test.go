@@ -8,10 +8,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // FuzzParse: program text crosses the service's /load boundary, so any
-// bytes must parse into a result or an error, never a panic. The corpus
+// bytes must parse into a result or an error, never a panic, and an error
+// message (echoed back to the client) never holds a control character,
+// as ':%c' once printed the NUL past the end of input. The corpus
 // is seeded with every program the examples/ binaries embed as a raw
 // string literal.
 func FuzzParse(f *testing.F) {
@@ -41,6 +44,9 @@ func FuzzParse(f *testing.F) {
 		res, err := Parse(src)
 		if err == nil && res == nil {
 			t.Fatal("Parse returned neither a result nor an error")
+		}
+		if err != nil && strings.ContainsFunc(err.Error(), unicode.IsControl) {
+			t.Fatalf("error message holds a control character: %q", err.Error())
 		}
 	})
 }

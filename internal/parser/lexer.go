@@ -179,8 +179,11 @@ func (l *lexer) next() (token, error) {
 		return token{tokBang, "!", line, col}, nil
 	case r == ':':
 		l.advance()
-		if l.peek() != '-' {
-			return token{}, l.errorf(line, col, "expected ':-', found ':%c'", l.peek())
+		if l.pos >= len(l.src) {
+			return token{}, l.errorf(line, col, "expected ':-', found end of input")
+		}
+		if r := l.peek(); r != '-' {
+			return token{}, l.errorf(line, col, "expected ':-', found %q", ":"+string(r))
 		}
 		l.advance()
 		return token{tokImplies, ":-", line, col}, nil

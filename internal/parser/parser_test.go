@@ -145,7 +145,8 @@ func TestParseErrors(t *testing.T) {
 		want string
 	}{
 		{"unterminated string", `p("abc`, "unterminated"},
-		{"bad colon", `p(X) : q(X).`, "':-'"},
+		{"bad colon", `p(X) : q(X).`, `found ": "`},
+		{"colon at end of input", `p(a) :`, "expected ':-', found end of input"},
 		{"missing dot", `p(X) :- q(X)`, "expected"},
 		{"fact with variable", `p(X).`, "variable"},
 		{"arity clash", "p(a,b).\np(a).", "arity"},

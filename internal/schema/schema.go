@@ -112,16 +112,6 @@ func (r *Registry) Positions(id PredID) []Position {
 	return out
 }
 
-// AllPositions returns pos(S) for the whole registry, in a deterministic
-// order (by predicate ID, then index).
-func (r *Registry) AllPositions() []Position {
-	var out []Position
-	for id, n := 0, r.Len(); id < n; id++ {
-		out = append(out, r.Positions(PredID(id))...)
-	}
-	return out
-}
-
 // PositionString renders a position in the paper's R[i] (1-based) notation.
 func (r *Registry) PositionString(p Position) string {
 	return fmt.Sprintf("%s[%d]", r.Name(p.Pred), p.Index+1)

@@ -75,17 +75,6 @@ func TestPositions(t *testing.T) {
 	}
 }
 
-func TestAllPositions(t *testing.T) {
-	r := NewRegistry()
-	r.Intern("a", 2)
-	r.Intern("b", 0)
-	r.Intern("c", 1)
-	ps := r.AllPositions()
-	if len(ps) != 3 {
-		t.Fatalf("AllPositions len = %d, want 3 (nullary contributes none)", len(ps))
-	}
-}
-
 func TestFallbackNames(t *testing.T) {
 	r := NewRegistry()
 	if r.Name(PredID(42)) == "" {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -571,4 +572,58 @@ func TestRecoverLegacyCheckpoint(t *testing.T) {
 			t.Fatalf("health = %q, want %q", h, HealthBroken)
 		}
 	})
+}
+
+// TestCSVBatchReplaysUnderBudget: a bulk-load batch lands under the same
+// write budget its WAL record replays under. A 30-edge chain loaded in
+// 5-row batches under MaxDerived 50 lands two batches (15, then 40 new
+// closure facts) and fails live on the third (65): the load reports the
+// typed error, and a restart recovers exactly the two acknowledged
+// batches with a healthy service — before, the load was accepted
+// unbudgeted and its record failed recovery.
+func TestCSVBatchReplaysUnderBudget(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Fsync: "never", CheckpointEvery: 1 << 20, MaxDerived: 50, CSVBatch: 5}
+	open := func() *Service {
+		t.Helper()
+		svc, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Recover(context.Background()); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		return svc
+	}
+	svc := open()
+	if _, err := svc.Load(tcProgram); err != nil {
+		t.Fatal(err)
+	}
+	var csv strings.Builder
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&csv, "n%d,n%d\n", i, i+1)
+	}
+	_, seq, err := svc.LoadCSV("e", strings.NewReader(csv.String()))
+	if !errors.Is(err, plan.ErrOverBudget) {
+		t.Fatalf("over-budget bulk load: %v", err)
+	}
+	mirror := baseMirror{}
+	for i := 0; i < 10; i++ {
+		mirror[fmt.Sprintf("e(n%d,n%d)", i, i+1)] = true
+	}
+	if st := svc.Stats(); st.Epoch != seq || st.Durability.Records != 2 {
+		t.Fatalf("after the failed load: epoch %d (load reported %d), %d WAL records, want 2", st.Epoch, seq, st.Durability.Records)
+	}
+	assertMatchesOracle(t, svc, mirror, "live, after the failed batch")
+	svc.Close()
+
+	svc2 := open()
+	defer svc2.Close()
+	if h := svc2.Health(); h != HealthOK {
+		t.Fatalf("health after recovery = %q", h)
+	}
+	if got := svc2.Stats().Durability.ReplayedRecords; got != 2 {
+		t.Fatalf("replayed %d records, want 2", got)
+	}
+	assertMatchesOracle(t, svc2, mirror, "recovered")
 }

@@ -71,9 +71,9 @@ var demandGoals = []string{
 // every view program × goal, on a fresh epoch, the answer of the path the
 // service picks — demand evaluation exactly when a constant binds a view
 // atom of negation-free rules, asserted on the trace — equals the answer
-// read off the full overlay (forced by building it with an all-free goal
-// first) and the private-clone oracle; a truncating limit returns that
-// many of the same rows.
+// of its repeat, a cache hit on the epoch that since also holds the full
+// overlay, and the private-clone oracle, as the full view's answers equal
+// theirs; a truncating limit returns that many of the same rows.
 func TestDemandMatchesFullOverlay(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -95,12 +95,21 @@ func TestDemandMatchesFullOverlay(t *testing.T) {
 				if got := first.Explain.View; got.Demand != wantDemand || got.CacheHit {
 					t.Fatalf("%s: demand = %v (cache hit %v), want demand = %v", label, got.Demand, got.CacheHit, wantDemand)
 				}
-				full := mustQuery(t, svc, &QueryRequest{Query: dv.rules + "?(X,Y) :- " + dv.goal + "(X,Y).", Explain: true})
+				freeSrc := dv.rules + "?(X,Y) :- " + dv.goal + "(X,Y)."
+				full := mustQuery(t, svc, &QueryRequest{Query: freeSrc, Explain: true})
 				if full.Explain.View.Demand || full.Explain.View.CacheHit == wantDemand {
 					t.Fatalf("%s: all-free goal after it: %+v", label, full.Explain.View)
 				}
+				wantFull := viewCloneOracle(t, svc, freeSrc)
+				sortRows(full.Tuples)
+				sortRows(wantFull)
+				if len(wantFull) != len(full.Tuples) || (len(wantFull) > 0 && !reflect.DeepEqual(full.Tuples, wantFull)) {
+					t.Fatalf("%s: full view\n%v\noracle %v", label, full.Tuples, wantFull)
+				}
+				// The repeat reads the overlay the first query built: its own
+				// evaluation's, on demand or full, never another goal's.
 				second := mustQuery(t, svc, &QueryRequest{Query: src, Explain: true})
-				if got := second.Explain.View; got.Demand || !got.CacheHit {
+				if got := second.Explain.View; got.Demand != wantDemand || !got.CacheHit {
 					t.Fatalf("%s: bound goal on a built overlay: %+v", label, got)
 				}
 				want := viewCloneOracle(t, svc, src)
@@ -258,66 +267,156 @@ func TestCompiledRewritingOwnedByGeneration(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
 	const goal = "back(Y,X) :- t(X,Y). ?(X) :- back(%s,X)."
-	// entry returns the served generation's one rewriting.
-	entry := func() *demand {
+	// entry returns the served generation's one view plan.
+	entry := func() *viewPlan {
 		t.Helper()
-		e, err := svc.acquire()
-		if err != nil {
-			t.Fatal(err)
+		vs := viewPlans(t, svc)
+		if len(vs) != 1 {
+			t.Fatalf("generation holds %d view plans, want 1", len(vs))
 		}
-		defer e.release()
-		e.gen.planMu.RLock()
-		defer e.gen.planMu.RUnlock()
-		if len(e.gen.rewrites) != 1 {
-			t.Fatalf("generation holds %d rewritings, want 1", len(e.gen.rewrites))
+		if vs[0].magic == nil {
+			t.Fatal("bound goal compiled as a full view")
 		}
-		for _, d := range e.gen.rewrites {
-			if d == nil {
-				t.Fatal("bound goal cached as a full-view shape")
-			}
-			return d
-		}
-		return nil
+		return vs[0]
 	}
-	// ran asserts that the traced evaluation ran d's compiled plans.
-	ran := func(tr *QueryTrace, d *demand) {
+	// ran asserts that the traced evaluation ran v's compiled plans.
+	ran := func(tr *QueryTrace, v *viewPlan) {
 		t.Helper()
 		if !tr.View.Demand || len(tr.View.JoinOrders) == 0 {
 			t.Fatalf("view trace %+v, want a demand evaluation", tr.View)
 		}
 		for _, jo := range tr.View.JoinOrders {
-			if !variantOf(d.rules, jo.Order) {
+			if !variantOf(v.rules, jo.Order) {
 				t.Fatalf("join %+v does not come from the generation's compiled rules", jo)
 			}
 		}
-		if &tr.CQ.JoinOrder[0] != &d.goal.Order[0] {
+		if &tr.CQ.JoinOrder[0] != &v.goal.Order[0] {
 			t.Fatal("goal ran a plan other than the generation's")
 		}
 	}
 
 	mustLoad(t, svc, chainSource(16))
 	first := explainQuery(t, svc, &QueryRequest{Query: fmt.Sprintf(goal, "n5")})
-	d := entry()
-	ran(first, d)
+	v := entry()
+	ran(first, v)
 	second := explainQuery(t, svc, &QueryRequest{Query: fmt.Sprintf(goal, "n9")})
-	if entry() != d || !second.View.RewriteCached || !second.CQ.Cached {
+	if entry() != v || !second.View.RewriteCached || !second.CQ.Cached {
 		t.Fatalf("second constant did not reuse the compiled rewriting: view %+v", second.View)
 	}
-	ran(second, d)
+	ran(second, v)
 	if first.Rows == second.Rows {
 		t.Fatalf("both constants returned %d rows", first.Rows)
 	}
 
 	mustLoad(t, svc, chainSource(16))
 	reloaded := explainQuery(t, svc, &QueryRequest{Query: fmt.Sprintf(goal, "n5")})
-	d2 := entry()
-	if d2.rules == d.rules || d2.goal == d.goal || reloaded.View.RewriteCached {
+	v2 := entry()
+	if v2.rules == v.rules || v2.goal == v.goal || reloaded.View.RewriteCached {
 		t.Fatal("reload served the previous generation's compiled rewriting")
 	}
-	ran(reloaded, d2)
+	ran(reloaded, v2)
 	if reloaded.Rows != first.Rows {
 		t.Fatalf("reload answers %d rows, first load %d", reloaded.Rows, first.Rows)
 	}
+}
+
+// viewPlans returns the served generation's compiled view plans, one per
+// goal shape (the full view's shared rules entry excluded).
+func viewPlans(t *testing.T, svc *Service) []*viewPlan {
+	t.Helper()
+	e, err := svc.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+	c := &e.gen.views
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var vs []*viewPlan
+	for k, v := range c.m {
+		if k.goal != "" {
+			vs = append(vs, v)
+		}
+	}
+	return vs
+}
+
+// TestViewEntrySharedAcrossEpochs: the generation compiles a view's rules
+// once. Two goal shapes over the same rules, on two epochs, evaluate the
+// one full-view program it holds — both builds' traced join orders are
+// that program's own slices — and the second shape reads the first's
+// overlay on the epoch that has it.
+func TestViewEntrySharedAcrossEpochs(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, chainSource(12))
+	const rules = "back(X,Y) :- t(Y,X). "
+	pairs, firsts := rules+"?(X,Y) :- back(X,Y).", rules+"?(Y) :- back(X,Y)."
+
+	built := explainQuery(t, svc, &QueryRequest{Query: pairs})
+	shared := explainQuery(t, svc, &QueryRequest{Query: firsts})
+	bumpEpoch(t, svc)
+	rebuilt := explainQuery(t, svc, &QueryRequest{Query: firsts})
+	if built.View.CacheHit || !shared.View.CacheHit || rebuilt.View.CacheHit || rebuilt.View.Demand {
+		t.Fatalf("views: built %+v, other shape %+v, next epoch %+v", built.View, shared.View, rebuilt.View)
+	}
+	vs := viewPlans(t, svc)
+	if len(vs) != 2 || vs[0] != vs[1] || vs[0].magic != nil {
+		t.Fatalf("generation holds %d goal shapes, want 2 sharing one full-view program", len(vs))
+	}
+	for _, tr := range []*QueryTrace{built, rebuilt} {
+		for _, jo := range tr.View.JoinOrders {
+			if !variantOf(vs[0].rules, jo.Order) {
+				t.Fatalf("join %+v does not come from the generation's compiled view rules", jo)
+			}
+		}
+	}
+	if got := svc.Stats().ViewBuilds; got != 2 {
+		t.Fatalf("ViewBuilds = %d, want one per epoch", got)
+	}
+}
+
+// TestViewEntryRepeatHitsUntilWrite: a repeated bound view query on an
+// unchanged epoch is a cache hit on the overlay its first run evaluated
+// on demand, with the same answers; a write that changes nothing keeps
+// the epoch and the hit, and a write that changes the instance publishes
+// an epoch on which the same query misses again and sees the write.
+func TestViewEntryRepeatHitsUntilWrite(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, chainSource(12))
+	req := &QueryRequest{Query: "back(X,Y) :- t(Y,X). ?(X) :- back(n11,X).", Explain: true}
+	run := func(label string, wantHit bool, wantRows int) *QueryResponse {
+		t.Helper()
+		st0 := svc.Stats()
+		resp := mustQuery(t, svc, req)
+		vt, st := resp.Explain.View, svc.Stats()
+		if !vt.Demand || vt.CacheHit != wantHit || len(resp.Tuples) != wantRows {
+			t.Fatalf("%s: view %+v, %d rows, want hit %v and %d rows", label, vt, len(resp.Tuples), wantHit, wantRows)
+		}
+		if hits, builds := st.ViewHits-st0.ViewHits, st.ViewBuilds-st0.ViewBuilds; (hits == 1) != wantHit || hits+builds != 1 {
+			t.Fatalf("%s: view_cache_hits moved by %d, view_builds by %d", label, hits, builds)
+		}
+		sortRows(resp.Tuples)
+		return resp
+	}
+	first := run("first", false, 11)
+	repeat := run("repeat", true, 11)
+	if !reflect.DeepEqual(first.Tuples, repeat.Tuples) || repeat.Epoch != first.Epoch {
+		t.Fatalf("repeat answered %v at epoch %d, first %v at epoch %d", repeat.Tuples, repeat.Epoch, first.Tuples, first.Epoch)
+	}
+	if _, err := svc.Insert("e(n0,n1)."); err != nil {
+		t.Fatal(err)
+	}
+	run("after an unchanged write", true, 11)
+	if _, err := svc.Insert("e(x0,n0)."); err != nil {
+		t.Fatal(err)
+	}
+	after := run("after a write", false, 12)
+	if !containsRow(after.Tuples, []string{"x0"}) {
+		t.Fatalf("after the write: %v, want x0 among the answers", after.Tuples)
+	}
+	run("repeat after the write", true, 12)
 }
 
 // variantOf reports whether order is the join order slice of one of the

@@ -202,7 +202,7 @@ func (s *Service) loadCheckpoint(sections [][]byte) error {
 	if err != nil {
 		return err
 	}
-	s.gen = newGeneration(prog)
+	s.gen = &generation{prog: prog}
 	s.eng = eng
 	return nil
 }

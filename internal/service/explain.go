@@ -100,11 +100,11 @@ type ViewTrace struct {
 	// Rules counts the rules evaluated: the view rules, or under Demand
 	// the rules of their rewriting.
 	Rules int `json:"rules"`
-	// Demand: the query's constants bound a view atom, so the rules'
-	// magic-set rewriting ran from the goal's seed fact into a throwaway
-	// overlay instead of the full view being built. Adornment names the
-	// goal's adorned view atoms ("back#bf"), MagicDerived counts the facts
-	// of the magic predicates (the demand bookkeeping inside Derived), and
+	// Demand: the query's constants bound a view atom, so the overlay is
+	// the rules' magic-set rewriting evaluated from the goal's seed fact,
+	// not the full view. Adornment names the goal's adorned view atoms
+	// ("back#bf"), MagicDerived counts the overlay's facts of the magic
+	// predicates (the demand bookkeeping inside Derived), and
 	// RewriteCached reports that the rewriting, compiled rules and goal
 	// plan included, came from the generation's cache. The CQ trace then
 	// describes the adorned goal, whose atom 0 is the seed atom.
@@ -112,9 +112,10 @@ type ViewTrace struct {
 	Adornment     string `json:"adornment,omitempty"`
 	MagicDerived  int    `json:"magic_derived,omitempty"`
 	RewriteCached bool   `json:"rewrite_cached,omitempty"`
-	// CacheHit: the overlay came from the epoch's view cache (the build
-	// fields below are zero — the work happened in an earlier query,
-	// possibly a concurrent one this query waited on).
+	// CacheHit: the overlay — the full view, or the rewriting's for the
+	// same constants — came from the epoch's view cache (the build fields
+	// below are zero — the work happened in an earlier query, possibly a
+	// concurrent one this query waited on).
 	CacheHit bool  `json:"cache_hit"`
 	Rounds   int   `json:"rounds,omitempty"`
 	Derived  int   `json:"derived,omitempty"`

@@ -37,9 +37,10 @@ const queryCancelStride = 256
 //     "tc(X,Y) :- e(X,Y). tc(X,Z) :- e(X,Y), tc(Y,Z). ?(X) :- tc(a,X)."
 //     View rules evaluate into a copy-on-write overlay of the epoch
 //     snapshot: on demand (magic-set rewriting) when a constant of the
-//     query binds a view atom, else in full, cached per (epoch,
-//     view-rules shape) so repeated queries of an unchanged epoch reuse
-//     the materialization; a bare
+//     query binds a view atom, else in full. The evaluation compiles once
+//     per (generation, rules shape, goal shape), and its overlay is cached
+//     per (epoch, evaluation, constants), so a repeated view query of an
+//     unchanged epoch reuses the materialization; a bare
 //     "?(..) :- body." conjunctive query compiles to a plan.CQPlan
 //     (cached per (generation, query shape)) and streams straight off
 //     the snapshot.
@@ -403,37 +404,28 @@ func (s *Service) patternQueryStream(bud *plan.Budget, e *epoch, req *QueryReque
 // Bound positions read the frame (ArgBound), free positions bind it
 // (ArgBind); slot i is position i.
 func (s *Service) patternPlan(g *generation, pid schema.PredID, mask uint64, arity int) (*storage.ScanPlan, bool) {
-	k := planKey{pred: pid, mask: mask}
-	g.planMu.RLock()
-	p, ok := g.plans[k]
-	g.planMu.RUnlock()
-	if ok {
-		return p, true
-	}
-	args := make([]storage.ScanArg, arity)
-	for i := 0; i < arity; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			args[i] = storage.ScanArg{Mode: storage.ArgBound, Slot: i}
-		} else {
-			args[i] = storage.ScanArg{Mode: storage.ArgBind, Slot: i}
+	return g.plans.get(planKey{pred: pid, mask: mask}, func() *storage.ScanPlan {
+		args := make([]storage.ScanArg, arity)
+		for i := range args {
+			if mask&(1<<uint(i)) != 0 {
+				args[i] = storage.ScanArg{Mode: storage.ArgBound, Slot: i}
+			} else {
+				args[i] = storage.ScanArg{Mode: storage.ArgBind, Slot: i}
+			}
 		}
-	}
-	p = storage.CompileScan(pid, args)
-	g.planMu.Lock()
-	g.plans[k] = p
-	g.planMu.Unlock()
-	return p, false
+		return storage.CompileScan(pid, args)
+	})
 }
 
 // ruleQueryStream parses "view rules + one query" source against the
 // generation's naming context and evaluates it over the epoch snapshot:
 // view rules evaluate into a copy-on-write overlay, the query itself runs
-// as a cached compiled CQPlan streaming through the sink. The input alone
-// picks how the view is evaluated: an epoch that already holds the shape's
-// full overlay serves it; else a query whose constants bind a view atom
-// (over negation-free rules) evaluates on demand — the magic-set rewriting
-// derives only what the goal reaches, into an overlay used once and
-// dropped; else the full overlay is built and cached.
+// as a cached compiled CQPlan streaming through the sink. Every view query
+// takes one path: it looks up the generation's compiled evaluation of its
+// (rules, goal shape) — the magic-set rewriting when a constant of the
+// goal binds a view atom of negation-free rules, else the view rules
+// themselves — and reads that evaluation's overlay for its constants from
+// the epoch's cache, building it on a miss.
 func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit int, sink Sink, tr *QueryTrace) (queryClass, int, error) {
 	prog := e.gen.prog
 	class := classCQ
@@ -460,22 +452,22 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 	)
 	if len(tmp.TGDs) > 0 {
 		class = classView
-		vk := viewKey(tmp.TGDs)
+		v, consts, hit := s.compileView(e.gen, tmp, q)
+		if sdb, err = s.viewOverlay(bud, e, v, consts, tr); err != nil {
+			return class, 0, err
+		}
 		name := "view_build"
-		if d, consts, hit := s.demandRewrite(e, vk, tmp, q); d != nil {
-			name, q, p, cached = "view_demand", d.Query, d.goal, hit
-			sdb, err = s.buildOverlay(bud, e, d.rules, atom.New(d.Seed, consts...), tr)
-			if tr != nil && err == nil {
-				tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, d.Adornment, hit
-				for _, p := range d.MagicPreds {
-					tr.View.MagicDerived += sdb.CountPred(p)
+		if v.magic != nil {
+			q, p, cached, name = v.magic.Query, v.goal, hit, "view_demand"
+			if tr != nil {
+				tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, v.magic.Adornment, hit
+				for _, mp := range v.magic.MagicPreds {
+					tr.View.MagicDerived += sdb.CountPred(mp)
 				}
 			}
-		} else if sdb, err = s.viewOverlay(bud, e, vk, tmp, tr); err == nil && tr != nil && tr.View.CacheHit {
-			name = "view_cache"
 		}
-		if err != nil {
-			return class, 0, err
+		if tr != nil && tr.View.CacheHit {
+			name = "view_cache"
 		}
 		mark = tr.stage(name, mark)
 	}
@@ -530,62 +522,33 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 // Keys are structural (predicate and term IDs), so textual re-parses of
 // the same query hit.
 func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, bool) {
-	k := cqKey(q)
-	g.planMu.RLock()
-	p, ok := g.cqPlans[k]
-	g.planMu.RUnlock()
-	if ok {
-		return p, true
-	}
-	p = plan.CompileCQ(q)
-	g.planMu.Lock()
-	if len(g.cqPlans) >= maxCQPlans {
-		clear(g.cqPlans)
-	}
-	g.cqPlans[k] = p
-	g.planMu.Unlock()
-	return p, false
+	return g.cqPlans.get(cqKey(q), func() *plan.CQPlan { return plan.CompileCQ(q) })
 }
 
-// maxCQPlans bounds a generation's compiled-CQ cache and its rewriting
-// cache; an adversarial stream of distinct shapes resets a cache rather
-// than growing it.
-const maxCQPlans = 256
-
-// demand is a magic-set rewriting of (view rules, goal shape) compiled
-// for reuse: the rewritten rules' program and the adorned goal's plan.
-// The generation that caches it owns both, so they live and die with the
-// loaded program.
-type demand struct {
-	*analysis.Magic
+// viewPlan is one view query's evaluation compiled for a generation,
+// which owns it: the magic-set rewriting of (view rules, goal shape) with
+// its compiled rules and adorned goal plan, or — when analysis.MagicSets
+// finds no binding to push — the compiled view rules alone, one program
+// shared by every goal shape over the same rules.
+type viewPlan struct {
 	rules *plan.Program
-	goal  *plan.CQPlan
+	magic *analysis.Magic // nil: the full view
+	goal  *plan.CQPlan    // the adorned goal's plan; nil without magic
 }
 
-// demandRewrite returns the compiled magic-set rewriting of (view rules,
-// query) and the query's constants — the seed fact's arguments — or nil
-// when the query takes the full-overlay path: the epoch already holds the
-// finished overlay (one still building does not count — a bound query
-// does not wait out someone else's whole-view build), or
-// analysis.MagicSets finds no binding to push. Rewritings are cached per
-// generation by the rules' shape plus the query's shape with its
-// constants blanked: one entry serves every constant, so a demand read
-// compiles nothing once its shape is cached. hit reports that the cache
-// had it.
-func (s *Service) demandRewrite(e *epoch, vk string, view *logic.Program, q *logic.CQ) (d *demand, consts []term.Term, hit bool) {
-	e.ovMu.Lock()
-	ent := e.overlays[vk]
-	e.ovMu.Unlock()
-	if ent != nil {
-		select {
-		case <-ent.ready:
-			if ent.err == nil {
-				return nil, nil, false
-			}
-		default:
-		}
-	}
-	b := append([]byte(vk), '?')
+// viewShape keys a generation's view plans: the rules' shape plus the
+// goal's shape with its constants blanked (see compileView), or an empty
+// goal for the full view's compiled rules.
+type viewShape struct{ rules, goal string }
+
+// compileView returns the generation's compiled evaluation of (view rules,
+// query) and, for a rewriting, the query's constants — the seed fact's
+// arguments. One entry serves every constant of a goal shape, so a view
+// read compiles nothing once its shape is cached; hit reports that the
+// cache had it.
+func (s *Service) compileView(g *generation, view *logic.Program, q *logic.CQ) (v *viewPlan, consts []term.Term, hit bool) {
+	rules := viewKey(view.TGDs)
+	b := []byte{'?'}
 	for _, t := range q.Output {
 		b = appendTerm(b, t)
 	}
@@ -600,33 +563,36 @@ func (s *Service) demandRewrite(e *epoch, vk string, view *logic.Program, q *log
 			}
 		}
 	}
-	if len(consts) == 0 {
-		return nil, nil, false
-	}
-	g, k := e.gen, string(b)
-	g.planMu.RLock()
-	d, hit = g.rewrites[k]
-	g.planMu.RUnlock()
-	if !hit {
-		if mg := analysis.MagicSets(view, q); mg != nil {
-			d = &demand{Magic: mg, rules: plan.Compile(mg.Prog, plan.Options{DeltaFirst: true}), goal: plan.CompileCQ(mg.Query)}
+	v, hit = g.views.get(viewShape{rules, string(b)}, func() *viewPlan {
+		if len(consts) > 0 {
+			if mg := analysis.MagicSets(view, q); mg != nil {
+				return &viewPlan{rules: plan.Compile(mg.Prog, plan.Options{DeltaFirst: true}), magic: mg, goal: plan.CompileCQ(mg.Query)}
+			}
 		}
-		g.planMu.Lock()
-		if len(g.rewrites) >= maxCQPlans {
-			clear(g.rewrites)
-		}
-		g.rewrites[k] = d
-		g.planMu.Unlock()
+		full, _ := g.views.get(viewShape{rules: rules}, func() *viewPlan {
+			return &viewPlan{rules: plan.Compile(view, plan.Options{DeltaFirst: true})}
+		})
+		return full
+	})
+	if v.magic == nil {
+		consts = nil
 	}
-	return d, consts, hit
+	return v, consts, hit
 }
 
-// maxOverlays bounds an epoch's materialized-view cache; shapes beyond
-// the cap build uncached overlays (correct, just not reused).
+// maxOverlays bounds an epoch's materialized-view cache; overlays beyond
+// the cap build uncached (correct, just not reused).
 const maxOverlays = 64
 
-// overlayEntry is one (epoch, view-rules shape) materialization. ready
-// closes when db/err are set; late arrivals for the same shape wait on it
+// overlayKey keys an epoch's overlays: the compiled rules evaluated and
+// the seed constants they started from (none for a full view).
+type overlayKey struct {
+	rules  *plan.Program
+	consts string
+}
+
+// overlayEntry is one (epoch, rules, constants) materialization. ready
+// closes when db/err are set; late arrivals for the same key wait on it
 // instead of duplicating the fixpoint (single-flight).
 type overlayEntry struct {
 	ready chan struct{}
@@ -634,26 +600,32 @@ type overlayEntry struct {
 	err   error
 }
 
-// viewOverlay returns the materialization of the view rules over the
-// epoch snapshot: a copy-on-write overlay DB (storage.Overlay) into which
-// the rules' fixpoint evaluated in place. Reads of base predicates fall
-// through to the frozen snapshot backings with zero copying; only the
-// relations the view rules actually derive into hold private structures.
-// The overlay is cached on the epoch keyed by the rules' structural
-// shape, so every query of an unchanged epoch after the first pays zero
-// materialization and zero snapshot-copy cost; the cache (and the
-// borrowed backings) die with the epoch's refcount.
+// viewOverlay returns the evaluation of a view plan over the epoch
+// snapshot: a copy-on-write overlay DB (storage.Overlay) into which the
+// rules' fixpoint evaluated in place — from the seed fact of the given
+// constants for a rewriting, from the snapshot alone for a full view.
+// Reads of base predicates fall through to the frozen snapshot backings
+// with zero copying; only the relations the rules derive into hold
+// private structures. The overlay is cached on the epoch keyed by
+// (compiled rules, constants), so a repeated view query of an unchanged
+// epoch pays zero materialization and zero snapshot-copy cost; the cache
+// (and the borrowed backings) die with the epoch's refcount.
 //
 // The build runs under the REQUESTER's budget. An aborted or failed
 // build is evicted before its waiters wake (never cached, never served);
 // a waiter whose builder aborted — but whose own budget is still live —
 // retries as the new builder under its own allowance, so one canceled
-// client never poisons the shape for everyone behind it.
-func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.Program, tr *QueryTrace) (*storage.DB, error) {
+// client never poisons the key for everyone behind it.
+func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, v *viewPlan, consts []term.Term, tr *QueryTrace) (*storage.DB, error) {
+	var b []byte
+	for _, c := range consts {
+		b = appendTerm(b, c)
+	}
+	k := overlayKey{v.rules, string(b)}
 	for {
 		e.ovMu.Lock()
 		if e.overlays == nil {
-			e.overlays = make(map[string]*overlayEntry)
+			e.overlays = make(map[overlayKey]*overlayEntry)
 		}
 		if ent, ok := e.overlays[k]; ok {
 			e.ovMu.Unlock()
@@ -668,7 +640,7 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 				if ent.err == nil {
 					s.viewHits.Add(1)
 					if tr != nil {
-						tr.View = &ViewTrace{Rules: len(view.TGDs), CacheHit: true}
+						tr.View = &ViewTrace{Rules: len(v.rules.Rules), CacheHit: true}
 					}
 				}
 				return ent.db, ent.err
@@ -683,53 +655,55 @@ func (s *Service) viewOverlay(bud *plan.Budget, e *epoch, k string, view *logic.
 		}
 		e.ovMu.Unlock()
 
-		s.viewFull.Add(1)
-		db, err := s.buildOverlay(bud, e, plan.Compile(view, plan.Options{DeltaFirst: true}), atom.Atom{}, tr)
+		db, err := s.buildOverlay(bud, e, v, consts, tr)
+		if ent == nil {
+			return db, err
+		}
 		if err == nil {
-			// Any number of queries read a finished overlay at once, and a
-			// probe of a writer-owned store may build an index: serve its
-			// frozen view. The view lives and dies with the epoch like the
-			// overlay itself, so nothing waits on its pins.
-			db = db.Snapshot().DB()
+			// Any number of later queries read a finished overlay at once,
+			// and a probe of a writer-owned store may build an index: they
+			// read its frozen view, while the builder, its one writer, reads
+			// on in the overlay itself. The view lives and dies with the
+			// epoch like the overlay, so nothing waits on its pins.
+			ent.db = db.Snapshot().DB()
+		} else {
+			// Evict BEFORE closing ready: a woken waiter re-probes the
+			// map and can never re-read (or re-wait on) the dead entry.
+			e.ovMu.Lock()
+			delete(e.overlays, k)
+			e.ovMu.Unlock()
+			ent.err = err
 		}
-		if ent != nil {
-			if err != nil {
-				// Evict BEFORE closing ready: a woken waiter re-probes the
-				// map and can never re-read (or re-wait on) the dead entry.
-				e.ovMu.Lock()
-				delete(e.overlays, k)
-				e.ovMu.Unlock()
-			}
-			ent.db, ent.err = db, err
-			close(ent.ready)
-		}
+		close(ent.ready)
 		return db, err
 	}
 }
 
-// buildOverlay evaluates compiled rules — view rules, or their demand
-// rewriting from the goal's seed fact (no seed: nil Args) — into a fresh
-// overlay of the epoch snapshot. The fixpoint runs in place (datalog.
-// Options.InPlace): the overlay IS the private copy, so no clone precedes
-// it — and on abort the partially evaluated overlay is simply dropped;
-// the snapshot backings it borrowed stay pinned by the epoch, untouched.
-func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, rules *plan.Program, seed atom.Atom, tr *QueryTrace) (*storage.DB, error) {
+// buildOverlay evaluates a view plan's compiled rules into a fresh
+// overlay of the epoch snapshot, a rewriting from its seed fact over the
+// constants. The fixpoint runs in place (datalog.Options.InPlace): the
+// overlay IS the private copy, so no clone precedes it — and on abort the
+// partially evaluated overlay is simply dropped; the snapshot backings it
+// borrowed stay pinned by the epoch, untouched.
+func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, v *viewPlan, consts []term.Term, tr *QueryTrace) (*storage.DB, error) {
 	var pt *plan.Tracer
 	if tr != nil {
 		pt = &plan.Tracer{}
 	}
 	ov := e.snap.DB().Overlay()
-	if seed.Args != nil {
+	if v.magic != nil {
 		s.viewDemand.Add(1)
-		ov.Insert(seed)
+		ov.Insert(atom.New(v.magic.Seed, consts...))
+	} else {
+		s.viewFull.Add(1)
 	}
-	if _, _, err := datalog.Run(rules, ov, datalog.Options{
+	if _, _, err := datalog.Run(v.rules, ov, datalog.Options{
 		Stratify: true, InPlace: true, Budget: bud, Tracer: pt,
 	}); err != nil {
 		return nil, fmt.Errorf("service: view: %w", err)
 	}
 	if tr != nil {
-		tr.View = buildViewTrace(rules, pt)
+		tr.View = buildViewTrace(v.rules, pt)
 	}
 	return ov, nil
 }

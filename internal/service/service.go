@@ -159,26 +159,49 @@ type Service struct {
 // it).
 type generation struct {
 	prog *logic.Program
-	// The maps share planMu: pattern scan plans by (pred, bound mask),
-	// compiled conjunctive queries by structural shape (see cqKey),
-	// compiled magic-set rewritings of view queries by rules and goal
-	// shape (see demandRewrite; nil marks a shape that must build the
-	// full view). An RWMutex-guarded map rather than sync.Map: the read
-	// path is one RLock and one map probe with no key boxing, keeping the
-	// ground-lookup fast path in the hundreds of nanoseconds.
-	planMu   sync.RWMutex
-	plans    map[planKey]*storage.ScanPlan
-	cqPlans  map[string]*plan.CQPlan
-	rewrites map[string]*demand
+	// Pattern scan plans by (pred, bound mask), compiled conjunctive
+	// queries by structural shape (see cqKey), and view queries' compiled
+	// evaluations by rules and goal shape (see compileView).
+	plans   planCache[planKey, *storage.ScanPlan]
+	cqPlans planCache[string, *plan.CQPlan]
+	views   planCache[viewShape, *viewPlan]
 }
 
-func newGeneration(prog *logic.Program) *generation {
-	return &generation{
-		prog:     prog,
-		plans:    make(map[planKey]*storage.ScanPlan),
-		cqPlans:  make(map[string]*plan.CQPlan),
-		rewrites: make(map[string]*demand),
+// maxPlans bounds each of a generation's plan caches; an adversarial
+// stream of distinct shapes resets a cache rather than growing it.
+const maxPlans = 256
+
+// planCache is one of a generation's caches of compiled plans: a map
+// behind an RWMutex rather than a sync.Map, so a hit is one RLock and one
+// map probe with no key boxing, keeping the ground-lookup fast path in
+// the hundreds of nanoseconds. The zero value is an empty cache.
+type planCache[K comparable, V any] struct {
+	mu sync.RWMutex
+	m  map[K]V
+}
+
+// get returns the entry for k, compiling it (outside the lock) and
+// inserting it on a miss; the second result reports a hit. Concurrent
+// misses of one key all return the entry inserted first, so every caller
+// holds the same compiled value (the epoch's overlay cache keys by it).
+func (c *planCache[K, V]) get(k K, compile func() V) (V, bool) {
+	c.mu.RLock()
+	v, ok := c.m[k]
+	c.mu.RUnlock()
+	if ok {
+		return v, true
 	}
+	v = compile()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, ok := c.m[k]; ok {
+		return w, false
+	}
+	if len(c.m) >= maxPlans || c.m == nil {
+		c.m = make(map[K]V)
+	}
+	c.m[k] = v
+	return v, false
 }
 
 // epoch is one published snapshot of one generation.
@@ -197,12 +220,12 @@ type epoch struct {
 	walRecords, walBytes uint64
 	published            time.Time
 	// overlays caches materialized rule-defined views of this epoch's
-	// snapshot, keyed by the view rules' structural shape (see
+	// snapshot, keyed by compiled rules and seed constants (see
 	// viewOverlay). Overlay DBs borrow the snapshot's backings, so the
 	// cache's lifetime is exactly the epoch's: the last release drops the
 	// map with the snapshot pins.
 	ovMu     sync.Mutex
-	overlays map[string]*overlayEntry
+	overlays map[overlayKey]*overlayEntry
 	// refs counts the publisher (1) plus every in-flight query. The
 	// publisher's reference drops when the epoch is retired by the next
 	// publish (or Close); the last release triggers pin release and a
@@ -295,16 +318,11 @@ func (s *Service) LoadCtx(ctx context.Context, src string) (uint64, error) {
 	return s.LoadProgramCtx(ctx, res.Program, db)
 }
 
-// LoadProgram is the embedding entry point of Load: materialize an
-// already-parsed program over the given base facts and publish the first
-// epoch of a fresh generation. The engine evaluates into a Clone of base,
-// so the caller keeps ownership, but cloning a live DB is a write: base
-// must not be used concurrently with the call.
-func (s *Service) LoadProgram(prog *logic.Program, base *storage.DB) (uint64, error) {
-	return s.LoadProgramCtx(context.Background(), prog, base)
-}
-
-// LoadProgramCtx is LoadProgram with the LoadCtx budget semantics.
+// LoadProgramCtx is the embedding entry point of LoadCtx: materialize an
+// already-parsed program over the given base facts under the same budget
+// and publish the first epoch of a fresh generation. The engine evaluates
+// into a Clone of base, so the caller keeps ownership, but cloning a live
+// DB is a write: base must not be used concurrently with the call.
 func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base *storage.DB) (uint64, error) {
 	if s.recovering.Load() {
 		return 0, ErrRecovering
@@ -324,7 +342,7 @@ func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base 
 	// their epoch's generation pointer, so they resolve and render
 	// against the old naming context, with its compiled plans, until
 	// they drain.
-	s.gen = newGeneration(prog)
+	s.gen = &generation{prog: prog}
 	s.eng = eng
 	// A program replace rebases the whole durable state: it is
 	// acknowledged by an immediate checkpoint, not a WAL record.
@@ -345,19 +363,21 @@ func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base 
 //     interning is concurrent-safe, so in-flight queries keep parsing
 //     and rendering against the same naming context;
 //   - a merger goroutine lands each filled buffer under a SHORT writer
-//     critical section (the engine's MergeBuffers-based InsertBulk plus
-//     one delta fixpoint) and publishes an epoch per batch, so readers
-//     see load progress batch by batch instead of one epoch at the end;
+//     critical section (the engine's MergeBuffers-based bulk insert plus
+//     one delta fixpoint, under the write budget) and publishes an epoch
+//     per batch, so readers see load progress batch by batch instead of
+//     one epoch at the end;
 //   - two buffers rotate between the stages (relio.LoadBufferedSwap):
 //     batch k+1 parses while batch k merges.
 //
 // Returns rows staged and the last published epoch.
 //
 // The load is batch-committed, not transactional: on a mid-stream error
-// (ragged row, arity conflict) the batches already landed stay applied
-// and published — the returned error and epoch report exactly what
-// committed. A Load replacing the program mid-stream aborts the rest of
-// the stream; epochs of the old generation stay consistent.
+// (ragged row, arity conflict, a batch over budget) the batches already
+// landed stay applied and published — the returned error and epoch
+// report exactly what committed. A Load replacing the program mid-stream
+// aborts the rest of the stream; epochs of the old generation stay
+// consistent.
 func (s *Service) LoadCSV(pred string, r io.Reader) (int, uint64, error) {
 	if s.recovering.Load() {
 		return 0, 0, ErrRecovering
@@ -375,15 +395,20 @@ func (s *Service) LoadCSV(pred string, r io.Reader) (int, uint64, error) {
 		landed  int
 		lastSeq uint64
 	)
-	// apply lands one staged batch and publishes the epoch containing it.
+	// apply lands one staged batch under the write budget — the one its
+	// WAL record replays under — and publishes the epoch containing it.
+	// An aborted batch publishes nothing and recovers the engine.
 	apply := func(b *storage.TupleBuffer) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if s.eng == nil || s.gen != gen {
 			return errors.New("program replaced mid-stream")
 		}
-		n, err := s.eng.InsertBulk([]*storage.TupleBuffer{b})
+		bud, cancel := s.writeBudget(context.Background())
+		defer cancel()
+		n, err := s.eng.InsertBulkBudgeted(bud, []*storage.TupleBuffer{b})
 		if err != nil {
+			s.recoverEngine()
 			return err
 		}
 		if s.wal != nil {

@@ -247,11 +247,11 @@ func TestOverlayViewMatchesCloneOracle(t *testing.T) {
 	}
 }
 
-// TestOverlayCachedPerEpoch: the full view is built by an all-free goal,
-// once per (epoch, shape) — repeats hit the cache, and a bound goal that
-// arrives after it on the same epoch reads the cached overlay too. A bound
-// goal on an epoch without the overlay evaluates on demand and caches
-// nothing. A write (new epoch) or a textual rule change builds anew.
+// TestOverlayCachedPerEpoch: each view query's overlay is built once per
+// (epoch, evaluation, constants) — a bound goal's demand overlay and the
+// full view alike — and repeats hit the cache. A bound goal keeps its own
+// overlay after the full view is built. A write (new epoch) or a textual
+// rule change builds anew.
 func TestOverlayCachedPerEpoch(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
@@ -270,17 +270,17 @@ func TestOverlayCachedPerEpoch(t *testing.T) {
 	}
 	base := svc.Stats().ViewBuilds
 
-	// Bound goal first: one demand fixpoint per query, nothing cached.
+	// Bound goal first: one demand fixpoint, cached, then hits.
 	for i := 1; i <= 2; i++ {
 		tr := explainQuery(t, svc, &QueryRequest{Query: bound})
-		if !tr.View.Demand || tr.View.CacheHit || tr.Rows != 11 {
-			t.Fatalf("bound goal on a bare epoch: %+v, rows %d", tr.View, tr.Rows)
+		if !tr.View.Demand || tr.View.CacheHit != (i == 2) || tr.Rows != 11 {
+			t.Fatalf("bound goal %d on one epoch: %+v, rows %d", i, tr.View, tr.Rows)
 		}
-		if got := svc.Stats().ViewBuilds; got != base+uint64(i) || overlays() != 0 {
+		if got := svc.Stats().ViewBuilds; got != base+1 || overlays() != 1 {
 			t.Fatalf("after %d demand queries: ViewBuilds = %d (base %d), %d overlays cached", i, got, base, overlays())
 		}
 	}
-	base += 2
+	base++
 
 	first := mustQuery(t, svc, &QueryRequest{Query: free})
 	for i := 0; i < 5; i++ {
@@ -289,12 +289,12 @@ func TestOverlayCachedPerEpoch(t *testing.T) {
 			t.Fatalf("run %d: %d tuples, want %d", i, len(resp.Tuples), len(first.Tuples))
 		}
 	}
-	if got := svc.Stats().ViewBuilds; got != base+1 {
-		t.Fatalf("ViewBuilds = %d after repeated identical queries, want %d", got, base+1)
+	if got := svc.Stats().ViewBuilds; got != base+1 || overlays() != 2 {
+		t.Fatalf("ViewBuilds = %d, %d overlays after repeated identical queries, want %d and 2", got, overlays(), base+1)
 	}
-	// The bound goal now finds the overlay and uses it.
+	// The bound goal still reads its own overlay.
 	tr := explainQuery(t, svc, &QueryRequest{Query: bound})
-	if tr.View.Demand || !tr.View.CacheHit || tr.Rows != 11 {
+	if !tr.View.Demand || !tr.View.CacheHit || tr.Rows != 11 {
 		t.Fatalf("bound goal after the full build: %+v, rows %d", tr.View, tr.Rows)
 	}
 	if got := svc.Stats().ViewBuilds; got != base+1 {
@@ -451,9 +451,9 @@ func TestCQPlanCacheReuse(t *testing.T) {
 	svc.mu.Lock()
 	g := svc.gen
 	svc.mu.Unlock()
-	g.planMu.RLock()
-	n := len(g.cqPlans)
-	g.planMu.RUnlock()
+	g.cqPlans.mu.RLock()
+	n := len(g.cqPlans.m)
+	g.cqPlans.mu.RUnlock()
 	if n != 1 {
 		t.Fatalf("cqPlans = %d entries after first query, want 1", n)
 	}
@@ -463,9 +463,9 @@ func TestCQPlanCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustQuery(t, svc, q)
-	g.planMu.RLock()
-	n = len(g.cqPlans)
-	g.planMu.RUnlock()
+	g.cqPlans.mu.RLock()
+	n = len(g.cqPlans.m)
+	g.cqPlans.mu.RUnlock()
 	if n != 1 {
 		t.Fatalf("cqPlans = %d entries after re-query, want 1", n)
 	}
