@@ -97,7 +97,8 @@
 //	               service's /stats counters rendered at scrape time
 //	GET  /healthz  -> {"status": "ok"} (200), or 503 with status
 //	               "recovering" (WAL replay in progress), "broken"
-//	               (unrecoverable engine or durability failure), or
+//	               (a WAL, checkpoint or recovery failure; an aborted
+//	               update is rolled back and leaves "ok"), or
 //	               "draining" (shutdown in progress)
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: it stops admitting

@@ -4,7 +4,6 @@
 package atom
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/schema"
@@ -119,25 +118,4 @@ func SortKey(a Atom) string {
 		b.WriteString(string(rune(t.ID())))
 	}
 	return b.String()
-}
-
-// SortAtoms sorts a slice of atoms deterministically in place.
-func SortAtoms(atoms []Atom) {
-	sort.Slice(atoms, func(i, j int) bool { return Less(atoms[i], atoms[j]) })
-}
-
-// Less is a total order on atoms (by predicate, then arguments).
-func Less(a, b Atom) bool {
-	if a.Pred != b.Pred {
-		return a.Pred < b.Pred
-	}
-	if len(a.Args) != len(b.Args) {
-		return len(a.Args) < len(b.Args)
-	}
-	for i := range a.Args {
-		if a.Args[i] != b.Args[i] {
-			return a.Args[i].Key() < b.Args[i].Key()
-		}
-	}
-	return false
 }

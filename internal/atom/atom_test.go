@@ -101,24 +101,6 @@ func TestVarsAndSets(t *testing.T) {
 	}
 }
 
-func TestSortAtomsDeterministic(t *testing.T) {
-	c := newCtx()
-	a := c.atom("p", "b")
-	b := c.atom("p", "a")
-	d := c.atom("a", "z")
-	atoms := []Atom{d, a, b}
-	SortAtoms(atoms)
-	// Order is by intern ID: "p" interned before "a", const "b" before "a".
-	if !atoms[0].Equal(a) || !atoms[1].Equal(b) || !atoms[2].Equal(d) {
-		t.Errorf("sort order wrong: %v", atoms)
-	}
-	for i := 0; i+1 < len(atoms); i++ {
-		if Less(atoms[i+1], atoms[i]) {
-			t.Errorf("not sorted at %d", i)
-		}
-	}
-}
-
 func TestSubstApplyChain(t *testing.T) {
 	c := newCtx()
 	x, y := c.st.Var("X"), c.st.Var("Y")

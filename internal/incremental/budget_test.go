@@ -23,16 +23,15 @@ func chainSrc(n int) string {
 }
 
 // TestInsertBudgetAbortBreaksEngine: a budget tripping mid-propagation
-// leaves the engine broken — guard refuses further updates — and
-// Rebuild recovers to exactly the from-scratch materialization
-// including the aborted insert's base facts.
+// leaves the engine broken — guard refuses further updates — and Adopt
+// of the instance and counters taken before the insert rolls it back to
+// exactly the materialization without the aborted insert's base facts.
 func TestInsertBudgetAbortBreaksEngine(t *testing.T) {
 	// Two 80-node chains; the bridging edge's delta closes ~6400 new
 	// t-facts, far more probe work than one budget stride.
 	var b strings.Builder
 	b.WriteString(tcSrc)
 	live := make([]atom.Atom, 0, 160)
-	r, _ := load(t, tcSrc) // interning only; facts built below
 	for i := 0; i+1 < 80; i++ {
 		b.WriteString(fmt.Sprintf("e(a%d,a%d).\n", i, i+1))
 		b.WriteString(fmt.Sprintf("e(b%d,b%d).\n", i, i+1))
@@ -46,6 +45,8 @@ func TestInsertBudgetAbortBreaksEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
+	before, statsBefore := e.DB().Snapshot(), e.Stats()
+	defer before.Release()
 
 	bridge := edge(r, "a79", "b0")
 	bud := plan.NewBudget(nil, 0, plan.BudgetStride)
@@ -57,30 +58,28 @@ func TestInsertBudgetAbortBreaksEngine(t *testing.T) {
 		t.Fatal("engine not broken after aborted propagation")
 	}
 
-	// guard must refuse everything until Rebuild.
-	if err := e.Insert(edge(r, "x", "y")); err == nil || !strings.Contains(err.Error(), "Rebuild") {
+	// guard must refuse everything until the rollback.
+	if err := e.Insert(edge(r, "x", "y")); err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("broken engine accepted insert: %v", err)
 	}
-	if err := e.Delete(bridge); err == nil || !strings.Contains(err.Error(), "Rebuild") {
+	if err := e.Delete(bridge); err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("broken engine accepted delete: %v", err)
 	}
 
-	if err := e.Rebuild(); err != nil {
-		t.Fatalf("rebuild: %v", err)
-	}
+	e.Adopt(before.DB().Clone(), statsBefore)
 	if e.Broken() != nil {
-		t.Fatalf("still broken after Rebuild: %v", e.Broken())
+		t.Fatalf("still broken after Adopt: %v", e.Broken())
 	}
-	// The bridge landed in base before the abort, so the recovered
-	// instance is the closure WITH it.
-	assertMatchesRecompute(t, "post-rebuild", e, append(live, bridge))
+	if e.Stats() != statsBefore {
+		t.Fatalf("stats after Adopt = %+v, want %+v", e.Stats(), statsBefore)
+	}
+	assertMatchesRecompute(t, "rolled back", e, live)
 
-	// And the engine is live again: a follow-up unbudgeted update works.
-	extra := edge(r, "b79", "c0")
-	if err := e.Insert(extra); err != nil {
-		t.Fatalf("insert after rebuild: %v", err)
+	// And the engine is live again: the same insert, unbudgeted, applies.
+	if err := e.Insert(bridge); err != nil {
+		t.Fatalf("insert after rollback: %v", err)
 	}
-	assertMatchesRecompute(t, "post-rebuild-insert", e, append(append(live, bridge), extra))
+	assertMatchesRecompute(t, "rolled back, then inserted", e, append(live, bridge))
 }
 
 // diamondEdges lists the edges of an n-step chain of diamonds: every step
@@ -99,8 +98,8 @@ func diamondEdges(n int) [][2]string {
 // across DeleteBudgeted's two phases and checks the trichotomy after
 // every injection: the delete either (a) aborts pre-mutation leaving the
 // engine healthy and the instance untouched, (b) aborts mid-rederivation
-// leaving the engine broken until Rebuild completes the delete, or
-// (c) completes. In every case the surviving engine must match a
+// leaving the engine broken, its guard refusing every further update, or
+// (c) completes. In cases (a) and (c) the engine must match a
 // from-scratch recomputation over its live base facts. On the chain the
 // overestimate deletes the whole cone; on the diamonds every reached fact
 // has a detour, so nearly every probe is the support search's and the
@@ -204,9 +203,8 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 					}
 					assertMatchesRecompute(t, fmt.Sprintf("trap %d complete", trap), e, liveAfter(r, true))
 				case e.Broken() != nil:
-					// (b) mid-rederivation: broken until Rebuild, which
-					// completes the delete (the base tombstones already
-					// applied).
+					// (b) mid-rederivation: the instance is partial, so the
+					// guard refuses every update, deletes and inserts alike.
 					outcomes[1]++
 					if !errors.Is(err, plan.ErrCanceled) {
 						t.Fatalf("trap %d: broken with err = %v", trap, err)
@@ -214,10 +212,9 @@ func TestDeleteBudgetTrapSweep(t *testing.T) {
 					if rerr := e.Delete(edge(r, "n0", "n1")); rerr == nil {
 						t.Fatalf("trap %d: broken engine accepted delete", trap)
 					}
-					if err := e.Rebuild(); err != nil {
-						t.Fatalf("trap %d: rebuild: %v", trap, err)
+					if rerr := e.Insert(edge(r, "x", "y")); rerr == nil {
+						t.Fatalf("trap %d: broken engine accepted insert", trap)
 					}
-					assertMatchesRecompute(t, fmt.Sprintf("trap %d rebuilt", trap), e, liveAfter(r, true))
 				default:
 					// (a) phase-1 abort: nothing mutated, engine healthy,
 					// stats untouched, and the same delete retried without a

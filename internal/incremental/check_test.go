@@ -9,30 +9,35 @@ import (
 	"testing"
 
 	"repro/internal/atom"
+	"repro/internal/datalog"
+	"repro/internal/logic"
+	"repro/internal/storage"
 )
 
-// assertMatchesRebuild checks the maintained instance against Rebuild's
+// assertMatchesEval checks the maintained instance against datalog.Eval's
 // from-scratch materialization over the engine's own extensional facts.
-func assertMatchesRebuild(t *testing.T, e *Engine) {
+func assertMatchesEval(t *testing.T, e *Engine) {
 	t.Helper()
-	facts := func() []string {
-		var out []string
-		for _, a := range e.DB().All() {
-			out = append(out, a.String(e.prog.Store, e.prog.Reg))
-		}
-		sort.Strings(out)
-		return out
-	}
 	if err := e.DB().Verify(); err != nil {
 		t.Fatal(err)
 	}
-	maintained := facts()
-	if err := e.Rebuild(); err != nil {
-		t.Fatalf("rebuild: %v", err)
+	want, _, err := datalog.Eval(e.prog, e.Base(), datalog.Options{Stratify: true, BiasRecursiveAtom: true})
+	if err != nil {
+		t.Fatalf("eval: %v", err)
 	}
-	if rebuilt := facts(); !slices.Equal(maintained, rebuilt) {
-		t.Fatalf("maintained %d facts, Rebuild %d", len(maintained), len(rebuilt))
+	if got, want := sortedFacts(e.prog, e.DB()), sortedFacts(e.prog, want); !slices.Equal(got, want) {
+		t.Fatalf("maintained %d facts, Eval %d", len(got), len(want))
 	}
+}
+
+// sortedFacts renders db's live facts, sorted.
+func sortedFacts(prog *logic.Program, db *storage.DB) []string {
+	var out []string
+	for _, a := range db.All() {
+		out = append(out, a.String(prog.Store, prog.Reg))
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestDeleteCycleWithoutOutsideSupportVanishes: facts on a cycle support
@@ -94,7 +99,7 @@ func TestDeleteCycleWithoutOutsideSupportVanishes(t *testing.T) {
 					t.Errorf("%s lost", f)
 				}
 			}
-			assertMatchesRebuild(t, e)
+			assertMatchesEval(t, e)
 		})
 	}
 }
@@ -126,7 +131,7 @@ func TestDeleteUnsureRefutationIsRechecked(t *testing.T) {
 	if st := e.Stats(); st.Rederived == 0 {
 		t.Errorf("want t(d,z) rederived by the phase-2 re-check; stats = %+v", st)
 	}
-	assertMatchesRebuild(t, e)
+	assertMatchesEval(t, e)
 }
 
 // TestDeleteDeepProofLadder: two n-node paths merge at c, and a0 also has
@@ -164,7 +169,7 @@ func TestDeleteDeepProofLadder(t *testing.T) {
 	if len(e.marks.touched) != 0 || len(e.search.goals) != 0 || len(e.search.cands) != 0 {
 		t.Fatal("delete left marks or search state behind")
 	}
-	assertMatchesRebuild(t, e)
+	assertMatchesEval(t, e)
 }
 
 // TestDeleteBatchStreamMatchesRecompute: the stream property with the
@@ -290,5 +295,5 @@ func TestRederiveCycleReclaimsDeadRows(t *testing.T) {
 	if e.Stats().Compacted == 0 {
 		t.Fatal("the stream never compacted")
 	}
-	assertMatchesRebuild(t, e)
+	assertMatchesEval(t, e)
 }

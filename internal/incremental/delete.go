@@ -246,8 +246,8 @@ func (e *Engine) Delete(facts ...atom.Atom) error {
 // the intact instance — an abort there returns the typed error with
 // NOTHING mutated, the engine stays healthy. Once tombstones apply, an
 // abort in phase 2 (rederive) leaves overdeleted facts missing, so the
-// engine is marked broken and Rebuild recovers. A nil budget is exactly
-// Delete.
+// engine is marked broken until Adopt rolls it back. A nil budget is
+// exactly Delete.
 func (e *Engine) DeleteBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	if err := e.guard(bud); err != nil {
 		return err

@@ -59,7 +59,7 @@ type Engine struct {
 	// plans / execs drive insertion deltas, deletion overestimates, and
 	// rederivation through the compiled-plan pipeline shared with the
 	// fixpoint engines; compiled once at New, and the program the initial
-	// materialization and Rebuild evaluate.
+	// materialization evaluates.
 	plans *plan.Program
 	execs []*plan.Exec
 	// headRules[p] lists the rules deriving p — the head-bound plans of the
@@ -69,7 +69,7 @@ type Engine struct {
 	// broken is the typed abort error of a budgeted update that stopped
 	// AFTER mutating the materialization: db no longer equals the closure
 	// of its extensional facts, so every further update is refused until
-	// Rebuild re-materializes from them. Aborts that land before any mutation
+	// the owner rolls back with Adopt. Aborts that land before any mutation
 	// (insert preflight, Delete phase 1 — tombstones only apply after the
 	// overestimate completes) leave the engine healthy and broken unset.
 	broken error
@@ -191,32 +191,22 @@ func (e *Engine) DB() *storage.DB { return e.db }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // Broken reports the abort that left the materialization partial (nil
-// while healthy). A broken engine refuses updates until Rebuild.
+// while healthy). A broken engine refuses updates until Adopt.
 func (e *Engine) Broken() error { return e.broken }
 
-// Rebuild re-materializes db from its extensional facts, clearing the
-// broken state — the recovery path after an aborted update. The
-// extensional facts themselves are never partial: an update either
-// applied them all before its fixpoint started or touched nothing.
-func (e *Engine) Rebuild() error {
-	db, _, err := datalog.Run(e.plans, e.Base(), datalog.Options{Stratify: true, InPlace: true})
-	if err != nil {
-		return err
-	}
-	// Row handles and marks from the old store are dead; fresh execs drop
-	// any budget wiring along with them.
-	e.db = db
-	for i, r := range e.plans.Rules {
-		e.execs[i] = plan.NewExec(r)
-	}
-	e.broken = nil
-	return nil
+// Adopt makes db the store and st the counters, clearing the broken
+// state: the rollback of an aborted update. db must be an instance this
+// engine maintained, taken between updates (the service clones the
+// snapshot it serves), and st the counters it had then. No row handle
+// or mark outlives an update, so nothing else refers to the old store.
+func (e *Engine) Adopt(db *storage.DB, st Stats) {
+	e.db, e.stats, e.broken = db, st, nil
 }
 
 // guard refuses updates on a broken engine and preflights the budget.
 func (e *Engine) guard(bud *plan.Budget) error {
 	if e.broken != nil {
-		return fmt.Errorf("incremental: engine broken by aborted update (%v); Rebuild first", e.broken)
+		return fmt.Errorf("incremental: engine broken by aborted update (%v); roll back first", e.broken)
 	}
 	return bud.Check()
 }
@@ -239,7 +229,7 @@ func (e *Engine) Insert(facts ...atom.Atom) error {
 // InsertBudgeted is Insert charged against a budget. A budget tripped
 // during delta propagation aborts with the typed error and marks the
 // engine broken (the base facts landed but their consequences are
-// partial); Rebuild recovers. A nil budget is exactly Insert.
+// partial) until Adopt rolls it back. A nil budget is exactly Insert.
 func (e *Engine) InsertBudgeted(bud *plan.Budget, facts ...atom.Atom) error {
 	if err := e.guard(bud); err != nil {
 		return err

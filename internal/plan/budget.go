@@ -29,9 +29,8 @@ import (
 // any limit stops the enumeration in progress, every later stride check
 // and round boundary observes the verdict, and the fixpoint returns the
 // typed error. The instance being built is left consistent but
-// incomplete — callers treat it as discardable (the service evicts
-// aborted overlays; aborted incremental updates mark the engine for
-// Rebuild).
+// incomplete, and every caller discards it: the service evicts aborted
+// overlays and rolls an aborted update back to the epoch it serves.
 //
 // All methods are nil-receiver safe: a nil *Budget is the unlimited
 // budget, so engines thread Options.Budget through unconditionally.

@@ -295,3 +295,54 @@ func TestQueryBudgetKnobsAndClamping(t *testing.T) {
 		t.Fatalf("MaxTimeout ceiling not applied: %v", err)
 	}
 }
+
+// TestAbortedWriteRearmsCompaction: the compaction a drained epoch asks
+// for runs at the start of the next write, so an aborted write that
+// rolls back to the served epoch undoes it too. The rollback must ask for
+// it again, and the engine counters must not count the undone rows.
+func TestAbortedWriteRearmsCompaction(t *testing.T) {
+	const n = 60
+	svc := New(Options{})
+	mustLoad(t, svc, chainSource(n))
+	// Cutting the chain in the middle kills half of t. The served epoch
+	// pins t, so the delete defers its compaction; the epoch it retires
+	// drains at once and asks for the retry.
+	if _, err := svc.Delete(fmt.Sprintf("e(n%d,n%d).", n/2-1, n/2)); err != nil {
+		t.Fatal(err)
+	}
+	if !svc.compactPending.Load() {
+		t.Fatal("no compaction pending after the retired epoch drained")
+	}
+	served := svc.Stats()
+	if served.Engine.Compacted != 0 {
+		t.Fatalf("the delete compacted %d rows under the epoch's pins", served.Engine.Compacted)
+	}
+
+	// The write compacts first, then aborts on its derived-fact cap.
+	svc.opt.MaxDerived = 1
+	_, err := svc.Insert(fmt.Sprintf("e(n%d,n%d).", n-1, n))
+	svc.opt.MaxDerived = 0
+	if !errors.Is(err, plan.ErrOverBudget) {
+		t.Fatalf("capped insert: %v, want ErrOverBudget", err)
+	}
+	if !svc.compactPending.Load() {
+		t.Fatal("rollback dropped the pending compaction")
+	}
+	if got := svc.eng.Stats(); got != served.Engine {
+		t.Fatalf("engine counters after the rollback = %+v, want %+v", got, served.Engine)
+	}
+
+	if _, err := svc.Insert(fmt.Sprintf("e(n%d,n%d).", n-1, n)); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Engine.Compacted == 0 {
+		t.Fatalf("the next write did not compact: %+v", st.Engine)
+	}
+	want := chainClosure(n+1, map[int]bool{n/2 - 1: true})
+	if got := len(mustQuery(t, svc, &QueryRequest{Pred: "t", Args: []string{"", ""}}).Tuples); got != want {
+		t.Fatalf("%d t facts, want %d", got, want)
+	}
+	if err := svc.eng.DB().Verify(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -578,9 +579,9 @@ func TestRecoverLegacyCheckpoint(t *testing.T) {
 // write budget its WAL record replays under. A 30-edge chain loaded in
 // 5-row batches under MaxDerived 50 lands two batches (15, then 40 new
 // closure facts) and fails live on the third (65): the load reports the
-// typed error, and a restart recovers exactly the two acknowledged
-// batches with a healthy service — before, the load was accepted
-// unbudgeted and its record failed recovery.
+// typed error, and the failed batch is rolled back, so one acknowledged
+// insert after it serves the two acknowledged batches plus its own edge,
+// live and after a restart, with a healthy service.
 func TestCSVBatchReplaysUnderBudget(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{DataDir: dir, Fsync: "never", CheckpointEvery: 1 << 20, MaxDerived: 50, CSVBatch: 5}
@@ -615,6 +616,14 @@ func TestCSVBatchReplaysUnderBudget(t *testing.T) {
 		t.Fatalf("after the failed load: epoch %d (load reported %d), %d WAL records, want 2", st.Epoch, seq, st.Durability.Records)
 	}
 	assertMatchesOracle(t, svc, mirror, "live, after the failed batch")
+	if _, err := svc.Insert("e(z0,z1)."); err != nil {
+		t.Fatal(err)
+	}
+	mirror["e(z0,z1)"] = true
+	if got := len(queryAll(t, svc, "e")); got != 11 {
+		t.Fatalf("after one insert past the failed batch: %d e edges served, want 11", got)
+	}
+	assertMatchesOracle(t, svc, mirror, "live, after the insert")
 	svc.Close()
 
 	svc2 := open()
@@ -622,8 +631,128 @@ func TestCSVBatchReplaysUnderBudget(t *testing.T) {
 	if h := svc2.Health(); h != HealthOK {
 		t.Fatalf("health after recovery = %q", h)
 	}
-	if got := svc2.Stats().Durability.ReplayedRecords; got != 2 {
-		t.Fatalf("replayed %d records, want 2", got)
+	if got := svc2.Stats().Durability.ReplayedRecords; got != 3 {
+		t.Fatalf("replayed %d records, want 3", got)
 	}
 	assertMatchesOracle(t, svc2, mirror, "recovered")
+}
+
+// TestAbortedWriteChangesNothing sweeps the probe ceiling of one Insert
+// (an edge bridging two chains, whose propagation derives n² facts) and
+// one Delete (a chain's middle edge) across plan.BudgetStride boundaries
+// on a durable service. At every ceiling the write either applies in
+// full or changes nothing: the served instance, the engine counters
+// (served and the writer's own), the WAL record count and what a crash
+// right after it recovers all stay as they were before the write, and
+// the service stays healthy. The rolled-back service then takes the same
+// write without a ceiling, and a restart replays exactly that record.
+func TestAbortedWriteChangesNothing(t *testing.T) {
+	const n = 60
+	before := baseMirror{}
+	var src strings.Builder
+	src.WriteString(tcProgram)
+	for i := 0; i+1 < n; i++ {
+		for _, c := range "ab" {
+			f := fmt.Sprintf("e(%c%d,%c%d)", c, i, c, i+1)
+			before[f] = true
+			src.WriteString(f + ".\n")
+		}
+	}
+	for _, tc := range []struct {
+		op, fact string
+		write    func(*Service, string) (uint64, error)
+	}{
+		{"insert", fmt.Sprintf("e(a%d,b0)", n-1), (*Service).Insert},
+		{"delete", fmt.Sprintf("e(a%d,a%d)", n/2, n/2+1), (*Service).Delete},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			after := maps.Clone(before)
+			if tc.op == "insert" {
+				after[tc.fact] = true
+			} else {
+				delete(after, tc.fact)
+			}
+			// load starts a durable service over the chains, and write
+			// runs the write under test alone under the probe ceiling: the
+			// load and the queries checking it run without one.
+			load := func() (*Service, string) {
+				dir := t.TempDir()
+				svc := openRecovered(t, dir, 1<<20)
+				mustLoad(t, svc, src.String())
+				return svc, dir
+			}
+			write := func(svc *Service, ceiling int) error {
+				svc.opt.MaxProbes = ceiling
+				defer func() { svc.opt.MaxProbes = 0 }()
+				_, err := tc.write(svc, tc.fact+".")
+				return err
+			}
+
+			// Calibrate: the probes the write charges without a ceiling.
+			var last *plan.Budget
+			budgetHook = func(b *plan.Budget) { last = b }
+			svc, _ := load()
+			if err := write(svc, 0); err != nil {
+				t.Fatal(err)
+			}
+			budgetHook = nil
+			svc.Close()
+			total := int(last.Probes())
+			if total < 2*plan.BudgetStride {
+				t.Fatalf("the %s charged only %d probes; too few to sweep", tc.op, total)
+			}
+
+			var ceilings []int
+			for c := plan.BudgetStride; c < total+plan.BudgetStride; c += plan.BudgetStride {
+				ceilings = append(ceilings, c-1, c, c+1)
+			}
+			aborted := 0
+			for _, ceiling := range ceilings {
+				label := fmt.Sprintf("%s under %d probes", tc.op, ceiling)
+				svc, dir := load()
+				served, eng := svc.Stats(), svc.eng.Stats()
+				err := write(svc, ceiling)
+				if h := svc.Health(); h != HealthOK {
+					t.Fatalf("%s: health = %q", label, h)
+				}
+				if err != nil {
+					aborted++
+					if !errors.Is(err, plan.ErrOverBudget) {
+						t.Fatalf("%s: %v, want ErrOverBudget", label, err)
+					}
+					st := svc.Stats()
+					if st.Engine != served.Engine || svc.eng.Stats() != eng {
+						t.Fatalf("%s: engine counters %+v (writer %+v), want %+v", label, st.Engine, svc.eng.Stats(), eng)
+					}
+					if st.Durability.Records != served.Durability.Records {
+						t.Fatalf("%s: %d WAL records, want %d", label, st.Durability.Records, served.Durability.Records)
+					}
+					if err := svc.eng.DB().Verify(); err != nil {
+						t.Fatalf("%s: rolled-back materialization: %v", label, err)
+					}
+					assertMatchesOracle(t, svc, before, label+", served")
+					crashed := openRecovered(t, copyDataDir(t, dir), 1<<20)
+					assertMatchesOracle(t, crashed, before, label+", recovered")
+					crashed.Close()
+					if err := write(svc, 0); err != nil {
+						t.Fatalf("%s: the same write without a ceiling: %v", label, err)
+					}
+				}
+				if got := svc.Stats().Durability.Records; got != served.Durability.Records+1 {
+					t.Fatalf("%s: %d WAL records once applied, want %d", label, got, served.Durability.Records+1)
+				}
+				assertMatchesOracle(t, svc, after, label+", applied")
+				svc.Close()
+				restarted := openRecovered(t, dir, 1<<20)
+				if got := restarted.Stats().Durability.ReplayedRecords; got != 1 {
+					t.Fatalf("%s: restart replayed %d records, want 1", label, got)
+				}
+				assertMatchesOracle(t, restarted, after, label+", restarted")
+				restarted.Close()
+			}
+			if aborted == 0 || aborted == len(ceilings) {
+				t.Fatalf("%d of %d ceilings aborted the %s; want both outcomes", aborted, len(ceilings), tc.op)
+			}
+		})
+	}
 }

@@ -64,14 +64,15 @@ const (
 )
 
 // Health reports the service's degraded-state summary: "recovering"
-// during WAL replay, "broken" when the maintained materialization is
-// partial (an aborted update that Rebuild could not repair) or the
-// durability layer failed, "ok" otherwise. Lock-free.
+// during WAL replay, "broken" when the durability layer failed (a WAL
+// append, a checkpoint a load needed, or recovery itself), "ok"
+// otherwise. An aborted update is rolled back and leaves it "ok".
+// Lock-free.
 func (s *Service) Health() HealthStatus {
 	switch {
 	case s.recovering.Load():
 		return HealthRecovering
-	case s.walFailed.Load() || s.engBroken.Load():
+	case s.walFailed.Load():
 		return HealthBroken
 	default:
 		return HealthOK
@@ -149,7 +150,6 @@ func (s *Service) Recover(ctx context.Context) error {
 			return fmt.Errorf("service: recover: %w", err)
 		}
 		if err := s.replayRecord(ctx, r); err != nil {
-			s.recoverEngine()
 			s.walFailed.Store(true)
 			return fmt.Errorf("service: recover: replay record seq %d: %w", r.Seq, err)
 		}

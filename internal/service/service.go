@@ -147,7 +147,6 @@ type Service struct {
 	sinceCkpt  int
 	recovering atomic.Bool
 	walFailed  atomic.Bool
-	engBroken  atomic.Bool
 	replayed   atomic.Uint64
 }
 
@@ -374,10 +373,10 @@ func (s *Service) LoadProgramCtx(ctx context.Context, prog *logic.Program, base 
 //
 // The load is batch-committed, not transactional: on a mid-stream error
 // (ragged row, arity conflict, a batch over budget) the batches already
-// landed stay applied and published — the returned error and epoch
-// report exactly what committed. A Load replacing the program mid-stream
-// aborts the rest of the stream; epochs of the old generation stay
-// consistent.
+// landed stay applied and published, a batch that aborted is rolled back
+// like any aborted write, and the returned error and epoch report
+// exactly what committed. A Load replacing the program mid-stream aborts
+// the rest of the stream; epochs of the old generation stay consistent.
 func (s *Service) LoadCSV(pred string, r io.Reader) (int, uint64, error) {
 	if s.recovering.Load() {
 		return 0, 0, ErrRecovering
@@ -397,7 +396,7 @@ func (s *Service) LoadCSV(pred string, r io.Reader) (int, uint64, error) {
 	)
 	// apply lands one staged batch under the write budget — the one its
 	// WAL record replays under — and publishes the epoch containing it.
-	// An aborted batch publishes nothing and recovers the engine.
+	// An aborted batch publishes nothing and is rolled back.
 	apply := func(b *storage.TupleBuffer) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -408,7 +407,7 @@ func (s *Service) LoadCSV(pred string, r io.Reader) (int, uint64, error) {
 		defer cancel()
 		n, err := s.eng.InsertBulkBudgeted(bud, []*storage.TupleBuffer{b})
 		if err != nil {
-			s.recoverEngine()
+			s.rollback()
 			return err
 		}
 		if s.wal != nil {
@@ -507,10 +506,9 @@ func (s *Service) Insert(src string) (uint64, error) {
 }
 
 // InsertCtx is Insert under a request context and the server-side write
-// budget. An abort mid-propagation publishes NO epoch: readers keep the
-// previous consistent snapshot, and the materialization is rebuilt from
-// base under the writer lock before the next update (the asserted facts
-// themselves stay asserted and surface in the next published epoch).
+// budget. An aborted insert changes nothing: it publishes no epoch, logs
+// no WAL record, and the engine rolls back to the epoch being served, so
+// the asserted facts are dropped along with their partial consequences.
 func (s *Service) InsertCtx(ctx context.Context, src string) (uint64, error) {
 	return s.write(ctx, src, "insert", wal.KindInsert, (*incremental.Engine).InsertBudgeted,
 		func(st incremental.Stats) int { return st.Inserted })
@@ -520,8 +518,8 @@ func (s *Service) InsertCtx(ctx context.Context, src string) (uint64, error) {
 // writer lock it parses the facts, applies them through the engine call
 // under the write budget, and logs and publishes the update, or answers
 // unchanged() when the engine's count (applied) did not move. An aborted
-// update publishes nothing and recovers the engine. op names the update
-// in errors and kind its WAL record.
+// update publishes nothing and is rolled back. op names the update in
+// errors and kind its WAL record.
 func (s *Service) write(ctx context.Context, src, op string, kind byte,
 	apply func(*incremental.Engine, *plan.Budget, ...atom.Atom) error,
 	applied func(incremental.Stats) int) (uint64, error) {
@@ -542,7 +540,7 @@ func (s *Service) write(ctx context.Context, src, op string, kind byte,
 	defer cancel()
 	before := applied(s.eng.Stats())
 	if err := apply(s.eng, bud, res.Facts...); err != nil {
-		s.recoverEngine()
+		s.rollback()
 		return 0, fmt.Errorf("service: %s: %w", op, err)
 	}
 	if applied(s.eng.Stats()) == before {
@@ -577,22 +575,29 @@ func (s *Service) Delete(src string) (uint64, error) {
 	return s.DeleteCtx(context.Background(), src)
 }
 
-// DeleteCtx is Delete with the InsertCtx budget and recovery semantics.
+// DeleteCtx is Delete with the InsertCtx budget and rollback semantics.
 func (s *Service) DeleteCtx(ctx context.Context, src string) (uint64, error) {
 	return s.write(ctx, src, "delete", wal.KindDelete, (*incremental.Engine).DeleteBudgeted,
 		func(st incremental.Stats) int { return st.Deleted })
 }
 
-// recoverEngine re-materializes a broken engine (an update aborted after
-// mutating the instance) from its base facts, unbudgeted — a bounded,
-// deterministic recovery that never publishes partial state. Caller
-// holds mu. If even the rebuild fails the engine stays broken and every
-// later update keeps reporting it.
-func (s *Service) recoverEngine() {
-	if s.eng != nil && s.eng.Broken() != nil {
-		s.eng.Rebuild() //nolint:errcheck // a failed rebuild leaves broken set
+// rollback discards an aborted write. Under mu, between writes, the
+// served epoch's snapshot is the engine's state, so the engine takes a
+// clone of it as its store and the epoch's counters as its own; a
+// compaction run since that publish is undone too, and re-armed. With
+// no epoch of the engine's generation served (a failed replay or load
+// checkpoint, either of which marks the node broken) there is nothing to
+// roll back to, and the engine's guard refuses updates if the write left
+// it partial. Caller holds mu.
+func (s *Service) rollback() {
+	e := s.cur.Load()
+	if e == nil || e.gen != s.gen {
+		return
 	}
-	s.engBroken.Store(s.eng != nil && s.eng.Broken() != nil)
+	if s.eng.Stats().Compacted > e.eng.Compacted {
+		s.compactPending.Store(true)
+	}
+	s.eng.Adopt(e.snap.DB().Clone(), e.eng)
 }
 
 // Stats is a point-in-time service report. ViewBuilds counts overlay
