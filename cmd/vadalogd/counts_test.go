@@ -31,7 +31,9 @@ type bodyCount struct {
 // response bodies of the tc.* workloads' shapes over the 60-block TC
 // graph (the root TestWorkloadCounts loads the same text), compared with
 // testdata/http_counts.golden.json. It records the two tc.bulk-scan
-// queries, one keyed scan and one ground hit. A change that moves one on
+// queries, one keyed scan, one ground hit, and the view shapes of
+// tc.point-read (hop2) and tc.churn-durable (back), answer order
+// included. A change that moves one on
 // purpose re-baselines with `go test ./cmd/vadalogd -run TestHTTPCounts
 // -update` and says why; any other drift fails.
 func TestHTTPCounts(t *testing.T) {
@@ -52,6 +54,8 @@ func TestHTTPCounts(t *testing.T) {
 		"bulk.cq":    {Query: "?(X,Z) :- e(X,Y), t(Y,Z).", Limit: 25000},
 		"point.scan": {Pred: "t", Args: []string{"n0", "_"}},
 		"ground.hit": {Pred: "t", Args: []string{a, b}},
+		"point.view": {Query: "hop2(X,Z) :- e(X,Y), e(Y,Z). ?(Z) :- hop2(n0,Z)."},
+		"churn.view": {Query: "back(Y,X) :- t(X,Y). ?(X) :- back(n5,X)."},
 	} {
 		resp, raw := postRaw(t, ts.URL+"/query", req)
 		if resp.StatusCode != http.StatusOK {
