@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"repro/internal/obs"
+	"repro/internal/schema"
 	"repro/internal/term"
 )
 
@@ -113,10 +114,11 @@ func (db *DB) squash() {
 		rank[w] = int32(held)
 		held += bits.OnesCount64(used[w])
 	}
-	for _, r := range db.rels {
+	for p, r := range db.rels {
 		if r == nil {
 			continue
 		}
+		r = db.rel(schema.PredID(p), r.arity)
 		var spans []span
 		for _, s := range r.spans {
 			below := used[s.at>>6] & (1<<(uint(s.at)&63) - 1)

@@ -61,14 +61,20 @@ func (db *DB) relOf(p schema.PredID) *relation {
 	return nil
 }
 
-// rel returns the predicate's relation, creating it on first insert.
+// rel returns the predicate's relation for writing: created on first
+// insert, and in an overlay a header of its own in place of the frozen
+// relation it read until now.
 func (db *DB) rel(p schema.PredID, arity int) *relation {
 	for int(p) >= len(db.rels) {
 		db.rels = append(db.rels, nil)
 	}
 	r := db.rels[p]
-	if r == nil {
+	switch {
+	case r == nil:
 		r = newRelation(p, arity)
+		db.rels[p] = r
+	case r.frozen:
+		r = r.overlay()
 		db.rels[p] = r
 	}
 	return r
@@ -279,8 +285,9 @@ func (db *DB) Clone() *DB {
 	s := db.Snapshot()
 	defer s.Release()
 	out := s.DB().Overlay()
-	for _, r := range out.rels {
+	for p, r := range out.rels {
 		if r != nil {
+			r = out.rel(schema.PredID(p), r.arity)
 			r.want = make([]atomic.Bool, r.arity)
 		}
 	}

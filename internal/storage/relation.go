@@ -79,6 +79,11 @@ type relation struct {
 	borrowed   bool
 	deadShared bool
 	pins       atomic.Int32
+	// frozen marks a relation Snapshot handed out: immutable, and shared
+	// by every DB that holds it — the snapshot's view, and each overlay of
+	// it until the overlay writes the relation (DB.rel copies the header
+	// first, see overlay).
+	frozen bool
 }
 
 func newRelation(pred schema.PredID, arity int) *relation {
@@ -88,6 +93,15 @@ func newRelation(pred schema.PredID, arity int) *relation {
 		idx:   make([]position, arity),
 		want:  make([]atomic.Bool, arity),
 	}
+}
+
+// overlay returns a header of the frozen relation r for an overlay to
+// write: it reads r's backings and copies what it changes (see
+// DB.Overlay).
+func (r *relation) overlay() *relation {
+	nr := r.view()
+	nr.second, nr.borrowed, nr.deadShared = true, true, true
+	return nr
 }
 
 // rows is the number of stored facts.

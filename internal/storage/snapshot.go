@@ -30,7 +30,9 @@ import (
 //   - The liveness bitmap (1 bit per row) is the one structure copied
 //     whole, by the first kill of an epoch.
 //
-// Snapshot() itself therefore costs O(#relations) header copies, plus
+// Snapshot() itself therefore costs O(#relations) header copies (of an
+// overlay, only of the relations it wrote: the others are its source
+// view's frozen relations, handed out as they are), plus
 // catching up the posting positions that are built over the rows written
 // since they were last probed; an insert that follows it copies no table
 // and no base. On tc.churn-durable that took the paced delete's p50_ms
@@ -73,6 +75,12 @@ func (db *DB) Snapshot() *Snapshot {
 		if r == nil {
 			continue
 		}
+		if r.frozen {
+			// A relation an overlay never wrote is its source view's:
+			// shared as it is, pinned by whoever snapshotted the source.
+			out.rels[p] = r
+			continue
+		}
 		// Catch up every position that is built at all, so that readers of
 		// the view find a position either current or never built, and
 		// freeze what the view gets: the live relation extends tails from
@@ -91,6 +99,7 @@ func (db *DB) Snapshot() *Snapshot {
 		r.pins.Add(1)
 		s.pinned = append(s.pinned, r)
 		v := r.view()
+		v.frozen = true
 		if v.late == nil {
 			for i := range v.idx {
 				if int(v.idx[i].built) < v.rows() {
@@ -112,12 +121,14 @@ func (s *Snapshot) DB() *DB { return s.db }
 
 // Overlay returns a mutable copy-on-write overlay of a frozen snapshot
 // view: reads fall through to the snapshot's backings, and writes copy
-// what they change. Overlay copies only the per-relation headers: an
-// overlay relation reads through the view's dedup array until the
-// first row it appends (relation.own — it is a second writer of the view's
-// row space), indexes its own rows into tails beside the view's frozen
-// posting bases, copies the bitmap before its first tombstone, and
-// relations the overlay never writes are never copied at all. View rules
+// what they change. Overlay copies only the relation table: the overlay
+// holds the view's frozen relations, and the first write of one (DB.rel)
+// gives it a header of its own, which reads through the view's dedup
+// array until the first row it appends (relation.own — it is a second
+// writer of the view's row space), indexes its own rows into tails beside
+// the view's frozen posting bases and copies the bitmap before its first
+// tombstone. Relations the overlay never writes are never copied at all,
+// and a Snapshot of the overlay hands them out as they are. View rules
 // deriving into fresh predicates (the common rule-defined-view query) grow
 // a small private relation set while every base relation stays a zero-copy
 // fall-through read.
@@ -132,16 +143,7 @@ func (db *DB) Overlay() *DB {
 	if !db.frozen {
 		panic("storage: Overlay of a live DB (snapshot it first)")
 	}
-	out := &DB{rels: make([]*relation, len(db.rels)), next: db.next, dead: db.dead, holes: db.holes}
-	for p, r := range db.rels {
-		if r == nil {
-			continue
-		}
-		nr := r.view()
-		nr.second, nr.borrowed, nr.deadShared = true, true, true
-		out.rels[p] = nr
-	}
-	return out
+	return &DB{rels: slices.Clone(db.rels), next: db.next, dead: db.dead, holes: db.holes}
 }
 
 // Release unpins the snapshot's relations, allowing Compact on the source

@@ -70,9 +70,10 @@ func (r *relation) kill(ri int32) bool {
 func (db *DB) Tombstone(pred schema.PredID, row int32) bool {
 	db.mutable()
 	r := db.relOf(pred)
-	if r == nil || int(row) >= r.rows() {
+	if r == nil || int(row) >= r.rows() || r.isDead(row) {
 		return false
 	}
+	r = db.rel(pred, r.arity)
 	if !r.kill(row) {
 		return false
 	}

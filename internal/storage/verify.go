@@ -28,7 +28,7 @@ func (db *DB) Verify() error {
 		if int(r.pred) != p {
 			return fmt.Errorf("storage: verify: relation %d claims pred %d", p, r.pred)
 		}
-		if err := r.verify(db.next, db.frozen); err != nil {
+		if err := r.verify(db.next); err != nil {
 			return fmt.Errorf("storage: verify: pred %d: %w", p, err)
 		}
 		for k, s := range r.spans {
@@ -49,7 +49,7 @@ func (db *DB) Verify() error {
 	return nil
 }
 
-func (r *relation) verify(next int, frozen bool) error {
+func (r *relation) verify(next int) error {
 	n := r.nrows
 	if r.arity <= 0 || len(r.cols) != n*r.arity || len(r.idx) != r.arity || len(r.want) != r.arity ||
 		(n == 0) != (len(r.spans) == 0) {
@@ -102,7 +102,7 @@ func (r *relation) verify(next int, frozen bool) error {
 	for k := range tab {
 		v := atomic.LoadInt32(&tab[k])
 		ri := int32(uint32(v) & m)
-		if v == tabEmpty || int(ri) >= n && (frozen || r.borrowed) {
+		if v == tabEmpty || int(ri) >= n && (r.frozen || r.borrowed) {
 			continue
 		}
 		if v < 0 || int(ri) >= n || linked[ri>>6]>>(uint(ri)&63)&1 != 0 {
