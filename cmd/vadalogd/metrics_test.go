@@ -88,10 +88,12 @@ func TestDaemonMetrics(t *testing.T) {
 		t.Fatalf("query returned %d tuples (err %v), want 3", len(qresp.Tuples), err)
 	}
 	qbytes := len(qbody)
-	// A bound goal evaluates on demand; the all-free goal then builds the
-	// full view and caches it on the epoch, and its repeat is a hit.
+	// A bound goal over a non-recursive view is unfolded, one over a
+	// recursive view evaluates on demand; the all-free goal then builds
+	// the full view and caches it on the epoch, and its repeat is a hit.
 	for _, q := range []string{
 		"back(X,Y) :- t(Y,X). ?(X) :- back(d,X).",
+		"rev(X,Y) :- e(Y,X). rev(X,Z) :- rev(X,Y), rev(Y,Z). ?(X) :- rev(d,X).",
 		"back(X,Y) :- t(Y,X). ?(X,Y) :- back(X,Y).",
 		"back(X,Y) :- t(Y,X). ?(X,Y) :- back(X,Y).",
 	} {
@@ -138,14 +140,15 @@ func TestDaemonMetrics(t *testing.T) {
 	if st.Engine.Kept != 3 || st.Engine.Overdeleted != 3 || st.Engine.Rederived != 0 {
 		t.Errorf("/stats engine = %+v, want Kept 3, Overdeleted 3, Rederived 0", st.Engine)
 	}
-	if st.Queries != 4 || st.ViewBuilds != 2 || st.ViewDemand != 1 || st.ViewHits != 1 || st.Epoch < 3 || st.Durability.Records != 2 {
-		t.Errorf("/stats = %+v, want 4 queries, 2 view builds (1 on demand), 1 cache hit, epoch >= 3 and 2 WAL records", st)
+	if st.Queries != 5 || st.ViewBuilds != 2 || st.ViewDemand != 1 || st.ViewHits != 1 || st.ViewUnfold != 1 || st.Epoch < 3 || st.Durability.Records != 2 {
+		t.Errorf("/stats = %+v, want 5 queries, 2 view builds (1 on demand), 1 cache hit, 1 unfolded, epoch >= 3 and 2 WAL records", st)
 	}
 	for series, want := range map[string]uint64{
 		`vadalog_queries_total`:                           st.Queries,
 		`vadalog_view_cache_hits_total`:                   st.ViewHits,
 		`vadalog_view_cache_misses_total`:                 st.ViewBuilds - st.ViewDemand,
 		`vadalog_view_demand_total`:                       st.ViewDemand,
+		`vadalog_view_unfold_total`:                       st.ViewUnfold,
 		`vadalog_epoch_seq`:                               st.Epoch,
 		`vadalog_incremental_overdeleted_total`:           uint64(st.Engine.Overdeleted),
 		`vadalog_incremental_rederived_total`:             uint64(st.Engine.Rederived),

@@ -107,6 +107,7 @@ func registerServiceSeries(svc *service.Service) {
 		{"vadalog_view_cache_hits_total", "Rule-query view materializations served from the overlay cache.", func(st service.Stats) uint64 { return st.ViewHits }},
 		{"vadalog_view_cache_misses_total", "Rule-query view materializations that had to build the full overlay.", func(st service.Stats) uint64 { return st.ViewBuilds - st.ViewDemand }},
 		{"vadalog_view_demand_total", "Rule-query views evaluated on demand (magic-set rewriting of a bound goal) instead of building the full overlay.", func(st service.Stats) uint64 { return st.ViewDemand }},
+		{"vadalog_view_unfold_total", "Rule-query views answered by their goal's unfolding over the snapshot, with no overlay.", func(st service.Stats) uint64 { return st.ViewUnfold }},
 		{"vadalog_incremental_overdeleted_total", "Facts the DRed overestimate deleted.", func(st service.Stats) uint64 { return uint64(st.Engine.Overdeleted) }},
 		{"vadalog_incremental_rederived_total", "Overdeleted facts DRed put back.", func(st service.Stats) uint64 { return uint64(st.Engine.Rederived) }},
 		{"vadalog_incremental_kept_total", "Facts the DRed overestimate reached but proved before deleting them.", func(st service.Stats) uint64 { return uint64(st.Engine.Kept) }},

@@ -47,6 +47,11 @@ type CQPlan struct {
 	// of the body atom Scans[k] was compiled from. Exposed for explain
 	// traces; read-only.
 	Order []int
+	// Params places a run's parameter values (see CompileCQParams):
+	// value i fills frame slot Params[i].Slot before the join, or, with
+	// Slot < 0, must equal Params[i].Const. Two parameters sharing a slot
+	// must carry one value.
+	Params []TemplateArg
 
 	// unsat marks a query with an output variable occurring in no body
 	// atom: no homomorphism can instantiate it to a constant, so the query
@@ -71,7 +76,14 @@ const maxPooledAnswers = 1 << 16
 // bound, so the most selective atom leads), per-position argument modes
 // against the statically known bound-slot set, and projection of every
 // variable no later scan or output position reads.
-func CompileCQ(q *logic.CQ) *CQPlan {
+func CompileCQ(q *logic.CQ) *CQPlan { return CompileCQParams(q, nil) }
+
+// CompileCQParams compiles the query with run-time parameters: params[i]
+// is the variable of q that a run's value i binds before the join, or a
+// constant that value must equal. Parameter slots are bound from the
+// start, so the greedy order and the argument modes treat a parameter
+// exactly as the constant it stands for, and one plan serves every value.
+func CompileCQParams(q *logic.CQ, params []term.Term) *CQPlan {
 	p := &CQPlan{Arity: len(q.Output)}
 	slotOf := make(map[term.Term]int)
 	var slots []term.Term
@@ -91,7 +103,23 @@ func CompileCQ(q *logic.CQ) *CQPlan {
 			}
 		}
 	}
+	if len(params) > 0 {
+		p.Params = make([]TemplateArg, len(params))
+		for i, x := range params {
+			if x.IsVar() {
+				p.Params[i] = TemplateArg{Slot: intern(x)}
+			} else {
+				p.Params[i] = TemplateArg{Slot: -1, Const: x}
+			}
+		}
+	}
 	p.NumSlots = len(slots)
+	bound := make([]bool, p.NumSlots)
+	for _, a := range p.Params {
+		if a.Slot >= 0 {
+			bound[a.Slot] = true
+		}
+	}
 	p.Out = make([]TemplateArg, len(q.Output))
 	live := make([]bool, p.NumSlots)
 	for i, t := range q.Output {
@@ -109,8 +137,8 @@ func CompileCQ(q *logic.CQ) *CQPlan {
 		p.Out[i] = TemplateArg{Slot: s}
 		live[s] = true
 	}
-	ord := greedyOrderBound(q.Atoms, slotOf, make([]bool, p.NumSlots))
-	p.Scans = compileJoin(q.Atoms, ord, -1, slotOf, live, nil).Scans
+	ord := greedyOrderBound(q.Atoms, slotOf, bound)
+	p.Scans = compileJoin(q.Atoms, ord, -1, slotOf, live, bound).Scans
 	p.Order = ord
 	return p
 }
@@ -122,39 +150,97 @@ func CompileCQ(q *logic.CQ) *CQPlan {
 // callers retaining it must copy. yield returning false stops the
 // enumeration immediately (the limit pushdown path); a boolean (arity 0)
 // query stops at its first body match either way. Run reports whether the
-// enumeration ran to completion.
+// enumeration ran to completion. A plan with parameters needs
+// RunBudgetTraced.
 func (p *CQPlan) Run(db *storage.DB, yield func(tup []term.Term) bool) bool {
-	done, _, _ := p.run(nil, db, yield)
+	done, _ := p.RunBudgetTraced(nil, nil, db, nil, yield)
 	return done
 }
 
-// RunBudgetTraced is Run charged against a budget and recorded into tr:
-// every cqCancelStride row matches flush into the budget's probe counter
-// and poll its limits and deadline — a cross-product query burns gas even
+// RunBudgetTraced is Run under the parameter values args (one per
+// Params entry), charged against a budget and recorded into tr: every
+// cqCancelStride row matches flush into the budget's probe counter and
+// poll its limits and deadline — a cross-product query burns gas even
 // when the limit pushdown never fires — and tr gets the compiled join
 // order and the row-match count. A nil bud or tr behaves like Run. The
 // completion flag reports false when yield stopped the run early or the
 // budget tripped.
-func (p *CQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, yield func(tup []term.Term) bool) (bool, error) {
-	done, matches, err := p.run(bud, db, yield)
-	tr.CQ(p.Order, matches)
-	return done, err
+func (p *CQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, args []term.Term, yield func(tup []term.Term) bool) (bool, error) {
+	return UCQPlan{p}.RunBudgetTraced(bud, tr, db, args, yield)
 }
 
-func (p *CQPlan) run(bud *Budget, db *storage.DB, yield func(tup []term.Term) bool) (bool, int, error) {
-	if p.unsat {
-		return true, 0, nil
-	}
+// UCQPlan is a union of compiled conjunctive queries of one arity over
+// one parameter list — the compiled form of a UCQ rewriting. Its answers
+// are its members' answers, each tuple once, in member order.
+type UCQPlan []*CQPlan
+
+// RunBudgetTraced enumerates the union's distinct answers under args:
+// each member runs as CQPlan.RunBudgetTraced does, deduplicating into one
+// answer set and charging one match count, so the budget's stride and
+// the limit pushdown span the members; a boolean union stops at its
+// first witness. tr gets the last member's join order and the matches
+// of all.
+func (u UCQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, args []term.Term, yield func(tup []term.Term) bool) (bool, error) {
 	if err := bud.Check(); err != nil {
-		return false, 0, err
+		return false, err
+	}
+	r := cqRun{bud: bud, db: db, yield: yield, done: true}
+	r.seen = dedupSets.Get().(*storage.TupleSet)
+	var order []int
+	for i, p := range u {
+		if i == 0 {
+			r.seen.Reset(p.Arity)
+		}
+		r.run(p, args)
+		order = p.Order
+		if !r.done || p.Arity == 0 && r.seen.Len() > 0 {
+			break
+		}
+	}
+	tr.CQ(order, r.matches)
+	if r.seen.Len() <= maxPooledAnswers {
+		dedupSets.Put(r.seen)
+	}
+	return r.done, r.err
+}
+
+// cqRun is one enumeration's state, shared by the members of a union:
+// the answer set, the match count the budget is charged by, and the
+// verdict.
+type cqRun struct {
+	bud     *Budget
+	db      *storage.DB
+	yield   func(tup []term.Term) bool
+	seen    *storage.TupleSet
+	out     []term.Term
+	matches int
+	done    bool // false once yield stopped the run or the budget tripped
+	err     error
+}
+
+// run enumerates one plan's answers under the parameter values.
+func (r *cqRun) run(p *CQPlan, args []term.Term) {
+	if p.unsat {
+		return
 	}
 	frame := storage.NewFrame(p.NumSlots)
-	out := make([]term.Term, p.Arity)
-	seen := dedupSets.Get().(*storage.TupleSet)
-	seen.Reset(p.Arity)
-	var budErr error
-	completed := true
-	matches := 0
+	for i, a := range p.Params {
+		v := args[i]
+		switch {
+		case a.Slot < 0:
+			if v != a.Const {
+				return
+			}
+		case frame[a.Slot] != storage.Unbound && frame[a.Slot] != v:
+			return
+		default:
+			frame[a.Slot] = v
+		}
+	}
+	if cap(r.out) < p.Arity {
+		r.out = make([]term.Term, p.Arity)
+	}
+	out := r.out[:p.Arity]
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == len(p.Scans) {
@@ -170,26 +256,23 @@ func (p *CQPlan) run(bud *Budget, db *storage.DB, yield func(tup []term.Term) bo
 				}
 				out[i] = v
 			}
-			if !seen.Add(out) {
+			if !r.seen.Add(out) {
 				return true
 			}
-			if !yield(out) {
-				completed = false
+			if !r.yield(out) {
+				r.done = false
 				return false
 			}
-			if p.Arity == 0 {
-				// A boolean query has exactly one possible answer; the
-				// first witness ends the enumeration.
-				return false
-			}
-			return true
+			// A boolean query has exactly one possible answer; the first
+			// witness ends the enumeration.
+			return p.Arity != 0
 		}
-		return db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
-			matches++
-			if matches%cqCancelStride == 0 {
-				if err := bud.AddProbes(cqCancelStride); err != nil {
-					budErr = err
-					completed = false
+		return r.db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
+			r.matches++
+			if r.matches%cqCancelStride == 0 {
+				if err := r.bud.AddProbes(cqCancelStride); err != nil {
+					r.err = err
+					r.done = false
 					return false
 				}
 			}
@@ -197,10 +280,6 @@ func (p *CQPlan) run(bud *Budget, db *storage.DB, yield func(tup []term.Term) bo
 		})
 	}
 	rec(0)
-	if seen.Len() <= maxPooledAnswers {
-		dedupSets.Put(seen)
-	}
-	return completed, matches, budErr
 }
 
 // EvalCQ evaluates q over db through a freshly compiled CQPlan, returning

@@ -223,7 +223,7 @@ func TestCQPlanCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := CompileCQ(r.Queries[0])
 	n := 0
-	done, errRun := p.RunBudgetTraced(NewBudget(ctx, 0, 0), nil, db, func([]term.Term) bool {
+	done, errRun := p.RunBudgetTraced(NewBudget(ctx, 0, 0), nil, db, nil, func([]term.Term) bool {
 		n++
 		if n == 10 {
 			cancel()

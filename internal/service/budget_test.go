@@ -249,15 +249,20 @@ func TestQueryBudgetKnobsAndClamping(t *testing.T) {
 	if !errors.Is(err, plan.ErrOverBudget) {
 		t.Fatalf("probe-capped query: %v", err)
 	}
-	// Request-level derived cap on a view build, full and on demand.
+	// Request-level derived cap on a view build of a recursive view, full
+	// and on demand.
 	for _, goal := range []string{"?(X,Z) :- v(X,Z).", "?(X) :- v(n0,X)."} {
-		_, err = svc.Query(&QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). " + goal, MaxDerived: 10})
+		_, err = svc.Query(&QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). v(X,Z) :- v(X,Y), v(Y,Z). " + goal, MaxDerived: 10})
 		if !errors.Is(err, plan.ErrOverBudget) {
 			t.Fatalf("derived-capped view build %s: %v", goal, err)
 		}
 	}
 	if st := svc.Stats(); st.OverBudget != 3 {
 		t.Fatalf("queries_over_budget = %d, want 3", st.OverBudget)
+	}
+	// An unfolded read derives nothing, so the derived cap never binds it.
+	if resp, err := svc.Query(&QueryRequest{Query: "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X).", MaxDerived: 1}); err != nil || len(resp.Tuples) != n-2 {
+		t.Fatalf("derived-capped unfolded read: %v", err)
 	}
 
 	// Server ceiling binds a request that asks for nothing… (the ceiling

@@ -232,18 +232,22 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatalf("health after recovery = %q", h)
 	}
 	assertMatchesOracle(t, svc2, mirror, "clean restart")
-	// The recovered generation serves every query class, the demand path
-	// with its per-generation rewriting cache included.
+	// The recovered generation serves every query class, the unfolded and
+	// the demand view paths with their per-generation caches included.
 	_, tc := mirror.oracle(t)
-	back := mustQuery(t, svc2, &QueryRequest{Query: "back(Y,X) :- t(X,Y). ?(X) :- back(n3,X).", Explain: true})
 	want := 0
 	for _, f := range tc {
 		if strings.HasSuffix(f, ",n3") {
 			want++
 		}
 	}
-	if !back.Explain.View.Demand || len(back.Tuples) != want {
-		t.Fatalf("view query after recovery: %d answers (demand %v), oracle %d", len(back.Tuples), back.Explain.View.Demand, want)
+	back := mustQuery(t, svc2, &QueryRequest{Query: "back(Y,X) :- t(X,Y). ?(X) :- back(n3,X).", Explain: true})
+	if !back.Explain.View.Unfold || len(back.Tuples) != want {
+		t.Fatalf("view query after recovery: %d answers (unfold %v), oracle %d", len(back.Tuples), back.Explain.View.Unfold, want)
+	}
+	rec := mustQuery(t, svc2, &QueryRequest{Query: "back(Y,X) :- t(X,Y). back(X,Z) :- back(X,Y), back(Y,Z). ?(X) :- back(n3,X).", Explain: true})
+	if !rec.Explain.View.Demand || len(rec.Tuples) != want {
+		t.Fatalf("recursive view query after recovery: %d answers (demand %v), oracle %d", len(rec.Tuples), rec.Explain.View.Demand, want)
 	}
 	d := svc2.Stats().Durability
 	if d.ReplayedRecords == 0 {

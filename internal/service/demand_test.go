@@ -38,15 +38,21 @@ func bumpEpoch(t *testing.T, svc *Service) {
 	}
 }
 
+// recBack is the inverse of the closure t, stated recursively: a bound
+// goal over it takes the demand path (a non-recursive view would be
+// unfolded instead, see unfold_test.go).
+const recBack = "back(Y,X) :- t(X,Y). back(X,Z) :- back(X,Y), back(Y,Z). "
+
 // demandViews are view programs with the binary predicate their goals ask
 // about. single marks the shapes where a goal with one view atom gives
 // every view predicate one adornment and no head is stored: there the
-// demand evaluation derives no more view facts than the full build.
+// demand evaluation derives no more view facts than the full build. Every
+// program recurses or negates, so no bound goal over it is unfolded.
 var demandViews = []struct {
 	rules, goal string
 	single      bool
 }{
-	{"back(Y,X) :- t(X,Y). ", "back", true},
+	{recBack, "back", true},
 	{"v(X,Y) :- e(X,Y). v(X,Z) :- e(X,Y), v(Y,Z). ", "v", true},
 	{"v(X,Y) :- e(X,Y). v(X,Z) :- v(X,Y), e(Y,Z). ", "v", true},
 	{"a(X,Y) :- e(X,Y). a(X,Z) :- e(X,Y), b(Y,Z). b(X,Z) :- f(X,Y), a(Y,Z). ", "b", false},
@@ -162,15 +168,16 @@ func containsRow(rows [][]string, row []string) bool {
 }
 
 // TestDemandAbortLeavesNoCache: a derived-fact cap and a deadline that
-// trip inside the demand fixpoint return their typed errors, count into
-// the stats, and leave nothing behind — no overlay entry, and the next
-// query of the same shape on the same epoch answers exactly.
+// trip inside the demand fixpoint of a recursive view return their typed
+// errors, count into the stats, and leave nothing behind — no overlay
+// entry, and the next query of the same shape on the same epoch answers
+// exactly.
 func TestDemandAbortLeavesNoCache(t *testing.T) {
 	const n = 96
 	svc := New(Options{})
 	defer svc.Close()
 	mustLoad(t, svc, chainSource(n))
-	view := "v(X,Z) :- t(X,Y), t(Y,Z). ?(X) :- v(n0,X)."
+	view := "v(X,Z) :- t(X,Y), t(Y,Z). v(X,Z) :- v(X,Y), v(Y,Z). ?(X) :- v(n0,X)."
 
 	if _, err := svc.Query(&QueryRequest{Query: view, MaxDerived: 10}); !errors.Is(err, plan.ErrOverBudget) {
 		t.Fatalf("derived-capped demand evaluation: %v", err)
@@ -206,7 +213,8 @@ func TestDemandAbortLeavesNoCache(t *testing.T) {
 }
 
 // TestDemandExplain is the acceptance scenario on the trace: for the
-// churn benchmark's view and both linear closures, a bound goal evaluates
+// churn benchmark's view stated recursively and both linear closures, a
+// bound goal evaluates
 // on demand with every adorned rule's first-round join driving from its
 // magic atom; a second goal with another constant reuses the generation's
 // compiled rewriting, its rules' program and its goal's plan; and the
@@ -217,7 +225,7 @@ func TestDemandExplain(t *testing.T) {
 	defer svc.Close()
 	mustLoad(t, svc, chainSource(16))
 	for _, v := range []struct{ rules, goal, adornment string }{
-		{"back(Y,X) :- t(X,Y). ", "?(X) :- back(%s,X).", "back#bf"},
+		{recBack, "?(X) :- back(%s,X).", "back#bf"},
 		{"v(X,Y) :- e(X,Y). v(X,Z) :- e(X,Y), v(Y,Z). ", "?(X) :- v(%s,X).", "v#bf"},
 		{"v(X,Y) :- e(X,Y). v(X,Z) :- v(X,Y), e(Y,Z). ", "?(X) :- v(X,%s).", "v#fb"},
 	} {
@@ -266,7 +274,7 @@ func TestDemandExplain(t *testing.T) {
 func TestCompiledRewritingOwnedByGeneration(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
-	const goal = "back(Y,X) :- t(X,Y). ?(X) :- back(%s,X)."
+	const goal = recBack + "?(X) :- back(%s,X)."
 	// entry returns the served generation's one view plan.
 	entry := func() *viewPlan {
 		t.Helper()
@@ -385,7 +393,7 @@ func TestViewEntryRepeatHitsUntilWrite(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
 	mustLoad(t, svc, chainSource(12))
-	req := &QueryRequest{Query: "back(X,Y) :- t(Y,X). ?(X) :- back(n11,X).", Explain: true}
+	req := &QueryRequest{Query: recBack + "?(X) :- back(n11,X).", Explain: true}
 	run := func(label string, wantHit bool, wantRows int) *QueryResponse {
 		t.Helper()
 		st0 := svc.Stats()
@@ -459,5 +467,41 @@ func TestGroundQueryAllocation(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 1024 {
 		t.Errorf("ground lookup allocates %d B, want <= 1 KB", per)
+	}
+}
+
+// TestDemandReadAllocation: a bound read of a recursive view on a fresh
+// epoch — a demand overlay built, published to the epoch's cache and
+// read — allocates for what the rewriting derives, not for the
+// instance's other relations: the overlay shares every relation it does
+// not write with the snapshot, and so does the frozen view its builder
+// hands later readers.
+func TestDemandReadAllocation(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(chainSource(16))
+	for i := range 40 {
+		fmt.Fprintf(&src, "u%d(a,b).\n", i)
+	}
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, src.String())
+	const query = recBack + "?(X) :- back(n9,X)."
+	e, err := svc.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.release()
+	read := func() {
+		fresh := &epoch{svc: svc, gen: e.gen, snap: e.snap}
+		var c collectSink
+		if _, rows, err := svc.ruleQueryStream(nil, fresh, query, DefaultLimit, &c, nil); err != nil || rows != 9 {
+			t.Fatalf("bound read: %d rows, %v", rows, err)
+		}
+	}
+	read() // compile the rewriting
+	// ~215 here; a header per relation in the overlay and again in its
+	// published view, as both once copied, made it ~380.
+	if allocs := testing.AllocsPerRun(50, read); allocs > 260 {
+		t.Fatalf("a bound recursive view read on a fresh epoch allocates %v objects", allocs)
 	}
 }

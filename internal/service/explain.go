@@ -20,7 +20,7 @@ import (
 
 // queryClass buckets queries for metrics and traces: ground (fully
 // bound pattern), pattern (partially bound scan), cq (compiled
-// conjunctive query), view (rule query materializing an overlay).
+// conjunctive query), view (rule query with view rules).
 type queryClass uint8
 
 const (
@@ -54,8 +54,8 @@ type QueryTrace struct {
 	WallMicros int64  `json:"wall_us"`
 	Error      string `json:"error,omitempty"`
 	// Stages is the wall time per pipeline stage of a rule query
-	// (parse, view_build/view_cache/view_demand, plan, enumerate), in
-	// order.
+	// (parse, view_unfold/view_build/view_cache/view_demand, plan,
+	// enumerate), in order.
 	Stages []StageTrace `json:"stages,omitempty"`
 	// Exactly one of Pattern / CQ is set by class (a view query sets CQ
 	// plus View).
@@ -89,14 +89,24 @@ type CQTrace struct {
 	// index visited at join level k.
 	JoinOrder []int `json:"join_order"`
 	// Cached reports whether the compiled plan came from the
-	// generation's cache (for a demand read, with its cached rewriting).
+	// generation's cache (for a demand read, with its cached rewriting;
+	// for an unfolded read, with its union).
 	Cached bool `json:"plan_cached"`
-	// Matches counts row matches across all join levels.
+	// Matches counts row matches across all join levels (of all members
+	// of an unfolded read, whose JoinOrder is its last member's run).
 	Matches int `json:"matches"`
 }
 
 // ViewTrace describes the view-rule evaluation of a rule query.
 type ViewTrace struct {
+	// Unfold: the goal held a constant and the rules it reaches are
+	// positive and non-recursive, so the read ran the goal's unfolding —
+	// a union of Members compiled CQs — over the snapshot: no overlay, no
+	// fixpoint, nothing derived (the build fields below are zero).
+	// RewriteCached then reports that the union came from the
+	// generation's cache.
+	Unfold  bool `json:"unfold,omitempty"`
+	Members int  `json:"members,omitempty"`
 	// Rules counts the rules evaluated: the view rules, or under Demand
 	// the rules of their rewriting.
 	Rules int `json:"rules"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/analysis"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/storage"
 	"repro/internal/term"
+	"repro/internal/ucq"
 )
 
 // DefaultLimit bounds result sets when the request does not set one.
@@ -418,14 +420,18 @@ func (s *Service) patternPlan(g *generation, pid schema.PredID, mask uint64, ari
 }
 
 // ruleQueryStream parses "view rules + one query" source against the
-// generation's naming context and evaluates it over the epoch snapshot:
-// view rules evaluate into a copy-on-write overlay, the query itself runs
-// as a cached compiled CQPlan streaming through the sink. Every view query
-// takes one path: it looks up the generation's compiled evaluation of its
-// (rules, goal shape) — the magic-set rewriting when a constant of the
-// goal binds a view atom of negation-free rules, else the view rules
-// themselves — and reads that evaluation's overlay for its constants from
-// the epoch's cache, building it on a miss.
+// generation's naming context and evaluates it over the epoch snapshot.
+// The query compiles once per (generation, shape), its constants blanked
+// into run-time parameters, so a read of a cached shape compiles nothing.
+// A bare conjunctive query runs as one compiled CQPlan straight off the
+// snapshot. A view query takes the generation's compiled evaluation of
+// its (rules, goal shape) from compileView: when the goal holds a
+// constant and the rules it reaches are positive and non-recursive, the
+// goal's unfolding — a union of compiled CQs — runs straight off the
+// snapshot too, deriving nothing; otherwise the rules (or, for a bound
+// goal, their magic-set rewriting) evaluate into a copy-on-write overlay,
+// read from the epoch's cache for the query's constants and built on a
+// miss, and the goal runs over that overlay.
 func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit int, sink Sink, tr *QueryTrace) (queryClass, int, error) {
 	prog := e.gen.prog
 	class := classCQ
@@ -447,32 +453,44 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 	q := res.Queries[0]
 	sdb := e.snap.DB()
 	var (
-		p      *plan.CQPlan
+		u      plan.UCQPlan
+		args   []term.Term
 		cached bool
 	)
 	if len(tmp.TGDs) > 0 {
 		class = classView
-		v, consts, hit := s.compileView(e.gen, tmp, q)
-		if sdb, err = s.viewOverlay(bud, e, v, consts, tr); err != nil {
-			return class, 0, err
-		}
+		v, consts, hit := s.compileView(e.gen, sdb, tmp, q)
 		name := "view_build"
-		if v.magic != nil {
-			q, p, cached, name = v.magic.Query, v.goal, hit, "view_demand"
+		switch {
+		case v.unfold != nil:
+			s.viewUnfold.Add(1)
+			u, args, cached, name = v.unfold, consts, hit, "view_unfold"
 			if tr != nil {
-				tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, v.magic.Adornment, hit
-				for _, mp := range v.magic.MagicPreds {
-					tr.View.MagicDerived += sdb.CountPred(mp)
+				tr.View = &ViewTrace{Unfold: true, Members: len(v.unfold), RewriteCached: hit}
+			}
+		default:
+			if sdb, err = s.viewOverlay(bud, e, v, consts, tr); err != nil {
+				return class, 0, err
+			}
+			if v.magic != nil {
+				q, u, cached, name = v.magic.Query, plan.UCQPlan{v.goal}, hit, "view_demand"
+				if tr != nil {
+					tr.View.Demand, tr.View.Adornment, tr.View.RewriteCached = true, v.magic.Adornment, hit
+					for _, mp := range v.magic.MagicPreds {
+						tr.View.MagicDerived += sdb.CountPred(mp)
+					}
 				}
 			}
-		}
-		if tr != nil && tr.View.CacheHit {
-			name = "view_cache"
+			if tr != nil && tr.View.CacheHit {
+				name = "view_cache"
+			}
 		}
 		mark = tr.stage(name, mark)
 	}
-	if p == nil {
-		p, cached = s.cqPlan(e.gen, q)
+	if u == nil {
+		var p *plan.CQPlan
+		p, args, cached = s.cqPlan(e.gen, q)
+		u = plan.UCQPlan{p}
 	}
 	mark = tr.stage("plan", mark)
 	var pt *plan.Tracer
@@ -482,14 +500,14 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 
 	if q.IsBoolean() {
 		found := false
-		if _, err := p.RunBudgetTraced(bud, pt, sdb, func([]term.Term) bool {
+		if _, err := u.RunBudgetTraced(bud, pt, sdb, args, func([]term.Term) bool {
 			found = true
 			return false
 		}); err != nil {
 			return class, 0, err
 		}
 		if tr != nil {
-			tr.CQ = &CQTrace{JoinOrder: p.Order, Cached: cached, Matches: pt.CQMatches}
+			tr.CQ = &CQTrace{JoinOrder: pt.CQOrder, Cached: cached, Matches: pt.CQMatches}
 			tr.stage("enumerate", mark)
 		}
 		if err := sink.Begin(e.seq.Load(), 0); err != nil {
@@ -502,13 +520,13 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 		return class, 0, sinkErr(err)
 	}
 	rows := newAnswerRows(sink, prog.Store, limit)
-	if _, err := p.RunBudgetTraced(bud, pt, sdb, func(tup []term.Term) bool {
+	if _, err := u.RunBudgetTraced(bud, pt, sdb, args, func(tup []term.Term) bool {
 		return rows.room() && rows.emit(tup)
 	}); err != nil {
 		return class, rows.emitted, err
 	}
 	if tr != nil {
-		tr.CQ = &CQTrace{JoinOrder: p.Order, Cached: cached, Matches: pt.CQMatches}
+		tr.CQ = &CQTrace{JoinOrder: pt.CQOrder, Cached: cached, Matches: pt.CQMatches}
 		tr.Truncated = rows.truncated
 		tr.stage("enumerate", mark)
 	}
@@ -516,24 +534,51 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 }
 
 // cqPlan returns the generation's cached compiled plan for the query
-// shape (the second result reports a cache hit). Plans depend only on
-// the query structure (slot assignment, join order, access paths) —
-// never on data — so one plan serves every epoch of the generation.
-// Keys are structural (predicate and term IDs), so textual re-parses of
-// the same query hit.
-func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, bool) {
-	return g.cqPlans.get(cqKey(q), func() *plan.CQPlan { return plan.CompileCQ(q) })
+// shape and the query's parameter values (the third result reports a
+// cache hit). Plans depend only on the query structure (slot assignment,
+// join order, access paths) — never on data — so one plan serves every
+// epoch of the generation. Keys are structural (predicate and term IDs),
+// so textual re-parses of the same query hit, and body constants are
+// blanked from the key into the plan's parameters, so one plan serves
+// every constant of a shape.
+func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, []term.Term, bool) {
+	key, args := cqShape(q)
+	p, hit := g.cqPlans.get(key, func() *plan.CQPlan {
+		return plan.CompileCQParams(paramCQ(q, g.prog.Store))
+	})
+	return p, args, hit
+}
+
+// paramCQ restates q with each body constant occurrence replaced by a
+// parameter variable, returning it with those variables in order.
+func paramCQ(q *logic.CQ, st *term.Store) (*logic.CQ, []term.Term) {
+	out := &logic.CQ{Output: q.Output, Atoms: make([]atom.Atom, len(q.Atoms))}
+	var params []term.Term
+	for i, a := range q.Atoms {
+		out.Atoms[i] = a.Clone()
+		for j, x := range a.Args {
+			if !x.IsVar() {
+				out.Atoms[i].Args[j] = st.Var("?#" + strconv.Itoa(len(params)))
+				params = append(params, out.Atoms[i].Args[j])
+			}
+		}
+	}
+	return out, params
 }
 
 // viewPlan is one view query's evaluation compiled for a generation,
-// which owns it: the magic-set rewriting of (view rules, goal shape) with
-// its compiled rules and adorned goal plan, or — when analysis.MagicSets
-// finds no binding to push — the compiled view rules alone, one program
-// shared by every goal shape over the same rules.
+// which owns it: the goal's unfolding into a union of parameterized CQ
+// plans, or the magic-set rewriting of (view rules, goal shape) with its
+// compiled rules and adorned goal plan, or — when neither applies — the
+// compiled view rules alone, one program shared by every goal shape over
+// the same rules.
 type viewPlan struct {
-	rules *plan.Program
-	magic *analysis.Magic // nil: the full view
-	goal  *plan.CQPlan    // the adorned goal's plan; nil without magic
+	// unfold is non-nil (possibly empty: no unfolding unifies) for an
+	// unfolded goal; rules, magic and goal are then unset.
+	unfold plan.UCQPlan
+	rules  *plan.Program
+	magic  *analysis.Magic // nil: the full view
+	goal   *plan.CQPlan    // the adorned goal's plan; nil without magic
 }
 
 // viewShape keys a generation's view plans: the rules' shape plus the
@@ -541,12 +586,25 @@ type viewPlan struct {
 // goal for the full view's compiled rules.
 type viewShape struct{ rules, goal string }
 
+// maxMembers caps an unfolding; a goal whose union would be larger takes
+// the overlay path.
+const maxMembers = 256
+
 // compileView returns the generation's compiled evaluation of (view rules,
-// query) and, for a rewriting, the query's constants — the seed fact's
-// arguments. One entry serves every constant of a goal shape, so a view
-// read compiles nothing once its shape is cached; hit reports that the
-// cache had it.
-func (s *Service) compileView(g *generation, view *logic.Program, q *logic.CQ) (v *viewPlan, consts []term.Term, hit bool) {
+// query) and, for an unfolding or a rewriting, the query's constants —
+// the plans' parameter values, or the seed fact's arguments. One entry
+// serves every constant of a goal shape, so a view read compiles nothing
+// once its shape is cached; hit reports that the cache had it.
+//
+// A goal holding a constant over positive, full, single-head rules that
+// do not recurse from it unfolds (ucq.Unfold): the answers are those of
+// a union of CQs over the snapshot, run with the constants as parameters.
+// A view atom stays a member of its own only while the snapshot holds
+// facts of its predicate (a view head that is also a stored predicate);
+// which heads do is part of the key. Any other bound goal of positive
+// full single-head rules takes the magic-set rewriting, and the rest the
+// full view.
+func (s *Service) compileView(g *generation, db *storage.DB, view *logic.Program, q *logic.CQ) (v *viewPlan, consts []term.Term, hit bool) {
 	rules := viewKey(view.TGDs)
 	b := []byte{'?'}
 	for _, t := range q.Output {
@@ -563,8 +621,26 @@ func (s *Service) compileView(g *generation, view *logic.Program, q *logic.CQ) (
 			}
 		}
 	}
+	stored := func(p schema.PredID) bool { return db.CountPred(p) > 0 }
+	if len(consts) > 0 {
+		b = append(b, '|')
+		for _, t := range view.TGDs {
+			if stored(t.Head[0].Pred) {
+				b = append(b, 's')
+			} else {
+				b = append(b, 'v')
+			}
+		}
+	}
 	v, hit = g.views.get(viewShape{rules, string(b)}, func() *viewPlan {
 		if len(consts) > 0 {
+			if ms, ok := ucq.Unfold(view.TGDs, q, stored, maxMembers); ok {
+				u := make(plan.UCQPlan, len(ms))
+				for i, m := range ms {
+					u[i] = plan.CompileCQParams(m.CQ, m.Params)
+				}
+				return &viewPlan{unfold: u}
+			}
 			if mg := analysis.MagicSets(view, q); mg != nil {
 				return &viewPlan{rules: plan.Compile(mg.Prog, plan.Options{DeltaFirst: true}), magic: mg, goal: plan.CompileCQ(mg.Query)}
 			}
@@ -574,7 +650,7 @@ func (s *Service) compileView(g *generation, view *logic.Program, q *logic.CQ) (
 		})
 		return full
 	})
-	if v.magic == nil {
+	if v.unfold == nil && v.magic == nil {
 		consts = nil
 	}
 	return v, consts, hit
@@ -728,16 +804,29 @@ func viewKey(tgds []*logic.TGD) string {
 	return string(b)
 }
 
-// cqKey renders the structural shape of a query (output row plus body) as
-// a byte string.
-func cqKey(q *logic.CQ) string {
+// cqShape renders the structural shape of a query (output row plus body,
+// body constants blanked) as a byte string, and returns the blanked
+// constants in order: the parameter values of the shape's plan.
+func cqShape(q *logic.CQ) (string, []term.Term) {
 	var b []byte
 	for _, t := range q.Output {
 		b = appendTerm(b, t)
 	}
 	b = append(b, ':')
-	b = appendAtoms(b, q.Atoms)
-	return string(b)
+	var consts []term.Term
+	for _, a := range q.Atoms {
+		b = appendU32(b, uint32(a.Pred))
+		for _, t := range a.Args {
+			if t.IsVar() {
+				b = appendTerm(b, t)
+			} else {
+				b = append(b, '#')
+				consts = append(consts, t)
+			}
+		}
+		b = append(b, ';')
+	}
+	return string(b), consts
 }
 
 func appendAtoms(b []byte, atoms []atom.Atom) []byte {

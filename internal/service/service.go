@@ -128,10 +128,12 @@ type Service struct {
 	// executed: full view builds and demand evaluations of a bound goal.
 	// viewHits counts rule queries served from an epoch's overlay cache,
 	// so the gap between rule queries and builds is the cache's work
-	// saved.
+	// saved. viewUnfold counts view queries answered by their unfolding,
+	// which builds no overlay.
 	viewFull   atomic.Uint64
 	viewDemand atomic.Uint64
 	viewHits   atomic.Uint64
+	viewUnfold atomic.Uint64
 	// aborted counts queries stopped early by context cancellation or a
 	// failed sink delivery (a streaming client that disconnected);
 	// overBudget counts gas-limit trips (plan.ErrOverBudget), timedOut
@@ -603,7 +605,8 @@ func (s *Service) rollback() {
 // Stats is a point-in-time service report. ViewBuilds counts overlay
 // fixpoints run: full view builds plus the ViewDemand demand
 // evaluations; ViewHits counts rule queries served from an epoch's
-// overlay cache.
+// overlay cache, ViewUnfold those answered by their unfolding without
+// an overlay.
 type Stats struct {
 	Loaded        bool              `json:"loaded"`
 	Epoch         uint64            `json:"epoch"`
@@ -612,6 +615,7 @@ type Stats struct {
 	ViewBuilds    uint64            `json:"view_builds"`
 	ViewDemand    uint64            `json:"view_demand"`
 	ViewHits      uint64            `json:"view_cache_hits"`
+	ViewUnfold    uint64            `json:"view_unfold"`
 	Aborted       uint64            `json:"queries_aborted"`
 	OverBudget    uint64            `json:"queries_over_budget"`
 	TimedOut      uint64            `json:"queries_timeout"`
@@ -642,6 +646,7 @@ func (s *Service) stats(e *epoch) Stats {
 		ViewBuilds:    full + demand,
 		ViewDemand:    demand,
 		ViewHits:      s.viewHits.Load(),
+		ViewUnfold:    s.viewUnfold.Load(),
 		Aborted:       s.aborted.Load(),
 		OverBudget:    s.overBudget.Load(),
 		TimedOut:      s.timedOut.Load(),
