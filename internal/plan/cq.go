@@ -3,6 +3,7 @@ package plan
 import (
 	"sync"
 
+	"repro/internal/atom"
 	"repro/internal/logic"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -47,6 +48,15 @@ type CQPlan struct {
 	// of the body atom Scans[k] was compiled from. Exposed for explain
 	// traces; read-only.
 	Order []int
+	// cut[k] is the first step of the existential block join step k
+	// belongs to, or -1: a block's steps bind no output slot and no
+	// variable a step after the block reads, so one complete match of
+	// everything after the block answers for every further match of the
+	// block, and a run stops the block there. The blocks are the body's
+	// components without output variables, joined first, and the steps
+	// after the last one binding an output slot. ends[k] names the block
+	// that ends where step k (or, at len(Scans), the answer) starts.
+	cut, ends []int
 	// Params places a run's parameter values (see CompileCQParams):
 	// value i fills frame slot Params[i].Slot before the join, or, with
 	// Slot < 0, must equal Params[i].Const. Two parameters sharing a slot
@@ -137,10 +147,115 @@ func CompileCQParams(q *logic.CQ, params []term.Term) *CQPlan {
 		p.Out[i] = TemplateArg{Slot: s}
 		live[s] = true
 	}
-	ord := greedyOrderBound(q.Atoms, slotOf, bound)
+	ord, blocks := cqOrder(q.Atoms, slotOf, bound, live)
 	p.Scans = compileJoin(q.Atoms, ord, -1, slotOf, live, bound).Scans
 	p.Order = ord
+	// The steps past the last one binding an output slot, and past the
+	// component blocks, form the last block.
+	w := len(p.Scans)
+	for w > 0 && !bindsLive(p.Scans[w-1], live) {
+		w--
+	}
+	if len(blocks) > 0 {
+		w = max(w, blocks[len(blocks)-1][1])
+	}
+	if w < len(p.Scans) {
+		blocks = append(blocks, [2]int{w, len(p.Scans)})
+	}
+	p.cut, p.ends = make([]int, len(p.Scans)), make([]int, len(p.Scans)+1)
+	for k := range p.ends {
+		p.ends[k] = -1
+		if k < len(p.cut) {
+			p.cut[k] = -1
+		}
+	}
+	for _, b := range blocks {
+		for k := b[0]; k < b[1]; k++ {
+			p.cut[k] = b[0]
+		}
+		p.ends[b[1]] = b[0]
+	}
 	return p
+}
+
+// cqOrder orders the body for CompileCQParams: greedily as one whole
+// when it is connected, else component by component — the components that
+// bind no output slot first, as blocks of their own, each ordered
+// greedily — so a check independent of the answer runs once, not once
+// per answer. Atoms connect through variables not bound from the start.
+func cqOrder(atoms []atom.Atom, slotOf map[term.Term]int, bound, live []bool) ([]int, [][2]int) {
+	comp := make([]int, len(atoms))
+	for i := range comp {
+		comp[i] = i
+	}
+	var find func(i int) int
+	find = func(i int) int {
+		if comp[i] != i {
+			comp[i] = find(comp[i])
+		}
+		return comp[i]
+	}
+	owner := make(map[int]int) // slot -> an atom holding it
+	for i, a := range atoms {
+		for _, x := range a.Args {
+			if s, ok := slotOf[x]; ok && x.IsVar() && !bound[s] {
+				if j, ok := owner[s]; ok {
+					comp[find(i)] = find(j)
+				} else {
+					owner[s] = i
+				}
+			}
+		}
+	}
+	var roots []int
+	members := make(map[int][]int)
+	output := make(map[int]bool)
+	for i, a := range atoms {
+		r := find(i)
+		if members[r] == nil {
+			roots = append(roots, r)
+		}
+		members[r] = append(members[r], i)
+		for _, x := range a.Args {
+			if s, ok := slotOf[x]; ok && x.IsVar() && live[s] && !bound[s] {
+				output[r] = true
+			}
+		}
+	}
+	if len(roots) == 1 {
+		return greedyOrderBound(atoms, slotOf, bound), nil
+	}
+	var ord []int
+	var blocks [][2]int
+	for _, out := range []bool{false, true} {
+		for _, r := range roots {
+			if output[r] != out {
+				continue
+			}
+			sub := make([]atom.Atom, len(members[r]))
+			for k, i := range members[r] {
+				sub[k] = atoms[i]
+			}
+			start := len(ord)
+			for _, k := range greedyOrderBound(sub, slotOf, bound) {
+				ord = append(ord, members[r][k])
+			}
+			if !out {
+				blocks = append(blocks, [2]int{start, len(ord)})
+			}
+		}
+	}
+	return ord, blocks
+}
+
+// bindsLive reports whether the scan binds a slot marked live.
+func bindsLive(sp *storage.ScanPlan, live []bool) bool {
+	for _, a := range sp.Args {
+		if a.Mode == storage.ArgBind && live[a.Slot] {
+			return true
+		}
+	}
+	return false
 }
 
 // Run enumerates the distinct answer tuples of the plan over the instance:
@@ -214,7 +329,8 @@ type cqRun struct {
 	seen    *storage.TupleSet
 	out     []term.Term
 	matches int
-	done    bool // false once yield stopped the run or the budget tripped
+	done    bool   // false once yield stopped the run or the budget tripped
+	passed  []bool // passed[a]: the block starting at step a matched whole
 	err     error
 }
 
@@ -241,8 +357,16 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 		r.out = make([]term.Term, p.Arity)
 	}
 	out := r.out[:p.Arity]
+	if cap(r.passed) < len(p.ends) {
+		r.passed = make([]bool, len(p.ends))
+	}
+	passed := r.passed[:len(p.ends)]
+	// rec runs join step k on; false stops the run.
 	var rec func(k int) bool
 	rec = func(k int) bool {
+		if a := p.ends[k]; a >= 0 {
+			passed[a] = true
+		}
 		if k == len(p.Scans) {
 			for i := range p.Out {
 				a := &p.Out[i]
@@ -263,11 +387,15 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 				r.done = false
 				return false
 			}
-			// A boolean query has exactly one possible answer; the first
-			// witness ends the enumeration.
-			return p.Arity != 0
+			// A boolean query binds no output slot (its one block is the
+			// whole join), so its first witness ends the enumeration.
+			return true
 		}
-		return r.db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
+		a := p.cut[k]
+		if a == k {
+			passed[a] = false
+		}
+		r.db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
 			r.matches++
 			if r.matches%cqCancelStride == 0 {
 				if err := r.bud.AddProbes(cqCancelStride); err != nil {
@@ -276,8 +404,9 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 					return false
 				}
 			}
-			return rec(k + 1)
+			return rec(k+1) && (a < 0 || !passed[a])
 		})
+		return r.done
 	}
 	rec(0)
 }

@@ -3,9 +3,11 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -125,7 +127,40 @@ func TestCQPlanRandomizedEquivalence(t *testing.T) {
 		if second := collect(p, db); !sameAnswers(first, second) {
 			t.Fatalf("round %d: non-deterministic enumeration\n%s", i, src)
 		}
+		// The same query with its body constants as parameters runs the
+		// same join and enumerates the same answers in the same order.
+		pq, params, args := parameterize(r.Program.Store, q)
+		pp := CompileCQParams(pq, params)
+		var got2 [][]term.Term
+		if _, err := pp.RunBudgetTraced(nil, nil, db, args, func(tup []term.Term) bool {
+			got2 = append(got2, append([]term.Term(nil), tup...))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !sameAnswers(first, got2) || !reflect.DeepEqual(p.Order, pp.Order) {
+			t.Fatalf("round %d: parameterized plan (order %v) answers %v, constant plan (order %v) %v\n%s", i, pp.Order, got2, p.Order, first, src)
+		}
 	}
+}
+
+// parameterize restates q with each body constant occurrence a fresh
+// parameter variable, returning the query, the variables and the
+// constants they stand for.
+func parameterize(st *term.Store, q *logic.CQ) (*logic.CQ, []term.Term, []term.Term) {
+	out := &logic.CQ{Output: q.Output}
+	var params, args []term.Term
+	for _, a := range q.Atoms {
+		a = a.Clone()
+		for j, x := range a.Args {
+			if !x.IsVar() {
+				a.Args[j] = st.Var(fmt.Sprintf("P#%d", len(params)))
+				params, args = append(params, a.Args[j]), append(args, x)
+			}
+		}
+		out.Atoms = append(out.Atoms, a)
+	}
+	return out, params, args
 }
 
 // TestCQPlanRandomizedWithNulls: same equivalence with labeled nulls mixed

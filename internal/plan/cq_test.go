@@ -2,7 +2,9 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"maps"
+	"strings"
 	"testing"
 
 	"repro/internal/atom"
@@ -246,5 +248,45 @@ func TestCQPlanGroundFastPath(t *testing.T) {
 	got := collect(p, db)
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("ground boolean: %v", got)
+	}
+}
+
+// TestCQPlanExistentialBlocks: steps that bind no answer variable stop at
+// their first complete match — a component of the body independent of
+// the answer runs as one check before the rest, and the steps after the
+// last answer-binding one as one check per binding — so the row matches
+// grow with the answers, not with the product of the independent parts,
+// and the answers stay the reference's.
+func TestCQPlanExistentialBlocks(t *testing.T) {
+	var src strings.Builder
+	for i := range 200 {
+		fmt.Fprintf(&src, "e(a%d,a%d). g(b%d,b%d). ", i, i+1, i, i+1)
+	}
+	for _, c := range []struct {
+		query      string
+		maxMatches int
+	}{
+		{"?(X) :- e(X,Y), g(Z,W).", 201},         // g: one match, then e's 200
+		{"?(X) :- e(X,Y), e(Y,Z).", 400},         // e(Y,Z): one match per X
+		{"? :- e(X,Y), g(Y,Z).", 400},            // false: e and g share no constant
+		{"?(X) :- e(X,Y), g(Z,W), g(W,V).", 202}, // g ⋈ g: one match
+	} {
+		db, r := parseCQ(t, src.String()+c.query)
+		q := r.Queries[0]
+		var tr Tracer
+		var got [][]term.Term
+		if _, err := CompileCQ(q).RunBudgetTraced(nil, &tr, db, nil, func(tup []term.Term) bool {
+			got = append(got, append([]term.Term(nil), tup...))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		storage.SortTuples(got)
+		if want := naiveCQ(db, q); !sameAnswers(got, want) {
+			t.Fatalf("%s: %d answers, reference %d", c.query, len(got), len(want))
+		}
+		if tr.CQMatches > c.maxMatches {
+			t.Fatalf("%s: %d row matches, want at most %d", c.query, tr.CQMatches, c.maxMatches)
+		}
 	}
 }

@@ -100,8 +100,10 @@ func Unfold(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool, ma
 	for i, x := range q.Output {
 		u.output[i] = local(x)
 	}
-	ok := u.expand(nil, goal, atom.NewSubst())
-	return u.members, ok
+	if !u.expand(nil, goal, atom.NewSubst()) {
+		return nil, false
+	}
+	return u.members, true
 }
 
 type unfolder struct {
