@@ -431,6 +431,45 @@ func BenchmarkS3_AdHocCQ(b *testing.B) {
 	})
 }
 
+// BenchmarkS3_BoundView is tc.churn-durable's read in process: a bound
+// read of its non-recursive view over the churn instance, each on a fresh
+// epoch, against the conjunctive query the view unfolds to. The view read
+// parses its rule and finds its compiled union by shape, then runs what
+// the query runs; no overlay is built.
+func BenchmarkS3_BoundView(b *testing.B) {
+	const blocks, nodes = 16, 16 * 150
+	svc := service.New(service.Options{})
+	defer svc.Close()
+	if _, err := svc.Load(workload.TCBlocksText(blocks)); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct{ name, query string }{
+		{"view", "back(Y,X) :- t(X,Y). ?(X) :- back(n%d,X)."},
+		{"cq", "?(X) :- t(X,n%d)."},
+	} {
+		reqs := make([]service.QueryRequest, nodes)
+		for i := range reqs {
+			reqs[i].Query = fmt.Sprintf(c.query, i)
+		}
+		b.Run("churn/"+c.name, func(b *testing.B) {
+			builds := svc.Stats().ViewBuilds
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, _, err := svc.LoadCSV("e", strings.NewReader("")); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := svc.Query(&reqs[i%nodes]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(svc.Stats().ViewBuilds-builds)/float64(b.N), "builds/op")
+		})
+	}
+}
+
 func BenchmarkS3_RuleView(b *testing.B) {
 	const n = 256
 	// A goal bound by a constant evaluates on demand, an all-free goal

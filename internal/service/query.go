@@ -542,8 +542,9 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 // blanked from the key into the plan's parameters, so one plan serves
 // every constant of a shape.
 func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, []term.Term, bool) {
-	key, args := cqShape(q)
-	p, hit := g.cqPlans.get(key, func() *plan.CQPlan {
+	var buf [128]byte
+	key, args := appendShape(buf[:0], q)
+	p, hit := g.cqPlans.get(string(key), func() *plan.CQPlan {
 		return plan.CompileCQParams(paramCQ(q, g.prog.Store))
 	})
 	return p, args, hit
@@ -605,22 +606,10 @@ const maxMembers = 256
 // full single-head rules takes the magic-set rewriting, and the rest the
 // full view.
 func (s *Service) compileView(g *generation, db *storage.DB, view *logic.Program, q *logic.CQ) (v *viewPlan, consts []term.Term, hit bool) {
-	rules := viewKey(view.TGDs)
-	b := []byte{'?'}
-	for _, t := range q.Output {
-		b = appendTerm(b, t)
-	}
-	for _, a := range q.Atoms {
-		b = appendU32(append(b, ';'), uint32(a.Pred))
-		for _, t := range a.Args {
-			if t.IsVar() {
-				b = appendTerm(b, t)
-			} else {
-				b = append(b, '#')
-				consts = append(consts, t)
-			}
-		}
-	}
+	var buf [256]byte
+	b := appendRules(buf[:0], view.TGDs)
+	n := len(b)
+	b, consts = appendShape(b, q)
 	stored := func(p schema.PredID) bool { return db.CountPred(p) > 0 }
 	if len(consts) > 0 {
 		b = append(b, '|')
@@ -632,7 +621,8 @@ func (s *Service) compileView(g *generation, db *storage.DB, view *logic.Program
 			}
 		}
 	}
-	v, hit = g.views.get(viewShape{rules, string(b)}, func() *viewPlan {
+	rules := string(b[:n])
+	v, hit = g.views.get(viewShape{rules, string(b[n:])}, func() *viewPlan {
 		if len(consts) > 0 {
 			if ms, ok := ucq.Unfold(view.TGDs, q, stored, maxMembers); ok {
 				u := make(plan.UCQPlan, len(ms))
@@ -784,13 +774,12 @@ func (s *Service) buildOverlay(bud *plan.Budget, e *epoch, v *viewPlan, consts [
 	return ov, nil
 }
 
-// viewKey renders the structural shape of a rule set as a byte string:
-// predicate IDs plus per-argument (kind, ID) — generation-local IDs, so
-// the key is only compared within one epoch's cache. Variables intern by
-// name, so textually identical rule sets collide (hit) and renamed ones
-// don't (miss, conservatively correct).
-func viewKey(tgds []*logic.TGD) string {
-	var b []byte
+// appendRules appends the structural shape of a rule set: predicate IDs
+// plus per-argument (kind, ID) — generation-local IDs, so the key is only
+// compared within one generation. Variables intern by name, so textually
+// identical rule sets collide (hit) and renamed ones don't (miss,
+// conservatively correct).
+func appendRules(b []byte, tgds []*logic.TGD) []byte {
 	for _, t := range tgds {
 		b = appendAtoms(b, t.Head)
 		b = append(b, ':')
@@ -801,14 +790,14 @@ func viewKey(tgds []*logic.TGD) string {
 		}
 		b = append(b, '.')
 	}
-	return string(b)
+	return b
 }
 
-// cqShape renders the structural shape of a query (output row plus body,
-// body constants blanked) as a byte string, and returns the blanked
-// constants in order: the parameter values of the shape's plan.
-func cqShape(q *logic.CQ) (string, []term.Term) {
-	var b []byte
+// appendShape appends the structural shape of a query — output row plus
+// body, body constants blanked — and returns the blanked constants in
+// order: the parameter values of the shape's compiled plans.
+func appendShape(b []byte, q *logic.CQ) ([]byte, []term.Term) {
+	b = append(b, '?')
 	for _, t := range q.Output {
 		b = appendTerm(b, t)
 	}
@@ -826,7 +815,7 @@ func cqShape(q *logic.CQ) (string, []term.Term) {
 		}
 		b = append(b, ';')
 	}
-	return string(b), consts
+	return b, consts
 }
 
 func appendAtoms(b []byte, atoms []atom.Atom) []byte {

@@ -161,7 +161,7 @@ type Service struct {
 type generation struct {
 	prog *logic.Program
 	// Pattern scan plans by (pred, bound mask), compiled conjunctive
-	// queries by structural shape (see cqKey), and view queries' compiled
+	// queries by structural shape (see appendShape), and view queries' compiled
 	// evaluations by rules and goal shape (see compileView).
 	plans   planCache[planKey, *storage.ScanPlan]
 	cqPlans planCache[string, *plan.CQPlan]
