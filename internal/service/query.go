@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/analysis"
@@ -540,31 +539,16 @@ func (s *Service) ruleQueryStream(bud *plan.Budget, e *epoch, src string, limit 
 // epoch of the generation. Keys are structural (predicate and term IDs),
 // so textual re-parses of the same query hit, and body constants are
 // blanked from the key into the plan's parameters, so one plan serves
-// every constant of a shape.
+// every constant of a shape: the plan is the query's unfolding under no
+// rules, itself with its constants as parameters.
 func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, []term.Term, bool) {
 	var buf [128]byte
 	key, args := appendShape(buf[:0], q)
 	p, hit := g.cqPlans.get(string(key), func() *plan.CQPlan {
-		return plan.CompileCQParams(paramCQ(q, g.prog.Store))
+		ms, _ := ucq.Unfold(nil, q, nil, 1)
+		return plan.CompileCQParams(ms[0].CQ, ms[0].Params)
 	})
 	return p, args, hit
-}
-
-// paramCQ restates q with each body constant occurrence replaced by a
-// parameter variable, returning it with those variables in order.
-func paramCQ(q *logic.CQ, st *term.Store) (*logic.CQ, []term.Term) {
-	out := &logic.CQ{Output: q.Output, Atoms: make([]atom.Atom, len(q.Atoms))}
-	var params []term.Term
-	for i, a := range q.Atoms {
-		out.Atoms[i] = a.Clone()
-		for j, x := range a.Args {
-			if !x.IsVar() {
-				out.Atoms[i].Args[j] = st.Var("?#" + strconv.Itoa(len(params)))
-				params = append(params, out.Atoms[i].Args[j])
-			}
-		}
-	}
-	return out, params
 }
 
 // viewPlan is one view query's evaluation compiled for a generation,
