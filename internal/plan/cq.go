@@ -3,7 +3,6 @@ package plan
 import (
 	"sync"
 
-	"repro/internal/atom"
 	"repro/internal/logic"
 	"repro/internal/storage"
 	"repro/internal/term"
@@ -48,15 +47,11 @@ type CQPlan struct {
 	// of the body atom Scans[k] was compiled from. Exposed for explain
 	// traces; read-only.
 	Order []int
-	// cut[k] is the first step of the existential block join step k
-	// belongs to, or -1: a block's steps bind no output slot and no
-	// variable a step after the block reads, so one complete match of
-	// everything after the block answers for every further match of the
-	// block, and a run stops the block there. The blocks are the body's
-	// components without output variables, joined first, and the steps
-	// after the last one binding an output slot. ends[k] names the block
-	// that ends where step k (or, at len(Scans), the answer) starts.
-	cut, ends []int
+	// Witness is the first join step from which on no scan binds an
+	// output slot: the steps from Witness on only need one complete match
+	// per binding of the earlier ones (every further match repeats the
+	// same answer), so a run stops them at the first.
+	Witness int
 	// Params places a run's parameter values (see CompileCQParams):
 	// value i fills frame slot Params[i].Slot before the join, or, with
 	// Slot < 0, must equal Params[i].Const. Two parameters sharing a slot
@@ -147,105 +142,14 @@ func CompileCQParams(q *logic.CQ, params []term.Term) *CQPlan {
 		p.Out[i] = TemplateArg{Slot: s}
 		live[s] = true
 	}
-	ord, blocks := cqOrder(q.Atoms, slotOf, bound, live)
+	ord := greedyOrderBound(q.Atoms, slotOf, bound)
 	p.Scans = compileJoin(q.Atoms, ord, -1, slotOf, live, bound).Scans
 	p.Order = ord
-	// The steps past the last one binding an output slot, and past the
-	// component blocks, form the last block.
-	w := len(p.Scans)
-	for w > 0 && !bindsLive(p.Scans[w-1], live) {
-		w--
-	}
-	if len(blocks) > 0 {
-		w = max(w, blocks[len(blocks)-1][1])
-	}
-	if w < len(p.Scans) {
-		blocks = append(blocks, [2]int{w, len(p.Scans)})
-	}
-	p.cut, p.ends = make([]int, len(p.Scans)), make([]int, len(p.Scans)+1)
-	for k := range p.ends {
-		p.ends[k] = -1
-		if k < len(p.cut) {
-			p.cut[k] = -1
-		}
-	}
-	for _, b := range blocks {
-		for k := b[0]; k < b[1]; k++ {
-			p.cut[k] = b[0]
-		}
-		p.ends[b[1]] = b[0]
+	p.Witness = len(p.Scans)
+	for p.Witness > 0 && !bindsLive(p.Scans[p.Witness-1], live) {
+		p.Witness--
 	}
 	return p
-}
-
-// cqOrder orders the body for CompileCQParams: greedily as one whole
-// when it is connected, else component by component — the components that
-// bind no output slot first, as blocks of their own, each ordered
-// greedily — so a check independent of the answer runs once, not once
-// per answer. Atoms connect through variables not bound from the start.
-func cqOrder(atoms []atom.Atom, slotOf map[term.Term]int, bound, live []bool) ([]int, [][2]int) {
-	comp := make([]int, len(atoms))
-	for i := range comp {
-		comp[i] = i
-	}
-	var find func(i int) int
-	find = func(i int) int {
-		if comp[i] != i {
-			comp[i] = find(comp[i])
-		}
-		return comp[i]
-	}
-	owner := make(map[int]int) // slot -> an atom holding it
-	for i, a := range atoms {
-		for _, x := range a.Args {
-			if s, ok := slotOf[x]; ok && x.IsVar() && !bound[s] {
-				if j, ok := owner[s]; ok {
-					comp[find(i)] = find(j)
-				} else {
-					owner[s] = i
-				}
-			}
-		}
-	}
-	var roots []int
-	members := make(map[int][]int)
-	output := make(map[int]bool)
-	for i, a := range atoms {
-		r := find(i)
-		if members[r] == nil {
-			roots = append(roots, r)
-		}
-		members[r] = append(members[r], i)
-		for _, x := range a.Args {
-			if s, ok := slotOf[x]; ok && x.IsVar() && live[s] && !bound[s] {
-				output[r] = true
-			}
-		}
-	}
-	if len(roots) == 1 {
-		return greedyOrderBound(atoms, slotOf, bound), nil
-	}
-	var ord []int
-	var blocks [][2]int
-	for _, out := range []bool{false, true} {
-		for _, r := range roots {
-			if output[r] != out {
-				continue
-			}
-			sub := make([]atom.Atom, len(members[r]))
-			for k, i := range members[r] {
-				sub[k] = atoms[i]
-			}
-			start := len(ord)
-			for _, k := range greedyOrderBound(sub, slotOf, bound) {
-				ord = append(ord, members[r][k])
-			}
-			if !out {
-				blocks = append(blocks, [2]int{start, len(ord)})
-			}
-		}
-	}
-	return ord, blocks
 }
 
 // bindsLive reports whether the scan binds a slot marked live.
@@ -265,47 +169,40 @@ func bindsLive(sp *storage.ScanPlan, live []bool) bool {
 // callers retaining it must copy. yield returning false stops the
 // enumeration immediately (the limit pushdown path); a boolean (arity 0)
 // query stops at its first body match either way. Run reports whether the
-// enumeration ran to completion. A plan with parameters needs
-// RunBudgetTraced.
+// enumeration ran to completion. A plan with parameters runs through
+// UCQPlan.RunBudgetTraced.
 func (p *CQPlan) Run(db *storage.DB, yield func(tup []term.Term) bool) bool {
-	done, _ := p.RunBudgetTraced(nil, nil, db, nil, yield)
+	done, _ := UCQPlan{p}.RunBudgetTraced(nil, nil, db, nil, yield)
 	return done
 }
 
-// RunBudgetTraced is Run under the parameter values args (one per
-// Params entry), charged against a budget and recorded into tr: every
-// cqCancelStride row matches flush into the budget's probe counter and
-// poll its limits and deadline — a cross-product query burns gas even
-// when the limit pushdown never fires — and tr gets the compiled join
-// order and the row-match count. A nil bud or tr behaves like Run. The
-// completion flag reports false when yield stopped the run early or the
-// budget tripped.
-func (p *CQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, args []term.Term, yield func(tup []term.Term) bool) (bool, error) {
-	return UCQPlan{p}.RunBudgetTraced(bud, tr, db, args, yield)
-}
-
 // UCQPlan is a union of compiled conjunctive queries of one arity over
-// one parameter list — the compiled form of a UCQ rewriting. Its answers
-// are its members' answers, each tuple once, in member order.
+// one parameter list — the compiled form of a UCQ rewriting; a single
+// CQPlan runs as the union of itself. Its answers are its members'
+// answers, each tuple once, in member order.
 type UCQPlan []*CQPlan
 
-// RunBudgetTraced enumerates the union's distinct answers under args:
-// each member runs as CQPlan.RunBudgetTraced does, deduplicating into one
-// answer set and charging one match count, so the budget's stride and
-// the limit pushdown span the members; a boolean union stops at its
-// first witness. tr gets the last member's join order and the matches
-// of all.
+// RunBudgetTraced enumerates the union's distinct answers, as Run does,
+// under the parameter values args (one per Params entry of each member),
+// charged against a budget and recorded into tr. The members share one
+// answer set and one match count: every cqCancelStride row matches flush
+// into the budget's probe counter and poll its limits and deadline — a
+// cross-product query burns gas even when the limit pushdown never
+// fires — and a boolean union stops at its first witness. tr gets the
+// last member's join order and the matches of all. A nil bud or tr
+// behaves like Run. The completion flag reports false when yield stopped
+// the run early or the budget tripped.
 func (u UCQPlan) RunBudgetTraced(bud *Budget, tr *Tracer, db *storage.DB, args []term.Term, yield func(tup []term.Term) bool) (bool, error) {
 	if err := bud.Check(); err != nil {
 		return false, err
 	}
 	r := cqRun{bud: bud, db: db, yield: yield, done: true}
 	r.seen = dedupSets.Get().(*storage.TupleSet)
+	if len(u) > 0 {
+		r.seen.Reset(u[0].Arity)
+	}
 	var order []int
-	for i, p := range u {
-		if i == 0 {
-			r.seen.Reset(p.Arity)
-		}
+	for _, p := range u {
 		r.run(p, args)
 		order = p.Order
 		if !r.done || p.Arity == 0 && r.seen.Len() > 0 {
@@ -329,8 +226,8 @@ type cqRun struct {
 	seen    *storage.TupleSet
 	out     []term.Term
 	matches int
-	done    bool   // false once yield stopped the run or the budget tripped
-	passed  []bool // passed[a]: the block starting at step a matched whole
+	done    bool // false once yield stopped the run or the budget tripped
+	witness bool // the steps from the plan's Witness on matched
 	err     error
 }
 
@@ -357,17 +254,11 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 		r.out = make([]term.Term, p.Arity)
 	}
 	out := r.out[:p.Arity]
-	if cap(r.passed) < len(p.ends) {
-		r.passed = make([]bool, len(p.ends))
-	}
-	passed := r.passed[:len(p.ends)]
 	// rec runs join step k on; false stops the run.
 	var rec func(k int) bool
 	rec = func(k int) bool {
-		if a := p.ends[k]; a >= 0 {
-			passed[a] = true
-		}
 		if k == len(p.Scans) {
+			r.witness = true
 			for i := range p.Out {
 				a := &p.Out[i]
 				if a.Slot < 0 {
@@ -387,13 +278,12 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 				r.done = false
 				return false
 			}
-			// A boolean query binds no output slot (its one block is the
-			// whole join), so its first witness ends the enumeration.
+			// A boolean query binds no output slot (Witness is 0), so its
+			// first witness ends the enumeration.
 			return true
 		}
-		a := p.cut[k]
-		if a == k {
-			passed[a] = false
+		if k == p.Witness {
+			r.witness = false
 		}
 		r.db.ProbeWithRow(p.Scans[k], frame, 0, 0, 1, func(int32) bool {
 			r.matches++
@@ -404,7 +294,7 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 					return false
 				}
 			}
-			return rec(k+1) && (a < 0 || !passed[a])
+			return rec(k+1) && !(k >= p.Witness && r.witness)
 		})
 		return r.done
 	}

@@ -132,7 +132,7 @@ func TestCQPlanRandomizedEquivalence(t *testing.T) {
 		pq, params, args := parameterize(r.Program.Store, q)
 		pp := CompileCQParams(pq, params)
 		var got2 [][]term.Term
-		if _, err := pp.RunBudgetTraced(nil, nil, db, args, func(tup []term.Term) bool {
+		if _, err := (UCQPlan{pp}).RunBudgetTraced(nil, nil, db, args, func(tup []term.Term) bool {
 			got2 = append(got2, append([]term.Term(nil), tup...))
 			return true
 		}); err != nil {

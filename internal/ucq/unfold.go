@@ -70,17 +70,7 @@ func Unfold(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool, ma
 	}
 	// The goal in the local name space: its variables renamed, its
 	// constant occurrences replaced by parameter variables.
-	ren := make(map[term.Term]term.Term)
-	local := func(x term.Term) term.Term {
-		if !x.IsVar() {
-			return x
-		}
-		if v, ok := ren[x]; ok {
-			return v
-		}
-		ren[x] = u.fresh()
-		return ren[x]
-	}
+	local := u.renamer()
 	goal := make([]atom.Atom, len(q.Atoms))
 	for i, a := range q.Atoms {
 		if !acyclic(a.Pred) {
@@ -157,19 +147,30 @@ func (u *unfolder) expand(done, pending []atom.Atom, s atom.Subst) bool {
 	return true
 }
 
+// renamer returns a renaming into fresh local variables: the same
+// variable to the same one, any other term to itself.
+func (u *unfolder) renamer() func(term.Term) term.Term {
+	m := make(map[term.Term]term.Term)
+	return func(x term.Term) term.Term {
+		if !x.IsVar() {
+			return x
+		}
+		v, ok := m[x]
+		if !ok {
+			v = u.fresh()
+			m[x] = v
+		}
+		return v
+	}
+}
+
 // rename returns the rule's head and body over fresh local variables.
 func (u *unfolder) rename(t *logic.TGD) (atom.Atom, []atom.Atom) {
-	m := make(map[term.Term]term.Term)
+	f := u.renamer()
 	ren := func(a atom.Atom) atom.Atom {
 		out := atom.Atom{Pred: a.Pred, Args: make([]term.Term, len(a.Args))}
 		for i, x := range a.Args {
-			if x.IsVar() {
-				if _, ok := m[x]; !ok {
-					m[x] = u.fresh()
-				}
-				x = m[x]
-			}
-			out.Args[i] = x
+			out.Args[i] = f(x)
 		}
 		return out
 	}
