@@ -36,15 +36,15 @@ const queryCancelStride = 256
 //   - Rule query: Query holds surface syntax with exactly one query and
 //     optionally view rules evaluated on the fly, e.g.
 //     "tc(X,Y) :- e(X,Y). tc(X,Z) :- e(X,Y), tc(Y,Z). ?(X) :- tc(a,X)."
-//     View rules evaluate into a copy-on-write overlay of the epoch
-//     snapshot: on demand (magic-set rewriting) when a constant of the
-//     query binds a view atom, else in full. The evaluation compiles once
-//     per (generation, rules shape, goal shape), and its overlay is cached
-//     per (epoch, evaluation, constants), so a repeated view query of an
-//     unchanged epoch reuses the materialization; a bare
-//     "?(..) :- body." conjunctive query compiles to a plan.CQPlan
-//     (cached per (generation, query shape)) and streams straight off
-//     the snapshot.
+//     The query compiles once per (generation, rules shape, goal shape),
+//     its constants run-time parameters. A bare "?(..) :- body."
+//     conjunctive query, and a goal with a constant over non-recursive
+//     positive view rules (unfolded into a union of CQs), stream straight
+//     off the snapshot; other view rules evaluate into a copy-on-write
+//     overlay of the snapshot — on demand (magic-set rewriting) when a
+//     constant binds a view atom, else in full — cached per (epoch,
+//     evaluation, constants), so a repeated view query of an unchanged
+//     epoch reuses the materialization (see ruleQueryStream).
 //
 // Query takes precedence when both are set.
 type QueryRequest struct {

@@ -161,8 +161,9 @@ type Service struct {
 type generation struct {
 	prog *logic.Program
 	// Pattern scan plans by (pred, bound mask), compiled conjunctive
-	// queries by structural shape (see appendShape), and view queries' compiled
-	// evaluations by rules and goal shape (see compileView).
+	// queries by structural shape with constants blanked (see
+	// appendShape), and view queries' compiled evaluations by rules and
+	// goal shape (see compileView).
 	plans   planCache[planKey, *storage.ScanPlan]
 	cqPlans planCache[string, *plan.CQPlan]
 	views   planCache[viewShape, *viewPlan]
