@@ -58,6 +58,9 @@ type CQPlan struct {
 	// must carry one value.
 	Params []TemplateArg
 
+	// semi[k] marks a join step that binds no slot: every match of it
+	// leaves the frame as the first did, so a run stops it at the first.
+	semi []bool
 	// unsat marks a query with an output variable occurring in no body
 	// atom: no homomorphism can instantiate it to a constant, so the query
 	// has no answers over any instance and Run yields nothing.
@@ -146,17 +149,72 @@ func CompileCQParams(q *logic.CQ, params []term.Term) *CQPlan {
 	p.Scans = compileJoin(q.Atoms, ord, -1, slotOf, live, bound).Scans
 	p.Order = ord
 	p.Witness = len(p.Scans)
-	for p.Witness > 0 && !bindsLive(p.Scans[p.Witness-1], live) {
+	for p.Witness > 0 && !binds(p.Scans[p.Witness-1], live) {
 		p.Witness--
+	}
+	p.semi = make([]bool, len(p.Scans))
+	for k, sp := range p.Scans {
+		p.semi[k] = !binds(sp, nil)
 	}
 	return p
 }
 
-// bindsLive reports whether the scan binds a slot marked live.
-func bindsLive(sp *storage.ScanPlan, live []bool) bool {
+// binds reports whether the scan binds a slot marked in the mask; a nil
+// mask marks every slot.
+func binds(sp *storage.ScanPlan, mask []bool) bool {
 	for _, a := range sp.Args {
-		if a.Mode == storage.ArgBind && live[a.Slot] {
+		if a.Mode == storage.ArgBind && (mask == nil || mask[a.Slot]) {
 			return true
+		}
+	}
+	return false
+}
+
+// Redundant reports whether a run repeats work that a materialized
+// intermediate result would project away: some join step binds a slot
+// no output position reads, and a later step that binds slots of its own
+// reads none of the slots that step binds, directly or through the steps
+// between. The later step then enumerates again, unchanged, for each of
+// that step's bindings (a later step binding nothing stops at its first
+// match, so it costs one probe per binding) —
+// the disconnected second atom of "?(X,Z) :- v(X), w(Z,c)" once per
+// binding of w's existential variable, the whole of "? :- v(X), v(c)"
+// once per binding of v(X) when v(c) fails. A connected join whose
+// existential variables the later steps read, like the path of
+// "?(Z) :- e(c,Y), e(Y,Z)", is not redundant.
+func (p *CQPlan) Redundant() bool {
+	live := make([]bool, p.NumSlots)
+	for _, a := range p.Out {
+		if a.Slot >= 0 {
+			live[a.Slot] = true
+		}
+	}
+	dep := make([]bool, p.NumSlots)
+	for k, sp := range p.Scans {
+		free := false
+		clear(dep)
+		for _, a := range sp.Args {
+			if a.Mode == storage.ArgBind {
+				dep[a.Slot] = true
+				free = free || !live[a.Slot]
+			}
+		}
+		if !free {
+			continue
+		}
+		for _, later := range p.Scans[k+1:] {
+			reads := false
+			for _, a := range later.Args {
+				reads = reads || a.Mode == storage.ArgBound && dep[a.Slot]
+			}
+			if !reads && binds(later, nil) {
+				return true
+			}
+			for _, a := range later.Args {
+				if a.Mode == storage.ArgBind {
+					dep[a.Slot] = true
+				}
+			}
 		}
 	}
 	return false
@@ -294,7 +352,7 @@ func (r *cqRun) run(p *CQPlan, args []term.Term) {
 					return false
 				}
 			}
-			return rec(k+1) && !(k >= p.Witness && r.witness)
+			return rec(k+1) && !(k >= p.Witness && r.witness) && !p.semi[k]
 		})
 		return r.done
 	}

@@ -288,3 +288,59 @@ func TestCQPlanWitnessSuffix(t *testing.T) {
 		}
 	}
 }
+
+// TestCQPlanSemiStep: a join step that binds no slot (every position
+// constant, bound or projected away) stops at its first match, since
+// each further match leaves the frame as it was: f(Y,Z) with Z dead
+// costs one match per Y before the answer-binding g(Y,W), not a hundred.
+func TestCQPlanSemiStep(t *testing.T) {
+	var src strings.Builder
+	for i := range 3 {
+		fmt.Fprintf(&src, "e(a,b%d). g(b%d,d%d). ", i, i, i)
+		for j := range 100 {
+			fmt.Fprintf(&src, "f(b%d,c%d). ", i, j)
+		}
+	}
+	db, r := parseCQ(t, src.String()+"?(Y,W) :- e(a,Y), f(Y,Z), g(Y,W).")
+	q := r.Queries[0]
+	p := CompileCQ(q)
+	var tr Tracer
+	var got [][]term.Term
+	if _, err := (UCQPlan{p}).RunBudgetTraced(nil, &tr, db, nil, func(tup []term.Term) bool {
+		got = append(got, append([]term.Term(nil), tup...))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	storage.SortTuples(got)
+	if want := naiveCQ(db, q); !sameAnswers(got, want) || len(got) != 3 {
+		t.Fatalf("%d answers, reference %d", len(got), len(want))
+	}
+	if fmt.Sprint(p.Order) != "[0 1 2]" || tr.CQMatches != 9 {
+		t.Fatalf("join order %v, %d row matches; want [0 1 2] and 3 per step", p.Order, tr.CQMatches)
+	}
+}
+
+// TestCQPlanRedundant: a plan is redundant when a step binding an
+// existential variable is followed by a binding step that reads none of
+// its bindings; a connected path, an answer-only binding before a
+// disconnected step, and an independent step that binds nothing are not.
+func TestCQPlanRedundant(t *testing.T) {
+	for _, c := range []struct {
+		query     string
+		redundant bool
+	}{
+		{"?(Z) :- e(c,Y), e(Y,Z).", false},
+		{"?(X,Z) :- e(X,Y), e(Y,Z).", false},
+		{"?(X,Z) :- e(X,c), e(Z,c).", false},        // X binds only an answer
+		{"?(X,Z) :- e(Y,c), e(X,Y), e(Z,c).", true}, // e(Z,c) reruns per Y
+		{"?(X) :- e(c,Y), e(Y,X), g(c,W).", false},  // g(c,_) binds nothing
+		{"? :- e(c,Y), e(Y,Z), g(c,W), g(W,V).", true},
+		{"? :- e(c,Y), e(Y,Z).", false},
+	} {
+		_, r := parseCQ(t, "e(a,b). g(a,b). "+c.query)
+		if got := CompileCQ(r.Queries[0]).Redundant(); got != c.redundant {
+			t.Errorf("%s: redundant %v, want %v", c.query, got, c.redundant)
+		}
+	}
+}

@@ -545,7 +545,7 @@ func (s *Service) cqPlan(g *generation, q *logic.CQ) (*plan.CQPlan, []term.Term,
 	var buf [128]byte
 	key, args := appendShape(buf[:0], q)
 	p, hit := g.cqPlans.get(string(key), func() *plan.CQPlan {
-		ms, _ := ucq.Unfold(nil, q, nil, 1)
+		ms, _ := ucq.Unfold(nil, q, nil, ucq.Limits{})
 		return plan.CompileCQParams(ms[0].CQ, ms[0].Params)
 	})
 	return p, args, hit
@@ -571,9 +571,32 @@ type viewPlan struct {
 // goal for the full view's compiled rules.
 type viewShape struct{ rules, goal string }
 
-// maxMembers caps an unfolding; a goal whose union would be larger takes
-// the overlay path.
-const maxMembers = 256
+// unfoldLimits bounds a goal's unfolding; a goal past a bound takes the
+// overlay path. The unfolding compiles before any request budget exists,
+// so the atom and step bounds are what keep a short program (a chain of
+// views, each joining two copies of the one below) from spending a core
+// and memory on an exponential union.
+var unfoldLimits = ucq.Limits{Members: 256, Atoms: 4096, Steps: 4096}
+
+// unfoldView compiles the goal's unfolding through the view rules into a
+// union of CQ plans with the goal's constants as parameters, or reports
+// false: when the rules do not unfold (ucq.Unfold), and when a member's
+// plan is redundant (CQPlan.Redundant), since materializing the views
+// projects away the existential bindings that the member would rerun its
+// later join steps for.
+func unfoldView(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool) (plan.UCQPlan, bool) {
+	ms, ok := ucq.Unfold(rules, q, stored, unfoldLimits)
+	if !ok {
+		return nil, false
+	}
+	u := make(plan.UCQPlan, len(ms))
+	for i, m := range ms {
+		if u[i] = plan.CompileCQParams(m.CQ, m.Params); u[i].Redundant() {
+			return nil, false
+		}
+	}
+	return u, true
+}
 
 // compileView returns the generation's compiled evaluation of (view rules,
 // query) and, for an unfolding or a rewriting, the query's constants —
@@ -582,9 +605,10 @@ const maxMembers = 256
 // once its shape is cached; hit reports that the cache had it.
 //
 // A goal holding a constant over positive, full, single-head rules that
-// do not recurse from it unfolds (ucq.Unfold): the answers are those of
-// a union of CQs over the snapshot, run with the constants as parameters.
-// A view atom stays a member of its own only while the snapshot holds
+// do not recurse from it unfolds (unfoldView) when its union is small and
+// no member reruns work a view's materialization would project away: the
+// answers are those of a union of CQs over the snapshot, run with the
+// constants as parameters. A view atom stays a member of its own only while the snapshot holds
 // facts of its predicate (a view head that is also a stored predicate);
 // which heads do is part of the key. Any other bound goal of positive
 // full single-head rules takes the magic-set rewriting, and the rest the
@@ -608,11 +632,7 @@ func (s *Service) compileView(g *generation, db *storage.DB, view *logic.Program
 	rules := string(b[:n])
 	v, hit = g.views.get(viewShape{rules, string(b[n:])}, func() *viewPlan {
 		if len(consts) > 0 {
-			if ms, ok := ucq.Unfold(view.TGDs, q, stored, maxMembers); ok {
-				u := make(plan.UCQPlan, len(ms))
-				for i, m := range ms {
-					u[i] = plan.CompileCQParams(m.CQ, m.Params)
-				}
+			if u, ok := unfoldView(view.TGDs, q, stored); ok {
 				return &viewPlan{unfold: u}
 			}
 			if mg := analysis.MagicSets(view, q); mg != nil {

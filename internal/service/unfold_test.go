@@ -9,13 +9,13 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/datalog"
 	"repro/internal/logic"
 	"repro/internal/parser"
 	"repro/internal/plan"
 	"repro/internal/schema"
-	"repro/internal/ucq"
 	"repro/internal/workload"
 )
 
@@ -127,8 +127,11 @@ func (g *viewGen) program() string {
 }
 
 // goal draws a query with at least one view atom and one constant: one or
-// two atoms, joined on a variable, output variables a subset of the
-// body's (none: boolean), and now and then a constant in the output row.
+// two atoms, output variables a subset of the body's (none: boolean), and
+// now and then a constant in the output row. The second atom shares a
+// variable with the first, or it holds a constant of its own: a
+// disconnected goal, whose answers are a product of a selection and
+// another atom's answers, so the instance keeps it small.
 func (g *viewGen) goal() string {
 	var views []genPred
 	for _, p := range g.preds {
@@ -145,15 +148,15 @@ func (g *viewGen) goal() string {
 				from = views
 			}
 			a, args := g.atom(from, genVars[:1+g.rng.Intn(3)], true)
-			if len(body) > 0 && !slices.ContainsFunc(args, func(x string) bool { return slices.Contains(vars, x) }) {
-				continue // a cross product of two answers
+			if len(body) > 0 && !slices.ContainsFunc(args, func(x string) bool { return slices.Contains(vars, x) || isConst(x) }) {
+				continue // a cross product of two unselected answers
 			}
 			body = append(body, a)
 			for _, x := range args {
-				if x[0] >= 'A' && x[0] <= 'Z' {
-					vars = append(vars, x)
-				} else {
+				if isConst(x) {
 					hasConst = true
+				} else {
+					vars = append(vars, x)
 				}
 			}
 		}
@@ -173,10 +176,27 @@ func (g *viewGen) goal() string {
 	}
 }
 
+func isConst(x string) bool { return x[0] < 'A' || x[0] > 'Z' }
+
+// disconnected reports whether the goal's two body atoms share no
+// variable.
+func disconnected(q *logic.CQ) bool {
+	if len(q.Atoms) < 2 {
+		return false
+	}
+	for _, x := range q.Atoms[0].Args {
+		if x.IsVar() && slices.Contains(q.Atoms[1].Args, x) {
+			return false
+		}
+	}
+	return true
+}
+
 // naiveOracle answers view rules + query over the served snapshot by
 // datalog.Naive of the rules over the snapshot's facts, then the query,
-// and reports whether the goal's unfolding fits under maxMembers.
-func naiveOracle(t *testing.T, svc *Service, src string) ([][]string, bool) {
+// reports whether the goal unfolds (unfoldView: a union inside the
+// bounds, no redundant member) and whether its body is disconnected.
+func naiveOracle(t *testing.T, svc *Service, src string) (rows [][]string, fits, split bool) {
 	t.Helper()
 	e, err := svc.acquire()
 	if err != nil {
@@ -194,12 +214,12 @@ func naiveOracle(t *testing.T, svc *Service, src string) ([][]string, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := [][]string{}
+	rows = [][]string{}
 	for _, tup := range plan.EvalCQ(out, res.Queries[0]) {
 		rows = append(rows, prog.Store.Names(tup))
 	}
-	_, fits := ucq.Unfold(tmp.TGDs, res.Queries[0], func(p schema.PredID) bool { return sdb.CountPred(p) > 0 }, maxMembers)
-	return rows, fits
+	_, fits = unfoldView(tmp.TGDs, res.Queries[0], func(p schema.PredID) bool { return sdb.CountPred(p) > 0 })
+	return rows, fits, disconnected(res.Queries[0])
 }
 
 // TestUnfoldMatchesNaive is the unfolded path's equivalence property:
@@ -209,8 +229,9 @@ func naiveOracle(t *testing.T, svc *Service, src string) ([][]string, bool) {
 // boolean goals — answered by the goal's unfolding (asserted on the
 // trace, with no overlay built) equal datalog.Naive of the rules over the
 // snapshot's facts, and a limit one short of the answer returns distinct
-// answers of it. A goal whose union would exceed the member cap takes the
-// overlay path and is held to the same oracle.
+// answers of it. A goal past the unfolding's bounds or with a redundant
+// member (a disconnected goal, mostly) takes the overlay path and is held
+// to the same oracle.
 func TestUnfoldMatchesNaive(t *testing.T) {
 	svc := New(Options{})
 	defer svc.Close()
@@ -223,7 +244,7 @@ func TestUnfoldMatchesNaive(t *testing.T) {
 			g.nodes = append(g.nodes, a)
 		}
 	}
-	goals, unfolded, answered, limited := 0, 0, 0, 0
+	goals, unfolded, answered, limited, split, splitUnfolded := 0, 0, 0, 0, 0, 0
 	for seed := int64(0); seed < 40; seed++ {
 		g.rng, g.seed = rand.New(rand.NewSource(seed)), seed
 		rules := g.program()
@@ -231,13 +252,19 @@ func TestUnfoldMatchesNaive(t *testing.T) {
 			src := rules + g.goal()
 			st0 := svc.Stats()
 			resp := mustQuery(t, svc, &QueryRequest{Query: src, Explain: true})
-			want, fits := naiveOracle(t, svc, src)
+			want, fits, disc := naiveOracle(t, svc, src)
 			st := svc.Stats()
 			if overlay := st.ViewBuilds != st0.ViewBuilds || st.ViewHits != st0.ViewHits; resp.Explain.View.Unfold != fits || overlay == fits {
-				t.Fatalf("seed %d: %s: unfolded %v, overlay %v; the union fits under the cap: %v", seed, src, resp.Explain.View.Unfold, overlay, fits)
+				t.Fatalf("seed %d: %s: unfolded %v, overlay %v; the goal unfolds: %v", seed, src, resp.Explain.View.Unfold, overlay, fits)
 			}
 			if fits {
 				unfolded++
+			}
+			if disc {
+				split++
+				if fits {
+					splitUnfolded++
+				}
 			}
 			goals++
 			if resp.Bool != nil {
@@ -275,8 +302,8 @@ func TestUnfoldMatchesNaive(t *testing.T) {
 	// The draw must exercise what it claims: most goals unfold (the rest
 	// exceed the member cap and take the overlay path, checked the same),
 	// many answer something, and a fair share reach the limit check.
-	t.Logf("of %d goals %d unfolded, %d answered, %d limited", goals, unfolded, answered, limited)
-	if unfolded < goals*3/4 || answered < goals/4 || limited < goals/8 {
+	t.Logf("of %d goals %d unfolded, %d answered, %d limited; %d disconnected, %d of them unfolded", goals, unfolded, answered, limited, split, splitUnfolded)
+	if unfolded < goals*3/4 || answered < goals/4 || limited < goals/8 || split < goals/16 {
 		t.Fatalf("of %d goals %d unfolded, %d answered, %d limited: the generator lost its reach", goals, unfolded, answered, limited)
 	}
 }
@@ -385,5 +412,68 @@ func TestCQShapeCompiledOnce(t *testing.T) {
 	defer e.gen.cqPlans.mu.RUnlock()
 	if n := len(e.gen.cqPlans.m); n != 1 {
 		t.Fatalf("%d plans compiled, want 1", n)
+	}
+}
+
+// TestRedundantUnfoldingTakesOverlay: a goal whose unfolding would rerun
+// a join for each binding of an existential variable takes the overlay
+// path and answers as datalog.Naive does, inside a probe cap that the
+// unfolded run would trip. These disconnected goals rerun the enumeration
+// of a(X) once per path from Z to their constant: unfolded, they take
+// 270 k and 751 k row matches for 1 017 and 1 808 answers; over the
+// overlay the goal takes about a thousand and two thousand, and the
+// fixpoint 11 k and 85 k probes.
+func TestRedundantUnfoldingTakesOverlay(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, workload.TCBlocksText(1))
+	for _, src := range []string{
+		"a(X) :- t(X,Y), e(Y,Z). b(Z,W) :- t(Z,Y), t(Y,W). ?(X,Z,n96) :- a(X), b(Z,n133).",
+		"a(X) :- t(X,Y), t(Y,V). b(Z,W) :- t(Z,Y), t(Y,W). ?(X,Z) :- a(X), b(Z,n149).",
+	} {
+		start := time.Now()
+		resp, err := svc.Query(&QueryRequest{Query: src, Explain: true, MaxProbes: 200_000})
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: %v", src, d)
+		}
+		want, fits, _ := naiveOracle(t, svc, src)
+		if vt := resp.Explain.View; fits || vt.Unfold || !vt.Demand {
+			t.Fatalf("%s: view %+v, unfolds %v; want the demand overlay", src, vt, fits)
+		}
+		sortRows(resp.Tuples)
+		sortRows(want)
+		if !reflect.DeepEqual(resp.Tuples, want) {
+			t.Fatalf("%s:\ngot    %v\noracle %v", src, resp.Tuples, want)
+		}
+	}
+}
+
+// TestUnfoldBoundedReturns: a chain of thirty views, each joining two
+// copies of the one below, is a short request whose unfolding is one
+// member of 2^30 atoms. It stops at the unfolding's bounds and takes the
+// demand overlay, which answers at once.
+func TestUnfoldBoundedReturns(t *testing.T) {
+	svc := New(Options{})
+	defer svc.Close()
+	mustLoad(t, svc, chainSource(16))
+	var b strings.Builder
+	b.WriteString("v0(X,Y) :- e(X,Z), e(Z,Y). ")
+	for i := 1; i < 30; i++ {
+		fmt.Fprintf(&b, "v%d(X,Y) :- v%d(X,Z), v%d(Z,Y). ", i, i-1, i-1)
+	}
+	start := time.Now()
+	short := explainQuery(t, svc, &QueryRequest{Query: b.String() + "?(Y) :- v2(n0,Y)."})
+	long := explainQuery(t, svc, &QueryRequest{Query: b.String() + "?(Y) :- v29(n0,Y)."})
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("two reads took %v", d)
+	}
+	if !short.View.Unfold || short.Rows != 1 {
+		t.Fatalf("v2 (8 atoms): view %+v, %d rows; want unfolded, the path to n8", short.View, short.Rows)
+	}
+	if vt := long.View; vt.Unfold || !vt.Demand || long.Rows != 0 {
+		t.Fatalf("v29: view %+v, %d rows; want the demand overlay, no answer", vt, long.Rows)
 	}
 }

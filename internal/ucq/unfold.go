@@ -1,8 +1,6 @@
 package ucq
 
 import (
-	"maps"
-
 	"repro/internal/atom"
 	"repro/internal/logic"
 	"repro/internal/schema"
@@ -19,6 +17,15 @@ type Member struct {
 	CQ     *logic.CQ
 	Params []term.Term
 }
+
+// Limits bounds an unfolding's search: Members the union's members,
+// Atoms the atoms of all members together, Steps the rule heads tried
+// against an atom. The atom bound counts a member in the making too, so
+// it also bounds the search's depth. Zero leaves a bound off. Without the atom and step
+// bounds a short program can ask for an exponential union: a chain of
+// views, each joining two copies of the one below, doubles the member's
+// atoms per level.
+type Limits struct{ Members, Atoms, Steps int }
 
 // Unfold is the Datalog case of Thm 4.7. Over positive full single-head
 // rules that do not recurse, resolving each atom of a rule-defined
@@ -38,10 +45,10 @@ type Member struct {
 // atom, its predicate holding facts of its own) when stored reports the
 // predicate; otherwise only its rules define it. Unfold reports false
 // when a rule is not positive full single-head, when the rules reachable
-// from the goal recurse, or when the union would exceed max members; an
+// from the goal recurse, or when the search passes a bound of lim; an
 // empty union (no unfolding unifies) is a true result.
-func Unfold(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool, max int) ([]Member, bool) {
-	u := &unfolder{rules: make(map[schema.PredID][]*logic.TGD), stored: stored, max: max}
+func Unfold(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool, lim Limits) ([]Member, bool) {
+	u := &unfolder{rules: make(map[schema.PredID][]*logic.TGD), stored: stored, lim: lim}
 	for _, t := range rules {
 		if len(t.Head) != 1 || t.HasNegation() || !t.IsFull() {
 			return nil, false
@@ -71,26 +78,28 @@ func Unfold(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool, ma
 	// The goal in the local name space: its variables renamed, its
 	// constant occurrences replaced by parameter variables.
 	local := u.renamer()
-	goal := make([]atom.Atom, len(q.Atoms))
+	goal := make([]atom.Atom, len(q.Atoms)) // a stack: the first atom on top
 	for i, a := range q.Atoms {
 		if !acyclic(a.Pred) {
 			return nil, false
 		}
-		goal[i] = atom.Atom{Pred: a.Pred, Args: make([]term.Term, len(a.Args))}
+		g := atom.Atom{Pred: a.Pred, Args: make([]term.Term, len(a.Args))}
 		for j, x := range a.Args {
 			if x.IsVar() {
-				goal[i].Args[j] = local(x)
+				g.Args[j] = local(x)
 			} else {
-				goal[i].Args[j] = u.fresh()
-				u.params = append(u.params, goal[i].Args[j])
+				g.Args[j] = u.fresh()
+				u.params = append(u.params, g.Args[j])
 			}
 		}
+		goal[len(q.Atoms)-1-i] = g
 	}
 	u.output = make([]term.Term, len(q.Output))
 	for i, x := range q.Output {
 		u.output[i] = local(x)
 	}
-	if !u.expand(nil, goal, atom.NewSubst()) {
+	u.pending, u.s = goal, atom.NewSubst()
+	if !u.expand() {
 		return nil, false
 	}
 	return u.members, true
@@ -99,11 +108,21 @@ func Unfold(rules []*logic.TGD, q *logic.CQ, stored func(schema.PredID) bool, ma
 type unfolder struct {
 	rules   map[schema.PredID][]*logic.TGD
 	stored  func(schema.PredID) bool
-	max     int
+	lim     Limits
 	next    uint32
 	params  []term.Term
 	output  []term.Term
 	members []Member
+	atoms   int // of the members so far
+	steps   int
+
+	// The search state, extended and undone in place: the atoms kept
+	// so far, the atoms left to resolve (a stack, the next on top), and
+	// one substitution with the trail of the variables it bound.
+	done    []atom.Atom
+	pending []atom.Atom
+	s       atom.Subst
+	trail   []term.Term
 }
 
 func (u *unfolder) fresh() term.Term {
@@ -111,41 +130,65 @@ func (u *unfolder) fresh() term.Term {
 	return term.MkVar(u.next - 1)
 }
 
-// expand resolves the pending atoms left to right under the substitution
-// s, appending a member per complete unfolding; it reports false once
-// the members exceed the cap.
-func (u *unfolder) expand(done, pending []atom.Atom, s atom.Subst) bool {
-	if len(pending) == 0 {
-		if len(u.members) == u.max {
+// expand resolves the pending atoms, the top first, appending a member
+// per complete unfolding, and leaves the search state as it found it; it
+// reports false once the search passes a bound.
+func (u *unfolder) expand() bool {
+	n := len(u.pending)
+	if n == 0 {
+		if over(len(u.members)+1, u.lim.Members) {
 			return false
 		}
-		m := Member{CQ: &logic.CQ{Atoms: s.ApplyAtoms(done), Output: make([]term.Term, len(u.output))}}
+		u.atoms += len(u.done)
+		m := Member{CQ: &logic.CQ{Atoms: u.s.ApplyAtoms(u.done), Output: make([]term.Term, len(u.output))}}
 		for i, x := range u.output {
-			m.CQ.Output[i] = s.Apply(x)
+			m.CQ.Output[i] = u.s.Apply(x)
 		}
 		for _, p := range u.params {
-			m.Params = append(m.Params, s.Apply(p))
+			m.Params = append(m.Params, u.s.Apply(p))
 		}
 		u.members = append(u.members, m)
 		return true
 	}
-	a, rest := pending[0], pending[1:]
+	a := u.pending[n-1]
+	u.pending = u.pending[:n-1]
 	rules := u.rules[a.Pred]
-	if (len(rules) == 0 || u.stored(a.Pred)) && !u.expand(append(done[:len(done):len(done)], a), rest, s) {
-		return false
-	}
-	for _, t := range rules {
-		head, body := u.rename(t)
-		s2 := maps.Clone(s)
-		if !atom.UnifyAtoms(s2, a, head) {
-			continue
-		}
-		if !u.expand(done, append(body, rest...), s2) {
+	if len(rules) == 0 || u.stored(a.Pred) {
+		if over(u.atoms+len(u.done)+1, u.lim.Atoms) {
 			return false
 		}
+		u.done = append(u.done, a)
+		if !u.expand() {
+			return false
+		}
+		u.done = u.done[:len(u.done)-1]
 	}
+	for _, t := range rules {
+		if u.steps++; over(u.steps, u.lim.Steps) {
+			return false
+		}
+		head, body := u.rename(t)
+		mark := len(u.trail)
+		if atom.UnifyAtomsTrail(u.s, a, head, &u.trail) {
+			for i := len(body) - 1; i >= 0; i-- {
+				u.pending = append(u.pending, body[i])
+			}
+			if !u.expand() {
+				return false
+			}
+			u.pending = u.pending[:n-1]
+		}
+		for _, v := range u.trail[mark:] {
+			delete(u.s, v)
+		}
+		u.trail = u.trail[:mark]
+	}
+	u.pending = append(u.pending, a)
 	return true
 }
+
+// over reports whether n passes the bound max, zero being none.
+func over(n, max int) bool { return max > 0 && n > max }
 
 // renamer returns a renaming into fresh local variables: the same
 // variable to the same one, any other term to itself.

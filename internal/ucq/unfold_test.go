@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/atom"
 	"repro/internal/datalog"
@@ -79,7 +80,7 @@ func TestUnfoldMatchesNaive(t *testing.T) {
 		}
 		stored := func(p schema.PredID) bool { return db.CountPred(p) > 0 }
 		for _, q := range r.Queries {
-			members, ok := Unfold(r.Program.TGDs, q, stored, 256)
+			members, ok := Unfold(r.Program.TGDs, q, stored, Limits{Members: 256})
 			if !ok {
 				t.Fatalf("seed %d: %s: not unfolded", seed, q.String(st, r.Program.Reg))
 			}
@@ -132,7 +133,7 @@ func TestUnfoldRefuses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		members, ok := Unfold(r.Program.TGDs, r.Queries[0], func(schema.PredID) bool { return false }, c.max)
+		members, ok := Unfold(r.Program.TGDs, r.Queries[0], func(schema.PredID) bool { return false }, Limits{Members: c.max})
 		if ok != c.ok || len(members) != c.size {
 			t.Fatalf("%s (cap %d): %d members, unfolded %v; want %d, %v", c.src, c.max, len(members), ok, c.size, c.ok)
 		}
@@ -144,7 +145,49 @@ func TestUnfoldRefuses(t *testing.T) {
 	}
 	st := r.Program.Store
 	r.Program.TGDs[0].Head[0].Args = []term.Term{st.Const("a"), st.Const("b")}
-	if members, ok := Unfold(r.Program.TGDs, r.Queries[0], func(schema.PredID) bool { return false }, 8); !ok || len(members) != 0 {
+	if members, ok := Unfold(r.Program.TGDs, r.Queries[0], func(schema.PredID) bool { return false }, Limits{Members: 8}); !ok || len(members) != 0 {
 		t.Fatalf("clashing head constants: %d members, unfolded %v", len(members), ok)
+	}
+}
+
+// TestUnfoldLimits: a chain of views, each joining two copies of the one
+// below, doubles its one member's atoms per level. Thirty levels are a
+// short program and a member of 2^30 atoms; the atom and the step bounds
+// each end the search early, and a union inside both unfolds.
+func TestUnfoldLimits(t *testing.T) {
+	chain := func(levels int) string {
+		var b strings.Builder
+		b.WriteString("v0(X,Y) :- e(X,Z), e(Z,Y). ")
+		for i := 1; i < levels; i++ {
+			fmt.Fprintf(&b, "v%d(X,Y) :- v%d(X,Z), v%d(Z,Y). ", i, i-1, i-1)
+		}
+		fmt.Fprintf(&b, "?(Y) :- v%d(a,Y).", levels-1)
+		return b.String()
+	}
+	none := func(schema.PredID) bool { return false }
+	for _, c := range []struct {
+		levels int
+		lim    Limits
+		ok     bool
+	}{
+		{30, Limits{Members: 256, Atoms: 4096, Steps: 4096}, false},
+		{30, Limits{Atoms: 4096}, false},
+		{30, Limits{Steps: 4096}, false},
+		{8, Limits{Members: 256, Atoms: 4096, Steps: 4096}, true}, // 256 atoms, 255 steps
+		{8, Limits{Atoms: 255}, false},
+		{8, Limits{Steps: 254}, false},
+	} {
+		r, err := parser.Parse(chain(c.levels))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		members, ok := Unfold(r.Program.TGDs, r.Queries[0], none, c.lim)
+		if ok != c.ok || ok && (len(members) != 1 || len(members[0].CQ.Atoms) != 1<<c.levels) {
+			t.Fatalf("%d levels under %+v: unfolded %v, %d members", c.levels, c.lim, ok, len(members))
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%d levels under %+v: %v to give up", c.levels, c.lim, d)
+		}
 	}
 }
