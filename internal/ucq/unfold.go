@@ -21,10 +21,10 @@ type Member struct {
 // Limits bounds an unfolding's search: Members the union's members,
 // Atoms the atoms of all members together, Steps the rule heads tried
 // against an atom. The atom bound counts a member in the making too, so
-// it also bounds the search's depth. Zero leaves a bound off. Without the atom and step
-// bounds a short program can ask for an exponential union: a chain of
-// views, each joining two copies of the one below, doubles the member's
-// atoms per level.
+// it also bounds the search's depth. Zero leaves a bound off. Without
+// the atom and step bounds a short program can ask for an exponential
+// union: a chain of views, each joining two copies of the one below,
+// doubles the member's atoms per level.
 type Limits struct{ Members, Atoms, Steps int }
 
 // Unfold is the Datalog case of Thm 4.7. Over positive full single-head
